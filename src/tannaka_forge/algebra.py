@@ -402,20 +402,29 @@ def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[Module
 @dataclass
 class TripleTensor:
     """X tensor_B Y tensor_B Z as a quotient of the flat R-triple tensor,
-    organized as (X tensor Y) tensor Z at the index level."""
+    organized as (X tensor Y) tensor Z at the index level.
+
+    When f_B = 1 the flat triple tensor is the quotient: module is TR.module
+    and proj, sect and rel_cols are None, so no (rank)^3-square matrix is
+    built."""
     alg: AlgebraSpec
     T12: TensorData
     TR: TensorData          # (T12.module) tensor Z
     module: FinModule
-    proj: ModuleMap
-    sect: Matrix
+    proj: ModuleMap | None
+    sect: Matrix | None
     rel_cols: Matrix | None
 
     def embed3(self, v, w, u) -> tuple[int, ...]:
         return self.TR.embed(self.T12.embed(v, w), u)
 
     def pure3(self, v, w, u) -> tuple[int, ...]:
-        return self.proj.apply(self.embed3(v, w, u))
+        flat = self.embed3(v, w, u)
+        return flat if self.proj is None else self.proj.apply(flat)
+
+    def lift_gen(self, q: int) -> list[int]:
+        """A flat representative of the q-th generator of the quotient."""
+        return list(self.module.gen(q)) if self.sect is None else self.sect.col(q)
 
 
 def triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
@@ -424,9 +433,7 @@ def triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
     T12 = tensor_with_data(X_car, Y_car)
     TR = tensor_with_data(T12.module, Z_car)
     if alg.fb == 1:
-        ident = ModuleMap.identity(TR.module)
-        return TripleTensor(alg, T12, TR, TR.module, ident,
-                            Matrix.identity(alg.R, TR.module.rank), None)
+        return TripleTensor(alg, T12, TR, TR.module, None, None, None)
     rel12_xy = (map_tensor(T12, X_right, ModuleMap.identity(Y_car), T12)
                 - map_tensor(T12, ModuleMap.identity(X_car), Y_left, T12))
     rel12 = map_tensor(TR, rel12_xy, ModuleMap.identity(Z_car), TR)
@@ -445,15 +452,6 @@ def triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
     pres = presentation_with_torsion(TR.module, allrel)
     proj = ModuleMap(TR.module, pres.module, pres.proj)
     return TripleTensor(alg, T12, TR, pres.module, proj, pres.sect, allrel)
-
-
-def descend3(data: TripleTensor, flat: ModuleMap) -> ModuleMap:
-    if data.rel_cols is not None:
-        for j in range(data.rel_cols.cols):
-            img = flat.apply(data.rel_cols.col(j))
-            if any(img):
-                raise ValueError("map does not descend to the triple tensor over B")
-    return ModuleMap(data.module, flat.dst, flat.mat @ data.sect)
 
 
 def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
@@ -493,7 +491,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     def t3_to_nested_left() -> ModuleMap:
         cols = []
         for kq in range(t3.module.rank):
-            lift = t3.sect.col(kq)
+            lift = t3.lift_gen(kq)
             acc = [0] * left_nested.module.rank
             for kk, coeff in enumerate(lift):
                 if coeff == 0:
@@ -532,7 +530,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     def t3_to_nested_right() -> ModuleMap:
         cols = []
         for kq in range(t3.module.rank):
-            lift = t3.sect.col(kq)
+            lift = t3.lift_gen(kq)
             acc = [0] * right_nested.module.rank
             for kk, coeff in enumerate(lift):
                 if coeff == 0:

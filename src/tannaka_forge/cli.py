@@ -46,8 +46,10 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _finish_report(report: dict, t0: float, json_path: str | None) -> int:
-    report["timings"] = {"total_s": round(time.monotonic() - t0, 4)}
+def _finish_report(report: dict, t0: float, json_path: str | None,
+                   timings: dict | None = None) -> int:
+    report["timings"] = {"total_s": round(time.monotonic() - t0, 4),
+                         **(timings or {})}
     body = {k: v for k, v in report.items() if k not in ("timings", "report_digest")}
     report["report_digest"] = _digest(_canonical_json(body).encode())
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -225,9 +227,8 @@ def cmd_verify_suite(args) -> int:
     results = run_suite(args.budget)
     report["checks"] = [{"name": r["name"], "status": r["status"],
                          "detail": r.get("detail", {})} for r in results]
-    report["results"] = {"seconds_per_check":
-                         {r["name"]: r["seconds"] for r in results}}
-    return _finish_report(report, t0, args.json)
+    return _finish_report(report, t0, args.json, {
+        "seconds_per_check": {r["name"]: r["seconds"] for r in results}})
 
 
 def build_parser() -> argparse.ArgumentParser:

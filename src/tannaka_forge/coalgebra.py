@@ -7,9 +7,12 @@ rho : M -> C (x)_B M compatible with delta and eps.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  Coassociativity is compared inside the triple tensor
-over B, computed once as a quotient of the flat R-triple tensor; composites
-like (delta (x) id) are induced through recorded tensor presentations and the
-descent is checked on every middle-relation generator.
+over B.  The flat maps (delta (x) id) and (id (x) rho) are built as sparse
+columns on flat triple coordinates, straight from the sparse columns of the
+lifted delta and rho; when f_B = 1 those coordinates are already the triple
+tensor's and no quotient is built, otherwise the columns are pushed through
+the quotient's projection.  Descent is checked on every middle-relation
+generator and the descended maps are validated column by column.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
@@ -20,7 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import Matrix
-from .modules import (FinModule, ModuleMap, hom_module, map_kernel, direct_sum,
+from .modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
+                      map_kernel, direct_sum,
                       sub_membership, sub_canonical, sub_elements,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
@@ -101,44 +105,96 @@ def _counit_right_map(alg: AlgebraSpec, C: BBBimodule, counit: ModuleMap,
     return descend(data, ModuleMap(data.TR.module, car, flat, validate=False))
 
 
-def _delta_tensor_id(alg: AlgebraSpec, deltahat: Matrix, data: BTensor,
-                     t3: TripleTensor, right_car: FinModule) -> ModuleMap:
-    """(delta (x)_B id) : C (x)_B Z -> C (x)_B C (x)_B Z, for data the source
-    tensor and t3 the triple tensor with the same outer factors."""
-    flat = Matrix.zeros(alg.R, t3.module.rank, data.TR.module.rank)
-    for (i, j), k in data.TR.pos.items():
-        dcol = deltahat.col(i)   # an element of the flat C (x) C
-        col = t3.proj.apply(t3.TR.embed(tuple(dcol), right_car.gen(j)))
-        for r, v in enumerate(col):
-            flat.data[r][k] = v
-    return descend(data, ModuleMap(data.TR.module, t3.module, flat, validate=False))
+def _sparse_cols(mat: Matrix) -> list[list[tuple[int, int]]]:
+    """The nonzero (row, entry) pairs of each column of mat."""
+    cols: list[list[tuple[int, int]]] = [[] for _ in range(mat.cols)]
+    for r, row in enumerate(mat.data):
+        for c, v in enumerate(row):
+            if v:
+                cols[c].append((r, v))
+    return cols
 
 
-def _id_tensor_coaction(alg: AlgebraSpec, data: BTensor, t3: TripleTensor,
-                        C_car: FinModule, hat: Matrix,
-                        inner_pos) -> ModuleMap:
-    """(id (x)_B rho) : C (x)_B Z -> C (x)_B C (x)_B Z where hat lifts the
-    coaction of Z into the flat C (x) Z and inner_pos inverts its index."""
-    R = alg.R
-    flat = Matrix.zeros(R, t3.module.rank, data.TR.module.rank)
-    for (i, j), k in data.TR.pos.items():
-        acc = [0] * t3.module.rank
-        for kk, coeff in enumerate(hat.col(j)):
-            if coeff == 0:
-                continue
-            a, b = inner_pos[kk]
-            vec = t3.pure3(C_car.gen(i), C_car.gen(a), _gen(t3, b))
-            for r, v in enumerate(vec):
-                if v:
-                    acc[r] = R.add(acc[r], R.mul(coeff, v))
-        col = t3.module.reduce(acc)
-        for r, v in enumerate(col):
-            flat.data[r][k] = v
-    return descend(data, ModuleMap(data.TR.module, t3.module, flat, validate=False))
+def _coassoc_witness(t3: TripleTensor, cc: BTensor, deltahat: Matrix,
+                     src: BTensor, hat: Matrix, phi: ModuleMap) -> int | None:
+    """First generator g of phi.src with (delta (x) id) phi(g) different
+    from (id (x) rho) phi(g) in t3.module, or None.
 
+    src is C (x)_B Z, hat lifts rho : Z -> src.module into src.TR, deltahat
+    lifts delta into cc.TR, and phi : phi.src -> src.module is the map both
+    composites start from (delta itself, or rho).  Both maps are built as
+    sparse {flat triple index: coeff} columns; descent through src and the
+    valuation condition of the descended map are checked on every column.
+    When f_B = 1 the flat triple coordinates are the quotient's.
+    """
+    R = t3.alg.R
+    add, mul, red, val = R.add, R.mul, R.reduce_exp, R.val
+    exps = t3.module.exps
+    p12, p3 = t3.T12.pos, t3.TR.pos
+    cc_inv = {k: ij for ij, k in cc.TR.pos.items()}
+    src_inv = {k: ij for ij, k in src.TR.pos.items()}
+    # delta(c_i) as (T12 index, coeff); rho(z_j) as ((c, z) pair, coeff)
+    dcols = [[(p12[cc_inv[kk]], c) for kk, c in col]
+             for col in _sparse_cols(deltahat)]
+    hcols = [[(src_inv[kk], c) for kk, c in col] for col in _sparse_cols(hat)]
 
-def _gen(t3: TripleTensor, b: int):
-    return t3.TR.right.gen(b)
+    def combine(terms) -> dict[int, int]:
+        acc: dict[int, int] = {}
+        for c, vec in terms:
+            for k, v in vec:
+                acc[k] = add(acc.get(k, 0), mul(c, v))
+        return acc
+
+    def canon(acc: dict[int, int]) -> list[tuple[int, int]]:
+        out = []
+        for k, v in acc.items():
+            v = red(v, exps[k])
+            if v:
+                out.append((k, v))
+        out.sort()
+        return out
+
+    if t3.proj is None:
+        to_quot = canon
+    else:
+        pcols = _sparse_cols(t3.proj.mat)
+
+        def to_quot(acc):
+            return canon(combine((v, pcols[k]) for k, v in acc.items()))
+
+    if src.rel_cols is not None:
+        rel_cols, sect_cols = _sparse_cols(src.rel_cols), _sparse_cols(src.sect)
+
+    def descend_cols(flat):
+        if src.rel_cols is None:
+            # the flat columns hold distinct indices, so dict() adds nothing up
+            cols = [to_quot(dict(col)) for col in flat]
+        else:
+            for rel in rel_cols:
+                if to_quot(combine((c, flat[k]) for k, c in rel)):
+                    raise ValueError("map does not descend to the tensor over B")
+            cols = [to_quot(combine((c, flat[k]) for k, c in col))
+                    for col in sect_cols]
+        for q, col in enumerate(cols):
+            for j, a in col:
+                need = exps[j] - src.module.exps[q]
+                if need > 0 and val(a) < need:
+                    raise NotWellDefined("entry (%d,%d) has valuation %d < %d"
+                                         % (j, q, val(a), need))
+        return cols
+
+    lhs_flat = [None] * src.TR.module.rank
+    rhs_flat = [None] * src.TR.module.rank
+    for (i, j), k in src.TR.pos.items():
+        lhs_flat[k] = [(p3[(pk, j)], c) for pk, c in dcols[i]]
+        rhs_flat[k] = [(p3[(p12[(i, a)], b)], c) for (a, b), c in hcols[j]]
+    lhs = descend_cols(lhs_flat)
+    rhs = descend_cols(rhs_flat)
+    for g, terms in enumerate(_sparse_cols(phi.mat)):
+        if (canon(combine((c, lhs[q]) for q, c in terms))
+                != canon(combine((c, rhs[q]) for q, c in terms))):
+            return g
+    return None
 
 
 def coalgebra_check(alg: AlgebraSpec, C: BBBimodule, delta: ModuleMap,
@@ -173,10 +229,7 @@ def coalgebra_check(alg: AlgebraSpec, C: BBBimodule, delta: ModuleMap,
     # coassociativity inside the triple tensor
     t3 = triple_tensor(alg, C.carrier, C.right, C.carrier, C.left, C.right,
                        C.carrier, C.left)
-    lhs = _delta_tensor_id(alg, deltahat, cc, t3, C.carrier) @ delta
-    pos_inv = {v: k for k, v in cc.TR.pos.items()}
-    rhs = _id_tensor_coaction(alg, cc, t3, C.carrier, deltahat, pos_inv) @ delta
-    w = _first_difference(lhs, rhs)
+    w = _coassoc_witness(t3, cc, deltahat, cc, deltahat, delta)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Coalgebra(alg, C, delta, counit, cc, deltahat)
@@ -219,11 +272,7 @@ def comodule_check(C: Coalgebra, M: BModule, rho: ModuleMap) -> Comodule:
         raise AxiomError("CounitLeft", w)
     t3 = triple_tensor(alg, C.carrier, C.bi.right, C.carrier, C.bi.left,
                        C.bi.right, M.carrier, M.act)
-    lhs = _delta_tensor_id(alg, C.deltahat, cm, t3, M.carrier) @ rho
-    rhohat = cm.sect @ rho.mat
-    pos_inv = {v: k for k, v in cm.TR.pos.items()}
-    rhs = _id_tensor_coaction(alg, cm, t3, C.carrier, rhohat, pos_inv) @ rho
-    w = _first_difference(lhs, rhs)
+    w = _coassoc_witness(t3, C.cc, C.deltahat, cm, cm.sect @ rho.mat, rho)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Comodule(C, M, rho, cm)

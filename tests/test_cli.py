@@ -70,6 +70,12 @@ def test_report_digest_stable(tmp_path, capsys):
     _, rep2 = run(capsys, ["coend", str(f)])
     assert rep1["report_digest"] == rep2["report_digest"]
     assert rep1["input_digest"] == rep2["input_digest"]
+    # verify-suite keeps its per-check seconds under timings, outside the
+    # digested body
+    _, rep1 = run(capsys, ["verify-suite"])
+    _, rep2 = run(capsys, ["verify-suite"])
+    assert "seconds_per_check" in rep1["timings"]
+    assert rep1["report_digest"] == rep2["report_digest"]
 
 
 def test_reconstruct_command(tmp_path, capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap, hom_module
-from tannaka_forge.algebra import free_bmodule, tensor_bim_bmodule
+from tannaka_forge.algebra import AlgebraSpec, free_bmodule, tensor_bim_bmodule
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, comodule_hom,
                                      cofree, is_cauchy, enumerate_subcomodules,
                                      enumerate_b_submodules, subcomodule_as_comodule,
@@ -46,6 +46,43 @@ def test_broken_coassociativity_detected(alg_f2):
     with pytest.raises(AxiomError) as exc:
         coalgebra_check(alg, bi, delta, counit)
     assert exc.value.code in ("CounitLeft", "CounitRight", "Coassoc")
+
+
+@pytest.mark.parametrize("n, g, u, v, witness", [
+    (1, 2, (1, 1, 0), (1, 1, 0), 2),     # F2
+    (2, 1, (3, 1, 0), (3, 0, 1), 1),     # Z/4
+])
+def test_pure_coassociativity_failure(n, g, u, v, witness):
+    # rank-3 grouplike delta plus u (x) v at g_g, with eps(u) = eps(v) = 0:
+    # both counit laws hold, coassociativity does not
+    alg = AlgebraSpec.make(2, n, 1)
+    C = grouplike_coalgebra(alg, 3)
+    car, cc = C.carrier, C.cc
+    cols = [list(C.delta.apply(car.gen(i))) for i in range(3)]
+    cols[g] = list(cc.module.add(cols[g], cc.pure(u, v)))
+    delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
+    with pytest.raises(AxiomError) as exc:
+        coalgebra_check(alg, C.bi, delta, C.counit)
+    assert exc.value.code == "Coassoc"
+    assert exc.value.witness == witness
+
+
+def test_pure_comodule_coassociativity_failure():
+    # over Z/4, rho(m1) = (g0 + g1 - g2) (x) m1 is counital (eps = 1) but
+    # g0 + g1 - g2 is not grouplike; rho(m0) = g0 (x) m0 is a valid line
+    alg = AlgebraSpec.make(2, 2, 1)
+    R = alg.R
+    C = grouplike_coalgebra(alg, 3)
+    M = free_bmodule(alg, 2)
+    cm = tensor_bim_bmodule(alg, C.bi, M)
+    c = C.carrier.reduce([1, 1, R.neg(1)])
+    cols = [list(cm.pure(C.carrier.gen(0), M.carrier.gen(0))),
+            list(cm.pure(c, M.carrier.gen(1)))]
+    rho = ModuleMap(M.carrier, cm.module, Matrix.from_cols(R, cols, cm.module.rank))
+    with pytest.raises(AxiomError) as exc:
+        comodule_check(C, M, rho)
+    assert exc.value.code == "Coassoc"
+    assert exc.value.witness == 1
 
 
 def test_counit_failure_witness(alg_f2):

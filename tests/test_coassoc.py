@@ -1,0 +1,265 @@
+"""The sparse coassociativity comparison against the dense reference, and
+the memory bounds it makes possible."""
+
+import random
+
+import pytest
+
+from tannaka_forge import coalgebra
+from tannaka_forge.linalg import Matrix
+from tannaka_forge.modules import FinModule, ModuleMap
+from tannaka_forge.algebra import (AlgebraSpec, free_bmodule, bimodule_make,
+                                   tensor_bimodules, triple_tensor)
+from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, cofree,
+                                     AxiomError)
+from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
+                                 comatrix_coalgebra, grouplike_line,
+                                 comatrix_standard_comodule, comatrix_diagram,
+                                 trivial_full_hom_diagram, mf_family_diagram,
+                                 random_diagram)
+from tannaka_forge.tannaka import coend, lift_coaction
+
+from coassoc_reference import dense_coassoc_witness
+
+FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
+WITT_ALGS = [(2, 1, 2), (2, 2, 2)]                      # F4, GR(4,2)
+PASS = ("pass", None)
+
+
+def _outcome(fn):
+    try:
+        fn()
+    except AxiomError as e:
+        return (e.code, e.witness)
+    return PASS
+
+
+def _sparse_and_dense(monkeypatch, fn):
+    """The outcome of fn with the sparse comparison, then with the dense
+    reference swapped in; the reference must actually have run."""
+    sparse = _outcome(fn)
+    calls = []
+
+    def reference(*args):
+        calls.append(1)
+        return dense_coassoc_witness(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(coalgebra, "_coassoc_witness", reference)
+        dense = _outcome(fn)
+    if sparse[0] not in ("NotBimoduleMap", "NotModuleMap",
+                         "CounitLeft", "CounitRight"):
+        assert calls, "the reference comparison was never reached"
+    return sparse, dense
+
+
+def _recheck_coalgebra(C):
+    return lambda: coalgebra_check(C.alg, C.bi, C.delta, C.counit)
+
+
+def _recheck_comodule(Mc):
+    return lambda: comodule_check(Mc.coalgebra, Mc.module, Mc.rho)
+
+
+def _b_grouplike(alg, g):
+    """B^g with delta(x^k e_i) = x^k e_i (x) e_i and eps(x^k e_i) = x^k:
+    a grouplike coalgebra whose elements are B-multiples, for any f_B."""
+    fb = alg.fb
+    M = free_bmodule(alg, g)
+    bi = bimodule_make(alg, M.carrier, M.act, M.act)
+    cc = tensor_bimodules(alg, bi, bi)
+    cols = [list(cc.pure(M.carrier.gen(i * fb + k), M.carrier.gen(i * fb)))
+            for i in range(g) for k in range(fb)]
+    delta = ModuleMap(M.carrier, cc.module,
+                      Matrix.from_cols(alg.R, cols, cc.module.rank))
+    eps = Matrix.zeros(alg.R, fb, g * fb)
+    for i in range(g):
+        for k in range(fb):
+            eps.data[k][i * fb + k] = 1
+    counit = ModuleMap(M.carrier, FinModule.free(alg.R, fb), eps)
+    return coalgebra_check(alg, bi, delta, counit)
+
+
+def _suite_coalgebras():
+    out = []
+    for p, n, f in FIELD_ALGS:
+        alg = AlgebraSpec.make(p, n, f)
+        out.append(trivial_coalgebra(alg))
+        out += [grouplike_coalgebra(alg, g) for g in (1, 2, 3)]
+        out += [comatrix_coalgebra(alg, r) for r in (1, 2, 3)]
+    for p, n, f in WITT_ALGS:
+        alg = AlgebraSpec.make(p, n, f)
+        out += [trivial_coalgebra(alg), _b_grouplike(alg, 2)]
+    return out
+
+
+def _coend_diagrams():
+    out = [comatrix_diagram(AlgebraSpec.make(2, 1, 1), 2)]
+    out += [trivial_full_hom_diagram(AlgebraSpec.make(*a)) for a in WITT_ALGS]
+    out.append(mf_family_diagram(2, 2, 1, (0, 1), with_sum=True)[0])
+    # over Z/8 these two coends have a torsion summand, so the valuation
+    # checks of the descended maps are exercised
+    alg8 = AlgebraSpec.make(2, 3, 1)
+    out += [random_diagram(random.Random(s), alg8, max_obj=2, max_rank=2)[0]
+            for s in (0, 5)]
+    return out
+
+
+def test_coalgebras_agree_with_dense(monkeypatch):
+    for C in _suite_coalgebras():
+        sparse, dense = _sparse_and_dense(monkeypatch, _recheck_coalgebra(C))
+        assert sparse == dense == PASS
+
+
+def test_comodules_agree_with_dense(monkeypatch):
+    comods = []
+    for C in _suite_coalgebras():
+        comods.append(cofree(C, free_bmodule(C.alg, 2)))
+    for p, n, f in FIELD_ALGS:
+        alg = AlgebraSpec.make(p, n, f)
+        C = grouplike_coalgebra(alg, 3)
+        comods += [grouplike_line(C, i) for i in range(3)]
+        comods.append(comatrix_standard_comodule(comatrix_coalgebra(alg, 3), 3))
+    for D in _coend_diagrams():
+        CR = coend(D)
+        comods += lift_coaction(CR)
+        comods.append(cofree(CR.coalgebra, free_bmodule(D.alg, 1)))
+        sparse, dense = _sparse_and_dense(monkeypatch,
+                                          _recheck_coalgebra(CR.coalgebra))
+        assert sparse == dense == PASS
+    assert any(not Mc.carrier.is_free() for Mc in comods)
+    for Mc in comods:
+        sparse, dense = _sparse_and_dense(monkeypatch, _recheck_comodule(Mc))
+        assert sparse == dense == PASS
+
+
+def _counit_kernel(C):
+    """Generators g - eps(g) . g_piv of ker(eps), g_piv with eps a unit."""
+    B, car = C.alg.B, C.carrier
+    eps = [C.counit_elem(car.gen(i)) for i in range(car.rank)]
+    piv = next(i for i, e in enumerate(eps) if B.is_unit(e))
+    inv = B.inv(eps[piv])
+    return [car.add(car.gen(i),
+                    C.bi.left_by(B.neg(B.mul(e, inv))).apply(car.gen(piv)))
+            for i, e in enumerate(eps) if i != piv]
+
+
+def _perturbed_delta(rng, C, counital):
+    """delta plus a random term at one B-generator, extended B-linearly.
+    A counital term u (x) v with eps(u) = eps(v) = 0 keeps both counit laws,
+    so only coassociativity can fail; otherwise the term is arbitrary."""
+    alg, car, fb = C.alg, C.carrier, C.alg.fb
+    R, cc = alg.R, C.cc
+    act = C.bi.left
+    if counital:
+        ker = _counit_kernel(C)
+        u, v = rng.choice(ker), rng.choice(ker)
+        c = rng.randrange(1, R.size)
+        u = car.reduce([R.mul(c, a) for a in u])
+    else:
+        u = car.reduce([rng.randrange(R.size) for _ in range(car.rank)])
+        v = car.reduce([rng.randrange(R.size) for _ in range(car.rank)])
+    s = rng.randrange(car.rank // fb)
+    cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
+    for k in range(fb):
+        cols[s * fb + k] = list(cc.module.add(cols[s * fb + k], cc.pure(u, v)))
+        u = act.apply(u)
+    return ModuleMap(car, cc.module, Matrix.from_cols(R, cols, cc.module.rank))
+
+
+def _perturbable_coalgebras():
+    out = []
+    for p, n, f in FIELD_ALGS:
+        alg = AlgebraSpec.make(p, n, f)
+        out += [grouplike_coalgebra(alg, 3), comatrix_coalgebra(alg, 2)]
+    out += [_b_grouplike(AlgebraSpec.make(*a), 3) for a in WITT_ALGS]
+    return out
+
+
+def test_perturbed_coalgebras_agree_with_dense(monkeypatch):
+    rng = random.Random(20260)
+    codes = {}
+    for C in _perturbable_coalgebras():
+        for trial in range(6):
+            delta = _perturbed_delta(rng, C, counital=trial % 3 != 2)
+            sparse, dense = _sparse_and_dense(
+                monkeypatch, lambda: coalgebra_check(C.alg, C.bi, delta, C.counit))
+            assert sparse == dense
+            codes.setdefault(C.alg.fb, set()).add(sparse[0])
+    # the perturbations reach the coassociativity comparison for both f_B
+    assert "Coassoc" in codes[1] and "Coassoc" in codes[2]
+
+
+def test_perturbed_comodules_agree_with_dense(monkeypatch):
+    # rho + (m |-> c u (x) x^j m) with eps(u) = 0 keeps the counit law; it
+    # is B-linear because every coalgebra here has equal left and right
+    # actions
+    rng = random.Random(4711)
+    codes = {}
+    for C in _perturbable_coalgebras():
+        R = C.alg.R
+        ker = _counit_kernel(C)
+        Mc = cofree(C, free_bmodule(C.alg, 1))
+        M, cm = Mc.module, Mc.cm
+        for _ in range(4):
+            u = C.carrier.reduce([R.mul(rng.randrange(1, R.size), a)
+                                  for a in rng.choice(ker)])
+            phi = ModuleMap.identity(M.carrier)
+            for _ in range(rng.randrange(C.alg.fb)):
+                phi = M.act @ phi
+            cols = [list(cm.module.add(Mc.rho.apply(g), cm.pure(u, phi.apply(g))))
+                    for g in (M.carrier.gen(i) for i in range(M.carrier.rank))]
+            rho = ModuleMap(M.carrier, cm.module,
+                            Matrix.from_cols(R, cols, cm.module.rank))
+            sparse, dense = _sparse_and_dense(
+                monkeypatch, lambda: comodule_check(C, M, rho))
+            assert sparse == dense
+            codes.setdefault(C.alg.fb, set()).add(sparse[0])
+    assert "Coassoc" in codes[1] and "Coassoc" in codes[2]
+
+
+def test_descent_failure_agrees_with_dense():
+    # coalgebra_check rejects a delta that is not B-linear before the
+    # comparison; called directly, both routines must refuse to descend it
+    for a in WITT_ALGS:
+        alg = AlgebraSpec.make(*a)
+        C = _b_grouplike(alg, 2)
+        car, cc = C.carrier, C.cc
+        cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
+        cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(2))))
+        delta = ModuleMap(car, cc.module,
+                          Matrix.from_cols(alg.R, cols, cc.module.rank))
+        deltahat = cc.sect @ delta.mat
+        t3 = triple_tensor(alg, car, C.bi.right, car, C.bi.left, C.bi.right,
+                           car, C.bi.left)
+        for witness in (coalgebra._coassoc_witness, dense_coassoc_witness):
+            with pytest.raises(ValueError, match="does not descend"):
+                witness(t3, cc, deltahat, cc, deltahat, delta)
+
+
+def test_comatrix_r5_checked_coend():
+    # the dense comparison needed (rank L)^3-square matrices, about 2 GB each
+    alg = AlgebraSpec.make(2, 1, 1)
+    CR = coend(comatrix_diagram(alg, 5), check=True)
+    assert CR.coalgebra.carrier.rank == 25
+
+
+def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
+    # rank L = 16: the flat C (x) C has rank 256, the flat triple tensor 4096
+    alg = AlgebraSpec.make(2, 1, 1)
+    C = comatrix_coalgebra(alg, 4)
+    largest = [0]
+    zeros, identity = Matrix.zeros.__func__, Matrix.identity.__func__
+
+    def counted_zeros(cls, ring, rows, cols):
+        largest[0] = max(largest[0], rows * cols)
+        return zeros(cls, ring, rows, cols)
+
+    def counted_identity(cls, ring, k):
+        largest[0] = max(largest[0], k * k)
+        return identity(cls, ring, k)
+
+    monkeypatch.setattr(Matrix, "zeros", classmethod(counted_zeros))
+    monkeypatch.setattr(Matrix, "identity", classmethod(counted_identity))
+    coalgebra_check(alg, C.bi, C.delta, C.counit)
+    assert 0 < largest[0] <= 256 ** 2
