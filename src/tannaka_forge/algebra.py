@@ -14,6 +14,9 @@ Tensor over B is the cokernel of the middle-relation map
 on the R-tensor product; the quotient presentation is computed exactly and
 recorded so maps can be induced on it.  When f_B = 1 the relation map is
 zero and tensor over B coincides with tensor over R (fast path, no quotient).
+Triple tensors are nested, (X tensor_B Y) tensor_B Z, which right exactness
+makes canonically isomorphic to the quotient of the flat triple tensor by
+both middle relations; each step presents a binary tensor only.
 
 Free-vs-not over B is decided by re-expressing a carrier as a B-module and
 running the chain-ring normal form over B itself.
@@ -401,66 +404,64 @@ def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[Module
 
 @dataclass
 class TripleTensor:
-    """X tensor_B Y tensor_B Z as a quotient of the flat R-triple tensor,
-    organized as (X tensor Y) tensor Z at the index level.
+    """X tensor_B Y tensor_B Z as the nested quotient (X tensor_B Y) tensor_B Z.
 
-    When f_B = 1 the flat triple tensor is the quotient: module is TR.module
-    and proj, sect and rel_cols are None, so no (rank)^3-square matrix is
-    built."""
+    TR is the flat R-triple tensor (T12.module) tensor Z, T12 = xy.TR the
+    flat X tensor Y.  Tensor over B is right exact, so the flat triple tensor
+    maps onto the quotient by xy.proj tensor id followed by nest.proj, where
+    nest is the binary quotient of xy.module tensor Z; no presentation of the
+    flat (rank)^3 module is ever built.  When f_B = 1 the flat triple tensor
+    is the quotient: nest is None and module is TR.module."""
     alg: AlgebraSpec
-    T12: TensorData
+    xy: BTensor
     TR: TensorData          # (T12.module) tensor Z
+    nest: BTensor | None    # (xy.module) tensor_B Z
     module: FinModule
-    proj: ModuleMap | None
-    sect: Matrix | None
-    rel_cols: Matrix | None
+
+    @property
+    def T12(self) -> TensorData:
+        return self.xy.TR
 
     def embed3(self, v, w, u) -> tuple[int, ...]:
         return self.TR.embed(self.T12.embed(v, w), u)
 
     def pure3(self, v, w, u) -> tuple[int, ...]:
-        flat = self.embed3(v, w, u)
-        return flat if self.proj is None else self.proj.apply(flat)
+        if self.nest is None:
+            return self.embed3(v, w, u)
+        return self.nest.pure(self.xy.pure(v, w), u)
 
     def lift_gen(self, q: int) -> list[int]:
-        """A flat representative of the q-th generator of the quotient."""
-        return list(self.module.gen(q)) if self.sect is None else self.sect.col(q)
+        """A flat representative of the q-th generator of the quotient:
+        nest.sect, then xy.sect tensor id."""
+        if self.nest is None:
+            return list(self.module.gen(q))
+        R, Z = self.alg.R, self.TR.right
+        out = [0] * self.TR.module.rank
+        for (qq, z), k in self.nest.TR.pos.items():
+            c = self.nest.sect.data[k][q]
+            if c:
+                vec = self.TR.embed(self.xy.sect.col(qq), Z.gen(z))
+                out = [R.add(a, R.mul(c, b)) for a, b in zip(out, vec)]
+        return out
 
 
-def triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
-                  Y_car: FinModule, Y_left: ModuleMap, Y_right: ModuleMap,
-                  Z_car: FinModule, Z_left: ModuleMap) -> TripleTensor:
-    T12 = tensor_with_data(X_car, Y_car)
-    TR = tensor_with_data(T12.module, Z_car)
+def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
+                  Z_left: ModuleMap) -> TripleTensor:
+    """(X tensor_B Y) tensor_B Z from the recorded xy = X tensor_B Y, whose
+    right action pairs with Z_left."""
+    TR = tensor_with_data(xy.TR.module, Z_car)
     if alg.fb == 1:
-        return TripleTensor(alg, T12, TR, TR.module, None, None, None)
-    rel12_xy = (map_tensor(T12, X_right, ModuleMap.identity(Y_car), T12)
-                - map_tensor(T12, ModuleMap.identity(X_car), Y_left, T12))
-    rel12 = map_tensor(TR, rel12_xy, ModuleMap.identity(Z_car), TR)
-    # middle relations in slots 2-3, built columnwise on the flat basis
-    t23 = Matrix.zeros(alg.R, TR.module.rank, TR.module.rank)
-    pos12_inv = {v: kk for kk, v in T12.pos.items()}
-    for (pk, zc), k in TR.pos.items():
-        i, j = pos12_inv[pk]
-        yi = Y_right.apply(Y_car.gen(j))
-        zl = Z_left.apply(Z_car.gen(zc))
-        v1 = TR.embed(T12.embed(X_car.gen(i), yi), Z_car.gen(zc))
-        v2 = TR.embed(T12.embed(X_car.gen(i), Y_car.gen(j)), zl)
-        for idx in range(TR.module.rank):
-            t23.data[idx][k] = alg.R.sub(v1[idx], v2[idx])
-    allrel = rel12.mat.hstack(t23)
-    pres = presentation_with_torsion(TR.module, allrel)
-    proj = ModuleMap(TR.module, pres.module, pres.proj)
-    return TripleTensor(alg, T12, TR, pres.module, proj, pres.sect, allrel)
+        return TripleTensor(alg, xy, TR, None, TR.module)
+    nest = _btensor_core(alg, xy.module, xy.right, Z_car, Z_left)
+    return TripleTensor(alg, xy, TR, nest, nest.module)
 
 
 def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     """Mutually inverse isomorphisms (X (x)_B Y) (x)_B Z <-> X (x)_B
     (Y (x)_B Z), both verified, constructed through the common triple
     tensor."""
-    t3 = triple_tensor(alg, X.carrier, X.right, Y.carrier, Y.left, Y.right,
-                       Z.carrier, Z.left)
     txy = tensor_bimodules(alg, X, Y)
+    t3 = triple_tensor(alg, txy, Z.carrier, Z.left)
     left_nested = _btensor_core(alg, txy.module, txy.right, Z.carrier, Z.left)
     tyz = tensor_bimodules(alg, Y, Z)
     right_nested = _btensor_core(alg, X.carrier, X.right, tyz.module, tyz.left)

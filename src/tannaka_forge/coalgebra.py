@@ -7,12 +7,15 @@ rho : M -> C (x)_B M compatible with delta and eps.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  Coassociativity is compared inside the triple tensor
-over B.  The flat maps (delta (x) id) and (id (x) rho) are built as sparse
-columns on flat triple coordinates, straight from the sparse columns of the
-lifted delta and rho; when f_B = 1 those coordinates are already the triple
-tensor's and no quotient is built, otherwise the columns are pushed through
-the quotient's projection.  Descent is checked on every middle-relation
-generator and the descended maps are validated column by column.
+over B, built as the nested quotient (C (x)_B C) (x)_B Z on the already
+computed C (x)_B C.  The flat maps (delta (x) id) and (id (x) rho) are built
+as sparse columns on flat triple coordinates, straight from the sparse
+columns of the lifted delta and rho; when f_B = 1 those coordinates are
+already the triple tensor's and no quotient is built, otherwise the columns
+are pushed through the projection onto C (x)_B C and then through the
+projection of the nested quotient.  Descent is checked on every
+middle-relation generator and the descended maps are validated column by
+column.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix
+from .linalg import Matrix, kernel, solve
 from .modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
-                      map_kernel, direct_sum,
+                      map_kernel, direct_sum, map_tensor, torsion_matrix,
+                      module_from_presentation,
                       sub_membership, sub_canonical, sub_elements,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
@@ -82,10 +86,10 @@ def _counit_left_map(alg: AlgebraSpec, C: BBBimodule, counit: ModuleMap,
     the flat map c (x) m |-> eps(c) . m."""
     car_c, car_m = C.carrier, M.carrier
     flat = Matrix.zeros(alg.R, car_m.rank, data.TR.module.rank)
-    eps_of_gen = [b_elem_of_rvec(alg, counit.apply(car_c.gen(i)))
-                  for i in range(car_c.rank)]
+    eps_act = [M.act_by(b_elem_of_rvec(alg, counit.apply(car_c.gen(i))))
+               for i in range(car_c.rank)]
     for (i, j), k in data.TR.pos.items():
-        col = M.act_by(eps_of_gen[i]).apply(car_m.gen(j))
+        col = eps_act[i].apply(car_m.gen(j))
         for r, v in enumerate(col):
             flat.data[r][k] = v
     return descend(data, ModuleMap(data.TR.module, car_m, flat, validate=False))
@@ -96,10 +100,10 @@ def _counit_right_map(alg: AlgebraSpec, C: BBBimodule, counit: ModuleMap,
     """(id (x)_B eps) : C (x)_B C -> C via the right action."""
     car = C.carrier
     flat = Matrix.zeros(alg.R, car.rank, data.TR.module.rank)
-    eps_of_gen = [b_elem_of_rvec(alg, counit.apply(car.gen(j)))
-                  for j in range(car.rank)]
+    eps_act = [C.right_by(b_elem_of_rvec(alg, counit.apply(car.gen(j))))
+               for j in range(car.rank)]
     for (i, j), k in data.TR.pos.items():
-        col = C.right_by(eps_of_gen[j]).apply(car.gen(i))
+        col = eps_act[j].apply(car.gen(i))
         for r, v in enumerate(col):
             flat.data[r][k] = v
     return descend(data, ModuleMap(data.TR.module, car, flat, validate=False))
@@ -115,27 +119,27 @@ def _sparse_cols(mat: Matrix) -> list[list[tuple[int, int]]]:
     return cols
 
 
-def _coassoc_witness(t3: TripleTensor, cc: BTensor, deltahat: Matrix,
-                     src: BTensor, hat: Matrix, phi: ModuleMap) -> int | None:
+def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
+                     hat: Matrix, phi: ModuleMap) -> int | None:
     """First generator g of phi.src with (delta (x) id) phi(g) different
     from (id (x) rho) phi(g) in t3.module, or None.
 
     src is C (x)_B Z, hat lifts rho : Z -> src.module into src.TR, deltahat
-    lifts delta into cc.TR, and phi : phi.src -> src.module is the map both
-    composites start from (delta itself, or rho).  Both maps are built as
-    sparse {flat triple index: coeff} columns; descent through src and the
-    valuation condition of the descended map are checked on every column.
-    When f_B = 1 the flat triple coordinates are the quotient's.
+    lifts delta into t3.T12 (the flat C (x) C of t3.xy), and
+    phi : phi.src -> src.module is the map both composites start from (delta
+    itself, or rho).  Both maps are built as sparse {flat triple index:
+    coeff} columns; descent through src and the valuation condition of the
+    descended map are checked on every column.  When f_B = 1 the flat triple
+    coordinates are the quotient's; otherwise they are pushed through the
+    sparse columns of xy.proj (tensor id) and then of nest.proj.
     """
     R = t3.alg.R
     add, mul, red, val = R.add, R.mul, R.reduce_exp, R.val
     exps = t3.module.exps
     p12, p3 = t3.T12.pos, t3.TR.pos
-    cc_inv = {k: ij for ij, k in cc.TR.pos.items()}
     src_inv = {k: ij for ij, k in src.TR.pos.items()}
     # delta(c_i) as (T12 index, coeff); rho(z_j) as ((c, z) pair, coeff)
-    dcols = [[(p12[cc_inv[kk]], c) for kk, c in col]
-             for col in _sparse_cols(deltahat)]
+    dcols = _sparse_cols(deltahat)
     hcols = [[(src_inv[kk], c) for kk, c in col] for col in _sparse_cols(hat)]
 
     def combine(terms) -> dict[int, int]:
@@ -154,13 +158,19 @@ def _coassoc_witness(t3: TripleTensor, cc: BTensor, deltahat: Matrix,
         out.sort()
         return out
 
-    if t3.proj is None:
+    if t3.nest is None:
         to_quot = canon
     else:
-        pcols = _sparse_cols(t3.proj.mat)
+        # column k of xy.proj (x) id, in nest.TR coordinates
+        npos, xcols = t3.nest.TR.pos, _sparse_cols(t3.xy.proj.mat)
+        xz = [None] * t3.TR.module.rank
+        for (pk, z), k in p3.items():
+            xz[k] = [(npos[(q, z)], a) for q, a in xcols[pk]]
+        ncols = _sparse_cols(t3.nest.proj.mat)
 
         def to_quot(acc):
-            return canon(combine((v, pcols[k]) for k, v in acc.items()))
+            mid = combine((v, xz[k]) for k, v in acc.items())
+            return canon(combine((v, ncols[k]) for k, v in mid.items()))
 
     if src.rel_cols is not None:
         rel_cols, sect_cols = _sparse_cols(src.rel_cols), _sparse_cols(src.sect)
@@ -227,9 +237,8 @@ def coalgebra_check(alg: AlgebraSpec, C: BBBimodule, delta: ModuleMap,
     if w is not None:
         raise AxiomError("CounitRight", w)
     # coassociativity inside the triple tensor
-    t3 = triple_tensor(alg, C.carrier, C.right, C.carrier, C.left, C.right,
-                       C.carrier, C.left)
-    w = _coassoc_witness(t3, cc, deltahat, cc, deltahat, delta)
+    t3 = triple_tensor(alg, cc, C.carrier, C.left)
+    w = _coassoc_witness(t3, deltahat, cc, deltahat, delta)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Coalgebra(alg, C, delta, counit, cc, deltahat)
@@ -270,9 +279,8 @@ def comodule_check(C: Coalgebra, M: BModule, rho: ModuleMap) -> Comodule:
     w = _first_difference(eps_id @ rho, ModuleMap.identity(M.carrier))
     if w is not None:
         raise AxiomError("CounitLeft", w)
-    t3 = triple_tensor(alg, C.carrier, C.bi.right, C.carrier, C.bi.left,
-                       C.bi.right, M.carrier, M.act)
-    w = _coassoc_witness(t3, C.cc, C.deltahat, cm, cm.sect @ rho.mat, rho)
+    t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
+    w = _coassoc_witness(t3, C.deltahat, cm, cm.sect @ rho.mat, rho)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Comodule(C, M, rho, cm)
@@ -314,7 +322,6 @@ def comodule_hom(Mc: Comodule, Nc: Comodule):
     H2 = hom_module(M.carrier, N.carrier)
     HC = hom_module(M.carrier, Nc.cm.module)
     rhohat_M = Mc.rhohat()
-    from .modules import map_tensor
     cond_cols = []
     sum_data = direct_sum([H2.module, HC.module])
     for h in H.basis:
@@ -442,8 +449,6 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
     """Restrict the coaction to the subcomodule spanned by gens, presented
     abstractly; None when the restriction cannot be solved or fails the
     axioms (possible only for non-flat coalgebras)."""
-    from .modules import Matrix as _M  # noqa: F401
-    from .linalg import Matrix as LMatrix
     alg = Mc.coalgebra.alg
     car = Mc.carrier
     fb = alg.fb
@@ -456,12 +461,10 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
             full.append(a.apply(g))
     # abstract presentation of the submodule S
     cols = [list(v) for v in full]
-    gen_mat = LMatrix.from_cols(alg.R, cols, car.rank)
-    from .modules import torsion_matrix, module_from_presentation
-    from .linalg import kernel as lkernel
+    gen_mat = Matrix.from_cols(alg.R, cols, car.rank)
     aug = gen_mat.hstack(torsion_matrix(car))
-    K = lkernel(aug)
-    rel = LMatrix(alg.R, [K.data[i][:] for i in range(len(cols))], len(cols), K.cols)
+    K = kernel(aug)
+    rel = Matrix(alg.R, [K.data[i][:] for i in range(len(cols))], len(cols), K.cols)
     pres = module_from_presentation(rel)
     S = pres.module
     incl = ModuleMap(S, car, gen_mat @ pres.sect)
@@ -474,24 +477,22 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
         if sol is None:
             return None
         act_cols.append(pres.module.reduce(sol))
-    act = ModuleMap(S, S, LMatrix.from_cols(alg.R, act_cols, S.rank))
+    act = ModuleMap(S, S, Matrix.from_cols(alg.R, act_cols, S.rank))
     Smod = BModule(alg, S, act)
     cs = tensor_bim_bmodule(alg, Mc.coalgebra.bi, Smod)
     # solve (id (x) incl) . rho_S = rho_M . incl columnwise
-    from .modules import map_tensor
     flat = map_tensor(cs.TR, ModuleMap.identity(Mc.coalgebra.carrier), incl, Mc.cm.TR)
     idincl = ModuleMap(cs.module, Mc.cm.module,
                        Mc.cm.proj.mat @ flat.mat @ cs.sect, validate=False)
     rho_cols = []
-    from .linalg import solve as lsolve
     amat = idincl.mat.hstack(torsion_matrix(Mc.cm.module))
     for k in range(S.rank):
         rhs = list(Mc.rho.apply(incl.apply(S.gen(k))))
-        sol = lsolve(amat, rhs)
+        sol = solve(amat, rhs)
         if sol is None:
             return None
         rho_cols.append(cs.module.reduce(sol[:cs.module.rank]))
-    rho = ModuleMap(S, cs.module, LMatrix.from_cols(alg.R, rho_cols, cs.module.rank))
+    rho = ModuleMap(S, cs.module, Matrix.from_cols(alg.R, rho_cols, cs.module.rank))
     try:
         return comodule_check(Mc.coalgebra, Smod, rho)
     except AxiomError:

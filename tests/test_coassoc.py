@@ -1,11 +1,12 @@
-"""The sparse coassociativity comparison against the dense reference, and
-the memory bounds it makes possible."""
+"""The sparse coassociativity comparison on the nested triple tensor against
+the dense reference on the same quotient and on the flat one-Smith quotient,
+and the memory and Smith-size bounds they make possible."""
 
 import random
 
 import pytest
 
-from tannaka_forge import coalgebra
+from tannaka_forge import coalgebra, linalg, modules
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import (AlgebraSpec, free_bmodule, bimodule_make,
@@ -19,7 +20,7 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  random_diagram)
 from tannaka_forge.tannaka import coend, lift_coaction
 
-from coassoc_reference import dense_coassoc_witness
+from coassoc_reference import dense_coassoc_witness, flat_triple_tensor
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
 WITT_ALGS = [(2, 1, 2), (2, 2, 2)]                      # F4, GR(4,2)
@@ -34,23 +35,45 @@ def _outcome(fn):
     return PASS
 
 
-def _sparse_and_dense(monkeypatch, fn):
-    """The outcome of fn with the sparse comparison, then with the dense
-    reference swapped in; the reference must actually have run."""
-    sparse = _outcome(fn)
-    calls = []
+def _outcomes(monkeypatch, fn, bi):
+    """The outcomes of fn, which checks a coalgebra or comodule over the
+    coalgebra bimodule bi: with the sparse comparison on the nested triple
+    tensor, with the dense reference on the same quotient and, when
+    f_B >= 2, with the dense reference on the flat one-Smith quotient.  The
+    references must actually have run, and the nested and flat quotients
+    must have the same exponents."""
+    calls, exps = [], {"nested": [], "flat": []}
 
     def reference(*args):
         calls.append(1)
         return dense_coassoc_witness(*args)
 
+    def nested(*args):
+        t3 = triple_tensor(*args)
+        exps["nested"].append(t3.module.exps)
+        return t3
+
+    def flat(alg, xy, Z_car, Z_left):
+        t3 = flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier,
+                                bi.left, bi.right, Z_car, Z_left)
+        exps["flat"].append(t3.module.exps)
+        return t3
+
+    with monkeypatch.context() as m:
+        m.setattr(coalgebra, "triple_tensor", nested)
+        out = [_outcome(fn)]
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "_coassoc_witness", reference)
-        dense = _outcome(fn)
-    if sparse[0] not in ("NotBimoduleMap", "NotModuleMap",
+        out.append(_outcome(fn))
+        if bi.alg.fb > 1:
+            m.setattr(coalgebra, "triple_tensor", flat)
+            out.append(_outcome(fn))
+            assert exps["flat"] == exps["nested"]
+    if out[0][0] not in ("NotBimoduleMap", "NotModuleMap",
                          "CounitLeft", "CounitRight"):
         assert calls, "the reference comparison was never reached"
-    return sparse, dense
+        assert exps["nested"], "no triple tensor was built"
+    return out
 
 
 def _recheck_coalgebra(C):
@@ -95,7 +118,13 @@ def _suite_coalgebras():
 
 def _coend_diagrams():
     out = [comatrix_diagram(AlgebraSpec.make(2, 1, 1), 2)]
-    out += [trivial_full_hom_diagram(AlgebraSpec.make(*a)) for a in WITT_ALGS]
+    out += [trivial_full_hom_diagram(AlgebraSpec.make(*a))
+            for a in WITT_ALGS + [(2, 2, 3), (2, 3, 2)]]
+    # coends whose left and right B-actions differ, so the nested quotient
+    # must pair the right action of C (x)_B C with the left action of Z
+    out += [random_diagram(random.Random(s), AlgebraSpec.make(*a),
+                           max_obj=2, max_rank=2)[0]
+            for s, a in zip((1, 2), WITT_ALGS)]
     out.append(mf_family_diagram(2, 2, 1, (0, 1), with_sum=True)[0])
     # over Z/8 these two coends have a torsion summand, so the valuation
     # checks of the descended maps are exercised
@@ -107,8 +136,7 @@ def _coend_diagrams():
 
 def test_coalgebras_agree_with_dense(monkeypatch):
     for C in _suite_coalgebras():
-        sparse, dense = _sparse_and_dense(monkeypatch, _recheck_coalgebra(C))
-        assert sparse == dense == PASS
+        assert set(_outcomes(monkeypatch, _recheck_coalgebra(C), C.bi)) == {PASS}
 
 
 def test_comodules_agree_with_dense(monkeypatch):
@@ -124,13 +152,12 @@ def test_comodules_agree_with_dense(monkeypatch):
         CR = coend(D)
         comods += lift_coaction(CR)
         comods.append(cofree(CR.coalgebra, free_bmodule(D.alg, 1)))
-        sparse, dense = _sparse_and_dense(monkeypatch,
-                                          _recheck_coalgebra(CR.coalgebra))
-        assert sparse == dense == PASS
+        C = CR.coalgebra
+        assert set(_outcomes(monkeypatch, _recheck_coalgebra(C), C.bi)) == {PASS}
     assert any(not Mc.carrier.is_free() for Mc in comods)
     for Mc in comods:
-        sparse, dense = _sparse_and_dense(monkeypatch, _recheck_comodule(Mc))
-        assert sparse == dense == PASS
+        assert set(_outcomes(monkeypatch, _recheck_comodule(Mc),
+                             Mc.coalgebra.bi)) == {PASS}
 
 
 def _counit_kernel(C):
@@ -182,10 +209,11 @@ def test_perturbed_coalgebras_agree_with_dense(monkeypatch):
     for C in _perturbable_coalgebras():
         for trial in range(6):
             delta = _perturbed_delta(rng, C, counital=trial % 3 != 2)
-            sparse, dense = _sparse_and_dense(
-                monkeypatch, lambda: coalgebra_check(C.alg, C.bi, delta, C.counit))
-            assert sparse == dense
-            codes.setdefault(C.alg.fb, set()).add(sparse[0])
+            out = _outcomes(monkeypatch,
+                            lambda: coalgebra_check(C.alg, C.bi, delta, C.counit),
+                            C.bi)
+            assert len(set(out)) == 1
+            codes.setdefault(C.alg.fb, set()).add(out[0][0])
     # the perturbations reach the coassociativity comparison for both f_B
     assert "Coassoc" in codes[1] and "Coassoc" in codes[2]
 
@@ -211,16 +239,16 @@ def test_perturbed_comodules_agree_with_dense(monkeypatch):
                     for g in (M.carrier.gen(i) for i in range(M.carrier.rank))]
             rho = ModuleMap(M.carrier, cm.module,
                             Matrix.from_cols(R, cols, cm.module.rank))
-            sparse, dense = _sparse_and_dense(
-                monkeypatch, lambda: comodule_check(C, M, rho))
-            assert sparse == dense
-            codes.setdefault(C.alg.fb, set()).add(sparse[0])
+            out = _outcomes(monkeypatch, lambda: comodule_check(C, M, rho),
+                            C.bi)
+            assert len(set(out)) == 1
+            codes.setdefault(C.alg.fb, set()).add(out[0][0])
     assert "Coassoc" in codes[1] and "Coassoc" in codes[2]
 
 
 def test_descent_failure_agrees_with_dense():
     # coalgebra_check rejects a delta that is not B-linear before the
-    # comparison; called directly, both routines must refuse to descend it
+    # comparison; called directly, every routine must refuse to descend it
     for a in WITT_ALGS:
         alg = AlgebraSpec.make(*a)
         C = _b_grouplike(alg, 2)
@@ -230,11 +258,14 @@ def test_descent_failure_agrees_with_dense():
         delta = ModuleMap(car, cc.module,
                           Matrix.from_cols(alg.R, cols, cc.module.rank))
         deltahat = cc.sect @ delta.mat
-        t3 = triple_tensor(alg, car, C.bi.right, car, C.bi.left, C.bi.right,
-                           car, C.bi.left)
-        for witness in (coalgebra._coassoc_witness, dense_coassoc_witness):
+        t3 = triple_tensor(alg, cc, car, C.bi.left)
+        flat = flat_triple_tensor(alg, car, C.bi.right, car, C.bi.left,
+                                  C.bi.right, car, C.bi.left)
+        for t, witness in ((t3, coalgebra._coassoc_witness),
+                           (t3, dense_coassoc_witness),
+                           (flat, dense_coassoc_witness)):
             with pytest.raises(ValueError, match="does not descend"):
-                witness(t3, cc, deltahat, cc, deltahat, delta)
+                witness(t, deltahat, cc, deltahat, delta)
 
 
 def test_comatrix_r5_checked_coend():
@@ -263,3 +294,23 @@ def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
     monkeypatch.setattr(Matrix, "identity", classmethod(counted_identity))
     coalgebra_check(alg, C.bi, C.delta, C.counit)
     assert 0 < largest[0] <= 256 ** 2
+
+
+def test_witt_coalgebra_check_smith_size(monkeypatch):
+    # full-endo coend over GR(2^2,4): L has R-rank 4 and L (x)_B L has
+    # R-rank 4, so the nested quotient presents a 16-row matrix where the
+    # flat triple tensor presented 64 rows
+    alg = AlgebraSpec.make(2, 2, 4)
+    C = coend(trivial_full_hom_diagram(alg)).coalgebra
+    assert C.carrier.rank == 4 and C.cc.module.rank == 4
+    rows = []
+    smith = linalg.smith
+
+    def counted_smith(A):
+        rows.append(A.rows)
+        return smith(A)
+
+    monkeypatch.setattr(linalg, "smith", counted_smith)
+    monkeypatch.setattr(modules, "smith", counted_smith)
+    coalgebra_check(alg, C.bi, C.delta, C.counit)
+    assert rows and max(rows) <= 16
