@@ -10,7 +10,10 @@ output deterministic for a given input.
 The Howell form implemented here is the canonical generating matrix of a row
 span: it depends only on the spanned submodule, not on the presented
 generators, which is what makes span comparisons and coend presentations
-reproducible.
+reproducible.  It also decides membership: a `Span` keeps the Howell rows of
+a span, and `Span.contains` settles whether a vector lies in it by one
+reduction pass over those rows, with no Smith form.  `span_membership`
+(a Smith solve) stays for callers that need the coefficients.
 
 No fraction-free or probabilistic shortcuts; everything is exact at desk
 scale.
@@ -274,10 +277,11 @@ def smith(A: Matrix) -> SmithForm:
         # normalize pivot to p^a, pushing the unit into U
         a = best_val
         u = ring.unit_part(D.data[k][k])
-        u_inv = ring.inv(u)
-        row_scale(D, k, u_inv)
-        col_scale(U, k, u)
-        row_scale(Ui, k, u_inv)
+        if u != 1:
+            u_inv = ring.inv(u)
+            row_scale(D, k, u_inv)
+            col_scale(U, k, u)
+            row_scale(Ui, k, u_inv)
         piv = D.data[k][k]  # = p^a
         # clear column k below the pivot
         for i in range(k + 1, rows):
@@ -446,3 +450,48 @@ def span_membership(ring: RingSpec, gens: list[list[int]], target: list[int]) ->
         return [] if not any(target) else None
     A = Matrix(ring, [list(col) for col in zip(*gens)], len(target), len(gens))
     return solve(A, list(target))
+
+
+class Span:
+    """The R-span of some rows of R^width, held as its Howell rows.
+
+    Build it once and ask `contains` many times: the Howell property (every
+    span element whose first j entries vanish is a combination of the rows
+    with pivot column >= j) makes membership one greedy pass over the pivot
+    columns in increasing order."""
+
+    __slots__ = ("ring", "width", "rows", "pivots")
+
+    def __init__(self, ring: RingSpec, rows: list[list[int]], width: int):
+        self.ring = ring
+        self.width = width
+        self.rows = howell(ring, rows, width)
+        # pivot column -> (nonzero (column, entry) pairs of its row, exponent a)
+        self.pivots: dict[int, tuple[list[tuple[int, int]], int]] = {}
+        for r in self.rows:
+            nz = [(k, e) for k, e in enumerate(r) if e]
+            j, e = nz[0]
+            self.pivots[j] = (nz, ring.val(e))
+
+    def contains(self, vec) -> bool:
+        """Is vec an R-combination of the rows?"""
+        if len(vec) != self.width:
+            raise DimensionMismatch("vector length %d, expected %d"
+                                    % (len(vec), self.width))
+        ring = self.ring
+        add, mul, val = ring.add, ring.mul, ring.val
+        r = list(vec)
+        for j in range(self.width):
+            e = r[j]
+            if not e:
+                continue
+            piv = self.pivots.get(j)
+            if piv is None:
+                return False
+            nz, a = piv
+            if val(e) < a:
+                return False
+            t = ring.neg(ring.divide_p_power(e, a))
+            for k, pe in nz:
+                r[k] = add(r[k], mul(t, pe))
+        return True

@@ -27,7 +27,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from .rings import RingSpec
-from .linalg import Matrix, howell, span_membership, is_invertible, block_diag
+from .linalg import (Matrix, Span, howell, span_membership, is_invertible,
+                     block_diag)
 from .modules import (FinModule, ModuleMap, module_from_presentation,
                       map_kernel, map_cokernel)
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
@@ -52,7 +53,9 @@ class DiagObject:
 
 class DiagramCategory:
     """Objects with free B-module fibers and R-spanned hom sets of
-    B-matrices; homs[(k, l)] holds maps A_k -> A_l as r_l x r_k matrices."""
+    B-matrices; homs[(k, l)] holds maps A_k -> A_l as r_l x r_k matrices.
+    The hom lists are not changed after construction, so each hom span is
+    put in Howell form once, the first time it is needed."""
 
     def __init__(self, alg: AlgebraSpec, objects: list[DiagObject],
                  homs: dict[tuple[int, int], list[Matrix]]):
@@ -68,20 +71,26 @@ class DiagramCategory:
                         raise ValueError("hom %s -> %s has wrong shape or ring"
                                          % (objects[k].name, objects[l].name))
                 self.homs[(k, l)] = mats
+        self._spans: dict[tuple[int, int], Span] = {}
 
     def nobj(self) -> int:
         return len(self.objects)
 
+    def span(self, k: int, l: int) -> Span:
+        """The R-span of hom(A_k, A_l) in flattened coordinates."""
+        sp = self._spans.get((k, l))
+        if sp is None:
+            alg = self.alg
+            width = self.objects[l].rank * self.objects[k].rank * alg.fb
+            rows = [list(_flatten_bmat(alg, F)) for F in self.homs[(k, l)]]
+            sp = self._spans[(k, l)] = Span(alg.R, rows, width)
+        return sp
+
     def span_rows(self, k: int, l: int) -> list[list[int]]:
-        alg = self.alg
-        width = self.objects[l].rank * self.objects[k].rank * alg.fb
-        rows = [list(_flatten_bmat(alg, F)) for F in self.homs[(k, l)]]
-        return howell(alg.R, rows, width)
+        return self.span(k, l).rows
 
     def hom_contains(self, k: int, l: int, F: Matrix) -> bool:
-        rows = [list(_flatten_bmat(self.alg, G)) for G in self.homs[(k, l)]]
-        return span_membership(self.alg.R, rows,
-                               list(_flatten_bmat(self.alg, F))) is not None
+        return self.span(k, l).contains(_flatten_bmat(self.alg, F))
 
     def closure_violation(self):
         """None if composition-closed with identities, else a witness."""
@@ -407,23 +416,15 @@ def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = N
     for k in range(D.nobj()):
         for l in range(D.nobj()):
             _, basis = comodule_hom(lifted[k], lifted[l])
-            span_rows = D.span_rows(k, l)
-            missing = None
-            for g in basis:
-                bm = alg.rmat_to_bmat(g.mat, D.objects[l].rank, D.objects[k].rank)
-                if span_membership(alg.R, [list(r) for r in span_rows],
-                                   list(_flatten_bmat(alg, bm))) is None:
-                    missing = bm
-                    break
+            rk, rl = D.objects[k].rank, D.objects[l].rank
+            bmats = [alg.rmat_to_bmat(g.mat, rl, rk) for g in basis]
+            missing = next((bm for bm in bmats
+                            if not D.hom_contains(k, l, bm)), None)
             # sanity: the diagram span must embed in the comodule homs
-            hom_rows = howell(alg.R, [list(_flatten_bmat(
-                alg, alg.rmat_to_bmat(g.mat, D.objects[l].rank,
-                                      D.objects[k].rank))) for g in basis],
-                len(_flatten_bmat(alg, Matrix.zeros(alg.B, D.objects[l].rank,
-                                                    D.objects[k].rank))) or 1)
+            hom_span = Span(alg.R, [list(_flatten_bmat(alg, bm)) for bm in bmats],
+                            rl * rk * alg.fb)
             for F in D.homs[(k, l)]:
-                if span_membership(alg.R, [list(r) for r in hom_rows],
-                                   list(_flatten_bmat(alg, F))) is None:
+                if not hom_span.contains(_flatten_bmat(alg, F)):
                     raise RuntimeError("internal error: diagram morphism is "
                                        "not a comodule map")
             verdicts[(k, l)] = ("equal",) if missing is None \
@@ -692,7 +693,7 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     span_cache = {pair: D.span_rows(*pair) for pair in D.homs}
     for (k, vA) in objs:
         for (l, vB) in objs:
-            cone = _has_cone(D, span_cache, (k, vA), (l, vB), budget)
+            cone = _has_cone(D, (k, vA), (l, vB), budget)
             if cone == "budget":
                 return Verdict("inconclusive", reason="cone search over budget")
             if not cone:
@@ -706,7 +707,7 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
             if pairmaps is None:
                 return Verdict("inconclusive", reason="parallel-pair sweep over budget")
             for f, g in itertools.combinations(pairmaps, 2):
-                eq = _has_equalizing(D, span_cache, (k, vA), f, g, budget)
+                eq = _has_equalizing(D, (k, vA), f, g, budget)
                 if eq == "budget":
                     return Verdict("inconclusive",
                                    reason="equalizer search over budget")
@@ -722,8 +723,7 @@ def _apply_bmat(alg: AlgebraSpec, F: Matrix, v) -> tuple[int, ...]:
     return tuple(F.apply(list(v)))
 
 
-def _has_cone(D: DiagramCategory, span_cache, obj1, obj2,
-              budget: int = DEFAULT_BUDGET):
+def _has_cone(D: DiagramCategory, obj1, obj2, budget: int = DEFAULT_BUDGET):
     """True / False / "budget": a refutation is only sound when every
     candidate source fiber could be enumerated."""
     alg = D.alg
@@ -735,13 +735,13 @@ def _has_cone(D: DiagramCategory, span_cache, obj1, obj2,
             exhausted = True
             continue
         for u in els:
-            if _solvable_at(alg, D, span_cache, c, k, u, vA) and \
-               _solvable_at(alg, D, span_cache, c, l, u, vB):
+            if _solvable_at(alg, D, c, k, u, vA) and \
+               _solvable_at(alg, D, c, l, u, vB):
                 return True
     return "budget" if exhausted else False
 
 
-def _solvable_at(alg, D, span_cache, c, k, u, target) -> bool:
+def _solvable_at(alg, D, c, k, u, target) -> bool:
     """Is there F in span(c -> k) with F u = target?"""
     gens = D.homs[(c, k)]
     rows = [list(alg.bvec_to_rvec(_apply_bmat(alg, G, u))) for G in gens]
@@ -766,7 +766,7 @@ def _el_morphisms(D, span_cache, obj1, obj2, budget):
     return out
 
 
-def _has_equalizing(D, span_cache, src, f, g, budget):
+def _has_equalizing(D, src, f, g, budget):
     """True / False / "budget": is there (C, u) and h in span(C -> src)
     with h u = v_src and f h = g h?"""
     alg = D.alg
@@ -1063,8 +1063,6 @@ def recheck_iso_witness(D: DiagramCategory, k: int, l: int, F: Matrix) -> bool:
 
 def recheck_cone_witness(D: DiagramCategory, first, second,
                          budget: int = DEFAULT_BUDGET) -> bool:
-    span_cache = {pair: D.span_rows(*pair) for pair in D.homs}
     k, vA = first
     l, vB = second
-    return _has_cone(D, span_cache, (k, tuple(vA)), (l, tuple(vB)),
-                     budget) is False
+    return _has_cone(D, (k, tuple(vA)), (l, tuple(vB)), budget) is False

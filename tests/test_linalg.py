@@ -6,7 +6,8 @@ import pytest
 from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import (Matrix, smith, kernel, solve, is_invertible,
                                   inverse, image_span, cokernel_exponents,
-                                  howell, span_membership, DimensionMismatch)
+                                  howell, span_membership, Span,
+                                  DimensionMismatch)
 
 
 def rand_matrix(rng, R, rows, cols):
@@ -186,3 +187,50 @@ def test_span_membership(Z8):
     assert span_membership(Z8, gens, [1, 0]) is None
     assert span_membership(Z8, [], [0, 0]) == []
     assert span_membership(Z8, [], [1, 0]) is None
+
+
+def test_span_contains_agrees_with_span_membership():
+    # Howell reduction against a Smith solve, on targets inside the span
+    # (random combinations), outside it (a unit in column 0, where every
+    # generator has an entry in pR), and drawn at random
+    rng = random.Random(404)
+    seen = {True: 0, False: 0}
+    for R in (ring_make(2, 1, 1), ring_make(2, 3, 1), ring_make(3, 2, 1),
+              ring_make(2, 1, 2), ring_make(2, 2, 2)):
+        p = R.p_elem(1) if R.n > 1 else 0
+        for _ in range(120):
+            w = rng.randint(1, 6)
+            gens = [[rng.randrange(R.size) for _ in range(w)]
+                    for _ in range(rng.randint(0, 4))]
+            if rng.random() < 0.5:
+                for g in gens:
+                    g[0] = R.mul(p, g[0])
+            span = Span(R, gens, w)
+            for _ in range(6):
+                comb = [0] * w
+                for g in gens:
+                    c = rng.randrange(R.size)
+                    comb = [R.add(a, R.mul(c, b)) for a, b in zip(comb, g)]
+                assert span.contains(comb)
+                assert span_membership(R, gens, comb) is not None
+                if all(R.val(g[0]) > 0 for g in gens if g[0]):
+                    out = [R.add(comb[0], R.one)] + comb[1:]
+                    assert not span.contains(out)
+                    assert span_membership(R, gens, out) is None
+                    seen[False] += 1
+                target = [rng.randrange(R.size) for _ in range(w)]
+                got = span.contains(target)
+                assert got == (span_membership(R, gens, target) is not None)
+                seen[got] += 1
+    assert seen[True] and seen[False]
+
+
+def test_span_contains_howell_tail(Z4):
+    # 2 * [2, 1] = [0, 2]: only the re-inserted tail row of the Howell form
+    # has its pivot in column 1
+    span = Span(Z4, [[2, 1]], 2)
+    assert span.rows == [[2, 1], [0, 2]]
+    assert span.contains([0, 2])
+    assert not span.contains([0, 1])
+    with pytest.raises(DimensionMismatch):
+        span.contains([0, 2, 0])

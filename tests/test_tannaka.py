@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tannaka_forge.linalg import Matrix
+from tannaka_forge import linalg
+from tannaka_forge.linalg import Matrix, span_membership
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import AlgebraSpec, bimodule_make
 from tannaka_forge.coalgebra import comodule_hom
@@ -12,7 +13,7 @@ from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    unit_fully_faithful_check, counit_map,
                                    flatness_check, recognition_check,
                                    recheck_iso_witness, recheck_cone_witness,
-                                   DiagramNotClosed)
+                                   DiagramNotClosed, _flatten_bmat)
 from tannaka_forge.suite import (trivial_full_hom_diagram, grouplike_diagram,
                                  comatrix_diagram, grouplike_coalgebra,
                                  comatrix_coalgebra, grouplike_line,
@@ -343,3 +344,71 @@ def test_counit_always_coalgebra_morphism(alg_f2):
                 [grouplike_line(C, 0), grouplike_line(C, 1)]):
         res = counit_map(C, fam)
         assert res.coalgebra_morphism
+
+
+def _reference_closure_violation(D):
+    """closure_violation with membership decided by a Smith solve against
+    the flattened generators, as before hom spans were held in Howell form."""
+    alg = D.alg
+
+    def contains(k, l, F):
+        rows = [list(_flatten_bmat(alg, G)) for G in D.homs[(k, l)]]
+        return span_membership(alg.R, rows,
+                               list(_flatten_bmat(alg, F))) is not None
+
+    for k, obj in enumerate(D.objects):
+        if not contains(k, k, Matrix.identity(alg.B, obj.rank)):
+            return ("missing-identity", k)
+    for (k, l), mats in D.homs.items():
+        for (l2, m), mats2 in D.homs.items():
+            if l2 != l:
+                continue
+            for F in mats:
+                for G in mats2:
+                    if not contains(k, m, G @ F):
+                        return ("not-closed", (k, l, m, F, G))
+    return None
+
+
+def test_closure_violation_matches_reference():
+    rng = random.Random(2024)
+    kinds = set()
+    for alg in (AlgebraSpec.make(2, 1, 1), AlgebraSpec.make(2, 3, 1),
+                AlgebraSpec.make(2, 2, 2)):
+        B = alg.B
+        for _ in range(25):
+            objs = [DiagObject("A%d" % i, rng.randint(1, 2))
+                    for i in range(rng.randint(1, 3))]
+            homs = {}
+            for k, ok in enumerate(objs):
+                for l, ol in enumerate(objs):
+                    mats = [Matrix(B, [[rng.randrange(B.size)
+                                        for _ in range(ok.rank)]
+                                       for _ in range(ol.rank)],
+                                   ol.rank, ok.rank)
+                            for _ in range(rng.randint(0, 2))]
+                    if k == l and rng.random() < 0.8:
+                        mats.append(Matrix.identity(B, ok.rank))
+                    homs[(k, l)] = mats
+            D = DiagramCategory(alg, objs, homs)
+            got = D.closure_violation()
+            assert got == _reference_closure_violation(D)
+            kinds.add(got and got[0])
+    assert kinds == {None, "missing-identity", "not-closed"}
+
+
+def test_closed_closure_violation_runs_no_smith(monkeypatch, alg_gr42):
+    D, _ = random_diagram(random.Random(3), alg_gr42)
+    calls = []
+    smith = linalg.smith
+
+    def counted_smith(A):
+        calls.append(A.rows)
+        return smith(A)
+
+    monkeypatch.setattr(linalg, "smith", counted_smith)
+    assert D.closure_violation() is None
+    assert calls == []
+    # the counter sees the Smith solves of the reference path
+    assert _reference_closure_violation(D) is None
+    assert calls
