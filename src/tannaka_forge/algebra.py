@@ -289,11 +289,21 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
         ident = ModuleMap.identity(TR.module)
         return BTensor(alg, TR, TR.module, ident,
                        Matrix.identity(alg.R, TR.module.rank), None)
-    rel = (map_tensor(TR, x_right, ModuleMap.identity(right_car), TR)
-           - map_tensor(TR, ModuleMap.identity(left_car), y_left, TR))
-    pres = presentation_with_torsion(TR.module, rel.mat)
+    # column (i, j) is x_right(e_i) (x) e_j - e_i (x) y_left(e_j)
+    R, pos = alg.R, TR.pos
+    rel = Matrix.zeros(R, TR.module.rank, TR.module.rank)
+    xcols, ycols = x_right.mat.sparse_cols(), y_left.mat.sparse_cols()
+    for (i, j), k in pos.items():
+        for i2, a in xcols[i]:
+            row = rel.data[pos[(i2, j)]]
+            row[k] = R.add(row[k], a)
+        for j2, b in ycols[j]:
+            row = rel.data[pos[(i, j2)]]
+            row[k] = R.sub(row[k], b)
+    rel = ModuleMap(TR.module, TR.module, rel, validate=False).mat  # canonical entries
+    pres = presentation_with_torsion(TR.module, rel)
     proj = ModuleMap(TR.module, pres.module, pres.proj)
-    return BTensor(alg, TR, pres.module, proj, pres.sect, rel.mat)
+    return BTensor(alg, TR, pres.module, proj, pres.sect, rel)
 
 
 def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:

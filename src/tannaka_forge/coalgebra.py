@@ -109,16 +109,6 @@ def _counit_right_map(alg: AlgebraSpec, C: BBBimodule, counit: ModuleMap,
     return descend(data, ModuleMap(data.TR.module, car, flat, validate=False))
 
 
-def _sparse_cols(mat: Matrix) -> list[list[tuple[int, int]]]:
-    """The nonzero (row, entry) pairs of each column of mat."""
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(mat.cols)]
-    for r, row in enumerate(mat.data):
-        for c, v in enumerate(row):
-            if v:
-                cols[c].append((r, v))
-    return cols
-
-
 def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
                      hat: Matrix, phi: ModuleMap) -> int | None:
     """First generator g of phi.src with (delta (x) id) phi(g) different
@@ -139,8 +129,8 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
     p12, p3 = t3.T12.pos, t3.TR.pos
     src_inv = {k: ij for ij, k in src.TR.pos.items()}
     # delta(c_i) as (T12 index, coeff); rho(z_j) as ((c, z) pair, coeff)
-    dcols = _sparse_cols(deltahat)
-    hcols = [[(src_inv[kk], c) for kk, c in col] for col in _sparse_cols(hat)]
+    dcols = deltahat.sparse_cols()
+    hcols = [[(src_inv[kk], c) for kk, c in col] for col in hat.sparse_cols()]
 
     def combine(terms) -> dict[int, int]:
         acc: dict[int, int] = {}
@@ -162,18 +152,18 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
         to_quot = canon
     else:
         # column k of xy.proj (x) id, in nest.TR coordinates
-        npos, xcols = t3.nest.TR.pos, _sparse_cols(t3.xy.proj.mat)
+        npos, xcols = t3.nest.TR.pos, t3.xy.proj.mat.sparse_cols()
         xz = [None] * t3.TR.module.rank
         for (pk, z), k in p3.items():
             xz[k] = [(npos[(q, z)], a) for q, a in xcols[pk]]
-        ncols = _sparse_cols(t3.nest.proj.mat)
+        ncols = t3.nest.proj.mat.sparse_cols()
 
         def to_quot(acc):
             mid = combine((v, xz[k]) for k, v in acc.items())
             return canon(combine((v, ncols[k]) for k, v in mid.items()))
 
     if src.rel_cols is not None:
-        rel_cols, sect_cols = _sparse_cols(src.rel_cols), _sparse_cols(src.sect)
+        rel_cols, sect_cols = src.rel_cols.sparse_cols(), src.sect.sparse_cols()
 
     def descend_cols(flat):
         if src.rel_cols is None:
@@ -200,7 +190,7 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
         rhs_flat[k] = [(p3[(p12[(i, a)], b)], c) for (a, b), c in hcols[j]]
     lhs = descend_cols(lhs_flat)
     rhs = descend_cols(rhs_flat)
-    for g, terms in enumerate(_sparse_cols(phi.mat)):
+    for g, terms in enumerate(phi.mat.sparse_cols()):
         if (canon(combine((c, lhs[q]) for q, c in terms))
                 != canon(combine((c, rhs[q]) for q, c in terms))):
             return g

@@ -161,6 +161,15 @@ class Matrix:
     def col(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 
+    def sparse_cols(self) -> list[list[tuple[int, int]]]:
+        """The nonzero (row, entry) pairs of each column."""
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for r, row in enumerate(self.data):
+            for c, v in enumerate(row):
+                if v:
+                    cols[c].append((r, v))
+        return cols
+
     def hstack(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise DimensionMismatch("hstack rows %d vs %d" % (self.rows, other.rows))

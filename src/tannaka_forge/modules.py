@@ -423,18 +423,20 @@ def tensor_over_ring(M: FinModule, N: FinModule) -> FinModule:
 
 
 def map_tensor(T: TensorData, f: ModuleMap, g: ModuleMap, T2: TensorData) -> ModuleMap:
-    """f tensor g : T -> T2 for f : T.left -> T2.left, g : T.right -> T2.right."""
+    """f tensor g : T -> T2 for f : T.left -> T2.left, g : T.right -> T2.right.
+
+    Column (i, j) is built from the nonzeros of column i of f and column j
+    of g only."""
     ring = T.left.ring
     mul = ring.mul
+    pos2 = T2.pos
     mat = Matrix.zeros(ring, T2.module.rank, T.module.rank)
+    fcols, gcols = f.mat.sparse_cols(), g.mat.sparse_cols()
     for (i, j), k in T.pos.items():
-        for (i2, j2), k2 in T2.pos.items():
-            a = f.mat.data[i2][i]
-            if a == 0:
-                continue
-            b = g.mat.data[j2][j]
-            if b:
-                mat.data[k2][k] = mul(a, b)
+        gcol = gcols[j]
+        for i2, a in fcols[i]:
+            for j2, b in gcol:
+                mat.data[pos2[(i2, j2)]][k] = mul(a, b)
     return ModuleMap(T.module, T2.module, mat, validate=False)
 
 

@@ -14,6 +14,12 @@ The defining modulus h is chosen deterministically: the Hensel lift to Z/p^n
 of the lexicographically least monic degree-f irreducible over F_p (comparing
 coefficient tuples from degree f-1 down to 0), which is what makes normal
 forms reproducible across runs.  Reports always print the chosen h.
+
+Rings of at most TABLE_LIMIT elements keep full add/mul tables.  They are
+filled by linearity (see RingSpec._build_tables): each entry is one or two
+list lookups from an earlier entry, and only the size products a * x are
+polynomial products, so a 256-element ring builds in a few hundredths of a
+second.
 """
 
 from __future__ import annotations
@@ -25,8 +31,9 @@ class NonUnitError(ArithmeticError):
     """Raised when inverting an element with positive valuation."""
 
 
-# Ring ops are table-driven below this size; beyond it they are computed
-# per call (still exact, just slower).
+# Ring ops are table-driven up to this size; beyond it they are computed
+# per call (still exact, just slower).  The size^2-entry add and mul tables
+# are filled by lookups from earlier rows, not by size^2 polynomial products.
 TABLE_LIMIT = 256
 
 
@@ -229,33 +236,48 @@ class RingSpec:
     # -- construction -----------------------------------------------------
 
     def _build_tables(self):
+        """Fill the tables by linearity in the second argument.
+
+        For b >= 1 let k be its lowest nonzero digit and b' = b - q^k, so
+        b = b' + x^k with no carry.  Then add(a, b) raises digit k of
+        add(a, b') by one mod q, and mul(a, b) = add(mul(a, b'), a * x^k):
+        row b of each table is one lookup per entry from row b'.  And
+        a * x^k = (a * x^(k-1)) * x, so the only polynomial products are
+        the size products a * x (none when f = 1).  Both tables are
+        symmetric, so row b also holds the entries (b, a).
+        """
         size, q, f = self.size, self.q, self.f
         coeffs = [self._coeffs_raw(a) for a in range(size)]
         self._coeff_tab = coeffs
-        add = [0] * (size * size)
-        mul = [0] * (size * size)
-        for a in range(size):
-            ca = coeffs[a]
-            base = a * size
-            for b in range(a, size):
-                s = self._pack([(ca[k] + coeffs[b][k]) % q for k in range(f)])
-                m = self._mul_raw(a, b)
-                add[base + b] = s
-                add[b * size + a] = s
-                mul[base + b] = m
-                mul[b * size + a] = m
-        self._add_tab = add
-        self._mul_tab = mul
+        # inc[k][s] is s with digit k raised by one mod q; xmul[k][a] = a * x^k
+        inc, xmul = [], [range(size)]
+        for k in range(f):
+            qk = q**k
+            inc.append([s - (q - 1) * qk if c[k] == q - 1 else s + qk
+                        for s, c in enumerate(coeffs)])
+        if f > 1:
+            by_x = [self._mul_raw(a, self.x) for a in range(size)]
+            for k in range(1, f):
+                xmul.append([by_x[t] for t in xmul[k - 1]])
+        lows = []  # (k, b') for b = 1, ..., size - 1
+        for b in range(1, size):
+            k = 0
+            while coeffs[b][k] == 0:
+                k += 1
+            lows.append((k, b - q**k))
+        add_rows = [list(range(size))]
+        for k, prev in lows:
+            step = inc[k]
+            add_rows.append([step[s] for s in add_rows[prev]])
+        mul_rows = [[0] * size]
+        for k, prev in lows:
+            mul_rows.append([add_rows[m][t] for m, t in zip(mul_rows[prev], xmul[k])])
+        self._add_tab = [s for row in add_rows for s in row]
+        self._mul_tab = [m for row in mul_rows for m in row]
         self._neg_tab = [self._pack([(-c) % q for c in coeffs[a]]) for a in range(size)]
         self._val_tab = [self._val_raw(a) for a in range(size)]
-        inv = [0] * size
-        for a in range(size):
-            if self._val_tab[a] == 0:
-                for b in range(size):
-                    if mul[a * size + b] == 1:
-                        inv[a] = b
-                        break
-        self._inv_tab = inv
+        self._inv_tab = [mul_rows[a].index(1) if v == 0 else 0
+                         for a, v in enumerate(self._val_tab)]
         self._frob_tab = [self._frobenius_raw(a) for a in range(size)]
 
     # -- packing ----------------------------------------------------------

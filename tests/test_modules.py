@@ -10,7 +10,8 @@ from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentatio
                                    dual, is_projective, map_kernel, map_cokernel,
                                    map_image, compose, direct_sum,
                                    sub_membership, sub_elements, NotWellDefined,
-                                   EnumerationBudget, is_isomorphism)
+                                   EnumerationBudget, is_isomorphism, map_tensor)
+from tannaka_forge.algebra import AlgebraSpec, _btensor_core
 
 
 def brute_force_maps(M, N):
@@ -265,3 +266,68 @@ def test_is_isomorphism(Z8):
     R2 = FinModule.free(Z8, 2)
     assert is_isomorphism(ModuleMap(R2, R2, Matrix.from_rows(Z8, [[1, 2], [0, 3]])))
     assert not is_isomorphism(ModuleMap(R2, R2, Matrix.from_rows(Z8, [[2, 0], [0, 1]])))
+
+
+def dense_map_tensor(T, f, g, T2):
+    """The loop map_tensor ran before it went sparse: every pair of
+    positions of T and T2."""
+    ring = T.left.ring
+    mat = Matrix.zeros(ring, T2.module.rank, T.module.rank)
+    for (i, j), k in T.pos.items():
+        for (i2, j2), k2 in T2.pos.items():
+            a = f.mat.data[i2][i]
+            if a == 0:
+                continue
+            b = g.mat.data[j2][j]
+            if b:
+                mat.data[k2][k] = ring.mul(a, b)
+    return ModuleMap(T.module, T2.module, mat, validate=False)
+
+
+def random_module(rng, R, max_rank=3):
+    """Rank 0..max_rank, exponents drawn from 1..n, so torsion for n > 1."""
+    return FinModule(R, tuple(sorted((rng.randint(1, R.n)
+                                      for _ in range(rng.randint(0, max_rank))),
+                                     reverse=True)))
+
+
+def random_map(rng, M, N):
+    """A well-defined M -> N with about half its entries zero."""
+    R = M.ring
+    rows = [[0 if rng.random() < 0.5 else
+             R.mul(rng.randrange(R.size), R.p_elem(max(0, d - e)))
+             for e in M.exps] for d in N.exps]
+    return ModuleMap(M, N, Matrix(R, rows, N.rank, M.rank))
+
+
+@pytest.mark.parametrize("pnf", [(2, 1, 1), (2, 3, 1), (2, 2, 2)])
+def test_map_tensor_matches_dense(pnf):
+    R = ring_make(*pnf)
+    rng = random.Random(11)
+    empty = FinModule(R, ())
+    for trial in range(40):
+        mods = [random_module(rng, R) for _ in range(4)]
+        if trial < 4:
+            mods[trial] = empty  # each side of source and target zero once
+        M, N, M2, N2 = mods
+        f, g = random_map(rng, M, M2), random_map(rng, N, N2)
+        T, T2 = tensor_with_data(M, N), tensor_with_data(M2, N2)
+        assert map_tensor(T, f, g, T2).mat == dense_map_tensor(T, f, g, T2).mat
+
+
+@pytest.mark.parametrize("pnf", [(2, 1, 2), (2, 2, 2), (2, 3, 2)])
+def test_middle_relation_matches_dense(pnf):
+    # the relation columns x_right(e_i) (x) e_j - e_i (x) y_left(e_j) of
+    # _btensor_core equal the difference of the two dense map_tensor results
+    alg = AlgebraSpec.make(*pnf)
+    R = alg.R
+    rng = random.Random(5)
+    for trial in range(25):
+        X = FinModule(R, ()) if trial == 0 else random_module(rng, R, 4)
+        Y = FinModule(R, ()) if trial == 1 else random_module(rng, R, 4)
+        x_right, y_left = random_map(rng, X, X), random_map(rng, Y, Y)
+        data = _btensor_core(alg, X, x_right, Y, y_left)
+        TR = data.TR
+        rel = (dense_map_tensor(TR, x_right, ModuleMap.identity(Y), TR)
+               - dense_map_tensor(TR, ModuleMap.identity(X), y_left, TR))
+        assert data.rel_cols == rel.mat

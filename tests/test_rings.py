@@ -1,6 +1,8 @@
 import pytest
 
-from tannaka_forge.rings import ring_make, NonUnitError, is_prime
+from tannaka_forge.rings import RingSpec, ring_make, NonUnitError, is_prime
+
+from ring_reference import TABLE_NAMES, reference_tables
 
 
 def test_ring_make_examples(Z8, F4, GR42):
@@ -178,3 +180,41 @@ def test_element_formatting(GR42, Z8):
 def test_is_prime():
     assert [m for m in range(2, 30) if is_prime(m)] == \
         [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+# Z/2, Z/8, Z/9, F4, GR(4,2), GR(2^3,2), GR(2^2,3), GR(3,4), GR(5,3) and the
+# three 256-element rings GR(2^4,2), GR(2^2,4), GR(2,8)
+REFERENCE_RINGS = [(2, 1, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2),
+                   (2, 3, 2), (2, 2, 3), (3, 1, 4), (5, 1, 3), (2, 4, 2),
+                   (2, 2, 4), (2, 1, 8)]
+
+
+@pytest.mark.parametrize("pnf", REFERENCE_RINGS, ids=lambda t: "GR(%d^%d,%d)" % t)
+def test_tables_match_per_pair_reference(pnf):
+    R = ring_make(*pnf)
+    assert R._tabled
+    ref = reference_tables(R)
+    for name in TABLE_NAMES:
+        assert getattr(R, name) == ref[name], name
+
+
+@pytest.mark.parametrize("pnf", [(2, 1, 8), (2, 2, 4)])
+def test_table_build_polynomial_product_count(pnf, monkeypatch):
+    # filling by linearity needs at most size * f polynomial products; the
+    # per-pair builder made size * (size + 1) / 2 = 32896 of them
+    h = ring_make(*pnf).h
+    calls = [0]
+    mul_raw = RingSpec._mul_raw
+
+    def counting(self, a, b):
+        calls[0] += 1
+        return mul_raw(self, a, b)
+
+    monkeypatch.setattr(RingSpec, "_mul_raw", counting)
+    R = RingSpec(*pnf, h)
+    assert R._tabled and R.size == 256
+    assert 0 < calls[0] <= R.size * R.f
+    units = list(R.units())
+    assert len(units) == R.size - R.size // R.p**R.f
+    for a in units:
+        assert R.mul(a, R.inv(a)) == R.one
