@@ -11,7 +11,7 @@ from .modules import (FinModule, ModuleMap, module_from_presentation,
                       is_projective, map_kernel, map_cokernel, map_image,
                       compose, direct_sum)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, bimodule_make,
-                      free_bmodule, regular_bimodule, tensor_over_b, b_dual,
+                      free_bmodule, regular_bimodule, b_dual,
                       as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
                         comodule_hom, is_cauchy, cofree, enumerate_subcomodules,
@@ -32,7 +32,7 @@ __all__ = [
     "tensor_over_ring", "tensor_with_data", "dual", "is_projective",
     "map_kernel", "map_cokernel", "map_image", "compose", "direct_sum",
     "AlgebraSpec", "BModule", "BBBimodule", "bimodule_make", "free_bmodule",
-    "regular_bimodule", "tensor_over_b", "b_dual", "as_b_module", "is_b_free",
+    "regular_bimodule", "b_dual", "as_b_module", "is_b_free",
     "Coalgebra", "Comodule", "coalgebra_check", "comodule_check",
     "comodule_hom", "is_cauchy", "cofree", "enumerate_subcomodules",
     "AxiomError",

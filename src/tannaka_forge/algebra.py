@@ -27,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingSpec, ring_make
-from .linalg import Matrix, kernel, is_invertible, inverse, block_diag
+from .linalg import Matrix, is_invertible, inverse, block_diag
 from .modules import (FinModule, ModuleMap, TensorData, tensor_with_data,
-                      map_tensor, torsion_matrix, module_from_presentation,
+                      map_tensor, syzygies, module_from_presentation,
                       presentation_with_torsion, RingMismatch)
 
 
@@ -104,16 +104,24 @@ class AlgebraSpec:
                         row[s * fb + g] = brow[g]
         return out
 
-    def rmat_to_bmat(self, M: Matrix, rows: int, cols: int) -> Matrix:
-        """Inverse of bmat_to_rmat; the input must commute with the
-        x-action (checked by re-expansion)."""
-        B, fb = self.B, self.fb
+    def rmat_to_bmat(self, g: ModuleMap) -> Matrix:
+        """Inverse of bmat_to_rmat on the matrix of a map g between
+        R-carriers of B-modules; g must commute with the x-action (checked by
+        re-expansion, reduced into g.dst so that torsion there cannot make a
+        B-linear map fail)."""
+        B, fb, M = self.B, self.fb, g.mat
+        rows, cols = g.dst.rank // fb, g.src.rank // fb
         out = Matrix.zeros(B, rows, cols)
         for t in range(rows):
             for s in range(cols):
                 coeffs = [M.data[t * fb + d][s * fb] for d in range(fb)]
                 out.data[t][s] = B.from_coeffs(coeffs)
-        if self.bmat_to_rmat(out) != M:
+        back = self.bmat_to_rmat(out)
+        red = self.R.reduce_exp
+        back = Matrix(self.R, [[red(a, e) for a in row]
+                               for row, e in zip(back.data, g.dst.exps)],
+                      back.rows, back.cols)
+        if back != M:
             raise ValueError("matrix is not B-linear")
         return out
 
@@ -341,23 +349,6 @@ def tensor_bim_bmodule(alg: AlgebraSpec, X: BBBimodule, M: BModule) -> BTensor:
     data = _btensor_core(alg, X.carrier, X.right, M.carrier, M.act)
     data.left = induced(data, data, X.left, ModuleMap.identity(M.carrier))
     return data
-
-
-def tensor_over_b(alg: AlgebraSpec, X, Y) -> BTensor:
-    """X tensor_B Y for bimodules and one-sided modules; the right action
-    of X pairs with the left action of Y, and whatever outer actions exist
-    survive."""
-    if isinstance(X, BBBimodule) and isinstance(Y, BBBimodule):
-        return tensor_bimodules(alg, X, Y)
-    if isinstance(X, BBBimodule) and isinstance(Y, BModule):
-        return tensor_bim_bmodule(alg, X, Y)
-    if isinstance(X, BModule) and isinstance(Y, BModule):
-        return _btensor_core(alg, X.carrier, X.act, Y.carrier, Y.act)
-    if isinstance(X, BModule) and isinstance(Y, BBBimodule):
-        data = _btensor_core(alg, X.carrier, X.act, Y.carrier, Y.left)
-        data.right = induced(data, data, ModuleMap.identity(X.carrier), Y.right)
-        return data
-    raise TypeError("expected BModule or BBBimodule operands")
 
 
 def btensor_bimodule(data: BTensor) -> BBBimodule:
@@ -615,26 +606,13 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
         for k in range(fb):
             cols.append(list(pows[k].apply(carrier.gen(i))))
     phi = Matrix.from_cols(R, cols, m)
-    aug = phi.hstack(torsion_matrix(carrier))
-    K = kernel(aug)
-    # kernel columns, reinterpreted over B
-    bcols = []
-    for jc in range(K.cols):
-        col = [K.data[i][jc] for i in range(m * fb)]
-        bcols.append([B.from_coeffs(col[i * fb:(i + 1) * fb]) for i in range(m)])
-    if bcols:
-        relB = Matrix(B, [list(r) for r in zip(*bcols)], m, len(bcols))
-    else:
-        relB = Matrix.zeros(B, m, 0)
+    # the relations of phi, reinterpreted over B
+    K = syzygies(carrier, phi)
+    relB = Matrix.from_cols(B, [alg.rvec_to_bvec(K.col(j)) for j in range(K.cols)], m)
     pres = module_from_presentation(relB)
     exps = pres.module.exps
-    basis_elems = []
-    for jgen in range(pres.module.rank):
-        bvec = pres.sect.col(jgen)
-        rcoords = []
-        for i in range(m):
-            rcoords.extend(B.coeffs(bvec[i]))
-        basis_elems.append(carrier.reduce(phi.apply(rcoords)))
+    basis_elems = [carrier.reduce(phi.apply(list(alg.bvec_to_rvec(pres.sect.col(j)))))
+                   for j in range(pres.module.rank)]
     theta = theta_inv = None
     if all(e == B.n for e in exps):
         r = len(exps)

@@ -33,6 +33,7 @@ from .tannaka import (hom_closure, coend, lift_coaction,
                       DiagramNotClosed)
 from .coalgebra import AxiomError
 from .mf import mf_to_diagram, MFError
+from .suite import run_suite
 
 
 SCHEMA = 1
@@ -222,7 +223,6 @@ def cmd_mf_demo(args) -> int:
 
 def cmd_verify_suite(args) -> int:
     t0 = time.monotonic()
-    from .suite import run_suite
     report = _base_report("verify-suite", b"builtin-suite", args.budget)
     results = run_suite(args.budget)
     report["checks"] = [{"name": r["name"], "status": r["status"],

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Matrix, kernel, solve
+from .linalg import Matrix
 from .modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
-                      map_kernel, direct_sum, map_tensor, torsion_matrix,
-                      module_from_presentation,
-                      sub_membership, sub_canonical, sub_elements,
+                      map_kernel, direct_sum, map_tensor, submodule, solve_in,
+                      sub_canonical, sub_elements,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
                       tensor_bimodules, tensor_bim_bmodule, triple_tensor,
@@ -80,33 +79,23 @@ class Coalgebra:
         return hash((self.bi, self.delta, self.counit))
 
 
-def _counit_left_map(alg: AlgebraSpec, C: BBBimodule, counit: ModuleMap,
-                     data: BTensor, M: BModule) -> ModuleMap:
+def _counit_map(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
+                act_by, left: bool = True) -> ModuleMap:
     """(eps (x)_B id) : C (x)_B M -> M through B (x)_B M = M, descended from
-    the flat map c (x) m |-> eps(c) . m."""
-    car_c, car_m = C.carrier, M.carrier
+    the flat map c (x) m |-> eps(c) . m; with left=False, (id (x)_B eps) :
+    M (x)_B C -> M from m (x) c |-> m . eps(c).  act_by(b) is the action of
+    b on M: the left action for eps (x) id, the right one for id (x) eps."""
+    car_c, car_m = (data.TR.left, data.TR.right) if left else \
+        (data.TR.right, data.TR.left)
     flat = Matrix.zeros(alg.R, car_m.rank, data.TR.module.rank)
-    eps_act = [M.act_by(b_elem_of_rvec(alg, counit.apply(car_c.gen(i))))
+    eps_act = [act_by(b_elem_of_rvec(alg, counit.apply(car_c.gen(i))))
                for i in range(car_c.rank)]
     for (i, j), k in data.TR.pos.items():
-        col = eps_act[i].apply(car_m.gen(j))
+        c, m = (i, j) if left else (j, i)
+        col = eps_act[c].apply(car_m.gen(m))
         for r, v in enumerate(col):
             flat.data[r][k] = v
     return descend(data, ModuleMap(data.TR.module, car_m, flat, validate=False))
-
-
-def _counit_right_map(alg: AlgebraSpec, C: BBBimodule, counit: ModuleMap,
-                      data: BTensor) -> ModuleMap:
-    """(id (x)_B eps) : C (x)_B C -> C via the right action."""
-    car = C.carrier
-    flat = Matrix.zeros(alg.R, car.rank, data.TR.module.rank)
-    eps_act = [C.right_by(b_elem_of_rvec(alg, counit.apply(car.gen(j))))
-               for j in range(car.rank)]
-    for (i, j), k in data.TR.pos.items():
-        col = eps_act[j].apply(car.gen(i))
-        for r, v in enumerate(col):
-            flat.data[r][k] = v
-    return descend(data, ModuleMap(data.TR.module, car, flat, validate=False))
 
 
 def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
@@ -218,11 +207,11 @@ def coalgebra_check(alg: AlgebraSpec, C: BBBimodule, delta: ModuleMap,
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
     deltahat = cc.sect @ delta.mat
     # counit laws
-    eps_id = _counit_left_map(alg, C, counit, cc, C.left_module())
+    eps_id = _counit_map(alg, counit, cc, C.left_by)
     w = _first_difference(eps_id @ delta, ModuleMap.identity(C.carrier))
     if w is not None:
         raise AxiomError("CounitLeft", w)
-    id_eps = _counit_right_map(alg, C, counit, cc)
+    id_eps = _counit_map(alg, counit, cc, C.right_by, left=False)
     w = _first_difference(id_eps @ delta, ModuleMap.identity(C.carrier))
     if w is not None:
         raise AxiomError("CounitRight", w)
@@ -265,7 +254,7 @@ def comodule_check(C: Coalgebra, M: BModule, rho: ModuleMap) -> Comodule:
     w = _first_difference(rho @ M.act, cm.left @ rho)
     if w is not None:
         raise AxiomError("NotModuleMap", w)
-    eps_id = _counit_left_map(alg, C.bi, C.counit, cm, M)
+    eps_id = _counit_map(alg, C.counit, cm, M.act_by)
     w = _first_difference(eps_id @ rho, ModuleMap.identity(M.carrier))
     if w is not None:
         raise AxiomError("CounitLeft", w)
@@ -388,7 +377,7 @@ def enumerate_b_submodules(alg: AlgebraSpec, M: BModule,
         for g in gens:
             for a in acts:
                 full.append(a.apply(g))
-        return frozenset(sub_elements(car, full, budget=None))
+        return frozenset(sub_elements(car, full))
 
     elems = list(car.elements(budget))
     base = {close([e]) for e in elems}
@@ -420,17 +409,10 @@ def enumerate_subcomodules(Mc: Comodule, budget: int = DEFAULT_ENUM_BUDGET):
     C_car = Mc.coalgebra.carrier
     out = []
     for size, gens, elems in enumerate_b_submodules(alg, Mc.module, budget):
-        image_gens = []
-        for a in range(C_car.rank):
-            for s in gens:
-                image_gens.append(Mc.cm.pure(C_car.gen(a), s))
-        ok = True
-        for s in gens:
-            target = Mc.rho.apply(s)
-            if sub_membership(Mc.cm.module, image_gens, target) is None:
-                ok = False
-                break
-        if ok:
+        image_gens = [Mc.cm.pure(C_car.gen(a), s)
+                      for a in range(C_car.rank) for s in gens]
+        A = Matrix.from_cols(alg.R, image_gens, Mc.cm.module.rank)
+        if None not in solve_in(Mc.cm.module, A, [Mc.rho.apply(s) for s in gens]):
             out.append((size, [tuple(g) for g in gens], elems))
     return out
 
@@ -449,40 +431,24 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
     for g in gens:
         for a in acts:
             full.append(a.apply(g))
-    # abstract presentation of the submodule S
-    cols = [list(v) for v in full]
-    gen_mat = Matrix.from_cols(alg.R, cols, car.rank)
-    aug = gen_mat.hstack(torsion_matrix(car))
-    K = kernel(aug)
-    rel = Matrix(alg.R, [K.data[i][:] for i in range(len(cols))], len(cols), K.cols)
-    pres = module_from_presentation(rel)
-    S = pres.module
-    incl = ModuleMap(S, car, gen_mat @ pres.sect)
-    # S as a B-module: x-action transported through incl (solve generator-wise)
-    act_cols = []
-    s_elem_cols = [incl.apply(S.gen(k)) for k in range(S.rank)]
-    for k in range(S.rank):
-        target = Mc.module.act.apply(s_elem_cols[k])
-        sol = sub_membership(car, s_elem_cols, target)
-        if sol is None:
-            return None
-        act_cols.append(pres.module.reduce(sol))
-    act = ModuleMap(S, S, Matrix.from_cols(alg.R, act_cols, S.rank))
+    S, incl = submodule(car, Matrix.from_cols(alg.R, full, car.rank))
+    s_elems = [incl.apply(S.gen(k)) for k in range(S.rank)]
+    # S as a B-module: x-action transported through incl
+    sols = solve_in(car, incl.mat, [Mc.module.act.apply(v) for v in s_elems])
+    if None in sols:
+        return None
+    act = ModuleMap(S, S, Matrix.from_cols(alg.R, [S.reduce(x) for x in sols], S.rank))
     Smod = BModule(alg, S, act)
     cs = tensor_bim_bmodule(alg, Mc.coalgebra.bi, Smod)
-    # solve (id (x) incl) . rho_S = rho_M . incl columnwise
+    # solve (id (x) incl) . rho_S = rho_M . incl
     flat = map_tensor(cs.TR, ModuleMap.identity(Mc.coalgebra.carrier), incl, Mc.cm.TR)
     idincl = ModuleMap(cs.module, Mc.cm.module,
                        Mc.cm.proj.mat @ flat.mat @ cs.sect, validate=False)
-    rho_cols = []
-    amat = idincl.mat.hstack(torsion_matrix(Mc.cm.module))
-    for k in range(S.rank):
-        rhs = list(Mc.rho.apply(incl.apply(S.gen(k))))
-        sol = solve(amat, rhs)
-        if sol is None:
-            return None
-        rho_cols.append(cs.module.reduce(sol[:cs.module.rank]))
-    rho = ModuleMap(S, cs.module, Matrix.from_cols(alg.R, rho_cols, cs.module.rank))
+    sols = solve_in(Mc.cm.module, idincl.mat, [Mc.rho.apply(v) for v in s_elems])
+    if None in sols:
+        return None
+    rho = ModuleMap(S, cs.module, Matrix.from_cols(
+        alg.R, [cs.module.reduce(x) for x in sols], cs.module.rank))
     try:
         return comodule_check(Mc.coalgebra, Smod, rho)
     except AxiomError:

@@ -14,6 +14,8 @@ reproducible.  It also decides membership: a `Span` keeps the Howell rows of
 a span, and `Span.contains` settles whether a vector lies in it by one
 reduction pass over those rows, with no Smith form.  `span_membership`
 (a Smith solve) stays for callers that need the coefficients.
+`solve_columns` reads solutions for many right-hand sides off one Smith
+form; `solve` is its one-target case.
 
 No fraction-free or probabilistic shortcuts; everything is exact at desk
 scale.
@@ -345,26 +347,34 @@ def kernel(A: Matrix) -> Matrix:
     return Matrix(ring, [list(col) for col in zip(*gens)], A.cols, len(gens))
 
 
+def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
+    """For each target b, some x with A x = b (None if there is none), all
+    read off one Smith form of A."""
+    for b in targets:
+        if len(b) != A.rows:
+            raise DimensionMismatch("rhs length %d, expected %d" % (len(b), A.rows))
+    ring = A.ring
+    n = ring.n
+    sf = smith(A)
+    # invariant of each row of D; rows past min(rows, cols) are zero
+    inv = sf.invariants + (n,) * (A.rows - len(sf.invariants))
+
+    def one(b):
+        c = sf.u_inv.apply(list(b))
+        y = [0] * A.cols
+        for i, (a, ci) in enumerate(zip(inv, c)):
+            if ring.val(ci) < a:    # val(0) = n: a zero row needs ci = 0
+                return None
+            if a < n:
+                y[i] = ring.divide_p_power(ci, a)
+        return sf.v_inv.apply(y)
+
+    return [one(b) for b in targets]
+
+
 def solve(A: Matrix, b: list[int]) -> list[int] | None:
     """Some x with A x = b, or None if no solution exists."""
-    if len(b) != A.rows:
-        raise DimensionMismatch("rhs length %d, expected %d" % (len(b), A.rows))
-    ring = A.ring
-    sf = smith(A)
-    c = sf.u_inv.apply(b)
-    m = min(A.rows, A.cols)
-    y = [0] * A.cols
-    for i in range(A.rows):
-        a = sf.invariants[i] if i < m else ring.n
-        ci = c[i]
-        if i >= m or a == ring.n:
-            if ci != 0:
-                return None
-            continue
-        if ring.val(ci) < a:
-            return None
-        y[i] = ring.divide_p_power(ci, a)
-    return sf.v_inv.apply(y)
+    return solve_columns(A, [b])[0]
 
 
 def image_span(A: Matrix) -> Matrix:

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingSpec, ring_make
-from .linalg import Matrix, solve, block_diag
+from .linalg import Matrix, block_diag
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
-                      torsion_matrix, module_from_presentation,
-                      presentation_with_torsion, hom_module, map_kernel,
-                      is_isomorphism, is_surjective)
+                      submodule, solve_in, presentation_with_torsion,
+                      hom_module, map_kernel, is_isomorphism, is_surjective)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
 
@@ -109,16 +108,12 @@ class FilteredFModule:
 
 def _factor_through(incl: ModuleMap, other: ModuleMap) -> ModuleMap | None:
     """g with incl . g = other (unique when incl is injective)."""
-    M = incl.dst
-    aug = incl.mat.hstack(torsion_matrix(M))
-    cols = []
-    for k in range(other.src.rank):
-        target = list(other.apply(other.src.gen(k)))
-        sol = solve(aug, target)
-        if sol is None:
-            return None
-        cols.append(incl.src.reduce(sol[:incl.src.rank]))
-    mat = Matrix.from_cols(incl.src.ring, cols, incl.src.rank)
+    sols = solve_in(incl.dst, incl.mat,
+                    [other.apply(other.src.gen(k)) for k in range(other.src.rank)])
+    if None in sols:
+        return None
+    mat = Matrix.from_cols(incl.src.ring, [incl.src.reduce(x) for x in sols],
+                           incl.src.rank)
     return ModuleMap(other.src, incl.src, mat)
 
 
@@ -334,32 +329,7 @@ class _RCarrier:
 
     def w2r_map(self, src: "_RCarrier", wmat: Matrix) -> ModuleMap:
         """The R-matrix of a W-matrix src.wmod -> self.wmod."""
-        alg = self.alg
-        f = alg.fb
-        out = Matrix.zeros(alg.R, self.rmod.rank, src.rmod.rank)
-        for t in range(self.wmod.rank):
-            for s in range(src.wmod.rank):
-                b = wmat.data[t][s]
-                if b == 0:
-                    continue
-                blk = alg.regular_rep(b)
-                for d in range(f):
-                    for g in range(f):
-                        out.data[t * f + d][s * f + g] = blk.data[d][g]
-        return ModuleMap(src.rmod, self.rmod, out)
-
-    def r2w_map(self, src: "_RCarrier", rmap: ModuleMap) -> Matrix:
-        """Inverse of w2r_map for x-commuting maps (verified)."""
-        alg = self.alg
-        f = alg.fb
-        out = Matrix.zeros(alg.B, self.wmod.rank, src.wmod.rank)
-        for t in range(self.wmod.rank):
-            for s in range(src.wmod.rank):
-                coeffs = [rmap.mat.data[t * f + d][s * f] for d in range(f)]
-                out.data[t][s] = alg.B.from_coeffs(coeffs)
-        if self.w2r_map(src, out).mat != rmap.mat:
-            raise ValueError("map is not W-linear")
-        return out
+        return ModuleMap(src.rmod, self.rmod, self.alg.bmat_to_rmat(wmat))
 
 
 def mf_hom(X: FilteredFModule, Y: FilteredFModule):
@@ -440,8 +410,7 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     for k in range(K.rank):
         coords = blocks.projections[0].apply(incl.apply(K.gen(k)))
         g_r = unknowns[0].from_coords(coords)
-        wmat = carMY.r2w_map(carMX, g_r)
-        basis.append(ModuleMap(X.M, Y.M, wmat))
+        basis.append(ModuleMap(X.M, Y.M, alg.rmat_to_bmat(g_r)))
     return K, basis, alg
 
 
@@ -521,23 +490,13 @@ def mf_colimit_probe(objects: list[FilteredFModule], probe: ColimitProbe) -> dic
                 g = filX[i].src.gen(k)
                 gens.append(proj.apply(sd.injections[t].apply(filX[i].apply(g))))
                 vals.append(_push_phi(X, phiX, i, g, sd, t, proj))
-        sub = _abstract_submodule(colim, gens)
-        if sub is None:
-            return {"verdict": "refuted", "reason": "filtration step failed"}
-        S, incl, coords_of = sub
-        cols_phi = []
-        for k in range(S.rank):
-            cs = coords_of(incl.apply(S.gen(k)))
-            if cs is None:
-                return {"verdict": "refuted", "reason": "phi lift failed"}
-            acc = [0] * colim.rank
-            for c, val in zip(cs, vals):
-                if c:
-                    cf = W.frobenius(c) if W.f > 1 else c
-                    for r, v in enumerate(val):
-                        acc[r] = W.add(acc[r], W.mul(cf, v))
-            cols_phi.append(colim.reduce(acc))
-        phi[i] = Matrix.from_cols(W, cols_phi, colim.rank)
+        gmat = Matrix.from_cols(W, gens, colim.rank)
+        S, incl = submodule(colim, gmat)
+        sols = solve_in(colim, gmat, [incl.apply(S.gen(k)) for k in range(S.rank)])
+        if None in sols:
+            return {"verdict": "refuted", "reason": "phi lift failed"}
+        phi[i] = Matrix.from_cols(
+            W, [semilinear_combination(colim, cs, vals) for cs in sols], colim.rank)
         fil[i] = incl
     try:
         Xc = mf_make(W, colim, lo, hi, fil, phi)
@@ -547,27 +506,19 @@ def mf_colimit_probe(objects: list[FilteredFModule], probe: ColimitProbe) -> dic
             "fiber_colimit": colim.exps}
 
 
+def semilinear_combination(M: FinModule, coeffs, values) -> tuple[int, ...]:
+    """sum sigma(c_j) values_j, reduced into M: the value of a semilinear map
+    on sum c_j g_j, given its values on the g_j."""
+    W = M.ring
+    acc = [0] * M.rank
+    for c, val in zip(coeffs, values):
+        if c:
+            cf = W.frobenius(c) if W.f > 1 else c
+            for r, v in enumerate(val):
+                acc[r] = W.add(acc[r], W.mul(cf, v))
+    return M.reduce(acc)
+
+
 def _push_phi(X, phiX, i, g, sd, t, proj):
     return proj.apply(sd.injections[t].apply(
         X.M.reduce(phiX[i].apply(g))))
-
-
-def _abstract_submodule(M: FinModule, gens):
-    """(S, incl, coords_of) presenting the submodule spanned by gens."""
-    from .linalg import kernel as lkernel
-    W = M.ring
-    cols = [list(v) for v in gens]
-    gmat = Matrix.from_cols(W, cols, M.rank)
-    aug = gmat.hstack(torsion_matrix(M))
-    K = lkernel(aug)
-    relm = Matrix(W, [K.data[i][:] for i in range(len(cols))], len(cols), K.cols)
-    pres = module_from_presentation(relm)
-    incl = ModuleMap(pres.module, M, gmat @ pres.sect)
-
-    solve_aug = gmat.hstack(torsion_matrix(M))
-
-    def coords_of(v):
-        sol = solve(solve_aug, list(v))
-        return None if sol is None else sol[:len(cols)]
-
-    return pres.module, incl, coords_of

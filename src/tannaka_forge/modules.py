@@ -9,6 +9,13 @@ Elements are tuples of packed ring ints, coordinate i canonical mod p^{e_i}.
 Morphisms are matrices subject to the congruence val(mat[j][i]) >=
 max(0, e_j^dst - e_i^src); this is a constructor-time check, not a latent
 invariant.  Entries are canonicalized mod p^{e_j^dst} on construction.
+
+Every solve and submodule question goes through one spine, which augments
+a matrix A of elements of M by torsion_matrix(M) so that equations hold in
+M rather than in its free cover: syzygies(M, A) generates the relations
+among A's columns, submodule(M, A) presents their span in canonical form,
+and solve_in(M, A, targets) expresses any number of targets in that span
+from one Smith form.  Kernels and images of maps are submodules.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from .rings import RingSpec
-from .linalg import Matrix, smith, kernel, howell, solve
+from .linalg import Matrix, smith, kernel, howell, solve_columns
 
 
 class RingMismatch(ValueError):
@@ -270,35 +277,38 @@ def presentation_with_torsion(M: FinModule, rel_cols: Matrix) -> Presentation:
 
 
 # ---------------------------------------------------------------------------
-# kernels, images, cokernels of module maps
+# the solve/submodule spine, and kernels, images, cokernels of module maps
 # ---------------------------------------------------------------------------
 
-def _preimage_generators(g: ModuleMap) -> Matrix:
-    """Columns generating {x in R^src.rank : g(x) = 0 in dst}."""
-    aug = g.mat.hstack(torsion_matrix(g.dst))
-    K = kernel(aug)
-    return Matrix(g.src.ring, [K.data[i][:] for i in range(g.src.rank)],
-                  g.src.rank, K.cols)
+def syzygies(M: FinModule, A: Matrix) -> Matrix:
+    """Columns generating {x : A x = 0 in M}, for A with M.rank rows."""
+    K = kernel(A.hstack(torsion_matrix(M)))
+    return Matrix(M.ring, K.data[:A.cols], A.cols, K.cols)
+
+
+def submodule(M: FinModule, A: Matrix) -> tuple[FinModule, ModuleMap]:
+    """(S, incl) with incl : S -> M the span of A's columns, in canonical
+    form."""
+    pres = module_from_presentation(syzygies(M, A))
+    return pres.module, ModuleMap(pres.module, M, A @ pres.sect)
+
+
+def solve_in(M: FinModule, A: Matrix, targets) -> list[list[int] | None]:
+    """For each target in M, coefficients x with A x = target in M (None
+    when the target lies outside the span of A's columns), all from one
+    Smith form of A | torsion_matrix(M)."""
+    sols = solve_columns(A.hstack(torsion_matrix(M)), targets)
+    return [None if x is None else x[:A.cols] for x in sols]
 
 
 def map_kernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     """(K, incl) with incl : K -> src the kernel in canonical form."""
-    X = _preimage_generators(g)
-    src = g.src
-    aug = X.hstack(torsion_matrix(src))
-    K2 = kernel(aug)
-    rel = Matrix(src.ring, [K2.data[i][:] for i in range(X.cols)], X.cols, K2.cols)
-    pres = module_from_presentation(rel)
-    incl = ModuleMap(pres.module, src, X @ pres.sect)
-    return pres.module, incl
+    return submodule(g.src, syzygies(g.dst, g.mat))
 
 
 def map_image(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     """(I, incl) with incl : I -> dst the image in canonical form."""
-    X = _preimage_generators(g)
-    pres = module_from_presentation(X)
-    incl = ModuleMap(pres.module, g.dst, g.mat @ pres.sect)
-    return pres.module, incl
+    return submodule(g.dst, g.mat)
 
 
 def map_cokernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
@@ -504,22 +514,6 @@ def direct_sum(mods: list[FinModule]) -> SumData:
     return SumData(module, injections, projections)
 
 
-def sub_membership(M: FinModule, gens: list[tuple[int, ...]],
-                   target: tuple[int, ...]) -> list[int] | None:
-    """Coefficients expressing target in the submodule of M spanned by gens,
-    or None.  Coefficients for the torsion relations are dropped."""
-    ring = M.ring
-    cols = [list(g) for g in gens]
-    tors = torsion_matrix(M)
-    for j in range(tors.cols):
-        cols.append(tors.col(j))
-    if not cols:
-        return [] if not any(target) else None
-    A = Matrix(ring, [list(r) for r in zip(*cols)], M.rank, len(cols))
-    sol = solve(A, list(target))
-    return None if sol is None else sol[:len(gens)]
-
-
 def sub_canonical(M: FinModule, gens: list[tuple[int, ...]]) -> tuple:
     """Canonical form of the submodule of M generated by gens (as a row
     tuple); equal iff the submodules are equal."""
@@ -531,30 +525,28 @@ def sub_canonical(M: FinModule, gens: list[tuple[int, ...]]) -> tuple:
     return tuple(tuple(r) for r in hf)
 
 
-def sub_elements(M: FinModule, gens: list[tuple[int, ...]],
-                 budget: int | None = DEFAULT_ENUM_BUDGET) -> list[tuple[int, ...]]:
-    """All elements of the submodule spanned by gens, via the Howell rows
-    (each span element has a unique reduced coefficient vector)."""
-    ring = M.ring
-    rows = sub_canonical(M, gens)
-    if not rows:
-        return [M.zero_elem()]
-    anns = []
-    for r in rows:
-        j = next(k for k, v in enumerate(r) if v)
-        anns.append(ring.n - ring.val(r[j]))
-    total = 1
-    for a in anns:
-        total *= ring.p ** (a * ring.f)
-    if budget is not None and total > budget:
-        raise EnumerationBudget("submodule has %d elements, budget %d" % (total, budget))
+def span_elements(ring: RingSpec, rows, width: int,
+                  budget: int | None) -> list[list[int]] | None:
+    """All elements of the R-span of rows already in Howell form, each
+    exactly once (each span element has a unique reduced coefficient
+    vector); None when there are more than budget."""
+    anns = [ring.n - ring.val(next(v for v in r if v)) for r in rows]
+    if budget is not None and ring.p ** (sum(anns) * ring.f) > budget:
+        return None
+    add, mul = ring.add, ring.mul
     out = []
     for coeffs in itertools.product(*[_coord_reps(ring, a) for a in anns]):
-        acc = [0] * M.rank
+        acc = [0] * width
         for c, r in zip(coeffs, rows):
             if c:
                 for k, v in enumerate(r):
                     if v:
-                        acc[k] = ring.add(acc[k], ring.mul(c, v))
-        out.append(M.reduce(acc))
+                        acc[k] = add(acc[k], mul(c, v))
+        out.append(acc)
     return out
+
+
+def sub_elements(M: FinModule, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """All elements of the submodule spanned by gens, via its Howell rows."""
+    return [M.reduce(v) for v in
+            span_elements(M.ring, sub_canonical(M, gens), M.rank, None)]

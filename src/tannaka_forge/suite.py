@@ -11,8 +11,8 @@ import random
 import time
 
 from .rings import ring_make
-from .linalg import Matrix
-from .modules import FinModule, ModuleMap
+from .linalg import Matrix, smith, is_invertible
+from .modules import FinModule, ModuleMap, is_isomorphism
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
@@ -21,7 +21,8 @@ from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
 from .tannaka import (DiagObject, DiagramCategory, hom_closure, coend,
                       coend_relation_rows, lift_coaction,
                       morphisms_are_comodule_maps, unit_fully_faithful_check,
-                      counit_map, flatness_check, recognition_check)
+                      counit_map, flatness_check, recognition_check,
+                      recheck_iso_witness, recheck_cone_witness)
 from .mf import tate_object, mf_direct_sum, mf_to_diagram
 
 
@@ -231,7 +232,6 @@ def _comodules_isomorphic(N: Comodule, M: Comodule, budget: int) -> bool:
     K, basis = comodule_hom(N, M)
     if K.cardinality() > budget:
         return False
-    from .modules import is_isomorphism
     reps = [range(N.carrier.ring.p ** e) for e in K.exps]
     for coeffs in itertools.product(*reps):
         g = None
@@ -312,7 +312,6 @@ def run_suite(budget: int = 4096) -> list[dict]:
     _check(results, "rings/examples-and-enumeration", ring_checks)
 
     def smith_checks():
-        from .linalg import smith, is_invertible
         rng = random.Random(101)
         count = 0
         for R in (ring_make(2, 3, 1), ring_make(2, 1, 2), ring_make(2, 2, 2)):
@@ -427,7 +426,6 @@ def run_suite(budget: int = 4096) -> list[dict]:
                                 (0, 1): [Matrix.identity(alg.B, 1)]})
         rep2 = recognition_check(Dbad, budget)
         assert rep2.reflects_isos.status == "refuted"
-        from .tannaka import recheck_iso_witness, recheck_cone_witness
         w = rep2.reflects_isos.witness
         assert recheck_iso_witness(Dbad, w["pair"][0], w["pair"][1], w["matrix"])
         Dg = grouplike_diagram(alg, 2)

@@ -26,11 +26,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .rings import RingSpec
-from .linalg import (Matrix, Span, howell, span_membership, is_invertible,
-                     block_diag)
+from .linalg import (Matrix, Span, howell, kernel, span_membership,
+                     is_invertible, block_diag, cokernel_exponents)
 from .modules import (FinModule, ModuleMap, module_from_presentation,
-                      map_kernel, map_cokernel)
+                      map_kernel, map_cokernel, is_isomorphism, span_elements)
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
                       induced, as_b_module, is_b_free)
@@ -175,7 +174,8 @@ class CoendResult:
     classmap: Matrix                 # carrier coords of each T-basis vector
     offsets: list[int]               # block offset of object k inside T
     block_dims: list[int]            # m_k = r_k * f_B
-    perobject: list[Matrix]          # restriction of classmap to block k
+    sect: Matrix                     # lifts carrier generators to T
+    rel_rows: list[list[int]]        # Howell rows of the relations in T
 
     @property
     def L(self) -> Coalgebra:
@@ -348,11 +348,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     else:
         deltahat = cc.sect @ delta.mat
         coalg = Coalgebra(alg, L_bi, delta, counit, cc, deltahat)
-    per = []
-    for k, m in enumerate(dims):
-        colslice = [pres.proj.col(offsets[k] + j) for j in range(m * m)]
-        per.append(Matrix.from_cols(R, colslice, L_car.rank))
-    return CoendResult(D, coalg, pres.proj, offsets, dims, per)
+    return CoendResult(D, coalg, pres.proj, offsets, dims, pres.sect, rel_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +413,7 @@ def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = N
         for l in range(D.nobj()):
             _, basis = comodule_hom(lifted[k], lifted[l])
             rk, rl = D.objects[k].rank, D.objects[l].rank
-            bmats = [alg.rmat_to_bmat(g.mat, rl, rk) for g in basis]
+            bmats = [alg.rmat_to_bmat(g) for g in basis]
             missing = next((bm for bm in bmats
                             if not D.hom_contains(k, l, bm)), None)
             # sanity: the diagram span must embed in the comodule homs
@@ -473,8 +469,7 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
     for i, Mi in enumerate(std_comods):
         for j, Mj in enumerate(std_comods):
             _, basis = comodule_hom(Mi, Mj)
-            homs[(i, j)] = [alg.rmat_to_bmat(g.mat, objects[j].rank,
-                                             objects[i].rank) for g in basis]
+            homs[(i, j)] = [alg.rmat_to_bmat(g) for g in basis]
     D = DiagramCategory(alg, objects, homs)
     D = hom_closure(D)   # canonicalizes; adds identities if bases missed them
     CR = coend(D)
@@ -507,18 +502,14 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
                 j = CR.offsets[i] + v * m + w
                 for rix, val in enumerate(col):
                     nu_flat.data[rix][j] = val
-    # must kill the relations of L
+    # must kill the relations of L; then any section of the coend
+    # presentation gives the same nu
     T_free = FinModule.free(R, N)
     nu_T = ModuleMap(T_free, C.carrier, nu_flat, validate=False)
-    _, _, _, cols = _relation_columns(D)
-    rel_rows = howell(R, [list(c) for c in cols], N)
-    for rr in rel_rows:
+    for rr in CR.rel_rows:
         if any(nu_T.apply(tuple(rr))):
             raise RuntimeError("internal error: nu does not descend")
-    # classmap has a section: reuse the coend presentation via solve-free path
-    # sect columns: lift each L-generator through the projection
-    pres_sect = _section_of_projection(R, CR.classmap, L.carrier)
-    nu = ModuleMap(L.carrier, C.carrier, nu_flat @ pres_sect)
+    nu = ModuleMap(L.carrier, C.carrier, nu_flat @ CR.sect)
     # coalgebra-morphism checks
     bimod_ok = (nu @ L.bi.left == C.bi.left @ nu) and \
                (nu @ L.bi.right == C.bi.right @ nu)
@@ -532,23 +523,6 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
                         injective and surjective and
                         L.carrier.exps == C.carrier.exps,
                         bimod_ok and eps_ok and delta_ok, CR)
-
-
-def _section_of_projection(R: RingSpec, proj: Matrix, module: FinModule) -> Matrix:
-    """A right inverse of a surjection R^N -> module (columnwise solve)."""
-    from .linalg import solve
-    from .modules import torsion_matrix
-    cols = []
-    aug = proj.hstack(torsion_matrix(module))
-    for k in range(module.rank):
-        rhs = list(module.gen(k))
-        sol = solve(aug, rhs)
-        if sol is None:
-            raise RuntimeError("projection is not surjective")
-        cols.append(sol[:proj.cols])
-    if not cols:
-        return Matrix.zeros(R, proj.cols, 0)
-    return Matrix(R, [list(r) for r in zip(*cols)], proj.cols, module.rank)
 
 
 # ---------------------------------------------------------------------------
@@ -604,33 +578,6 @@ class RecognitionReport:
                 "probes": self.probes}
 
 
-def _span_elements(alg: AlgebraSpec, rows: list[list[int]], budget: int):
-    """All elements of the R-span of Howell rows; None if over budget."""
-    R = alg.R
-    anns = []
-    for r in rows:
-        j = next(k for k, v in enumerate(r) if v)
-        anns.append(R.n - R.val(r[j]))
-    total = 1
-    for a in anns:
-        total *= R.p ** a
-        if total > budget:
-            return None
-    width = len(rows[0]) if rows else 0
-    out = []
-    for coeffs in itertools.product(*[range(R.p ** a) for a in anns]):
-        acc = [0] * width
-        for c, r in enumerate(coeffs):
-            if r:
-                for k, v in enumerate(rows[c]):
-                    if v:
-                        acc[k] = R.add(acc[k], R.mul(r, v))
-        out.append(acc)
-    if not rows:
-        out = [[0] * width]
-    return out
-
-
 def _fiber_elements(alg: AlgebraSpec, rank: int, budget: int):
     if alg.B.size ** rank > budget:
         return None
@@ -646,7 +593,7 @@ def reflects_isos_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Ver
         rows = D.span_rows(k, l)
         if not rows:
             continue
-        elems = _span_elements(alg, rows, budget)
+        elems = span_elements(alg.R, rows, len(rows[0]), budget)
         if elems is None:
             skipped = True
             continue
@@ -755,7 +702,7 @@ def _el_morphisms(D, span_cache, obj1, obj2, budget):
     rows = span_cache[(k, l)]
     if not rows:
         return []
-    elems = _span_elements(alg, rows, budget)
+    elems = span_elements(alg.R, rows, len(rows[0]), budget)
     if elems is None:
         return None
     out = []
@@ -822,7 +769,7 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
             _, k, l, F, G = job
             detail = {"kind": "coeq", "pair": (k, l)}
             diffB = F - G
-            cok_exps = _b_cokernel_exps(alg, diffB)
+            cok_exps = cokernel_exponents(diffB)
             if any(e != B.n for e in cok_exps):
                 detail["verdict"] = "not-applicable"
                 probes.append(detail)
@@ -832,7 +779,7 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
             _, c, k, l, F, G = job
             detail = {"kind": "pushout", "span": (c, k, l)}
             glueB = F.vstack(-G)
-            cok_exps = _b_cokernel_exps(alg, glueB)
+            cok_exps = cokernel_exponents(glueB)
             if any(e != B.n for e in cok_exps):
                 detail["verdict"] = "not-applicable"
                 probes.append(detail)
@@ -856,11 +803,6 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
     return v, probes
 
 
-def _b_cokernel_exps(alg: AlgebraSpec, M: Matrix):
-    from .linalg import cokernel_exponents
-    return cokernel_exponents(M)
-
-
 def _find_coequalizer(D: DiagramCategory, k: int, l: int, F: Matrix, G: Matrix,
                       budget: int):
     """(c, q) realizing the coequalizer of f, g with omega preserving it."""
@@ -868,12 +810,9 @@ def _find_coequalizer(D: DiagramCategory, k: int, l: int, F: Matrix, G: Matrix,
     B = alg.B
     diff = F - G
     for c, cobj in enumerate(D.objects):
-        rows = D.span_rows(l, c)
-        if rows:
-            elems = _span_elements(alg, rows, budget)
-        else:
-            # the span still contains the zero morphism
-            elems = [[0] * (cobj.rank * D.objects[l].rank * alg.fb)]
+        # with no rows the span still holds the zero morphism
+        elems = span_elements(alg.R, D.span_rows(l, c),
+                              cobj.rank * D.objects[l].rank * alg.fb, budget)
         if elems is None:
             return "budget"
         for vec in elems:
@@ -886,7 +825,6 @@ def _find_coequalizer(D: DiagramCategory, k: int, l: int, F: Matrix, G: Matrix,
                 presB = module_from_presentation(diff)
                 qbar = ModuleMap(presB.module, FinModule.free(B, cobj.rank),
                                  q @ presB.sect)
-                from .modules import is_isomorphism
                 if is_isomorphism(qbar):
                     return (c, q)
     return None
@@ -900,12 +838,10 @@ def _find_pushout(D: DiagramCategory, c: int, k: int, l: int, F: Matrix,
     B = alg.B
     glueB = F.vstack(-G)
     for t, tobj in enumerate(D.objects):
-        rows1 = D.span_rows(k, t)
-        rows2 = D.span_rows(l, t)
-        e1 = _span_elements(alg, rows1, budget) if rows1 else \
-            [[0] * (tobj.rank * D.objects[k].rank * alg.fb)]
-        e2 = _span_elements(alg, rows2, budget) if rows2 else \
-            [[0] * (tobj.rank * D.objects[l].rank * alg.fb)]
+        e1 = span_elements(alg.R, D.span_rows(k, t),
+                           tobj.rank * D.objects[k].rank * alg.fb, budget)
+        e2 = span_elements(alg.R, D.span_rows(l, t),
+                           tobj.rank * D.objects[l].rank * alg.fb, budget)
         if e1 is None or e2 is None or len(e1) * len(e2) > budget:
             return "budget"
         for v1 in e1:
@@ -922,7 +858,6 @@ def _find_pushout(D: DiagramCategory, c: int, k: int, l: int, F: Matrix,
                     pres = module_from_presentation(glueB)
                     qbar = ModuleMap(pres.module, FinModule.free(B, tobj.rank),
                                      q1.hstack(q2) @ pres.sect)
-                    from .modules import is_isomorphism
                     if is_isomorphism(qbar):
                         return (t, q1, q2)
     return None
@@ -947,8 +882,7 @@ def _pushout_universal(D: DiagramCategory, c: int, k: int, l: int, t: int,
             rows.append([R.neg(v) for v in _flatten_bmat(alg, H @ G)])
         if rows:
             A = Matrix(R, [list(rr) for rr in zip(*rows)], width_cond, len(rows))
-            from .linalg import kernel as lkernel
-            Kk = lkernel(A)
+            Kk = kernel(A)
             if R.size ** Kk.cols > budget:
                 return "budget"
             coeff_vectors = [Kk.apply(list(cf)) for cf in
@@ -956,6 +890,8 @@ def _pushout_universal(D: DiagramCategory, c: int, k: int, l: int, t: int,
                 if Kk.cols else [[0] * len(rows)]
         else:
             coeff_vectors = [[]]
+        srows = [list(_flatten_bmat(alg, S @ q1)) +
+                 list(_flatten_bmat(alg, S @ q2)) for S in gens_te]
         seen = set()
         for cf in coeff_vectors:
             t1 = Matrix.zeros(alg.B, eobj.rank, D.objects[k].rank)
@@ -970,29 +906,31 @@ def _pushout_universal(D: DiagramCategory, c: int, k: int, l: int, t: int,
             if key in seen:
                 continue
             seen.add(key)
-            srows = [list(_flatten_bmat(alg, S @ q1)) +
-                     list(_flatten_bmat(alg, S @ q2)) for S in gens_te]
             target = list(_flatten_bmat(alg, t1)) + list(_flatten_bmat(alg, t2))
             if span_membership(R, srows, target) is None:
                 return False
         # uniqueness: s q1 = 0 and s q2 = 0 force s = 0
-        srows = [list(_flatten_bmat(alg, S @ q1)) +
-                 list(_flatten_bmat(alg, S @ q2)) for S in gens_te]
-        if srows:
-            A = Matrix(R, [list(rr) for rr in zip(*srows)],
-                       len(srows[0]), len(srows))
-            from .linalg import kernel as lkernel
-            Kk = lkernel(A)
-            for j in range(Kk.cols):
-                coeffs = Kk.col(j)
-                acc = [0] * (eobj.rank * D.objects[t].rank * alg.fb)
-                for cfv, S in zip(coeffs, gens_te):
-                    if cfv:
-                        fv = _flatten_bmat(alg, S)
-                        for idx, vv in enumerate(fv):
-                            acc[idx] = R.add(acc[idx], R.mul(cfv, vv))
-                if any(acc):
-                    return False
+        if not _factors_uniquely(alg, srows, gens_te):
+            return False
+    return True
+
+
+def _factors_uniquely(alg: AlgebraSpec, srows, gens) -> bool:
+    """srows[i] flattens gens[i] composed with the cocone legs: does every
+    combination of gens that the legs kill vanish?"""
+    if not srows:
+        return True
+    R = alg.R
+    K = kernel(Matrix.from_cols(R, srows, len(srows[0])))
+    flat = [_flatten_bmat(alg, S) for S in gens]
+    for j in range(K.cols):
+        acc = [0] * len(flat[0])
+        for cf, fv in zip(K.col(j), flat):
+            if cf:
+                for idx, vv in enumerate(fv):
+                    acc[idx] = R.add(acc[idx], R.mul(cf, vv))
+        if any(acc):
+            return False
     return True
 
 
@@ -1001,35 +939,20 @@ def _is_universal_cocone(D: DiagramCategory, k: int, l: int, c: int, q: Matrix,
     alg = D.alg
     for e, eobj in enumerate(D.objects):
         rows = D.span_rows(l, e)
-        elems = _span_elements(alg, rows, budget) if rows else []
+        elems = span_elements(alg.R, rows, len(rows[0]), budget) if rows else []
         if elems is None:
             return False
         gens_ce = D.homs[(c, e)]
+        srows = [list(_flatten_bmat(alg, S @ q)) for S in gens_ce]
         for vec in elems:
             t = _unflatten_bmat(alg, vec, eobj.rank, D.objects[l].rank)
             if not (t @ diff).is_zero():
                 continue
-            srows = [list(_flatten_bmat(alg, S @ q)) for S in gens_ce]
             if span_membership(alg.R, srows, list(_flatten_bmat(alg, t))) is None:
                 return False
         # uniqueness: s q = 0 forces s = 0 on the span
-        width = eobj.rank * D.objects[c].rank * alg.fb
-        srows = [list(_flatten_bmat(alg, S @ q)) for S in gens_ce]
-        from .linalg import kernel as lkernel
-        if srows:
-            A = Matrix(alg.R, [list(r) for r in zip(*srows)],
-                       len(srows[0]), len(srows))
-            Kk = lkernel(A)
-            for j in range(Kk.cols):
-                coeffs = Kk.col(j)
-                acc = [0] * width
-                for cf, S in zip(coeffs, gens_ce):
-                    if cf:
-                        fv = _flatten_bmat(alg, S)
-                        for idx, vv in enumerate(fv):
-                            acc[idx] = alg.R.add(acc[idx], alg.R.mul(cf, vv))
-                if any(acc):
-                    return False
+        if not _factors_uniquely(alg, srows, gens_ce):
+            return False
     return True
 
 

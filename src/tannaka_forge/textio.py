@@ -27,10 +27,12 @@ import re
 
 from .rings import RingSpec, ring_make
 from .linalg import Matrix
-from .modules import FinModule, ModuleMap
-from .algebra import AlgebraSpec
+from .modules import FinModule, ModuleMap, submodule, solve_in
+from .algebra import (AlgebraSpec, BModule, bimodule_make, tensor_bimodules,
+                      tensor_bim_bmodule)
 from .coalgebra import Coalgebra, Comodule, coalgebra_check, comodule_check
 from .tannaka import DiagObject, DiagramCategory
+from .mf import mf_make, tate_object, mf_direct_sum, semilinear_combination
 
 
 class ParseError(ValueError):
@@ -246,8 +248,6 @@ def format_diagram(D: DiagramCategory) -> str:
 def parse_reconstruct_input(text: str):
     """(Coalgebra, [Comodule]) from an alg line, a coalgebra block and one
     or more comodule blocks."""
-    from .algebra import bimodule_make, BModule, tensor_bimodules, \
-        tensor_bim_bmodule
     alg = None
     blocks = []
     cur = None
@@ -355,7 +355,6 @@ def format_reconstruct_input(C: Coalgebra, family: list[Comodule]) -> str:
 def parse_mf_objects_spec(spec: str, W: RingSpec):
     """Object list like  M(0),M(1),M(0)+M(1)  built from Tate objects and
     direct sums."""
-    from .mf import tate_object, mf_direct_sum
     out = []
     for part in spec.split(","):
         part = part.strip()
@@ -377,8 +376,6 @@ def parse_mf_objects_spec(spec: str, W: RingSpec):
 
 def parse_mf_file(text: str):
     """FilteredFModule list from mf blocks."""
-    from .mf import mf_make
-    from .mf import _abstract_submodule
     W = None
     blocks = []
     cur = None
@@ -424,34 +421,22 @@ def parse_mf_file(text: str):
                 raise ParseError("fil %d matrix has %d rows, M has rank %d"
                                  % (i, gmat.rows, M.rank), b["fil"][i][1])
             gens = [M.reduce(gmat.col(j)) for j in range(gmat.cols)]
-            S, incl, coords_of = _abstract_submodule(M, gens)
+            gmat = Matrix.from_cols(W, gens, M.rank)
+            S, incl = submodule(M, gmat)
             pmat = parse_matrix(b["phi"][i][0], W, b["phi"][i][1])
             if pmat.rows != M.rank or pmat.cols != gmat.cols:
                 raise ParseError("phi %d matrix shape mismatch" % i,
                                  b["phi"][i][1])
-            # phi on the abstract generators, from values on the listed ones
-            cols = []
-            for k in range(S.rank):
-                cs = coords_of(incl.apply(S.gen(k)))
-                acc = [0] * M.rank
-                for c, j in zip(cs, range(gmat.cols)):
-                    if c:
-                        cf = W.frobenius(c) if W.f > 1 else c
-                        for r in range(M.rank):
-                            acc[r] = W.add(acc[r], W.mul(cf, pmat.data[r][j]))
-                cols.append(M.reduce(acc))
+            # phi on the abstract generators, from values on the listed
+            # ones; the listed columns must be reproduced (well-definedness)
+            sols = solve_in(M, gmat, [incl.apply(S.gen(k)) for k in range(S.rank)]
+                            + gens)
+            vals = [pmat.col(j) for j in range(pmat.cols)]
+            images = [semilinear_combination(M, cs, vals) for cs in sols]
             fil[i] = incl
-            phi[i] = Matrix.from_cols(W, cols, M.rank)
-            # the given columns must be reproduced (well-definedness)
-            for j in range(gmat.cols):
-                cs = coords_of(M.reduce(gmat.col(j)))
-                acc = [0] * M.rank
-                for c, kk in zip(cs, range(gmat.cols)):
-                    if c:
-                        cf = W.frobenius(c) if W.f > 1 else c
-                        for r in range(M.rank):
-                            acc[r] = W.add(acc[r], W.mul(cf, pmat.data[r][kk]))
-                if M.reduce(acc) != M.reduce(pmat.col(j)):
+            phi[i] = Matrix.from_cols(W, images[:S.rank], M.rank)
+            for j, img in enumerate(images[S.rank:]):
+                if img != M.reduce(pmat.col(j)):
                     raise ParseError("phi %d is not well defined on the "
                                      "listed generators" % i, b["phi"][i][1])
         out.append(mf_make(W, M, lo, hi, fil, phi))

@@ -24,10 +24,24 @@ def test_bmat_rmat_roundtrip(alg_gr42):
     B = alg.B
     M = Matrix(B, [[B.x, 3], [0, B.mul(B.x, B.x)]], 2, 2)
     R = alg.bmat_to_rmat(M)
-    assert alg.rmat_to_bmat(R, 2, 2) == M
+    car = FinModule.free(alg.R, 2 * alg.fb)
+    assert alg.rmat_to_bmat(ModuleMap(car, car, R)) == M
     # multiplicativity of the regular representation
     N = Matrix(B, [[1, B.x], [B.x, 2]], 2, 2)
     assert alg.bmat_to_rmat(M @ N) == alg.bmat_to_rmat(M) @ alg.bmat_to_rmat(N)
+
+
+def test_rmat_to_bmat_into_torsion_carrier(alg_gr42):
+    # x on W/p = F4, as a map of the R-carrier mod(1,1): x.x = -x - 1 has raw
+    # coefficients 3 that the canonical matrix stores as 1, and the map is
+    # still B-linear
+    alg = alg_gr42
+    B = alg.B
+    car = FinModule(alg.R, (1, 1))
+    xmat = Matrix(B, [[B.x]], 1, 1)
+    g = ModuleMap(car, car, alg.bmat_to_rmat(xmat))
+    assert g.mat != alg.bmat_to_rmat(xmat)
+    assert alg.rmat_to_bmat(g) == xmat
 
 
 def test_regular_bimodule_valid(alg_f4, alg_gr42):

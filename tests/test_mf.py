@@ -206,6 +206,18 @@ def test_mf_hom_vs_oracle():
                 assert span == oracle, (p, n, f, X.M, Y.M)
 
 
+def test_mf_hom_vs_oracle_torsion_carrier():
+    # M = W/p over W = GR(4,2): the R-carrier has torsion, so the solver's
+    # R-matrices are canonical mod p and must still read back as W-linear
+    W = ring_make(2, 2, 2)
+    M = FinModule(W, (1,))
+    X = mf_make(W, M, 0, 0, {0: ModuleMap.identity(M)},
+                {0: Matrix.identity(W, 1)})
+    span, K = solver_span(X, X)
+    assert not K.is_zero()
+    assert span == mf_hom_oracle(X, X)
+
+
 def test_mf_hom_rank_doubles():
     W = ring_make(2, 1, 1)
     M0 = tate_object(W, 0)

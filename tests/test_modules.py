@@ -9,7 +9,7 @@ from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentatio
                                    hom_module, tensor_with_data, tensor_over_ring,
                                    dual, is_projective, map_kernel, map_cokernel,
                                    map_image, compose, direct_sum,
-                                   sub_membership, sub_elements, NotWellDefined,
+                                   solve_in, sub_elements, NotWellDefined,
                                    EnumerationBudget, is_isomorphism, map_tensor)
 from tannaka_forge.algebra import AlgebraSpec, _btensor_core
 
@@ -257,8 +257,9 @@ def test_map_well_definedness_check(Z8):
 def test_sub_membership_and_elements(Z8):
     M = FinModule(Z8, (3, 1))
     gens = [(2, 0)]
-    assert sub_membership(M, gens, (6, 0)) is not None
-    assert sub_membership(M, gens, (1, 0)) is None
+    A = Matrix.from_cols(Z8, gens, M.rank)
+    assert solve_in(M, A, [(6, 0)])[0] is not None
+    assert solve_in(M, A, [(1, 0)])[0] is None
     assert set(sub_elements(M, gens)) == {(0, 0), (2, 0), (4, 0), (6, 0)}
 
 

@@ -1,0 +1,262 @@
+"""The solve/submodule spine of `modules` (syzygies, submodule, solve_in and
+linalg.solve_columns) against a per-column reference: one Smith solve per
+target against A | torsion_matrix(M), with the single-target solver kept
+here so that the reference shares no code with the spine's solver."""
+
+import random
+
+import pytest
+
+from tannaka_forge import linalg, tannaka
+from tannaka_forge.rings import ring_make
+from tannaka_forge.linalg import Matrix, kernel, smith, solve_columns
+from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentation,
+                                   torsion_matrix, syzygies, submodule, solve_in,
+                                   map_kernel, map_image)
+from tannaka_forge.algebra import AlgebraSpec, free_bmodule
+from tannaka_forge.coalgebra import cofree
+from tannaka_forge.tannaka import coend, coend_relation_rows, counit_map, lift_coaction
+from tannaka_forge.mf import _factor_through, mf_direct_sum, tate_object
+from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
+                                 grouplike_coalgebra, grouplike_line,
+                                 grouplike_diagram, comatrix_diagram,
+                                 trivial_coalgebra)
+
+RINGS = [(2, 1, 1), (2, 3, 1), (2, 2, 2)]    # F2, Z/8, GR(4,2)
+
+
+def ref_solve(A, b):
+    """Some x with A x = b from a Smith form of its own: the reference for
+    solve_columns."""
+    ring = A.ring
+    sf = smith(A)
+    c = sf.u_inv.apply(b)
+    m = min(A.rows, A.cols)
+    y = [0] * A.cols
+    for i in range(A.rows):
+        a = sf.invariants[i] if i < m else ring.n
+        ci = c[i]
+        if i >= m or a == ring.n:
+            if ci != 0:
+                return None
+            continue
+        if ring.val(ci) < a:
+            return None
+        y[i] = ring.divide_p_power(ci, a)
+    return sf.v_inv.apply(y)
+
+
+def ref_solve_in(M, A, targets):
+    aug = A.hstack(torsion_matrix(M))
+    out = []
+    for t in targets:
+        x = ref_solve(aug, list(t))
+        out.append(None if x is None else x[:A.cols])
+    return out
+
+
+def ref_syzygies(M, A):
+    K = kernel(A.hstack(torsion_matrix(M)))
+    return Matrix(M.ring, [K.data[i][:] for i in range(A.cols)], A.cols, K.cols)
+
+
+def ref_submodule(M, A):
+    pres = module_from_presentation(ref_syzygies(M, A))
+    return pres.module, ModuleMap(pres.module, M, A @ pres.sect)
+
+
+def ref_map_kernel(g):
+    X = ref_syzygies(g.dst, g.mat)
+    aug = X.hstack(torsion_matrix(g.src))
+    K2 = kernel(aug)
+    rel = Matrix(g.src.ring, [K2.data[i][:] for i in range(X.cols)], X.cols, K2.cols)
+    pres = module_from_presentation(rel)
+    return pres.module, ModuleMap(pres.module, g.src, X @ pres.sect)
+
+
+def ref_map_image(g):
+    pres = module_from_presentation(ref_syzygies(g.dst, g.mat))
+    return pres.module, ModuleMap(pres.module, g.dst, g.mat @ pres.sect)
+
+
+def rand_module(rng, R, max_rank=3):
+    exps = sorted((rng.randint(1, R.n) for _ in range(rng.randint(0, max_rank))),
+                  reverse=True)
+    return FinModule(R, exps)
+
+
+def rand_matrix(rng, R, rows, cols):
+    return Matrix(R, [[rng.randrange(R.size) for _ in range(cols)]
+                      for _ in range(rows)], rows, cols)
+
+
+def rand_map(rng, src, dst):
+    R = src.ring
+    mat = Matrix.zeros(R, dst.rank, src.rank)
+    for j, d in enumerate(dst.exps):
+        for i, e in enumerate(src.exps):
+            need = max(0, d - e)
+            a = rng.randrange(R.size)
+            mat.data[j][i] = 0 if need >= R.n else R.mul(a, R.p_elem(need))
+    return ModuleMap(src, dst, mat)
+
+
+def cases(seed, count):
+    """Seeded (M, A, targets) over F2, Z/8 and GR(4,2): torsion carriers,
+    zero-rank carriers and zero-column A included; targets inside the span
+    (random combinations) and drawn at random."""
+    rng = random.Random(seed)
+    out = []
+    for pnf in RINGS:
+        R = ring_make(*pnf)
+        for t in range(count):
+            M = rand_module(rng, R)
+            k = 0 if t % 7 == 0 else rng.randint(0, 4)
+            A = rand_matrix(rng, R, M.rank, k)
+            targets = []
+            for _ in range(3):
+                combo = A.apply([rng.randrange(R.size) for _ in range(k)])
+                targets.append(M.reduce(combo))
+                targets.append(tuple(rng.randrange(R.size) for _ in range(M.rank)))
+            out.append((M, A, targets))
+    return out
+
+
+def test_spine_cases_cover_edges():
+    seen = set()
+    for M, A, _ in cases(11, 30):
+        seen.add(("zero-rank", M.rank == 0))
+        seen.add(("zero-cols", A.cols == 0))
+        seen.add(("torsion", not M.is_free()))
+    assert seen >= {("zero-rank", True), ("zero-cols", True), ("torsion", True),
+                    ("zero-rank", False), ("zero-cols", False), ("torsion", False)}
+
+
+def test_solve_in_matches_per_column_solve():
+    found = {True: 0, False: 0}
+    for M, A, targets in cases(11, 30):
+        got = solve_in(M, A, targets)
+        assert got == ref_solve_in(M, A, targets)
+        for x, t in zip(got, targets):
+            found[x is not None] += 1
+            if x is not None:
+                assert M.reduce(A.apply(x)) == M.reduce(t)
+    assert found[True] and found[False]
+
+
+def test_solve_columns_matches_solve():
+    rng = random.Random(5)
+    for pnf in RINGS:
+        R = ring_make(*pnf)
+        for _ in range(40):
+            rows, cols = rng.randint(0, 4), rng.randint(0, 4)
+            A = rand_matrix(rng, R, rows, cols)
+            targets = [A.apply([rng.randrange(R.size) for _ in range(cols)])
+                       for _ in range(2)]
+            targets += [[rng.randrange(R.size) for _ in range(rows)] for _ in range(2)]
+            assert solve_columns(A, targets) == [ref_solve(A, list(b)) for b in targets]
+            assert solve_columns(A, []) == []
+    with pytest.raises(linalg.DimensionMismatch):
+        solve_columns(Matrix.identity(R, 2), [[1, 2, 3]])
+
+
+def test_syzygies_and_submodule_match_reference():
+    for M, A, _ in cases(12, 30):
+        assert syzygies(M, A) == ref_syzygies(M, A)
+        S, incl = submodule(M, A)
+        S_ref, incl_ref = ref_submodule(M, A)
+        assert S.exps == S_ref.exps
+        assert incl.mat == incl_ref.mat
+        # every column of A lies in the image of incl
+        cols = [M.reduce(A.col(j)) for j in range(A.cols)]
+        assert None not in solve_in(M, incl.mat, cols)
+
+
+def test_map_kernel_and_image_match_reference():
+    rng = random.Random(13)
+    for pnf in RINGS:
+        R = ring_make(*pnf)
+        for _ in range(30):
+            g = rand_map(rng, rand_module(rng, R), rand_module(rng, R))
+            for new, old in ((map_kernel, ref_map_kernel), (map_image, ref_map_image)):
+                K, incl = new(g)
+                K_ref, incl_ref = old(g)
+                assert K.exps == K_ref.exps
+                assert incl.mat == incl_ref.mat
+
+
+def test_factor_through_is_one_smith(monkeypatch):
+    W = ring_make(2, 2, 2)
+    X = mf_direct_sum(mf_direct_sum(tate_object(W, 1), tate_object(W, 1)),
+                      tate_object(W, 2))
+    incl, other = X.fil[0], X.fil[1]
+    assert other.src.rank >= 3      # one Smith solve per generator would be 3+
+    calls = []
+    real = linalg.smith
+
+    def counted(A):
+        calls.append((A.rows, A.cols))
+        return real(A)
+
+    monkeypatch.setattr(linalg, "smith", counted)
+    g = _factor_through(incl, other)
+    assert len(calls) == 1
+    assert g is not None and incl @ g == other
+
+
+def ref_section_of_projection(proj, module):
+    """A section of proj by one solve per generator of the coend carrier:
+    the reference for the section the coend keeps."""
+    aug = proj.hstack(torsion_matrix(module))
+    cols = [ref_solve(aug, list(module.gen(k)))[:proj.cols]
+            for k in range(module.rank)]
+    return Matrix.from_cols(proj.ring, cols, proj.cols)
+
+
+def _counit_fixtures():
+    alg_f2 = AlgebraSpec.make(2, 1, 1)
+    out = []
+    for alg in (alg_f2, AlgebraSpec.make(3, 1, 1)):
+        for r in (1, 2):
+            C = comatrix_coalgebra(alg, r)
+            out.append((C, [comatrix_standard_comodule(C, r)]))
+    for g in (1, 2, 3):
+        C = grouplike_coalgebra(alg_f2, g)
+        out.append((C, [grouplike_line(C, i) for i in range(g)]))
+    alg = AlgebraSpec.make(2, 2, 2)
+    C = trivial_coalgebra(alg)
+    out.append((C, [cofree(C, free_bmodule(alg, 1))]))
+    C = grouplike_coalgebra(alg_f2, 2)
+    out.append((C, [grouplike_line(C, 0)]))
+    for D in (grouplike_diagram(alg_f2, 2), comatrix_diagram(alg_f2, 2)):
+        CR = coend(D)
+        out.append((CR.coalgebra, lift_coaction(CR)))
+    return out
+
+
+def test_counit_nu_matches_old_section(monkeypatch):
+    real_coend = tannaka.coend
+    differ = 0
+
+    def coend_with_old_section(D, *args, **kwargs):
+        nonlocal differ
+        CR = real_coend(D, *args, **kwargs)
+        old = ref_section_of_projection(CR.classmap, CR.coalgebra.carrier)
+        differ += old != CR.sect
+        CR.sect = old
+        return CR
+
+    for C, fam in _counit_fixtures():
+        res = counit_map(C, fam)
+        CR = res.coend_result
+        L = CR.coalgebra.carrier
+        assert CR.rel_rows == coend_relation_rows(CR.diagram)[1]
+        for k in range(L.rank):
+            assert L.reduce(CR.classmap.apply(CR.sect.col(k))) == L.gen(k)
+        with monkeypatch.context() as mp:
+            mp.setattr(tannaka, "coend", coend_with_old_section)
+            ref = counit_map(C, fam)
+        assert ref.nu == res.nu
+        assert (ref.iso, ref.coalgebra_morphism) == (res.iso, res.coalgebra_morphism)
+    # the test is live: on some fixture the two sections really differ
+    assert differ

@@ -13,7 +13,8 @@ from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    unit_fully_faithful_check, counit_map,
                                    flatness_check, recognition_check,
                                    recheck_iso_witness, recheck_cone_witness,
-                                   DiagramNotClosed, _flatten_bmat)
+                                   DiagramNotClosed, _flatten_bmat,
+                                   _is_universal_cocone, _pushout_universal)
 from tannaka_forge.suite import (trivial_full_hom_diagram, grouplike_diagram,
                                  comatrix_diagram, grouplike_coalgebra,
                                  comatrix_coalgebra, grouplike_line,
@@ -344,6 +345,27 @@ def test_counit_always_coalgebra_morphism(alg_f2):
                 [grouplike_line(C, 0), grouplike_line(C, 1)]):
         res = counit_map(C, fam)
         assert res.coalgebra_morphism
+
+
+def test_cocone_uniqueness(alg_f2):
+    # A of rank 1 and P of rank 2, with A -> P the first inclusion and both
+    # coordinate projections P -> A
+    B = alg_f2.B
+    one, zero = Matrix.identity(B, 1), Matrix.zeros(B, 1, 1)
+    inc = Matrix.from_rows(B, [[1], [0]])
+    D = hom_closure(DiagramCategory(
+        alg_f2, [DiagObject("A", 1), DiagObject("P", 2)],
+        {(0, 1): [inc], (1, 0): [Matrix.from_rows(B, [[1, 0]]),
+                                 Matrix.from_rows(B, [[0, 1]])]}))
+    # coequalizer of (id, 0) on A: through the zero leg every cocone (only
+    # t = 0) factors, but not uniquely (id_A kills the leg); through id_A
+    # for the pair (id, id) it is unique
+    assert _is_universal_cocone(D, 0, 0, 0, zero, one, 512) is False
+    assert _is_universal_cocone(D, 0, 0, 0, one, zero, 512) is True
+    # pushout of (id, id): the legs A -> P admit every cocone, but the
+    # second projection P -> A kills both; through A itself it is unique
+    assert _pushout_universal(D, 0, 0, 0, 1, inc, inc, one, one, 512) is False
+    assert _pushout_universal(D, 0, 0, 0, 0, one, one, one, one, 512) is True
 
 
 def _reference_closure_violation(D):
