@@ -209,12 +209,6 @@ class BBBimodule:
             if (left @ right) != (right @ left):
                 raise NonCommutingActions("left and right actions do not commute")
 
-    def left_module(self) -> BModule:
-        return BModule(self.alg, self.carrier, self.left, check=False)
-
-    def right_module(self) -> BModule:
-        return BModule(self.alg, self.carrier, self.right, check=False)
-
     def left_by(self, b: int) -> ModuleMap:
         return BModule(self.alg, self.carrier, self.left, check=False).act_by(b)
 
@@ -249,16 +243,6 @@ def regular_bimodule(alg: AlgebraSpec) -> BBBimodule:
     commutative, but they are tracked separately)."""
     m = free_bmodule(alg, 1)
     return BBBimodule(alg, m.carrier, m.act, m.act, check=False)
-
-
-def b_elem_of_rvec(alg: AlgebraSpec, vec) -> int:
-    """Read an element of the regular bimodule's carrier as an element
-    of B."""
-    return alg.B.from_coeffs(vec)
-
-
-def rvec_of_b_elem(alg: AlgebraSpec, b: int) -> tuple[int, ...]:
-    return tuple(alg.B.coeffs(b))
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +335,6 @@ def tensor_bim_bmodule(alg: AlgebraSpec, X: BBBimodule, M: BModule) -> BTensor:
     return data
 
 
-def btensor_bimodule(data: BTensor) -> BBBimodule:
-    return BBBimodule(data.alg, data.module, data.left, data.right)
-
-
 def btensor_bmodule(data: BTensor) -> BModule:
     return BModule(data.alg, data.module, data.left, check=False)
 
@@ -362,7 +342,7 @@ def btensor_bmodule(data: BTensor) -> BModule:
 def unit_left_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleMap, ModuleMap]:
     """(to, fro) for B tensor_B M = M, data the tensor with the regular
     bimodule on the left; verified mutually inverse."""
-    one = rvec_of_b_elem(alg, alg.B.one)
+    one = alg.B.coeffs(alg.B.one)
     cols = [list(data.pure(one, M.carrier.gen(i))) for i in range(M.carrier.rank)]
     to = ModuleMap(M.carrier, data.module,
                    Matrix.from_cols(alg.R, cols, data.module.rank))
@@ -383,7 +363,7 @@ def unit_left_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleM
 def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleMap, ModuleMap]:
     """(to, fro) for M tensor_B B = M; M's action is used as the right
     action."""
-    one = rvec_of_b_elem(alg, alg.B.one)
+    one = alg.B.coeffs(alg.B.one)
     cols = [list(data.pure(M.carrier.gen(i), one)) for i in range(M.carrier.rank)]
     to = ModuleMap(M.carrier, data.module,
                    Matrix.from_cols(alg.R, cols, data.module.rank))

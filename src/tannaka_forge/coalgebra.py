@@ -27,12 +27,12 @@ from dataclasses import dataclass
 
 from .linalg import Matrix
 from .modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
-                      map_kernel, direct_sum, map_tensor, submodule, solve_in,
+                      hom_equalizer, map_tensor, submodule, solve_in,
                       sub_canonical, sub_elements,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
                       tensor_bimodules, tensor_bim_bmodule, triple_tensor,
-                      descend, regular_bimodule, b_elem_of_rvec, is_b_free,
+                      descend, regular_bimodule, is_b_free,
                       btensor_bmodule)
 
 
@@ -69,7 +69,7 @@ class Coalgebra:
 
     def counit_elem(self, v) -> int:
         """eps(v) as an element of B."""
-        return b_elem_of_rvec(self.alg, self.counit.apply(v))
+        return self.alg.B.from_coeffs(self.counit.apply(v))
 
     def __eq__(self, other):
         return (isinstance(other, Coalgebra) and self.bi == other.bi
@@ -88,7 +88,7 @@ def _counit_map(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     flat = Matrix.zeros(alg.R, car_m.rank, data.TR.module.rank)
-    eps_act = [act_by(b_elem_of_rvec(alg, counit.apply(car_c.gen(i))))
+    eps_act = [act_by(alg.B.from_coeffs(counit.apply(car_c.gen(i))))
                for i in range(car_c.rank)]
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
@@ -269,23 +269,6 @@ def comodule_check(C: Coalgebra, M: BModule, rho: ModuleMap) -> Comodule:
 # comodule homs via the hom-equalizer
 # ---------------------------------------------------------------------------
 
-def b_hom(alg: AlgebraSpec, M: BModule, N: BModule):
-    """Hom_B(M, N) as a submodule of Hom_R, with a basis of maps."""
-    H = hom_module(M.carrier, N.carrier)
-    defect_coords = []
-    for h in H.basis:
-        defect_coords.append(H.coords((h @ M.act) - (N.act @ h)))
-    if H.module.rank:
-        mat = Matrix(alg.R, [list(r) for r in zip(*defect_coords)],
-                     H.module.rank, H.module.rank)
-    else:
-        mat = Matrix.zeros(alg.R, 0, 0)
-    phi = ModuleMap(H.module, H.module, mat, validate=False)
-    K, incl = map_kernel(phi)
-    basis = [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
-    return K, basis, H
-
-
 def comodule_hom(Mc: Comodule, Nc: Comodule):
     """The R-module of comodule maps M -> N, as the equalizer of
     rho_N . f and (id_C (x)_B f) . rho_M inside Hom_B(M, N).
@@ -295,32 +278,19 @@ def comodule_hom(Mc: Comodule, Nc: Comodule):
     C = Mc.coalgebra
     if Nc.coalgebra != C:
         raise ValueError("comodules over different coalgebras")
-    alg = C.alg
     M, N = Mc.module, Nc.module
     H = hom_module(M.carrier, N.carrier)
-    H2 = hom_module(M.carrier, N.carrier)
-    HC = hom_module(M.carrier, Nc.cm.module)
     rhohat_M = Mc.rhohat()
-    cond_cols = []
-    sum_data = direct_sum([H2.module, HC.module])
-    for h in H.basis:
-        d1 = (h @ M.act) - (N.act @ h)
+
+    def image(_, h):
         flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), h, Nc.cm.TR)
         term = ModuleMap(M.carrier, Nc.cm.module,
                          Nc.cm.proj.mat @ flat.mat @ rhohat_M, validate=False)
-        d2 = (Nc.rho @ h) - term
-        v1 = sum_data.injections[0].apply(H2.coords(d1))
-        v2 = sum_data.injections[1].apply(HC.coords(d2))
-        cond_cols.append(sum_data.module.add(v1, v2))
-    if H.module.rank:
-        mat = Matrix(alg.R, [list(r) for r in zip(*cond_cols)],
-                     sum_data.module.rank, H.module.rank)
-    else:
-        mat = Matrix.zeros(alg.R, sum_data.module.rank, 0)
-    phi = ModuleMap(H.module, sum_data.module, mat, validate=False)
-    K, incl = map_kernel(phi)
-    basis = [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
-    return K, basis
+        return [(h @ M.act) - (N.act @ h), (Nc.rho @ h) - term]
+
+    K, incl, _ = hom_equalizer(
+        [H], [(M.carrier, N.carrier), (M.carrier, Nc.cm.module)], image)
+    return K, [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
 
 
 def is_cauchy(Mc: Comodule) -> bool:

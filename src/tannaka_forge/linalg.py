@@ -156,10 +156,6 @@ class Matrix:
                     out[i] = add(out[i], mul(a, v))
         return out
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.ring, [list(col) for col in zip(*self.data)] if self.rows else
-                      [[] for _ in range(self.cols)], self.cols, self.rows)
-
     def col(self, j: int) -> list[int]:
         return [self.data[i][j] for i in range(self.rows)]
 

@@ -27,7 +27,8 @@ from .rings import RingSpec, ring_make
 from .linalg import Matrix, block_diag
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
                       submodule, solve_in, presentation_with_torsion,
-                      hom_module, map_kernel, is_isomorphism, is_surjective)
+                      hom_module, hom_equalizer, map_kernel, is_isomorphism,
+                      is_surjective)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
 
@@ -345,71 +346,40 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     lo, hi = min(X.lo, Y.lo), max(X.hi, Y.hi)
     filX, phiX = _extend_window(X, lo, hi)
     filY, phiY = _extend_window(Y, lo, hi)
-    carMX, carMY = _RCarrier(alg, X.M), _RCarrier(alg, Y.M)
-    carFX = {i: _RCarrier(alg, filX[i].src) for i in range(lo, hi + 1)}
-    carFY = {i: _RCarrier(alg, filY[i].src) for i in range(lo, hi + 1)}
-    # unknowns: g plus one g_i per filtration step
-    unknowns = [hom_module(carMX.rmod, carMY.rmod)]
-    for i in range(lo, hi + 1):
-        unknowns.append(hom_module(carFX[i].rmod, carFY[i].rmod))
-    blocks = direct_sum([h.module for h in unknowns])
-    # targets: x-commutators, inclusion factorizations, phi compatibility
-    targets = [hom_module(carMX.rmod, carMY.rmod)]
-    for i in range(lo, hi + 1):
-        targets.append(hom_module(carFX[i].rmod, carFY[i].rmod))
-    for i in range(lo, hi + 1):
-        targets.append(hom_module(carFX[i].rmod, carMY.rmod))
-        targets.append(hom_module(carFX[i].rmod, carMY.rmod))
-    tsum = direct_sum([t.module for t in targets])
-    iotaX = {i: carMX.w2r_map(carFX[i], filX[i].mat) for i in range(lo, hi + 1)}
-    iotaY = {i: carMY.w2r_map(carFY[i], filY[i].mat) for i in range(lo, hi + 1)}
-    phiXr = {i: carMX.w2r_map(carFX[i], phiX[i].mat) @ carFX[i].sigma
-             for i in range(lo, hi + 1)}
-    phiYr = {i: carMY.w2r_map(carFY[i], phiY[i].mat) @ carFY[i].sigma
-             for i in range(lo, hi + 1)}
+    steps = range(lo, hi + 1)
+    # slot 0 is M, slot s >= 1 is Fil^(lo + s - 1); the unknowns are g and
+    # the g_i, one Hom module per slot
+    carX = [_RCarrier(alg, X.M)] + [_RCarrier(alg, filX[i].src) for i in steps]
+    carY = [_RCarrier(alg, Y.M)] + [_RCarrier(alg, filY[i].src) for i in steps]
+    unknowns = [hom_module(a.rmod, b.rmod) for a, b in zip(carX, carY)]
+    # targets: the x-commutator of each slot, then per step the inclusion
+    # factorization and the phi compatibility, both Fil^i_X -> M_Y
+    nfil = len(steps)
+    targets = [(U.src, U.dst) for U in unknowns]
+    for c in carX[1:]:
+        targets += [(c.rmod, carY[0].rmod)] * 2
+    fils = list(zip(carX[1:], carY[1:], steps))
+    iotaX = [carX[0].w2r_map(cx, filX[i].mat) for cx, _, i in fils]
+    iotaY = [carY[0].w2r_map(cy, filY[i].mat) for _, cy, i in fils]
+    phiXr = [carX[0].w2r_map(cx, phiX[i].mat) @ cx.sigma for cx, _, i in fils]
+    phiYr = [carY[0].w2r_map(cy, phiY[i].mat) @ cy.sigma for _, cy, i in fils]
 
-    def conditions(slot: int, h: ModuleMap):
-        """Images of a basis map in the stacked target module."""
-        out = tsum.module.zero_elem()
-        nfil = hi - lo + 1
-        if slot == 0:
-            d = (h @ carMX.act) - (carMY.act @ h)
-            out = tsum.module.add(out, tsum.injections[0].apply(targets[0].coords(d)))
-            for idx, i in enumerate(range(lo, hi + 1)):
-                c = -(h @ iotaX[i])
-                out = tsum.module.add(out, tsum.injections[1 + nfil + 2 * idx]
-                                      .apply(targets[1 + nfil + 2 * idx].coords(c)))
-                dphi = -(h @ phiXr[i])
-                out = tsum.module.add(out, tsum.injections[2 + nfil + 2 * idx]
-                                      .apply(targets[2 + nfil + 2 * idx].coords(dphi)))
+    def image(s: int, h: ModuleMap):
+        out = [None] * len(targets)
+        out[s] = (h @ carX[s].act) - (carY[s].act @ h)
+        if s == 0:
+            for t in range(nfil):
+                out[nfil + 1 + 2 * t] = -(h @ iotaX[t])
+                out[nfil + 2 + 2 * t] = -(h @ phiXr[t])
         else:
-            i = lo + slot - 1
-            idx = slot - 1
-            d = (h @ carFX[i].act) - (carFY[i].act @ h)
-            out = tsum.module.add(out, tsum.injections[slot].apply(targets[slot].coords(d)))
-            c = iotaY[i] @ h
-            out = tsum.module.add(out, tsum.injections[1 + nfil + 2 * idx]
-                                  .apply(targets[1 + nfil + 2 * idx].coords(c)))
-            dphi = phiYr[i] @ h
-            out = tsum.module.add(out, tsum.injections[2 + nfil + 2 * idx]
-                                  .apply(targets[2 + nfil + 2 * idx].coords(dphi)))
+            out[nfil + 2 * s - 1] = iotaY[s - 1] @ h
+            out[nfil + 2 * s] = phiYr[s - 1] @ h
         return out
 
-    cols = []
-    for slot, h in enumerate(unknowns):
-        for b in h.basis:
-            cols.append(conditions(slot, b))
-    if cols:
-        mat = Matrix(alg.R, [list(r) for r in zip(*cols)], tsum.module.rank,
-                     len(cols))
-    else:
-        mat = Matrix.zeros(alg.R, tsum.module.rank, 0)
-    phimap = ModuleMap(blocks.module, tsum.module, mat, validate=False)
-    K, incl = map_kernel(phimap)
+    K, incl, usum = hom_equalizer(unknowns, targets, image)
     basis = []
     for k in range(K.rank):
-        coords = blocks.projections[0].apply(incl.apply(K.gen(k)))
-        g_r = unknowns[0].from_coords(coords)
+        g_r = unknowns[0].from_coords(usum.projections[0].apply(incl.apply(K.gen(k))))
         basis.append(ModuleMap(X.M, Y.M, alg.rmat_to_bmat(g_r)))
     return K, basis, alg
 

@@ -15,13 +15,17 @@ a matrix A of elements of M by torsion_matrix(M) so that equations hold in
 M rather than in its free cover: syzygies(M, A) generates the relations
 among A's columns, submodule(M, A) presents their span in canonical form,
 and solve_in(M, A, targets) expresses any number of targets in that span
-from one Smith form.  Kernels and images of maps are submodules.
+from one Smith form.  Kernels and images of maps are submodules, and
+hom_equalizer solves for the maps in a sum of Hom modules that satisfy
+R-linear conditions (comodule maps, morphisms of filtered modules) as the
+kernel of the stacked condition map.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rings import RingSpec
 from .linalg import Matrix, smith, kernel, howell, solve_columns
@@ -341,8 +345,14 @@ class HomData:
     src: FinModule
     dst: FinModule
     module: FinModule
-    basis: list[ModuleMap]
     pairs: list[tuple[int, int]]
+
+    @cached_property
+    def basis(self) -> list[ModuleMap]:
+        """The basis maps, built on first use: a Hom module read only
+        through coords builds none."""
+        return [self.from_coords(self.module.gen(k))
+                for k in range(self.module.rank)]
 
     def coords(self, g: ModuleMap) -> tuple[int, ...]:
         ring = self.src.ring
@@ -371,13 +381,39 @@ def hom_module(M: FinModule, N: FinModule) -> HomData:
     entries.sort(key=lambda t: (-t[0], t[1]))
     exps = tuple(e for e, _ in entries)
     pairs = [p for _, p in entries]
-    module = FinModule(M.ring, exps)
-    hd = HomData(M, N, module, [], pairs)
-    for k in range(module.rank):
-        coords = [0] * module.rank
-        coords[k] = 1
-        hd.basis.append(hd.from_coords(coords))
-    return hd
+    return HomData(M, N, FinModule(M.ring, exps), pairs)
+
+
+def hom_equalizer(unknowns: list[HomData],
+                  targets: list[tuple[FinModule, FinModule]], image):
+    """The maps in the sum of the unknown Hom modules on which every
+    R-linear condition vanishes: (K, incl, usum) with usum the direct sum of
+    the unknowns' modules and incl : K -> usum.module the kernel of the
+    condition map.  targets lists the (src, dst) pair of each condition's
+    Hom module; image(s, h) gives, for a basis map h of unknowns[s], one
+    ModuleMap (or None for zero) per target.  The images are stacked, in
+    target order, into the direct sum of the targets' Hom modules, which
+    are read only through coords.  With one unknown, usum.module is that
+    unknown's module and incl lands in its coordinates."""
+    ring = unknowns[0].src.ring
+    charts = [hom_module(src, dst) for src, dst in targets]
+    tsum = direct_sum([T.module for T in charts])
+    usum = direct_sum([U.module for U in unknowns])
+
+    def places(inj: ModuleMap) -> list[int]:
+        # the sum coordinate of each coordinate of one summand
+        return [col[0][0] for col in inj.mat.sparse_cols()]
+
+    rows = [places(inj) for inj in tsum.injections]
+    mat = Matrix.zeros(ring, tsum.module.rank, usum.module.rank)
+    for s, U in enumerate(unknowns):
+        for c, h in zip(places(usum.injections[s]), U.basis):
+            for t, g in enumerate(image(s, h)):
+                if g is not None:
+                    for r, v in zip(rows[t], charts[t].coords(g)):
+                        mat.data[r][c] = v
+    K, incl = map_kernel(ModuleMap(usum.module, tsum.module, mat, validate=False))
+    return K, incl, usum
 
 
 # ---------------------------------------------------------------------------
@@ -408,11 +444,6 @@ class TensorData:
                     k = self.pos[(i, j)]
                     out[k] = ring.add(out[k], mul(a, b))
         return self.module.reduce(out)
-
-    def basis_elem(self, i: int, j: int) -> tuple[int, ...]:
-        v = [0] * self.module.rank
-        v[self.pos[(i, j)]] = 1
-        return tuple(v)
 
 
 def tensor_with_data(M: FinModule, N: FinModule) -> TensorData:

@@ -666,10 +666,6 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     return Verdict("verified")
 
 
-def _apply_bmat(alg: AlgebraSpec, F: Matrix, v) -> tuple[int, ...]:
-    return tuple(F.apply(list(v)))
-
-
 def _has_cone(D: DiagramCategory, obj1, obj2, budget: int = DEFAULT_BUDGET):
     """True / False / "budget": a refutation is only sound when every
     candidate source fiber could be enumerated."""
@@ -691,7 +687,7 @@ def _has_cone(D: DiagramCategory, obj1, obj2, budget: int = DEFAULT_BUDGET):
 def _solvable_at(alg, D, c, k, u, target) -> bool:
     """Is there F in span(c -> k) with F u = target?"""
     gens = D.homs[(c, k)]
-    rows = [list(alg.bvec_to_rvec(_apply_bmat(alg, G, u))) for G in gens]
+    rows = [list(alg.bvec_to_rvec(G.apply(u))) for G in gens]
     return span_membership(alg.R, rows, list(alg.bvec_to_rvec(target))) is not None
 
 
@@ -708,7 +704,7 @@ def _el_morphisms(D, span_cache, obj1, obj2, budget):
     out = []
     for vec in elems:
         F = _unflatten_bmat(alg, vec, D.objects[l].rank, D.objects[k].rank)
-        if _apply_bmat(alg, F, vA) == tuple(vB):
+        if tuple(F.apply(vA)) == tuple(vB):
             out.append(F)
     return out
 
@@ -729,7 +725,7 @@ def _has_equalizing(D, src, f, g, budget):
         for u in els:
             rows = []
             for G in gens:
-                rows.append(list(alg.bvec_to_rvec(_apply_bmat(alg, G, u)))
+                rows.append(list(alg.bvec_to_rvec(G.apply(u)))
                             + list(_flatten_bmat(alg, diff @ G)))
             target = list(alg.bvec_to_rvec(vA)) + [0] * (
                 diff.rows * cobj.rank * alg.fb)
@@ -774,7 +770,7 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
                 detail["verdict"] = "not-applicable"
                 probes.append(detail)
                 continue
-            found = _find_coequalizer(D, k, l, F, G, budget)
+            found = _find_coequalizer(D, l, F, G, budget)
         else:
             _, c, k, l, F, G = job
             detail = {"kind": "pushout", "span": (c, k, l)}
@@ -803,7 +799,7 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
     return v, probes
 
 
-def _find_coequalizer(D: DiagramCategory, k: int, l: int, F: Matrix, G: Matrix,
+def _find_coequalizer(D: DiagramCategory, l: int, F: Matrix, G: Matrix,
                       budget: int):
     """(c, q) realizing the coequalizer of f, g with omega preserving it."""
     alg = D.alg
@@ -819,7 +815,7 @@ def _find_coequalizer(D: DiagramCategory, k: int, l: int, F: Matrix, G: Matrix,
             q = _unflatten_bmat(alg, vec, cobj.rank, D.objects[l].rank)
             if not (q @ diff).is_zero():
                 continue
-            if _is_universal_cocone(D, k, l, c, q, diff, budget):
+            if _is_universal_cocone(D, l, c, q, diff, budget):
                 # omega must send it to the fiber colimit: the induced map
                 # coker(diff) -> fiber(c) must be an isomorphism over B
                 presB = module_from_presentation(diff)
@@ -934,7 +930,7 @@ def _factors_uniquely(alg: AlgebraSpec, srows, gens) -> bool:
     return True
 
 
-def _is_universal_cocone(D: DiagramCategory, k: int, l: int, c: int, q: Matrix,
+def _is_universal_cocone(D: DiagramCategory, l: int, c: int, q: Matrix,
                          diff: Matrix, budget: int) -> bool:
     alg = D.alg
     for e, eobj in enumerate(D.objects):

@@ -57,10 +57,6 @@ def parse_ring(text: str, line: int | None = None) -> RingSpec:
         raise ParseError(str(e), line) from e
 
 
-def format_ring(R: RingSpec) -> str:
-    return R.literal()
-
-
 _TERM_RE = re.compile(r"^(?:(\d+)\*?)?(x)(?:\^(\d+))?$|^(\d+)$")
 
 

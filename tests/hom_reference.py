@@ -1,0 +1,150 @@
+"""References for the hom solvers built on ``modules.hom_equalizer``.
+
+``ref_b_hom``, ``ref_comodule_hom`` and ``ref_mf_hom`` are the solvers that
+stacked their hom conditions by hand: each builds a full Hom module for
+every condition target, places every basis map's condition coordinates
+with the injections of a direct sum, and takes ``map_kernel`` of the
+result.
+
+``ref_mf_hom`` writes its columns in the order of the concatenated unknown
+Hom modules while the kernel reads them in the (exponent-sorted) order of
+their direct sum.  The two orders agree when every unknown's exponents sit
+at or above the next one's, which holds on free and single-exponent
+carriers; on a carrier such as W + W/p they differ and this reference misses
+morphisms, so it is compared only where the orders agree.
+
+They are kept only to be tested against.
+"""
+
+from tannaka_forge.rings import ring_make
+from tannaka_forge.linalg import Matrix
+from tannaka_forge.modules import ModuleMap, hom_module, map_kernel, direct_sum, map_tensor
+from tannaka_forge.algebra import AlgebraSpec
+from tannaka_forge.mf import MFError, _RCarrier, _extend_window
+
+
+def ref_b_hom(alg, M, N):
+    """Hom_B(M, N) as a submodule of Hom_R, with a basis of maps."""
+    H = hom_module(M.carrier, N.carrier)
+    defect_coords = []
+    for h in H.basis:
+        defect_coords.append(H.coords((h @ M.act) - (N.act @ h)))
+    if H.module.rank:
+        mat = Matrix(alg.R, [list(r) for r in zip(*defect_coords)],
+                     H.module.rank, H.module.rank)
+    else:
+        mat = Matrix.zeros(alg.R, 0, 0)
+    phi = ModuleMap(H.module, H.module, mat, validate=False)
+    K, incl = map_kernel(phi)
+    basis = [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
+    return K, basis, H
+
+
+def ref_comodule_hom(Mc, Nc):
+    """The comodule maps M -> N as the kernel of the hand-stacked
+    conditions in Hom(M, N) + Hom(M, C (x)_B N)."""
+    C = Mc.coalgebra
+    if Nc.coalgebra != C:
+        raise ValueError("comodules over different coalgebras")
+    alg = C.alg
+    M, N = Mc.module, Nc.module
+    H = hom_module(M.carrier, N.carrier)
+    H2 = hom_module(M.carrier, N.carrier)
+    HC = hom_module(M.carrier, Nc.cm.module)
+    rhohat_M = Mc.rhohat()
+    cond_cols = []
+    sum_data = direct_sum([H2.module, HC.module])
+    for h in H.basis:
+        d1 = (h @ M.act) - (N.act @ h)
+        flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), h, Nc.cm.TR)
+        term = ModuleMap(M.carrier, Nc.cm.module,
+                         Nc.cm.proj.mat @ flat.mat @ rhohat_M, validate=False)
+        d2 = (Nc.rho @ h) - term
+        v1 = sum_data.injections[0].apply(H2.coords(d1))
+        v2 = sum_data.injections[1].apply(HC.coords(d2))
+        cond_cols.append(sum_data.module.add(v1, v2))
+    if H.module.rank:
+        mat = Matrix(alg.R, [list(r) for r in zip(*cond_cols)],
+                     sum_data.module.rank, H.module.rank)
+    else:
+        mat = Matrix.zeros(alg.R, sum_data.module.rank, 0)
+    phi = ModuleMap(H.module, sum_data.module, mat, validate=False)
+    K, incl = map_kernel(phi)
+    basis = [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
+    return K, basis
+
+
+def ref_mf_hom(X, Y):
+    """All MF-morphisms X -> Y from one hand-stacked R-linear system:
+    (module over Z/p^n, basis of ModuleMap over W, alg)."""
+    if X.W != Y.W:
+        raise MFError("NotAnnihilated", detail="objects over different rings")
+    W = X.W
+    alg = AlgebraSpec(ring_make(W.p, W.n, 1), W)
+    lo, hi = min(X.lo, Y.lo), max(X.hi, Y.hi)
+    filX, phiX = _extend_window(X, lo, hi)
+    filY, phiY = _extend_window(Y, lo, hi)
+    carMX, carMY = _RCarrier(alg, X.M), _RCarrier(alg, Y.M)
+    carFX = {i: _RCarrier(alg, filX[i].src) for i in range(lo, hi + 1)}
+    carFY = {i: _RCarrier(alg, filY[i].src) for i in range(lo, hi + 1)}
+    unknowns = [hom_module(carMX.rmod, carMY.rmod)]
+    for i in range(lo, hi + 1):
+        unknowns.append(hom_module(carFX[i].rmod, carFY[i].rmod))
+    blocks = direct_sum([h.module for h in unknowns])
+    targets = [hom_module(carMX.rmod, carMY.rmod)]
+    for i in range(lo, hi + 1):
+        targets.append(hom_module(carFX[i].rmod, carFY[i].rmod))
+    for i in range(lo, hi + 1):
+        targets.append(hom_module(carFX[i].rmod, carMY.rmod))
+        targets.append(hom_module(carFX[i].rmod, carMY.rmod))
+    tsum = direct_sum([t.module for t in targets])
+    iotaX = {i: carMX.w2r_map(carFX[i], filX[i].mat) for i in range(lo, hi + 1)}
+    iotaY = {i: carMY.w2r_map(carFY[i], filY[i].mat) for i in range(lo, hi + 1)}
+    phiXr = {i: carMX.w2r_map(carFX[i], phiX[i].mat) @ carFX[i].sigma
+             for i in range(lo, hi + 1)}
+    phiYr = {i: carMY.w2r_map(carFY[i], phiY[i].mat) @ carFY[i].sigma
+             for i in range(lo, hi + 1)}
+
+    def conditions(slot, h):
+        out = tsum.module.zero_elem()
+        nfil = hi - lo + 1
+        if slot == 0:
+            d = (h @ carMX.act) - (carMY.act @ h)
+            out = tsum.module.add(out, tsum.injections[0].apply(targets[0].coords(d)))
+            for idx, i in enumerate(range(lo, hi + 1)):
+                c = -(h @ iotaX[i])
+                out = tsum.module.add(out, tsum.injections[1 + nfil + 2 * idx]
+                                      .apply(targets[1 + nfil + 2 * idx].coords(c)))
+                dphi = -(h @ phiXr[i])
+                out = tsum.module.add(out, tsum.injections[2 + nfil + 2 * idx]
+                                      .apply(targets[2 + nfil + 2 * idx].coords(dphi)))
+        else:
+            i = lo + slot - 1
+            idx = slot - 1
+            d = (h @ carFX[i].act) - (carFY[i].act @ h)
+            out = tsum.module.add(out, tsum.injections[slot].apply(targets[slot].coords(d)))
+            c = iotaY[i] @ h
+            out = tsum.module.add(out, tsum.injections[1 + nfil + 2 * idx]
+                                  .apply(targets[1 + nfil + 2 * idx].coords(c)))
+            dphi = phiYr[i] @ h
+            out = tsum.module.add(out, tsum.injections[2 + nfil + 2 * idx]
+                                  .apply(targets[2 + nfil + 2 * idx].coords(dphi)))
+        return out
+
+    cols = []
+    for slot, h in enumerate(unknowns):
+        for b in h.basis:
+            cols.append(conditions(slot, b))
+    if cols:
+        mat = Matrix(alg.R, [list(r) for r in zip(*cols)], tsum.module.rank,
+                     len(cols))
+    else:
+        mat = Matrix.zeros(alg.R, tsum.module.rank, 0)
+    phimap = ModuleMap(blocks.module, tsum.module, mat, validate=False)
+    K, incl = map_kernel(phimap)
+    basis = []
+    for k in range(K.rank):
+        coords = blocks.projections[0].apply(incl.apply(K.gen(k)))
+        g_r = unknowns[0].from_coords(coords)
+        basis.append(ModuleMap(X.M, Y.M, alg.rmat_to_bmat(g_r)))
+    return K, basis, alg

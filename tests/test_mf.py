@@ -216,6 +216,14 @@ def test_mf_hom_vs_oracle_torsion_carrier():
     span, K = solver_span(X, X)
     assert not K.is_zero()
     assert span == mf_hom_oracle(X, X)
+    # M = W + W/p over W = Z/4: the unknowns Hom(M, M) and Hom(Fil^0, Fil^0)
+    # both have exponents (2, 1, 1, 1), so their direct sum interleaves them
+    W = ring_make(2, 2, 1)
+    M = FinModule(W, (2, 1))
+    X = mf_make(W, M, 0, 0, {0: ModuleMap.identity(M)},
+                {0: Matrix.identity(W, 2)})
+    span, K = solver_span(X, X)
+    assert len(span) == 32 and span == mf_hom_oracle(X, X)
 
 
 def test_mf_hom_rank_doubles():

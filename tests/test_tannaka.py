@@ -360,8 +360,8 @@ def test_cocone_uniqueness(alg_f2):
     # coequalizer of (id, 0) on A: through the zero leg every cocone (only
     # t = 0) factors, but not uniquely (id_A kills the leg); through id_A
     # for the pair (id, id) it is unique
-    assert _is_universal_cocone(D, 0, 0, 0, zero, one, 512) is False
-    assert _is_universal_cocone(D, 0, 0, 0, one, zero, 512) is True
+    assert _is_universal_cocone(D, 0, 0, zero, one, 512) is False
+    assert _is_universal_cocone(D, 0, 0, one, zero, 512) is True
     # pushout of (id, id): the legs A -> P admit every cocone, but the
     # second projection P -> A kills both; through A itself it is unique
     assert _pushout_universal(D, 0, 0, 0, 1, inc, inc, one, one, 512) is False
