@@ -16,7 +16,10 @@ recorded so maps can be induced on it.  When f_B = 1 the relation map is
 zero and tensor over B coincides with tensor over R (fast path, no quotient).
 Triple tensors are nested, (X tensor_B Y) tensor_B Z, which right exactness
 makes canonically isomorphic to the quotient of the flat triple tensor by
-both middle relations; each step presents a binary tensor only.
+both middle relations.  When Z is free over B with basis z_1..z_s the outer
+step needs no quotient: X tensor_B B^s is X^{(+)s}, written down from the
+B-basis of Z and the powers of the right action of X.  Otherwise the outer
+step presents a binary tensor as above.
 
 Free-vs-not over B is decided by re-expressing a carrier as a B-module and
 running the chain-ring normal form over B itself.
@@ -256,7 +259,9 @@ class BTensor:
     module is the canonical quotient; proj projects the R-tensor onto it and
     sect lifts generators back (proj after sect is the identity).  rel_cols
     are the middle-relation generators in R-tensor coordinates; induced maps
-    are checked to kill them.  When f_B = 1 the projection is the identity.
+    are checked to kill them.  When f_B = 1 the projection is the identity
+    and there are no relations.  A tensor built in B-coordinates
+    (_tensor_free) records no relations either, and descend refuses it.
     """
     alg: AlgebraSpec
     TR: TensorData
@@ -301,6 +306,8 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
 def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
     """Factor flat : TR.module -> Z through the quotient; requires (and
     checks) that flat kills the middle relations."""
+    if data.rel_cols is None and data.alg.fb > 1:
+        raise ValueError("tensor in B-coordinates records no middle relations")
     if data.rel_cols is not None:
         for j in range(data.rel_cols.cols):
             img = flat.apply(data.rel_cols.col(j))
@@ -339,60 +346,20 @@ def btensor_bmodule(data: BTensor) -> BModule:
     return BModule(data.alg, data.module, data.left, check=False)
 
 
-def unit_left_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleMap, ModuleMap]:
-    """(to, fro) for B tensor_B M = M, data the tensor with the regular
-    bimodule on the left; verified mutually inverse."""
-    one = alg.B.coeffs(alg.B.one)
-    cols = [list(data.pure(one, M.carrier.gen(i))) for i in range(M.carrier.rank)]
-    to = ModuleMap(M.carrier, data.module,
-                   Matrix.from_cols(alg.R, cols, data.module.rank))
-    # b (x) m -> b . m, descended from the flat map
-    flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
-    for (a, j), k in data.TR.pos.items():
-        # basis a of B-carrier is x^a; its action on gen_j
-        col = M.act_by(alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(j))
-        for i, v in enumerate(col):
-            flat.data[i][k] = v
-    fro = descend(data, ModuleMap(data.TR.module, M.carrier, flat, validate=False))
-    if (fro @ to) != ModuleMap.identity(M.carrier) or \
-       (to @ fro) != ModuleMap.identity(data.module):
-        raise RuntimeError("unit isomorphism failed to verify")
-    return to, fro
-
-
-def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleMap, ModuleMap]:
-    """(to, fro) for M tensor_B B = M; M's action is used as the right
-    action."""
-    one = alg.B.coeffs(alg.B.one)
-    cols = [list(data.pure(M.carrier.gen(i), one)) for i in range(M.carrier.rank)]
-    to = ModuleMap(M.carrier, data.module,
-                   Matrix.from_cols(alg.R, cols, data.module.rank))
-    flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
-    for (i, a), k in data.TR.pos.items():
-        col = M.act_by(alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(i))
-        for r, v in enumerate(col):
-            flat.data[r][k] = v
-    fro = descend(data, ModuleMap(data.TR.module, M.carrier, flat, validate=False))
-    if (fro @ to) != ModuleMap.identity(M.carrier) or \
-       (to @ fro) != ModuleMap.identity(data.module):
-        raise RuntimeError("unit isomorphism failed to verify")
-    return to, fro
-
-
 # ---------------------------------------------------------------------------
 # triple tensors (for coassociativity checks)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class TripleTensor:
-    """X tensor_B Y tensor_B Z as the nested quotient (X tensor_B Y) tensor_B Z.
+    """X tensor_B Y tensor_B Z as the nested tensor (X tensor_B Y) tensor_B Z.
 
     TR is the flat R-triple tensor (T12.module) tensor Z, T12 = xy.TR the
     flat X tensor Y.  Tensor over B is right exact, so the flat triple tensor
-    maps onto the quotient by xy.proj tensor id followed by nest.proj, where
-    nest is the binary quotient of xy.module tensor Z; no presentation of the
-    flat (rank)^3 module is ever built.  When f_B = 1 the flat triple tensor
-    is the quotient: nest is None and module is TR.module."""
+    maps onto the nested tensor by xy.proj tensor id followed by nest.proj,
+    where nest is the binary tensor xy.module tensor_B Z; no presentation of
+    the flat (rank)^3 module is ever built.  When f_B = 1 the flat triple
+    tensor is the quotient: nest is None and module is TR.module."""
     alg: AlgebraSpec
     xy: BTensor
     TR: TensorData          # (T12.module) tensor Z
@@ -403,142 +370,67 @@ class TripleTensor:
     def T12(self) -> TensorData:
         return self.xy.TR
 
-    def embed3(self, v, w, u) -> tuple[int, ...]:
-        return self.TR.embed(self.T12.embed(v, w), u)
 
-    def pure3(self, v, w, u) -> tuple[int, ...]:
-        if self.nest is None:
-            return self.embed3(v, w, u)
-        return self.nest.pure(self.xy.pure(v, w), u)
+def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
+                 form: BForm) -> BTensor:
+    """X tensor_B Z = X^{(+)s} for X = xy.module and Z free over B with basis
+    z_1..z_s (form), in B-coordinates: summand (j, q) is x_q in block j.
 
-    def lift_gen(self, q: int) -> list[int]:
-        """A flat representative of the q-th generator of the quotient:
-        nest.sect, then xy.sect tensor id."""
-        if self.nest is None:
-            return list(self.module.gen(q))
-        R, Z = self.alg.R, self.TR.right
-        out = [0] * self.TR.module.rank
-        for (qq, z), k in self.nest.TR.pos.items():
-            c = self.nest.sect.data[k][q]
-            if c:
-                vec = self.TR.embed(self.xy.sect.col(qq), Z.gen(z))
-                out = [R.add(a, R.mul(c, b)) for a, b in zip(out, vec)]
-        return out
+    e_k = sum_j beta_kj z_j (read off form.theta_inv), so proj sends
+    x_q (x) e_k to (x_q . beta_kj)_j, built from the powers of xy.right;
+    sect sends (j, q) to x_q (x) z_j.  No relation module is presented, so
+    rel_cols is None and descend refuses the result."""
+    R, fb, X = alg.R, alg.fb, xy.module
+    add, mul = R.add, R.mul
+    TR = tensor_with_data(X, Z_car)
+    s = len(form.exps)
+    entries = sorted(((e, (j, q)) for j in range(s) for q, e in enumerate(X.exps)),
+                     key=lambda t: (-t[0], t[1]))
+    module = FinModule(R, tuple(e for e, _ in entries))
+    at = {jq: r for r, (_, jq) in enumerate(entries)}
+    # pows[g][q]: right^g(x_q) as sparse (index, coeff) pairs
+    rcols = xy.right.mat.sparse_cols()
+    pows = [[[(q, 1)] for q in range(X.rank)]]
+    for _ in range(fb - 1):
+        nxt = []
+        for col in pows[-1]:
+            acc: dict[int, int] = {}
+            for i, a in col:
+                for i2, b in rcols[i]:
+                    acc[i2] = add(acc.get(i2, 0), mul(a, b))
+            nxt.append([(i, v) for i, v in acc.items() if v])
+        pows.append(nxt)
+    proj = Matrix.zeros(R, module.rank, TR.module.rank)
+    beta = form.theta_inv.sparse_cols()
+    for (q, k), c in TR.pos.items():
+        for jg, b in beta[k]:
+            j, g = divmod(jg, fb)
+            for q2, a in pows[g][q]:
+                row = proj.data[at[(j, q2)]]
+                row[c] = add(row[c], mul(b, a))
+    sect = Matrix.zeros(R, TR.module.rank, module.rank)
+    zcols = form.theta.sparse_cols()
+    for (j, q), r in at.items():
+        for k, b in zcols[j * fb]:
+            sect.data[TR.pos[(q, k)]][r] = b
+    return BTensor(alg, TR, module,
+                   ModuleMap(TR.module, module, proj, validate=False), sect, None)
 
 
 def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
                   Z_left: ModuleMap) -> TripleTensor:
     """(X tensor_B Y) tensor_B Z from the recorded xy = X tensor_B Y, whose
-    right action pairs with Z_left."""
+    right action pairs with Z_left.  When Z is free over B the nest is built
+    in B-coordinates; otherwise it is the quotient by the middle relations."""
     TR = tensor_with_data(xy.TR.module, Z_car)
     if alg.fb == 1:
         return TripleTensor(alg, xy, TR, None, TR.module)
-    nest = _btensor_core(alg, xy.module, xy.right, Z_car, Z_left)
+    form = as_b_module(alg, Z_car, Z_left)
+    if form.is_free():
+        nest = _tensor_free(alg, xy, Z_car, form)
+    else:
+        nest = _btensor_core(alg, xy.module, xy.right, Z_car, Z_left)
     return TripleTensor(alg, xy, TR, nest, nest.module)
-
-
-def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
-    """Mutually inverse isomorphisms (X (x)_B Y) (x)_B Z <-> X (x)_B
-    (Y (x)_B Z), both verified, constructed through the common triple
-    tensor."""
-    txy = tensor_bimodules(alg, X, Y)
-    t3 = triple_tensor(alg, txy, Z.carrier, Z.left)
-    left_nested = _btensor_core(alg, txy.module, txy.right, Z.carrier, Z.left)
-    tyz = tensor_bimodules(alg, Y, Z)
-    right_nested = _btensor_core(alg, X.carrier, X.right, tyz.module, tyz.left)
-    inv_txy = {v: k for k, v in txy.TR.pos.items()}
-    inv_tyz = {v: k for k, v in tyz.TR.pos.items()}
-    inv_t3tr = {v: k for k, v in t3.TR.pos.items()}
-    inv_t312 = {v: k for k, v in t3.T12.pos.items()}
-
-    def nested_left_to_t3() -> ModuleMap:
-        cols = []
-        for (q1, k), pos in sorted(left_nested.TR.pos.items(), key=lambda kv: kv[1]):
-            lift = txy.sect.col(q1)
-            acc = [0] * t3.module.rank
-            for kk, coeff in enumerate(lift):
-                if coeff == 0:
-                    continue
-                i, j = inv_txy[kk]
-                vec = t3.pure3(X.carrier.gen(i), Y.carrier.gen(j), Z.carrier.gen(k))
-                for r, v in enumerate(vec):
-                    if v:
-                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
-            cols.append(t3.module.reduce(acc))
-        flat = ModuleMap(left_nested.TR.module, t3.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
-                                          t3.module.rank), validate=False)
-        return descend(left_nested, flat)
-
-    def t3_to_nested_left() -> ModuleMap:
-        cols = []
-        for kq in range(t3.module.rank):
-            lift = t3.lift_gen(kq)
-            acc = [0] * left_nested.module.rank
-            for kk, coeff in enumerate(lift):
-                if coeff == 0:
-                    continue
-                pk, k = inv_t3tr[kk]
-                i, j = inv_t312[pk]
-                inner = txy.pure(X.carrier.gen(i), Y.carrier.gen(j))
-                vec = left_nested.pure(inner, Z.carrier.gen(k))
-                for r, v in enumerate(vec):
-                    if v:
-                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
-            cols.append(left_nested.module.reduce(acc))
-        return ModuleMap(t3.module, left_nested.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
-                                          left_nested.module.rank))
-
-    def nested_right_to_t3() -> ModuleMap:
-        cols = []
-        for (i, q2), pos in sorted(right_nested.TR.pos.items(), key=lambda kv: kv[1]):
-            lift = tyz.sect.col(q2)
-            acc = [0] * t3.module.rank
-            for kk, coeff in enumerate(lift):
-                if coeff == 0:
-                    continue
-                j, k = inv_tyz[kk]
-                vec = t3.pure3(X.carrier.gen(i), Y.carrier.gen(j), Z.carrier.gen(k))
-                for r, v in enumerate(vec):
-                    if v:
-                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
-            cols.append(t3.module.reduce(acc))
-        flat = ModuleMap(right_nested.TR.module, t3.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
-                                          t3.module.rank), validate=False)
-        return descend(right_nested, flat)
-
-    def t3_to_nested_right() -> ModuleMap:
-        cols = []
-        for kq in range(t3.module.rank):
-            lift = t3.lift_gen(kq)
-            acc = [0] * right_nested.module.rank
-            for kk, coeff in enumerate(lift):
-                if coeff == 0:
-                    continue
-                pk, k = inv_t3tr[kk]
-                i, j = inv_t312[pk]
-                inner = tyz.pure(Y.carrier.gen(j), Z.carrier.gen(k))
-                vec = right_nested.pure(X.carrier.gen(i), inner)
-                for r, v in enumerate(vec):
-                    if v:
-                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
-            cols.append(right_nested.module.reduce(acc))
-        return ModuleMap(t3.module, right_nested.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
-                                          right_nested.module.rank))
-
-    a = nested_left_to_t3()
-    b = t3_to_nested_left()
-    c = nested_right_to_t3()
-    d = t3_to_nested_right()
-    for f, g, M in ((a, b, left_nested.module), (c, d, right_nested.module)):
-        if (g @ f) != ModuleMap.identity(M) or \
-           (f @ g) != ModuleMap.identity(t3.module):
-            raise RuntimeError("associativity isomorphism failed to verify")
-    return d @ a, b @ c
-
 
 
 # ---------------------------------------------------------------------------

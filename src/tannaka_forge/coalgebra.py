@@ -7,15 +7,16 @@ rho : M -> C (x)_B M compatible with delta and eps.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  Coassociativity is compared inside the triple tensor
-over B, built as the nested quotient (C (x)_B C) (x)_B Z on the already
-computed C (x)_B C.  The flat maps (delta (x) id) and (id (x) rho) are built
-as sparse columns on flat triple coordinates, straight from the sparse
-columns of the lifted delta and rho; when f_B = 1 those coordinates are
-already the triple tensor's and no quotient is built, otherwise the columns
-are pushed through the projection onto C (x)_B C and then through the
-projection of the nested quotient.  Descent is checked on every
-middle-relation generator and the descended maps are validated column by
-column.
+over B, built nested as (C (x)_B C) (x)_B Z on the already computed
+C (x)_B C.  The flat maps (delta (x) id) and (id (x) rho) are built as
+sparse columns on flat triple coordinates, straight from the sparse columns
+of the lifted delta and rho; when f_B = 1 those coordinates are already the
+triple tensor's, otherwise the columns are pushed through the projection
+onto C (x)_B C and then through the projection of the nest.  The nest is
+(C (x)_B C)^{(+)s} in B-coordinates when Z is free over B with s
+generators, and the quotient by the middle relations otherwise.  Descent
+through C (x)_B Z is checked on every middle-relation generator and the
+descended maps are validated column by column.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.

@@ -1,5 +1,10 @@
 """References for the coassociativity comparison.
 
+``quotient_triple_tensor`` is the nested triple tensor with the nest always
+presented as the quotient of the flat (X (x)_B Y) (x) Z by the middle
+relations, by one Smith form, as it was built before free carriers got the
+nest in B-coordinates.
+
 ``flat_triple_tensor`` is the triple tensor the checks used before the
 nested quotient: X (x)_B Y (x)_B Z as one quotient of the flat R-module of
 rank (rank)^3, by the middle relations of slots 1-2 and 2-3 together, with a
@@ -15,7 +20,14 @@ before being compared generator by generator.  It accepts the nested
 ``TripleTensor`` and ``FlatTripleTensor`` alike, with the signature of
 ``coalgebra._coassoc_witness``.
 
-Both are kept only to be tested against.
+All three are kept only to be tested against.
+
+The remaining helpers serve the tests of the tensor over B itself:
+``embed3``, ``pure3`` and ``lift_gen`` move elements between the flat triple
+coordinates and a ``TripleTensor``, ``assoc_isos`` builds and verifies the
+associativity isomorphisms through the triple tensor (so it also checks the
+``sect`` of the nest), and ``unit_left_isos``/``unit_right_isos`` verify the
+unit isomorphisms B (x)_B M = M = M (x)_B B.
 """
 
 from __future__ import annotations
@@ -26,7 +38,9 @@ from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import (FinModule, ModuleMap, TensorData,
                                    tensor_with_data, map_tensor,
                                    presentation_with_torsion)
-from tannaka_forge.algebra import AlgebraSpec, BTensor, TripleTensor, descend
+from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
+                                   TripleTensor, descend, tensor_bimodules,
+                                   triple_tensor, _btensor_core)
 
 
 @dataclass
@@ -39,8 +53,14 @@ class FlatTripleTensor:
     module: FinModule
     proj: ModuleMap
 
-    def embed3(self, v, w, u) -> tuple[int, ...]:
-        return self.TR.embed(self.T12.embed(v, w), u)
+
+def quotient_triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
+                           Z_left: ModuleMap) -> TripleTensor:
+    """(X (x)_B Y) (x)_B Z with the nest presented by _btensor_core, for
+    f_B >= 2."""
+    nest = _btensor_core(alg, xy.module, xy.right, Z_car, Z_left)
+    return TripleTensor(alg, xy, tensor_with_data(xy.TR.module, Z_car), nest,
+                        nest.module)
 
 
 def flat_triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
@@ -107,8 +127,8 @@ def _id_tensor_coaction(data: BTensor, t3, proj: ModuleMap, C_car: FinModule,
             if coeff == 0:
                 continue
             a, b = inner_pos[kk]
-            vec = proj.apply(t3.embed3(C_car.gen(i), C_car.gen(a),
-                                       t3.TR.right.gen(b)))
+            vec = proj.apply(embed3(t3, C_car.gen(i), C_car.gen(a),
+                                        t3.TR.right.gen(b)))
             for r, v in enumerate(vec):
                 if v:
                     acc[r] = R.add(acc[r], R.mul(coeff, v))
@@ -127,3 +147,177 @@ def dense_coassoc_witness(t3: TripleTensor | FlatTripleTensor, deltahat: Matrix,
         if lhs.apply(phi.src.gen(g)) != rhs.apply(phi.src.gen(g)):
             return g
     return None
+
+
+# ---------------------------------------------------------------------------
+# elements of triple tensors, and the unit and associativity isomorphisms
+# ---------------------------------------------------------------------------
+
+def embed3(t3: TripleTensor | FlatTripleTensor, v, w, u) -> tuple[int, ...]:
+    """v (x) w (x) u in the flat triple coordinates."""
+    return t3.TR.embed(t3.T12.embed(v, w), u)
+
+
+def pure3(t3: TripleTensor, v, w, u) -> tuple[int, ...]:
+    """v (x) w (x) u in t3.module."""
+    if t3.nest is None:
+        return embed3(t3, v, w, u)
+    return t3.nest.pure(t3.xy.pure(v, w), u)
+
+
+def lift_gen(t3: TripleTensor, q: int) -> list[int]:
+    """A flat representative of the q-th generator of t3.module: nest.sect,
+    then xy.sect tensor id."""
+    if t3.nest is None:
+        return list(t3.module.gen(q))
+    R, Z = t3.alg.R, t3.TR.right
+    out = [0] * t3.TR.module.rank
+    for (qq, z), k in t3.nest.TR.pos.items():
+        c = t3.nest.sect.data[k][q]
+        if c:
+            vec = t3.TR.embed(t3.xy.sect.col(qq), Z.gen(z))
+            out = [R.add(a, R.mul(c, b)) for a, b in zip(out, vec)]
+    return out
+
+
+def unit_left_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleMap, ModuleMap]:
+    """(to, fro) for B tensor_B M = M, data the tensor with the regular
+    bimodule on the left; verified mutually inverse."""
+    one = alg.B.coeffs(alg.B.one)
+    cols = [list(data.pure(one, M.carrier.gen(i))) for i in range(M.carrier.rank)]
+    to = ModuleMap(M.carrier, data.module,
+                   Matrix.from_cols(alg.R, cols, data.module.rank))
+    # b (x) m -> b . m, descended from the flat map
+    flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
+    for (a, j), k in data.TR.pos.items():
+        # basis a of B-carrier is x^a; its action on gen_j
+        col = M.act_by(alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(j))
+        for i, v in enumerate(col):
+            flat.data[i][k] = v
+    fro = descend(data, ModuleMap(data.TR.module, M.carrier, flat, validate=False))
+    if (fro @ to) != ModuleMap.identity(M.carrier) or \
+       (to @ fro) != ModuleMap.identity(data.module):
+        raise RuntimeError("unit isomorphism failed to verify")
+    return to, fro
+
+
+def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleMap, ModuleMap]:
+    """(to, fro) for M tensor_B B = M; M's action is used as the right
+    action."""
+    one = alg.B.coeffs(alg.B.one)
+    cols = [list(data.pure(M.carrier.gen(i), one)) for i in range(M.carrier.rank)]
+    to = ModuleMap(M.carrier, data.module,
+                   Matrix.from_cols(alg.R, cols, data.module.rank))
+    flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
+    for (i, a), k in data.TR.pos.items():
+        col = M.act_by(alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(i))
+        for r, v in enumerate(col):
+            flat.data[r][k] = v
+    fro = descend(data, ModuleMap(data.TR.module, M.carrier, flat, validate=False))
+    if (fro @ to) != ModuleMap.identity(M.carrier) or \
+       (to @ fro) != ModuleMap.identity(data.module):
+        raise RuntimeError("unit isomorphism failed to verify")
+    return to, fro
+
+
+def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
+    """Mutually inverse isomorphisms (X (x)_B Y) (x)_B Z <-> X (x)_B
+    (Y (x)_B Z), both verified, constructed through the common triple
+    tensor."""
+    txy = tensor_bimodules(alg, X, Y)
+    t3 = triple_tensor(alg, txy, Z.carrier, Z.left)
+    left_nested = _btensor_core(alg, txy.module, txy.right, Z.carrier, Z.left)
+    tyz = tensor_bimodules(alg, Y, Z)
+    right_nested = _btensor_core(alg, X.carrier, X.right, tyz.module, tyz.left)
+    inv_txy = {v: k for k, v in txy.TR.pos.items()}
+    inv_tyz = {v: k for k, v in tyz.TR.pos.items()}
+    inv_t3tr = {v: k for k, v in t3.TR.pos.items()}
+    inv_t312 = {v: k for k, v in t3.T12.pos.items()}
+
+    def nested_left_to_t3() -> ModuleMap:
+        cols = []
+        for (q1, k), pos in sorted(left_nested.TR.pos.items(), key=lambda kv: kv[1]):
+            lift = txy.sect.col(q1)
+            acc = [0] * t3.module.rank
+            for kk, coeff in enumerate(lift):
+                if coeff == 0:
+                    continue
+                i, j = inv_txy[kk]
+                vec = pure3(t3, X.carrier.gen(i), Y.carrier.gen(j), Z.carrier.gen(k))
+                for r, v in enumerate(vec):
+                    if v:
+                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
+            cols.append(t3.module.reduce(acc))
+        flat = ModuleMap(left_nested.TR.module, t3.module,
+                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                                          t3.module.rank), validate=False)
+        return descend(left_nested, flat)
+
+    def t3_to_nested_left() -> ModuleMap:
+        cols = []
+        for kq in range(t3.module.rank):
+            lift = lift_gen(t3, kq)
+            acc = [0] * left_nested.module.rank
+            for kk, coeff in enumerate(lift):
+                if coeff == 0:
+                    continue
+                pk, k = inv_t3tr[kk]
+                i, j = inv_t312[pk]
+                inner = txy.pure(X.carrier.gen(i), Y.carrier.gen(j))
+                vec = left_nested.pure(inner, Z.carrier.gen(k))
+                for r, v in enumerate(vec):
+                    if v:
+                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
+            cols.append(left_nested.module.reduce(acc))
+        return ModuleMap(t3.module, left_nested.module,
+                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                                          left_nested.module.rank))
+
+    def nested_right_to_t3() -> ModuleMap:
+        cols = []
+        for (i, q2), pos in sorted(right_nested.TR.pos.items(), key=lambda kv: kv[1]):
+            lift = tyz.sect.col(q2)
+            acc = [0] * t3.module.rank
+            for kk, coeff in enumerate(lift):
+                if coeff == 0:
+                    continue
+                j, k = inv_tyz[kk]
+                vec = pure3(t3, X.carrier.gen(i), Y.carrier.gen(j), Z.carrier.gen(k))
+                for r, v in enumerate(vec):
+                    if v:
+                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
+            cols.append(t3.module.reduce(acc))
+        flat = ModuleMap(right_nested.TR.module, t3.module,
+                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                                          t3.module.rank), validate=False)
+        return descend(right_nested, flat)
+
+    def t3_to_nested_right() -> ModuleMap:
+        cols = []
+        for kq in range(t3.module.rank):
+            lift = lift_gen(t3, kq)
+            acc = [0] * right_nested.module.rank
+            for kk, coeff in enumerate(lift):
+                if coeff == 0:
+                    continue
+                pk, k = inv_t3tr[kk]
+                i, j = inv_t312[pk]
+                inner = tyz.pure(Y.carrier.gen(j), Z.carrier.gen(k))
+                vec = right_nested.pure(X.carrier.gen(i), inner)
+                for r, v in enumerate(vec):
+                    if v:
+                        acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
+            cols.append(right_nested.module.reduce(acc))
+        return ModuleMap(t3.module, right_nested.module,
+                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                                          right_nested.module.rank))
+
+    a = nested_left_to_t3()
+    b = t3_to_nested_left()
+    c = nested_right_to_t3()
+    d = t3_to_nested_right()
+    for f, g, M in ((a, b, left_nested.module), (c, d, right_nested.module)):
+        if (g @ f) != ModuleMap.identity(M) or \
+           (f @ g) != ModuleMap.identity(t3.module):
+            raise RuntimeError("associativity isomorphism failed to verify")
+    return d @ a, b @ c

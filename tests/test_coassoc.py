@@ -1,6 +1,7 @@
 """The sparse coassociativity comparison on the nested triple tensor against
 the dense reference on the same quotient and on the flat one-Smith quotient,
-and the memory and Smith-size bounds they make possible."""
+the nest in B-coordinates against the Smith quotient it replaces, and the
+memory and Smith-size bounds they make possible."""
 
 import random
 
@@ -9,8 +10,9 @@ import pytest
 from tannaka_forge import coalgebra, linalg, modules
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
-from tannaka_forge.algebra import (AlgebraSpec, free_bmodule, bimodule_make,
-                                   tensor_bimodules, triple_tensor)
+from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
+                                   bimodule_make, tensor_bimodules,
+                                   triple_tensor, descend)
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, cofree,
                                      AxiomError)
 from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
@@ -20,7 +22,8 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  random_diagram)
 from tannaka_forge.tannaka import coend, lift_coaction
 
-from coassoc_reference import dense_coassoc_witness, flat_triple_tensor
+from coassoc_reference import (dense_coassoc_witness, flat_triple_tensor,
+                               quotient_triple_tensor)
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
 WITT_ALGS = [(2, 1, 2), (2, 2, 2)]                      # F4, GR(4,2)
@@ -35,23 +38,77 @@ def _outcome(fn):
     return PASS
 
 
-def _outcomes(monkeypatch, fn, bi):
+def _assert_nest_agrees(nest, quotient):
+    """The nest in B-coordinates against the Smith quotient of the same flat
+    tensor: equal exponents, proj kills every middle relation of the
+    quotient, and proj after sect is the identity."""
+    R, mod = nest.alg.R, nest.module
+    assert mod.exps == quotient.module.exps
+    pcols = nest.proj.mat.sparse_cols()
+
+    def image(col):
+        acc = [0] * mod.rank
+        for k, c in col:
+            for r, a in pcols[k]:
+                acc[r] = R.add(acc[r], R.mul(c, a))
+        return mod.reduce(acc)
+
+    assert all(image(col) == mod.zero_elem()
+               for col in quotient.rel_cols.sparse_cols())
+    assert [image(col) for col in nest.sect.sparse_cols()] == \
+        [mod.gen(r) for r in range(mod.rank)]
+
+
+def _same_result(a, b):
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return a == b
+
+
+def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     """The outcomes of fn, which checks a coalgebra or comodule over the
     coalgebra bimodule bi: with the sparse comparison on the nested triple
     tensor, with the dense reference on the same quotient and, when
     f_B >= 2, with the dense reference on the flat one-Smith quotient.  The
     references must actually have run, and the nested and flat quotients
-    must have the same exponents."""
+    must have the same exponents.  Whenever the nest is built in
+    B-coordinates, the Smith quotient of the same flat tensor is built as
+    well; the two must agree (_assert_nest_agrees) and the sparse comparison
+    must give the same witness, or raise the same error, on both.  kinds
+    collects "free" or "quotient" for each nest built.  With references
+    False only the first run is made."""
     calls, exps = [], {"nested": [], "flat": []}
+    quotients = {}
+    witness = coalgebra._coassoc_witness
 
     def reference(*args):
         calls.append(1)
         return dense_coassoc_witness(*args)
 
-    def nested(*args):
-        t3 = triple_tensor(*args)
+    def nested(alg, xy, Z_car, Z_left):
+        t3 = triple_tensor(alg, xy, Z_car, Z_left)
         exps["nested"].append(t3.module.exps)
+        if t3.nest is not None and t3.nest.rel_cols is None:
+            q = quotient_triple_tensor(alg, xy, Z_car, Z_left)
+            _assert_nest_agrees(t3.nest, q.nest)
+            quotients[id(t3)] = q
+            kinds.append("free")
+        elif t3.nest is not None:
+            kinds.append("quotient")
         return t3
+
+    def compared(t3, *args):
+        def run(t):
+            try:
+                return witness(t, *args)
+            except ValueError as e:
+                return e
+        w = run(t3)
+        if id(t3) in quotients:
+            assert _same_result(w, run(quotients.pop(id(t3))))
+        if isinstance(w, Exception):
+            raise w
+        return w
 
     def flat(alg, xy, Z_car, Z_left):
         t3 = flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier,
@@ -61,7 +118,11 @@ def _outcomes(monkeypatch, fn, bi):
 
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "triple_tensor", nested)
+        m.setattr(coalgebra, "_coassoc_witness", compared)
         out = [_outcome(fn)]
+    assert not quotients, "a B-coordinate nest was never compared"
+    if not references:
+        return out
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "_coassoc_witness", reference)
         out.append(_outcome(fn))
@@ -103,6 +164,12 @@ def _b_grouplike(alg, g):
     return coalgebra_check(alg, bi, delta, counit)
 
 
+def _torsion_bmodule(alg):
+    """B/p, a B-module that is not free when n >= 2."""
+    car = FinModule(alg.R, (1,) * alg.fb)
+    return BModule(alg, car, ModuleMap(car, car, alg.regular_rep(alg.B.x)))
+
+
 def _suite_coalgebras():
     out = []
     for p, n, f in FIELD_ALGS:
@@ -135,8 +202,11 @@ def _coend_diagrams():
 
 
 def test_coalgebras_agree_with_dense(monkeypatch):
+    kinds = []
     for C in _suite_coalgebras():
-        assert set(_outcomes(monkeypatch, _recheck_coalgebra(C), C.bi)) == {PASS}
+        assert set(_outcomes(monkeypatch, _recheck_coalgebra(C), C.bi,
+                             kinds)) == {PASS}
+    assert "free" in kinds
 
 
 def test_comodules_agree_with_dense(monkeypatch):
@@ -148,16 +218,24 @@ def test_comodules_agree_with_dense(monkeypatch):
         C = grouplike_coalgebra(alg, 3)
         comods += [grouplike_line(C, i) for i in range(3)]
         comods.append(comatrix_standard_comodule(comatrix_coalgebra(alg, 3), 3))
+    kinds = []
     for D in _coend_diagrams():
         CR = coend(D)
         comods += lift_coaction(CR)
         comods.append(cofree(CR.coalgebra, free_bmodule(D.alg, 1)))
         C = CR.coalgebra
-        assert set(_outcomes(monkeypatch, _recheck_coalgebra(C), C.bi)) == {PASS}
+        assert set(_outcomes(monkeypatch, _recheck_coalgebra(C), C.bi,
+                             kinds)) == {PASS}
+    # cofree comodules on a torsion B-module: their triple tensors keep the
+    # Smith quotient
+    alg = AlgebraSpec.make(2, 2, 2)
+    comods += [cofree(C, _torsion_bmodule(alg))
+               for C in (trivial_coalgebra(alg), _b_grouplike(alg, 2))]
     assert any(not Mc.carrier.is_free() for Mc in comods)
     for Mc in comods:
         assert set(_outcomes(monkeypatch, _recheck_comodule(Mc),
-                             Mc.coalgebra.bi)) == {PASS}
+                             Mc.coalgebra.bi, kinds)) == {PASS}
+    assert "free" in kinds and "quotient" in kinds
 
 
 def _counit_kernel(C):
@@ -205,17 +283,18 @@ def _perturbable_coalgebras():
 
 def test_perturbed_coalgebras_agree_with_dense(monkeypatch):
     rng = random.Random(20260)
-    codes = {}
+    codes, kinds = {}, []
     for C in _perturbable_coalgebras():
         for trial in range(6):
             delta = _perturbed_delta(rng, C, counital=trial % 3 != 2)
             out = _outcomes(monkeypatch,
                             lambda: coalgebra_check(C.alg, C.bi, delta, C.counit),
-                            C.bi)
+                            C.bi, kinds)
             assert len(set(out)) == 1
             codes.setdefault(C.alg.fb, set()).add(out[0][0])
     # the perturbations reach the coassociativity comparison for both f_B
     assert "Coassoc" in codes[1] and "Coassoc" in codes[2]
+    assert "free" in kinds
 
 
 def test_perturbed_comodules_agree_with_dense(monkeypatch):
@@ -223,7 +302,7 @@ def test_perturbed_comodules_agree_with_dense(monkeypatch):
     # is B-linear because every coalgebra here has equal left and right
     # actions
     rng = random.Random(4711)
-    codes = {}
+    codes, kinds = {}, []
     for C in _perturbable_coalgebras():
         R = C.alg.R
         ker = _counit_kernel(C)
@@ -240,10 +319,11 @@ def test_perturbed_comodules_agree_with_dense(monkeypatch):
             rho = ModuleMap(M.carrier, cm.module,
                             Matrix.from_cols(R, cols, cm.module.rank))
             out = _outcomes(monkeypatch, lambda: comodule_check(C, M, rho),
-                            C.bi)
+                            C.bi, kinds)
             assert len(set(out)) == 1
             codes.setdefault(C.alg.fb, set()).add(out[0][0])
     assert "Coassoc" in codes[1] and "Coassoc" in codes[2]
+    assert "free" in kinds
 
 
 def test_descent_failure_agrees_with_dense():
@@ -314,3 +394,70 @@ def test_witt_coalgebra_check_smith_size(monkeypatch):
     monkeypatch.setattr(modules, "smith", counted_smith)
     coalgebra_check(alg, C.bi, C.delta, C.counit)
     assert rows and max(rows) <= 16
+
+
+def test_mf_coend_nests_agree_with_quotient(monkeypatch):
+    # MF coends over GR(4,2), GR(8,2) and GR(4,3) are B-free, so every
+    # triple tensor of their checks is built in B-coordinates; over GR(4,3)
+    # the Smith quotient of the coalgebra's nest presents 1,944 rows
+    for pnf in ((2, 2, 2), (2, 3, 2), (2, 2, 3)):
+        CR = coend(mf_family_diagram(*pnf, (0, 1))[0], check=False)
+        C, kinds = CR.coalgebra, []
+        assert _outcomes(monkeypatch, _recheck_coalgebra(C), C.bi,
+                         kinds, references=False) == [PASS]
+        for Mc in lift_coaction(CR):
+            assert _outcomes(monkeypatch, _recheck_comodule(Mc), C.bi,
+                             kinds, references=False) == [PASS]
+        assert kinds == ["free"] * 3
+
+
+def test_gr43_triple_tensor_smith_size(monkeypatch):
+    # inside triple_tensor only as_b_module presents anything: the coend L
+    # has R-rank 18, where the Smith quotient of the nest presented
+    # rank(C (x)_B C) * rank(L) = 108 * 18 = 1,944 rows
+    CR = coend(mf_family_diagram(2, 2, 3, (0, 1))[0], check=False)
+    C = CR.coalgebra
+    assert C.carrier.rank == 18 and C.cc.module.rank == 108
+    rows, inside = [], [False]
+    smith = linalg.smith
+
+    def counted_smith(A):
+        if inside[0]:
+            rows.append(A.rows)
+        return smith(A)
+
+    def traced(*args):
+        inside[0] = True
+        try:
+            return triple_tensor(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(linalg, "smith", counted_smith)
+    monkeypatch.setattr(modules, "smith", counted_smith)
+    monkeypatch.setattr(coalgebra, "triple_tensor", traced)
+    coalgebra_check(C.alg, C.bi, C.delta, C.counit)
+    assert rows and max(rows) <= 64
+
+
+def test_descend_refuses_b_coordinate_nest():
+    # the nest in B-coordinates records no middle relations, so descent
+    # through it cannot be checked and is refused
+    alg = AlgebraSpec.make(2, 2, 2)
+    C = _b_grouplike(alg, 2)
+    t3 = triple_tensor(alg, C.cc, C.carrier, C.bi.left)
+    assert t3.nest.rel_cols is None
+    with pytest.raises(ValueError, match="no middle relations"):
+        descend(t3.nest, t3.nest.proj)
+
+
+def test_checked_coend_random_gr42_seed4():
+    # a single rank-2 object over GR(4,2) with a B-free coend of R-rank 16;
+    # its check took 35 s when the nest was always a Smith quotient
+    D = random_diagram(random.Random(4), AlgebraSpec.make(2, 2, 2),
+                       max_obj=2, max_rank=2)[0]
+    checked = coend(D).coalgebra
+    unchecked = coend(D, check=False).coalgebra
+    assert checked.carrier.rank == 16
+    assert (checked.carrier, checked.delta, checked.counit) == \
+        (unchecked.carrier, unchecked.delta, unchecked.counit)

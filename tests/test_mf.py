@@ -1,7 +1,9 @@
 import itertools
+import json
 
 import pytest
 
+from tannaka_forge import cli
 from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
@@ -337,6 +339,23 @@ def test_gr42_family():
     assert flatness_check(CR.coalgebra)
     verd = unit_fully_faithful_check(CR)
     assert all(v[0] == "equal" for v in verd.values())
+
+
+@pytest.mark.parametrize("pnf, digest", [
+    ((2, 2, 3),
+     "sha256:a8cd60ff49dddf527273bd845d9133beefa3cec7459dd9c54021a88d1c125828"),
+    ((2, 3, 2),
+     "sha256:9f9b64fdf3c9cda66a556b4c3bac45ca66cb6c5126752ecabdb4be2aa6a03a43"),
+])
+def test_mf_demo_witt_digests(capsys, pnf, digest):
+    # GR(4,3) and GR(8,2): the digests the checks gave when the nested triple
+    # tensor was always a Smith quotient
+    p, n, f = pnf
+    code = cli.main(["mf", "demo", "--p", str(p), "--n", str(n), "--f", str(f),
+                     "--objects", "M(0),M(1)"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["report_digest"] == digest
 
 
 def test_semilinear_composition_twist():
