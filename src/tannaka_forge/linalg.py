@@ -12,10 +12,10 @@ span: it depends only on the spanned submodule, not on the presented
 generators, which is what makes span comparisons and coend presentations
 reproducible.  It also decides membership: a `Span` keeps the Howell rows of
 a span, and `Span.contains` settles whether a vector lies in it by one
-reduction pass over those rows, with no Smith form.  `span_membership`
-(a Smith solve) stays for callers that need the coefficients.
-`solve_columns` reads solutions for many right-hand sides off one Smith
-form; `solve` is its one-target case.
+reduction pass over those rows, with no Smith form; every membership
+question the recognition searches ask is answered this way.  When the
+coefficients of a solution are needed, `solve_columns` reads them for many
+right-hand sides off one Smith form; `solve` is its one-target case.
 
 No fraction-free or probabilistic shortcuts; everything is exact at desk
 scale.
@@ -457,14 +457,6 @@ def howell(ring: RingSpec, rows: list[list[int]], width: int) -> list[list[int]]
                     if pe:
                         row2[k] = add(row2[k], mul(neg(t), pe))
     return result
-
-
-def span_membership(ring: RingSpec, gens: list[list[int]], target: list[int]) -> list[int] | None:
-    """Coefficients c with sum c_i gens_i = target, or None."""
-    if not gens:
-        return [] if not any(target) else None
-    A = Matrix(ring, [list(col) for col in zip(*gens)], len(target), len(gens))
-    return solve(A, list(target))
 
 
 class Span:

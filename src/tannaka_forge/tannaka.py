@@ -19,15 +19,26 @@ Comultiplication on classes is  [v (x) xi] |-> sum_m [v (x) e_m*] (x)_B
 [e_m (x) xi]  over a B-basis e_m of the fiber; the counit is evaluation
 xi(v).  Both are verified to descend by evaluating them on every relation
 generator, and the resulting coalgebra is re-validated axiom by axiom.
+
+The recognition checkers ask every span-membership question of a Howell
+`Span`, with no Smith solve.  Coequalizer and pushout probes are one
+search: a coequalizer of F, G : k -> l is a cocone on the legs [l] under
+F - G, a pushout of F : c -> k, G : c -> l one on [k, l] under F stacked
+on -G.  The cocones into an object form an R-submodule, a kernel, so a
+candidate's universality is decided on that kernel's generators, exactly.
+The budget bounds only what is still enumerated: fiber elements, hom span
+elements and candidate cocones.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
-from .linalg import (Matrix, Span, howell, kernel, span_membership,
-                     is_invertible, block_diag, cokernel_exponents)
+from .linalg import (Matrix, Span, howell, kernel, is_invertible, block_diag,
+                     cokernel_exponents)
 from .modules import (FinModule, ModuleMap, module_from_presentation,
                       map_kernel, map_cokernel, is_isomorphism, span_elements)
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
@@ -81,7 +92,7 @@ class DiagramCategory:
         if sp is None:
             alg = self.alg
             width = self.objects[l].rank * self.objects[k].rank * alg.fb
-            rows = [list(_flatten_bmat(alg, F)) for F in self.homs[(k, l)]]
+            rows = [_flatten_bmat(alg, F) for F in self.homs[(k, l)]]
             sp = self._spans[(k, l)] = Span(alg.R, rows, width)
         return sp
 
@@ -112,22 +123,14 @@ class DiagramCategory:
 
 
 def _flatten_bmat(alg: AlgebraSpec, F: Matrix) -> tuple[int, ...]:
-    out = []
-    for row in F.data:
-        for b in row:
-            out.extend(alg.B.coeffs(b))
-    return tuple(out)
+    """R-coordinates of a B-matrix, read row by row."""
+    return alg.bvec_to_rvec([b for row in F.data for b in row])
 
 
 def _unflatten_bmat(alg: AlgebraSpec, vec, rows: int, cols: int) -> Matrix:
-    fb = alg.fb
-    out = Matrix.zeros(alg.B, rows, cols)
-    idx = 0
-    for t in range(rows):
-        for s in range(cols):
-            out.data[t][s] = alg.B.from_coeffs(vec[idx:idx + fb])
-            idx += fb
-    return out
+    flat = alg.rvec_to_bvec(vec)
+    return Matrix(alg.B, [list(flat[t * cols:(t + 1) * cols]) for t in range(rows)],
+                  rows, cols)
 
 
 def hom_closure(D: DiagramCategory) -> DiagramCategory:
@@ -143,7 +146,7 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     def canon(pair, mats):
         k, l = pair
         width = D.objects[l].rank * D.objects[k].rank * alg.fb
-        rows = howell(alg.R, [list(_flatten_bmat(alg, F)) for F in mats], width)
+        rows = howell(alg.R, [_flatten_bmat(alg, F) for F in mats], width)
         return [_unflatten_bmat(alg, r, D.objects[l].rank, D.objects[k].rank)
                 for r in rows]
 
@@ -417,7 +420,7 @@ def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = N
             missing = next((bm for bm in bmats
                             if not D.hom_contains(k, l, bm)), None)
             # sanity: the diagram span must embed in the comodule homs
-            hom_span = Span(alg.R, [list(_flatten_bmat(alg, bm)) for bm in bmats],
+            hom_span = Span(alg.R, [_flatten_bmat(alg, bm) for bm in bmats],
                             rl * rk * alg.fb)
             for F in D.homs[(k, l)]:
                 if not hom_span.contains(_flatten_bmat(alg, F)):
@@ -603,7 +606,7 @@ def reflects_isos_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Ver
             F = _unflatten_bmat(alg, vec, rl, rk)
             if rk != rl or not is_invertible(F):
                 continue
-            if _two_sided_inverse_in_span(alg, F, back, rk, rl) is None:
+            if not _two_sided_inverse_in_span(alg, F, back, rk, rl):
                 return Verdict("refuted", {"pair": (k, l), "matrix": F})
     if skipped:
         return Verdict("inconclusive", reason="hom span sweep over budget")
@@ -611,16 +614,13 @@ def reflects_isos_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Ver
 
 
 def _two_sided_inverse_in_span(alg: AlgebraSpec, F: Matrix, back: list[Matrix],
-                               rk: int, rl: int):
-    """Coefficients c with (sum c G) F = id and F (sum c G) = id, or None."""
-    R, B = alg.R, alg.B
-    idk = Matrix.identity(B, rk)
-    idl = Matrix.identity(B, rl)
-    rows = []
-    for G in back:
-        rows.append(list(_flatten_bmat(alg, G @ F)) + list(_flatten_bmat(alg, F @ G)))
-    target = list(_flatten_bmat(alg, idk)) + list(_flatten_bmat(alg, idl))
-    return span_membership(R, rows, target)
+                               rk: int, rl: int) -> bool:
+    """Is there G in the span of back with G F = id and F G = id?"""
+    B = alg.B
+    rows = [_flatten_bmat(alg, G @ F) + _flatten_bmat(alg, F @ G) for G in back]
+    target = _flatten_bmat(alg, Matrix.identity(B, rk)) + \
+        _flatten_bmat(alg, Matrix.identity(B, rl))
+    return Span(alg.R, rows, len(target)).contains(target)
 
 
 def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdict:
@@ -637,7 +637,6 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
         objs.extend((k, v) for v in els)
     if len(objs) ** 2 > budget * 16:
         return Verdict("inconclusive", reason="element-pair sweep over budget")
-    span_cache = {pair: D.span_rows(*pair) for pair in D.homs}
     for (k, vA) in objs:
         for (l, vB) in objs:
             cone = _has_cone(D, (k, vA), (l, vB), budget)
@@ -650,7 +649,7 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     # equalizing morphisms for parallel pairs
     for (k, vA) in objs:
         for (l, vB) in objs:
-            pairmaps = _el_morphisms(D, span_cache, (k, vA), (l, vB), budget)
+            pairmaps = _el_morphisms(D, (k, vA), (l, vB), budget)
             if pairmaps is None:
                 return Verdict("inconclusive", reason="parallel-pair sweep over budget")
             for f, g in itertools.combinations(pairmaps, 2):
@@ -686,16 +685,16 @@ def _has_cone(D: DiagramCategory, obj1, obj2, budget: int = DEFAULT_BUDGET):
 
 def _solvable_at(alg, D, c, k, u, target) -> bool:
     """Is there F in span(c -> k) with F u = target?"""
-    gens = D.homs[(c, k)]
-    rows = [list(alg.bvec_to_rvec(G.apply(u))) for G in gens]
-    return span_membership(alg.R, rows, list(alg.bvec_to_rvec(target))) is not None
+    rows = [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]]
+    return Span(alg.R, rows, D.objects[k].rank * alg.fb).contains(
+        alg.bvec_to_rvec(target))
 
 
-def _el_morphisms(D, span_cache, obj1, obj2, budget):
+def _el_morphisms(D, obj1, obj2, budget):
     """All span elements f with f(v1) = v2, as B-matrices."""
     alg = D.alg
     (k, vA), (l, vB) = obj1, obj2
-    rows = span_cache[(k, l)]
+    rows = D.span_rows(k, l)
     if not rows:
         return []
     elems = span_elements(alg.R, rows, len(rows[0]), budget)
@@ -722,14 +721,11 @@ def _has_equalizing(D, src, f, g, budget):
             exhausted = True
             continue
         gens = D.homs[(c, k)]
+        target = alg.bvec_to_rvec(vA) + (0,) * (diff.rows * cobj.rank * alg.fb)
         for u in els:
-            rows = []
-            for G in gens:
-                rows.append(list(alg.bvec_to_rvec(G.apply(u)))
-                            + list(_flatten_bmat(alg, diff @ G)))
-            target = list(alg.bvec_to_rvec(vA)) + [0] * (
-                diff.rows * cobj.rank * alg.fb)
-            if span_membership(alg.R, rows, target) is not None:
+            rows = [alg.bvec_to_rvec(G.apply(u)) + _flatten_bmat(alg, diff @ G)
+                    for G in gens]
+            if Span(alg.R, rows, len(target)).contains(target):
                 return True
     return "budget" if exhausted else False
 
@@ -741,171 +737,121 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
     fiber colimit.  Returns (Verdict, probe detail list).
 
     extra_probes entries are ("coeq", k, l, F, G) or
-    ("pushout", c, k, l, F, G) with F : c -> k, G : c -> l."""
-    alg = D.alg
-    B = alg.B
-    probes = []
+    ("pushout", c, k, l, F, G) with F : c -> k, G : c -> l.  At most 96
+    probes run, and pushouts take the first two generators of each leg; a
+    sweep that either cap cut short is inconclusive, not verified."""
+    B = D.alg.B
     jobs = []
     for (k, l), mats in sorted(D.homs.items()):
         for i, F in enumerate(mats):
             for G in [Matrix.zeros(B, D.objects[l].rank, D.objects[k].rank)] + mats[i:]:
                 jobs.append(("coeq", k, l, F, G))
+    dropped = 0
     for (c, k) in sorted(D.homs):
         for l in range(D.nobj()):
-            for F in D.homs[(c, k)][:2]:
-                for G in D.homs[(c, l)][:2]:
+            Fs, Gs = D.homs[(c, k)], D.homs[(c, l)]
+            dropped += len(Fs) * len(Gs) - len(Fs[:2]) * len(Gs[:2])
+            for F in Fs[:2]:
+                for G in Gs[:2]:
                     jobs.append(("pushout", c, k, l, F, G))
     if extra_probes:
         jobs.extend(extra_probes)
-    overall = "verified"
-    witness = None
-    for job in jobs[:96]:
-        kind = job[0]
-        if kind == "coeq":
+    total = len(jobs) + dropped
+    jobs = jobs[:96]
+    probes = []
+    overall, witness, reason = "verified", None, ""
+    for job in jobs:
+        # a coequalizer is a cocone on [l] under F - G, a pushout one on
+        # [k, l] under F stacked on -G
+        if job[0] == "coeq":
             _, k, l, F, G = job
             detail = {"kind": "coeq", "pair": (k, l)}
-            diffB = F - G
-            cok_exps = cokernel_exponents(diffB)
-            if any(e != B.n for e in cok_exps):
-                detail["verdict"] = "not-applicable"
-                probes.append(detail)
-                continue
-            found = _find_coequalizer(D, l, F, G, budget)
+            legs, cond = [l], F - G
         else:
             _, c, k, l, F, G = job
             detail = {"kind": "pushout", "span": (c, k, l)}
-            glueB = F.vstack(-G)
-            cok_exps = cokernel_exponents(glueB)
-            if any(e != B.n for e in cok_exps):
-                detail["verdict"] = "not-applicable"
-                probes.append(detail)
-                continue
-            found = _find_pushout(D, c, k, l, F, G, budget)
-        if found is None:
+            legs, cond = [k, l], F.vstack(-G)
+        probes.append(detail)
+        if any(e != B.n for e in cokernel_exponents(cond)):
+            detail["verdict"] = "not-applicable"
+            continue
+        tip = _find_colimit(D, legs, cond, budget)
+        if tip is None:
             detail["verdict"] = "refuted"
             if overall != "refuted":
-                overall = "refuted"
-                witness = detail | {"f": job[-2], "g": job[-1]}
-        elif found == "budget":
+                overall, witness, reason = "refuted", detail | {"f": F, "g": G}, ""
+        elif tip == "budget":
             detail["verdict"] = "inconclusive"
             if overall == "verified":
-                overall = "inconclusive"
+                overall, reason = "inconclusive", "probe sweep over budget"
         else:
             detail["verdict"] = "verified"
-            detail["tip"] = found[0]
-        probes.append(detail)
-    v = Verdict(overall, witness,
-                "" if overall != "inconclusive" else "probe sweep over budget")
-    return v, probes
+            detail["tip"] = tip
+    if overall == "verified" and len(jobs) < total:
+        overall, reason = "inconclusive", \
+            "probed %d of %d colimit probes" % (len(jobs), total)
+    return Verdict(overall, witness, reason), probes
 
 
-def _find_coequalizer(D: DiagramCategory, l: int, F: Matrix, G: Matrix,
-                      budget: int):
-    """(c, q) realizing the coequalizer of f, g with omega preserving it."""
+def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
+                  budget: int):
+    """The first object t of D, with legs q_i : legs[i] -> t in the hom spans
+    and (q_1 | ... | q_m) cond = 0, that is a universal cocone and whose
+    fiber comparison coker(cond) -> fiber(t) is an isomorphism over B.
+    Returns t, None when there is none, or "budget" when the candidate legs
+    into some object cannot all be enumerated."""
     alg = D.alg
-    B = alg.B
-    diff = F - G
-    for c, cobj in enumerate(D.objects):
-        # with no rows the span still holds the zero morphism
-        elems = span_elements(alg.R, D.span_rows(l, c),
-                              cobj.rank * D.objects[l].rank * alg.fb, budget)
-        if elems is None:
-            return "budget"
-        for vec in elems:
-            q = _unflatten_bmat(alg, vec, cobj.rank, D.objects[l].rank)
-            if not (q @ diff).is_zero():
-                continue
-            if _is_universal_cocone(D, l, c, q, diff, budget):
-                # omega must send it to the fiber colimit: the induced map
-                # coker(diff) -> fiber(c) must be an isomorphism over B
-                presB = module_from_presentation(diff)
-                qbar = ModuleMap(presB.module, FinModule.free(B, cobj.rank),
-                                 q @ presB.sect)
-                if is_isomorphism(qbar):
-                    return (c, q)
-    return None
-
-
-def _find_pushout(D: DiagramCategory, c: int, k: int, l: int, F: Matrix,
-                  G: Matrix, budget: int):
-    """(tip, q1, q2) realizing the pushout of F : c -> k, G : c -> l, with
-    the fiber comparison an isomorphism, or None / "budget"."""
-    alg = D.alg
-    B = alg.B
-    glueB = F.vstack(-G)
+    ranks = [D.objects[i].rank for i in legs]
     for t, tobj in enumerate(D.objects):
-        e1 = span_elements(alg.R, D.span_rows(k, t),
-                           tobj.rank * D.objects[k].rank * alg.fb, budget)
-        e2 = span_elements(alg.R, D.span_rows(l, t),
-                           tobj.rank * D.objects[l].rank * alg.fb, budget)
-        if e1 is None or e2 is None or len(e1) * len(e2) > budget:
+        elems = [span_elements(alg.R, D.span_rows(i, t),
+                               tobj.rank * ri * alg.fb, budget)
+                 for i, ri in zip(legs, ranks)]
+        if None in elems or math.prod(map(len, elems)) > budget:
             return "budget"
-        for v1 in e1:
-            q1 = _unflatten_bmat(alg, v1, tobj.rank, D.objects[k].rank)
-            q1F = q1 @ F
-            for v2 in e2:
-                q2 = _unflatten_bmat(alg, v2, tobj.rank, D.objects[l].rank)
-                if q1F != q2 @ G:
-                    continue
-                ok = _pushout_universal(D, c, k, l, t, q1, q2, F, G, budget)
-                if ok == "budget":
-                    return "budget"
-                if ok:
-                    pres = module_from_presentation(glueB)
-                    qbar = ModuleMap(pres.module, FinModule.free(B, tobj.rank),
-                                     q1.hstack(q2) @ pres.sect)
-                    if is_isomorphism(qbar):
-                        return (t, q1, q2)
+        for vecs in itertools.product(*elems):
+            qs = [_unflatten_bmat(alg, v, tobj.rank, ri)
+                  for v, ri in zip(vecs, ranks)]
+            q = functools.reduce(Matrix.hstack, qs)
+            if not (q @ cond).is_zero() or not _is_universal(D, legs, cond, t, qs):
+                continue
+            pres = module_from_presentation(cond)
+            qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
+                             q @ pres.sect)
+            if is_isomorphism(qbar):
+                return t
     return None
 
 
-def _pushout_universal(D: DiagramCategory, c: int, k: int, l: int, t: int,
-                       q1: Matrix, q2: Matrix, F: Matrix, G: Matrix,
-                       budget: int):
+def _is_universal(D: DiagramCategory, legs: list[int], cond: Matrix, tip: int,
+                  qs) -> bool:
+    """Does every cocone on the legs under cond factor through the legs qs
+    into tip, and uniquely?  The cocones into e are an R-submodule: with
+    H_g running over the hom generators leg_i -> e, they are the
+    combinations sum c_g H_g whose coefficients lie in the kernel of
+    c |-> sum c_g H_g cond_i (cond_i the rows of cond that leg i meets).
+    So factoring is checked on the kernel's generators alone."""
     alg = D.alg
-    R = alg.R
+    R, fb = alg.R, alg.fb
+    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
+    blocks = [Matrix(alg.B, cond.data[a:b], b - a, cond.cols)
+              for a, b in zip(starts, starts[1:])]
     for e, eobj in enumerate(D.objects):
-        gens1 = D.homs[(k, e)]
-        gens2 = D.homs[(l, e)]
-        gens_te = D.homs[(t, e)]
-        # the cocone pairs (t1, t2) with t1 F = t2 G form the kernel of a
-        # linear map on the joint coefficient space
-        width_cond = eobj.rank * D.objects[c].rank * alg.fb
-        rows = []
-        for H in gens1:
-            rows.append(list(_flatten_bmat(alg, H @ F)))
-        for H in gens2:
-            rows.append([R.neg(v) for v in _flatten_bmat(alg, H @ G)])
-        if rows:
-            A = Matrix(R, [list(rr) for rr in zip(*rows)], width_cond, len(rows))
-            Kk = kernel(A)
-            if R.size ** Kk.cols > budget:
-                return "budget"
-            coeff_vectors = [Kk.apply(list(cf)) for cf in
-                             itertools.product(range(R.size), repeat=Kk.cols)] \
-                if Kk.cols else [[0] * len(rows)]
-        else:
-            coeff_vectors = [[]]
-        srows = [list(_flatten_bmat(alg, S @ q1)) +
-                 list(_flatten_bmat(alg, S @ q2)) for S in gens_te]
-        seen = set()
-        for cf in coeff_vectors:
-            t1 = Matrix.zeros(alg.B, eobj.rank, D.objects[k].rank)
-            for cc, H in zip(cf[:len(gens1)], gens1):
-                if cc:
-                    t1 = t1 + H.scale(alg.B.from_int(cc))
-            t2 = Matrix.zeros(alg.B, eobj.rank, D.objects[l].rank)
-            for cc, H in zip(cf[len(gens1):], gens2):
-                if cc:
-                    t2 = t2 + H.scale(alg.B.from_int(cc))
-            key = (tuple(map(tuple, t1.data)), tuple(map(tuple, t2.data)))
-            if key in seen:
-                continue
-            seen.add(key)
-            target = list(_flatten_bmat(alg, t1)) + list(_flatten_bmat(alg, t2))
-            if span_membership(R, srows, target) is None:
-                return False
-        # uniqueness: s q1 = 0 and s q2 = 0 force s = 0
+        width = eobj.rank * starts[-1] * fb
+        conds, cocones = [], []
+        for i, a, block in zip(legs, starts, blocks):
+            lo = eobj.rank * a * fb
+            for H in D.homs[(i, e)]:
+                conds.append(_flatten_bmat(alg, H @ block))
+                flat = _flatten_bmat(alg, H)
+                cocones.append((0,) * lo + flat + (0,) * (width - lo - len(flat)))
+        K = kernel(Matrix.from_cols(R, conds, eobj.rank * cond.cols * fb))
+        gens_te = D.homs[(tip, e)]
+        srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
+                 for S in gens_te]
+        factored = Span(R, srows, width)
+        G = Matrix.from_cols(R, cocones, width) @ K
+        if not all(factored.contains(G.col(j)) for j in range(G.cols)):
+            return False
         if not _factors_uniquely(alg, srows, gens_te):
             return False
     return True
@@ -926,28 +872,6 @@ def _factors_uniquely(alg: AlgebraSpec, srows, gens) -> bool:
                 for idx, vv in enumerate(fv):
                     acc[idx] = R.add(acc[idx], R.mul(cf, vv))
         if any(acc):
-            return False
-    return True
-
-
-def _is_universal_cocone(D: DiagramCategory, l: int, c: int, q: Matrix,
-                         diff: Matrix, budget: int) -> bool:
-    alg = D.alg
-    for e, eobj in enumerate(D.objects):
-        rows = D.span_rows(l, e)
-        elems = span_elements(alg.R, rows, len(rows[0]), budget) if rows else []
-        if elems is None:
-            return False
-        gens_ce = D.homs[(c, e)]
-        srows = [list(_flatten_bmat(alg, S @ q)) for S in gens_ce]
-        for vec in elems:
-            t = _unflatten_bmat(alg, vec, eobj.rank, D.objects[l].rank)
-            if not (t @ diff).is_zero():
-                continue
-            if span_membership(alg.R, srows, list(_flatten_bmat(alg, t))) is None:
-                return False
-        # uniqueness: s q = 0 forces s = 0 on the span
-        if not _factors_uniquely(alg, srows, gens_ce):
             return False
     return True
 
@@ -976,8 +900,8 @@ def recheck_iso_witness(D: DiagramCategory, k: int, l: int, F: Matrix) -> bool:
         return False
     if D.objects[k].rank != D.objects[l].rank or not is_invertible(F):
         return False
-    return _two_sided_inverse_in_span(alg, F, D.homs[(l, k)],
-                                      D.objects[k].rank, D.objects[l].rank) is None
+    return not _two_sided_inverse_in_span(alg, F, D.homs[(l, k)],
+                                          D.objects[k].rank, D.objects[l].rank)
 
 
 def recheck_cone_witness(D: DiagramCategory, first, second,

@@ -1,0 +1,230 @@
+"""References for the recognition searches.
+
+``span_membership`` decides span membership by a Smith solve against the
+generators and returns the coefficients, the way the recognition searches
+asked every membership question before they used Howell reduction.
+
+``rigid_colimit_probes`` is the colimit sweep as it ran with one search per
+colimit shape: ``find_coequalizer`` and ``find_pushout`` enumerate the
+candidate cocones, and ``is_universal_cocone`` and ``pushout_universal``
+decide universality by enumerating the cocones into every object of the
+diagram, within the budget.  ``is_universal_cocone`` answers False when its
+enumeration runs over the budget, and ``pushout_universal`` answers
+"budget".  The sweep keeps at most 96 probes and the first two generators
+of each pushout leg, and reports nothing about what those caps drop.
+
+All of them are kept only to be tested against.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from tannaka_forge.linalg import Matrix, kernel, solve, cokernel_exponents
+from tannaka_forge.modules import (FinModule, ModuleMap,
+                                   module_from_presentation, is_isomorphism,
+                                   span_elements)
+from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
+                                   _flatten_bmat, _unflatten_bmat,
+                                   _factors_uniquely)
+
+
+def span_membership(ring, gens, target):
+    """Coefficients c with sum c_i gens_i = target, or None."""
+    if not gens:
+        return [] if not any(target) else None
+    A = Matrix(ring, [list(col) for col in zip(*gens)], len(target), len(gens))
+    return solve(A, list(target))
+
+
+def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
+                         extra_probes=None):
+    alg = D.alg
+    B = alg.B
+    probes = []
+    jobs = []
+    for (k, l), mats in sorted(D.homs.items()):
+        for i, F in enumerate(mats):
+            for G in [Matrix.zeros(B, D.objects[l].rank, D.objects[k].rank)] + mats[i:]:
+                jobs.append(("coeq", k, l, F, G))
+    for (c, k) in sorted(D.homs):
+        for l in range(D.nobj()):
+            for F in D.homs[(c, k)][:2]:
+                for G in D.homs[(c, l)][:2]:
+                    jobs.append(("pushout", c, k, l, F, G))
+    if extra_probes:
+        jobs.extend(extra_probes)
+    overall = "verified"
+    witness = None
+    for job in jobs[:96]:
+        kind = job[0]
+        if kind == "coeq":
+            _, k, l, F, G = job
+            detail = {"kind": "coeq", "pair": (k, l)}
+            diffB = F - G
+            cok_exps = cokernel_exponents(diffB)
+            if any(e != B.n for e in cok_exps):
+                detail["verdict"] = "not-applicable"
+                probes.append(detail)
+                continue
+            found = find_coequalizer(D, l, F, G, budget)
+        else:
+            _, c, k, l, F, G = job
+            detail = {"kind": "pushout", "span": (c, k, l)}
+            glueB = F.vstack(-G)
+            cok_exps = cokernel_exponents(glueB)
+            if any(e != B.n for e in cok_exps):
+                detail["verdict"] = "not-applicable"
+                probes.append(detail)
+                continue
+            found = find_pushout(D, c, k, l, F, G, budget)
+        if found is None:
+            detail["verdict"] = "refuted"
+            if overall != "refuted":
+                overall = "refuted"
+                witness = detail | {"f": job[-2], "g": job[-1]}
+        elif found == "budget":
+            detail["verdict"] = "inconclusive"
+            if overall == "verified":
+                overall = "inconclusive"
+        else:
+            detail["verdict"] = "verified"
+            detail["tip"] = found[0]
+        probes.append(detail)
+    v = Verdict(overall, witness,
+                "" if overall != "inconclusive" else "probe sweep over budget")
+    return v, probes
+
+
+def find_coequalizer(D: DiagramCategory, l: int, F: Matrix, G: Matrix,
+                     budget: int):
+    """(c, q) realizing the coequalizer of f, g with omega preserving it."""
+    alg = D.alg
+    B = alg.B
+    diff = F - G
+    for c, cobj in enumerate(D.objects):
+        # with no rows the span still holds the zero morphism
+        elems = span_elements(alg.R, D.span_rows(l, c),
+                              cobj.rank * D.objects[l].rank * alg.fb, budget)
+        if elems is None:
+            return "budget"
+        for vec in elems:
+            q = _unflatten_bmat(alg, vec, cobj.rank, D.objects[l].rank)
+            if not (q @ diff).is_zero():
+                continue
+            if is_universal_cocone(D, l, c, q, diff, budget):
+                # omega must send it to the fiber colimit: the induced map
+                # coker(diff) -> fiber(c) must be an isomorphism over B
+                presB = module_from_presentation(diff)
+                qbar = ModuleMap(presB.module, FinModule.free(B, cobj.rank),
+                                 q @ presB.sect)
+                if is_isomorphism(qbar):
+                    return (c, q)
+    return None
+
+
+def find_pushout(D: DiagramCategory, c: int, k: int, l: int, F: Matrix,
+                 G: Matrix, budget: int):
+    """(tip, q1, q2) realizing the pushout of F : c -> k, G : c -> l, with
+    the fiber comparison an isomorphism, or None / "budget"."""
+    alg = D.alg
+    B = alg.B
+    glueB = F.vstack(-G)
+    for t, tobj in enumerate(D.objects):
+        e1 = span_elements(alg.R, D.span_rows(k, t),
+                           tobj.rank * D.objects[k].rank * alg.fb, budget)
+        e2 = span_elements(alg.R, D.span_rows(l, t),
+                           tobj.rank * D.objects[l].rank * alg.fb, budget)
+        if e1 is None or e2 is None or len(e1) * len(e2) > budget:
+            return "budget"
+        for v1 in e1:
+            q1 = _unflatten_bmat(alg, v1, tobj.rank, D.objects[k].rank)
+            q1F = q1 @ F
+            for v2 in e2:
+                q2 = _unflatten_bmat(alg, v2, tobj.rank, D.objects[l].rank)
+                if q1F != q2 @ G:
+                    continue
+                ok = pushout_universal(D, c, k, l, t, q1, q2, F, G, budget)
+                if ok == "budget":
+                    return "budget"
+                if ok:
+                    pres = module_from_presentation(glueB)
+                    qbar = ModuleMap(pres.module, FinModule.free(B, tobj.rank),
+                                     q1.hstack(q2) @ pres.sect)
+                    if is_isomorphism(qbar):
+                        return (t, q1, q2)
+    return None
+
+
+def pushout_universal(D: DiagramCategory, c: int, k: int, l: int, t: int,
+                      q1: Matrix, q2: Matrix, F: Matrix, G: Matrix,
+                      budget: int):
+    alg = D.alg
+    R = alg.R
+    for e, eobj in enumerate(D.objects):
+        gens1 = D.homs[(k, e)]
+        gens2 = D.homs[(l, e)]
+        gens_te = D.homs[(t, e)]
+        # the cocone pairs (t1, t2) with t1 F = t2 G form the kernel of a
+        # linear map on the joint coefficient space
+        width_cond = eobj.rank * D.objects[c].rank * alg.fb
+        rows = []
+        for H in gens1:
+            rows.append(list(_flatten_bmat(alg, H @ F)))
+        for H in gens2:
+            rows.append([R.neg(v) for v in _flatten_bmat(alg, H @ G)])
+        if rows:
+            A = Matrix(R, [list(rr) for rr in zip(*rows)], width_cond, len(rows))
+            Kk = kernel(A)
+            if R.size ** Kk.cols > budget:
+                return "budget"
+            coeff_vectors = [Kk.apply(list(cf)) for cf in
+                             itertools.product(range(R.size), repeat=Kk.cols)] \
+                if Kk.cols else [[0] * len(rows)]
+        else:
+            coeff_vectors = [[]]
+        srows = [list(_flatten_bmat(alg, S @ q1)) +
+                 list(_flatten_bmat(alg, S @ q2)) for S in gens_te]
+        seen = set()
+        for cf in coeff_vectors:
+            t1 = Matrix.zeros(alg.B, eobj.rank, D.objects[k].rank)
+            for cc, H in zip(cf[:len(gens1)], gens1):
+                if cc:
+                    t1 = t1 + H.scale(alg.B.from_int(cc))
+            t2 = Matrix.zeros(alg.B, eobj.rank, D.objects[l].rank)
+            for cc, H in zip(cf[len(gens1):], gens2):
+                if cc:
+                    t2 = t2 + H.scale(alg.B.from_int(cc))
+            key = (tuple(map(tuple, t1.data)), tuple(map(tuple, t2.data)))
+            if key in seen:
+                continue
+            seen.add(key)
+            target = list(_flatten_bmat(alg, t1)) + list(_flatten_bmat(alg, t2))
+            if span_membership(R, srows, target) is None:
+                return False
+        # uniqueness: s q1 = 0 and s q2 = 0 force s = 0
+        if not _factors_uniquely(alg, srows, gens_te):
+            return False
+    return True
+
+
+def is_universal_cocone(D: DiagramCategory, l: int, c: int, q: Matrix,
+                        diff: Matrix, budget: int) -> bool:
+    alg = D.alg
+    for e, eobj in enumerate(D.objects):
+        rows = D.span_rows(l, e)
+        elems = span_elements(alg.R, rows, len(rows[0]), budget) if rows else []
+        if elems is None:
+            return False
+        gens_ce = D.homs[(c, e)]
+        srows = [list(_flatten_bmat(alg, S @ q)) for S in gens_ce]
+        for vec in elems:
+            t = _unflatten_bmat(alg, vec, eobj.rank, D.objects[l].rank)
+            if not (t @ diff).is_zero():
+                continue
+            if span_membership(alg.R, srows, list(_flatten_bmat(alg, t))) is None:
+                return False
+        # uniqueness: s q = 0 forces s = 0 on the span
+        if not _factors_uniquely(alg, srows, gens_ce):
+            return False
+    return True

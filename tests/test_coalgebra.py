@@ -12,6 +12,7 @@ from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, comodule_h
 from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  comatrix_coalgebra, grouplike_line)
 from tannaka_forge.textio import format_reconstruct_input, parse_reconstruct_input
+from recognition_reference import span_membership
 
 
 def b_hom(M, N):
@@ -172,7 +173,6 @@ def test_comodule_hom_closed_under_composition(alg_f2):
         for g in basis:
             h = f @ g
             # h is again a comodule hom: membership in the span
-            from tannaka_forge.linalg import span_membership
             rows = [[e for row in b.mat.data for e in row] for b in basis]
             target = [e for row in h.mat.data for e in row]
             assert span_membership(alg_f2.R, rows, target) is not None
