@@ -410,53 +410,67 @@ def howell(ring: RingSpec, rows: list[list[int]], width: int) -> list[list[int]]
     input rows: pivots are pure powers p^a in increasing column order, each
     column below a pivot is zero, entries above a pivot are reduced mod p^a,
     and for every pivot p^a with a > 0 the annihilated tail p^{n-a} * row is
-    re-inserted so all prefix-zero span elements stay representable.
+    in the span of the rows below it, so every span element whose first j
+    entries vanish is a combination of the rows with pivot column >= j.
+
+    The rows are inserted one at a time into sparse pivot rows (a
+    {column: entry} dict per pivot column), so a reduction touches only the
+    pivot row's nonzeros.  A row reaching a pivot column reduces against its
+    pivot when its entry's valuation is not smaller; otherwise it takes the
+    column, and the old pivot row, reduced against it, is inserted again.
+    Every new pivot p^a with a > 0 inserts its tail p^{n-a} * row.  The
+    entries above each pivot are reduced at the end.
     """
     n = ring.n
-    add, mul, neg = ring.add, ring.mul, ring.neg
-    work = [list(r) for r in rows if any(r)]
-    pivots: list[tuple[int, int]] = []  # (column, exponent)
-    result: list[list[int]] = []
-    for j in range(width):
-        cands = [r for r in work if r[j] != 0]
-        if not cands:
-            continue
-        best = min(cands, key=lambda r: ring.val(r[j]))
-        a = ring.val(best[j])
-        u_inv = ring.inv(ring.unit_part(best[j]))
-        piv = [mul(u_inv, e) for e in best]
-        work.remove(best)
-        for r in work:
-            e = r[j]
+    add, mul, neg, val = ring.add, ring.mul, ring.neg, ring.val
+    divide = ring.divide_p_power
+    pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, exponent)
+
+    def reduce(r, prow, t):
+        # r += t * prow, keeping r free of zero entries
+        for k, pe in prow.items():
+            e = add(r.get(k, 0), mul(t, pe))
             if e:
-                t = ring.divide_p_power(e, a)
-                for k in range(j, width):
-                    pe = piv[k]
-                    if pe:
-                        r[k] = add(r[k], mul(neg(t), pe))
-        if a > 0:
-            tail = [mul(ring.p_elem(n - a), e) for e in piv]
-            if any(tail):
-                work.append(tail)
-        work = [r for r in work if any(r)]
-        result.append(piv)
-        pivots.append((j, a))
+                r[k] = e
+            else:
+                r.pop(k, None)
+
+    todo = [{k: e for k, e in enumerate(r) if e} for r in rows]
+    while todo:
+        r = todo.pop()
+        while r:
+            j = min(r)
+            e = r[j]
+            a = val(e)
+            piv = pivots.get(j)
+            if piv is not None and piv[1] <= a:
+                reduce(r, piv[0], neg(divide(e, piv[1])))
+                continue
+            u_inv = ring.inv(ring.unit_part(e))
+            new = {k: mul(u_inv, x) for k, x in r.items()}
+            pivots[j] = (new, a)
+            if piv is not None:
+                old = piv[0]
+                reduce(old, new, neg(divide(old[j], a)))
+                todo.append(old)
+            if a > 0:
+                tail: dict[int, int] = {}
+                reduce(tail, new, ring.p_elem(n - a))
+                todo.append(tail)
+            break
+    cols = sorted(pivots)
     # reduce entries above each pivot modulo p^a
-    for idx in range(len(result)):
-        j, a = pivots[idx]
-        if a == n:
-            continue
-        for idx2 in range(idx):
-            e = result[idx2][j]
-            red = ring.reduce_exp(e, a)
-            if red != e:
-                t = ring.divide_p_power(ring.sub(e, red), a)
-                row2, piv = result[idx2], result[idx]
-                for k in range(j, width):
-                    pe = piv[k]
-                    if pe:
-                        row2[k] = add(row2[k], mul(neg(t), pe))
-    return result
+    for idx, j in enumerate(cols):
+        prow, a = pivots[j]
+        for i in cols[:idx]:
+            row2 = pivots[i][0]
+            e = row2.get(j)
+            if e:
+                # the residue mod a unit pivot is 0
+                red = ring.reduce_exp(e, a) if a else 0
+                if red != e:
+                    reduce(row2, prow, neg(divide(ring.sub(e, red), a)))
+    return [[pivots[j][0].get(k, 0) for k in range(width)] for j in cols]
 
 
 class Span:
@@ -479,6 +493,12 @@ class Span:
             nz = [(k, e) for k, e in enumerate(r) if e]
             j, e = nz[0]
             self.pivots[j] = (nz, ring.val(e))
+
+    def is_full(self) -> bool:
+        """Is the span all of R^width, i.e. does every column carry a unit
+        pivot?"""
+        return len(self.pivots) == self.width and \
+            all(a == 0 for _, a in self.pivots.values())
 
     def contains(self, vec) -> bool:
         """Is vec an R-combination of the rows?"""

@@ -65,7 +65,8 @@ class DiagramCategory:
     """Objects with free B-module fibers and R-spanned hom sets of
     B-matrices; homs[(k, l)] holds maps A_k -> A_l as r_l x r_k matrices.
     The hom lists are not changed after construction, so each hom span is
-    put in Howell form once, the first time it is needed."""
+    put in Howell form once, the first time it is needed; `hom_closure`
+    hands over the spans it has already built."""
 
     def __init__(self, alg: AlgebraSpec, objects: list[DiagObject],
                  homs: dict[tuple[int, int], list[Matrix]]):
@@ -110,7 +111,7 @@ class DiagramCategory:
                 return ("missing-identity", k)
         for (k, l), mats in self.homs.items():
             for (l2, m), mats2 in self.homs.items():
-                if l2 != l:
+                if l2 != l or self.span(k, m).is_full():
                     continue
                 for F in mats:
                     for G in mats2:
@@ -136,34 +137,56 @@ def _unflatten_bmat(alg: AlgebraSpec, vec, rows: int, cols: int) -> Matrix:
 def hom_closure(D: DiagramCategory) -> DiagramCategory:
     """Smallest composition-closed R-span family containing the input homs
     and the identities, with every hom set in canonical (Howell) form.
-    Idempotent."""
+    Idempotent.
+
+    One `Span` per pair is grown to a fixpoint: a round forms the products
+    G F of hom(k, l) and hom(l, m) and re-Howells them together with the
+    rows of span(k, m).  A triple (k, l, m) is skipped when span(k, m) is
+    already all of Hom, or when neither factor has changed since the triple
+    was last formed (a version counter per pair).  The spans are handed to
+    the returned diagram, whose hom lists are exactly their rows."""
     alg = D.alg
-    B = alg.B
-    homs = {pair: list(mats) for pair, mats in D.homs.items()}
-    for k, obj in enumerate(D.objects):
-        homs[(k, k)].append(Matrix.identity(B, obj.rank))
+    R = alg.R
+    ranks = [obj.rank for obj in D.objects]
 
-    def canon(pair, mats):
+    def flat_rows(mats):
+        return [_flatten_bmat(alg, F) for F in mats]
+
+    def hom_list(pair, sp):
         k, l = pair
-        width = D.objects[l].rank * D.objects[k].rank * alg.fb
-        rows = howell(alg.R, [_flatten_bmat(alg, F) for F in mats], width)
-        return [_unflatten_bmat(alg, r, D.objects[l].rank, D.objects[k].rank)
-                for r in rows]
+        return [_unflatten_bmat(alg, r, ranks[l], ranks[k]) for r in sp.rows]
 
-    homs = {pair: canon(pair, mats) for pair, mats in homs.items()}
+    spans, homs = {}, {}
+    for (k, l), mats in D.homs.items():
+        rows = flat_rows(mats)
+        if k == l:
+            rows.append(_flatten_bmat(alg, Matrix.identity(alg.B, ranks[k])))
+        spans[(k, l)] = Span(R, rows, ranks[l] * ranks[k] * alg.fb)
+        homs[(k, l)] = hom_list((k, l), spans[(k, l)])
+    version = dict.fromkeys(homs, 0)
+    formed: dict[tuple[int, int, int], tuple[int, int]] = {}
     changed = True
     while changed:
         changed = False
         for (k, l) in list(homs):
             for m in range(D.nobj()):
+                target = spans[(k, m)]
+                seen = (version[(k, l)], version[(l, m)])
+                if target.is_full() or formed.get((k, l, m)) == seen:
+                    continue
+                formed[(k, l, m)] = seen
                 prods = [G @ F for F in homs[(k, l)] for G in homs[(l, m)]]
                 if not prods:
                     continue
-                new = canon((k, m), homs[(k, m)] + prods)
-                if [M.data for M in new] != [M.data for M in homs[(k, m)]]:
-                    homs[(k, m)] = new
+                grown = Span(R, target.rows + flat_rows(prods), target.width)
+                if grown.rows != target.rows:
+                    spans[(k, m)] = grown
+                    homs[(k, m)] = hom_list((k, m), grown)
+                    version[(k, m)] += 1
                     changed = True
-    return DiagramCategory(alg, D.objects, homs)
+    out = DiagramCategory(alg, D.objects, homs)
+    out._spans.update(spans)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +286,7 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
     Relations from any R-spanning morphism family agree with relations from
     the full closure; this is the function the robustness property tests."""
     N, _, _, cols = _relation_columns(D, morphisms)
-    return N, howell(D.alg.R, [list(c) for c in cols], N)
+    return N, howell(D.alg.R, cols, N)
 
 
 def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult:
@@ -280,7 +303,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     if violation is not None:
         raise DiagramNotClosed(str(violation))
     N, offsets, dims, cols = _relation_columns(D, morphisms)
-    rel_rows = howell(R, [list(c) for c in cols], N)
+    rel_rows = howell(R, cols, N)
     if rel_rows:
         P = Matrix(R, [list(r) for r in zip(*rel_rows)], N, len(rel_rows))
     else:
@@ -625,7 +648,9 @@ def _two_sided_inverse_in_span(alg: AlgebraSpec, F: Matrix, back: list[Matrix],
 
 def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdict:
     """el(omega) nonempty, with binary cones and equalizing morphisms, by
-    exhaustive search within the budget."""
+    exhaustive search within the budget.  For the length of the call, the
+    cone span of each (c, k, u) is built once, and the equalizing answer is
+    kept per (k, v_A, f - g), the only data it depends on."""
     alg = D.alg
     if not D.objects:
         return Verdict("refuted", {"reason": "category of elements is empty"})
@@ -637,9 +662,10 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
         objs.extend((k, v) for v in els)
     if len(objs) ** 2 > budget * 16:
         return Verdict("inconclusive", reason="element-pair sweep over budget")
+    cone_spans: dict[tuple, Span] = {}
     for (k, vA) in objs:
         for (l, vB) in objs:
-            cone = _has_cone(D, (k, vA), (l, vB), budget)
+            cone = _has_cone(D, (k, vA), (l, vB), budget, cone_spans)
             if cone == "budget":
                 return Verdict("inconclusive", reason="cone search over budget")
             if not cone:
@@ -647,13 +673,18 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
                                            "first": (k, list(vA)),
                                            "second": (l, list(vB))})
     # equalizing morphisms for parallel pairs
+    equalizing: dict[tuple, object] = {}
     for (k, vA) in objs:
         for (l, vB) in objs:
             pairmaps = _el_morphisms(D, (k, vA), (l, vB), budget)
             if pairmaps is None:
                 return Verdict("inconclusive", reason="parallel-pair sweep over budget")
             for f, g in itertools.combinations(pairmaps, 2):
-                eq = _has_equalizing(D, (k, vA), f, g, budget)
+                diff = f - g
+                key = (k, vA, tuple(map(tuple, diff.data)))
+                eq = equalizing.get(key)
+                if eq is None:
+                    eq = equalizing[key] = _has_equalizing(D, (k, vA), diff, budget)
                 if eq == "budget":
                     return Verdict("inconclusive",
                                    reason="equalizer search over budget")
@@ -665,9 +696,10 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     return Verdict("verified")
 
 
-def _has_cone(D: DiagramCategory, obj1, obj2, budget: int = DEFAULT_BUDGET):
+def _has_cone(D: DiagramCategory, obj1, obj2, budget: int, cone_spans: dict):
     """True / False / "budget": a refutation is only sound when every
-    candidate source fiber could be enumerated."""
+    candidate source fiber could be enumerated.  cone_spans caches the
+    spans of `_solvable_at`."""
     alg = D.alg
     (k, vA), (l, vB) = obj1, obj2
     exhausted = False
@@ -677,17 +709,20 @@ def _has_cone(D: DiagramCategory, obj1, obj2, budget: int = DEFAULT_BUDGET):
             exhausted = True
             continue
         for u in els:
-            if _solvable_at(alg, D, c, k, u, vA) and \
-               _solvable_at(alg, D, c, l, u, vB):
+            if _solvable_at(alg, D, c, k, u, vA, cone_spans) and \
+               _solvable_at(alg, D, c, l, u, vB, cone_spans):
                 return True
     return "budget" if exhausted else False
 
 
-def _solvable_at(alg, D, c, k, u, target) -> bool:
-    """Is there F in span(c -> k) with F u = target?"""
-    rows = [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]]
-    return Span(alg.R, rows, D.objects[k].rank * alg.fb).contains(
-        alg.bvec_to_rvec(target))
+def _solvable_at(alg, D, c, k, u, target, cone_spans) -> bool:
+    """Is there F in span(c -> k) with F u = target?  The span of the F u
+    is built once per (c, k, u) in cone_spans."""
+    sp = cone_spans.get((c, k, u))
+    if sp is None:
+        rows = [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]]
+        sp = cone_spans[(c, k, u)] = Span(alg.R, rows, D.objects[k].rank * alg.fb)
+    return sp.contains(alg.bvec_to_rvec(target))
 
 
 def _el_morphisms(D, obj1, obj2, budget):
@@ -708,12 +743,11 @@ def _el_morphisms(D, obj1, obj2, budget):
     return out
 
 
-def _has_equalizing(D, src, f, g, budget):
+def _has_equalizing(D, src, diff, budget):
     """True / False / "budget": is there (C, u) and h in span(C -> src)
-    with h u = v_src and f h = g h?"""
+    with h u = v_src and diff h = 0, for diff = f - g?"""
     alg = D.alg
     k, vA = src
-    diff = f - g
     exhausted = False
     for c, cobj in enumerate(D.objects):
         els = _fiber_elements(alg, cobj.rank, budget)
@@ -908,4 +942,4 @@ def recheck_cone_witness(D: DiagramCategory, first, second,
                          budget: int = DEFAULT_BUDGET) -> bool:
     k, vA = first
     l, vB = second
-    return _has_cone(D, (k, tuple(vA)), (l, tuple(vB)), budget) is False
+    return _has_cone(D, (k, tuple(vA)), (l, tuple(vB)), budget, {}) is False

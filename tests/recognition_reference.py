@@ -13,6 +13,10 @@ enumeration runs over the budget, and ``pushout_universal`` answers
 "budget".  The sweep keeps at most 96 probes and the first two generators
 of each pushout leg, and reports nothing about what those caps drop.
 
+``cofiltered_check`` is the cofilteredness search as it ran before its
+memos: it builds a fresh `Span` for every cone membership question and
+every equalizing question, even when the same one was asked before.
+
 All of them are kept only to be tested against.
 """
 
@@ -20,13 +24,15 @@ from __future__ import annotations
 
 import itertools
 
-from tannaka_forge.linalg import Matrix, kernel, solve, cokernel_exponents
+from tannaka_forge.linalg import (Matrix, Span, kernel, solve,
+                                  cokernel_exponents)
 from tannaka_forge.modules import (FinModule, ModuleMap,
                                    module_from_presentation, is_isomorphism,
                                    span_elements)
 from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _flatten_bmat, _unflatten_bmat,
-                                   _factors_uniquely)
+                                   _factors_uniquely, _fiber_elements,
+                                   _el_morphisms)
 
 
 def span_membership(ring, gens, target):
@@ -228,3 +234,92 @@ def is_universal_cocone(D: DiagramCategory, l: int, c: int, q: Matrix,
         if not _factors_uniquely(alg, srows, gens_ce):
             return False
     return True
+
+
+def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdict:
+    """el(omega) nonempty, with binary cones and equalizing morphisms, by
+    exhaustive search within the budget; one `Span` per membership question."""
+    alg = D.alg
+    if not D.objects:
+        return Verdict("refuted", {"reason": "category of elements is empty"})
+    objs = []
+    for k, obj in enumerate(D.objects):
+        els = _fiber_elements(alg, obj.rank, budget)
+        if els is None:
+            return Verdict("inconclusive", reason="fiber enumeration over budget")
+        objs.extend((k, v) for v in els)
+    if len(objs) ** 2 > budget * 16:
+        return Verdict("inconclusive", reason="element-pair sweep over budget")
+    for (k, vA) in objs:
+        for (l, vB) in objs:
+            cone = has_cone(D, (k, vA), (l, vB), budget)
+            if cone == "budget":
+                return Verdict("inconclusive", reason="cone search over budget")
+            if not cone:
+                return Verdict("refuted", {"kind": "no-cone",
+                                           "first": (k, list(vA)),
+                                           "second": (l, list(vB))})
+    # equalizing morphisms for parallel pairs
+    for (k, vA) in objs:
+        for (l, vB) in objs:
+            pairmaps = _el_morphisms(D, (k, vA), (l, vB), budget)
+            if pairmaps is None:
+                return Verdict("inconclusive", reason="parallel-pair sweep over budget")
+            for f, g in itertools.combinations(pairmaps, 2):
+                eq = has_equalizing(D, (k, vA), f, g, budget)
+                if eq == "budget":
+                    return Verdict("inconclusive",
+                                   reason="equalizer search over budget")
+                if not eq:
+                    return Verdict("refuted", {"kind": "no-equalizer",
+                                               "source": (k, list(vA)),
+                                               "target": (l, list(vB)),
+                                               "f": f, "g": g})
+    return Verdict("verified")
+
+
+def has_cone(D: DiagramCategory, obj1, obj2, budget: int = DEFAULT_BUDGET):
+    """True / False / "budget": a refutation is only sound when every
+    candidate source fiber could be enumerated."""
+    alg = D.alg
+    (k, vA), (l, vB) = obj1, obj2
+    exhausted = False
+    for c, cobj in enumerate(D.objects):
+        els = _fiber_elements(alg, cobj.rank, budget)
+        if els is None:
+            exhausted = True
+            continue
+        for u in els:
+            if solvable_at(alg, D, c, k, u, vA) and \
+               solvable_at(alg, D, c, l, u, vB):
+                return True
+    return "budget" if exhausted else False
+
+
+def solvable_at(alg, D, c, k, u, target) -> bool:
+    """Is there F in span(c -> k) with F u = target?"""
+    rows = [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]]
+    return Span(alg.R, rows, D.objects[k].rank * alg.fb).contains(
+        alg.bvec_to_rvec(target))
+
+
+def has_equalizing(D, src, f, g, budget):
+    """True / False / "budget": is there (C, u) and h in span(C -> src)
+    with h u = v_src and f h = g h?"""
+    alg = D.alg
+    k, vA = src
+    diff = f - g
+    exhausted = False
+    for c, cobj in enumerate(D.objects):
+        els = _fiber_elements(alg, cobj.rank, budget)
+        if els is None:
+            exhausted = True
+            continue
+        gens = D.homs[(c, k)]
+        target = alg.bvec_to_rvec(vA) + (0,) * (diff.rows * cobj.rank * alg.fb)
+        for u in els:
+            rows = [alg.bvec_to_rvec(G.apply(u)) + _flatten_bmat(alg, diff @ G)
+                    for G in gens]
+            if Span(alg.R, rows, len(target)).contains(target):
+                return True
+    return "budget" if exhausted else False

@@ -9,8 +9,10 @@ from tannaka_forge.linalg import Matrix
 from tannaka_forge.mf import mf_to_diagram
 from tannaka_forge.rings import ring_make
 from tannaka_forge.suite import random_diagram
-from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
-                                   recognition_check, rigid_colimit_probes)
+from tannaka_forge import tannaka
+from tannaka_forge.tannaka import (DiagObject, DiagramCategory, cofiltered_check,
+                                   hom_closure, recognition_check,
+                                   rigid_colimit_probes)
 from tannaka_forge.textio import parse_mf_objects_spec
 
 import recognition_reference as ref
@@ -133,3 +135,29 @@ def test_recognition_runs_no_smith_solve(monkeypatch):
     calls.clear()
     recognition_check(D)
     assert calls == []
+
+
+def test_cofiltered_check_matches_reference(monkeypatch):
+    # the memoised search against the one that builds a Span per question,
+    # on draws over Z/4, F3, F4 and GR(4,2): the same verdict and witness,
+    # from fewer spans
+    built = {"new": 0, "ref": 0}
+
+    def counting(side, cls):
+        def span(*args):
+            built[side] += 1
+            return cls(*args)
+        return span
+
+    monkeypatch.setattr(tannaka, "Span", counting("new", linalg.Span))
+    monkeypatch.setattr(ref, "Span", counting("ref", linalg.Span))
+    rng = random.Random(3)
+    seen = set()
+    for i in range(24):
+        alg = AlgebraSpec.make(*[(2, 2, 1), (3, 1, 1), (2, 1, 2), (2, 2, 2)][i % 4])
+        D = random_diagram(rng, alg, max_obj=3, max_rank=2)[0]
+        got = cofiltered_check(D, 128)
+        assert got == ref.cofiltered_check(D, 128)
+        seen.add(got.status if got.status != "refuted" else got.witness["kind"])
+    assert seen == {"verified", "inconclusive", "no-cone", "no-equalizer"}
+    assert 2 * built["new"] < built["ref"], built
