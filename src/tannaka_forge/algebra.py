@@ -262,6 +262,8 @@ class BTensor:
     are checked to kill them.  When f_B = 1 the projection is the identity
     and there are no relations.  A tensor built in B-coordinates
     (_tensor_free) records no relations either, and descend refuses it.
+    factors is (X, Y) for tensor_bimodules and (X, M) for tensor_bim_bmodule;
+    the nests of a triple tensor record none.
     """
     alg: AlgebraSpec
     TR: TensorData
@@ -271,9 +273,19 @@ class BTensor:
     rel_cols: Matrix | None
     left: ModuleMap | None = None
     right: ModuleMap | None = None
+    factors: tuple | None = None
 
     def pure(self, v, w) -> tuple[int, ...]:
         return self.proj.apply(self.TR.embed(v, w))
+
+    def pure_sum(self, pairs) -> tuple[int, ...]:
+        """The sum of v (x) w over the (v, w) pairs, as an element of module."""
+        add, acc = self.alg.R.add, [0] * self.module.rank
+        for v, w in pairs:
+            for r, a in enumerate(self.pure(v, w)):
+                if a:
+                    acc[r] = add(acc[r], a)
+        return self.module.reduce(acc)
 
     def lift(self, q) -> tuple[int, ...]:
         return tuple(self.sect.apply(list(q)))
@@ -328,6 +340,7 @@ def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> Module
 def tensor_bimodules(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule) -> BTensor:
     """X tensor_B Y with the outer actions installed."""
     data = _btensor_core(alg, X.carrier, X.right, Y.carrier, Y.left)
+    data.factors = (X, Y)
     ident_y = ModuleMap.identity(Y.carrier)
     ident_x = ModuleMap.identity(X.carrier)
     data.left = induced(data, data, X.left, ident_y)
@@ -338,6 +351,7 @@ def tensor_bimodules(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule) -> BTensor:
 def tensor_bim_bmodule(alg: AlgebraSpec, X: BBBimodule, M: BModule) -> BTensor:
     """X tensor_B M as a left B-module (left action from X)."""
     data = _btensor_core(alg, X.carrier, X.right, M.carrier, M.act)
+    data.factors = (X, M)
     data.left = induced(data, data, X.left, ModuleMap.identity(M.carrier))
     return data
 

@@ -72,6 +72,11 @@ def _base_report(command: str, input_bytes: bytes, budget: int) -> dict:
             "checks": []}
 
 
+def _read_input(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
 def _alg_info(alg: AlgebraSpec) -> dict:
     return {"algebra": alg.literal(),
             "modulus": alg.B.modulus_str()}
@@ -129,7 +134,7 @@ def _run_pipeline(D, budget: int, with_recognition: bool) -> tuple[list, dict]:
 
 def cmd_coend(args) -> int:
     t0 = time.monotonic()
-    text = open(args.file).read()
+    text = _read_input(args.file)
     report = _base_report("coend", text.encode(), args.budget)
     try:
         D = parse_diagram(text)
@@ -145,7 +150,7 @@ def cmd_coend(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     t0 = time.monotonic()
-    text = open(args.file).read()
+    text = _read_input(args.file)
     report = _base_report("reconstruct", text.encode(), args.budget)
     try:
         C, family = parse_reconstruct_input(text)
@@ -175,7 +180,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_recognize(args) -> int:
     t0 = time.monotonic()
-    text = open(args.file).read()
+    text = _read_input(args.file)
     report = _base_report("recognize", text.encode(), args.budget)
     try:
         D = parse_diagram(text)
@@ -276,7 +281,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FileNotFoundError as e:
+    except (OSError, UnicodeDecodeError) as e:   # an unreadable file or path
         print("input error: %s" % e, file=sys.stderr)
         return 2
 

@@ -5,6 +5,11 @@ and a counit eps : C -> B, both bimodule maps, satisfying coassociativity and
 the two counit laws.  A left comodule is a left B-module M with a coaction
 rho : M -> C (x)_B M compatible with delta and eps.
 
+delta and rho are matrices written in the coordinates of one presentation of
+C (x)_B C and C (x)_B M: the BTensor their constructor built.  That tensor is
+the coalgebra's cc and the comodule's cm; coalgebra_check and comodule_check
+take it and validate against it, and never build it again.
+
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  Coassociativity is compared inside the triple tensor
 over B, built nested as (C (x)_B C) (x)_B Z on the already computed
@@ -25,6 +30,7 @@ refutation can be replayed in isolation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .linalg import Matrix
 from .modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
@@ -32,7 +38,7 @@ from .modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
                       sub_canonical, sub_elements,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
-                      tensor_bimodules, tensor_bim_bmodule, triple_tensor,
+                      tensor_bim_bmodule, triple_tensor,
                       descend, regular_bimodule, is_b_free,
                       btensor_bmodule)
 
@@ -57,16 +63,26 @@ def _first_difference(f: ModuleMap, g: ModuleMap) -> int | None:
 
 @dataclass
 class Coalgebra:
-    alg: AlgebraSpec
-    bi: BBBimodule
+    cc: BTensor                 # C (x)_B C, built by tensor_bimodules(alg, C, C)
     delta: ModuleMap            # carrier -> cc.module
     counit: ModuleMap           # carrier -> regular bimodule carrier
-    cc: BTensor                 # C (x)_B C
-    deltahat: Matrix            # lift of delta into the flat R-tensor
+
+    @property
+    def alg(self) -> AlgebraSpec:
+        return self.cc.alg
+
+    @property
+    def bi(self) -> BBBimodule:
+        return self.cc.factors[0]
 
     @property
     def carrier(self) -> FinModule:
         return self.bi.carrier
+
+    @cached_property
+    def deltahat(self) -> Matrix:
+        """The lift of delta into the flat R-tensor cc.TR."""
+        return self.cc.sect @ self.delta.mat
 
     def counit_elem(self, v) -> int:
         """eps(v) as an element of B."""
@@ -187,11 +203,15 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
     return None
 
 
-def coalgebra_check(alg: AlgebraSpec, C: BBBimodule, delta: ModuleMap,
+def coalgebra_check(cc: BTensor, delta: ModuleMap,
                     counit: ModuleMap) -> Coalgebra:
-    """Validate (C, delta, eps); raises AxiomError naming the first failing
-    axiom with a witness generator."""
-    cc = tensor_bimodules(alg, C, C)
+    """Validate (C, delta, eps) for cc = C (x)_B C, the tensor delta is
+    written in; raises AxiomError naming the first failing axiom with a
+    witness generator."""
+    if cc.factors is None or cc.factors[0] != cc.factors[1]:
+        raise ValueError("cc must be the tensor square of one bimodule")
+    coalg = Coalgebra(cc, delta, counit)
+    alg, C = coalg.alg, coalg.bi
     breg = regular_bimodule(alg)
     if delta.src != C.carrier or delta.dst != cc.module:
         raise ValueError("delta must map the carrier into C (x)_B C")
@@ -206,7 +226,6 @@ def coalgebra_check(alg: AlgebraSpec, C: BBBimodule, delta: ModuleMap,
         w = _first_difference(lhs, rhs)
         if w is not None:
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
-    deltahat = cc.sect @ delta.mat
     # counit laws
     eps_id = _counit_map(alg, counit, cc, C.left_by)
     w = _first_difference(eps_id @ delta, ModuleMap.identity(C.carrier))
@@ -218,18 +237,21 @@ def coalgebra_check(alg: AlgebraSpec, C: BBBimodule, delta: ModuleMap,
         raise AxiomError("CounitRight", w)
     # coassociativity inside the triple tensor
     t3 = triple_tensor(alg, cc, C.carrier, C.left)
-    w = _coassoc_witness(t3, deltahat, cc, deltahat, delta)
+    w = _coassoc_witness(t3, coalg.deltahat, cc, coalg.deltahat, delta)
     if w is not None:
         raise AxiomError("Coassoc", w)
-    return Coalgebra(alg, C, delta, counit, cc, deltahat)
+    return coalg
 
 
 @dataclass
 class Comodule:
     coalgebra: Coalgebra
-    module: BModule
+    cm: BTensor                 # C (x)_B M, built by tensor_bim_bmodule(alg, C.bi, M)
     rho: ModuleMap              # carrier -> cm.module
-    cm: BTensor                 # C (x)_B M
+
+    @property
+    def module(self) -> BModule:
+        return self.cm.factors[1]
 
     @property
     def carrier(self) -> FinModule:
@@ -246,10 +268,13 @@ class Comodule:
         return hash((self.coalgebra, self.module, self.rho))
 
 
-def comodule_check(C: Coalgebra, M: BModule, rho: ModuleMap) -> Comodule:
-    """Validate a coaction; raises AxiomError on the first failing axiom."""
-    alg = C.alg
-    cm = tensor_bim_bmodule(alg, C.bi, M)
+def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
+    """Validate the coaction rho on M for cm = C (x)_B M, the tensor rho is
+    written in; raises AxiomError on the first failing axiom."""
+    if cm.factors is None or cm.factors[0] != C.bi:
+        raise ValueError("cm must be a tensor C (x)_B M over the coalgebra")
+    Mc = Comodule(C, cm, rho)
+    alg, M = C.alg, Mc.module
     if rho.src != M.carrier or rho.dst != cm.module:
         raise ValueError("rho must map the carrier into C (x)_B M")
     w = _first_difference(rho @ M.act, cm.left @ rho)
@@ -260,10 +285,10 @@ def comodule_check(C: Coalgebra, M: BModule, rho: ModuleMap) -> Comodule:
     if w is not None:
         raise AxiomError("CounitLeft", w)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
-    w = _coassoc_witness(t3, C.deltahat, cm, cm.sect @ rho.mat, rho)
+    w = _coassoc_witness(t3, C.deltahat, cm, Mc.rhohat(), rho)
     if w is not None:
         raise AxiomError("Coassoc", w)
-    return Comodule(C, M, rho, cm)
+    return Mc
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +350,7 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
         for r, v in enumerate(col):
             flat.data[r][k] = v
     rho = descend(cm, ModuleMap(cm.TR.module, target.module, flat, validate=False))
-    return comodule_check(C, carrier_mod, rho)
+    return comodule_check(C, target, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +446,6 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
     rho = ModuleMap(S, cs.module, Matrix.from_cols(
         alg.R, [cs.module.reduce(x) for x in sols], cs.module.rank))
     try:
-        return comodule_check(Mc.coalgebra, Smod, rho)
+        return comodule_check(Mc.coalgebra, cs, rho)
     except AxiomError:
         return None

@@ -67,10 +67,6 @@ class Matrix:
         return cls(ring, [list(r) for r in rows])
 
     @classmethod
-    def column(cls, ring: RingSpec, vec) -> "Matrix":
-        return cls(ring, [[v] for v in vec], len(vec), 1)
-
-    @classmethod
     def from_cols(cls, ring: RingSpec, cols, rows: int) -> "Matrix":
         """Build from a list of column vectors, keeping the row count even
         when the list is empty."""

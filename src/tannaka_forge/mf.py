@@ -216,16 +216,12 @@ def mbar(X: FilteredFModule) -> MBarResult:
     sect_tw = _sigma_mat(W, pres.sect) if W.f > 1 else pres.sect
     phibar = SemilinearMap(Mbar, X.M, phi_s @ sect_tw)
     slotmaps = {i: ModuleMap(X.fil[i].src, Mbar,
-                             pres.proj @ _embed_mat(sd, idx))
+                             pres.proj @ sd.injections[idx].mat)
                 for idx, i in enumerate(slots)}
     if Mbar.length() != X.M.length():
         raise RuntimeError("length of the colimit differs from len(M); "
                            "the filtration data is inconsistent")
     return MBarResult(Mbar, phibar, slotmaps)
-
-
-def _embed_mat(sd, idx) -> Matrix:
-    return sd.injections[idx].mat
 
 
 def is_mf_fl(X: FilteredFModule) -> bool:
@@ -459,7 +455,8 @@ def mf_colimit_probe(objects: list[FilteredFModule], probe: ColimitProbe) -> dic
             for k in range(filX[i].src.rank):
                 g = filX[i].src.gen(k)
                 gens.append(proj.apply(sd.injections[t].apply(filX[i].apply(g))))
-                vals.append(_push_phi(X, phiX, i, g, sd, t, proj))
+                vals.append(proj.apply(sd.injections[t].apply(
+                    X.M.reduce(phiX[i].apply(g)))))
         gmat = Matrix.from_cols(W, gens, colim.rank)
         S, incl = submodule(colim, gmat)
         sols = solve_in(colim, gmat, [incl.apply(S.gen(k)) for k in range(S.rank)])
@@ -487,8 +484,3 @@ def semilinear_combination(M: FinModule, coeffs, values) -> tuple[int, ...]:
             for r, v in enumerate(val):
                 acc[r] = W.add(acc[r], W.mul(cf, v))
     return M.reduce(acc)
-
-
-def _push_phi(X, phiX, i, g, sd, t, proj):
-    return proj.apply(sd.injections[t].apply(
-        X.M.reduce(phiX[i].apply(g))))

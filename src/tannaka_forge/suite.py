@@ -40,7 +40,7 @@ def trivial_coalgebra(alg: AlgebraSpec) -> Coalgebra:
                       Matrix.from_cols(alg.R, cols, cc.module.rank))
     counit = ModuleMap(bi.carrier, bi.carrier,
                        Matrix.identity(alg.R, bi.carrier.rank))
-    return coalgebra_check(alg, bi, delta, counit)
+    return coalgebra_check(cc, delta, counit)
 
 
 def grouplike_coalgebra(alg: AlgebraSpec, g: int) -> Coalgebra:
@@ -56,7 +56,7 @@ def grouplike_coalgebra(alg: AlgebraSpec, g: int) -> Coalgebra:
     delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
     counit = ModuleMap(car, FinModule.free(alg.R, 1),
                        Matrix(alg.R, [[1] * g], 1, g))
-    return coalgebra_check(alg, bi, delta, counit)
+    return coalgebra_check(cc, delta, counit)
 
 
 def comatrix_coalgebra(alg: AlgebraSpec, r: int) -> Coalgebra:
@@ -68,20 +68,14 @@ def comatrix_coalgebra(alg: AlgebraSpec, r: int) -> Coalgebra:
     ident = ModuleMap.identity(car)
     bi = bimodule_make(alg, car, ident, ident)
     cc = tensor_bimodules(alg, bi, bi)
-    cols = []
-    for i in range(r):
-        for j in range(r):
-            acc = [0] * cc.module.rank
-            for k in range(r):
-                vec = cc.pure(car.gen(i * r + k), car.gen(k * r + j))
-                acc = [alg.R.add(a, v) for a, v in zip(acc, vec)]
-            cols.append(acc)
+    cols = [cc.pure_sum((car.gen(i * r + k), car.gen(k * r + j)) for k in range(r))
+            for i in range(r) for j in range(r)]
     delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
     eps = Matrix.zeros(alg.R, 1, r * r)
     for i in range(r):
         eps.data[0][i * r + i] = 1
     counit = ModuleMap(car, FinModule.free(alg.R, 1), eps)
-    return coalgebra_check(alg, bi, delta, counit)
+    return coalgebra_check(cc, delta, counit)
 
 
 def grouplike_line(C: Coalgebra, i: int) -> Comodule:
@@ -92,7 +86,7 @@ def grouplike_line(C: Coalgebra, i: int) -> Comodule:
     col = cm.pure(C.carrier.gen(i), (1,))
     rho = ModuleMap(line.carrier, cm.module,
                     Matrix.from_cols(alg.R, [list(col)], cm.module.rank))
-    return comodule_check(C, line, rho)
+    return comodule_check(C, cm, rho)
 
 
 def comatrix_standard_comodule(C: Coalgebra, r: int) -> Comodule:
@@ -101,16 +95,11 @@ def comatrix_standard_comodule(C: Coalgebra, r: int) -> Comodule:
     alg = C.alg
     std = free_bmodule(alg, r)
     cm = tensor_bim_bmodule(alg, C.bi, std)
-    cols = []
-    for j in range(r):
-        acc = [0] * cm.module.rank
-        for i in range(r):
-            vec = cm.pure(C.carrier.gen(j * r + i), std.carrier.gen(i))
-            acc = [alg.R.add(a, v) for a, v in zip(acc, vec)]
-        cols.append(acc)
+    cols = [cm.pure_sum((C.carrier.gen(j * r + i), std.carrier.gen(i))
+                        for i in range(r)) for j in range(r)]
     rho = ModuleMap(std.carrier, cm.module,
                     Matrix.from_cols(alg.R, cols, cm.module.rank))
-    return comodule_check(C, std, rho)
+    return comodule_check(C, cm, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +205,7 @@ def essential_surjectivity_probe(CR, rank: int = 1, budget: int = 4096) -> dict:
         mat = Matrix.from_cols(alg.R, [list(c) for c in cols], cm.module.rank)
         try:
             rho = ModuleMap(fiber.carrier, cm.module, mat)
-            N = comodule_check(L, fiber, rho)
+            N = comodule_check(L, cm, rho)
         except (AxiomError, ValueError):
             continue
         found.append(N)

@@ -346,34 +346,24 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
 
     # comultiplication on classes via the dual basis of each fiber
     cc = tensor_bimodules(alg, L_bi, L_bi)
-    delta_flat = Matrix.zeros(R, cc.module.rank, N)
+    cols = []
     for k, m in enumerate(dims):
-        rk = m // fb
+        o = offsets[k]
         for v in range(m):
             for w in range(m):
-                j = offsets[k] + v * m + w
-                acc = [0] * cc.module.rank
-                for mg in range(rk):
-                    p1 = L_car.reduce(pres.proj.col(offsets[k] + v * m + mg * fb))
-                    p2 = L_car.reduce(pres.proj.col(offsets[k] + (mg * fb) * m + w))
-                    vec = cc.pure(p1, p2)
-                    for rix, val in enumerate(vec):
-                        if val:
-                            acc[rix] = R.add(acc[rix], val)
-                col = cc.module.reduce(acc)
-                for rix, val in enumerate(col):
-                    delta_flat.data[rix][j] = val
+                cols.append(cc.pure_sum(
+                    (L_car.reduce(pres.proj.col(o + v * m + mg * fb)),
+                     L_car.reduce(pres.proj.col(o + (mg * fb) * m + w)))
+                    for mg in range(m // fb)))
+    delta_flat = Matrix.from_cols(R, cols, cc.module.rank)
     delta_T = ModuleMap(T_free, cc.module, delta_flat, validate=False)
     for rr in rel_rows:
         if any(delta_T.apply(tuple(rr))):
             raise RuntimeError("internal error: comultiplication does not descend")
     delta = ModuleMap(L_car, cc.module, delta_flat @ pres.sect)
 
-    if check:
-        coalg = coalgebra_check(alg, L_bi, delta, counit)
-    else:
-        deltahat = cc.sect @ delta.mat
-        coalg = Coalgebra(alg, L_bi, delta, counit, cc, deltahat)
+    coalg = coalgebra_check(cc, delta, counit) if check else \
+        Coalgebra(cc, delta, counit)
     return CoendResult(D, coalg, pres.proj, offsets, dims, pres.sect, rel_rows)
 
 
@@ -393,20 +383,11 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
         m = CR.block_dims[k]
         fiber = free_bmodule(alg, obj.rank)
         cm = tensor_bim_bmodule(alg, L.bi, fiber)
-        mat = Matrix.zeros(R, cm.module.rank, m)
-        for v in range(m):
-            acc = [0] * cm.module.rank
-            for mg in range(obj.rank):
-                cls = CR.class_of(k, v, mg * fb)
-                vec = cm.pure(cls, fiber.carrier.gen(mg * fb))
-                for rix, val in enumerate(vec):
-                    if val:
-                        acc[rix] = R.add(acc[rix], val)
-            col = cm.module.reduce(acc)
-            for rix, val in enumerate(col):
-                mat.data[rix][v] = val
-        rho = ModuleMap(fiber.carrier, cm.module, mat)
-        out.append(comodule_check(L, fiber, rho))
+        cols = [cm.pure_sum((CR.class_of(k, v, mg * fb), fiber.carrier.gen(mg * fb))
+                            for mg in range(obj.rank)) for v in range(m)]
+        rho = ModuleMap(fiber.carrier, cm.module,
+                        Matrix.from_cols(R, cols, cm.module.rank))
+        out.append(comodule_check(L, cm, rho))
     return out
 
 
@@ -487,7 +468,7 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
         cm_std = tensor_bim_bmodule(alg, C.bi, std)
         rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), thinv) \
             @ Mc.rho @ th
-        std_comods.append(comodule_check(C, std, rho_std))
+        std_comods.append(comodule_check(C, cm_std, rho_std))
         thetas.append(th)
     objects = [DiagObject("M%d" % i, sc.carrier.rank // fb)
                for i, sc in enumerate(std_comods)]

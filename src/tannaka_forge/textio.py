@@ -86,10 +86,6 @@ def parse_elem(text: str, R: RingSpec, line: int | None = None) -> int:
     return R.from_coeffs(coeffs)
 
 
-def format_elem(R: RingSpec, a: int) -> str:
-    return R.format_elem(a)
-
-
 def _split_top(s: str, line=None) -> list[str]:
     """Split on top-level commas of a bracketed list body."""
     out, depth, cur = [], 0, []
@@ -301,7 +297,7 @@ def parse_reconstruct_input(text: str):
     delta = ModuleMap(carrier, cc.module, cc.proj.mat @ dl)
     counit = ModuleMap(carrier, FinModule.free(alg.R, alg.fb),
                        parse_matrix(get(co, "counit")[0], alg.R, ln0))
-    C = coalgebra_check(alg, bi, delta, counit)
+    C = coalgebra_check(cc, delta, counit)
     family = []
     for b in blocks:
         if b["kind"] != "comodule":
@@ -316,7 +312,7 @@ def parse_reconstruct_input(text: str):
             raise ParseError("rho lift has %d rows, tensor has rank %d"
                              % (rl.rows, cm.TR.module.rank), ln)
         rho = ModuleMap(mcar, cm.module, cm.proj.mat @ rl)
-        family.append(comodule_check(C, mod, rho))
+        family.append(comodule_check(C, cm, rho))
     if not family:
         raise ParseError("no comodule blocks")
     return C, family
@@ -330,9 +326,7 @@ def format_reconstruct_input(C: Coalgebra, family: list[Comodule]) -> str:
     out.append("  carrier = mod(%s)" % ",".join(map(str, C.carrier.exps)))
     out.append("  left = %s" % format_matrix(C.bi.left.mat))
     out.append("  right = %s" % format_matrix(C.bi.right.mat))
-    out.append("  delta = %s" % format_matrix(
-        Matrix(alg.R, [list(r) for r in C.deltahat.data],
-               C.deltahat.rows, C.deltahat.cols)))
+    out.append("  delta = %s" % format_matrix(C.deltahat))
     out.append("  counit = %s" % format_matrix(C.counit.mat))
     out.append("}")
     for i, Mc in enumerate(family):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from tannaka_forge.cli import main
 
 
@@ -157,6 +159,20 @@ def test_parse_error_exit_code(tmp_path, capsys):
     code = main(["coend", str(f)])
     assert code == 2
     assert main(["coend", str(tmp_path / "missing.diagram")]) == 2
+
+
+@pytest.mark.parametrize("command", ["coend", "reconstruct", "recognize"])
+def test_unreadable_input_is_input_error(tmp_path, capsys, command):
+    # a directory and a file that is not UTF-8 text are input errors (exit
+    # 2, one line on stderr), not tracebacks
+    binary = tmp_path / "random.bin"
+    binary.write_bytes(bytes([0xff, 0xfe, 0x80, 0xc7, 0x00, 0x9f]))
+    for path in (tmp_path, binary):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("input error: ")
+        assert "Traceback" not in captured.err
 
 
 def test_mf_demo_command(capsys):

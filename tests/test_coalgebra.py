@@ -53,7 +53,7 @@ def test_broken_coassociativity_detected(alg_f2):
     delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
     counit = ModuleMap(car, FinModule.free(alg.R, 1), Matrix(alg.R, [[1, 1]], 1, 2))
     with pytest.raises(AxiomError) as exc:
-        coalgebra_check(alg, bi, delta, counit)
+        coalgebra_check(cc, delta, counit)
     assert exc.value.code in ("CounitLeft", "CounitRight", "Coassoc")
 
 
@@ -71,7 +71,7 @@ def test_pure_coassociativity_failure(n, g, u, v, witness):
     cols[g] = list(cc.module.add(cols[g], cc.pure(u, v)))
     delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
     with pytest.raises(AxiomError) as exc:
-        coalgebra_check(alg, C.bi, delta, C.counit)
+        coalgebra_check(cc, delta, C.counit)
     assert exc.value.code == "Coassoc"
     assert exc.value.witness == witness
 
@@ -89,7 +89,7 @@ def test_pure_comodule_coassociativity_failure():
             list(cm.pure(c, M.carrier.gen(1)))]
     rho = ModuleMap(M.carrier, cm.module, Matrix.from_cols(R, cols, cm.module.rank))
     with pytest.raises(AxiomError) as exc:
-        comodule_check(C, M, rho)
+        comodule_check(C, cm, rho)
     assert exc.value.code == "Coassoc"
     assert exc.value.witness == 1
 
@@ -104,7 +104,7 @@ def test_counit_failure_witness(alg_f2):
     rho = ModuleMap(line.carrier, cm.module,
                     Matrix.from_cols(alg_f2.R, [list(col)], cm.module.rank))
     with pytest.raises(AxiomError) as exc:
-        comodule_check(C, line, rho)
+        comodule_check(C, cm, rho)
     assert exc.value.code == "CounitLeft"
     assert exc.value.witness == 0
 
@@ -119,7 +119,7 @@ def test_trivial_comodule(alg_gr42):
     cols = [list(cm.pure(one, M.carrier.gen(i))) for i in range(M.carrier.rank)]
     rho = ModuleMap(M.carrier, cm.module,
                     Matrix.from_cols(alg.R, cols, cm.module.rank))
-    comodule_check(C, M, rho)
+    comodule_check(C, cm, rho)
 
 
 def test_comodule_hom_grouplike(alg_f2):
@@ -243,7 +243,7 @@ def test_subcomodule_enumeration_trivial(alg_f2):
     cols = [list(cm.pure((1,), M.carrier.gen(i))) for i in range(2)]
     rho = ModuleMap(M.carrier, cm.module,
                     Matrix.from_cols(alg_f2.R, cols, cm.module.rank))
-    Mc = comodule_check(C, M, rho)
+    Mc = comodule_check(C, cm, rho)
     assert len(enumerate_subcomodules(Mc)) == 5
 
 

@@ -194,7 +194,7 @@ def test_counit_rejects_non_cauchy(alg_f2):
     cm = tensor_bim_bmodule(algZ4, C.bi, mod)
     from tannaka_forge.coalgebra import comodule_check
     rho = ModuleMap(tor, cm.module, Matrix.identity(algZ4.R, 1))
-    Mc = comodule_check(C, mod, rho)
+    Mc = comodule_check(C, cm, rho)
     with pytest.raises(ValueError):
         counit_map(C, [Mc])
 
