@@ -30,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingSpec, ring_make
-from .linalg import Matrix, is_invertible, inverse, block_diag
+from .linalg import Matrix, is_invertible, inverse
 from .modules import (FinModule, ModuleMap, TensorData, tensor_with_data,
                       map_tensor, syzygies, module_from_presentation,
-                      presentation_with_torsion, RingMismatch)
+                      presentation_with_torsion, descend_map, RingMismatch)
 
 
 class NonCommutingActions(ValueError):
@@ -60,8 +60,6 @@ class AlgebraSpec:
         self.R = R
         self.B = B
         self.fb = B.f
-        # multiplication by x on B, as an f_B x f_B matrix over R
-        self._xmat = self.regular_rep(B.x)
 
     @classmethod
     def make(cls, p: int, n: int, f: int) -> "AlgebraSpec":
@@ -107,6 +105,19 @@ class AlgebraSpec:
                         row[s * fb + g] = brow[g]
         return out
 
+    def x_action(self, r: int) -> Matrix:
+        """The R-matrix of multiplication by x on B^r."""
+        return self.bmat_to_rmat(Matrix.identity(self.B, r).scale(self.B.x))
+
+    def dual_functional(self, r: int, w: int) -> Matrix:
+        """The R-matrix (f_B x r f_B) of the dual-basis functional
+        xi_w = x^beta e_t^dual : B^r -> B, for R-coordinate w = t f_B + beta
+        of the dual."""
+        t, beta = divmod(w, self.fb)
+        row = [0] * r
+        row[t] = self.B.pow(self.B.x, beta)
+        return self.bmat_to_rmat(Matrix(self.B, [row], 1, r))
+
     def rmat_to_bmat(self, g: ModuleMap) -> Matrix:
         """Inverse of bmat_to_rmat on the matrix of a map g between
         R-carriers of B-modules; g must commute with the x-action (checked by
@@ -144,18 +155,22 @@ class AlgebraSpec:
 # one-sided modules and bimodules
 # ---------------------------------------------------------------------------
 
-def _check_modulus(alg: AlgebraSpec, act: ModuleMap, which: str):
-    """h(act) = 0 as a module map."""
-    h = alg.B.h
+def _poly_in(act: ModuleMap, coeffs) -> ModuleMap:
+    """sum_k coeffs[k] act^k for R-coefficients coeffs: a polynomial in an
+    x-action, such as the action of an element of B."""
     acc = ModuleMap.zero(act.src, act.dst)
     powmap = ModuleMap.identity(act.src)
-    for k in range(len(h)):
-        c = h[k]
+    for k, c in enumerate(coeffs):
         if c:
-            acc = acc + powmap.scale(alg.R.from_int(c))
-        if k < len(h) - 1:
+            acc = acc + powmap.scale(c)
+        if k < len(coeffs) - 1:
             powmap = act @ powmap
-    if not acc.is_zero():
+    return acc
+
+
+def _check_modulus(alg: AlgebraSpec, act: ModuleMap, which: str):
+    """h(act) = 0 as a module map."""
+    if not _poly_in(act, [alg.R.from_int(c) for c in alg.B.h]).is_zero():
         raise ModulusViolation("%s action does not satisfy h(x) = 0" % which)
 
 
@@ -175,15 +190,7 @@ class BModule:
 
     def act_by(self, b: int) -> ModuleMap:
         """The action of an arbitrary element b of B."""
-        coeffs = self.alg.B.coeffs(b)
-        acc = ModuleMap.zero(self.carrier, self.carrier)
-        powmap = ModuleMap.identity(self.carrier)
-        for k, c in enumerate(coeffs):
-            if c:
-                acc = acc + powmap.scale(c)
-            if k < len(coeffs) - 1:
-                powmap = self.act @ powmap
-        return acc
+        return _poly_in(self.act, self.alg.B.coeffs(b))
 
     def __eq__(self, other):
         return (isinstance(other, BModule) and self.alg == other.alg
@@ -213,10 +220,10 @@ class BBBimodule:
                 raise NonCommutingActions("left and right actions do not commute")
 
     def left_by(self, b: int) -> ModuleMap:
-        return BModule(self.alg, self.carrier, self.left, check=False).act_by(b)
+        return _poly_in(self.left, self.alg.B.coeffs(b))
 
     def right_by(self, b: int) -> ModuleMap:
-        return BModule(self.alg, self.carrier, self.right, check=False).act_by(b)
+        return _poly_in(self.right, self.alg.B.coeffs(b))
 
     def __eq__(self, other):
         return (isinstance(other, BBBimodule) and self.alg == other.alg
@@ -236,8 +243,8 @@ def bimodule_make(alg: AlgebraSpec, carrier: FinModule, left_x: ModuleMap,
 def free_bmodule(alg: AlgebraSpec, r: int) -> BModule:
     """B^r as a left B-module on the R-carrier R^{r f_B}."""
     carrier = FinModule.free(alg.R, r * alg.fb)
-    act = block_diag(alg.R, [alg._xmat] * r) if r else Matrix.zeros(alg.R, 0, 0)
-    return BModule(alg, carrier, ModuleMap(carrier, carrier, act, validate=False),
+    return BModule(alg, carrier,
+                   ModuleMap(carrier, carrier, alg.x_action(r), validate=False),
                    check=False)
 
 
@@ -320,13 +327,9 @@ def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
     checks) that flat kills the middle relations."""
     if data.rel_cols is None and data.alg.fb > 1:
         raise ValueError("tensor in B-coordinates records no middle relations")
-    if data.rel_cols is not None:
-        for j in range(data.rel_cols.cols):
-            img = flat.apply(data.rel_cols.col(j))
-            if any(img):
-                raise ValueError("map does not descend to the tensor over B")
-    mat = flat.mat @ data.sect
-    return ModuleMap(data.module, flat.dst, mat)
+    rels = () if data.rel_cols is None else \
+        (data.rel_cols.col(j) for j in range(data.rel_cols.cols))
+    return descend_map(flat, rels, data.module, data.sect)
 
 
 def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> ModuleMap:
@@ -469,8 +472,7 @@ def _standard_rank(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> int 
     if not carrier.is_free() or carrier.rank % fb:
         return None
     r = carrier.rank // fb
-    std = block_diag(alg.R, [alg._xmat] * r) if r else Matrix.zeros(alg.R, 0, 0)
-    return r if act.mat == std else None
+    return r if act.mat == alg.x_action(r) else None
 
 
 def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:

@@ -3,7 +3,7 @@
     tannaka-forge coend [--budget N] [--json PATH] FILE
     tannaka-forge reconstruct [--budget N] [--json PATH] FILE
     tannaka-forge recognize [--budget N] [--json PATH] FILE
-    tannaka-forge mf demo --p P --n N --f F --objects SPEC [--json PATH]
+    tannaka-forge mf demo --p P --n N --f F --objects SPEC [--budget N] [--json PATH]
     tannaka-forge verify-suite [--budget N] [--json PATH]
 
 Exit codes: 0 all requested checks pass/verified; 1 a check failed or was
@@ -236,6 +236,13 @@ def cmd_verify_suite(args) -> int:
         "seconds_per_check": {r["name"]: r["seconds"] for r in results}})
 
 
+def _budget(text: str) -> int:
+    if not text.lstrip("-").isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            "budget must be an integer of at least 1, got %r" % text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tannaka-forge",
@@ -243,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, with_file=True):
-        p.add_argument("--budget", type=int, default=4096,
+        p.add_argument("--budget", type=_budget, default=4096,
                        help="enumeration cap for brute-force checks")
         p.add_argument("--json", metavar="PATH",
                        help="also write the report to PATH")

@@ -96,12 +96,14 @@ class Coalgebra:
         return hash((self.bi, self.delta, self.counit))
 
 
-def _counit_map(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
+def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
                 act_by, left: bool = True) -> ModuleMap:
-    """(eps (x)_B id) : C (x)_B M -> M through B (x)_B M = M, descended from
+    """(eps (x)_B id) : X (x)_B M -> M through B (x)_B M = M, descended from
     the flat map c (x) m |-> eps(c) . m; with left=False, (id (x)_B eps) :
-    M (x)_B C -> M from m (x) c |-> m . eps(c).  act_by(b) is the action of
-    b on M: the left action for eps (x) id, the right one for id (x) eps."""
+    M (x)_B X -> M from m (x) c |-> m . eps(c).  eps : X -> B is a counit,
+    or any B-linear functional such as a dual-basis one.  act_by(b) is the
+    action of b on M: the left action for eps (x) id, the right one for
+    id (x) eps."""
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     flat = Matrix.zeros(alg.R, car_m.rank, data.TR.module.rank)
@@ -227,11 +229,11 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         if w is not None:
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
     # counit laws
-    eps_id = _counit_map(alg, counit, cc, C.left_by)
+    eps_id = counit_contraction(alg, counit, cc, C.left_by)
     w = _first_difference(eps_id @ delta, ModuleMap.identity(C.carrier))
     if w is not None:
         raise AxiomError("CounitLeft", w)
-    id_eps = _counit_map(alg, counit, cc, C.right_by, left=False)
+    id_eps = counit_contraction(alg, counit, cc, C.right_by, left=False)
     w = _first_difference(id_eps @ delta, ModuleMap.identity(C.carrier))
     if w is not None:
         raise AxiomError("CounitRight", w)
@@ -280,7 +282,7 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     w = _first_difference(rho @ M.act, cm.left @ rho)
     if w is not None:
         raise AxiomError("NotModuleMap", w)
-    eps_id = _counit_map(alg, C.counit, cm, M.act_by)
+    eps_id = counit_contraction(alg, C.counit, cm, M.act_by)
     w = _first_difference(eps_id @ rho, ModuleMap.identity(M.carrier))
     if w is not None:
         raise AxiomError("CounitLeft", w)
@@ -332,24 +334,14 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
     cm = tensor_bim_bmodule(alg, C.bi, M)
     carrier_mod = btensor_bmodule(cm)
     target = tensor_bim_bmodule(alg, C.bi, carrier_mod)
-    R = alg.R
-    flat = Matrix.zeros(R, target.module.rank, cm.TR.module.rank)
-    pos_inv = {v: k for k, v in C.cc.TR.pos.items()}
-    for (i, j), k in cm.TR.pos.items():
-        acc = [0] * target.module.rank
-        for kk, coeff in enumerate(C.deltahat.col(i)):
-            if coeff == 0:
-                continue
-            a, b = pos_inv[kk]
-            inner = cm.pure(C.carrier.gen(b), M.carrier.gen(j))
-            vec = target.pure(C.carrier.gen(a), inner)
-            for r, v in enumerate(vec):
-                if v:
-                    acc[r] = R.add(acc[r], R.mul(coeff, v))
-        col = target.module.reduce(acc)
-        for r, v in enumerate(col):
-            flat.data[r][k] = v
-    rho = descend(cm, ModuleMap(cm.TR.module, target.module, flat, validate=False))
+    # column (i, j) of the flat map is delta(c_i) (x) m_j, reassociated
+    dh, car = C.deltahat, C.carrier
+    cols = [target.pure_sum((car.scale(dh.data[kk][i], car.gen(a)),
+                             cm.pure(car.gen(b), M.carrier.gen(j)))
+                            for (a, b), kk in C.cc.TR.pos.items() if dh.data[kk][i])
+            for i, j in sorted(cm.TR.pos, key=cm.TR.pos.get)]
+    rho = descend(cm, ModuleMap(cm.TR.module, target.module, Matrix.from_cols(
+        alg.R, cols, target.module.rank), validate=False))
     return comodule_check(C, target, rho)
 
 
@@ -401,7 +393,6 @@ def enumerate_subcomodules(Mc: Comodule, budget: int = DEFAULT_ENUM_BUDGET):
     """All B-submodules S with rho(S) inside the image of C (x)_B S in
     C (x)_B M; complete, contains 0 and M."""
     alg = Mc.coalgebra.alg
-    car = Mc.carrier
     C_car = Mc.coalgebra.carrier
     out = []
     for size, gens, elems in enumerate_b_submodules(alg, Mc.module, budget):

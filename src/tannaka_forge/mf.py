@@ -28,7 +28,7 @@ from .linalg import Matrix, block_diag
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
                       submodule, solve_in, presentation_with_torsion,
                       hom_module, hom_equalizer, map_kernel, is_isomorphism,
-                      is_surjective)
+                      is_surjective, descend_map)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
 
@@ -204,17 +204,18 @@ def mbar(X: FilteredFModule) -> MBarResult:
         rel = Matrix.zeros(W, sd.module.rank, 0)
     pres = presentation_with_torsion(sd.module, rel)
     Mbar = pres.module
-    # the blockwise semilinear map descends: check it kills the relations
+    # the blockwise semilinear map descends: its linear part kills the
+    # twisted relations, which present Mbar with the twisted section
     phi_s = Matrix.zeros(W, X.M.rank, sd.module.rank)
     for idx, i in enumerate(slots):
         blk = X.phi[i].mat @ sd.projections[idx].mat
         phi_s = phi_s + blk
-    for col in rel_cols:
-        tw = [W.frobenius(a) for a in col] if W.f > 1 else list(col)
-        if any(X.M.reduce(phi_s.apply(tw))):
-            raise RuntimeError("internal error: phibar does not descend")
+    tw_rels = [[W.frobenius(a) for a in col] if W.f > 1 else col
+               for col in rel_cols]
     sect_tw = _sigma_mat(W, pres.sect) if W.f > 1 else pres.sect
-    phibar = SemilinearMap(Mbar, X.M, phi_s @ sect_tw)
+    lin = descend_map(ModuleMap(sd.module, X.M, phi_s, validate=False),
+                      tw_rels, Mbar, sect_tw)
+    phibar = SemilinearMap(Mbar, X.M, lin.mat)
     slotmaps = {i: ModuleMap(X.fil[i].src, Mbar,
                              pres.proj @ sd.injections[idx].mat)
                 for idx, i in enumerate(slots)}
@@ -297,32 +298,19 @@ def _extend_window(X: FilteredFModule, lo: int, hi: int):
 # ---------------------------------------------------------------------------
 
 class _RCarrier:
-    """A W-module seen as a Z/p^n-module with the x-action of W."""
+    """A W-module seen as a Z/p^n-module, with the x-action of W and the
+    Frobenius sigma of W on the power basis of each coordinate."""
 
     def __init__(self, alg: AlgebraSpec, wmod: FinModule):
         self.alg = alg
         self.wmod = wmod
-        f = alg.fb
-        exps = []
-        for e in wmod.exps:
-            exps.extend([e] * f)
-        self.rmod = FinModule(alg.R, tuple(exps))
-        blocks = []
-        sblocks = []
-        for e in wmod.exps:
-            blocks.append(Matrix(alg.R, [[alg.R.reduce_exp(a, e) for a in row]
-                                         for row in alg._xmat.data], f, f))
-            scols = [alg.B.coeffs(alg.B.frobenius(alg.B.pow(alg.B.x, g)))
-                     for g in range(f)]
-            sblocks.append(Matrix(alg.R, [[alg.R.reduce_exp(c, e) for c in row]
-                                          for row in zip(*scols)], f, f))
-        if blocks:
-            self.act = ModuleMap(self.rmod, self.rmod, block_diag(alg.R, blocks))
-            self.sigma = ModuleMap(self.rmod, self.rmod, block_diag(alg.R, sblocks))
-        else:
-            z = Matrix.zeros(alg.R, 0, 0)
-            self.act = ModuleMap(self.rmod, self.rmod, z, validate=False)
-            self.sigma = ModuleMap(self.rmod, self.rmod, z, validate=False)
+        R, W, f = alg.R, alg.B, alg.fb
+        self.rmod = FinModule(R, tuple(e for e in wmod.exps for _ in range(f)))
+        self.act = ModuleMap(self.rmod, self.rmod, alg.x_action(wmod.rank))
+        sig = Matrix.from_cols(R, [W.coeffs(W.frobenius(W.pow(W.x, g)))
+                                   for g in range(f)], f)
+        self.sigma = ModuleMap(self.rmod, self.rmod,
+                               block_diag(R, [sig] * wmod.rank))
 
     def w2r_map(self, src: "_RCarrier", wmat: Matrix) -> ModuleMap:
         """The R-matrix of a W-matrix src.wmod -> self.wmod."""

@@ -15,7 +15,9 @@ a matrix A of elements of M by torsion_matrix(M) so that equations hold in
 M rather than in its free cover: syzygies(M, A) generates the relations
 among A's columns, submodule(M, A) presents their span in canonical form,
 and solve_in(M, A, targets) expresses any number of targets in that span
-from one Smith form.  Kernels and images of maps are submodules, and
+from one Smith form.  A map out of a presented quotient is descended by
+descend_map, which checks that the flat map kills every relation.
+Kernels and images of maps are submodules, and
 hom_equalizer solves for the maps in a sum of Hom modules that satisfy
 R-linear conditions (comodule maps, morphisms of filtered modules) as the
 kernel of the stacked condition map.
@@ -278,6 +280,18 @@ def module_from_presentation(P: Matrix) -> Presentation:
 def presentation_with_torsion(M: FinModule, rel_cols: Matrix) -> Presentation:
     """Canonical form of M / (span of rel_cols), rel_cols in M-coordinates."""
     return module_from_presentation(rel_cols.hstack(torsion_matrix(M)))
+
+
+def descend_map(flat: ModuleMap, rels, quotient: FinModule,
+                sect: Matrix) -> ModuleMap:
+    """The map quotient -> flat.dst induced by flat, for quotient presented
+    as flat.src modulo the relation vectors rels, with sect lifting its
+    generators to flat.src: checks that flat kills every relation, then
+    composes flat with sect."""
+    for rel in rels:
+        if any(flat.apply(rel)):
+            raise ValueError("map does not descend to the quotient")
+    return ModuleMap(quotient, flat.dst, flat.mat @ sect)
 
 
 # ---------------------------------------------------------------------------

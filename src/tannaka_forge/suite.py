@@ -12,7 +12,7 @@ import time
 
 from .rings import ring_make
 from .linalg import Matrix, smith, is_invertible
-from .modules import FinModule, ModuleMap, is_isomorphism
+from .modules import FinModule, ModuleMap, is_isomorphism, EnumerationBudget
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
@@ -220,7 +220,8 @@ def _comodules_isomorphic(N: Comodule, M: Comodule, budget: int) -> bool:
         return False
     K, basis = comodule_hom(N, M)
     if K.cardinality() > budget:
-        return False
+        raise EnumerationBudget("comodule hom has %d elements, budget %d"
+                                % (K.cardinality(), budget))
     reps = [range(N.carrier.ring.p ** e) for e in K.exps]
     for coeffs in itertools.product(*reps):
         g = None
@@ -236,7 +237,17 @@ def _comodules_isomorphic(N: Comodule, M: Comodule, budget: int) -> bool:
 # the suite runner
 # ---------------------------------------------------------------------------
 
+def _expect(status: str, want: str, what=None):
+    """Assert a verdict; one that ran out of budget makes the check
+    inconclusive instead of failed."""
+    if status == "inconclusive":
+        raise EnumerationBudget("verdict inconclusive, expected %s%s"
+                                % (want, " (%s)" % (what,) if what else ""))
+    assert status == want, what
+
+
 def _check(results, name, fn):
+    """One suite check: fail on an error, inconclusive out of budget."""
     t0 = time.monotonic()
     try:
         detail = fn()
@@ -246,6 +257,9 @@ def _check(results, name, fn):
     except AssertionError as e:
         detail = {"error": str(e) or "assertion failed"}
         status = "fail"
+    except EnumerationBudget as e:
+        detail = {"error": "EnumerationBudget: %s" % e}
+        status = "inconclusive"
     except Exception as e:  # pragma: no cover - surfaced in the report
         detail = {"error": "%s: %s" % (type(e).__name__, e)}
         status = "fail"
@@ -398,7 +412,7 @@ def run_suite(budget: int = 4096) -> list[dict]:
         verd = unit_fully_faithful_check(CR, lifted)
         assert len(verd) == 9 and all(v[0] == "equal" for v in verd.values())
         probe = essential_surjectivity_probe(CR, rank=1, budget=budget)
-        assert probe["verdict"] == "verified", probe
+        _expect(probe["verdict"], "verified", probe)
         return {"L": list(CR.coalgebra.carrier.exps), "probe": probe}
 
     _check(results, "mf/fully-faithful-family", mf_pipeline)
@@ -407,19 +421,19 @@ def run_suite(budget: int = 4096) -> list[dict]:
         alg = AlgebraSpec.make(2, 1, 1)
         D = trivial_full_hom_diagram(alg)
         rep = recognition_check(D, budget)
-        assert rep.reflects_isos.status == "verified"
-        assert rep.cofiltered.status == "verified"
+        _expect(rep.reflects_isos.status, "verified")
+        _expect(rep.cofiltered.status, "verified")
         Dbad = DiagramCategory(alg, [DiagObject("A", 1), DiagObject("B", 1)],
                                {(0, 0): [Matrix.identity(alg.B, 1)],
                                 (1, 1): [Matrix.identity(alg.B, 1)],
                                 (0, 1): [Matrix.identity(alg.B, 1)]})
         rep2 = recognition_check(Dbad, budget)
-        assert rep2.reflects_isos.status == "refuted"
+        _expect(rep2.reflects_isos.status, "refuted")
         w = rep2.reflects_isos.witness
         assert recheck_iso_witness(Dbad, w["pair"][0], w["pair"][1], w["matrix"])
         Dg = grouplike_diagram(alg, 2)
         rep3 = recognition_check(Dg, budget)
-        assert rep3.cofiltered.status == "refuted"
+        _expect(rep3.cofiltered.status, "refuted")
         assert recheck_cone_witness(Dg, rep3.cofiltered.witness["first"],
                                     rep3.cofiltered.witness["second"])
         return {}

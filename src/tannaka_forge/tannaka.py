@@ -6,19 +6,24 @@ B-matrices (R = Z/p^n, so hom sets are R-submodules of B-linear maps, the
 situation filtered F-modules force).  Morphisms ARE their matrices, so the
 fiber functor is faithful by construction.
 
-The coend L is the quotient of T = sum_k fiber_k (x)_R fiber_k^dual by the
-relations  (F v) (x) xi - v (x) (xi F)  for every spanning morphism F and
-every R-basis pair (v, xi); relations for composites follow from relations
-for factors (rel is R-linear in F, and rel(GF) = rel(G at Fv) + rel(F at
-xi.G)), so any spanning family of the hom modules presents the same
-submodule.  Relation generators are put in Howell form before the quotient
-is taken, which makes the whole presentation canonical: two diagrams with
-the same hom spans produce identical output, entry for entry.
+The coend L is the quotient of T = sum_k T_k, T_k = fiber_k (x)_R
+fiber_k^dual, by the relations F (x) 1 - 1 (x) F^dual, that is
+(F v) (x) xi - v (x) (xi F), for every spanning morphism F and every R-basis
+pair (v, xi); they are read off the R-matrices of F and of F^T, since
+xi |-> xi F on the B-dual is F^T.  Relations for composites follow from
+relations for factors (rel is R-linear in F, and rel(GF) = rel(G at Fv) +
+rel(F at xi.G)), so any spanning family of the hom modules presents the
+same submodule.  Relation generators are put in Howell form before the
+quotient is taken, which makes the whole presentation canonical: two
+diagrams with the same hom spans produce identical output, entry for entry.
 
-Comultiplication on classes is  [v (x) xi] |-> sum_m [v (x) e_m*] (x)_B
-[e_m (x) xi]  over a B-basis e_m of the fiber; the counit is evaluation
-xi(v).  Both are verified to descend by evaluating them on every relation
-generator, and the resulting coalgebra is re-validated axiom by axiom.
+x acts on T_k as X (x) 1 (left) and 1 (x) X (right).  Comultiplication on
+classes is  [v (x) xi] |-> sum_m [v (x) e_m*] (x)_B [e_m (x) xi]  over a
+B-basis e_m of the fiber; the counit is evaluation xi_w(v) of the
+dual-basis functional xi_w = x^beta e_t^dual, and the counit map nu of a
+family is (id (x)_B xi_w) rho.  Every map out of T is descended by the one
+modules.descend_map, which checks it on every relation generator, and the
+resulting coalgebra is re-validated axiom by axiom.
 
 The recognition checkers ask every span-membership question of a Howell
 `Span`, with no Smith solve.  Coequalizer and pushout probes are one
@@ -40,12 +45,13 @@ from dataclasses import dataclass, field
 from .linalg import (Matrix, Span, howell, kernel, is_invertible, block_diag,
                      cokernel_exponents)
 from .modules import (FinModule, ModuleMap, module_from_presentation,
-                      map_kernel, map_cokernel, is_isomorphism, span_elements)
+                      map_kernel, map_cokernel, is_isomorphism, span_elements,
+                      tensor_with_data, map_tensor, descend_map)
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
                       induced, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
-                        comodule_hom)
+                        comodule_hom, counit_contraction)
 
 
 class DiagramNotClosed(ValueError):
@@ -216,69 +222,47 @@ class CoendResult:
 
 
 def _relation_columns(D: DiagramCategory, morphisms=None):
-    """Relation generators in T-coordinates; morphisms defaults to the
-    diagram's own spanning lists."""
+    """Relation generators in T-coordinates, v (x) xi_w of block k at
+    offsets[k] + v m_k + w; morphisms defaults to the diagram's own spanning
+    lists.  The relation of F : k -> l at (v, w) is (F v) (x) xi_w -
+    v (x) (xi_w F): v |-> F v is the R-matrix of F, and xi |-> xi F on the
+    B-dual is the R-matrix of F^T."""
     alg = D.alg
-    B, R, fb = alg.B, alg.R, alg.fb
+    R, fb = alg.R, alg.fb
     dims = [obj.rank * fb for obj in D.objects]
-    offsets = []
-    acc = 0
-    for m in dims:
-        offsets.append(acc)
-        acc += m * m
-    N = acc
+    *offsets, N = itertools.accumulate((m * m for m in dims), initial=0)
     cols = []
     items = morphisms if morphisms is not None else \
         [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
     for (k, l, F) in items:
         mk, ml = dims[k], dims[l]
-        rk = D.objects[k].rank
-        Fr = alg.bmat_to_rmat(F)
+        Fv = alg.bmat_to_rmat(F).sparse_cols()
+        xiF = alg.bmat_to_rmat(Matrix.from_cols(alg.B, F.data, F.cols)).sparse_cols()
         for v in range(mk):
-            fv = Fr.col(v)
             for w in range(ml):
                 col = [0] * N
-                for w2 in range(ml):
-                    a = Fr.data[w2][v]
-                    if a:
-                        col[offsets[l] + w2 * ml + w] = a
-                # xi F as a row over B: xi = (t, beta) with w = t*fb + beta
-                t, beta = divmod(w, fb)
-                xb = B.pow(B.x, beta)
-                for u in range(rk):
-                    b = B.mul(F.data[t][u], xb)
-                    if b:
-                        for g, c in enumerate(B.coeffs(b)):
-                            if c:
-                                j = offsets[k] + v * mk + (u * fb + g)
-                                col[j] = R.sub(col[j], c)
+                for w2, a in Fv[v]:
+                    col[offsets[l] + w2 * ml + w] = a
+                for u, c in xiF[w]:
+                    j = offsets[k] + v * mk + u
+                    col[j] = R.sub(col[j], c)
                 if any(col):
                     cols.append(col)
     return N, offsets, dims, cols
 
 
-def _block_x_action(alg: AlgebraSpec, dims, offsets, N, side: str) -> Matrix:
-    """x acting on T on the chosen side: through the fiber for 'left',
-    through the dual for 'right'; both act by the regular matrix of x."""
-    R = alg.R
-    out = Matrix.zeros(R, N, N)
-    for k, m in enumerate(dims):
-        rk = m // alg.fb
-        X = block_diag(R, [alg._xmat] * rk) if rk else Matrix.zeros(R, 0, 0)
-        for v in range(m):
-            for w in range(m):
-                j = offsets[k] + v * m + w
-                if side == "left":
-                    for v2 in range(m):
-                        a = X.data[v2][v]
-                        if a:
-                            out.data[offsets[k] + v2 * m + w][j] = a
-                else:
-                    for w2 in range(m):
-                        a = X.data[w2][w]
-                        if a:
-                            out.data[offsets[k] + v * m + w2][j] = a
-    return out
+def _t_actions(D: DiagramCategory) -> tuple[Matrix, Matrix]:
+    """x acting on T through the fibers (left) and through the duals
+    (right): the block sums over k of X_k (x) 1 and 1 (x) X_k on
+    T_k = fiber_k (x)_R fiber_k^dual, X_k the action of x on B^{r_k}."""
+    lefts, rights = [], []
+    for obj in D.objects:
+        X = free_bmodule(D.alg, obj.rank).act
+        one = ModuleMap.identity(X.src)
+        Tk = tensor_with_data(X.src, X.src)
+        lefts.append(map_tensor(Tk, X, one, Tk).mat)
+        rights.append(map_tensor(Tk, one, X, Tk).mat)
+    return block_diag(D.alg.R, lefts), block_diag(D.alg.R, rights)
 
 
 def coend_relation_rows(D: DiagramCategory, morphisms=None):
@@ -298,51 +282,31 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     delta and eps onto classes is always verified).
     """
     alg = D.alg
-    R = alg.R
+    R, fb = alg.R, alg.fb
     violation = D.closure_violation()
     if violation is not None:
         raise DiagramNotClosed(str(violation))
     N, offsets, dims, cols = _relation_columns(D, morphisms)
     rel_rows = howell(R, cols, N)
-    if rel_rows:
-        P = Matrix(R, [list(r) for r in zip(*rel_rows)], N, len(rel_rows))
-    else:
-        P = Matrix.zeros(R, N, 0)
-    pres = module_from_presentation(P)
+    pres = module_from_presentation(Matrix.from_cols(R, rel_rows, N))
     L_car = pres.module
     T_free = FinModule.free(R, N)
-    proj = ModuleMap(T_free, L_car, pres.proj)
 
-    def descend_endo(mat: Matrix) -> ModuleMap:
-        comp = ModuleMap(T_free, L_car, pres.proj @ mat, validate=False)
-        for rr in rel_rows:
-            if any(comp.apply(tuple(rr))):
-                raise RuntimeError("internal error: action does not descend")
-        return ModuleMap(L_car, L_car, comp.mat @ pres.sect)
+    def descend_T(flat: Matrix, dst: FinModule) -> ModuleMap:
+        return descend_map(ModuleMap(T_free, dst, flat, validate=False),
+                           rel_rows, L_car, pres.sect)
 
-    left = descend_endo(_block_x_action(alg, dims, offsets, N, "left"))
-    right = descend_endo(_block_x_action(alg, dims, offsets, N, "right"))
-    L_bi = bimodule_make(alg, L_car, left, right)
+    L_bi = bimodule_make(alg, L_car, *(descend_T(pres.proj @ act, L_car)
+                                       for act in _t_actions(D)))
 
-    # counit: v (x) xi |-> xi(v)
-    breg = regular_bimodule(alg)
-    B = alg.B
-    fb = alg.fb
-    eps_flat = Matrix.zeros(R, fb, N)
-    for k, m in enumerate(dims):
-        for v in range(m):
-            s, alpha = divmod(v, fb)
-            for w in range(m):
-                t, beta = divmod(w, fb)
-                if s == t:
-                    b = B.pow(B.x, alpha + beta)
-                    for g, c in enumerate(B.coeffs(b)):
-                        eps_flat.data[g][offsets[k] + v * m + w] = c
-    eps_T = ModuleMap(T_free, breg.carrier, eps_flat, validate=False)
-    for rr in rel_rows:
-        if any(eps_T.apply(tuple(rr))):
-            raise RuntimeError("internal error: counit does not descend")
-    counit = ModuleMap(L_car, breg.carrier, eps_flat @ pres.sect)
+    # counit: v (x) xi_w |-> xi_w(v)
+    eps_cols = []
+    for k, obj in enumerate(D.objects):
+        m = dims[k]
+        xis = [alg.dual_functional(obj.rank, w) for w in range(m)]
+        eps_cols += [xis[w].col(v) for v in range(m) for w in range(m)]
+    counit = descend_T(Matrix.from_cols(R, eps_cols, fb),
+                       regular_bimodule(alg).carrier)
 
     # comultiplication on classes via the dual basis of each fiber
     cc = tensor_bimodules(alg, L_bi, L_bi)
@@ -355,12 +319,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
                     (L_car.reduce(pres.proj.col(o + v * m + mg * fb)),
                      L_car.reduce(pres.proj.col(o + (mg * fb) * m + w)))
                     for mg in range(m // fb)))
-    delta_flat = Matrix.from_cols(R, cols, cc.module.rank)
-    delta_T = ModuleMap(T_free, cc.module, delta_flat, validate=False)
-    for rr in rel_rows:
-        if any(delta_T.apply(tuple(rr))):
-            raise RuntimeError("internal error: comultiplication does not descend")
-    delta = ModuleMap(L_car, cc.module, delta_flat @ pres.sect)
+    delta = descend_T(Matrix.from_cols(R, cols, cc.module.rank), cc.module)
 
     coalg = coalgebra_check(cc, delta, counit) if check else \
         Coalgebra(cc, delta, counit)
@@ -453,9 +412,8 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
     """nu : L(family) -> C, [m (x) xi] |-> (id (x) xi) rho(m), for a family
     of Cauchy comodules with solver-computed hom data."""
     alg = C.alg
-    R, B, fb = alg.R, alg.B, alg.fb
+    R, fb = alg.R, alg.fb
     std_comods = []
-    thetas = []
     for Mc in family:
         form = as_b_module(alg, Mc.carrier, Mc.module.act)
         if not form.is_free():
@@ -469,7 +427,6 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
         rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), thinv) \
             @ Mc.rho @ th
         std_comods.append(comodule_check(C, cm_std, rho_std))
-        thetas.append(th)
     objects = [DiagObject("M%d" % i, sc.carrier.rank // fb)
                for i, sc in enumerate(std_comods)]
     homs = {}
@@ -481,42 +438,23 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
     D = hom_closure(D)   # canonicalizes; adds identities if bases missed them
     CR = coend(D)
     L = CR.coalgebra
-    # nu on the T-basis
-    N = CR.classmap.cols
-    nu_flat = Matrix.zeros(R, C.carrier.rank, N)
+    # nu on the T-basis: column (v, w) of block i is (id (x)_B xi_w) rho_i(e_v);
+    # it must kill the relations of L, and then any section of the coend
+    # presentation gives the same nu
+    B_car = regular_bimodule(alg).carrier
+    cols = []
     for i, sc in enumerate(std_comods):
         m = CR.block_dims[i]
-        rhohat = sc.rhohat()
-        pos_inv = {v: kk for kk, v in sc.cm.TR.pos.items()}
-        for v in range(m):
-            lift = rhohat.col(v)
-            for w in range(m):
-                t, beta = divmod(w, fb)
-                acc = [0] * C.carrier.rank
-                for kk, coeff in enumerate(lift):
-                    if coeff == 0:
-                        continue
-                    a, u = pos_inv[kk]
-                    s, gamma = divmod(u, fb)
-                    if s != t:
-                        continue
-                    b = B.pow(B.x, beta + gamma)
-                    vec = C.bi.right_by(b).apply(C.carrier.gen(a))
-                    for rix, val in enumerate(vec):
-                        if val:
-                            acc[rix] = R.add(acc[rix], R.mul(coeff, val))
-                col = C.carrier.reduce(acc)
-                j = CR.offsets[i] + v * m + w
-                for rix, val in enumerate(col):
-                    nu_flat.data[rix][j] = val
-    # must kill the relations of L; then any section of the coend
-    # presentation gives the same nu
-    T_free = FinModule.free(R, N)
-    nu_T = ModuleMap(T_free, C.carrier, nu_flat, validate=False)
-    for rr in CR.rel_rows:
-        if any(nu_T.apply(tuple(rr))):
-            raise RuntimeError("internal error: nu does not descend")
-    nu = ModuleMap(L.carrier, C.carrier, nu_flat @ CR.sect)
+        nus = [counit_contraction(
+                   alg, ModuleMap(sc.carrier, B_car,
+                                  alg.dual_functional(m // fb, w), validate=False),
+                   sc.cm, C.bi.right_by, left=False) @ sc.rho
+               for w in range(m)]
+        cols += [nus[w].mat.col(v) for v in range(m) for w in range(m)]
+    nu = descend_map(ModuleMap(FinModule.free(R, CR.classmap.cols), C.carrier,
+                               Matrix.from_cols(R, cols, C.carrier.rank),
+                               validate=False),
+                     CR.rel_rows, L.carrier, CR.sect)
     # coalgebra-morphism checks
     bimod_ok = (nu @ L.bi.left == C.bi.left @ nu) and \
                (nu @ L.bi.right == C.bi.right @ nu)

@@ -218,3 +218,29 @@ def test_json_roundtrip_schema(tmp_path, capsys):
     assert json.loads(json.dumps(rep)) == rep
     assert rep["schema"] == 1
     assert rep["input_digest"].startswith("sha256:")
+
+
+def test_verify_suite_budget_exhaustion_is_inconclusive(capsys):
+    # out of budget, the suite reports inconclusive checks and exit 3,
+    # never a failure; at the default budget every check passes
+    code, rep = run(capsys, ["verify-suite", "--budget", "1"])
+    statuses = [c["status"] for c in rep["checks"]]
+    assert "fail" not in statuses and "inconclusive" in statuses
+    assert code == 3
+    code, rep = run(capsys, ["verify-suite"])
+    assert code == 0
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+@pytest.mark.parametrize("argv", [
+    ["coend", "in.diagram"], ["reconstruct", "in.coalg"],
+    ["recognize", "in.diagram"],
+    ["mf", "demo", "--p", "2", "--n", "1", "--f", "1", "--objects", "M(0)"],
+    ["verify-suite"]])
+def test_budget_below_one_is_rejected(capsys, argv, budget):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--budget", budget])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be an integer of at least 1" in captured.err

@@ -211,8 +211,8 @@ def test_cofree_right_adjoint_bijection(alg_f2):
         KB, bbasis, _H = b_hom(Mc.module, N)
         assert K.cardinality() == KB.cardinality()
         # the correspondence phi -> (eps (x) id) . phi is injective on the span
-        from tannaka_forge.coalgebra import _counit_map
-        eps_id = _counit_map(alg, C.counit, cmN, N.act_by)
+        from tannaka_forge.coalgebra import counit_contraction
+        eps_id = counit_contraction(alg, C.counit, cmN, N.act_by)
         images = set()
         for coords in itertools.product(
                 *[range(alg.R.p ** e) for e in K.exps]):
