@@ -12,8 +12,10 @@ Tensor over B is the cokernel of the middle-relation map
     x (x) y  |->  (x . b) (x) y - x (x) (b . y)      (b = the generator)
 
 on the R-tensor product; the quotient presentation is computed exactly and
-recorded so maps can be induced on it.  When f_B = 1 the relation map is
-zero and tensor over B coincides with tensor over R (fast path, no quotient).
+recorded so maps can be induced on it: as sparse columns, f (x) g pushed
+through the target's projection, descended by modules.descend_sparse.
+When f_B = 1 the relation map is zero and tensor over B coincides with
+tensor over R (the same code, with no relations).
 Triple tensors are nested, (X tensor_B Y) tensor_B Z, which right exactness
 makes canonically isomorphic to the quotient of the flat triple tensor by
 both middle relations.  When Z is free over B with basis z_1..z_s the outer
@@ -28,12 +30,14 @@ running the chain-ring normal form over B itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .rings import RingSpec, ring_make
 from .linalg import Matrix, is_invertible, inverse
 from .modules import (FinModule, ModuleMap, TensorData, tensor_with_data,
-                      map_tensor, syzygies, module_from_presentation,
-                      presentation_with_torsion, descend_map, RingMismatch)
+                      syzygies, module_from_presentation,
+                      presentation_with_torsion, RingMismatch, tensor_cols,
+                      sparse_image, descend_sparse, map_from_cols)
 
 
 class NonCommutingActions(ValueError):
@@ -155,16 +159,21 @@ class AlgebraSpec:
 # one-sided modules and bimodules
 # ---------------------------------------------------------------------------
 
+def act_powers(act: ModuleMap, k: int) -> list[ModuleMap]:
+    """id, act, ..., act^(k-1) for an endomorphism act."""
+    pows = [ModuleMap.identity(act.src)]
+    for _ in range(k - 1):
+        pows.append(act @ pows[-1])
+    return pows
+
+
 def _poly_in(act: ModuleMap, coeffs) -> ModuleMap:
     """sum_k coeffs[k] act^k for R-coefficients coeffs: a polynomial in an
     x-action, such as the action of an element of B."""
     acc = ModuleMap.zero(act.src, act.dst)
-    powmap = ModuleMap.identity(act.src)
-    for k, c in enumerate(coeffs):
+    for c, powmap in zip(coeffs, act_powers(act, len(coeffs))):
         if c:
             acc = acc + powmap.scale(c)
-        if k < len(coeffs) - 1:
-            powmap = act @ powmap
     return acc
 
 
@@ -265,9 +274,10 @@ class BTensor:
 
     module is the canonical quotient; proj projects the R-tensor onto it and
     sect lifts generators back (proj after sect is the identity).  rel_cols
-    are the middle-relation generators in R-tensor coordinates; induced maps
-    are checked to kill them.  When f_B = 1 the projection is the identity
-    and there are no relations.  A tensor built in B-coordinates
+    are the middle-relation generators in R-tensor coordinates; descent
+    holds them and sect as the sparse vectors descend_sparse checks maps
+    on.  When f_B = 1 the projection is the identity and there are no
+    relations.  A tensor built in B-coordinates
     (_tensor_free) records no relations either, and descend refuses it.
     factors is (X, Y) for tensor_bimodules and (X, M) for tensor_bim_bmodule;
     the nests of a triple tensor record none.
@@ -294,8 +304,16 @@ class BTensor:
                     acc[r] = add(acc[r], a)
         return self.module.reduce(acc)
 
-    def lift(self, q) -> tuple[int, ...]:
-        return tuple(self.sect.apply(list(q)))
+    @cached_property
+    def proj_cols(self) -> list[list[tuple[int, int]]]:
+        return self.proj.mat.sparse_cols()
+
+    @cached_property
+    def descent(self) -> tuple[list, list]:
+        """The middle relations and the section as sparse vectors over
+        TR.module: the data descend_sparse reads."""
+        rels = [] if self.rel_cols is None else self.rel_cols.sparse_cols()
+        return rels, self.sect.sparse_cols()
 
 
 def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
@@ -303,8 +321,7 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
     TR = tensor_with_data(left_car, right_car)
     if alg.fb == 1:
         ident = ModuleMap.identity(TR.module)
-        return BTensor(alg, TR, TR.module, ident,
-                       Matrix.identity(alg.R, TR.module.rank), None)
+        return BTensor(alg, TR, TR.module, ident, ident.mat, None)
     # column (i, j) is x_right(e_i) (x) e_j - e_i (x) y_left(e_j)
     R, pos = alg.R, TR.pos
     rel = Matrix.zeros(R, TR.module.rank, TR.module.rank)
@@ -322,32 +339,37 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
     return BTensor(alg, TR, pres.module, proj, pres.sect, rel)
 
 
-def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
-    """Factor flat : TR.module -> Z through the quotient; requires (and
-    checks) that flat kills the middle relations."""
+def descend_cols(data: BTensor, cols, dst: FinModule) -> ModuleMap:
+    """Factor the flat map TR.module -> dst with sparse columns cols through
+    the quotient by descend_sparse.  A tensor in B-coordinates records no
+    middle relations, so it is refused."""
     if data.rel_cols is None and data.alg.fb > 1:
         raise ValueError("tensor in B-coordinates records no middle relations")
-    rels = () if data.rel_cols is None else \
-        (data.rel_cols.col(j) for j in range(data.rel_cols.cols))
-    return descend_map(flat, rels, data.module, data.sect)
+    rels, sect = data.descent
+    return map_from_cols(data.module, dst,
+                         descend_sparse(cols, rels, sect, dst, data.module))
+
+
+def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
+    """descend_cols for a dense flat map."""
+    return descend_cols(data, flat.mat.sparse_cols(), flat.dst)
 
 
 def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> ModuleMap:
     """f tensor_B g between two recorded tensors (f, g must be B-linear for
-    the result to be canonical; descent is checked)."""
-    flat = map_tensor(data.TR, f, g, data2.TR)
-    return descend(data, ModuleMap(data.TR.module, data2.module,
-                                   data2.proj.mat @ flat.mat, validate=False))
+    the result to be canonical; descent is checked): the sparse columns of
+    f tensor g on data.TR, pushed through data2.proj, descended."""
+    pcols, mod2 = data2.proj_cols, data2.module
+    return descend_cols(data, [sparse_image(col, pcols, mod2) for col in
+                               tensor_cols(data.TR, f, g, data2.TR)], mod2)
 
 
 def tensor_bimodules(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule) -> BTensor:
     """X tensor_B Y with the outer actions installed."""
     data = _btensor_core(alg, X.carrier, X.right, Y.carrier, Y.left)
     data.factors = (X, Y)
-    ident_y = ModuleMap.identity(Y.carrier)
-    ident_x = ModuleMap.identity(X.carrier)
-    data.left = induced(data, data, X.left, ident_y)
-    data.right = induced(data, data, ident_x, Y.right)
+    data.left = induced(data, data, X.left, ModuleMap.identity(Y.carrier))
+    data.right = induced(data, data, ModuleMap.identity(X.carrier), Y.right)
     return data
 
 
@@ -487,9 +509,7 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
     m = carrier.rank
     # Phi : B^m -> carrier, R-basis x^k e_i |-> act^k(gen_i)
     cols = []
-    pows = [ModuleMap.identity(carrier)]
-    for _ in range(fb - 1):
-        pows.append(act @ pows[-1])
+    pows = act_powers(act, fb)
     for i in range(m):
         for k in range(fb):
             cols.append(list(pows[k].apply(carrier.gen(i))))

@@ -19,9 +19,10 @@ of the lifted delta and rho; when f_B = 1 those coordinates are already the
 triple tensor's, otherwise the columns are pushed through the projection
 onto C (x)_B C and then through the projection of the nest.  The nest is
 (C (x)_B C)^{(+)s} in B-coordinates when Z is free over B with s
-generators, and the quotient by the middle relations otherwise.  Descent
-through C (x)_B Z is checked on every middle-relation generator and the
-descended maps are validated column by column.
+generators, and the quotient by the middle relations otherwise.  Both maps
+are descended through C (x)_B Z by modules.descend_sparse, the one kernel
+every map out of a tensor over B goes through (the counit laws and the
+id (x) h of comodule_hom too), and stay sparse end to end.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
@@ -33,13 +34,13 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Matrix
-from .modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
-                      hom_equalizer, map_tensor, submodule, solve_in,
-                      sub_canonical, sub_elements,
-                      DEFAULT_ENUM_BUDGET, EnumerationBudget)
+from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
+                      submodule, solve_in, factor_through, sub_canonical,
+                      sub_elements, tensor_cols, sparse_image, descend_sparse,
+                      map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
-                      tensor_bim_bmodule, triple_tensor,
-                      descend, regular_bimodule, is_b_free,
+                      tensor_bim_bmodule, triple_tensor, descend, descend_cols,
+                      induced, act_powers, regular_bimodule, is_b_free,
                       btensor_bmodule)
 
 
@@ -106,15 +107,14 @@ def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
     id (x) eps."""
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
-    flat = Matrix.zeros(alg.R, car_m.rank, data.TR.module.rank)
-    eps_act = [act_by(alg.B.from_coeffs(counit.apply(car_c.gen(i))))
+    # column (c, m) of the flat map is column m of the action of eps(c)
+    eps_act = [act_by(alg.B.from_coeffs(counit.apply(car_c.gen(i)))).mat.sparse_cols()
                for i in range(car_c.rank)]
+    cols = [None] * data.TR.module.rank
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
-        col = eps_act[c].apply(car_m.gen(m))
-        for r, v in enumerate(col):
-            flat.data[r][k] = v
-    return descend(data, ModuleMap(data.TR.module, car_m, flat, validate=False))
+        cols[k] = eps_act[c][m]
+    return descend_cols(data, cols, car_m)
 
 
 def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
@@ -125,82 +125,41 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
     src is C (x)_B Z, hat lifts rho : Z -> src.module into src.TR, deltahat
     lifts delta into t3.T12 (the flat C (x) C of t3.xy), and
     phi : phi.src -> src.module is the map both composites start from (delta
-    itself, or rho).  Both maps are built as sparse {flat triple index:
-    coeff} columns; descent through src and the valuation condition of the
-    descended map are checked on every column.  When f_B = 1 the flat triple
-    coordinates are the quotient's; otherwise they are pushed through the
-    sparse columns of xy.proj (tensor id) and then of nest.proj.
+    itself, or rho).  Both flat maps are built as sparse columns on flat
+    triple coordinates.  When f_B = 1 those are the quotient's; otherwise
+    each column is pushed through the sparse columns of xy.proj (tensor id)
+    and then of nest.proj.  Both are descended through src by
+    descend_sparse, and compared on the columns of phi.
     """
-    R = t3.alg.R
-    add, mul, red, val = R.add, R.mul, R.reduce_exp, R.val
-    exps = t3.module.exps
+    mod = t3.module
     p12, p3 = t3.T12.pos, t3.TR.pos
     src_inv = {k: ij for ij, k in src.TR.pos.items()}
     # delta(c_i) as (T12 index, coeff); rho(z_j) as ((c, z) pair, coeff)
     dcols = deltahat.sparse_cols()
     hcols = [[(src_inv[kk], c) for kk, c in col] for col in hat.sparse_cols()]
-
-    def combine(terms) -> dict[int, int]:
-        acc: dict[int, int] = {}
-        for c, vec in terms:
-            for k, v in vec:
-                acc[k] = add(acc.get(k, 0), mul(c, v))
-        return acc
-
-    def canon(acc: dict[int, int]) -> list[tuple[int, int]]:
-        out = []
-        for k, v in acc.items():
-            v = red(v, exps[k])
-            if v:
-                out.append((k, v))
-        out.sort()
-        return out
-
-    if t3.nest is None:
-        to_quot = canon
-    else:
+    lhs = [None] * src.TR.module.rank
+    rhs = [None] * src.TR.module.rank
+    for (i, j), k in src.TR.pos.items():
+        lhs[k] = [(p3[(pk, j)], c) for pk, c in dcols[i]]
+        rhs[k] = [(p3[(p12[(i, a)], b)], c) for (a, b), c in hcols[j]]
+    if t3.nest is not None:
         # column k of xy.proj (x) id, in nest.TR coordinates
-        npos, xcols = t3.nest.TR.pos, t3.xy.proj.mat.sparse_cols()
+        nest = t3.nest
+        npos, xcols = nest.TR.pos, t3.xy.proj_cols
         xz = [None] * t3.TR.module.rank
         for (pk, z), k in p3.items():
             xz[k] = [(npos[(q, z)], a) for q, a in xcols[pk]]
-        ncols = t3.nest.proj.mat.sparse_cols()
 
-        def to_quot(acc):
-            mid = combine((v, xz[k]) for k, v in acc.items())
-            return canon(combine((v, ncols[k]) for k, v in mid.items()))
-
-    if src.rel_cols is not None:
-        rel_cols, sect_cols = src.rel_cols.sparse_cols(), src.sect.sparse_cols()
-
-    def descend_cols(flat):
-        if src.rel_cols is None:
-            # the flat columns hold distinct indices, so dict() adds nothing up
-            cols = [to_quot(dict(col)) for col in flat]
-        else:
-            for rel in rel_cols:
-                if to_quot(combine((c, flat[k]) for k, c in rel)):
-                    raise ValueError("map does not descend to the tensor over B")
-            cols = [to_quot(combine((c, flat[k]) for k, c in col))
-                    for col in sect_cols]
-        for q, col in enumerate(cols):
-            for j, a in col:
-                need = exps[j] - src.module.exps[q]
-                if need > 0 and val(a) < need:
-                    raise NotWellDefined("entry (%d,%d) has valuation %d < %d"
-                                         % (j, q, val(a), need))
-        return cols
-
-    lhs_flat = [None] * src.TR.module.rank
-    rhs_flat = [None] * src.TR.module.rank
-    for (i, j), k in src.TR.pos.items():
-        lhs_flat[k] = [(p3[(pk, j)], c) for pk, c in dcols[i]]
-        rhs_flat[k] = [(p3[(p12[(i, a)], b)], c) for (a, b), c in hcols[j]]
-    lhs = descend_cols(lhs_flat)
-    rhs = descend_cols(rhs_flat)
+        def to_quot(col):
+            return sparse_image(sparse_image(col, xz, nest.TR.module),
+                                nest.proj_cols, mod)
+        lhs = [to_quot(col) for col in lhs]
+        rhs = [to_quot(col) for col in rhs]
+    rels, sect = src.descent
+    lhs = descend_sparse(lhs, rels, sect, mod, src.module)
+    rhs = descend_sparse(rhs, rels, sect, mod, src.module)
     for g, terms in enumerate(phi.mat.sparse_cols()):
-        if (canon(combine((c, lhs[q]) for q, c in terms))
-                != canon(combine((c, rhs[q]) for q, c in terms))):
+        if sparse_image(terms, lhs, mod) != sparse_image(terms, rhs, mod):
             return g
     return None
 
@@ -228,15 +187,13 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         w = _first_difference(lhs, rhs)
         if w is not None:
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
-    # counit laws
-    eps_id = counit_contraction(alg, counit, cc, C.left_by)
-    w = _first_difference(eps_id @ delta, ModuleMap.identity(C.carrier))
-    if w is not None:
-        raise AxiomError("CounitLeft", w)
-    id_eps = counit_contraction(alg, counit, cc, C.right_by, left=False)
-    w = _first_difference(id_eps @ delta, ModuleMap.identity(C.carrier))
-    if w is not None:
-        raise AxiomError("CounitRight", w)
+    # counit laws: (eps (x) id) delta = id = (id (x) eps) delta
+    for code, left, act_by in (("CounitLeft", True, C.left_by),
+                               ("CounitRight", False, C.right_by)):
+        contraction = counit_contraction(alg, counit, cc, act_by, left)
+        w = _first_difference(contraction @ delta, ModuleMap.identity(C.carrier))
+        if w is not None:
+            raise AxiomError(code, w)
     # coassociativity inside the triple tensor
     t3 = triple_tensor(alg, cc, C.carrier, C.left)
     w = _coassoc_witness(t3, coalg.deltahat, cc, coalg.deltahat, delta)
@@ -308,12 +265,15 @@ def comodule_hom(Mc: Comodule, Nc: Comodule):
         raise ValueError("comodules over different coalgebras")
     M, N = Mc.module, Nc.module
     H = hom_module(M.carrier, N.carrier)
-    rhohat_M = Mc.rhohat()
+    rhohat_M = Mc.rhohat().sparse_cols()
+    one, cmN = ModuleMap.identity(C.carrier), Nc.cm
 
     def image(_, h):
-        flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), h, Nc.cm.TR)
-        term = ModuleMap(M.carrier, Nc.cm.module,
-                         Nc.cm.proj.mat @ flat.mat @ rhohat_M, validate=False)
+        # (id (x) h) rhohat_M, pushed through the projection onto C (x)_B N
+        idh = tensor_cols(Mc.cm.TR, one, h, cmN.TR)
+        term = map_from_cols(M.carrier, cmN.module, [
+            sparse_image(sparse_image(col, idh, cmN.TR.module), cmN.proj_cols,
+                         cmN.module) for col in rhohat_M])
         return [(h @ M.act) - (N.act @ h), (Nc.rho @ h) - term]
 
     K, incl, _ = hom_equalizer(
@@ -355,17 +315,10 @@ def enumerate_b_submodules(alg: AlgebraSpec, M: BModule,
     car = M.carrier
     if car.cardinality() > budget:
         raise EnumerationBudget("carrier too large for submodule enumeration")
-    fb = alg.fb
-    acts = [ModuleMap.identity(car)]
-    for _ in range(fb - 1):
-        acts.append(M.act @ acts[-1])
+    acts = act_powers(M.act, alg.fb)
 
     def close(gens):
-        full = []
-        for g in gens:
-            for a in acts:
-                full.append(a.apply(g))
-        return frozenset(sub_elements(car, full))
+        return frozenset(sub_elements(car, [a.apply(g) for g in gens for a in acts]))
 
     elems = list(car.elements(budget))
     base = {close([e]) for e in elems}
@@ -409,33 +362,19 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
     abstractly; None when the restriction cannot be solved or fails the
     axioms (possible only for non-flat coalgebras)."""
     alg = Mc.coalgebra.alg
-    car = Mc.carrier
-    fb = alg.fb
-    acts = [ModuleMap.identity(car)]
-    for _ in range(fb - 1):
-        acts.append(Mc.module.act @ acts[-1])
-    full = []
-    for g in gens:
-        for a in acts:
-            full.append(a.apply(g))
+    car, acts = Mc.carrier, act_powers(Mc.module.act, alg.fb)
+    full = [a.apply(g) for g in gens for a in acts]
     S, incl = submodule(car, Matrix.from_cols(alg.R, full, car.rank))
-    s_elems = [incl.apply(S.gen(k)) for k in range(S.rank)]
     # S as a B-module: x-action transported through incl
-    sols = solve_in(car, incl.mat, [Mc.module.act.apply(v) for v in s_elems])
-    if None in sols:
+    act = factor_through(incl, Mc.module.act @ incl)
+    if act is None:
         return None
-    act = ModuleMap(S, S, Matrix.from_cols(alg.R, [S.reduce(x) for x in sols], S.rank))
-    Smod = BModule(alg, S, act)
-    cs = tensor_bim_bmodule(alg, Mc.coalgebra.bi, Smod)
+    cs = tensor_bim_bmodule(alg, Mc.coalgebra.bi, BModule(alg, S, act))
     # solve (id (x) incl) . rho_S = rho_M . incl
-    flat = map_tensor(cs.TR, ModuleMap.identity(Mc.coalgebra.carrier), incl, Mc.cm.TR)
-    idincl = ModuleMap(cs.module, Mc.cm.module,
-                       Mc.cm.proj.mat @ flat.mat @ cs.sect, validate=False)
-    sols = solve_in(Mc.cm.module, idincl.mat, [Mc.rho.apply(v) for v in s_elems])
-    if None in sols:
+    rho = factor_through(induced(cs, Mc.cm, ModuleMap.identity(Mc.coalgebra.carrier),
+                                 incl), Mc.rho @ incl)
+    if rho is None:
         return None
-    rho = ModuleMap(S, cs.module, Matrix.from_cols(
-        alg.R, [cs.module.reduce(x) for x in sols], cs.module.rank))
     try:
         return comodule_check(Mc.coalgebra, cs, rho)
     except AxiomError:

@@ -334,9 +334,7 @@ def kernel(A: Matrix) -> Matrix:
             gens.append([ring.mul(c, e) for e in sf.v_inv.col(i)])
     for j in range(m, A.cols):
         gens.append(sf.v_inv.col(j))
-    if not gens:
-        return Matrix.zeros(ring, A.cols, 0)
-    return Matrix(ring, [list(col) for col in zip(*gens)], A.cols, len(gens))
+    return Matrix.from_cols(ring, gens, A.cols)
 
 
 def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
@@ -379,9 +377,7 @@ def image_span(A: Matrix) -> Matrix:
         if a < ring.n:
             pa = ring.p_elem(a)
             cols.append([ring.mul(pa, e) for e in sf.U.col(i)])
-    if not cols:
-        return Matrix.zeros(ring, A.rows, 0)
-    return Matrix(ring, [list(r) for r in zip(*cols)], A.rows, len(cols))
+    return Matrix.from_cols(ring, cols, A.rows)
 
 
 def cokernel_exponents(A: Matrix) -> tuple[int, ...]:
@@ -399,12 +395,13 @@ def cokernel_exponents(A: Matrix) -> tuple[int, ...]:
 # Howell form: canonical generating matrix of a row span
 # ---------------------------------------------------------------------------
 
-def howell(ring: RingSpec, rows: list[list[int]], width: int) -> list[list[int]]:
+def howell(ring: RingSpec, rows, width: int) -> list[list[int]]:
     """Canonical row-span form over a chain ring.
 
-    The output depends only on the R-submodule of R^width spanned by the
-    input rows: pivots are pure powers p^a in increasing column order, each
-    column below a pivot is zero, entries above a pivot are reduced mod p^a,
+    The rows are dense lists or sparse {column: nonzero entry} dicts.  The
+    output depends only on the R-submodule of R^width they span: pivots
+    are pure powers p^a in increasing column order, each column below a
+    pivot is zero, entries above a pivot are reduced mod p^a,
     and for every pivot p^a with a > 0 the annihilated tail p^{n-a} * row is
     in the span of the rows below it, so every span element whose first j
     entries vanish is a combination of the rows with pivot column >= j.
@@ -431,7 +428,8 @@ def howell(ring: RingSpec, rows: list[list[int]], width: int) -> list[list[int]]
             else:
                 r.pop(k, None)
 
-    todo = [{k: e for k, e in enumerate(r) if e} for r in rows]
+    todo = [dict(r) if isinstance(r, dict) else {k: e for k, e in enumerate(r) if e}
+            for r in rows]
     while todo:
         r = todo.pop()
         while r:

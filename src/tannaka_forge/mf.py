@@ -28,7 +28,7 @@ from .linalg import Matrix, block_diag
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
                       submodule, solve_in, presentation_with_torsion,
                       hom_module, hom_equalizer, map_kernel, is_isomorphism,
-                      is_surjective, descend_map)
+                      is_surjective, descend_map, factor_through)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
 
@@ -107,17 +107,6 @@ class FilteredFModule:
         return "mf(M=%r, window %d..%d)" % (self.M, self.lo, self.hi)
 
 
-def _factor_through(incl: ModuleMap, other: ModuleMap) -> ModuleMap | None:
-    """g with incl . g = other (unique when incl is injective)."""
-    sols = solve_in(incl.dst, incl.mat,
-                    [other.apply(other.src.gen(k)) for k in range(other.src.rank)])
-    if None in sols:
-        return None
-    mat = Matrix.from_cols(incl.src.ring, [incl.src.reduce(x) for x in sols],
-                           incl.src.rank)
-    return ModuleMap(other.src, incl.src, mat)
-
-
 def mf_make(W: RingSpec, M: FinModule, lo: int, hi: int,
             fil: dict[int, ModuleMap], phi: dict[int, Matrix],
             require_span: bool = True) -> FilteredFModule:
@@ -139,7 +128,7 @@ def mf_make(W: RingSpec, M: FinModule, lo: int, hi: int,
     # decreasing: Fil^{i+1} inside Fil^i, recording the factorizations
     eps = {}
     for i in range(lo, hi):
-        e = _factor_through(fil[i], fil[i + 1])
+        e = factor_through(fil[i], fil[i + 1])
         if e is None:
             raise MFError("NotDecreasing", (i + 1,))
         eps[i + 1] = e
@@ -197,12 +186,8 @@ def mbar(X: FilteredFModule) -> MBarResult:
             b = sd.injections[idx].apply(g)
             col = [W.sub(x, W.mul(W.p_elem(1), y)) for x, y in zip(a, b)]
             rel_cols.append(col)
-    if rel_cols:
-        rel = Matrix(W, [list(r) for r in zip(*rel_cols)], sd.module.rank,
-                     len(rel_cols))
-    else:
-        rel = Matrix.zeros(W, sd.module.rank, 0)
-    pres = presentation_with_torsion(sd.module, rel)
+    pres = presentation_with_torsion(sd.module,
+                                     Matrix.from_cols(W, rel_cols, sd.module.rank))
     Mbar = pres.module
     # the blockwise semilinear map descends: its linear part kills the
     # twisted relations, which present Mbar with the twisted section

@@ -15,9 +15,11 @@ a matrix A of elements of M by torsion_matrix(M) so that equations hold in
 M rather than in its free cover: syzygies(M, A) generates the relations
 among A's columns, submodule(M, A) presents their span in canonical form,
 and solve_in(M, A, targets) expresses any number of targets in that span
-from one Smith form.  A map out of a presented quotient is descended by
-descend_map, which checks that the flat map kills every relation.
-Kernels and images of maps are submodules, and
+from one Smith form.  Every map out of a presented quotient is descended
+by one sparse kernel, descend_sparse (descend_map is its dense entry
+point), on sparse columns such as those tensor_cols builds for f (x) g
+from the nonzeros of f and g.  Kernels and images of maps are
+submodules, and
 hom_equalizer solves for the maps in a sum of Hom modules that satisfy
 R-linear conditions (comodule maps, morphisms of filtered modules) as the
 kernel of the stacked condition map.
@@ -238,9 +240,7 @@ def torsion_matrix(M: FinModule) -> Matrix:
             col = [0] * M.rank
             col[i] = ring.p_elem(e)
             cols.append(col)
-    if not cols:
-        return Matrix.zeros(ring, M.rank, 0)
-    return Matrix(ring, [list(r) for r in zip(*cols)], M.rank, len(cols))
+    return Matrix.from_cols(ring, cols, M.rank)
 
 
 @dataclass
@@ -269,11 +269,7 @@ def module_from_presentation(P: Matrix) -> Presentation:
     red = ring.reduce_exp
     proj_rows = [[red(v, a) for v in sf.u_inv.data[i]] for a, i in keep]
     proj = Matrix(ring, proj_rows, M.rank, P.rows)
-    sect_cols = [sf.U.col(i) for _, i in keep]
-    if sect_cols:
-        sect = Matrix(ring, [list(r) for r in zip(*sect_cols)], P.rows, M.rank)
-    else:
-        sect = Matrix.zeros(ring, P.rows, 0)
+    sect = Matrix.from_cols(ring, [sf.U.col(i) for _, i in keep], P.rows)
     return Presentation(M, proj, sect)
 
 
@@ -282,16 +278,62 @@ def presentation_with_torsion(M: FinModule, rel_cols: Matrix) -> Presentation:
     return module_from_presentation(rel_cols.hstack(torsion_matrix(M)))
 
 
+def sparse_image(vec, cols, dst: FinModule) -> list[tuple[int, int]]:
+    """The image of the sparse vector vec under the map with sparse columns
+    cols, reduced into dst: its nonzero (index, entry) pairs in order."""
+    ring = dst.ring
+    add, mul, red, exps = ring.add, ring.mul, ring.reduce_exp, dst.exps
+    acc: dict[int, int] = {}
+    for k, c in vec:
+        for r, a in cols[k]:
+            acc[r] = add(acc.get(r, 0), mul(c, a))
+    out = []
+    for r in sorted(acc):
+        v = red(acc[r], exps[r])
+        if v:
+            out.append((r, v))
+    return out
+
+
+def descend_sparse(cols, rels, sect, dst: FinModule,
+                   quotient: FinModule) -> list[list[tuple[int, int]]]:
+    """The map quotient -> dst induced by the flat map with sparse columns
+    cols, quotient being the flat source modulo the sparse vectors rels and
+    sect lifting its generators, as columns reduced into dst.  Raises unless
+    the flat map kills every relation and the composite with sect meets the
+    valuation condition (the first bad entry in row order, as ModuleMap)."""
+    for rel in rels:
+        if sparse_image(rel, cols, dst):
+            raise ValueError("map does not descend to the quotient")
+    out = [sparse_image(s, cols, dst) for s in sect]
+    val, bad = dst.ring.val, []
+    for q, col in enumerate(out):
+        for j, a in col:
+            need = dst.exps[j] - quotient.exps[q]
+            if need > 0 and val(a) < need:
+                bad.append((j, q, val(a), need))
+    if bad:
+        raise NotWellDefined("entry (%d,%d) has valuation %d < %d" % min(bad))
+    return out
+
+
+def map_from_cols(src: FinModule, dst: FinModule, cols) -> ModuleMap:
+    """The dense map src -> dst with the sparse columns cols, which must
+    satisfy the valuation condition: it is not checked."""
+    mat = Matrix.zeros(src.ring, dst.rank, src.rank)
+    for q, col in enumerate(cols):
+        for j, a in col:
+            mat.data[j][q] = a
+    return ModuleMap(src, dst, mat, validate=False)
+
+
 def descend_map(flat: ModuleMap, rels, quotient: FinModule,
                 sect: Matrix) -> ModuleMap:
-    """The map quotient -> flat.dst induced by flat, for quotient presented
-    as flat.src modulo the relation vectors rels, with sect lifting its
-    generators to flat.src: checks that flat kills every relation, then
-    composes flat with sect."""
-    for rel in rels:
-        if any(flat.apply(rel)):
-            raise ValueError("map does not descend to the quotient")
-    return ModuleMap(quotient, flat.dst, flat.mat @ sect)
+    """descend_sparse for a dense flat map, dense relation vectors rels and
+    a dense section sect."""
+    rels = [[(k, a) for k, a in enumerate(rel) if a] for rel in rels]
+    return map_from_cols(quotient, flat.dst, descend_sparse(
+        flat.mat.sparse_cols(), rels, sect.sparse_cols(), flat.dst, quotient))
 
 
 # ---------------------------------------------------------------------------
@@ -317,6 +359,18 @@ def solve_in(M: FinModule, A: Matrix, targets) -> list[list[int] | None]:
     Smith form of A | torsion_matrix(M)."""
     sols = solve_columns(A.hstack(torsion_matrix(M)), targets)
     return [None if x is None else x[:A.cols] for x in sols]
+
+
+def factor_through(incl: ModuleMap, other: ModuleMap) -> ModuleMap | None:
+    """g with incl . g = other (unique when incl is injective), from one
+    solve_in; None when other does not land in the image of incl."""
+    sols = solve_in(incl.dst, incl.mat,
+                    [other.apply(other.src.gen(k)) for k in range(other.src.rank)])
+    if None in sols:
+        return None
+    mat = Matrix.from_cols(incl.src.ring, [incl.src.reduce(x) for x in sols],
+                           incl.src.rank)
+    return ModuleMap(other.src, incl.src, mat)
 
 
 def map_kernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
@@ -477,22 +531,23 @@ def tensor_over_ring(M: FinModule, N: FinModule) -> FinModule:
     return tensor_with_data(M, N).module
 
 
-def map_tensor(T: TensorData, f: ModuleMap, g: ModuleMap, T2: TensorData) -> ModuleMap:
-    """f tensor g : T -> T2 for f : T.left -> T2.left, g : T.right -> T2.right.
-
-    Column (i, j) is built from the nonzeros of column i of f and column j
-    of g only."""
-    ring = T.left.ring
-    mul = ring.mul
-    pos2 = T2.pos
-    mat = Matrix.zeros(ring, T2.module.rank, T.module.rank)
+def tensor_cols(T: TensorData, f: ModuleMap, g: ModuleMap,
+                T2: TensorData) -> list[list[tuple[int, int]]]:
+    """The sparse columns of f tensor g : T -> T2, for f : T.left -> T2.left
+    and g : T.right -> T2.right.  Column (i, j) is built from the nonzeros
+    of column i of f and column j of g only."""
+    mul, pos2 = T.left.ring.mul, T2.pos
     fcols, gcols = f.mat.sparse_cols(), g.mat.sparse_cols()
+    cols = [None] * T.module.rank
     for (i, j), k in T.pos.items():
-        gcol = gcols[j]
-        for i2, a in fcols[i]:
-            for j2, b in gcol:
-                mat.data[pos2[(i2, j2)]][k] = mul(a, b)
-    return ModuleMap(T.module, T2.module, mat, validate=False)
+        cols[k] = [(pos2[(i2, j2)], mul(a, b))
+                   for i2, a in fcols[i] for j2, b in gcols[j]]
+    return cols
+
+
+def map_tensor(T: TensorData, f: ModuleMap, g: ModuleMap, T2: TensorData) -> ModuleMap:
+    """f tensor g : T -> T2 as a module map: the dense form of tensor_cols."""
+    return map_from_cols(T.module, T2.module, tensor_cols(T, f, g, T2))
 
 
 @dataclass

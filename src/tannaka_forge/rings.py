@@ -36,6 +36,12 @@ class NonUnitError(ArithmeticError):
 # are filled by lookups from earlier rows, not by size^2 polynomial products.
 TABLE_LIMIT = 256
 
+# ring_make refuses larger rings before building anything: the modulus
+# search and the Hensel lift take time and memory exponential in f (they
+# work with x^(p^f - 1) - 1), and elements grow with n.
+MAX_RESIDUE_FIELD = 4096    # p^f
+MAX_N = 64
+
 
 def is_prime(m: int) -> bool:
     if m < 2:
@@ -500,10 +506,16 @@ def ring_make(p: int, n: int, f: int) -> RingSpec:
     lift of the lexicographically least degree-f irreducible over F_p (every
     such irreducible divides x^{p^f - 1} - 1, so Teichmueller lifts exist).
     """
-    if not is_prime(p):
-        raise ValueError("p must be prime, got %d" % p)
     if n < 1 or f < 1:
         raise ValueError("need n >= 1 and f >= 1")
+    # p^f >= 2^f, so p^f is never computed for a huge f
+    if f >= MAX_RESIDUE_FIELD.bit_length() or p ** f > MAX_RESIDUE_FIELD:
+        raise ValueError("residue field of size %d^%d is above MAX_RESIDUE_FIELD "
+                         "= %d" % (p, f, MAX_RESIDUE_FIELD))
+    if n > MAX_N:
+        raise ValueError("n = %d is above MAX_N = %d" % (n, MAX_N))
+    if not is_prime(p):
+        raise ValueError("p must be prime, got %d" % p)
     q = p**n
     if f == 1:
         h = ((-1) % q, 1)

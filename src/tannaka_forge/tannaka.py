@@ -21,7 +21,7 @@ x acts on T_k as X (x) 1 (left) and 1 (x) X (right).  Comultiplication on
 classes is  [v (x) xi] |-> sum_m [v (x) e_m*] (x)_B [e_m (x) xi]  over a
 B-basis e_m of the fiber; the counit is evaluation xi_w(v) of the
 dual-basis functional xi_w = x^beta e_t^dual, and the counit map nu of a
-family is (id (x)_B xi_w) rho.  Every map out of T is descended by the one
+family is (id (x)_B xi_w) rho.  Every map out of T is descended by
 modules.descend_map, which checks it on every relation generator, and the
 resulting coalgebra is re-validated axiom by axiom.
 
@@ -60,6 +60,10 @@ class DiagramNotClosed(ValueError):
 
 DEFAULT_BUDGET = 4096
 
+# The largest rank N = sum_k (r_k f_B)^2 of T a diagram may have; larger
+# diagrams are refused before anything is built.
+MAX_T_RANK = 256
+
 
 @dataclass(frozen=True)
 class DiagObject:
@@ -76,6 +80,10 @@ class DiagramCategory:
 
     def __init__(self, alg: AlgebraSpec, objects: list[DiagObject],
                  homs: dict[tuple[int, int], list[Matrix]]):
+        N = sum((obj.rank * alg.fb) ** 2 for obj in objects)
+        if N > MAX_T_RANK:
+            raise ValueError("T has rank %d, above MAX_T_RANK = %d"
+                             % (N, MAX_T_RANK))
         self.alg = alg
         self.objects = list(objects)
         self.homs = {}
@@ -223,10 +231,11 @@ class CoendResult:
 
 def _relation_columns(D: DiagramCategory, morphisms=None):
     """Relation generators in T-coordinates, v (x) xi_w of block k at
-    offsets[k] + v m_k + w; morphisms defaults to the diagram's own spanning
-    lists.  The relation of F : k -> l at (v, w) is (F v) (x) xi_w -
-    v (x) (xi_w F): v |-> F v is the R-matrix of F, and xi |-> xi F on the
-    B-dual is the R-matrix of F^T."""
+    offsets[k] + v m_k + w, as sparse {coordinate: entry} columns that
+    `howell` takes as they are; morphisms defaults to the diagram's own
+    spanning lists.  The relation of F : k -> l at (v, w) is
+    (F v) (x) xi_w - v (x) (xi_w F): v |-> F v is the R-matrix of F, and
+    xi |-> xi F on the B-dual is the R-matrix of F^T."""
     alg = D.alg
     R, fb = alg.R, alg.fb
     dims = [obj.rank * fb for obj in D.objects]
@@ -240,13 +249,12 @@ def _relation_columns(D: DiagramCategory, morphisms=None):
         xiF = alg.bmat_to_rmat(Matrix.from_cols(alg.B, F.data, F.cols)).sparse_cols()
         for v in range(mk):
             for w in range(ml):
-                col = [0] * N
-                for w2, a in Fv[v]:
-                    col[offsets[l] + w2 * ml + w] = a
+                col = {offsets[l] + w2 * ml + w: a for w2, a in Fv[v]}
                 for u, c in xiF[w]:
                     j = offsets[k] + v * mk + u
-                    col[j] = R.sub(col[j], c)
-                if any(col):
+                    col[j] = R.sub(col.get(j, 0), c)
+                col = {j: a for j, a in col.items() if a}
+                if col:
                     cols.append(col)
     return N, offsets, dims, cols
 
@@ -615,23 +623,30 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     return Verdict("verified")
 
 
-def _has_cone(D: DiagramCategory, obj1, obj2, budget: int, cone_spans: dict):
-    """True / False / "budget": a refutation is only sound when every
-    candidate source fiber could be enumerated.  cone_spans caches the
-    spans of `_solvable_at`."""
-    alg = D.alg
-    (k, vA), (l, vB) = obj1, obj2
+def _some_source(D: DiagramCategory, budget: int, found) -> bool | str:
+    """True / False / "budget": is there an object c and an element u of
+    its fiber with found(c, u)?  Sources are tried object by object, each
+    fiber in enumeration order; a refutation is only sound when every
+    candidate source fiber could be enumerated."""
     exhausted = False
     for c, cobj in enumerate(D.objects):
-        els = _fiber_elements(alg, cobj.rank, budget)
+        els = _fiber_elements(D.alg, cobj.rank, budget)
         if els is None:
             exhausted = True
             continue
-        for u in els:
-            if _solvable_at(alg, D, c, k, u, vA, cone_spans) and \
-               _solvable_at(alg, D, c, l, u, vB, cone_spans):
-                return True
+        if any(found(c, u) for u in els):
+            return True
     return "budget" if exhausted else False
+
+
+def _has_cone(D: DiagramCategory, obj1, obj2, budget: int, cone_spans: dict):
+    """Is there a source (c, u) with morphisms onto both objects?
+    cone_spans caches the spans of `_solvable_at`."""
+    alg = D.alg
+    (k, vA), (l, vB) = obj1, obj2
+    return _some_source(D, budget, lambda c, u: (
+        _solvable_at(alg, D, c, k, u, vA, cone_spans)
+        and _solvable_at(alg, D, c, l, u, vB, cone_spans)))
 
 
 def _solvable_at(alg, D, c, k, u, target, cone_spans) -> bool:
@@ -663,24 +678,17 @@ def _el_morphisms(D, obj1, obj2, budget):
 
 
 def _has_equalizing(D, src, diff, budget):
-    """True / False / "budget": is there (C, u) and h in span(C -> src)
-    with h u = v_src and diff h = 0, for diff = f - g?"""
+    """Is there a source (c, u) and h in span(c -> src) with h u = v_src
+    and diff h = 0, for diff = f - g?"""
     alg = D.alg
     k, vA = src
-    exhausted = False
-    for c, cobj in enumerate(D.objects):
-        els = _fiber_elements(alg, cobj.rank, budget)
-        if els is None:
-            exhausted = True
-            continue
-        gens = D.homs[(c, k)]
-        target = alg.bvec_to_rvec(vA) + (0,) * (diff.rows * cobj.rank * alg.fb)
-        for u in els:
-            rows = [alg.bvec_to_rvec(G.apply(u)) + _flatten_bmat(alg, diff @ G)
-                    for G in gens]
-            if Span(alg.R, rows, len(target)).contains(target):
-                return True
-    return "budget" if exhausted else False
+
+    def found(c, u):
+        target = alg.bvec_to_rvec(vA) + (0,) * (diff.rows * D.objects[c].rank * alg.fb)
+        rows = [alg.bvec_to_rvec(G.apply(u)) + _flatten_bmat(alg, diff @ G)
+                for G in D.homs[(c, k)]]
+        return Span(alg.R, rows, len(target)).contains(target)
+    return _some_source(D, budget, found)
 
 
 def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,

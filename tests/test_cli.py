@@ -1,7 +1,14 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import tannaka_forge
 from tannaka_forge.cli import main
 
 
@@ -199,6 +206,38 @@ def test_mf_demo_bad_spec(capsys):
                  "--objects", "Q(0)"]) == 2
     assert main(["mf", "demo", "--p", "4", "--n", "1", "--f", "1",
                  "--objects", "M(0)"]) == 2
+
+
+@pytest.mark.parametrize("argv, limit", [
+    (["coend", "alg R=GR(2^1,1) B=GR(2^1,40)\nobject A rank 1\n"],
+     "MAX_RESIDUE_FIELD"),
+    (["coend", "alg R=GR(2^1,1) B=GR(2^1,1)\nobject A rank 100000\n"],
+     "MAX_T_RANK"),
+    (["mf", "demo", "--p", "2", "--n", "1", "--f", "40", "--objects", "M(0),M(1)"],
+     "MAX_RESIDUE_FIELD"),
+    (["mf", "demo", "--p", "2", "--n", "65", "--f", "1", "--objects", "M(0)"],
+     "MAX_N"),
+])
+def test_unbounded_inputs_are_refused_up_front(tmp_path, argv, limit):
+    # without their limits these inputs run for minutes and exhaust memory,
+    # so they run in a child process capped at 1 GB of address space
+    if argv[0] == "coend":
+        f = tmp_path / "big.diagram"
+        f.write_text(argv[1])
+        argv = ["coend", str(f)]
+    src = str(Path(tannaka_forge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    t0 = time.monotonic()
+    out = subprocess.run([sys.executable, "-m", "tannaka_forge.cli"] + argv,
+                         env=env, preexec_fn=cap, capture_output=True,
+                         text=True, timeout=60)
+    assert time.monotonic() - t0 < 1.0
+    assert out.returncode == 2
+    assert limit in out.stderr and "Traceback" not in out.stderr
 
 
 def test_verify_suite_command(capsys):

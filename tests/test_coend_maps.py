@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import coend_reference as ref
-from tannaka_forge import algebra, linalg, textio
+from tannaka_forge import algebra, coalgebra, linalg, modules, textio
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    tensor_bimodules, regular_bimodule, descend)
 from tannaka_forge.linalg import Matrix
@@ -87,12 +87,26 @@ def suite_diagrams():
     return out
 
 
+def _dense_relation_columns(D, morphisms=None):
+    """_relation_columns with its sparse columns written out as the dense
+    T-columns of the reference; a sparse column holds no zero entry."""
+    N, offsets, dims, cols = _relation_columns(D, morphisms)
+    dense = []
+    for col in cols:
+        assert col and all(col.values())
+        row = [0] * N
+        for j, a in col.items():
+            row[j] = a
+        dense.append(row)
+    return N, offsets, dims, dense
+
+
 def _assert_coend_maps_match(D):
     """The flat actions, and the actions and counit of coend(D), equal the
     reference's; returns the coend."""
     alg = D.alg
     N, offsets, dims, cols = ref.relation_columns(D)
-    assert _relation_columns(D) == (N, offsets, dims, cols)
+    assert _dense_relation_columns(D) == (N, offsets, dims, cols)
     left, right = _t_actions(D)
     assert left == ref.block_x_action(alg, dims, offsets, N, "left")
     assert right == ref.block_x_action(alg, dims, offsets, N, "right")
@@ -109,14 +123,14 @@ def _assert_coend_maps_match(D):
 
 def test_relation_columns_match_reference_on_spans_draws(spans_draws):
     for D_raw in spans_draws:
-        assert _relation_columns(D_raw) == ref.relation_columns(D_raw)
+        assert _dense_relation_columns(D_raw) == ref.relation_columns(D_raw)
         D = hom_closure(D_raw)
-        assert _relation_columns(D) == ref.relation_columns(D)
+        assert _dense_relation_columns(D) == ref.relation_columns(D)
 
 
 def test_relation_columns_match_reference_on_generator_families(random_draws):
     for D, gens in random_draws:
-        assert _relation_columns(D, gens) == ref.relation_columns(D, gens)
+        assert _dense_relation_columns(D, gens) == ref.relation_columns(D, gens)
 
 
 def test_actions_and_counit_match_reference_on_spans_draws(spans_draws):
@@ -230,21 +244,24 @@ def test_descent_refuses_a_map_that_misses_a_relation_on_the_coend():
 
 def test_the_descents_share_one_function(monkeypatch):
     calls = []
+    real = modules.descend_sparse
 
-    def counted(flat, rels, quotient, sect):
+    def counted(cols, rels, sect, dst, quotient):
         calls.append(quotient)
-        return descend_map(flat, rels, quotient, sect)
+        return real(cols, rels, sect, dst, quotient)
 
-    monkeypatch.setattr(algebra, "descend_map", counted)
+    for mod in (modules, algebra, coalgebra):
+        monkeypatch.setattr(mod, "descend_sparse", counted)
     alg = AlgebraSpec.make(2, 2, 2)
     bi = regular_bimodule(alg)
     tensor_bimodules(alg, bi, bi)
     assert len(calls) == 2          # the two outer actions
-    from tannaka_forge import tannaka
-    monkeypatch.setattr(tannaka, "descend_map", counted)
     calls.clear()
-    CR = coend(trivial_full_hom_diagram(alg), check=False)
-    L = CR.coalgebra.carrier
-    # the two actions, eps and delta on the coend, and the two outer
-    # actions of C (x)_B C in between
-    assert len(calls) == 6 and sum(q is L for q in calls) == 4
+    CR = coend(trivial_full_hom_diagram(alg))
+    C = CR.coalgebra
+    # the two actions, eps and delta on the coend, the two outer actions of
+    # C (x)_B C in between, then the check: eps (x) id and id (x) eps, and
+    # delta (x) id and id (x) delta in the coassociativity comparison
+    assert len(calls) == 10
+    assert sum(q is C.carrier for q in calls) == 4
+    assert sum(q is C.cc.module for q in calls) == 6

@@ -1,0 +1,261 @@
+"""Differential tests for the one sparse descent: `induced`,
+`counit_contraction`, `descend_map`, `_coassoc_witness`, `comodule_hom` and
+`subcomodule_as_comodule` against the dense descents and the private
+sparse copy they replaced (tests/descent_reference.py), on the suite
+coalgebras and comodules, seeded random coends with and without torsion,
+and the MF coends over GR(4,2) and GR(8,2): equal matrices, equal
+witnesses and the same exceptions."""
+
+import random
+
+import pytest
+
+import descent_reference as ref
+from tannaka_forge import coalgebra
+from tannaka_forge.linalg import Matrix, kernel
+from tannaka_forge.modules import (FinModule, ModuleMap, NotWellDefined,
+                                   descend_map)
+from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
+                                   regular_bimodule, tensor_bimodules,
+                                   tensor_bim_bmodule, triple_tensor, induced,
+                                   descend)
+from tannaka_forge.coalgebra import (comodule_hom,
+                                     counit_contraction, cofree,
+                                     enumerate_subcomodules,
+                                     subcomodule_as_comodule)
+from tannaka_forge.tannaka import coend, lift_coaction
+from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
+                                 comatrix_coalgebra, grouplike_line,
+                                 comatrix_standard_comodule, mf_family_diagram,
+                                 random_diagram)
+
+# F2, Z/4, Z/8, F4, GR(4,2)
+RANDOM_RINGS = ((2, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 2), (2, 2, 2))
+
+
+def _outcome(fn):
+    """("ok", value) or (exception type, message)."""
+    try:
+        return ("ok", fn())
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+def _same_descent(new, old):
+    """The same value, or the same exception.  The reference witness said
+    "to the tensor over B" where the one descent says "to the quotient"."""
+    a, b = _outcome(new), _outcome(old)
+    if a[0] is ValueError and b[0] is ValueError:
+        assert "does not descend" in a[1] and "does not descend" in b[1]
+    else:
+        assert a == b
+    return a
+
+
+def _torsion_bmodule(alg):
+    """B/p, a B-module that is not free when n >= 2."""
+    car = FinModule(alg.R, (1,) * alg.fb)
+    return BModule(alg, car, ModuleMap(car, car, alg.regular_rep(alg.B.x)))
+
+
+def _perturbed(C):
+    """delta plus c_0 (x) c_last at generator 0, which is B-linear only when
+    f_B = 1, and when f_B >= 2 also the bimodule map delta + delta x."""
+    cc, car = C.cc, C.carrier
+    cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
+    cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(car.rank - 1))))
+    out = [ModuleMap(car, cc.module, Matrix.from_cols(C.alg.R, cols, cc.module.rank))]
+    if C.alg.fb > 1:
+        out.append(C.delta + C.delta @ C.bi.left)
+    return out
+
+
+def _compare_coalgebra(C):
+    """Outer actions, induced maps, both counit contractions and the
+    coassociativity witness of delta and of perturbed deltas; returns the
+    witness outcomes of the perturbed deltas."""
+    alg, cc, bi = C.alg, C.cc, C.bi
+    one = ModuleMap.identity(bi.carrier)
+    assert cc.left == ref.induced(cc, cc, bi.left, one)
+    assert cc.right == ref.induced(cc, cc, one, bi.right)
+    assert induced(cc, cc, bi.left, bi.right) == ref.induced(cc, cc, bi.left, bi.right)
+    for left, act_by in ((True, bi.left_by), (False, bi.right_by)):
+        assert counit_contraction(alg, C.counit, cc, act_by, left) == \
+            ref.counit_contraction(alg, C.counit, cc, act_by, left)
+    t3 = triple_tensor(alg, cc, bi.carrier, bi.left)
+    assert coalgebra._coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta) \
+        is None is ref.coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta)
+    out = []
+    for delta in _perturbed(C):
+        hat = cc.sect @ delta.mat
+        out.append(_same_descent(
+            lambda: coalgebra._coassoc_witness(t3, hat, cc, hat, delta),
+            lambda: ref.coassoc_witness(t3, hat, cc, hat, delta)))
+    return out
+
+
+def _compare_comodule(Mc):
+    """induced and the counit contraction on C (x)_B M, the coassociativity
+    witness of rho, and the comodule endomorphisms."""
+    C, M, cm = Mc.coalgebra, Mc.module, Mc.cm
+    alg, one = C.alg, ModuleMap.identity(C.carrier)
+    assert induced(cm, cm, one, M.act) == ref.induced(cm, cm, one, M.act)
+    assert induced(cm, cm, C.bi.left, M.act) == ref.induced(cm, cm, C.bi.left, M.act)
+    assert counit_contraction(alg, C.counit, cm, M.act_by) == \
+        ref.counit_contraction(alg, C.counit, cm, M.act_by)
+    t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
+    hat = Mc.rhohat()
+    assert coalgebra._coassoc_witness(t3, C.deltahat, cm, hat, Mc.rho) is None \
+        is ref.coassoc_witness(t3, C.deltahat, cm, hat, Mc.rho)
+    K, basis = comodule_hom(Mc, Mc)
+    K_ref, basis_ref = ref.comodule_hom(Mc, Mc)
+    assert K == K_ref and basis == basis_ref
+
+
+def _suite():
+    """(coalgebra, comodules) over F2, Z/4 and GR(4,2)."""
+    f2, z4, gr42 = (AlgebraSpec.make(*t) for t in ((2, 1, 1), (2, 2, 1), (2, 2, 2)))
+    out = []
+    for alg in (f2, z4):
+        for r in (1, 2, 3, 4) if alg is f2 else (2,):
+            C = comatrix_coalgebra(alg, r)
+            out.append((C, [comatrix_standard_comodule(C, r)]))
+        for g in (1, 2, 5, 8) if alg is f2 else (3,):
+            C = grouplike_coalgebra(alg, g)
+            out.append((C, [grouplike_line(C, i) for i in range(min(g, 2))]))
+    C = trivial_coalgebra(gr42)
+    out.append((C, [cofree(C, free_bmodule(gr42, 1)),
+                    cofree(C, _torsion_bmodule(gr42))]))
+    return out
+
+
+def test_suite_coalgebras_and_comodules_match_reference():
+    witnesses, suite = set(), _suite()
+    for C, comods in suite:
+        witnesses.update(out[0] if out[0] != "ok" else out[1]
+                         for out in _compare_coalgebra(C))
+        for Mc in comods:
+            _compare_comodule(Mc)
+    # the perturbed deltas give witnesses over F2 and Z/4 and a refused
+    # descent over GR(4,2)
+    assert 0 in witnesses and ValueError in witnesses
+    assert any(not Mc.carrier.is_free() for _, comods in suite for Mc in comods)
+
+
+def _random_coends():
+    """Seeded coends of R-rank at most 9, several per ring."""
+    out = []
+    for i, t in enumerate(RANDOM_RINGS):
+        alg, rng = AlgebraSpec.make(*t), random.Random(4100 + i)
+        for _ in range(8):
+            D = random_diagram(rng, alg, max_obj=3 if alg.fb == 1 else 2,
+                               max_rank=2)[0]
+            CR = coend(D, check=False)
+            if CR.coalgebra.carrier.rank <= 9:
+                out.append(CR)
+    return out
+
+
+def _compare_coend(CR):
+    """descend_map on T for the flat structure maps, on a flat map that
+    misses a relation, then the coalgebra and its lifted comodules; returns
+    the witness outcomes of _compare_coalgebra."""
+    L = CR.coalgebra
+    T = FinModule.free(L.alg.R, CR.classmap.cols)
+    P = CR.classmap
+    for g in (L.counit, L.bi.left, L.bi.right, L.delta):
+        flat = ModuleMap(T, g.dst, g.mat @ P, validate=False)
+        assert descend_map(flat, CR.rel_rows, L.carrier, CR.sect) == \
+            ref.descend_map(flat, CR.rel_rows, L.carrier, CR.sect) == g
+    if CR.rel_rows:
+        rel = CR.rel_rows[0]
+        i = next(i for i, a in enumerate(rel) if a)
+        row = [0] * T.rank
+        row[i] = 1
+        flat = ModuleMap(T, FinModule.free(L.alg.R, 1),
+                         Matrix(L.alg.R, [row], 1, T.rank), validate=False)
+        assert _same_descent(
+            lambda: descend_map(flat, CR.rel_rows, L.carrier, CR.sect),
+            lambda: ref.descend_map(flat, CR.rel_rows, L.carrier, CR.sect))[0] \
+            is ValueError
+    outs = _compare_coalgebra(L)
+    for Mc in lift_coaction(CR):
+        _compare_comodule(Mc)
+    return outs
+
+
+def test_random_coends_match_reference():
+    coends = _random_coends()
+    outs = {out[0] if out[0] != "ok" else type(out[1])
+            for CR in coends for out in _compare_coend(CR)}
+    assert outs == {int, type(None), ValueError}
+    rings = {(CR.coalgebra.alg.R.p ** CR.coalgebra.alg.R.n, CR.coalgebra.alg.fb)
+             for CR in coends}
+    assert rings == {(2, 1), (4, 1), (8, 1), (2, 2), (4, 2)}
+    assert any(not CR.coalgebra.carrier.is_free() for CR in coends)
+
+
+@pytest.mark.parametrize("pnf", [(2, 2, 2), (2, 3, 2)])
+def test_mf_coends_match_reference(pnf):
+    _compare_coend(coend(mf_family_diagram(*pnf, (0, 1))[0], check=False))
+
+
+def test_subcomodules_match_reference():
+    f2, gr42 = AlgebraSpec.make(2, 1, 1), AlgebraSpec.make(2, 2, 2)
+    seen = 0
+    for C, M in ((grouplike_coalgebra(f2, 2), free_bmodule(f2, 1)),
+                 (trivial_coalgebra(gr42), _torsion_bmodule(gr42))):
+        CF = cofree(C, M)
+        for _, gens, _ in enumerate_subcomodules(CF):
+            new = subcomodule_as_comodule(CF, gens)
+            old = ref.subcomodule_as_comodule(CF, gens)
+            assert new == old
+            assert (new is None) or new.cm.module == old.cm.module
+            seen += new is not None
+    assert seen >= 4
+
+
+def test_a_valuation_failure_is_reported_as_modulemap_reports_it():
+    # Z/4-module R/p + R/p presented with no relations: the swap into R^2
+    # breaks the valuation condition at (0,1) and at (1,0); the first
+    # entry in row order is reported, as ModuleMap reports it
+    R = AlgebraSpec.make(2, 2, 1).R
+    free2 = FinModule.free(R, 2)
+    flat = ModuleMap(free2, free2, Matrix(R, [[0, 1], [1, 0]], 2, 2))
+    quotient = FinModule(R, (1, 1))
+    new = _same_descent(
+        lambda: descend_map(flat, [], quotient, Matrix.identity(R, 2)),
+        lambda: ref.descend_map(flat, [], quotient, Matrix.identity(R, 2)))
+    assert new == (NotWellDefined, "entry (0,1) has valuation 0 < 1")
+
+
+def test_a_map_that_ignores_the_torsion_of_the_r_tensor_is_refused():
+    # B (x)_B B/p over GR(4,2): its R-tensor is a torsion module, and a
+    # functional that kills the middle relations as vectors but not that
+    # torsion does not descend to a module map
+    alg = AlgebraSpec.make(2, 2, 2)
+    data = tensor_bim_bmodule(alg, regular_bimodule(alg), _torsion_bmodule(alg))
+    rel = data.rel_cols
+    K = kernel(Matrix(alg.R, [list(c) for c in zip(*rel.data)], rel.cols, rel.rows))
+    outs = []
+    for j in range(K.cols):
+        flat = ModuleMap(data.TR.module, FinModule.free(alg.R, 1),
+                         Matrix(alg.R, [K.col(j)], 1, K.rows), validate=False)
+        outs.append(_same_descent(lambda: descend(data, flat),
+                                  lambda: ref.descend(data, flat))[0])
+    assert NotWellDefined in outs
+
+
+def test_a_map_that_misses_a_middle_relation_is_refused():
+    alg = AlgebraSpec.make(2, 2, 2)
+    for data in (tensor_bimodules(alg, regular_bimodule(alg), regular_bimodule(alg)),
+                 tensor_bim_bmodule(alg, regular_bimodule(alg), _torsion_bmodule(alg))):
+        k = next(k for k, col in enumerate(data.rel_cols.sparse_cols()) if col)
+        i = data.rel_cols.sparse_cols()[k][0][0]
+        row = [0] * data.TR.module.rank
+        row[i] = 1
+        flat = ModuleMap(data.TR.module, FinModule.free(alg.R, 1),
+                         Matrix(alg.R, [row], 1, len(row)), validate=False)
+        assert _same_descent(lambda: descend(data, flat),
+                             lambda: ref.descend(data, flat))[0] is ValueError
+

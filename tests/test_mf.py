@@ -6,12 +6,12 @@ import pytest
 from tannaka_forge import cli
 from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import Matrix
-from tannaka_forge.modules import FinModule, ModuleMap
+from tannaka_forge.modules import FinModule, ModuleMap, factor_through
 from tannaka_forge.mf import (mf_make, mbar, is_mf_fl, is_mf_proj, mf_hom,
                               mf_direct_sum, mf_to_diagram, mf_colimit_probe,
                               ColimitProbe, tate_object, MFError,
                               phibar_surjective, SemilinearMap,
-                              _extend_window, _factor_through)
+                              _extend_window)
 from tannaka_forge.tannaka import (coend, lift_coaction, flatness_check,
                                    unit_fully_faithful_check,
                                    morphisms_are_comodule_maps)
@@ -33,7 +33,7 @@ def mf_hom_oracle(X, Y):
             continue
         ok = True
         for i in range(lo, hi + 1):
-            gi = _factor_through(filY[i], g @ filX[i])
+            gi = factor_through(filY[i], g @ filX[i])
             if gi is None:
                 ok = False
                 break
