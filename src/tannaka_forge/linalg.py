@@ -494,6 +494,12 @@ class Span:
         return len(self.pivots) == self.width and \
             all(a == 0 for _, a in self.pivots.values())
 
+    def size(self) -> int:
+        """The number of elements of the span: a row with pivot p^a
+        contributes a factor p^(f (n - a))."""
+        ring = self.ring
+        return ring.p ** (ring.f * sum(ring.n - a for _, a in self.pivots.values()))
+
     def contains(self, vec) -> bool:
         """Is vec an R-combination of the rows?"""
         if len(vec) != self.width:

@@ -29,10 +29,13 @@ The recognition checkers ask every span-membership question of a Howell
 `Span`, with no Smith solve.  Coequalizer and pushout probes are one
 search: a coequalizer of F, G : k -> l is a cocone on the legs [l] under
 F - G, a pushout of F : c -> k, G : c -> l one on [k, l] under F stacked
-on -G.  The cocones into an object form an R-submodule, a kernel, so a
-candidate's universality is decided on that kernel's generators, exactly.
-The budget bounds only what is still enumerated: fiber elements, hom span
-elements and candidate cocones.
+on -G.  The cocones into an object form an R-submodule, the image of a
+kernel: the candidate legs into a tip are its elements, and a candidate's
+universality is decided on its Howell rows, exactly.  The cones of the
+cofilteredness check are read off the sets {F u : F in span(c, k)}, one per
+source (c, u) and object k, and its parallel pairs off the elements of
+each span(k, l), bucketed by F v_A.  The budget bounds only what is still
+enumerated: fiber elements, hom span elements and candidate cocones.
 """
 
 from __future__ import annotations
@@ -58,11 +61,19 @@ class DiagramNotClosed(ValueError):
     """Raised when an operation requires a composition-closed diagram."""
 
 
+class CoendTooLarge(ValueError):
+    """Raised when the coend's carrier has rank above MAX_L_RANK."""
+
+
 DEFAULT_BUDGET = 4096
 
 # The largest rank N = sum_k (r_k f_B)^2 of T a diagram may have; larger
 # diagrams are refused before anything is built.
 MAX_T_RANK = 256
+
+# The largest R-rank of the coend's carrier L; C (x)_B C is built with rank
+# up to rank(L)^2, so larger coends are refused before it is.
+MAX_L_RANK = 64
 
 
 @dataclass(frozen=True)
@@ -298,6 +309,9 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     rel_rows = howell(R, cols, N)
     pres = module_from_presentation(Matrix.from_cols(R, rel_rows, N))
     L_car = pres.module
+    if L_car.rank > MAX_L_RANK:
+        raise CoendTooLarge("L has rank %d, above MAX_L_RANK = %d"
+                            % (L_car.rank, MAX_L_RANK))
     T_free = FinModule.free(R, N)
 
     def descend_T(flat: Matrix, dst: FinModule) -> ModuleMap:
@@ -420,7 +434,7 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
     """nu : L(family) -> C, [m (x) xi] |-> (id (x) xi) rho(m), for a family
     of Cauchy comodules with solver-computed hom data."""
     alg = C.alg
-    R, fb = alg.R, alg.fb
+    fb = alg.fb
     std_comods = []
     for Mc in family:
         form = as_b_module(alg, Mc.carrier, Mc.module.act)
@@ -444,7 +458,17 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
             homs[(i, j)] = [alg.rmat_to_bmat(g) for g in basis]
     D = DiagramCategory(alg, objects, homs)
     D = hom_closure(D)   # canonicalizes; adds identities if bases missed them
-    CR = coend(D)
+    return counit_from_coend(C, std_comods, coend(D))
+
+
+def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
+                      CR: CoendResult) -> CounitResult:
+    """nu : L -> C and its checks, for a family of comodules over C whose
+    carriers are free_bmodule(r_i)'s (standard form) and CR the checked
+    coend of the family's diagram: object i of CR has rank r_i, and its hom
+    spans are the spans of the comodule homs."""
+    alg = C.alg
+    R, fb = alg.R, alg.fb
     L = CR.coalgebra
     # nu on the T-basis: column (v, w) of block i is (id (x)_B xi_w) rho_i(e_v);
     # it must kill the relations of L, and then any section of the coend
@@ -538,8 +562,12 @@ def _fiber_elements(alg: AlgebraSpec, rank: int, budget: int):
 
 
 def reflects_isos_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdict:
-    """Sweep the hom spans; every invertible matrix must have a two-sided
-    inverse inside the opposite span."""
+    """Sweep the hom spans of hom-closed D; every invertible matrix must
+    have a two-sided inverse inside the opposite span.  Only the first
+    invertible F of each span is tested: if F^-1 is in span(l, k), any
+    other invertible F' there has F'^-1 = (F^-1 F')^-1 F^-1 in it too,
+    since F^-1 F' is a unit of the finite monoid span(k, k) and so has its
+    inverse as a power."""
     alg = D.alg
     skipped = False
     for (k, l) in sorted(D.homs):
@@ -551,13 +579,13 @@ def reflects_isos_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Ver
             skipped = True
             continue
         rk, rl = D.objects[k].rank, D.objects[l].rank
-        back = D.homs[(l, k)]
-        for vec in elems:
-            F = _unflatten_bmat(alg, vec, rl, rk)
-            if rk != rl or not is_invertible(F):
-                continue
-            if not _two_sided_inverse_in_span(alg, F, back, rk, rl):
-                return Verdict("refuted", {"pair": (k, l), "matrix": F})
+        if rk != rl:
+            continue
+        F = next((F for F in (_unflatten_bmat(alg, vec, rl, rk) for vec in elems)
+                  if is_invertible(F)), None)
+        if F is not None and \
+           not _two_sided_inverse_in_span(alg, F, D.homs[(l, k)], rk, rl):
+            return Verdict("refuted", {"pair": (k, l), "matrix": F})
     if skipped:
         return Verdict("inconclusive", reason="hom span sweep over budget")
     return Verdict("verified")
@@ -575,52 +603,85 @@ def _two_sided_inverse_in_span(alg: AlgebraSpec, F: Matrix, back: list[Matrix],
 
 def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdict:
     """el(omega) nonempty, with binary cones and equalizing morphisms, by
-    exhaustive search within the budget.  For the length of the call, the
-    cone span of each (c, k, u) is built once, and the equalizing answer is
-    kept per (k, v_A, f - g), the only data it depends on."""
+    exhaustive search within the budget.  Every fiber is enumerated, so
+    every cone source (c, u) is too: the elements F u, F in span(c, k), are
+    enumerated once per (c, u, k), and a pair has a cone iff some source
+    reaches both.  Each span(k, l) is enumerated once; per (k, v_A, l) its
+    elements are bucketed by F v_A, so the parallel pairs into (l, v_B) are
+    the pairs of bucket v_B in span order.  Their differences are exactly
+    the nonzero elements of bucket 0, and the equalizing answer depends
+    only on (k, v_A, f - g); when it holds for all of them, no pair out of
+    (k, v_A) into l is refuted."""
     alg = D.alg
+    R = alg.R
     if not D.objects:
         return Verdict("refuted", {"reason": "category of elements is empty"})
-    objs = []
-    for k, obj in enumerate(D.objects):
+    fibers = []
+    for obj in D.objects:
         els = _fiber_elements(alg, obj.rank, budget)
         if els is None:
             return Verdict("inconclusive", reason="fiber enumeration over budget")
-        objs.extend((k, v) for v in els)
+        fibers.append(els)
+    objs = [(k, v) for k, els in enumerate(fibers) for v in els]
     if len(objs) ** 2 > budget * 16:
         return Verdict("inconclusive", reason="element-pair sweep over budget")
-    cone_spans: dict[tuple, Span] = {}
+    # sources[(k, v)]: the set, as a bit mask over objs, of sources reaching v
+    sources: dict[tuple, int] = {}
+    for s, (c, u) in enumerate(objs):
+        for k in range(D.nobj()):
+            sp = _reach_span(D, c, u, k)
+            for vec in span_elements(R, sp.rows, sp.width, None):
+                key = (k, alg.rvec_to_bvec(vec))
+                sources[key] = sources.get(key, 0) | 1 << s
     for (k, vA) in objs:
+        mask = sources.get((k, vA), 0)
         for (l, vB) in objs:
-            cone = _has_cone(D, (k, vA), (l, vB), budget, cone_spans)
-            if cone == "budget":
-                return Verdict("inconclusive", reason="cone search over budget")
-            if not cone:
+            if not mask & sources.get((l, vB), 0):
                 return Verdict("refuted", {"kind": "no-cone",
                                            "first": (k, list(vA)),
                                            "second": (l, list(vB))})
     # equalizing morphisms for parallel pairs
-    equalizing: dict[tuple, object] = {}
+    elements: dict[tuple[int, int], list | None] = {}
+    equalizing: dict[tuple, bool] = {}
     for (k, vA) in objs:
-        for (l, vB) in objs:
-            pairmaps = _el_morphisms(D, (k, vA), (l, vB), budget)
-            if pairmaps is None:
+        for l, vBs in enumerate(fibers):
+            if (k, l) not in elements:
+                rows = D.span_rows(k, l)
+                elems = span_elements(R, rows, len(rows[0]), budget) if rows else []
+                elements[(k, l)] = None if elems is None else \
+                    [(tuple(vec), _unflatten_bmat(alg, vec, D.objects[l].rank,
+                                                  D.objects[k].rank))
+                     for vec in elems]
+            elems = elements[(k, l)]
+            if elems is None:
                 return Verdict("inconclusive", reason="parallel-pair sweep over budget")
-            for f, g in itertools.combinations(pairmaps, 2):
-                diff = f - g
-                key = (k, vA, tuple(map(tuple, diff.data)))
-                eq = equalizing.get(key)
-                if eq is None:
-                    eq = equalizing[key] = _has_equalizing(D, (k, vA), diff, budget)
-                if eq == "budget":
-                    return Verdict("inconclusive",
-                                   reason="equalizer search over budget")
-                if not eq:
-                    return Verdict("refuted", {"kind": "no-equalizer",
-                                               "source": (k, list(vA)),
-                                               "target": (l, list(vB)),
-                                               "f": f, "g": g})
+            buckets: dict[tuple, list] = {}
+            for vec, F in elems:
+                buckets.setdefault(tuple(F.apply(vA)), []).append((vec, F))
+            refutable = False
+            for vec, F in buckets.get(vBs[0], []):   # vBs[0] is the zero vector
+                key = (k, vA, vec)
+                if any(vec) and key not in equalizing:
+                    equalizing[key] = _has_equalizing(D, (k, vA), F, budget)
+                refutable = refutable or not equalizing.get(key, True)
+            if not refutable:
+                continue
+            for vB in vBs:
+                for (fv, f), (gv, g) in itertools.combinations(buckets.get(vB, []), 2):
+                    diff = tuple(R.sub(a, b) for a, b in zip(fv, gv))
+                    if not equalizing[(k, vA, diff)]:
+                        return Verdict("refuted", {"kind": "no-equalizer",
+                                                   "source": (k, list(vA)),
+                                                   "target": (l, list(vB)),
+                                                   "f": f, "g": g})
     return Verdict("verified")
+
+
+def _reach_span(D: DiagramCategory, c: int, u, k: int) -> Span:
+    """The R-span of the F u, F in span(c -> k), in R-coordinates."""
+    alg = D.alg
+    return Span(alg.R, [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]],
+                D.objects[k].rank * alg.fb)
 
 
 def _some_source(D: DiagramCategory, budget: int, found) -> bool | str:
@@ -637,44 +698,6 @@ def _some_source(D: DiagramCategory, budget: int, found) -> bool | str:
         if any(found(c, u) for u in els):
             return True
     return "budget" if exhausted else False
-
-
-def _has_cone(D: DiagramCategory, obj1, obj2, budget: int, cone_spans: dict):
-    """Is there a source (c, u) with morphisms onto both objects?
-    cone_spans caches the spans of `_solvable_at`."""
-    alg = D.alg
-    (k, vA), (l, vB) = obj1, obj2
-    return _some_source(D, budget, lambda c, u: (
-        _solvable_at(alg, D, c, k, u, vA, cone_spans)
-        and _solvable_at(alg, D, c, l, u, vB, cone_spans)))
-
-
-def _solvable_at(alg, D, c, k, u, target, cone_spans) -> bool:
-    """Is there F in span(c -> k) with F u = target?  The span of the F u
-    is built once per (c, k, u) in cone_spans."""
-    sp = cone_spans.get((c, k, u))
-    if sp is None:
-        rows = [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]]
-        sp = cone_spans[(c, k, u)] = Span(alg.R, rows, D.objects[k].rank * alg.fb)
-    return sp.contains(alg.bvec_to_rvec(target))
-
-
-def _el_morphisms(D, obj1, obj2, budget):
-    """All span elements f with f(v1) = v2, as B-matrices."""
-    alg = D.alg
-    (k, vA), (l, vB) = obj1, obj2
-    rows = D.span_rows(k, l)
-    if not rows:
-        return []
-    elems = span_elements(alg.R, rows, len(rows[0]), budget)
-    if elems is None:
-        return None
-    out = []
-    for vec in elems:
-        F = _unflatten_bmat(alg, vec, D.objects[l].rank, D.objects[k].rank)
-        if tuple(F.apply(vA)) == tuple(vB):
-            out.append(F)
-    return out
 
 
 def _has_equalizing(D, src, diff, budget):
@@ -759,23 +782,25 @@ def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
     """The first object t of D, with legs q_i : legs[i] -> t in the hom spans
     and (q_1 | ... | q_m) cond = 0, that is a universal cocone and whose
     fiber comparison coker(cond) -> fiber(t) is an isomorphism over B.
-    Returns t, None when there is none, or "budget" when the candidate legs
-    into some object cannot all be enumerated."""
+    Returns t, None when there is none, or "budget" when the product of
+    the hom spans from the legs into some object has more than budget
+    elements.  The candidate legs into t are the elements of the
+    cocone module into t."""
     alg = D.alg
-    ranks = [D.objects[i].rank for i in legs]
+    cocones = _cocones(D, legs, cond)
+    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
+    pres = module_from_presentation(cond)
     for t, tobj in enumerate(D.objects):
-        elems = [span_elements(alg.R, D.span_rows(i, t),
-                               tobj.rank * ri * alg.fb, budget)
-                 for i, ri in zip(legs, ranks)]
-        if None in elems or math.prod(map(len, elems)) > budget:
+        if math.prod(D.span(i, t).size() for i in legs) > budget:
             return "budget"
-        for vecs in itertools.product(*elems):
-            qs = [_unflatten_bmat(alg, v, tobj.rank, ri)
-                  for v, ri in zip(vecs, ranks)]
-            q = functools.reduce(Matrix.hstack, qs)
-            if not (q @ cond).is_zero() or not _is_universal(D, legs, cond, t, qs):
+        into = cocones[t]
+        for vec in span_elements(alg.R, into.rows, into.width, None):
+            qs = [_unflatten_bmat(alg, vec[tobj.rank * a * alg.fb:tobj.rank * b * alg.fb],
+                                  tobj.rank, b - a)
+                  for a, b in zip(starts, starts[1:])]
+            if not _is_universal(D, cocones, t, qs):
                 continue
-            pres = module_from_presentation(cond)
+            q = functools.reduce(Matrix.hstack, qs)
             qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
                              q @ pres.sect)
             if is_isomorphism(qbar):
@@ -783,19 +808,18 @@ def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
     return None
 
 
-def _is_universal(D: DiagramCategory, legs: list[int], cond: Matrix, tip: int,
-                  qs) -> bool:
-    """Does every cocone on the legs under cond factor through the legs qs
-    into tip, and uniquely?  The cocones into e are an R-submodule: with
-    H_g running over the hom generators leg_i -> e, they are the
-    combinations sum c_g H_g whose coefficients lie in the kernel of
-    c |-> sum c_g H_g cond_i (cond_i the rows of cond that leg i meets).
-    So factoring is checked on the kernel's generators alone."""
+def _cocones(D: DiagramCategory, legs: list[int], cond: Matrix) -> list[Span]:
+    """The cocones on the legs under cond into each object e, as the span
+    of the flattened (q_1 | ... | q_m).  With H_g running over the hom
+    generators leg_i -> e, they are the combinations sum c_g H_g whose
+    coefficients lie in the kernel of c |-> sum c_g H_g cond_i (cond_i the
+    rows of cond that leg i meets)."""
     alg = D.alg
     R, fb = alg.R, alg.fb
     starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
     blocks = [Matrix(alg.B, cond.data[a:b], b - a, cond.cols)
               for a, b in zip(starts, starts[1:])]
+    out = []
     for e, eobj in enumerate(D.objects):
         width = eobj.rank * starts[-1] * fb
         conds, cocones = [], []
@@ -806,12 +830,22 @@ def _is_universal(D: DiagramCategory, legs: list[int], cond: Matrix, tip: int,
                 flat = _flatten_bmat(alg, H)
                 cocones.append((0,) * lo + flat + (0,) * (width - lo - len(flat)))
         K = kernel(Matrix.from_cols(R, conds, eobj.rank * cond.cols * fb))
+        G = Matrix.from_cols(R, cocones, width) @ K
+        out.append(Span(R, [G.col(j) for j in range(G.cols)], width))
+    return out
+
+
+def _is_universal(D: DiagramCategory, cocones: list[Span], tip: int, qs) -> bool:
+    """Does every cocone (cocones[e] spans those into e, `_cocones`) factor
+    through the legs qs into tip, and uniquely?  The cocones into e are an
+    R-submodule, so factoring is checked on its Howell rows alone."""
+    alg = D.alg
+    for e, into in enumerate(cocones):
         gens_te = D.homs[(tip, e)]
         srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
                  for S in gens_te]
-        factored = Span(R, srows, width)
-        G = Matrix.from_cols(R, cocones, width) @ K
-        if not all(factored.contains(G.col(j)) for j in range(G.cols)):
+        factored = Span(alg.R, srows, into.width)
+        if not all(factored.contains(r) for r in into.rows):
             return False
         if not _factors_uniquely(alg, srows, gens_te):
             return False
@@ -867,6 +901,10 @@ def recheck_iso_witness(D: DiagramCategory, k: int, l: int, F: Matrix) -> bool:
 
 def recheck_cone_witness(D: DiagramCategory, first, second,
                          budget: int = DEFAULT_BUDGET) -> bool:
-    k, vA = first
-    l, vB = second
-    return _has_cone(D, (k, tuple(vA)), (l, tuple(vB)), budget, {}) is False
+    """True iff every source fiber can be enumerated within budget and no
+    source (c, u) reaches both elements."""
+    alg = D.alg
+    (k, vA), (l, vB) = first, second
+    return _some_source(D, budget, lambda c, u: (
+        _reach_span(D, c, u, k).contains(alg.bvec_to_rvec(vA))
+        and _reach_span(D, c, u, l).contains(alg.bvec_to_rvec(vB)))) is False

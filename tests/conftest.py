@@ -52,3 +52,27 @@ def alg_f4():
 @pytest.fixture(scope="session")
 def alg_gr42():
     return AlgebraSpec.make(2, 2, 2)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls((module, name), ...) -> {name: calls so far}: wraps each
+    function in every tannaka_forge module that holds it, so calls from
+    inside the engine are counted too."""
+    def install(*targets):
+        counts = dict.fromkeys((name for _, name in targets), 0)
+        engine = [m for key, m in sys.modules.items()
+                  if key == "tannaka_forge" or key.startswith("tannaka_forge.")]
+        for owner, name in targets:
+            orig = getattr(owner, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                counts[_name] += 1
+                return _orig(*args, **kwargs)
+
+            for mod in engine:
+                for key, val in list(vars(mod).items()):
+                    if val is orig:
+                        monkeypatch.setattr(mod, key, counted)
+        return counts
+    return install

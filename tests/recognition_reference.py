@@ -17,14 +17,26 @@ of each pushout leg, and reports nothing about what those caps drop.
 memos: it builds a fresh `Span` for every cone membership question and
 every equalizing question, even when the same one was asked before.
 
+``memo_cofiltered_check`` is the search with those memos, as it ran before
+it read cones off reachable sets: it asks each cone question of a `Span` of
+the F u, and enumerates and unflattens the span of hom(k, l) again for
+every element pair (``el_morphisms``).  ``product_find_colimit`` is the
+colimit search as it ran before it enumerated cocone modules: it filters
+the product of the leg spans by q cond = 0, and ``product_is_universal``
+computes the kernel of cocones into every object again for each candidate.
+``sweep_reflects_isos_check`` tests every invertible element of each span,
+not only the first.
+
 All of them are kept only to be tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
-from tannaka_forge.linalg import (Matrix, Span, kernel, solve,
+from tannaka_forge.linalg import (Matrix, Span, kernel, solve, is_invertible,
                                   cokernel_exponents)
 from tannaka_forge.modules import (FinModule, ModuleMap,
                                    module_from_presentation, is_isomorphism,
@@ -32,7 +44,7 @@ from tannaka_forge.modules import (FinModule, ModuleMap,
 from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _flatten_bmat, _unflatten_bmat,
                                    _factors_uniquely, _fiber_elements,
-                                   _el_morphisms)
+                                   _two_sided_inverse_in_span)
 
 
 def span_membership(ring, gens, target):
@@ -262,7 +274,7 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     # equalizing morphisms for parallel pairs
     for (k, vA) in objs:
         for (l, vB) in objs:
-            pairmaps = _el_morphisms(D, (k, vA), (l, vB), budget)
+            pairmaps = el_morphisms(D, (k, vA), (l, vB), budget)
             if pairmaps is None:
                 return Verdict("inconclusive", reason="parallel-pair sweep over budget")
             for f, g in itertools.combinations(pairmaps, 2):
@@ -323,3 +335,170 @@ def has_equalizing(D, src, f, g, budget):
             if Span(alg.R, rows, len(target)).contains(target):
                 return True
     return "budget" if exhausted else False
+
+
+def sweep_reflects_isos_check(D: DiagramCategory,
+                              budget: int = DEFAULT_BUDGET) -> Verdict:
+    alg = D.alg
+    skipped = False
+    for (k, l) in sorted(D.homs):
+        rows = D.span_rows(k, l)
+        if not rows:
+            continue
+        elems = span_elements(alg.R, rows, len(rows[0]), budget)
+        if elems is None:
+            skipped = True
+            continue
+        rk, rl = D.objects[k].rank, D.objects[l].rank
+        back = D.homs[(l, k)]
+        for vec in elems:
+            F = _unflatten_bmat(alg, vec, rl, rk)
+            if rk != rl or not is_invertible(F):
+                continue
+            if not _two_sided_inverse_in_span(alg, F, back, rk, rl):
+                return Verdict("refuted", {"pair": (k, l), "matrix": F})
+    if skipped:
+        return Verdict("inconclusive", reason="hom span sweep over budget")
+    return Verdict("verified")
+
+
+def memo_cofiltered_check(D: DiagramCategory,
+                          budget: int = DEFAULT_BUDGET) -> Verdict:
+    alg = D.alg
+    if not D.objects:
+        return Verdict("refuted", {"reason": "category of elements is empty"})
+    objs = []
+    for k, obj in enumerate(D.objects):
+        els = _fiber_elements(alg, obj.rank, budget)
+        if els is None:
+            return Verdict("inconclusive", reason="fiber enumeration over budget")
+        objs.extend((k, v) for v in els)
+    if len(objs) ** 2 > budget * 16:
+        return Verdict("inconclusive", reason="element-pair sweep over budget")
+    cone_spans: dict[tuple, Span] = {}
+    for (k, vA) in objs:
+        for (l, vB) in objs:
+            cone = memo_has_cone(D, (k, vA), (l, vB), budget, cone_spans)
+            if cone == "budget":
+                return Verdict("inconclusive", reason="cone search over budget")
+            if not cone:
+                return Verdict("refuted", {"kind": "no-cone",
+                                           "first": (k, list(vA)),
+                                           "second": (l, list(vB))})
+    equalizing: dict[tuple, object] = {}
+    for (k, vA) in objs:
+        for (l, vB) in objs:
+            pairmaps = el_morphisms(D, (k, vA), (l, vB), budget)
+            if pairmaps is None:
+                return Verdict("inconclusive", reason="parallel-pair sweep over budget")
+            for f, g in itertools.combinations(pairmaps, 2):
+                diff = f - g
+                key = (k, vA, tuple(map(tuple, diff.data)))
+                eq = equalizing.get(key)
+                if eq is None:
+                    eq = equalizing[key] = has_equalizing(D, (k, vA), f, g, budget)
+                if eq == "budget":
+                    return Verdict("inconclusive",
+                                   reason="equalizer search over budget")
+                if not eq:
+                    return Verdict("refuted", {"kind": "no-equalizer",
+                                               "source": (k, list(vA)),
+                                               "target": (l, list(vB)),
+                                               "f": f, "g": g})
+    return Verdict("verified")
+
+
+def memo_has_cone(D: DiagramCategory, obj1, obj2, budget: int, cone_spans: dict):
+    alg = D.alg
+    (k, vA), (l, vB) = obj1, obj2
+    exhausted = False
+    for c, cobj in enumerate(D.objects):
+        els = _fiber_elements(alg, cobj.rank, budget)
+        if els is None:
+            exhausted = True
+            continue
+        if any(memo_solvable_at(alg, D, c, k, u, vA, cone_spans)
+               and memo_solvable_at(alg, D, c, l, u, vB, cone_spans)
+               for u in els):
+            return True
+    return "budget" if exhausted else False
+
+
+def memo_solvable_at(alg, D, c, k, u, target, cone_spans) -> bool:
+    sp = cone_spans.get((c, k, u))
+    if sp is None:
+        rows = [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]]
+        sp = cone_spans[(c, k, u)] = Span(alg.R, rows, D.objects[k].rank * alg.fb)
+    return sp.contains(alg.bvec_to_rvec(target))
+
+
+def el_morphisms(D, obj1, obj2, budget):
+    """All span elements f with f(v1) = v2, as B-matrices."""
+    alg = D.alg
+    (k, vA), (l, vB) = obj1, obj2
+    rows = D.span_rows(k, l)
+    if not rows:
+        return []
+    elems = span_elements(alg.R, rows, len(rows[0]), budget)
+    if elems is None:
+        return None
+    out = []
+    for vec in elems:
+        F = _unflatten_bmat(alg, vec, D.objects[l].rank, D.objects[k].rank)
+        if tuple(F.apply(vA)) == tuple(vB):
+            out.append(F)
+    return out
+
+
+def product_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
+                         budget: int):
+    alg = D.alg
+    ranks = [D.objects[i].rank for i in legs]
+    for t, tobj in enumerate(D.objects):
+        elems = [span_elements(alg.R, D.span_rows(i, t),
+                               tobj.rank * ri * alg.fb, budget)
+                 for i, ri in zip(legs, ranks)]
+        if None in elems or math.prod(map(len, elems)) > budget:
+            return "budget"
+        for vecs in itertools.product(*elems):
+            qs = [_unflatten_bmat(alg, v, tobj.rank, ri)
+                  for v, ri in zip(vecs, ranks)]
+            q = functools.reduce(Matrix.hstack, qs)
+            if not (q @ cond).is_zero() or \
+               not product_is_universal(D, legs, cond, t, qs):
+                continue
+            pres = module_from_presentation(cond)
+            qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
+                             q @ pres.sect)
+            if is_isomorphism(qbar):
+                return t
+    return None
+
+
+def product_is_universal(D: DiagramCategory, legs: list[int], cond: Matrix,
+                         tip: int, qs) -> bool:
+    alg = D.alg
+    R, fb = alg.R, alg.fb
+    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
+    blocks = [Matrix(alg.B, cond.data[a:b], b - a, cond.cols)
+              for a, b in zip(starts, starts[1:])]
+    for e, eobj in enumerate(D.objects):
+        width = eobj.rank * starts[-1] * fb
+        conds, cocones = [], []
+        for i, a, block in zip(legs, starts, blocks):
+            lo = eobj.rank * a * fb
+            for H in D.homs[(i, e)]:
+                conds.append(_flatten_bmat(alg, H @ block))
+                flat = _flatten_bmat(alg, H)
+                cocones.append((0,) * lo + flat + (0,) * (width - lo - len(flat)))
+        K = kernel(Matrix.from_cols(R, conds, eobj.rank * cond.cols * fb))
+        gens_te = D.homs[(tip, e)]
+        srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
+                 for S in gens_te]
+        factored = Span(R, srows, width)
+        G = Matrix.from_cols(R, cocones, width) @ K
+        if not all(factored.contains(G.col(j)) for j in range(G.cols)):
+            return False
+        if not _factors_uniquely(alg, srows, gens_te):
+            return False
+    return True

@@ -161,3 +161,48 @@ def test_cofiltered_check_matches_reference(monkeypatch):
         seen.add(got.status if got.status != "refuted" else got.witness["kind"])
     assert seen == {"verified", "inconclusive", "no-cone", "no-equalizer"}
     assert 2 * built["new"] < built["ref"], built
+
+
+def _pair_cost(D):
+    """Element pairs times the largest hom span: about what the reference
+    cofilteredness search enumerates."""
+    fibers = sum(D.alg.B.size ** obj.rank for obj in D.objects)
+    n = D.nobj()
+    return fibers ** 2 * max(D.span(k, l).size() for k in range(n) for l in range(n))
+
+
+def _leg_product(D):
+    """The largest product of two hom spans into one object: the most
+    candidates the reference colimit search filters for one tip."""
+    n = D.nobj()
+    return max(_span_size(D, k, t) * _span_size(D, l, t)
+               for k in range(n) for l in range(n) for t in range(n))
+
+
+def test_recognition_matches_enumerating_searches(monkeypatch):
+    # the searches on cocone modules, reachable sets and buckets against
+    # the ones that filter products of leg spans and unflatten a span per
+    # element pair: the same verdicts, witnesses and probe lists; the
+    # references run where they finish in about a second
+    seen = set()
+    for seed in (1, 4):
+        for D in _draws(seed, 10):
+            fibers = sum(D.alg.B.size ** obj.rank for obj in D.objects)
+            for budget in (64, 1024, 4096):
+                got = tannaka.reflects_isos_check(D, budget)
+                assert got == ref.sweep_reflects_isos_check(D, budget)
+                seen.add("iso-" + got.status)
+                if _pair_cost(D) <= 40000 or fibers ** 2 > budget * 16:
+                    got = cofiltered_check(D, budget)
+                    assert got == ref.memo_cofiltered_check(D, budget)
+                    seen.add(got.witness["kind"] if got.status == "refuted"
+                             else got.status)
+                if _leg_product(D) <= 256:
+                    got = rigid_colimit_probes(D, budget)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(tannaka, "_find_colimit", ref.product_find_colimit)
+                        assert got == rigid_colimit_probes(D, budget)
+                    seen.update("probe-" + p["verdict"] for p in got[1])
+    assert seen >= {"inconclusive", "no-cone", "no-equalizer", "verified",
+                    "iso-refuted", "iso-inconclusive", "probe-refuted",
+                    "probe-inconclusive", "probe-verified"}, seen
