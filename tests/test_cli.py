@@ -213,13 +213,13 @@ def test_mf_demo_bad_spec(capsys):
      "MAX_RESIDUE_FIELD"),
     (["coend", "alg R=GR(2^1,1) B=GR(2^1,1)\nobject A rank 100000\n"],
      "MAX_T_RANK"),
-    # the comatrix diagram of rank 9 over F2: L has rank 81, C (x)_B C 6561
-    (["coend", "alg R=GR(2^1,1) B=GR(2^1,1)\nobject A rank 9\n"],
-     "MAX_L_RANK"),
     (["mf", "demo", "--p", "2", "--n", "1", "--f", "40", "--objects", "M(0),M(1)"],
      "MAX_RESIDUE_FIELD"),
     (["mf", "demo", "--p", "2", "--n", "65", "--f", "1", "--objects", "M(0)"],
      "MAX_N"),
+    # the comatrix diagram of rank 9 over F2: L has rank 81, C (x)_B C 6561
+    (["coend", "alg R=GR(2^1,1) B=GR(2^1,1)\nobject A rank 9\n"],
+     "MAX_L_RANK"),
 ])
 def test_unbounded_inputs_are_refused_up_front(tmp_path, argv, limit):
     # without their limits these inputs run for minutes and exhaust memory,
