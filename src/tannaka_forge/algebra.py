@@ -560,11 +560,6 @@ class BDual:
             out = alg.B.add(out, alg.B.mul(xib[t], std[t]))
         return out
 
-    def dual_basis_elem(self, t: int) -> tuple[int, ...]:
-        vec = [0] * (self.rank * self.alg.fb)
-        vec[t * self.alg.fb] = 1
-        return tuple(vec)
-
 
 def b_dual(alg: AlgebraSpec, M: BModule) -> BDual:
     """Dual of a free B-module, with (xi . b)(m) = xi(m) . b.  Raises

@@ -85,10 +85,6 @@ class Coalgebra:
         """The lift of delta into the flat R-tensor cc.TR."""
         return self.cc.sect @ self.delta.mat
 
-    def counit_elem(self, v) -> int:
-        """eps(v) as an element of B."""
-        return self.alg.B.from_coeffs(self.counit.apply(v))
-
     def __eq__(self, other):
         return (isinstance(other, Coalgebra) and self.bi == other.bi
                 and self.delta == other.delta and self.counit == other.counit)

@@ -147,6 +147,39 @@ class DiagramCategory:
     def is_closed(self) -> bool:
         return self.closure_violation() is None
 
+    def components(self) -> list[list[int]]:
+        """The connected components of the graph with an edge k - l
+        whenever span(k, l) or span(l, k) is nonzero, as sorted index
+        lists ordered by their smallest index.  On a closed diagram the
+        coend is the direct sum of the components' coends."""
+        n = self.nobj()
+        nbrs = [[l for l in range(n) if self.span(k, l).rows or self.span(l, k).rows]
+                for k in range(n)]
+        seen, out = set(), []
+        for k in range(n):
+            if k in seen:
+                continue
+            seen.add(k)
+            comp, todo = [], [k]
+            while todo:
+                c = todo.pop()
+                comp.append(c)
+                fresh = [l for l in nbrs[c] if l not in seen]
+                seen.update(fresh)
+                todo += fresh
+            out.append(sorted(comp))
+        return out
+
+    def restrict(self, ks: list[int]) -> DiagramCategory:
+        """The full sub-diagram on the objects ks, in that order; the spans
+        already built are handed over, as `hom_closure` does."""
+        pairs = [((a, b), (k, l)) for a, k in enumerate(ks) for b, l in enumerate(ks)]
+        out = DiagramCategory(self.alg, [self.objects[k] for k in ks],
+                              {ab: self.homs[kl] for ab, kl in pairs})
+        out._spans.update({ab: self._spans[kl] for ab, kl in pairs
+                           if kl in self._spans})
+        return out
+
 
 def _flatten_bmat(alg: AlgebraSpec, F: Matrix) -> tuple[int, ...]:
     """R-coordinates of a B-matrix, read row by row."""
@@ -785,7 +818,9 @@ def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
     Returns t, None when there is none, or "budget" when the product of
     the hom spans from the legs into some object has more than budget
     elements.  The candidate legs into t are the elements of the
-    cocone module into t."""
+    cocone module into t.  Universal legs make S |-> S q a bijection from
+    span(t, e) onto the cocones into e, so a tip where the two sizes differ
+    for some e is skipped without enumerating its candidates."""
     alg = D.alg
     cocones = _cocones(D, legs, cond)
     starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
@@ -793,6 +828,8 @@ def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
     for t, tobj in enumerate(D.objects):
         if math.prod(D.span(i, t).size() for i in legs) > budget:
             return "budget"
+        if any(D.span(t, e).size() != cone.size() for e, cone in enumerate(cocones)):
+            continue
         into = cocones[t]
         for vec in span_elements(alg.R, into.rows, into.width, None):
             qs = [_unflatten_bmat(alg, vec[tobj.rank * a * alg.fb:tobj.rank * b * alg.fb],

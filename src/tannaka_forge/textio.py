@@ -157,10 +157,6 @@ def parse_module(text: str, line: int | None = None,
         raise ParseError(str(e), line) from e
 
 
-def format_module(M: FinModule) -> str:
-    return "mod(%s) over %s" % (",".join(map(str, M.exps)), M.ring.literal())
-
-
 _ALG_RE = re.compile(r"^alg\s+R\s*=\s*(\S+)\s+B\s*=\s*(\S+)\s*$")
 
 

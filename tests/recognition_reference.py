@@ -25,7 +25,9 @@ colimit search as it ran before it enumerated cocone modules: it filters
 the product of the leg spans by q cond = 0, and ``product_is_universal``
 computes the kernel of cocones into every object again for each candidate.
 ``sweep_reflects_isos_check`` tests every invertible element of each span,
-not only the first.
+not only the first.  ``cocone_find_colimit`` is the colimit search on
+cocone modules as it ran before it skipped tips whose hom spans and cocone
+modules differ in size: it enumerates the cocones into every tip.
 
 All of them are kept only to be tested against.
 """
@@ -44,7 +46,8 @@ from tannaka_forge.modules import (FinModule, ModuleMap,
 from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _flatten_bmat, _unflatten_bmat,
                                    _factors_uniquely, _fiber_elements,
-                                   _two_sided_inverse_in_span)
+                                   _two_sided_inverse_in_span, _cocones,
+                                   _is_universal)
 
 
 def span_membership(ring, gens, target):
@@ -502,3 +505,27 @@ def product_is_universal(D: DiagramCategory, legs: list[int], cond: Matrix,
         if not _factors_uniquely(alg, srows, gens_te):
             return False
     return True
+
+
+def cocone_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
+                        budget: int):
+    alg = D.alg
+    cocones = _cocones(D, legs, cond)
+    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
+    pres = module_from_presentation(cond)
+    for t, tobj in enumerate(D.objects):
+        if math.prod(D.span(i, t).size() for i in legs) > budget:
+            return "budget"
+        into = cocones[t]
+        for vec in span_elements(alg.R, into.rows, into.width, None):
+            qs = [_unflatten_bmat(alg, vec[tobj.rank * a * alg.fb:tobj.rank * b * alg.fb],
+                                  tobj.rank, b - a)
+                  for a, b in zip(starts, starts[1:])]
+            if not _is_universal(D, cocones, t, qs):
+                continue
+            q = functools.reduce(Matrix.hstack, qs)
+            qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
+                             q @ pres.sect)
+            if is_isomorphism(qbar):
+                return t
+    return None

@@ -9,7 +9,11 @@ from pathlib import Path
 import pytest
 
 import tannaka_forge
+from tannaka_forge import coalgebra
+from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.cli import main
+from tannaka_forge.suite import grouplike_diagram
+from tannaka_forge.textio import format_diagram
 
 
 GROUPLIKE = """alg R=GR(2^1,1) B=GR(2^1,1)
@@ -228,6 +232,15 @@ def test_unbounded_inputs_are_refused_up_front(tmp_path, argv, limit):
         f = tmp_path / "big.diagram"
         f.write_text(argv[1])
         argv = ["coend", str(f)]
+    out, seconds = _capped_cli(argv)
+    assert seconds < 1.0
+    assert out.returncode == 2
+    assert limit in out.stderr and "Traceback" not in out.stderr
+
+
+def _capped_cli(argv):
+    """Run the CLI in a child process capped at 1 GB of address space;
+    returns (completed process, wall seconds)."""
     src = str(Path(tannaka_forge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
 
@@ -238,9 +251,31 @@ def test_unbounded_inputs_are_refused_up_front(tmp_path, argv, limit):
     out = subprocess.run([sys.executable, "-m", "tannaka_forge.cli"] + argv,
                          env=env, preexec_fn=cap, capture_output=True,
                          text=True, timeout=60)
-    assert time.monotonic() - t0 < 1.0
-    assert out.returncode == 2
-    assert limit in out.stderr and "Traceback" not in out.stderr
+    return out, time.monotonic() - t0
+
+
+def test_l_rank_limit_is_per_component(tmp_path):
+    # 65 grouplike objects: L has rank 65 in all, above MAX_L_RANK = 64,
+    # but it is built as 65 components of rank 1
+    f = tmp_path / "g65.diagram"
+    f.write_text(format_diagram(grouplike_diagram(AlgebraSpec.make(2, 1, 1), 65)))
+    out, _ = _capped_cli(["coend", str(f)])
+    assert out.returncode == 0, out.stderr
+    rep = json.loads(out.stdout)
+    assert rep["results"]["coend"] == {"rank": 65, "exps": [1] * 65}
+
+
+def test_unit_check_solves_only_pairs_inside_a_component(count_calls, tmp_path,
+                                                         capsys):
+    # grouplike g = 32: 32 one-object components, so one comodule hom each
+    # instead of 32 * 32; the 992 pairs across components are "equal"
+    f = tmp_path / "g32.diagram"
+    f.write_text(format_diagram(grouplike_diagram(AlgebraSpec.make(2, 1, 1), 32)))
+    calls = count_calls((coalgebra, "comodule_hom"))
+    code, rep = run(capsys, ["coend", str(f)])
+    assert code == 0 and calls == {"comodule_hom": 32}
+    unit = rep["results"]["unit"]
+    assert len(unit) == 32 * 32 and set(unit.values()) == {"equal"}
 
 
 def test_verify_suite_command(capsys):

@@ -241,7 +241,7 @@ def test_comodules_agree_with_dense(monkeypatch):
 def _counit_kernel(C):
     """Generators g - eps(g) . g_piv of ker(eps), g_piv with eps a unit."""
     B, car = C.alg.B, C.carrier
-    eps = [C.counit_elem(car.gen(i)) for i in range(car.rank)]
+    eps = [B.from_coeffs(C.counit.apply(car.gen(i))) for i in range(car.rank)]
     piv = next(i for i, e in enumerate(eps) if B.is_unit(e))
     inv = B.inv(eps[piv])
     return [car.add(car.gen(i),

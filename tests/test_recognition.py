@@ -206,3 +206,34 @@ def test_recognition_matches_enumerating_searches(monkeypatch):
     assert seen >= {"inconclusive", "no-cone", "no-equalizer", "verified",
                     "iso-refuted", "iso-inconclusive", "probe-refuted",
                     "probe-inconclusive", "probe-verified"}, seen
+
+
+def test_tip_skip_matches_cocone_search(monkeypatch):
+    # skipping tips whose hom spans and cocone modules differ in size
+    # against the search that enumerates every tip's cocones: the same
+    # verdicts and probe lists, with fewer universality tests
+    universal = {"calls": 0}
+    is_universal = tannaka._is_universal
+
+    def counted(*args):
+        universal["calls"] += 1
+        return is_universal(*args)
+
+    monkeypatch.setattr(tannaka, "_is_universal", counted)
+    monkeypatch.setattr(ref, "_is_universal", counted)
+    tested = {"new": 0, "ref": 0}
+    seen = set()
+    for seed in (1, 4):
+        for D in _draws(seed, 10):
+            for budget in (64, 1024):
+                universal["calls"] = 0
+                got = rigid_colimit_probes(D, budget)
+                tested["new"] += universal["calls"]
+                universal["calls"] = 0
+                with monkeypatch.context() as mp:
+                    mp.setattr(tannaka, "_find_colimit", ref.cocone_find_colimit)
+                    assert got == rigid_colimit_probes(D, budget)
+                tested["ref"] += universal["calls"]
+                seen.update(p["verdict"] for p in got[1])
+    assert seen >= {"refuted", "inconclusive", "verified"}, seen
+    assert 2 * tested["new"] < tested["ref"], tested

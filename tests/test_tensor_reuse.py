@@ -64,13 +64,14 @@ def test_checks_build_no_tensor(tensor_calls):
 
 
 def test_mf_demo_tensor_calls(tensor_calls):
-    # closure, coend, unit lift and the counit echo on GR(4,2) {M(0),M(1)}:
-    # one tensor square for the one coend and one C (x)_B M per object; the
-    # echo reads the pipeline's coend and lifted comodules and builds none
+    # closure, coend, unit lift and the counit echo on GR(4,2) {M(0),M(1)},
+    # two one-object components: one tensor square per component's coend
+    # and one C (x)_B M per object; the echo reads the pipeline's coends
+    # and lifted comodules and builds none
     with redirect_stdout(io.StringIO()):
         assert main(["mf", "demo", "--p", "2", "--n", "2", "--f", "2",
                      "--objects", "M(0),M(1)"]) == 0
-    assert tensor_calls == {"tensor_bimodules": 1, "tensor_bim_bmodule": 2}
+    assert tensor_calls == {"tensor_bimodules": 2, "tensor_bim_bmodule": 2}
 
 
 def test_coalgebra_check_refuses_other_tensor(alg_f2):

