@@ -11,17 +11,20 @@ Tensor over B is the cokernel of the middle-relation map
 
     x (x) y  |->  (x . b) (x) y - x (x) (b . y)      (b = the generator)
 
-on the R-tensor product; the quotient presentation is computed exactly and
-recorded so maps can be induced on it: as sparse columns, f (x) g pushed
-through the target's projection, descended by modules.descend_sparse.
-When f_B = 1 the relation map is zero and tensor over B coincides with
-tensor over R (the same code, with no relations).
+on the R-tensor product.  The quotient is presented exactly, and a BTensor
+holds it in one form, sparse columns: the projection from the R-tensor, a
+section back, and the middle relations.  Maps are induced on it from those
+columns alone: f (x) g is pushed through the target's projection and
+descended by modules.descend_sparse.  When f_B = 1 the relation map is zero
+and tensor over B coincides with tensor over R: the projection and the
+section are unit columns and there are no relations.
 Triple tensors are nested, (X tensor_B Y) tensor_B Z, which right exactness
 makes canonically isomorphic to the quotient of the flat triple tensor by
 both middle relations.  When Z is free over B with basis z_1..z_s the outer
 step needs no quotient: X tensor_B B^s is X^{(+)s}, written down from the
-B-basis of Z and the powers of the right action of X.  Otherwise the outer
-step presents a binary tensor as above.
+B-basis of Z and the powers of the right action of X, straight into
+sparse columns.  Otherwise the outer step presents a binary tensor as
+above.
 
 Free-vs-not over B is decided by re-expressing a carrier as a B-module and
 running the chain-ring normal form over B itself.
@@ -30,7 +33,6 @@ running the chain-ring normal form over B itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .rings import RingSpec, ring_make
 from .linalg import Matrix, is_invertible, inverse
@@ -270,84 +272,88 @@ def regular_bimodule(alg: AlgebraSpec) -> BBBimodule:
 
 @dataclass
 class BTensor:
-    """X tensor_B Y presented as a quotient of the R-tensor product.
-
-    module is the canonical quotient; proj projects the R-tensor onto it and
-    sect lifts generators back (proj after sect is the identity).  rel_cols
-    are the middle-relation generators in R-tensor coordinates; descent
-    holds them and sect as the sparse vectors descend_sparse checks maps
-    on.  When f_B = 1 the projection is the identity and there are no
-    relations.  A tensor built in B-coordinates
-    (_tensor_free) records no relations either, and descend refuses it.
-    factors is (X, Y) for tensor_bimodules and (X, M) for tensor_bim_bmodule;
-    the nests of a triple tensor record none.
-    """
+    """X tensor_B Y as the canonical quotient module of the R-tensor TR,
+    held once, as sparse (index, entry) columns: proj_cols[k] is generator k
+    of TR.module in module, sect_cols[q] lifts generator q of module into
+    TR.module (proj after sect is the identity), and rels are the middle
+    relations over TR.module that descend_sparse checks maps on.  When
+    f_B = 1 both are unit columns and rels is empty; a tensor in
+    B-coordinates (_tensor_free) records rels = None, and descend_cols
+    refuses it.  factors is (X, Y) for tensor_bimodules and (X, M) for
+    tensor_bim_bmodule; the nests of a triple tensor record none."""
     alg: AlgebraSpec
     TR: TensorData
     module: FinModule
-    proj: ModuleMap
-    sect: Matrix
-    rel_cols: Matrix | None
+    proj_cols: list
+    sect_cols: list
+    rels: list | None
     left: ModuleMap | None = None
     right: ModuleMap | None = None
     factors: tuple | None = None
 
-    def pure(self, v, w) -> tuple[int, ...]:
-        return self.proj.apply(self.TR.embed(v, w))
+    def project(self, flat) -> list[list[tuple[int, int]]]:
+        """The sparse vectors flat over TR.module, projected into module."""
+        return [sparse_image(col, self.proj_cols, self.module) for col in flat]
+
+    def lift(self, phi: ModuleMap) -> Matrix:
+        """The flat lift sect @ phi.mat of phi into module, dense, unreduced."""
+        R = self.alg.R
+        add, mul = R.add, R.mul
+        out = Matrix.zeros(R, self.TR.module.rank, phi.src.rank)
+        for q, col in enumerate(phi.mat.sparse_cols()):
+            for r, c in col:
+                for t, s in self.sect_cols[r]:
+                    out.data[t][q] = add(out.data[t][q], mul(s, c))
+        return out
 
     def pure_sum(self, pairs) -> tuple[int, ...]:
         """The sum of v (x) w over the (v, w) pairs, as an element of module."""
-        add, acc = self.alg.R.add, [0] * self.module.rank
+        add, mul, pos = self.alg.R.add, self.alg.R.mul, self.TR.pos
+        acc: dict[int, int] = {}
         for v, w in pairs:
-            for r, a in enumerate(self.pure(v, w)):
+            for i, a in enumerate(v):
                 if a:
-                    acc[r] = add(acc[r], a)
-        return self.module.reduce(acc)
+                    for j, b in enumerate(w):
+                        if b:
+                            k = pos[(i, j)]
+                            acc[k] = add(acc.get(k, 0), mul(a, b))
+        out = [0] * self.module.rank
+        for r, a in self.project([acc.items()])[0]:
+            out[r] = a
+        return tuple(out)
 
-    @cached_property
-    def proj_cols(self) -> list[list[tuple[int, int]]]:
-        return self.proj.mat.sparse_cols()
-
-    @cached_property
-    def descent(self) -> tuple[list, list]:
-        """The middle relations and the section as sparse vectors over
-        TR.module: the data descend_sparse reads."""
-        rels = [] if self.rel_cols is None else self.rel_cols.sparse_cols()
-        return rels, self.sect.sparse_cols()
+    def pure(self, v, w) -> tuple[int, ...]:
+        return self.pure_sum(((v, w),))
 
 
 def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
                   right_car: FinModule, y_left: ModuleMap) -> BTensor:
     TR = tensor_with_data(left_car, right_car)
+    N = TR.module.rank
     if alg.fb == 1:
-        ident = ModuleMap.identity(TR.module)
-        return BTensor(alg, TR, TR.module, ident, ident.mat, None)
-    # column (i, j) is x_right(e_i) (x) e_j - e_i (x) y_left(e_j)
-    R, pos = alg.R, TR.pos
-    rel = Matrix.zeros(R, TR.module.rank, TR.module.rank)
-    xcols, ycols = x_right.mat.sparse_cols(), y_left.mat.sparse_cols()
-    for (i, j), k in pos.items():
-        for i2, a in xcols[i]:
-            row = rel.data[pos[(i2, j)]]
-            row[k] = R.add(row[k], a)
-        for j2, b in ycols[j]:
-            row = rel.data[pos[(i, j2)]]
-            row[k] = R.sub(row[k], b)
-    rel = ModuleMap(TR.module, TR.module, rel, validate=False).mat  # canonical entries
-    pres = presentation_with_torsion(TR.module, rel)
+        unit = [[(k, 1)] for k in range(N)]
+        return BTensor(alg, TR, TR.module, unit, unit, [])
+    # relation k = (i, j) is x_right(e_i) (x) e_j - e_i (x) y_left(e_j)
+    sides = (tensor_cols(TR, x_right, ModuleMap.identity(right_car), TR)
+             + tensor_cols(TR, ModuleMap.identity(left_car), y_left, TR))
+    minus = alg.R.neg(1)
+    rels = [sparse_image([(k, 1), (N + k, minus)], sides, TR.module)
+            for k in range(N)]
+    pres = presentation_with_torsion(
+        TR.module, map_from_cols(TR.module, TR.module, rels).mat)
     proj = ModuleMap(TR.module, pres.module, pres.proj)
-    return BTensor(alg, TR, pres.module, proj, pres.sect, rel)
+    return BTensor(alg, TR, pres.module, proj.mat.sparse_cols(),
+                   pres.sect.sparse_cols(), rels)
 
 
 def descend_cols(data: BTensor, cols, dst: FinModule) -> ModuleMap:
     """Factor the flat map TR.module -> dst with sparse columns cols through
     the quotient by descend_sparse.  A tensor in B-coordinates records no
     middle relations, so it is refused."""
-    if data.rel_cols is None and data.alg.fb > 1:
+    if data.rels is None:
         raise ValueError("tensor in B-coordinates records no middle relations")
-    rels, sect = data.descent
-    return map_from_cols(data.module, dst,
-                         descend_sparse(cols, rels, sect, dst, data.module))
+    return map_from_cols(data.module, dst, descend_sparse(
+        cols, data.rels, data.sect_cols, dst, data.module))
 
 
 def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
@@ -358,10 +364,9 @@ def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
 def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> ModuleMap:
     """f tensor_B g between two recorded tensors (f, g must be B-linear for
     the result to be canonical; descent is checked): the sparse columns of
-    f tensor g on data.TR, pushed through data2.proj, descended."""
-    pcols, mod2 = data2.proj_cols, data2.module
-    return descend_cols(data, [sparse_image(col, pcols, mod2) for col in
-                               tensor_cols(data.TR, f, g, data2.TR)], mod2)
+    f tensor g on data.TR, projected into data2, descended."""
+    return descend_cols(data, data2.project(tensor_cols(data.TR, f, g, data2.TR)),
+                        data2.module)
 
 
 def tensor_bimodules(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule) -> BTensor:
@@ -395,10 +400,11 @@ class TripleTensor:
 
     TR is the flat R-triple tensor (T12.module) tensor Z, T12 = xy.TR the
     flat X tensor Y.  Tensor over B is right exact, so the flat triple tensor
-    maps onto the nested tensor by xy.proj tensor id followed by nest.proj,
-    where nest is the binary tensor xy.module tensor_B Z; no presentation of
-    the flat (rank)^3 module is ever built.  When f_B = 1 the flat triple
-    tensor is the quotient: nest is None and module is TR.module."""
+    maps onto the nested tensor by the sparse columns of xy's projection
+    (tensor id) followed by those of nest's, where nest is the binary tensor
+    xy.module tensor_B Z; no presentation of the flat (rank)^3 module is ever
+    built.  When f_B = 1 the flat triple tensor is the quotient: nest is None
+    and module is TR.module."""
     alg: AlgebraSpec
     xy: BTensor
     TR: TensorData          # (T12.module) tensor Z
@@ -417,10 +423,10 @@ def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
 
     e_k = sum_j beta_kj z_j (read off form.theta_inv), so proj sends
     x_q (x) e_k to (x_q . beta_kj)_j, built from the powers of xy.right;
-    sect sends (j, q) to x_q (x) z_j.  No relation module is presented, so
-    rel_cols is None and descend refuses the result."""
+    sect sends (j, q) to x_q (x) z_j.  Both are written as sparse columns.
+    No relation module is presented, so rels is None and descend_cols
+    refuses the result."""
     R, fb, X = alg.R, alg.fb, xy.module
-    add, mul = R.add, R.mul
     TR = tensor_with_data(X, Z_car)
     s = len(form.exps)
     entries = sorted(((e, (j, q)) for j in range(s) for q, e in enumerate(X.exps)),
@@ -431,29 +437,18 @@ def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
     rcols = xy.right.mat.sparse_cols()
     pows = [[[(q, 1)] for q in range(X.rank)]]
     for _ in range(fb - 1):
-        nxt = []
-        for col in pows[-1]:
-            acc: dict[int, int] = {}
-            for i, a in col:
-                for i2, b in rcols[i]:
-                    acc[i2] = add(acc.get(i2, 0), mul(a, b))
-            nxt.append([(i, v) for i, v in acc.items() if v])
-        pows.append(nxt)
-    proj = Matrix.zeros(R, module.rank, TR.module.rank)
+        pows.append([sparse_image(col, rcols, X) for col in pows[-1]])
+    # blocks[q][j fb + g]: right^g(x_q) placed in block j
+    blocks = [[[(at[(j, q2)], a) for q2, a in pows[g][q]]
+               for j in range(s) for g in range(fb)] for q in range(X.rank)]
     beta = form.theta_inv.sparse_cols()
+    proj_cols = [None] * TR.module.rank
     for (q, k), c in TR.pos.items():
-        for jg, b in beta[k]:
-            j, g = divmod(jg, fb)
-            for q2, a in pows[g][q]:
-                row = proj.data[at[(j, q2)]]
-                row[c] = add(row[c], mul(b, a))
-    sect = Matrix.zeros(R, TR.module.rank, module.rank)
+        proj_cols[c] = sparse_image(beta[k], blocks[q], module)
     zcols = form.theta.sparse_cols()
-    for (j, q), r in at.items():
-        for k, b in zcols[j * fb]:
-            sect.data[TR.pos[(q, k)]][r] = b
-    return BTensor(alg, TR, module,
-                   ModuleMap(TR.module, module, proj, validate=False), sect, None)
+    sect_cols = [sorted((TR.pos[(q, k)], b) for k, b in zcols[j * fb])
+                 for _, (j, q) in entries]
+    return BTensor(alg, TR, module, proj_cols, sect_cols, None)
 
 
 def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,

@@ -8,7 +8,8 @@ rho : M -> C (x)_B M compatible with delta and eps.
 delta and rho are matrices written in the coordinates of one presentation of
 C (x)_B C and C (x)_B M: the BTensor their constructor built.  That tensor is
 the coalgebra's cc and the comodule's cm; coalgebra_check and comodule_check
-take it and validate against it, and never build it again.
+take it and validate against it, and never build it again.  They read its
+sparse columns; only the flat lifts deltahat and rhohat are dense.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  Coassociativity is compared inside the triple tensor
@@ -19,10 +20,11 @@ of the lifted delta and rho; when f_B = 1 those coordinates are already the
 triple tensor's, otherwise the columns are pushed through the projection
 onto C (x)_B C and then through the projection of the nest.  The nest is
 (C (x)_B C)^{(+)s} in B-coordinates when Z is free over B with s
-generators, and the quotient by the middle relations otherwise.  Both maps
-are descended through C (x)_B Z by modules.descend_sparse, the one kernel
-every map out of a tensor over B goes through (the counit laws and the
-id (x) h of comodule_hom too), and stay sparse end to end.
+generators, with no matrix of the nest's size, and the quotient by the
+middle relations otherwise.  Both maps are descended through C (x)_B Z by
+modules.descend_sparse, the one kernel every map out of a tensor over B
+goes through (the counit laws and the id (x) h of comodule_hom too), and
+stay sparse end to end.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
@@ -83,7 +85,7 @@ class Coalgebra:
     @cached_property
     def deltahat(self) -> Matrix:
         """The lift of delta into the flat R-tensor cc.TR."""
-        return self.cc.sect @ self.delta.mat
+        return self.cc.lift(self.delta)
 
     def __eq__(self, other):
         return (isinstance(other, Coalgebra) and self.bi == other.bi
@@ -123,8 +125,8 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
     phi : phi.src -> src.module is the map both composites start from (delta
     itself, or rho).  Both flat maps are built as sparse columns on flat
     triple coordinates.  When f_B = 1 those are the quotient's; otherwise
-    each column is pushed through the sparse columns of xy.proj (tensor id)
-    and then of nest.proj.  Both are descended through src by
+    each column is pushed through xy's projection (tensor id) and then
+    projected into the nest.  Both are descended through src by
     descend_sparse, and compared on the columns of phi.
     """
     mod = t3.module
@@ -139,21 +141,16 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
         lhs[k] = [(p3[(pk, j)], c) for pk, c in dcols[i]]
         rhs[k] = [(p3[(p12[(i, a)], b)], c) for (a, b), c in hcols[j]]
     if t3.nest is not None:
-        # column k of xy.proj (x) id, in nest.TR coordinates
+        # column k of xy's projection (x) id, in nest.TR coordinates
         nest = t3.nest
         npos, xcols = nest.TR.pos, t3.xy.proj_cols
         xz = [None] * t3.TR.module.rank
         for (pk, z), k in p3.items():
             xz[k] = [(npos[(q, z)], a) for q, a in xcols[pk]]
-
-        def to_quot(col):
-            return sparse_image(sparse_image(col, xz, nest.TR.module),
-                                nest.proj_cols, mod)
-        lhs = [to_quot(col) for col in lhs]
-        rhs = [to_quot(col) for col in rhs]
-    rels, sect = src.descent
-    lhs = descend_sparse(lhs, rels, sect, mod, src.module)
-    rhs = descend_sparse(rhs, rels, sect, mod, src.module)
+        lhs = nest.project([sparse_image(col, xz, nest.TR.module) for col in lhs])
+        rhs = nest.project([sparse_image(col, xz, nest.TR.module) for col in rhs])
+    lhs = descend_sparse(lhs, src.rels, src.sect_cols, mod, src.module)
+    rhs = descend_sparse(rhs, src.rels, src.sect_cols, mod, src.module)
     for g, terms in enumerate(phi.mat.sparse_cols()):
         if sparse_image(terms, lhs, mod) != sparse_image(terms, rhs, mod):
             return g
@@ -213,7 +210,7 @@ class Comodule:
         return self.module.carrier
 
     def rhohat(self) -> Matrix:
-        return self.cm.sect @ self.rho.mat
+        return self.cm.lift(self.rho)
 
     def __eq__(self, other):
         return (isinstance(other, Comodule) and self.coalgebra == other.coalgebra
@@ -267,9 +264,8 @@ def comodule_hom(Mc: Comodule, Nc: Comodule):
     def image(_, h):
         # (id (x) h) rhohat_M, pushed through the projection onto C (x)_B N
         idh = tensor_cols(Mc.cm.TR, one, h, cmN.TR)
-        term = map_from_cols(M.carrier, cmN.module, [
-            sparse_image(sparse_image(col, idh, cmN.TR.module), cmN.proj_cols,
-                         cmN.module) for col in rhohat_M])
+        term = map_from_cols(M.carrier, cmN.module, cmN.project(
+            [sparse_image(col, idh, cmN.TR.module) for col in rhohat_M]))
         return [(h @ M.act) - (N.act @ h), (Nc.rho @ h) - term]
 
     K, incl, _ = hom_equalizer(

@@ -199,10 +199,10 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
 
     One `Span` per pair is grown to a fixpoint: a round forms the products
     G F of hom(k, l) and hom(l, m) and re-Howells them together with the
-    rows of span(k, m).  A triple (k, l, m) is skipped when span(k, m) is
-    already all of Hom, or when neither factor has changed since the triple
-    was last formed (a version counter per pair).  The spans are handed to
-    the returned diagram, whose hom lists are exactly their rows."""
+    rows of span(k, m).  A triple (k, l, m) is skipped when a factor is
+    empty or span(k, m) is all of Hom, or when neither factor changed since
+    it was last formed (a version counter per pair).  The spans are handed
+    to the returned diagram, whose hom lists are exactly their rows."""
     alg = D.alg
     R = alg.R
     ranks = [obj.rank for obj in D.objects]
@@ -227,15 +227,17 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     while changed:
         changed = False
         for (k, l) in list(homs):
+            if not homs[(k, l)]:
+                continue
             for m in range(D.nobj()):
+                if not homs[(l, m)]:
+                    continue
                 target = spans[(k, m)]
                 seen = (version[(k, l)], version[(l, m)])
                 if target.is_full() or formed.get((k, l, m)) == seen:
                     continue
                 formed[(k, l, m)] = seen
                 prods = [G @ F for F in homs[(k, l)] for G in homs[(l, m)]]
-                if not prods:
-                    continue
                 grown = Span(R, target.rows + flat_rows(prods), target.width)
                 if grown.rows != target.rows:
                     spans[(k, m)] = grown

@@ -1,5 +1,9 @@
 """References for the coassociativity comparison.
 
+``dense_tensor_free`` is the nest in B-coordinates as it was built before
+its projection and section became sparse columns: both filled into dense
+matrices, entry by entry.
+
 ``quotient_triple_tensor`` is the nested triple tensor with the nest always
 presented as the quotient of the flat (X (x)_B Y) (x) Z by the middle
 relations, by one Smith form, as it was built before free carriers got the
@@ -20,7 +24,7 @@ before being compared generator by generator.  It accepts the nested
 ``TripleTensor`` and ``FlatTripleTensor`` alike, with the signature of
 ``coalgebra._coassoc_witness``.
 
-All three are kept only to be tested against.
+All four are kept only to be tested against.
 
 The remaining helpers serve the tests of the tensor over B itself:
 ``embed3``, ``pure3`` and ``lift_gen`` move elements between the flat triple
@@ -39,8 +43,10 @@ from tannaka_forge.modules import (FinModule, ModuleMap, TensorData,
                                    tensor_with_data, map_tensor,
                                    presentation_with_torsion)
 from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
-                                   TripleTensor, descend, tensor_bimodules,
+                                   BForm, TripleTensor, descend, tensor_bimodules,
                                    triple_tensor, _btensor_core)
+
+from dense_tensor import dense
 
 
 @dataclass
@@ -52,6 +58,48 @@ class FlatTripleTensor:
     TR: TensorData
     module: FinModule
     proj: ModuleMap
+
+
+def dense_tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
+                      form: BForm) -> tuple[FinModule, ModuleMap, Matrix]:
+    """(module, proj, sect) of X (x)_B Z = X^{(+)s} for X = xy.module and Z
+    free over B with basis z_1..z_s (form), as algebra._tensor_free built
+    them before it wrote sparse columns: proj and sect filled entry by entry
+    into dense matrices of side rank(X (x)_B Z) x rank(X (x)_R Z)."""
+    R, fb, X = alg.R, alg.fb, xy.module
+    add, mul = R.add, R.mul
+    TR = tensor_with_data(X, Z_car)
+    s = len(form.exps)
+    entries = sorted(((e, (j, q)) for j in range(s) for q, e in enumerate(X.exps)),
+                     key=lambda t: (-t[0], t[1]))
+    module = FinModule(R, tuple(e for e, _ in entries))
+    at = {jq: r for r, (_, jq) in enumerate(entries)}
+    # pows[g][q]: right^g(x_q) as sparse (index, coeff) pairs
+    rcols = xy.right.mat.sparse_cols()
+    pows = [[[(q, 1)] for q in range(X.rank)]]
+    for _ in range(fb - 1):
+        nxt = []
+        for col in pows[-1]:
+            acc: dict[int, int] = {}
+            for i, a in col:
+                for i2, b in rcols[i]:
+                    acc[i2] = add(acc.get(i2, 0), mul(a, b))
+            nxt.append([(i, v) for i, v in acc.items() if v])
+        pows.append(nxt)
+    proj = Matrix.zeros(R, module.rank, TR.module.rank)
+    beta = form.theta_inv.sparse_cols()
+    for (q, k), c in TR.pos.items():
+        for jg, b in beta[k]:
+            j, g = divmod(jg, fb)
+            for q2, a in pows[g][q]:
+                row = proj.data[at[(j, q2)]]
+                row[c] = add(row[c], mul(b, a))
+    sect = Matrix.zeros(R, TR.module.rank, module.rank)
+    zcols = form.theta.sparse_cols()
+    for (j, q), r in at.items():
+        for k, b in zcols[j * fb]:
+            sect.data[TR.pos[(q, k)]][r] = b
+    return module, ModuleMap(TR.module, module, proj, validate=False), sect
 
 
 def quotient_triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
@@ -97,9 +145,9 @@ def dense_proj(t3) -> ModuleMap:
         return t3.proj
     if t3.nest is None:
         return ModuleMap.identity(t3.module)
-    xz = map_tensor(t3.TR, t3.xy.proj, ModuleMap.identity(t3.TR.right),
+    xz = map_tensor(t3.TR, dense(t3.xy).proj, ModuleMap.identity(t3.TR.right),
                     t3.nest.TR)
-    return t3.nest.proj @ xz
+    return dense(t3.nest).proj @ xz
 
 
 def _delta_tensor_id(deltahat: Matrix, data: BTensor, t3, proj: ModuleMap,
@@ -171,11 +219,12 @@ def lift_gen(t3: TripleTensor, q: int) -> list[int]:
     if t3.nest is None:
         return list(t3.module.gen(q))
     R, Z = t3.alg.R, t3.TR.right
+    nest_sect, xy_sect = dense(t3.nest).sect, dense(t3.xy).sect
     out = [0] * t3.TR.module.rank
     for (qq, z), k in t3.nest.TR.pos.items():
-        c = t3.nest.sect.data[k][q]
+        c = nest_sect.data[k][q]
         if c:
-            vec = t3.TR.embed(t3.xy.sect.col(qq), Z.gen(z))
+            vec = t3.TR.embed(xy_sect.col(qq), Z.gen(z))
             out = [R.add(a, R.mul(c, b)) for a, b in zip(out, vec)]
     return out
 
@@ -229,6 +278,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     left_nested = _btensor_core(alg, txy.module, txy.right, Z.carrier, Z.left)
     tyz = tensor_bimodules(alg, Y, Z)
     right_nested = _btensor_core(alg, X.carrier, X.right, tyz.module, tyz.left)
+    txy_sect, tyz_sect = dense(txy).sect, dense(tyz).sect
     inv_txy = {v: k for k, v in txy.TR.pos.items()}
     inv_tyz = {v: k for k, v in tyz.TR.pos.items()}
     inv_t3tr = {v: k for k, v in t3.TR.pos.items()}
@@ -237,7 +287,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     def nested_left_to_t3() -> ModuleMap:
         cols = []
         for (q1, k), pos in sorted(left_nested.TR.pos.items(), key=lambda kv: kv[1]):
-            lift = txy.sect.col(q1)
+            lift = txy_sect.col(q1)
             acc = [0] * t3.module.rank
             for kk, coeff in enumerate(lift):
                 if coeff == 0:
@@ -276,7 +326,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     def nested_right_to_t3() -> ModuleMap:
         cols = []
         for (i, q2), pos in sorted(right_nested.TR.pos.items(), key=lambda kv: kv[1]):
-            lift = tyz.sect.col(q2)
+            lift = tyz_sect.col(q2)
             acc = [0] * t3.module.rank
             for kk, coeff in enumerate(lift):
                 if coeff == 0:

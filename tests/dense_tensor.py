@@ -1,0 +1,36 @@
+"""The dense matrices of a tensor over B, for tests that multiply or compare
+them.  A ``BTensor`` holds its projection, section and middle relations only
+as sparse columns; ``dense`` writes them out, entry for entry, as the
+projection ``ModuleMap`` TR.module -> module, the section ``Matrix`` (its
+entries unreduced, as the section records them) and the relation ``Matrix``
+over TR.module (None for a nest in B-coordinates, which records none)."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from tannaka_forge.linalg import Matrix
+from tannaka_forge.modules import ModuleMap
+
+
+@dataclass
+class DenseTensor:
+    proj: ModuleMap
+    sect: Matrix
+    rel_cols: Matrix | None
+
+
+def _matrix(ring, cols, rows: int) -> Matrix:
+    mat = Matrix.zeros(ring, rows, len(cols))
+    for q, col in enumerate(cols):
+        for r, a in col:
+            mat.data[r][q] = a
+    return mat
+
+
+def dense(data) -> DenseTensor:
+    R, flat, mod = data.alg.R, data.TR.module, data.module
+    proj = ModuleMap(flat, mod, _matrix(R, data.proj_cols, mod.rank),
+                     validate=False)
+    rels = None if data.rels is None else _matrix(R, data.rels, flat.rank)
+    return DenseTensor(proj, _matrix(R, data.sect_cols, flat.rank), rels)

@@ -22,6 +22,8 @@ from tannaka_forge.modules import (ModuleMap, NotWellDefined, hom_module,
 from tannaka_forge.algebra import BModule, tensor_bim_bmodule
 from tannaka_forge.coalgebra import AxiomError, comodule_check
 
+from dense_tensor import dense
+
 
 def map_tensor(T, f, g, T2):
     ring = T.left.ring
@@ -42,17 +44,17 @@ def descend_map(flat, rels, quotient, sect):
 
 
 def descend(data, flat):
-    if data.rel_cols is None and data.alg.fb > 1:
+    if data.rels is None:
         raise ValueError("tensor in B-coordinates records no middle relations")
-    rels = () if data.rel_cols is None else \
-        (data.rel_cols.col(j) for j in range(data.rel_cols.cols))
-    return descend_map(flat, rels, data.module, data.sect)
+    d = dense(data)
+    rels = (d.rel_cols.col(j) for j in range(d.rel_cols.cols))
+    return descend_map(flat, rels, data.module, d.sect)
 
 
 def induced(data, data2, f, g):
     flat = map_tensor(data.TR, f, g, data2.TR)
     return descend(data, ModuleMap(data.TR.module, data2.module,
-                                   data2.proj.mat @ flat.mat, validate=False))
+                                   dense(data2).proj.mat @ flat.mat, validate=False))
 
 
 def counit_contraction(alg, counit, data, act_by, left=True):
@@ -97,21 +99,22 @@ def coassoc_witness(t3, deltahat, src, hat, phi):
     if t3.nest is None:
         to_quot = canon
     else:
-        npos, xcols = t3.nest.TR.pos, t3.xy.proj.mat.sparse_cols()
+        npos, xcols = t3.nest.TR.pos, dense(t3.xy).proj.mat.sparse_cols()
         xz = [None] * t3.TR.module.rank
         for (pk, z), k in p3.items():
             xz[k] = [(npos[(q, z)], a) for q, a in xcols[pk]]
-        ncols = t3.nest.proj.mat.sparse_cols()
+        ncols = dense(t3.nest).proj.mat.sparse_cols()
 
         def to_quot(acc):
             mid = combine((v, xz[k]) for k, v in acc.items())
             return canon(combine((v, ncols[k]) for k, v in mid.items()))
 
-    if src.rel_cols is not None:
-        rel_cols, sect_cols = src.rel_cols.sparse_cols(), src.sect.sparse_cols()
+    if src.alg.fb > 1:
+        d = dense(src)
+        rel_cols, sect_cols = d.rel_cols.sparse_cols(), d.sect.sparse_cols()
 
     def descend_cols(flat):
-        if src.rel_cols is None:
+        if src.alg.fb == 1:
             cols = [to_quot(dict(col)) for col in flat]
         else:
             for rel in rel_cols:
@@ -150,7 +153,7 @@ def comodule_hom(Mc, Nc):
     def image(_, h):
         flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), h, Nc.cm.TR)
         term = ModuleMap(M.carrier, Nc.cm.module,
-                         Nc.cm.proj.mat @ flat.mat @ rhohat_M, validate=False)
+                         dense(Nc.cm).proj.mat @ flat.mat @ rhohat_M, validate=False)
         return [(h @ M.act) - (N.act @ h), (Nc.rho @ h) - term]
 
     K, incl, _ = hom_equalizer(
@@ -174,7 +177,7 @@ def subcomodule_as_comodule(Mc, gens):
     cs = tensor_bim_bmodule(alg, Mc.coalgebra.bi, BModule(alg, S, act))
     flat = map_tensor(cs.TR, ModuleMap.identity(Mc.coalgebra.carrier), incl, Mc.cm.TR)
     idincl = ModuleMap(cs.module, Mc.cm.module,
-                       Mc.cm.proj.mat @ flat.mat @ cs.sect, validate=False)
+                       dense(Mc.cm).proj.mat @ flat.mat @ dense(cs).sect, validate=False)
     sols = solve_in(Mc.cm.module, idincl.mat, [Mc.rho.apply(v) for v in s_elems])
     if None in sols:
         return None

@@ -22,6 +22,8 @@ from tannaka_forge.modules import ModuleMap, hom_module, map_kernel, direct_sum,
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.mf import MFError, _RCarrier, _extend_window
 
+from dense_tensor import dense
+
 
 def ref_b_hom(alg, M, N):
     """Hom_B(M, N) as a submodule of Hom_R, with a basis of maps."""
@@ -58,7 +60,7 @@ def ref_comodule_hom(Mc, Nc):
         d1 = (h @ M.act) - (N.act @ h)
         flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), h, Nc.cm.TR)
         term = ModuleMap(M.carrier, Nc.cm.module,
-                         Nc.cm.proj.mat @ flat.mat @ rhohat_M, validate=False)
+                         dense(Nc.cm).proj.mat @ flat.mat @ rhohat_M, validate=False)
         d2 = (Nc.rho @ h) - term
         v1 = sum_data.injections[0].apply(H2.coords(d1))
         v2 = sum_data.injections[1].apply(HC.coords(d2))

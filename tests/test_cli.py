@@ -100,6 +100,30 @@ def test_reconstruct_command(tmp_path, capsys):
     assert rep["results"]["coalgebra_morphism"] is True
 
 
+def test_reconstruct_ill_defined_delta_lift_is_input_error(tmp_path, capsys):
+    # over Z/4 the carrier Z/4 + Z/2 has C (x) C = Z/4 + (Z/2)^3; the delta
+    # lift sends the Z/2 generator to a unit in the Z/4 coordinate, which
+    # is no module map, and the parser's ModuleMap refuses it
+    f = tmp_path / "ill_defined.coalg"
+    f.write_text("""alg R=GR(2^2,1) B=GR(2^2,1)
+coalgebra {
+  carrier = mod(2,1)
+  left = [[1,0],[0,1]]
+  right = [[1,0],[0,1]]
+  delta = [[1,1],[0,0],[0,0],[0,0]]
+  counit = [[1,0]]
+}
+comodule M0 {
+  carrier = mod(2)
+  action = [[1]]
+  rho = [[1],[0]]
+}
+""")
+    assert main(["reconstruct", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "entry (0,1) has valuation 0 < 1" in err
+
+
 def test_reconstruct_partial_family_fails(tmp_path, capsys):
     partial = RECONSTRUCT.split("comodule M1")[0]
     f = tmp_path / "partial.coalg"

@@ -12,7 +12,7 @@ from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    bimodule_make, tensor_bimodules,
-                                   triple_tensor, descend)
+                                   triple_tensor, descend, as_b_module)
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, cofree,
                                      AxiomError)
 from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
@@ -22,8 +22,9 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  random_diagram)
 from tannaka_forge.tannaka import coend, lift_coaction
 
-from coassoc_reference import (dense_coassoc_witness, flat_triple_tensor,
-                               quotient_triple_tensor)
+from coassoc_reference import (dense_coassoc_witness, dense_tensor_free,
+                               flat_triple_tensor, quotient_triple_tensor)
+from dense_tensor import dense
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
 WITT_ALGS = [(2, 1, 2), (2, 2, 2)]                      # F4, GR(4,2)
@@ -38,13 +39,19 @@ def _outcome(fn):
     return PASS
 
 
-def _assert_nest_agrees(nest, quotient):
-    """The nest in B-coordinates against the Smith quotient of the same flat
-    tensor: equal exponents, proj kills every middle relation of the
-    quotient, and proj after sect is the identity."""
+def _assert_nest_agrees(nest, quotient, reference):
+    """The nest in B-coordinates against the dense nest the reference
+    builds, (module, proj, sect): equal columns, entry for entry; and
+    against the Smith quotient of the same flat tensor: equal exponents,
+    proj kills every middle relation of the quotient, and proj after sect is
+    the identity."""
     R, mod = nest.alg.R, nest.module
+    ref_module, ref_proj, ref_sect = reference
+    assert mod == ref_module
+    assert nest.proj_cols == ref_proj.mat.sparse_cols()
+    assert nest.sect_cols == ref_sect.sparse_cols()
     assert mod.exps == quotient.module.exps
-    pcols = nest.proj.mat.sparse_cols()
+    pcols = nest.proj_cols
 
     def image(col):
         acc = [0] * mod.rank
@@ -53,9 +60,8 @@ def _assert_nest_agrees(nest, quotient):
                 acc[r] = R.add(acc[r], R.mul(c, a))
         return mod.reduce(acc)
 
-    assert all(image(col) == mod.zero_elem()
-               for col in quotient.rel_cols.sparse_cols())
-    assert [image(col) for col in nest.sect.sparse_cols()] == \
+    assert all(image(col) == mod.zero_elem() for col in quotient.rels)
+    assert [image(col) for col in nest.sect_cols] == \
         [mod.gen(r) for r in range(mod.rank)]
 
 
@@ -72,9 +78,10 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     f_B >= 2, with the dense reference on the flat one-Smith quotient.  The
     references must actually have run, and the nested and flat quotients
     must have the same exponents.  Whenever the nest is built in
-    B-coordinates, the Smith quotient of the same flat tensor is built as
-    well; the two must agree (_assert_nest_agrees) and the sparse comparison
-    must give the same witness, or raise the same error, on both.  kinds
+    B-coordinates, the dense reference nest and the Smith quotient of the
+    same flat tensor are built as well; the nest must agree with both
+    (_assert_nest_agrees) and the sparse comparison must give the same
+    witness, or raise the same error, on the nest and the quotient.  kinds
     collects "free" or "quotient" for each nest built.  With references
     False only the first run is made."""
     calls, exps = [], {"nested": [], "flat": []}
@@ -88,9 +95,11 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     def nested(alg, xy, Z_car, Z_left):
         t3 = triple_tensor(alg, xy, Z_car, Z_left)
         exps["nested"].append(t3.module.exps)
-        if t3.nest is not None and t3.nest.rel_cols is None:
+        if t3.nest is not None and t3.nest.rels is None:
             q = quotient_triple_tensor(alg, xy, Z_car, Z_left)
-            _assert_nest_agrees(t3.nest, q.nest)
+            reference = dense_tensor_free(alg, xy, Z_car,
+                                          as_b_module(alg, Z_car, Z_left))
+            _assert_nest_agrees(t3.nest, q.nest, reference)
             quotients[id(t3)] = q
             kinds.append("free")
         elif t3.nest is not None:
@@ -337,7 +346,7 @@ def test_descent_failure_agrees_with_dense():
         cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(2))))
         delta = ModuleMap(car, cc.module,
                           Matrix.from_cols(alg.R, cols, cc.module.rank))
-        deltahat = cc.sect @ delta.mat
+        deltahat = dense(cc).sect @ delta.mat
         t3 = triple_tensor(alg, cc, car, C.bi.left)
         flat = flat_triple_tensor(alg, car, C.bi.right, car, C.bi.left,
                                   C.bi.right, car, C.bi.left)
@@ -356,9 +365,15 @@ def test_comatrix_r5_checked_coend():
 
 
 def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
-    # rank L = 16: the flat C (x) C has rank 256, the flat triple tensor 4096
-    alg = AlgebraSpec.make(2, 1, 1)
-    C = comatrix_coalgebra(alg, 4)
+    # comatrix r=4 over F2, rank L = 16: the flat C (x) C has rank 256, the
+    # flat triple tensor 4096.  The checked coend of one rank-2 object over
+    # GR(4,2) with only its identity: rank L = 16, C (x)_B C has rank 128,
+    # and its nest in B-coordinates has rank 1024 over a flat tensor of rank
+    # 2048, which a dense projection would fill
+    cases = [(comatrix_coalgebra(AlgebraSpec.make(2, 1, 1), 4), 256 ** 2)]
+    C = coend(comatrix_diagram(AlgebraSpec.make(2, 2, 2), 2)).coalgebra
+    assert (C.carrier.rank, C.cc.module.rank) == (16, 128)
+    cases.append((C, C.cc.module.rank ** 2))
     largest = [0]
     zeros, identity = Matrix.zeros.__func__, Matrix.identity.__func__
 
@@ -372,8 +387,10 @@ def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
 
     monkeypatch.setattr(Matrix, "zeros", classmethod(counted_zeros))
     monkeypatch.setattr(Matrix, "identity", classmethod(counted_identity))
-    coalgebra_check(C.cc, C.delta, C.counit)
-    assert 0 < largest[0] <= 256 ** 2
+    for C, bound in cases:
+        largest[0] = 0
+        coalgebra_check(C.cc, C.delta, C.counit)
+        assert 0 < largest[0] <= bound, (largest[0], bound)
 
 
 def test_witt_coalgebra_check_smith_size(monkeypatch):
@@ -448,9 +465,9 @@ def test_descend_refuses_b_coordinate_nest():
     alg = AlgebraSpec.make(2, 2, 2)
     C = _b_grouplike(alg, 2)
     t3 = triple_tensor(alg, C.cc, C.carrier, C.bi.left)
-    assert t3.nest.rel_cols is None
+    assert t3.nest.rels is None
     with pytest.raises(ValueError, match="no middle relations"):
-        descend(t3.nest, t3.nest.proj)
+        descend(t3.nest, dense(t3.nest).proj)
 
 
 def test_checked_coend_random_gr42_seed4():

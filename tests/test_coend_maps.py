@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import coend_reference as ref
+from dense_tensor import dense
 from tannaka_forge import algebra, coalgebra, linalg, modules, textio
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    tensor_bimodules, regular_bimodule, descend)
@@ -219,12 +220,13 @@ def test_descent_refuses_a_map_that_misses_a_relation_on_a_btensor():
     alg = AlgebraSpec.make(2, 2, 2)
     bi = regular_bimodule(alg)
     cc = tensor_bimodules(alg, bi, bi)
-    rels = [cc.rel_cols.col(j) for j in range(cc.rel_cols.cols)]
+    d = dense(cc)
+    rels = [d.rel_cols.col(j) for j in range(d.rel_cols.cols)]
     flat = _missing_one(rels, cc.TR.module.rank, FinModule.free(alg.R, 1))
     with pytest.raises(ValueError, match="does not descend"):
         descend(cc, flat)
     with pytest.raises(ValueError, match="does not descend"):
-        descend_map(flat, rels, cc.module, cc.sect)
+        descend_map(flat, rels, cc.module, d.sect)
 
 
 def test_descent_refuses_a_map_that_misses_a_relation_on_the_coend():

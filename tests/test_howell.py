@@ -116,6 +116,34 @@ def test_hom_closure_matches_reference():
             _assert_closure_matches(_raw_draw(rng, alg, max_obj=4, max_rank=3))
 
 
+def _disjoint_union(parts):
+    """The diagrams parts side by side over one algebra, with no homs
+    between them: every pair across two parts has an empty hom list."""
+    objects, homs, base = [], {}, 0
+    for i, D in enumerate(parts):
+        objects += [DiagObject("P%d%s" % (i, obj.name), obj.rank)
+                    for obj in D.objects]
+        homs.update({(k + base, l + base): mats for (k, l), mats in D.homs.items()})
+        base += D.nobj()
+    return DiagramCategory(parts[0].alg, objects, homs)
+
+
+def test_hom_closure_with_empty_factors_matches_reference():
+    # grouplike F2: hom(k, l) is empty for k != l, so all but g of the g^3
+    # triples have an empty factor and are skipped
+    F2 = AlgebraSpec.make(2, 1, 1)
+    for g in (8, 33):
+        objs = [DiagObject("G%d" % i, 1) for i in range(g)]
+        _assert_closure_matches(DiagramCategory(
+            F2, objs, {(i, i): [Matrix.identity(F2.B, 1)] for i in range(g)}))
+    rng = random.Random(17)
+    for t in ((2, 1, 1), (2, 3, 1), (3, 1, 1), (2, 2, 2)):
+        alg = AlgebraSpec.make(*t)
+        for _ in range(4):
+            _assert_closure_matches(_disjoint_union(
+                [_raw_draw(rng, alg, max_obj=3, max_rank=2) for _ in range(3)]))
+
+
 def test_hom_closure_with_rank_zero_object(alg_gr42):
     B = alg_gr42.B
     objs = [DiagObject("A", 2), DiagObject("Z", 0)]

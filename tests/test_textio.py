@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -11,7 +12,13 @@ from tannaka_forge.textio import (ParseError, parse_ring, parse_elem,
                                   parse_mf_file, parse_reconstruct_input,
                                   format_reconstruct_input)
 from tannaka_forge.modules import FinModule
-from tannaka_forge.tannaka import coend
+from tannaka_forge.algebra import AlgebraSpec, free_bmodule
+from tannaka_forge.coalgebra import cofree
+from tannaka_forge.suite import (grouplike_coalgebra, grouplike_line,
+                                 comatrix_coalgebra, comatrix_standard_comodule,
+                                 trivial_coalgebra, trivial_full_hom_diagram,
+                                 random_diagram)
+from tannaka_forge.tannaka import coend, lift_coaction
 from tannaka_forge.mf import is_mf_fl, mf_hom
 
 
@@ -106,6 +113,60 @@ def test_reconstruct_roundtrip(alg_f2):
     text = format_reconstruct_input(C, fam)
     C2, fam2 = parse_reconstruct_input(text)
     assert C2 == C and fam2 == fam
+
+
+# sha256 of format_reconstruct_input on each case of _format_cases, in
+# order, recorded while BTensor still held dense projection and section
+# matrices; the lifts delta and rho are read off the section
+FORMAT_DIGESTS = [
+    "e31dffb6b9d9ade62d1b0cc15f71617c2e64bc6d31dde9011637b0e93ba967b3",
+    "0d6809961688ee633f0cd1809af31bf27d12583445198813efaa7a5e4a7bc259",
+    "52948bfd2e7c7c4fc8b44714e97df1e93d4c35576878a57f02b0acd4c30b9cae",
+    "941d72ccf022f5eaca68efdbf4dcbae0c3dca9c04d72d15168c3df0c01a74506",
+    "c8299c4a0bc4e14db544fcb60b79913facef8b4e80753ae70b89c37e2dc79003",
+    "3d5766113accfdf951b4c7d976cee428579de9b1fa2f21131a430303700c90a6",
+    "f32f8d0b9ef2a1ad6d32b60c06cf33c3c0e03a583053afcb70c2a08ea7a7dbe7",
+    "a884bc50457f5a9579a3b7167f7485b8ed3df568a124aaec0c33c756b3a6d862",
+    "ed328444b58094293c0748c1cd28c1e3f197a114e67453c023ba4d79e053dffb",
+    "6614778cd1061ea0f2f2b6b41552135fc9fac98058944f600792a6069f77099e",
+]
+
+
+def _format_cases():
+    """Suite coalgebras with comodule families over F2 and Z/4 (grouplike,
+    comatrix), F4 and GR(4,2) (trivial with a cofree comodule, the
+    full-endo coend with its lifted family), a GR(4,2) coend whose left and
+    right actions differ, and a Z/8 coend with a torsion summand."""
+    for pnf in ((2, 1, 1), (2, 2, 1)):
+        alg = AlgebraSpec.make(*pnf)
+        C = grouplike_coalgebra(alg, 2)
+        yield C, [grouplike_line(C, i) for i in range(2)]
+        C = comatrix_coalgebra(alg, 2)
+        yield C, [comatrix_standard_comodule(C, 2)]
+    for pnf in ((2, 1, 2), (2, 2, 2)):
+        alg = AlgebraSpec.make(*pnf)
+        C = trivial_coalgebra(alg)
+        yield C, [cofree(C, free_bmodule(alg, 1))]
+        CR = coend(trivial_full_hom_diagram(alg))
+        yield CR.coalgebra, lift_coaction(CR)
+    CR = coend(random_diagram(random.Random(2), AlgebraSpec.make(2, 2, 2),
+                              max_obj=2, max_rank=2)[0])
+    assert CR.coalgebra.bi.left != CR.coalgebra.bi.right
+    yield CR.coalgebra, lift_coaction(CR)
+    CR = coend(random_diagram(random.Random(0), AlgebraSpec.make(2, 3, 1),
+                              max_obj=2, max_rank=2)[0])
+    assert not CR.coalgebra.carrier.is_free()
+    yield CR.coalgebra, lift_coaction(CR)
+
+
+def test_reconstruct_format_is_pinned():
+    digests = []
+    for C, fam in _format_cases():
+        text = format_reconstruct_input(C, fam)
+        C2, fam2 = parse_reconstruct_input(text)
+        assert C2 == C and fam2 == fam
+        digests.append(hashlib.sha256(text.encode()).hexdigest())
+    assert digests == FORMAT_DIGESTS
 
 
 def test_reconstruct_inline_braces(alg_f2):
