@@ -13,11 +13,13 @@ Tensor over B is the cokernel of the middle-relation map
 
 on the R-tensor product.  The quotient is presented exactly, and a BTensor
 holds it in one form, sparse columns: the projection from the R-tensor, a
-section back, and the middle relations.  Maps are induced on it from those
-columns alone: f (x) g is pushed through the target's projection and
-descended by modules.descend_sparse.  When f_B = 1 the relation map is zero
-and tensor over B coincides with tensor over R: the projection and the
-section are unit columns and there are no relations.
+section back, the middle relations and the outer actions.  Maps are induced
+on it from those columns alone: f (x) g is pushed through the target's
+projection and descended by modules.descend_sparse, and the outer actions
+are such maps.  Only the Smith quotient of a nest (triple_tensor) and
+btensor_bmodule write an action out densely.  When f_B = 1 the relation
+map is zero and tensor over B coincides with tensor over R: the projection
+and the section are unit columns and there are no relations.
 Triple tensors are nested, (X tensor_B Y) tensor_B Z, which right exactness
 makes canonically isomorphic to the quotient of the flat triple tensor by
 both middle relations.  When Z is free over B with basis z_1..z_s the outer
@@ -39,7 +41,8 @@ from .linalg import Matrix, is_invertible, inverse
 from .modules import (FinModule, ModuleMap, TensorData, tensor_with_data,
                       syzygies, module_from_presentation,
                       presentation_with_torsion, RingMismatch, tensor_cols,
-                      sparse_image, descend_sparse, map_from_cols)
+                      sparse_image, descend_sparse, map_from_cols,
+                      canonical_layout)
 
 
 class NonCommutingActions(ValueError):
@@ -279,7 +282,8 @@ class BTensor:
     relations over TR.module that descend_sparse checks maps on.  When
     f_B = 1 both are unit columns and rels is empty; a tensor in
     B-coordinates (_tensor_free) records rels = None, and descend_cols
-    refuses it.  factors is (X, Y) for tensor_bimodules and (X, M) for
+    refuses it.  left and right are the outer x-actions, sparse columns
+    module -> module.  factors is (X, Y) for tensor_bimodules and (X, M) for
     tensor_bim_bmodule; the nests of a triple tensor record none."""
     alg: AlgebraSpec
     TR: TensorData
@@ -287,8 +291,8 @@ class BTensor:
     proj_cols: list
     sect_cols: list
     rels: list | None
-    left: ModuleMap | None = None
-    right: ModuleMap | None = None
+    left: list | None = None
+    right: list | None = None
     factors: tuple | None = None
 
     def project(self, flat) -> list[list[tuple[int, int]]]:
@@ -341,40 +345,44 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
             for k in range(N)]
     pres = presentation_with_torsion(
         TR.module, map_from_cols(TR.module, TR.module, rels).mat)
-    proj = ModuleMap(TR.module, pres.module, pres.proj)
-    return BTensor(alg, TR, pres.module, proj.mat.sparse_cols(),
+    return BTensor(alg, TR, pres.module, pres.proj.sparse_cols(),
                    pres.sect.sparse_cols(), rels)
 
 
-def descend_cols(data: BTensor, cols, dst: FinModule) -> ModuleMap:
+def descend_cols(data: BTensor, cols, dst: FinModule) -> list:
     """Factor the flat map TR.module -> dst with sparse columns cols through
-    the quotient by descend_sparse.  A tensor in B-coordinates records no
-    middle relations, so it is refused."""
+    the quotient by descend_sparse, as sparse columns.  A tensor in
+    B-coordinates records no middle relations, so it is refused."""
     if data.rels is None:
         raise ValueError("tensor in B-coordinates records no middle relations")
-    return map_from_cols(data.module, dst, descend_sparse(
-        cols, data.rels, data.sect_cols, dst, data.module))
+    return descend_sparse(cols, data.rels, data.sect_cols, dst, data.module)
 
 
 def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
     """descend_cols for a dense flat map."""
-    return descend_cols(data, flat.mat.sparse_cols(), flat.dst)
+    return map_from_cols(data.module, flat.dst,
+                         descend_cols(data, flat.mat.sparse_cols(), flat.dst))
 
 
-def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """f tensor_B g between two recorded tensors (f, g must be B-linear for
-    the result to be canonical; descent is checked): the sparse columns of
+def induced_cols(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> list:
+    """f tensor_B g between two recorded tensors as sparse columns (f, g
+    must be B-linear for the result to be canonical; descent is checked):
     f tensor g on data.TR, projected into data2, descended."""
     return descend_cols(data, data2.project(tensor_cols(data.TR, f, g, data2.TR)),
                         data2.module)
+
+
+def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> ModuleMap:
+    """induced_cols as a dense map."""
+    return map_from_cols(data.module, data2.module, induced_cols(data, data2, f, g))
 
 
 def tensor_bimodules(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule) -> BTensor:
     """X tensor_B Y with the outer actions installed."""
     data = _btensor_core(alg, X.carrier, X.right, Y.carrier, Y.left)
     data.factors = (X, Y)
-    data.left = induced(data, data, X.left, ModuleMap.identity(Y.carrier))
-    data.right = induced(data, data, ModuleMap.identity(X.carrier), Y.right)
+    data.left = induced_cols(data, data, X.left, ModuleMap.identity(Y.carrier))
+    data.right = induced_cols(data, data, ModuleMap.identity(X.carrier), Y.right)
     return data
 
 
@@ -382,12 +390,13 @@ def tensor_bim_bmodule(alg: AlgebraSpec, X: BBBimodule, M: BModule) -> BTensor:
     """X tensor_B M as a left B-module (left action from X)."""
     data = _btensor_core(alg, X.carrier, X.right, M.carrier, M.act)
     data.factors = (X, M)
-    data.left = induced(data, data, X.left, ModuleMap.identity(M.carrier))
+    data.left = induced_cols(data, data, X.left, ModuleMap.identity(M.carrier))
     return data
 
 
 def btensor_bmodule(data: BTensor) -> BModule:
-    return BModule(data.alg, data.module, data.left, check=False)
+    return BModule(data.alg, data.module,
+                   map_from_cols(data.module, data.module, data.left), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +438,12 @@ def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
     R, fb, X = alg.R, alg.fb, xy.module
     TR = tensor_with_data(X, Z_car)
     s = len(form.exps)
-    entries = sorted(((e, (j, q)) for j in range(s) for q, e in enumerate(X.exps)),
-                     key=lambda t: (-t[0], t[1]))
-    module = FinModule(R, tuple(e for e, _ in entries))
-    at = {jq: r for r, (_, jq) in enumerate(entries)}
+    module, at = canonical_layout(R, ((e, (j, q)) for j in range(s)
+                                      for q, e in enumerate(X.exps)))
     # pows[g][q]: right^g(x_q) as sparse (index, coeff) pairs
-    rcols = xy.right.mat.sparse_cols()
     pows = [[[(q, 1)] for q in range(X.rank)]]
     for _ in range(fb - 1):
-        pows.append([sparse_image(col, rcols, X) for col in pows[-1]])
+        pows.append([sparse_image(col, xy.right, X) for col in pows[-1]])
     # blocks[q][j fb + g]: right^g(x_q) placed in block j
     blocks = [[[(at[(j, q2)], a) for q2, a in pows[g][q]]
                for j in range(s) for g in range(fb)] for q in range(X.rank)]
@@ -447,7 +453,7 @@ def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
         proj_cols[c] = sparse_image(beta[k], blocks[q], module)
     zcols = form.theta.sparse_cols()
     sect_cols = [sorted((TR.pos[(q, k)], b) for k, b in zcols[j * fb])
-                 for _, (j, q) in entries]
+                 for j, q in at]
     return BTensor(alg, TR, module, proj_cols, sect_cols, None)
 
 
@@ -463,7 +469,8 @@ def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
     if form.is_free():
         nest = _tensor_free(alg, xy, Z_car, form)
     else:
-        nest = _btensor_core(alg, xy.module, xy.right, Z_car, Z_left)
+        right = map_from_cols(xy.module, xy.module, xy.right)
+        nest = _btensor_core(alg, xy.module, right, Z_car, Z_left)
     return TripleTensor(alg, xy, TR, nest, nest.module)
 
 

@@ -7,8 +7,8 @@
     tannaka-forge verify-suite [--budget N] [--json PATH]
 
 Exit codes: 0 all requested checks pass/verified; 1 a check failed or was
-refuted; 2 input or parse error; 3 no failures but at least one verdict was
-inconclusive (budget exhaustion).
+refuted; 2 input or parse error, or out of memory; 3 no failures but at
+least one verdict was inconclusive (budget exhaustion).
 
 Reports are deterministic for identical inputs: verdicts are sorted by
 stable keys and the report digest is computed over the canonical JSON with
@@ -317,6 +317,10 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError,     # an unreadable file or path
             CoendTooLarge) as e:
         print("input error: %s" % e, file=sys.stderr)
+        return 2
+    except MemoryError:
+        # running out of memory is no verdict on the input
+        print("input error: out of memory", file=sys.stderr)
         return 2
 
 

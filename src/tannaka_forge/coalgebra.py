@@ -9,7 +9,8 @@ delta and rho are matrices written in the coordinates of one presentation of
 C (x)_B C and C (x)_B M: the BTensor their constructor built.  That tensor is
 the coalgebra's cc and the comodule's cm; coalgebra_check and comodule_check
 take it and validate against it, and never build it again.  They read its
-sparse columns; only the flat lifts deltahat and rhohat are dense.
+sparse columns, its outer actions too, on the columns of delta and rho;
+only the flat lifts deltahat and rhohat are dense.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  Coassociativity is compared inside the triple tensor
@@ -57,11 +58,11 @@ class AxiomError(ValueError):
                          % (code, witness, " " + detail if detail else ""))
 
 
-def _first_difference(f: ModuleMap, g: ModuleMap) -> int | None:
-    for i in range(f.src.rank):
-        if f.apply(f.src.gen(i)) != g.apply(g.src.gen(i)):
-            return i
-    return None
+def _first_difference(f, g, h, k, dst: FinModule) -> int | None:
+    """The first generator x with f(g(x)) != h(k(x)) in dst, or None, for
+    four maps given by sparse columns."""
+    return next((x for x, (gx, kx) in enumerate(zip(g, k))
+                 if sparse_image(gx, f, dst) != sparse_image(kx, h, dst)), None)
 
 
 @dataclass
@@ -112,7 +113,7 @@ def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
         cols[k] = eps_act[c][m]
-    return descend_cols(data, cols, car_m)
+    return map_from_cols(data.module, car_m, descend_cols(data, cols, car_m))
 
 
 def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
@@ -172,19 +173,21 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
     if counit.src != C.carrier or counit.dst != breg.carrier:
         raise ValueError("counit must map the carrier into B")
     # bimodule-map conditions
-    for name, lhs, rhs in (
-            ("left", delta @ C.left, cc.left @ delta),
-            ("right", delta @ C.right, cc.right @ delta),
-            ("left", counit @ C.left, breg.left @ counit),
-            ("right", counit @ C.right, breg.right @ counit)):
-        w = _first_difference(lhs, rhs)
+    for name, phi, act, act_dst in (
+            ("left", delta, C.left, cc.left),
+            ("right", delta, C.right, cc.right),
+            ("left", counit, C.left, breg.left.mat.sparse_cols()),
+            ("right", counit, C.right, breg.right.mat.sparse_cols())):
+        cols = phi.mat.sparse_cols()
+        w = _first_difference(cols, act.mat.sparse_cols(), act_dst, cols, phi.dst)
         if w is not None:
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
     # counit laws: (eps (x) id) delta = id = (id (x) eps) delta
+    unit, dcols = [[(x, 1)] for x in range(C.carrier.rank)], delta.mat.sparse_cols()
     for code, left, act_by in (("CounitLeft", True, C.left_by),
                                ("CounitRight", False, C.right_by)):
         contraction = counit_contraction(alg, counit, cc, act_by, left)
-        w = _first_difference(contraction @ delta, ModuleMap.identity(C.carrier))
+        w = _first_difference(contraction.mat.sparse_cols(), dcols, unit, unit, C.carrier)
         if w is not None:
             raise AxiomError(code, w)
     # coassociativity inside the triple tensor
@@ -229,11 +232,12 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     alg, M = C.alg, Mc.module
     if rho.src != M.carrier or rho.dst != cm.module:
         raise ValueError("rho must map the carrier into C (x)_B M")
-    w = _first_difference(rho @ M.act, cm.left @ rho)
+    cols, unit = rho.mat.sparse_cols(), [[(x, 1)] for x in range(M.carrier.rank)]
+    w = _first_difference(cols, M.act.mat.sparse_cols(), cm.left, cols, cm.module)
     if w is not None:
         raise AxiomError("NotModuleMap", w)
     eps_id = counit_contraction(alg, C.counit, cm, M.act_by)
-    w = _first_difference(eps_id @ rho, ModuleMap.identity(M.carrier))
+    w = _first_difference(eps_id.mat.sparse_cols(), cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
@@ -291,7 +295,7 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
     cols = [target.pure_sum((car.scale(dh.data[kk][i], car.gen(a)),
                              cm.pure(car.gen(b), M.carrier.gen(j)))
                             for (a, b), kk in C.cc.TR.pos.items() if dh.data[kk][i])
-            for i, j in sorted(cm.TR.pos, key=cm.TR.pos.get)]
+            for i, j in cm.TR.pos]
     rho = descend(cm, ModuleMap(cm.TR.module, target.module, Matrix.from_cols(
         alg.R, cols, target.module.rank), validate=False))
     return comodule_check(C, target, rho)

@@ -50,44 +50,32 @@ def _sigma_mat(W: RingSpec, mat: Matrix) -> Matrix:
 
 @dataclass
 class SemilinearMap:
-    """v |-> mat . sigma(v) between modules over W; twist tracks the power
-    of sigma, with composition (A, s).(B, t) = (A . sigma^s(B), s + t)."""
+    """v |-> mat . sigma(v) between modules over W (sigma is the identity
+    when f = 1), so self . g = (mat . sigma(g)) sigma for a linear g."""
     src: FinModule
     dst: FinModule
     mat: Matrix
-    twist: int = 1
 
     def __post_init__(self):
         # same congruence constraints as a linear map (sigma fixes p-powers)
-        ModuleMap(self.src, self.dst, self.mat)
         self.mat = ModuleMap(self.src, self.dst, self.mat).mat
 
     def apply(self, v):
         W = self.src.ring
-        tw = [v[i] for i in range(len(v))]
-        for _ in range(self.twist % W.f if W.f > 1 else 0):
-            tw = [W.frobenius(a) for a in tw]
+        tw = [W.frobenius(a) for a in v] if W.f > 1 else list(v)
         return self.dst.reduce(self.mat.apply(tw))
 
     def after_linear(self, g: ModuleMap) -> "SemilinearMap":
         """self . g  (apply g first)."""
         W = self.src.ring
-        gm = g.mat
-        for _ in range(self.twist % W.f if W.f > 1 else 0):
-            gm = _sigma_mat(W, gm)
-        return SemilinearMap(g.src, self.dst, self.mat @ gm, self.twist)
+        gm = _sigma_mat(W, g.mat) if W.f > 1 else g.mat
+        return SemilinearMap(g.src, self.dst, self.mat @ gm)
 
     def scale(self, c: int) -> "SemilinearMap":
-        return SemilinearMap(self.src, self.dst, self.mat.scale(c), self.twist)
+        return SemilinearMap(self.src, self.dst, self.mat.scale(c))
 
     def linear_part(self) -> ModuleMap:
         return ModuleMap(self.src, self.dst, self.mat)
-
-    def __eq__(self, other):
-        if not isinstance(other, SemilinearMap):
-            return NotImplemented
-        return (self.src == other.src and self.dst == other.dst
-                and self.mat == other.mat and self.twist == other.twist)
 
 
 class FilteredFModule:
@@ -182,8 +170,8 @@ def mbar(X: FilteredFModule) -> MBarResult:
             continue
         for k in range(X.fil[i].src.rank):
             g = X.fil[i].src.gen(k)
-            a = sd.injections[idx - 1].apply(X.eps[i].apply(g))
-            b = sd.injections[idx].apply(g)
+            a = sd.inject(idx - 1, X.eps[i].apply(g))
+            b = sd.inject(idx, g)
             col = [W.sub(x, W.mul(W.p_elem(1), y)) for x, y in zip(a, b)]
             rel_cols.append(col)
     pres = presentation_with_torsion(sd.module,
@@ -191,18 +179,17 @@ def mbar(X: FilteredFModule) -> MBarResult:
     Mbar = pres.module
     # the blockwise semilinear map descends: its linear part kills the
     # twisted relations, which present Mbar with the twisted section
-    phi_s = Matrix.zeros(W, X.M.rank, sd.module.rank)
-    for idx, i in enumerate(slots):
-        blk = X.phi[i].mat @ sd.projections[idx].mat
-        phi_s = phi_s + blk
+    phi_s = Matrix.from_cols(W, [X.phi[slots[idx]].mat.col(k) for idx, k in sd.place],
+                             X.M.rank)
     tw_rels = [[W.frobenius(a) for a in col] if W.f > 1 else col
                for col in rel_cols]
     sect_tw = _sigma_mat(W, pres.sect) if W.f > 1 else pres.sect
     lin = descend_map(ModuleMap(sd.module, X.M, phi_s, validate=False),
                       tw_rels, Mbar, sect_tw)
     phibar = SemilinearMap(Mbar, X.M, lin.mat)
-    slotmaps = {i: ModuleMap(X.fil[i].src, Mbar,
-                             pres.proj @ sd.injections[idx].mat)
+    slotmaps = {i: ModuleMap(X.fil[i].src, Mbar, Matrix.from_cols(
+                    W, [pres.proj.col(sd.place[(idx, k)]) for k in range(mods[idx].rank)],
+                    Mbar.rank))
                 for idx, i in enumerate(slots)}
     if Mbar.length() != X.M.length():
         raise RuntimeError("length of the colimit differs from len(M); "
@@ -248,15 +235,18 @@ def mf_direct_sum(X: FilteredFModule, Y: FilteredFModule) -> FilteredFModule:
     Xe = _extend_window(X, lo, hi)
     Ye = _extend_window(Y, lo, hi)
     sd = direct_sum([X.M, Y.M])
+
+    def blocks(fs, mats) -> Matrix:
+        # the blockwise map from the sum fs of sources into X.M (+) Y.M
+        return Matrix.from_cols(W, [sd.inject(t, mats[t].col(k)) for t, k in fs.place],
+                                sd.module.rank)
+
     fil, phi = {}, {}
     for i in range(lo, hi + 1):
         fs = direct_sum([Xe[0][i].src, Ye[0][i].src])
-        inc = (sd.injections[0] @ Xe[0][i] @ fs.projections[0]) + \
-              (sd.injections[1] @ Ye[0][i] @ fs.projections[1])
-        fil[i] = inc
-        pm = (sd.injections[0].mat @ Xe[1][i].mat @ fs.projections[0].mat) + \
-             (sd.injections[1].mat @ Ye[1][i].mat @ fs.projections[1].mat)
-        phi[i] = pm
+        fil[i] = ModuleMap(fs.module, sd.module, blocks(fs, [Xe[0][i].mat, Ye[0][i].mat]),
+                           validate=False)
+        phi[i] = blocks(fs, [Xe[1][i].mat, Ye[1][i].mat])
     return mf_make(W, sd.module, lo, hi, fil, phi,
                    require_span=X.span_ok and Y.span_ok)
 
@@ -348,7 +338,9 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     K, incl, usum = hom_equalizer(unknowns, targets, image)
     basis = []
     for k in range(K.rank):
-        g_r = unknowns[0].from_coords(usum.projections[0].apply(incl.apply(K.gen(k))))
+        v = incl.apply(K.gen(k))
+        g_r = unknowns[0].from_coords(
+            [v[usum.place[(0, i)]] for i in range(unknowns[0].module.rank)])
         basis.append(ModuleMap(X.M, Y.M, alg.rmat_to_bmat(g_r)))
     return K, basis, alg
 
@@ -406,8 +398,8 @@ def mf_colimit_probe(objects: list[FilteredFModule], probe: ColimitProbe) -> dic
     for (s, d, F) in probe.edges:
         for k in range(nodes[s].M.rank):
             g = nodes[s].M.gen(k)
-            a = sd.injections[d].apply(nodes[d].M.reduce(F.apply(list(g))))
-            b = sd.injections[s].apply(g)
+            a = sd.inject(d, nodes[d].M.reduce(F.apply(list(g))))
+            b = sd.inject(s, g)
             cols.append([W.sub(x, y) for x, y in zip(a, b)])
     rel = Matrix.from_cols(W, cols, sd.module.rank)
     pres = presentation_with_torsion(sd.module, rel)
@@ -427,9 +419,8 @@ def mf_colimit_probe(objects: list[FilteredFModule], probe: ColimitProbe) -> dic
             filX, phiX = ext[t]
             for k in range(filX[i].src.rank):
                 g = filX[i].src.gen(k)
-                gens.append(proj.apply(sd.injections[t].apply(filX[i].apply(g))))
-                vals.append(proj.apply(sd.injections[t].apply(
-                    X.M.reduce(phiX[i].apply(g)))))
+                gens.append(proj.apply(sd.inject(t, filX[i].apply(g))))
+                vals.append(proj.apply(sd.inject(t, X.M.reduce(phiX[i].apply(g)))))
         gmat = Matrix.from_cols(W, gens, colim.rank)
         S, incl = submodule(colim, gmat)
         sols = solve_in(colim, gmat, [incl.apply(S.gen(k)) for k in range(S.rank)])

@@ -23,6 +23,11 @@ submodules, and
 hom_equalizer solves for the maps in a sum of Hom modules that satisfy
 R-linear conditions (comodule maps, morphisms of filtered modules) as the
 kernel of the stacked condition map.
+
+Every canonical sum of summands (a direct sum, M tensor_R N, Hom_R(M, N), a
+Smith presentation) is laid out by one helper, canonical_layout, which
+orders the summands and records where each lands; a direct sum is that
+layout alone, with no injection or projection matrices.
 """
 
 from __future__ import annotations
@@ -141,6 +146,15 @@ def _coord_reps(ring: RingSpec, e: int) -> list[int]:
                       for t in itertools.product(range(pe), repeat=ring.f))
         _COORD_REPS[key] = reps
     return _COORD_REPS[key]
+
+
+def canonical_layout(ring: RingSpec, entries) -> tuple[FinModule, dict]:
+    """The canonical module with one summand R/p^e per (e, key) entry, and
+    the coordinate of each key: summands in descending exponent, ties by
+    key.  The dict iterates its keys in coordinate order."""
+    entries = sorted(entries, key=lambda t: (-t[0], t[1]))
+    return (FinModule(ring, tuple(e for e, _ in entries)),
+            {key: r for r, (_, key) in enumerate(entries)})
 
 
 class ModuleMap:
@@ -263,13 +277,11 @@ def module_from_presentation(P: Matrix) -> Presentation:
     m = min(P.rows, P.cols)
     keep = [(a, i) for i, a in enumerate(sf.invariants) if a > 0]
     keep += [(n, i) for i in range(m, P.rows)]
-    keep.sort(key=lambda t: (-t[0], t[1]))
-    exps = tuple(a for a, _ in keep)
-    M = FinModule(ring, exps)
+    M, at = canonical_layout(ring, keep)
     red = ring.reduce_exp
-    proj_rows = [[red(v, a) for v in sf.u_inv.data[i]] for a, i in keep]
+    proj_rows = [[red(v, a) for v in sf.u_inv.data[i]] for i, a in zip(at, M.exps)]
     proj = Matrix(ring, proj_rows, M.rank, P.rows)
-    sect = Matrix.from_cols(ring, [sf.U.col(i) for _, i in keep], P.rows)
+    sect = Matrix.from_cols(ring, [sf.U.col(i) for i in at], P.rows)
     return Presentation(M, proj, sect)
 
 
@@ -440,16 +452,11 @@ class HomData:
 
 
 def hom_module(M: FinModule, N: FinModule) -> HomData:
+    """Hom_R(M, N) has the summands, and so the layout, of M tensor_R N."""
     if M.ring != N.ring:
         raise RingMismatch("hom of modules over different rings")
-    entries = []
-    for i, e in enumerate(M.exps):
-        for j, d in enumerate(N.exps):
-            entries.append((min(e, d), (i, j)))
-    entries.sort(key=lambda t: (-t[0], t[1]))
-    exps = tuple(e for e, _ in entries)
-    pairs = [p for _, p in entries]
-    return HomData(M, N, FinModule(M.ring, exps), pairs)
+    T = tensor_with_data(M, N)
+    return HomData(M, N, T.module, list(T.pos))
 
 
 def hom_equalizer(unknowns: list[HomData],
@@ -467,19 +474,14 @@ def hom_equalizer(unknowns: list[HomData],
     charts = [hom_module(src, dst) for src, dst in targets]
     tsum = direct_sum([T.module for T in charts])
     usum = direct_sum([U.module for U in unknowns])
-
-    def places(inj: ModuleMap) -> list[int]:
-        # the sum coordinate of each coordinate of one summand
-        return [col[0][0] for col in inj.mat.sparse_cols()]
-
-    rows = [places(inj) for inj in tsum.injections]
     mat = Matrix.zeros(ring, tsum.module.rank, usum.module.rank)
     for s, U in enumerate(unknowns):
-        for c, h in zip(places(usum.injections[s]), U.basis):
+        for k, h in enumerate(U.basis):
+            c = usum.place[(s, k)]
             for t, g in enumerate(image(s, h)):
                 if g is not None:
-                    for r, v in zip(rows[t], charts[t].coords(g)):
-                        mat.data[r][c] = v
+                    for r, v in enumerate(charts[t].coords(g)):
+                        mat.data[tsum.place[(t, r)]][c] = v
     K, incl = map_kernel(ModuleMap(usum.module, tsum.module, mat, validate=False))
     return K, incl, usum
 
@@ -517,14 +519,9 @@ class TensorData:
 def tensor_with_data(M: FinModule, N: FinModule) -> TensorData:
     if M.ring != N.ring:
         raise RingMismatch("tensor of modules over different rings")
-    entries = []
-    for i, e in enumerate(M.exps):
-        for j, d in enumerate(N.exps):
-            entries.append((min(e, d), (i, j)))
-    entries.sort(key=lambda t: (-t[0], t[1]))
-    module = FinModule(M.ring, tuple(e for e, _ in entries))
-    pos = {p: k for k, (_, p) in enumerate(entries)}
-    return TensorData(M, N, module, pos)
+    return TensorData(M, N, *canonical_layout(M.ring, (
+        (min(e, d), (i, j)) for i, e in enumerate(M.exps)
+        for j, d in enumerate(N.exps))))
 
 
 def tensor_over_ring(M: FinModule, N: FinModule) -> FinModule:
@@ -584,9 +581,17 @@ def is_projective(M: FinModule) -> bool:
 
 @dataclass
 class SumData:
+    """The direct sum of mods in canonical form: place[(t, i)] is the
+    coordinate of generator i of summand t."""
     module: FinModule
-    injections: list[ModuleMap]
-    projections: list[ModuleMap]
+    place: dict[tuple[int, int], int]
+
+    def inject(self, t: int, v) -> tuple[int, ...]:
+        """The element v of summand t, as an element of the sum."""
+        out = [0] * self.module.rank
+        for i, a in enumerate(v):
+            out[self.place[(t, i)]] = a
+        return tuple(out)
 
 
 def direct_sum(mods: list[FinModule]) -> SumData:
@@ -595,23 +600,8 @@ def direct_sum(mods: list[FinModule]) -> SumData:
     ring = mods[0].ring
     if any(m.ring != ring for m in mods):
         raise RingMismatch("direct sum over different rings")
-    entries = []
-    for t, m in enumerate(mods):
-        for i, e in enumerate(m.exps):
-            entries.append((e, (t, i)))
-    entries.sort(key=lambda x: (-x[0], x[1]))
-    module = FinModule(ring, tuple(e for e, _ in entries))
-    place = {p: k for k, (_, p) in enumerate(entries)}
-    injections, projections = [], []
-    for t, m in enumerate(mods):
-        inj = Matrix.zeros(ring, module.rank, m.rank)
-        prj = Matrix.zeros(ring, m.rank, module.rank)
-        for i in range(m.rank):
-            inj.data[place[(t, i)]][i] = 1
-            prj.data[i][place[(t, i)]] = 1
-        injections.append(ModuleMap(m, module, inj, validate=False))
-        projections.append(ModuleMap(module, m, prj, validate=False))
-    return SumData(module, injections, projections)
+    return SumData(*canonical_layout(ring, (
+        (e, (t, i)) for t, m in enumerate(mods) for i, e in enumerate(m.exps))))
 
 
 def sub_canonical(M: FinModule, gens: list[tuple[int, ...]]) -> tuple:

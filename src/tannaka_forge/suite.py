@@ -260,6 +260,8 @@ def _check(results, name, fn):
     except EnumerationBudget as e:
         detail = {"error": "EnumerationBudget: %s" % e}
         status = "inconclusive"
+    except MemoryError:
+        raise       # no verdict on the check; the CLI exits 2
     except Exception as e:  # pragma: no cover - surfaced in the report
         detail = {"error": "%s: %s" % (type(e).__name__, e)}
         status = "fail"

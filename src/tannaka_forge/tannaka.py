@@ -31,7 +31,8 @@ search: a coequalizer of F, G : k -> l is a cocone on the legs [l] under
 F - G, a pushout of F : c -> k, G : c -> l one on [k, l] under F stacked
 on -G.  The cocones into an object form an R-submodule, the image of a
 kernel: the candidate legs into a tip are its elements, and a candidate's
-universality is decided on its Howell rows, exactly.  The cones of the
+universality is decided exactly, by containment on Howell rows and by
+comparing the sizes of hom spans and cocone modules.  The cones of the
 cofilteredness check are read off the sets {F u : F in span(c, k)}, one per
 source (c, u) and object k, and its parallel pairs off the elements of
 each span(k, l), bucketed by F v_A.  The budget bounds only what is still
@@ -876,36 +877,18 @@ def _cocones(D: DiagramCategory, legs: list[int], cond: Matrix) -> list[Span]:
 
 def _is_universal(D: DiagramCategory, cocones: list[Span], tip: int, qs) -> bool:
     """Does every cocone (cocones[e] spans those into e, `_cocones`) factor
-    through the legs qs into tip, and uniquely?  The cocones into e are an
-    R-submodule, so factoring is checked on its Howell rows alone."""
+    through the cocone qs into tip, and uniquely?  Factoring is checked on
+    the Howell rows of the cocones into e alone.  On a closed D every S q
+    with S in span(tip, e) is a cocone, so once every cocone factors,
+    S |-> S q maps span(tip, e) onto the cocones into e, and this map of
+    finite sets is one to one exactly when the two have the same size."""
     alg = D.alg
     for e, into in enumerate(cocones):
-        gens_te = D.homs[(tip, e)]
         srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
-                 for S in gens_te]
+                 for S in D.homs[(tip, e)]]
         factored = Span(alg.R, srows, into.width)
-        if not all(factored.contains(r) for r in into.rows):
-            return False
-        if not _factors_uniquely(alg, srows, gens_te):
-            return False
-    return True
-
-
-def _factors_uniquely(alg: AlgebraSpec, srows, gens) -> bool:
-    """srows[i] flattens gens[i] composed with the cocone legs: does every
-    combination of gens that the legs kill vanish?"""
-    if not srows:
-        return True
-    R = alg.R
-    K = kernel(Matrix.from_cols(R, srows, len(srows[0])))
-    flat = [_flatten_bmat(alg, S) for S in gens]
-    for j in range(K.cols):
-        acc = [0] * len(flat[0])
-        for cf, fv in zip(K.col(j), flat):
-            if cf:
-                for idx, vv in enumerate(fv):
-                    acc[idx] = R.add(acc[idx], R.mul(cf, vv))
-        if any(acc):
+        if D.span(tip, e).size() != into.size() or \
+           not all(factored.contains(r) for r in into.rows):
             return False
     return True
 

@@ -75,7 +75,7 @@ def dense_tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
     module = FinModule(R, tuple(e for e, _ in entries))
     at = {jq: r for r, (_, jq) in enumerate(entries)}
     # pows[g][q]: right^g(x_q) as sparse (index, coeff) pairs
-    rcols = xy.right.mat.sparse_cols()
+    rcols = xy.right
     pows = [[[(q, 1)] for q in range(X.rank)]]
     for _ in range(fb - 1):
         nxt = []
@@ -106,7 +106,7 @@ def quotient_triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
                            Z_left: ModuleMap) -> TripleTensor:
     """(X (x)_B Y) (x)_B Z with the nest presented by _btensor_core, for
     f_B >= 2."""
-    nest = _btensor_core(alg, xy.module, xy.right, Z_car, Z_left)
+    nest = _btensor_core(alg, xy.module, dense(xy).right, Z_car, Z_left)
     return TripleTensor(alg, xy, tensor_with_data(xy.TR.module, Z_car), nest,
                         nest.module)
 
@@ -275,9 +275,11 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     tensor."""
     txy = tensor_bimodules(alg, X, Y)
     t3 = triple_tensor(alg, txy, Z.carrier, Z.left)
-    left_nested = _btensor_core(alg, txy.module, txy.right, Z.carrier, Z.left)
+    left_nested = _btensor_core(alg, txy.module, dense(txy).right, Z.carrier,
+                                Z.left)
     tyz = tensor_bimodules(alg, Y, Z)
-    right_nested = _btensor_core(alg, X.carrier, X.right, tyz.module, tyz.left)
+    right_nested = _btensor_core(alg, X.carrier, X.right, tyz.module,
+                                 dense(tyz).left)
     txy_sect, tyz_sect = dense(txy).sect, dense(tyz).sect
     inv_txy = {v: k for k, v in txy.TR.pos.items()}
     inv_tyz = {v: k for k, v in tyz.TR.pos.items()}

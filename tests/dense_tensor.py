@@ -1,9 +1,11 @@
 """The dense matrices of a tensor over B, for tests that multiply or compare
-them.  A ``BTensor`` holds its projection, section and middle relations only
-as sparse columns; ``dense`` writes them out, entry for entry, as the
-projection ``ModuleMap`` TR.module -> module, the section ``Matrix`` (its
-entries unreduced, as the section records them) and the relation ``Matrix``
-over TR.module (None for a nest in B-coordinates, which records none)."""
+them.  A ``BTensor`` holds its projection, section, middle relations and
+outer actions only as sparse columns; ``dense`` writes them out, entry for
+entry, as the projection ``ModuleMap`` TR.module -> module, the section
+``Matrix`` (its entries unreduced, as the section records them), the
+relation ``Matrix`` over TR.module (None for a nest in B-coordinates, which
+records none) and the left and right actions as ``ModuleMap``s module ->
+module (None where the tensor records none)."""
 
 from __future__ import annotations
 
@@ -18,6 +20,8 @@ class DenseTensor:
     proj: ModuleMap
     sect: Matrix
     rel_cols: Matrix | None
+    left: ModuleMap | None
+    right: ModuleMap | None
 
 
 def _matrix(ring, cols, rows: int) -> Matrix:
@@ -33,4 +37,8 @@ def dense(data) -> DenseTensor:
     proj = ModuleMap(flat, mod, _matrix(R, data.proj_cols, mod.rank),
                      validate=False)
     rels = None if data.rels is None else _matrix(R, data.rels, flat.rank)
-    return DenseTensor(proj, _matrix(R, data.sect_cols, flat.rank), rels)
+    left, right = (None if cols is None else
+                   ModuleMap(mod, mod, _matrix(R, cols, mod.rank), validate=False)
+                   for cols in (data.left, data.right))
+    return DenseTensor(proj, _matrix(R, data.sect_cols, flat.rank), rels,
+                       left, right)

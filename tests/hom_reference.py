@@ -3,7 +3,7 @@
 ``ref_b_hom``, ``ref_comodule_hom`` and ``ref_mf_hom`` are the solvers that
 stacked their hom conditions by hand: each builds a full Hom module for
 every condition target, places every basis map's condition coordinates
-with the injections of a direct sum, and takes ``map_kernel`` of the
+with the layout of a direct sum, and takes ``map_kernel`` of the
 result.
 
 ``ref_mf_hom`` writes its columns in the order of the concatenated unknown
@@ -62,8 +62,8 @@ def ref_comodule_hom(Mc, Nc):
         term = ModuleMap(M.carrier, Nc.cm.module,
                          dense(Nc.cm).proj.mat @ flat.mat @ rhohat_M, validate=False)
         d2 = (Nc.rho @ h) - term
-        v1 = sum_data.injections[0].apply(H2.coords(d1))
-        v2 = sum_data.injections[1].apply(HC.coords(d2))
+        v1 = sum_data.inject(0, H2.coords(d1))
+        v2 = sum_data.inject(1, HC.coords(d2))
         cond_cols.append(sum_data.module.add(v1, v2))
     if H.module.rank:
         mat = Matrix(alg.R, [list(r) for r in zip(*cond_cols)],
@@ -112,25 +112,25 @@ def ref_mf_hom(X, Y):
         nfil = hi - lo + 1
         if slot == 0:
             d = (h @ carMX.act) - (carMY.act @ h)
-            out = tsum.module.add(out, tsum.injections[0].apply(targets[0].coords(d)))
+            out = tsum.module.add(out, tsum.inject(0, targets[0].coords(d)))
             for idx, i in enumerate(range(lo, hi + 1)):
                 c = -(h @ iotaX[i])
-                out = tsum.module.add(out, tsum.injections[1 + nfil + 2 * idx]
-                                      .apply(targets[1 + nfil + 2 * idx].coords(c)))
+                out = tsum.module.add(out, tsum.inject(
+                    1 + nfil + 2 * idx, targets[1 + nfil + 2 * idx].coords(c)))
                 dphi = -(h @ phiXr[i])
-                out = tsum.module.add(out, tsum.injections[2 + nfil + 2 * idx]
-                                      .apply(targets[2 + nfil + 2 * idx].coords(dphi)))
+                out = tsum.module.add(out, tsum.inject(
+                    2 + nfil + 2 * idx, targets[2 + nfil + 2 * idx].coords(dphi)))
         else:
             i = lo + slot - 1
             idx = slot - 1
             d = (h @ carFX[i].act) - (carFY[i].act @ h)
-            out = tsum.module.add(out, tsum.injections[slot].apply(targets[slot].coords(d)))
+            out = tsum.module.add(out, tsum.inject(slot, targets[slot].coords(d)))
             c = iotaY[i] @ h
-            out = tsum.module.add(out, tsum.injections[1 + nfil + 2 * idx]
-                                  .apply(targets[1 + nfil + 2 * idx].coords(c)))
+            out = tsum.module.add(out, tsum.inject(
+                1 + nfil + 2 * idx, targets[1 + nfil + 2 * idx].coords(c)))
             dphi = phiYr[i] @ h
-            out = tsum.module.add(out, tsum.injections[2 + nfil + 2 * idx]
-                                  .apply(targets[2 + nfil + 2 * idx].coords(dphi)))
+            out = tsum.module.add(out, tsum.inject(
+                2 + nfil + 2 * idx, targets[2 + nfil + 2 * idx].coords(dphi)))
         return out
 
     cols = []
@@ -146,7 +146,8 @@ def ref_mf_hom(X, Y):
     K, incl = map_kernel(phimap)
     basis = []
     for k in range(K.rank):
-        coords = blocks.projections[0].apply(incl.apply(K.gen(k)))
+        v = incl.apply(K.gen(k))
+        coords = [v[blocks.place[(0, i)]] for i in range(unknowns[0].module.rank)]
         g_r = unknowns[0].from_coords(coords)
         basis.append(ModuleMap(X.M, Y.M, alg.rmat_to_bmat(g_r)))
     return K, basis, alg

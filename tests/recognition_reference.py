@@ -27,7 +27,10 @@ computes the kernel of cocones into every object again for each candidate.
 ``sweep_reflects_isos_check`` tests every invertible element of each span,
 not only the first.  ``cocone_find_colimit`` is the colimit search on
 cocone modules as it ran before it skipped tips whose hom spans and cocone
-modules differ in size: it enumerates the cocones into every tip.
+modules differ in size: it enumerates the cocones into every tip
+(``cocone_candidates``).  ``factoring_is_universal`` decides universality
+as it did before it compared sizes: containment, then a kernel that shows
+each factorization is unique (``factors_uniquely``).
 
 All of them are kept only to be tested against.
 """
@@ -45,9 +48,55 @@ from tannaka_forge.modules import (FinModule, ModuleMap,
                                    span_elements)
 from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _flatten_bmat, _unflatten_bmat,
-                                   _factors_uniquely, _fiber_elements,
+                                   _fiber_elements,
                                    _two_sided_inverse_in_span, _cocones,
                                    _is_universal)
+
+
+def factors_uniquely(alg, srows, gens) -> bool:
+    """srows[i] flattens gens[i] composed with the cocone legs: does every
+    combination of gens that the legs kill vanish?"""
+    if not srows:
+        return True
+    R = alg.R
+    K = kernel(Matrix.from_cols(R, srows, len(srows[0])))
+    flat = [_flatten_bmat(alg, S) for S in gens]
+    for j in range(K.cols):
+        acc = [0] * len(flat[0])
+        for cf, fv in zip(K.col(j), flat):
+            if cf:
+                for idx, vv in enumerate(fv):
+                    acc[idx] = R.add(acc[idx], R.mul(cf, vv))
+        if any(acc):
+            return False
+    return True
+
+
+def factoring_is_universal(D: DiagramCategory, cocones, tip: int, qs) -> bool:
+    """Universality as it was decided before it counted: every cocone into
+    each e factors through the legs qs (on its Howell rows), and a kernel
+    of the factoring map shows that the factorization is unique."""
+    alg = D.alg
+    for e, into in enumerate(cocones):
+        gens_te = D.homs[(tip, e)]
+        srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
+                 for S in gens_te]
+        factored = Span(alg.R, srows, into.width)
+        if not all(factored.contains(r) for r in into.rows):
+            return False
+        if not factors_uniquely(alg, srows, gens_te):
+            return False
+    return True
+
+
+def cocone_candidates(D: DiagramCategory, legs: list[int], into, tip: int):
+    """Every element of the cocone module into into tip, unflattened into
+    its legs (q_1, ..., q_m)."""
+    alg, rank = D.alg, D.objects[tip].rank
+    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
+    for vec in span_elements(alg.R, into.rows, into.width, None):
+        yield [_unflatten_bmat(alg, vec[rank * a * alg.fb:rank * b * alg.fb], rank, b - a)
+               for a, b in zip(starts, starts[1:])]
 
 
 def span_membership(ring, gens, target):
@@ -224,7 +273,7 @@ def pushout_universal(D: DiagramCategory, c: int, k: int, l: int, t: int,
             if span_membership(R, srows, target) is None:
                 return False
         # uniqueness: s q1 = 0 and s q2 = 0 force s = 0
-        if not _factors_uniquely(alg, srows, gens_te):
+        if not factors_uniquely(alg, srows, gens_te):
             return False
     return True
 
@@ -246,7 +295,7 @@ def is_universal_cocone(D: DiagramCategory, l: int, c: int, q: Matrix,
             if span_membership(alg.R, srows, list(_flatten_bmat(alg, t))) is None:
                 return False
         # uniqueness: s q = 0 forces s = 0 on the span
-        if not _factors_uniquely(alg, srows, gens_ce):
+        if not factors_uniquely(alg, srows, gens_ce):
             return False
     return True
 
@@ -502,7 +551,7 @@ def product_is_universal(D: DiagramCategory, legs: list[int], cond: Matrix,
         G = Matrix.from_cols(R, cocones, width) @ K
         if not all(factored.contains(G.col(j)) for j in range(G.cols)):
             return False
-        if not _factors_uniquely(alg, srows, gens_te):
+        if not factors_uniquely(alg, srows, gens_te):
             return False
     return True
 
@@ -511,16 +560,11 @@ def cocone_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
                         budget: int):
     alg = D.alg
     cocones = _cocones(D, legs, cond)
-    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
     pres = module_from_presentation(cond)
     for t, tobj in enumerate(D.objects):
         if math.prod(D.span(i, t).size() for i in legs) > budget:
             return "budget"
-        into = cocones[t]
-        for vec in span_elements(alg.R, into.rows, into.width, None):
-            qs = [_unflatten_bmat(alg, vec[tobj.rank * a * alg.fb:tobj.rank * b * alg.fb],
-                                  tobj.rank, b - a)
-                  for a, b in zip(starts, starts[1:])]
+        for qs in cocone_candidates(D, legs, cocones[t], t):
             if not _is_universal(D, cocones, t, qs):
                 continue
             q = functools.reduce(Matrix.hstack, qs)

@@ -12,6 +12,9 @@ import tannaka_forge
 from tannaka_forge import coalgebra
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.cli import main
+from tannaka_forge.linalg import Matrix
+from tannaka_forge.rings import ring_make
+from tannaka_forge.tannaka import DiagObject, DiagramCategory
 from tannaka_forge.suite import grouplike_diagram
 from tannaka_forge.textio import format_diagram
 
@@ -262,14 +265,14 @@ def test_unbounded_inputs_are_refused_up_front(tmp_path, argv, limit):
     assert limit in out.stderr and "Traceback" not in out.stderr
 
 
-def _capped_cli(argv):
-    """Run the CLI in a child process capped at 1 GB of address space;
-    returns (completed process, wall seconds)."""
+def _capped_cli(argv, cap_bytes=1 << 30):
+    """Run the CLI in a child process capped at cap_bytes (1 GB) of address
+    space; returns (completed process, wall seconds)."""
     src = str(Path(tannaka_forge.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
 
     def cap():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        resource.setrlimit(resource.RLIMIT_AS, (cap_bytes, cap_bytes))
 
     t0 = time.monotonic()
     out = subprocess.run([sys.executable, "-m", "tannaka_forge.cli"] + argv,
@@ -287,6 +290,20 @@ def test_l_rank_limit_is_per_component(tmp_path):
     assert out.returncode == 0, out.stderr
     rep = json.loads(out.stdout)
     assert rep["results"]["coend"] == {"rank": 65, "exps": [1] * 65}
+
+
+def test_out_of_memory_is_an_input_error(tmp_path):
+    # one rank-8 object over F2 with only its identity: L has rank 64, and
+    # its unit check does not fit in 200 MB of address space; running out
+    # is no refutation, so the exit code is 2, not 1
+    f = tmp_path / "r8.diagram"
+    f.write_text(format_diagram(DiagramCategory(
+        AlgebraSpec.make(2, 1, 1), [DiagObject("A", 8)],
+        {(0, 0): [Matrix.identity(ring_make(2, 1, 1), 8)]})))
+    out, _ = _capped_cli(["coend", str(f)], cap_bytes=200 << 20)
+    assert out.returncode == 2, out.stderr
+    assert "input error: out of memory" in out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_unit_check_solves_only_pairs_inside_a_component(count_calls, tmp_path,

@@ -11,6 +11,7 @@ from tannaka_forge import coalgebra, linalg, modules
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
+                                   regular_bimodule,
                                    bimodule_make, tensor_bimodules,
                                    triple_tensor, descend, as_b_module)
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, cofree,
@@ -364,6 +365,63 @@ def test_comatrix_r5_checked_coend():
     assert CR.coalgebra.carrier.rank == 25
 
 
+def _largest_matrix(monkeypatch, outside_smith=False):
+    """A one-element list that records the most cells of any Matrix built by
+    Matrix.zeros or Matrix.identity from now on; with outside_smith, those
+    built inside linalg.smith (its U, U^-1, V and V^-1) are not counted."""
+    largest, depth = [0], [0]
+    zeros, identity, smith = Matrix.zeros.__func__, Matrix.identity.__func__, linalg.smith
+
+    def counted_zeros(cls, ring, rows, cols):
+        if not depth[0]:
+            largest[0] = max(largest[0], rows * cols)
+        return zeros(cls, ring, rows, cols)
+
+    def counted_identity(cls, ring, k):
+        if not depth[0]:
+            largest[0] = max(largest[0], k * k)
+        return identity(cls, ring, k)
+
+    def uncounted_smith(A):
+        depth[0] += 1
+        try:
+            return smith(A)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Matrix, "zeros", classmethod(counted_zeros))
+    monkeypatch.setattr(Matrix, "identity", classmethod(counted_identity))
+    if outside_smith:
+        monkeypatch.setattr(linalg, "smith", uncounted_smith)
+        monkeypatch.setattr(modules, "smith", uncounted_smith)
+    return largest
+
+
+def test_tensor_square_allocates_no_square_matrix(monkeypatch):
+    # comatrix r=4 over F2: C (x)_B C has rank 256, and its outer actions
+    # are sparse columns, so no 256 x 256 matrix is built
+    C = comatrix_coalgebra(AlgebraSpec.make(2, 1, 1), 4)
+    largest = _largest_matrix(monkeypatch)
+    cc = tensor_bimodules(C.alg, C.bi, C.bi)
+    assert cc.module.rank == 256
+    assert 0 < largest[0] < cc.module.rank ** 2, largest[0]
+
+
+def test_comodule_hom_allocates_nothing_above_its_condition_matrix(monkeypatch):
+    # the standard comodule M of comatrix r=4: the conditions live in
+    # Hom(M, M) + Hom(M, C (x)_B M), of rank 16 + 4 * 64, and the unknowns
+    # in Hom(M, M), of rank 16; the direct sums are layouts, not matrices.
+    # The Smith form under the kernel is not counted: its U and U^-1 have
+    # side 272
+    alg = AlgebraSpec.make(2, 1, 1)
+    Mc = comatrix_standard_comodule(comatrix_coalgebra(alg, 4), 4)
+    assert (Mc.carrier.rank, Mc.cm.module.rank) == (4, 64)
+    largest = _largest_matrix(monkeypatch, outside_smith=True)
+    K, basis = coalgebra.comodule_hom(Mc, Mc)
+    assert K.rank == len(basis) > 0
+    assert 0 < largest[0] <= (16 + 4 * 64) * 16, largest[0]
+
+
 def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
     # comatrix r=4 over F2, rank L = 16: the flat C (x) C has rank 256, the
     # flat triple tensor 4096.  The checked coend of one rank-2 object over
@@ -374,19 +432,7 @@ def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
     C = coend(comatrix_diagram(AlgebraSpec.make(2, 2, 2), 2)).coalgebra
     assert (C.carrier.rank, C.cc.module.rank) == (16, 128)
     cases.append((C, C.cc.module.rank ** 2))
-    largest = [0]
-    zeros, identity = Matrix.zeros.__func__, Matrix.identity.__func__
-
-    def counted_zeros(cls, ring, rows, cols):
-        largest[0] = max(largest[0], rows * cols)
-        return zeros(cls, ring, rows, cols)
-
-    def counted_identity(cls, ring, k):
-        largest[0] = max(largest[0], k * k)
-        return identity(cls, ring, k)
-
-    monkeypatch.setattr(Matrix, "zeros", classmethod(counted_zeros))
-    monkeypatch.setattr(Matrix, "identity", classmethod(counted_identity))
+    largest = _largest_matrix(monkeypatch)
     for C, bound in cases:
         largest[0] = 0
         coalgebra_check(C.cc, C.delta, C.counit)
@@ -480,3 +526,64 @@ def test_checked_coend_random_gr42_seed4():
     assert checked.carrier.rank == 16
     assert (checked.carrier, checked.delta, checked.counit) == \
         (unchecked.carrier, unchecked.delta, unchecked.counit)
+
+
+def _dense_first_difference(f, g):
+    gens = [f.src.gen(i) for i in range(f.src.rank)]
+    return next((i for i, v in enumerate(gens) if f.apply(v) != g.apply(v)), None)
+
+
+def _dense_equivariance(C, delta, counit):
+    """The first failing bimodule-map condition of (delta, counit), computed
+    densely with the actions of C (x)_B C written out, as coalgebra_check
+    raises it, or PASS."""
+    d, breg = dense(C.cc), regular_bimodule(C.alg)
+    for name, lhs, rhs in (("left", delta @ C.bi.left, d.left @ delta),
+                           ("right", delta @ C.bi.right, d.right @ delta),
+                           ("left", counit @ C.bi.left, breg.left @ counit),
+                           ("right", counit @ C.bi.right, breg.right @ counit)):
+        w = _dense_first_difference(lhs, rhs)
+        if w is not None:
+            return ("NotBimoduleMap", w)
+    return PASS
+
+
+def _bump(rng, phi, g):
+    """phi plus a random vector at generator g: not B-linear in general."""
+    dst, R = phi.dst, phi.src.ring
+    cols = [list(phi.apply(phi.src.gen(i))) for i in range(phi.src.rank)]
+    cols[g] = list(dst.add(cols[g], dst.reduce(
+        [rng.randrange(R.size) if rng.random() < 0.3 else 0 for _ in range(dst.rank)])))
+    return ModuleMap(phi.src, dst, Matrix.from_cols(R, cols, dst.rank))
+
+
+def test_sparse_equivariance_matches_dense_actions():
+    # delta, the counit and rho perturbed at one generator, over F4, GR(4,2)
+    # and F9: the bimodule-map and module-map conditions read on the columns
+    # of delta and rho give the code and witness that the dense actions of
+    # the tensor give, first failing condition first
+    rng = random.Random(99)
+    coalgebras = [_b_grouplike(AlgebraSpec.make(*a), 2)
+                  for a in ((2, 1, 2), (2, 2, 2), (3, 1, 2))]
+    coalgebras += [coend(random_diagram(random.Random(s), AlgebraSpec.make(*a),
+                                        max_obj=2, max_rank=2)[0]).coalgebra
+                   for s, a in ((1, (2, 2, 2)), (2, (2, 1, 2)))]
+    codes = set()
+    for C in coalgebras:
+        for _ in range(6):
+            g = rng.randrange(C.carrier.rank)
+            for delta, counit in ((_bump(rng, C.delta, g), C.counit),
+                                  (C.delta, _bump(rng, C.counit, g))):
+                got = _outcome(lambda: coalgebra_check(C.cc, delta, counit))
+                want = _dense_equivariance(C, delta, counit)
+                assert got == want if want != PASS else got[0] != "NotBimoduleMap"
+                codes.add(got[0])
+        Mc = cofree(C, free_bmodule(C.alg, 1))
+        for _ in range(4):
+            rho = _bump(rng, Mc.rho, rng.randrange(Mc.carrier.rank))
+            got = _outcome(lambda: comodule_check(C, Mc.cm, rho))
+            w = _dense_first_difference(rho @ Mc.module.act, dense(Mc.cm).left @ rho)
+            assert got == ("NotModuleMap", w) if w is not None \
+                else got[0] != "NotModuleMap"
+            codes.add(got[0])
+    assert {"NotBimoduleMap", "NotModuleMap"} <= codes, codes

@@ -226,12 +226,21 @@ def test_length_additive(Z8, F4):
 
 
 def test_direct_sum_maps(Z8):
-    M = FinModule(Z8, (3, 1))
-    N = FinModule(Z8, (2,))
-    sd = direct_sum([M, N])
-    assert (sd.projections[0] @ sd.injections[0]) == ModuleMap.identity(M)
-    assert (sd.projections[1] @ sd.injections[1]) == ModuleMap.identity(N)
-    assert (sd.projections[0] @ sd.injections[1]).is_zero()
+    # the layout: place is a bijection onto the sum's coordinates, each
+    # summand generator keeps its exponent, and reading a summand's places
+    # back after inject gives the element again, with zeros elsewhere
+    mods = [FinModule(Z8, (3, 1)), FinModule(Z8, (2,)), FinModule(Z8, (3, 2, 1))]
+    sd = direct_sum(mods)
+    assert sorted(sd.place.values()) == list(range(sd.module.rank))
+    assert sorted(sd.place) == [(t, i) for t, m in enumerate(mods)
+                                for i in range(m.rank)]
+    for (t, i), r in sd.place.items():
+        assert sd.module.exps[r] == mods[t].exps[i]
+    for t, m in enumerate(mods):
+        for v in m.elements():
+            w = sd.inject(t, v)
+            assert tuple(w[sd.place[(t, i)]] for i in range(m.rank)) == v
+            assert sum(1 for a in w if a) == sum(1 for a in v if a)
 
 
 def test_elements_enumeration(Z8, F4):

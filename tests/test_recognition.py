@@ -237,3 +237,41 @@ def test_tip_skip_matches_cocone_search(monkeypatch):
                 seen.update(p["verdict"] for p in got[1])
     assert seen >= {"refuted", "inconclusive", "verified"}, seen
     assert 2 * tested["new"] < tested["ref"], tested
+
+
+def _probe_shapes(D):
+    """(legs, cond) of every coequalizer and pushout shape the colimit
+    sweep would probe, before its caps."""
+    B = D.alg.B
+    for (k, l), mats in sorted(D.homs.items()):
+        for i, F in enumerate(mats):
+            for G in [Matrix.zeros(B, D.objects[l].rank, D.objects[k].rank)] + mats[i:]:
+                yield [l], F - G
+    for (c, k) in sorted(D.homs):
+        for l in range(D.nobj()):
+            for F in D.homs[(c, k)][:2]:
+                for G in D.homs[(c, l)][:2]:
+                    yield [k, l], F.vstack(-G)
+
+
+def test_universality_by_counting_matches_factoring():
+    # on a closed diagram every S q is a cocone, so once every cocone
+    # factors through q the factoring map is onto, and equal sizes make it
+    # one to one: the counting predicate against the kernel it replaced, on
+    # every candidate cocone into every tip of every probe shape
+    rng = random.Random(23)
+    seen = {True: 0, False: 0}
+    for i in range(16):
+        # Z/4, Z/8, F4 and GR(4,2) in turn
+        D = random_diagram(rng, AlgebraSpec.make(*RINGS[i % 4]),
+                           max_obj=3, max_rank=2)[0]
+        for legs, cond in _probe_shapes(D):
+            cocones = tannaka._cocones(D, legs, cond)
+            for t, into in enumerate(cocones):
+                if into.size() > 32:
+                    continue
+                for qs in ref.cocone_candidates(D, legs, into, t):
+                    got = tannaka._is_universal(D, cocones, t, qs)
+                    assert got == ref.factoring_is_universal(D, cocones, t, qs)
+                    seen[got] += 1
+    assert seen[True] >= 10 and seen[False] >= 100, seen
