@@ -5,14 +5,12 @@ F-module pipeline, with a CLI that emits structured reports."""
 
 from .rings import RingSpec, ring_make, NonUnitError
 from .linalg import (Matrix, SmithForm, smith, kernel, solve, inverse,
-                     is_invertible, image_span, cokernel_exponents, howell)
+                     is_invertible, cokernel_exponents, howell)
 from .modules import (FinModule, ModuleMap, module_from_presentation,
-                      hom_module, tensor_over_ring, tensor_with_data, dual,
-                      is_projective, map_kernel, map_cokernel, map_image,
-                      compose, direct_sum)
+                      hom_module, tensor_with_data, map_kernel, map_cokernel,
+                      direct_sum)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, bimodule_make,
-                      free_bmodule, regular_bimodule, b_dual,
-                      as_b_module, is_b_free)
+                      free_bmodule, regular_bimodule, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
                         comodule_hom, is_cauchy, cofree, enumerate_subcomodules,
                         AxiomError)
@@ -20,19 +18,17 @@ from .tannaka import (DiagObject, DiagramCategory, hom_closure, coend,
                       CoendResult, lift_coaction, unit_fully_faithful_check,
                       counit_map, flatness_check, recognition_check,
                       RecognitionReport, DiagramNotClosed)
-from .mf import (FilteredFModule, mf_make, mbar, is_mf_fl, is_mf_proj, mf_hom,
-                 mf_direct_sum, mf_to_diagram, mf_colimit_probe, ColimitProbe,
-                 tate_object, MFError)
+from .mf import (FilteredFModule, mf_make, mbar, is_mf_fl, mf_hom,
+                 mf_direct_sum, mf_to_diagram, tate_object, MFError)
 
 __all__ = [
     "RingSpec", "ring_make", "NonUnitError",
     "Matrix", "SmithForm", "smith", "kernel", "solve", "inverse",
-    "is_invertible", "image_span", "cokernel_exponents", "howell",
+    "is_invertible", "cokernel_exponents", "howell",
     "FinModule", "ModuleMap", "module_from_presentation", "hom_module",
-    "tensor_over_ring", "tensor_with_data", "dual", "is_projective",
-    "map_kernel", "map_cokernel", "map_image", "compose", "direct_sum",
+    "tensor_with_data", "map_kernel", "map_cokernel", "direct_sum",
     "AlgebraSpec", "BModule", "BBBimodule", "bimodule_make", "free_bmodule",
-    "regular_bimodule", "b_dual", "as_b_module", "is_b_free",
+    "regular_bimodule", "as_b_module", "is_b_free",
     "Coalgebra", "Comodule", "coalgebra_check", "comodule_check",
     "comodule_hom", "is_cauchy", "cofree", "enumerate_subcomodules",
     "AxiomError",
@@ -40,7 +36,6 @@ __all__ = [
     "lift_coaction", "unit_fully_faithful_check", "counit_map",
     "flatness_check", "recognition_check", "RecognitionReport",
     "DiagramNotClosed",
-    "FilteredFModule", "mf_make", "mbar", "is_mf_fl", "is_mf_proj", "mf_hom",
-    "mf_direct_sum", "mf_to_diagram", "mf_colimit_probe", "ColimitProbe",
-    "tate_object", "MFError",
+    "FilteredFModule", "mf_make", "mbar", "is_mf_fl", "mf_hom",
+    "mf_direct_sum", "mf_to_diagram", "tate_object", "MFError",
 ]

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingSpec, ring_make
-from .linalg import Matrix, is_invertible, inverse
+from .linalg import Matrix, inverse
 from .modules import (FinModule, ModuleMap, TensorData, tensor_with_data,
                       syzygies, module_from_presentation,
                       presentation_with_torsion, RingMismatch, tensor_cols,
@@ -50,10 +50,6 @@ class NonCommutingActions(ValueError):
 
 
 class ModulusViolation(ValueError):
-    pass
-
-
-class NonFreeModule(ValueError):
     pass
 
 
@@ -475,14 +471,13 @@ def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
 
 
 # ---------------------------------------------------------------------------
-# B-module structure recovery (freeness, bases, duals)
+# B-module structure recovery (freeness, bases)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class BForm:
     """A carrier-with-action re-expressed as a canonical B-module."""
     exps: tuple[int, ...]           # over B; all equal n iff free
-    basis_elems: list[tuple[int, ...]]   # B-generators inside the carrier
     theta: Matrix | None            # iso R^{r f_B} -> carrier when free
     theta_inv: Matrix | None
 
@@ -506,8 +501,7 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
     std = _standard_rank(alg, carrier, act)
     if std is not None:
         ident = Matrix.identity(R, carrier.rank)
-        return BForm((B.n,) * std,
-                     [carrier.gen(j * fb) for j in range(std)], ident, ident)
+        return BForm((B.n,) * std, ident, ident)
     m = carrier.rank
     # Phi : B^m -> carrier, R-basis x^k e_i |-> act^k(gen_i)
     cols = []
@@ -521,53 +515,18 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
     relB = Matrix.from_cols(B, [alg.rvec_to_bvec(K.col(j)) for j in range(K.cols)], m)
     pres = module_from_presentation(relB)
     exps = pres.module.exps
-    basis_elems = [carrier.reduce(phi.apply(list(alg.bvec_to_rvec(pres.sect.col(j)))))
-                   for j in range(pres.module.rank)]
     theta = theta_inv = None
     if all(e == B.n for e in exps):
-        r = len(exps)
         tcols = []
-        for j in range(r):
+        for j in range(len(exps)):
+            # the j-th B-generator inside the carrier, and its x-powers
+            gen = carrier.reduce(phi.apply(list(alg.bvec_to_rvec(pres.sect.col(j)))))
             for g in range(fb):
-                tcols.append(list(pows[g].apply(basis_elems[j])))
+                tcols.append(list(pows[g].apply(gen)))
         theta = Matrix.from_cols(R, tcols, carrier.rank)
-        if theta.rows != theta.cols or not is_invertible(theta):
-            raise RuntimeError("internal error: B-basis failed to give an iso")
-        theta_inv = inverse(theta)
-    return BForm(exps, basis_elems, theta, theta_inv)
+        theta_inv = inverse(theta)  # raises if the B-basis gives no iso
+    return BForm(exps, theta, theta_inv)
 
 
 def is_b_free(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> bool:
     return all(e == alg.B.n for e in as_b_module(alg, carrier, act).exps)
-
-
-@dataclass
-class BDual:
-    """Hom_B(M, B) for a free B-module M, as a right B-module in standard
-    coordinates; eval pairs a dual vector with a module element."""
-    alg: AlgebraSpec
-    rank: int
-    module: BModule
-    source: BModule
-    theta_inv: Matrix
-
-    def eval(self, xi, m) -> int:
-        """xi in dual carrier coordinates, m in source carrier coordinates;
-        result in B."""
-        alg = self.alg
-        std = alg.rvec_to_bvec(self.theta_inv.apply(list(m)))
-        xib = alg.rvec_to_bvec(list(xi))
-        out = 0
-        for t in range(self.rank):
-            out = alg.B.add(out, alg.B.mul(xib[t], std[t]))
-        return out
-
-
-def b_dual(alg: AlgebraSpec, M: BModule) -> BDual:
-    """Dual of a free B-module, with (xi . b)(m) = xi(m) . b.  Raises
-    NonFreeModule otherwise."""
-    form = as_b_module(alg, M.carrier, M.act)
-    if not form.is_free():
-        raise NonFreeModule("module is not free over B (exps %s)" % (form.exps,))
-    r = len(form.exps)
-    return BDual(alg, r, free_bmodule(alg, r), M, form.theta_inv)

@@ -3,9 +3,12 @@
 Every element of the ring is unit * p^v, so Gaussian elimination with
 minimal-valuation pivoting produces a diagonal (Smith-style) normal form
 A = U * D * V with U, V invertible and D_ii = p^{a_i}, a_1 <= a_2 <= ...
-(a_i = n encodes a zero entry).  The pivot rule is fixed - minimal valuation,
-then row-major position - and units are normalized into U, which makes the
-output deterministic for a given input.
+(a_i = n encodes a zero entry).  The pivot rule is fixed - minimal
+valuation, then row-major position - and units are normalized into U, which
+makes the output deterministic for a given input.  `smith` returns U, D,
+U^-1 and V^-1, all that presentations, kernels, solves and inverses read;
+V itself is not accumulated.  Images are not computed here: a column span
+is presented by modules.submodule.
 
 The Howell form implemented here is the canonical generating matrix of a row
 span: it depends only on the spanned submodule, not on the presented
@@ -200,10 +203,10 @@ def block_diag(ring: RingSpec, blocks: list[Matrix]) -> Matrix:
 class SmithForm:
     """A = U * D * V with U, V invertible and D = diag(p^{a_i}) padded by
     zeros; invariants lists a_i (a_i = n for a zero entry), nondecreasing.
-    u_inv and v_inv are the exact inverses, accumulated during reduction."""
+    u_inv and v_inv are the exact inverses, accumulated during reduction,
+    so D = u_inv * A * v_inv; V itself is not kept, as no reader needs it."""
     U: Matrix
     D: Matrix
-    V: Matrix
     invariants: tuple[int, ...]
     u_inv: Matrix
     v_inv: Matrix
@@ -216,7 +219,6 @@ def smith(A: Matrix) -> SmithForm:
     D = A.copy()
     U = Matrix.identity(ring, rows)
     Ui = Matrix.identity(ring, rows)
-    V = Matrix.identity(ring, cols)
     Vi = Matrix.identity(ring, cols)
     add, mul, neg, val = ring.add, ring.mul, ring.neg, ring.val
 
@@ -275,7 +277,6 @@ def smith(A: Matrix) -> SmithForm:
             row_swap(Ui, pi, k)
         if pj != k:
             col_swap(D, pj, k)
-            row_swap(V, pj, k)
             col_swap(Vi, pj, k)
         # normalize pivot to p^a, pushing the unit into U
         a = best_val
@@ -300,11 +301,10 @@ def smith(A: Matrix) -> SmithForm:
             if e:
                 t = ring.divide_p_power(e, a)
                 col_addmul(D, j, k, neg(t))
-                row_addmul(V, k, j, t)
                 col_addmul(Vi, j, k, neg(t))
         assert D.data[k][k] == piv
     invariants = tuple(val(D.data[i][i]) for i in range(m))
-    return SmithForm(U, D, V, invariants, Ui, Vi)
+    return SmithForm(U, D, invariants, Ui, Vi)
 
 
 def is_invertible(A: Matrix) -> bool:
@@ -365,19 +365,6 @@ def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
 def solve(A: Matrix, b: list[int]) -> list[int] | None:
     """Some x with A x = b, or None if no solution exists."""
     return solve_columns(A, [b])[0]
-
-
-def image_span(A: Matrix) -> Matrix:
-    """Reduced generating set for the column span (one generator per
-    nonzero invariant, of the form p^{a_i} * U e_i)."""
-    ring = A.ring
-    sf = smith(A)
-    cols = []
-    for i, a in enumerate(sf.invariants):
-        if a < ring.n:
-            pa = ring.p_elem(a)
-            cols.append([ring.mul(pa, e) for e in sf.U.col(i)])
-    return Matrix.from_cols(ring, cols, A.rows)
 
 
 def cokernel_exponents(A: Matrix) -> tuple[int, ...]:

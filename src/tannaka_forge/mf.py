@@ -17,6 +17,11 @@ Hom spaces are solved over R = Z/p^n, not W: sigma-semilinearity makes the
 phi-compatibility constraint only R-linear, which is exactly why base
 coalgebras over B = W_n (rather than plain W_n-coalgebras) appear when these
 categories are fed to the coend machinery.
+
+The objects a command builds are Tate objects M(k), with k at most
+MAX_TWIST, and their direct sums, as the CLI's object spec names them;
+mf_to_diagram hands a family of free Fontaine-Laffaille objects to that
+machinery as a diagram category.
 """
 
 from __future__ import annotations
@@ -26,11 +31,17 @@ from dataclasses import dataclass
 from .rings import RingSpec, ring_make
 from .linalg import Matrix, block_diag
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
-                      submodule, solve_in, presentation_with_torsion,
-                      hom_module, hom_equalizer, map_kernel, is_isomorphism,
-                      is_surjective, descend_map, factor_through)
+                      presentation_with_torsion, hom_module, hom_equalizer,
+                      map_kernel, is_isomorphism, is_surjective, descend_map,
+                      factor_through)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
+
+
+# The largest twist k of a Tate object M(k) an object spec may name: M(k)
+# has a filtration window of k + 1 steps, and every hom solve and colimit
+# module grows with the window, so larger twists are refused up front.
+MAX_TWIST = 64
 
 
 class MFError(ValueError):
@@ -204,14 +215,6 @@ def is_mf_fl(X: FilteredFModule) -> bool:
     return is_isomorphism(mb.phibar.linear_part())
 
 
-def phibar_surjective(X: FilteredFModule) -> bool:
-    return is_surjective(mbar(X).phibar.linear_part())
-
-
-def is_mf_proj(X: FilteredFModule) -> bool:
-    return X.M.is_free() and is_mf_fl(X)
-
-
 # ---------------------------------------------------------------------------
 # standard objects and direct sums
 # ---------------------------------------------------------------------------
@@ -349,7 +352,7 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
 # export to the Tannaka pipeline
 # ---------------------------------------------------------------------------
 
-def mf_to_diagram(objects: list[FilteredFModule], names=None):
+def mf_to_diagram(objects: list[FilteredFModule]):
     """Diagram with R = Z/p^n, B = W_n, fibers the underlying free modules
     and homs the solver bases; closure of the raw bases is verified, then
     hom sets are put in canonical form."""
@@ -360,9 +363,7 @@ def mf_to_diagram(objects: list[FilteredFModule], names=None):
         if not X.M.is_free() or not is_mf_fl(X):
             raise MFError("SpanFails", detail="object is not in MF_proj")
     alg = AlgebraSpec(ring_make(W.p, W.n, 1), W)
-    if names is None:
-        names = ["M%d" % i for i in range(len(objects))]
-    objs = [DiagObject(nm, X.M.rank) for nm, X in zip(names, objects)]
+    objs = [DiagObject("M%d" % i, X.M.rank) for i, X in enumerate(objects)]
     homs = {}
     for i, Xi in enumerate(objects):
         for j, Xj in enumerate(objects):
@@ -373,78 +374,3 @@ def mf_to_diagram(objects: list[FilteredFModule], names=None):
         raise RuntimeError("internal error: MF hom bases are not "
                            "composition-closed")
     return hom_closure(D)
-
-
-# ---------------------------------------------------------------------------
-# colimit probes
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ColimitProbe:
-    """A finite diagram among MF objects: nodes index the objects list;
-    edges are (src_node, dst_node, W-matrix between the fibers)."""
-    nodes: list[int]
-    edges: list[tuple[int, int, Matrix]]
-
-
-def mf_colimit_probe(objects: list[FilteredFModule], probe: ColimitProbe) -> dict:
-    """Build the fiber colimit; when it is free over W, construct the MF
-    structure the colimit recipe induces and validate it.  Verdicts:
-    verified / not-applicable (fiber colimit not free) / refuted."""
-    W = objects[0].W
-    nodes = [objects[i] for i in probe.nodes]
-    sd = direct_sum([X.M for X in nodes])
-    cols = []
-    for (s, d, F) in probe.edges:
-        for k in range(nodes[s].M.rank):
-            g = nodes[s].M.gen(k)
-            a = sd.inject(d, nodes[d].M.reduce(F.apply(list(g))))
-            b = sd.inject(s, g)
-            cols.append([W.sub(x, y) for x, y in zip(a, b)])
-    rel = Matrix.from_cols(W, cols, sd.module.rank)
-    pres = presentation_with_torsion(sd.module, rel)
-    colim = pres.module
-    if not colim.is_free():
-        return {"verdict": "not-applicable", "fiber_colimit": colim.exps}
-    # induced filtration: Fil^i = image of the slotwise Fil^i; induced phi
-    lo = min(X.lo for X in nodes)
-    hi = max(X.hi for X in nodes)
-    ext = [_extend_window(X, lo, hi) for X in nodes]
-    proj = ModuleMap(sd.module, colim, pres.proj)
-    fil, phi = {}, {}
-    for i in range(lo, hi + 1):
-        gens = []
-        vals = []
-        for t, X in enumerate(nodes):
-            filX, phiX = ext[t]
-            for k in range(filX[i].src.rank):
-                g = filX[i].src.gen(k)
-                gens.append(proj.apply(sd.inject(t, filX[i].apply(g))))
-                vals.append(proj.apply(sd.inject(t, X.M.reduce(phiX[i].apply(g)))))
-        gmat = Matrix.from_cols(W, gens, colim.rank)
-        S, incl = submodule(colim, gmat)
-        sols = solve_in(colim, gmat, [incl.apply(S.gen(k)) for k in range(S.rank)])
-        if None in sols:
-            return {"verdict": "refuted", "reason": "phi lift failed"}
-        phi[i] = Matrix.from_cols(
-            W, [semilinear_combination(colim, cs, vals) for cs in sols], colim.rank)
-        fil[i] = incl
-    try:
-        Xc = mf_make(W, colim, lo, hi, fil, phi)
-    except MFError as e:
-        return {"verdict": "refuted", "reason": str(e)}
-    return {"verdict": "verified", "colimit": Xc,
-            "fiber_colimit": colim.exps}
-
-
-def semilinear_combination(M: FinModule, coeffs, values) -> tuple[int, ...]:
-    """sum sigma(c_j) values_j, reduced into M: the value of a semilinear map
-    on sum c_j g_j, given its values on the g_j."""
-    W = M.ring
-    acc = [0] * M.rank
-    for c, val in zip(coeffs, values):
-        if c:
-            cf = W.frobenius(c) if W.f > 1 else c
-            for r, v in enumerate(val):
-                acc[r] = W.add(acc[r], W.mul(cf, v))
-    return M.reduce(acc)

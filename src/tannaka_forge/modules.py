@@ -239,11 +239,6 @@ class ModuleMap:
         return "map %r -> %r: %r" % (self.src, self.dst, self.mat)
 
 
-def compose(g: ModuleMap, h: ModuleMap) -> ModuleMap:
-    """g after h."""
-    return g @ h
-
-
 def torsion_matrix(M: FinModule) -> Matrix:
     """Columns p^{e_i} e_i for the non-free summands: the relations of M
     inside its free cover R^rank."""
@@ -390,11 +385,6 @@ def map_kernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     return submodule(g.src, syzygies(g.dst, g.mat))
 
 
-def map_image(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
-    """(I, incl) with incl : I -> dst the image in canonical form."""
-    return submodule(g.dst, g.mat)
-
-
 def map_cokernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     """(C, proj) with proj : dst -> C the cokernel in canonical form."""
     pres = presentation_with_torsion(g.dst, g.mat)
@@ -524,10 +514,6 @@ def tensor_with_data(M: FinModule, N: FinModule) -> TensorData:
         for j, d in enumerate(N.exps))))
 
 
-def tensor_over_ring(M: FinModule, N: FinModule) -> FinModule:
-    return tensor_with_data(M, N).module
-
-
 def tensor_cols(T: TensorData, f: ModuleMap, g: ModuleMap,
                 T2: TensorData) -> list[list[tuple[int, int]]]:
     """The sparse columns of f tensor g : T -> T2, for f : T.left -> T2.left
@@ -545,34 +531,6 @@ def tensor_cols(T: TensorData, f: ModuleMap, g: ModuleMap,
 def map_tensor(T: TensorData, f: ModuleMap, g: ModuleMap, T2: TensorData) -> ModuleMap:
     """f tensor g : T -> T2 as a module map: the dense form of tensor_cols."""
     return map_from_cols(T.module, T2.module, tensor_cols(T, f, g, T2))
-
-
-@dataclass
-class DualData:
-    """Hom_R(M, R); same exponent list, with the pairing
-    eval(xi, v) = sum xi_i v_i p^{n - e_i} (the dual basis pairing, which is
-    the Kronecker pairing when M is free)."""
-    source: FinModule
-    module: FinModule
-
-    def eval(self, xi, v) -> int:
-        ring = self.source.ring
-        out = 0
-        for i, e in enumerate(self.source.exps):
-            t = ring.mul(xi[i], v[i])
-            if e < ring.n:
-                t = ring.mul(t, ring.p_elem(ring.n - e))
-            out = ring.add(out, t)
-        return out
-
-
-def dual(M: FinModule) -> DualData:
-    return DualData(M, FinModule(M.ring, M.exps))
-
-
-def is_projective(M: FinModule) -> bool:
-    """Over a chain ring: projective iff free iff all exponents equal n."""
-    return M.is_free()
 
 
 # ---------------------------------------------------------------------------

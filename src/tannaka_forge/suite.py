@@ -326,8 +326,9 @@ def run_suite(budget: int = 4096) -> list[dict]:
                 A = Matrix(R, [[rng.randrange(R.size) for _ in range(c)]
                                for _ in range(r)], r, c)
                 sf = smith(A)
-                assert sf.U @ sf.D @ sf.V == A
-                assert is_invertible(sf.U) and is_invertible(sf.V)
+                assert sf.u_inv @ A @ sf.v_inv == sf.D
+                assert sf.U @ sf.u_inv == Matrix.identity(R, r)
+                assert is_invertible(sf.u_inv) and is_invertible(sf.v_inv)
                 assert list(sf.invariants) == sorted(sf.invariants)
                 count += 1
         return {"matrices": count}

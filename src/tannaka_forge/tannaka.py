@@ -77,6 +77,14 @@ MAX_T_RANK = 256
 MAX_L_RANK = 64
 
 
+def check_t_rank(ranks, fb: int) -> None:
+    """Refuse objects of these B-ranks when T, of rank sum_k (r_k f_B)^2,
+    would have rank above MAX_T_RANK."""
+    N = sum((r * fb) ** 2 for r in ranks)
+    if N > MAX_T_RANK:
+        raise ValueError("T has rank %d, above MAX_T_RANK = %d" % (N, MAX_T_RANK))
+
+
 @dataclass(frozen=True)
 class DiagObject:
     name: str
@@ -92,10 +100,7 @@ class DiagramCategory:
 
     def __init__(self, alg: AlgebraSpec, objects: list[DiagObject],
                  homs: dict[tuple[int, int], list[Matrix]]):
-        N = sum((obj.rank * alg.fb) ** 2 for obj in objects)
-        if N > MAX_T_RANK:
-            raise ValueError("T has rank %d, above MAX_T_RANK = %d"
-                             % (N, MAX_T_RANK))
+        check_t_rank([obj.rank for obj in objects], alg.fb)
         self.alg = alg
         self.objects = list(objects)
         self.homs = {}
@@ -263,10 +268,6 @@ class CoendResult:
     block_dims: list[int]            # m_k = r_k * f_B
     sect: Matrix                     # lifts carrier generators to T
     rel_rows: list[list[int]]        # Howell rows of the relations in T
-
-    @property
-    def L(self) -> Coalgebra:
-        return self.coalgebra
 
     def class_of(self, k: int, v: int, w: int) -> tuple[int, ...]:
         """Class of basis vector v (x) xi_w of fiber_k (x) fiber_k^dual."""

@@ -13,10 +13,9 @@ Coalgebra files:    alg line, a coalgebra block, comodule blocks; the delta
                     and rho matrices are lifts into the plain R-tensor with
                     basis pairs ordered the way tensor_with_data orders them
                     (for free carriers: (i, j) lexicographic).
-MF files:           mf over GR(p^n,f) { M = mod(...); fil i = MAT;
-                    phi i = MAT; } with fil matrices listing generators of
-                    Fil^i inside M and phi columns giving the values on
-                    those generators.
+MF object specs:    M(k) terms joined by + into one object, objects
+                    separated by commas, e.g.  M(0),M(1),M(0)+M(1); the
+                    twist k is at most mf.MAX_TWIST.
 
 Parse errors carry the 1-based line number.
 """
@@ -27,12 +26,12 @@ import re
 
 from .rings import RingSpec, ring_make
 from .linalg import Matrix
-from .modules import FinModule, ModuleMap, submodule, solve_in, map_from_cols
+from .modules import FinModule, ModuleMap, map_from_cols
 from .algebra import (AlgebraSpec, BModule, bimodule_make, tensor_bimodules,
                       tensor_bim_bmodule)
 from .coalgebra import Coalgebra, Comodule, coalgebra_check, comodule_check
-from .tannaka import DiagObject, DiagramCategory
-from .mf import mf_make, tate_object, mf_direct_sum, semilinear_combination
+from .tannaka import DiagObject, DiagramCategory, check_t_rank
+from .mf import tate_object, mf_direct_sum, MAX_TWIST
 
 
 class ParseError(ValueError):
@@ -270,11 +269,9 @@ def parse_reconstruct_input(text: str):
         raise ParseError("need exactly one coalgebra block")
     co = co[0]
 
-    def get(block, key, required=True):
+    def get(block, key):
         if key not in block:
-            if required:
-                raise ParseError("block is missing %r" % key, block["line"])
-            return None
+            raise ParseError("block is missing %r" % key, block["line"])
         return block[key]
 
     def mk_module(txt, ln):
@@ -337,97 +334,38 @@ def format_reconstruct_input(C: Coalgebra, family: list[Comodule]) -> str:
 
 
 # ---------------------------------------------------------------------------
-# MF files
+# MF object specs
 # ---------------------------------------------------------------------------
 
 def parse_mf_objects_spec(spec: str, W: RingSpec):
     """Object list like  M(0),M(1),M(0)+M(1)  built from Tate objects and
-    direct sums."""
-    out = []
+    direct sums.  Every term is parsed, and a spec whose twists or diagram
+    are too large is refused, before any object is built."""
+    parts = []
     for part in spec.split(","):
         part = part.strip()
         if not part:
             continue
-        summands = [t.strip() for t in part.split("+")]
-        obj = None
-        for t in summands:
+        twists = []
+        for t in part.split("+"):
+            t = t.strip()
             m = re.match(r"^M\((\d+)\)$", t)
             if not m:
                 raise ParseError("bad MF object term %r" % t)
-            x = tate_object(W, int(m.group(1)))
+            k = int(m.group(1))
+            if k > MAX_TWIST:
+                raise ParseError("twist %d is above MAX_TWIST = %d" % (k, MAX_TWIST))
+            twists.append(k)
+        parts.append(twists)
+    if not parts:
+        raise ParseError("empty MF object spec")
+    # each object is free over B = W of rank its number of summands
+    check_t_rank([len(twists) for twists in parts], W.f)
+    out = []
+    for twists in parts:
+        obj = None
+        for k in twists:
+            x = tate_object(W, k)
             obj = x if obj is None else mf_direct_sum(obj, x)
         out.append(obj)
-    if not out:
-        raise ParseError("empty MF object spec")
-    return out
-
-
-def parse_mf_file(text: str):
-    """FilteredFModule list from mf blocks."""
-    W = None
-    blocks = []
-    cur = None
-    for ln, s in _logical_lines(text):
-        s = s.replace("{", "{;").replace("}", ";};")
-        for piece in [t.strip() for t in s.split(";") if t.strip()]:
-            m = re.match(r"^mf\s+over\s+(\S+)\s*\{$", piece)
-            if m:
-                W = parse_ring(m.group(1), ln)
-                cur = {"line": ln, "fil": {}, "phi": {}}
-                continue
-            if piece == "}":
-                if cur is None:
-                    raise ParseError("unmatched closing brace", ln)
-                blocks.append((W, cur))
-                cur = None
-                continue
-            if cur is None:
-                raise ParseError("unrecognized line %r" % piece, ln)
-            m = re.match(r"^M\s*=\s*(.*)$", piece)
-            if m:
-                cur["M"] = (m.group(1), ln)
-                continue
-            m = re.match(r"^(fil|phi)\s+(-?\d+)\s*=\s*(.*)$", piece)
-            if not m:
-                raise ParseError("bad mf block line %r" % piece, ln)
-            cur[m.group(1)][int(m.group(2))] = (m.group(3), ln)
-    out = []
-    for W, b in blocks:
-        if "M" not in b:
-            raise ParseError("mf block missing M", b["line"])
-        M = parse_module(b["M"][0], b["M"][1], ring=W)
-        if set(b["fil"]) != set(b["phi"]) or not b["fil"]:
-            raise ParseError("fil and phi indices must match and be nonempty",
-                             b["line"])
-        lo, hi = min(b["fil"]), max(b["fil"])
-        fil, phi = {}, {}
-        for i in range(lo, hi + 1):
-            if i not in b["fil"]:
-                raise ParseError("missing fil %d" % i, b["line"])
-            gmat = parse_matrix(b["fil"][i][0], W, b["fil"][i][1])
-            if gmat.rows != M.rank:
-                raise ParseError("fil %d matrix has %d rows, M has rank %d"
-                                 % (i, gmat.rows, M.rank), b["fil"][i][1])
-            gens = [M.reduce(gmat.col(j)) for j in range(gmat.cols)]
-            gmat = Matrix.from_cols(W, gens, M.rank)
-            S, incl = submodule(M, gmat)
-            pmat = parse_matrix(b["phi"][i][0], W, b["phi"][i][1])
-            if pmat.rows != M.rank or pmat.cols != gmat.cols:
-                raise ParseError("phi %d matrix shape mismatch" % i,
-                                 b["phi"][i][1])
-            # phi on the abstract generators, from values on the listed
-            # ones; the listed columns must be reproduced (well-definedness)
-            sols = solve_in(M, gmat, [incl.apply(S.gen(k)) for k in range(S.rank)]
-                            + gens)
-            vals = [pmat.col(j) for j in range(pmat.cols)]
-            images = [semilinear_combination(M, cs, vals) for cs in sols]
-            fil[i] = incl
-            phi[i] = Matrix.from_cols(W, images[:S.rank], M.rank)
-            for j, img in enumerate(images[S.rank:]):
-                if img != M.reduce(pmat.col(j)):
-                    raise ParseError("phi %d is not well defined on the "
-                                     "listed generators" % i, b["phi"][i][1])
-        out.append(mf_make(W, M, lo, hi, fil, phi))
-    if not out:
-        raise ParseError("no mf blocks found")
     return out

@@ -2,12 +2,11 @@ import pytest
 
 from tannaka_forge.linalg import Matrix, inverse, is_invertible
 from tannaka_forge.modules import FinModule, ModuleMap, tensor_with_data
-from tannaka_forge.algebra import (AlgebraSpec, BModule, bimodule_make,
+from tannaka_forge.algebra import (AlgebraSpec, bimodule_make,
                                    free_bmodule, regular_bimodule,
                                    tensor_bimodules, tensor_bim_bmodule,
                                    _btensor_core, induced, as_b_module,
-                                   is_b_free, b_dual,
-                                   NonFreeModule, ModulusViolation,
+                                   is_b_free, ModulusViolation,
                                    NonCommutingActions)
 
 from coassoc_reference import unit_left_isos, unit_right_isos, assoc_isos
@@ -158,59 +157,3 @@ def test_b_freeness_nonstandard_basis(alg_f4):
     th = form.theta
     assert is_invertible(th)
     assert th @ std.act.mat == act.mat @ th
-
-
-def _dual_basis_elem(d, t):
-    """The t-th dual basis vector of d in its carrier coordinates."""
-    vec = [0] * (d.rank * d.alg.fb)
-    vec[t * d.alg.fb] = 1
-    return tuple(vec)
-
-
-def test_b_dual(alg_f4):
-    d = b_dual(alg_f4, free_bmodule(alg_f4, 2))
-    assert d.rank == 2
-    for t in range(2):
-        for s in range(2):
-            vec = [0] * 4
-            vec[s * 2] = 1
-            assert d.eval(_dual_basis_elem(d, t), tuple(vec)) == (1 if s == t else 0)
-    # (xi . b)(m) = xi(m) . b through the dual's right action
-    alg = alg_f4
-    d1 = b_dual(alg, free_bmodule(alg, 1))
-    xi = _dual_basis_elem(d1, 0)
-    xib = d1.module.act.apply(xi)          # xi . x
-    m = (1, 0)
-    assert d1.eval(xib, m) == alg.B.mul(d1.eval(xi, m), alg.B.x)
-
-
-def test_b_dual_nonfree_rejected():
-    algZ8 = AlgebraSpec.make(2, 3, 1)
-    z2 = FinModule(algZ8.R, (1,))
-    with pytest.raises(NonFreeModule):
-        b_dual(algZ8, BModule(algZ8, z2, ModuleMap.identity(z2)))
-
-
-def test_double_dual_pairing(alg_f4, alg_gr42):
-    # perfect pairing: the Gram matrix of eval on dual basis vs a B-basis is
-    # invertible over B, so M -> b_dual(b_dual(M)) is an isomorphism
-    for alg in (alg_f4, alg_gr42):
-        M = free_bmodule(alg, 2)
-        d = b_dual(alg, M)
-        dd = b_dual(alg, d.module)
-        assert dd.rank == d.rank == 2
-        basis = as_b_module(alg, M.carrier, M.act).basis_elems
-        gram = Matrix(alg.B, [[d.eval(_dual_basis_elem(d, t), basis[s])
-                               for s in range(2)] for t in range(2)], 2, 2)
-        assert is_invertible(gram)
-        # and for a non-standard free module
-        P = Matrix.from_rows(alg.R, [[1, 1, 0, 0], [0, 1, 0, 0],
-                                     [0, 0, 1, 0], [1, 0, 1, 1]])
-        car = FinModule.free(alg.R, 4)
-        act = ModuleMap(car, car, P @ M.act.mat @ inverse(P))
-        M2 = BModule(alg, car, act)
-        d2 = b_dual(alg, M2)
-        basis2 = as_b_module(alg, car, act).basis_elems
-        gram2 = Matrix(alg.B, [[d2.eval(_dual_basis_elem(d2, t), basis2[s])
-                                for s in range(2)] for t in range(2)], 2, 2)
-        assert is_invertible(gram2)

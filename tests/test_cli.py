@@ -251,6 +251,11 @@ def test_mf_demo_bad_spec(capsys):
     # the comatrix diagram of rank 9 over F2: L has rank 81, C (x)_B C 6561
     (["coend", "alg R=GR(2^1,1) B=GR(2^1,1)\nobject A rank 9\n"],
      "MAX_L_RANK"),
+    # refused before any object is built, not after every mf_hom pair
+    (["mf", "demo", "--p", "2", "--n", "1", "--f", "1",
+      "--objects", ",".join(["M(0)"] * 300)], "MAX_T_RANK"),
+    (["mf", "demo", "--p", "2", "--n", "1", "--f", "1",
+      "--objects", "M(0),M(100000)"], "MAX_TWIST"),
 ])
 def test_unbounded_inputs_are_refused_up_front(tmp_path, argv, limit):
     # without their limits these inputs run for minutes and exhaust memory,

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from tannaka_forge.rings import ring_make
-from tannaka_forge.linalg import Matrix, is_invertible
+from tannaka_forge.linalg import Matrix
 from tannaka_forge.textio import (ParseError, parse_ring, parse_elem,
                                   parse_matrix, format_matrix, parse_module,
                                   parse_algebra, parse_diagram,
                                   format_diagram, parse_mf_objects_spec,
-                                  parse_mf_file, parse_reconstruct_input,
+                                  parse_reconstruct_input,
                                   format_reconstruct_input)
 from tannaka_forge.modules import FinModule
 from tannaka_forge.algebra import AlgebraSpec, free_bmodule
@@ -19,7 +19,6 @@ from tannaka_forge.suite import (grouplike_coalgebra, grouplike_line,
                                  trivial_coalgebra, trivial_full_hom_diagram,
                                  random_diagram)
 from tannaka_forge.tannaka import coend, lift_coaction
-from tannaka_forge.mf import is_mf_fl, mf_hom
 
 
 def test_parse_ring_literals():
@@ -212,72 +211,3 @@ def test_mf_objects_spec():
     assert objs[2].M.rank == 2
     with pytest.raises(ParseError):
         parse_mf_objects_spec("N(0)", W)
-
-
-def test_mf_file_roundtrip():
-    text = """
-mf over GR(2^2,1) {
-  M = mod(2)
-  fil 0 = [[1]]
-  fil 1 = [[1]]
-  phi 0 = [[2]]
-  phi 1 = [[1]]
-}
-"""
-    objs = parse_mf_file(text)
-    assert len(objs) == 1
-    X = objs[0]
-    assert X.lo == 0 and X.hi == 1 and is_mf_fl(X)
-    K, _, _ = mf_hom(X, X)
-    assert K.exps == (2,)
-
-
-def test_mf_file_with_semicolons():
-    text = "mf over GR(2^1,1) { M = mod(1); fil 0 = [[1]]; phi 0 = [[1]]; }"
-    objs = parse_mf_file(text)
-    assert is_mf_fl(objs[0])
-
-
-def test_mf_file_phi_is_semilinear_on_abstract_generators():
-    # phi given on listed generators g_j as P . sigma(g_j): on the abstract
-    # generators of Fil^0 it must be P . sigma(incl), which needs the sigma
-    # twist of the (non prime-field) coefficients
-    rng = random.Random(8)
-    for W in (ring_make(2, 1, 2), ring_make(2, 2, 2)):
-        for _ in range(6):
-            G, P = _random_invertible(rng, W, 2), _random_invertible(rng, W, 2)
-            extra = Matrix(W, [[rng.randrange(W.size)] for _ in range(2)], 2, 1)
-            gmat = G.hstack(extra)
-            pmat = P @ _sigma(W, gmat)
-            text = "mf over %s { M = mod(%d,%d); fil 0 = %s; phi 0 = %s; }" % (
-                W.literal(), W.n, W.n, format_matrix(gmat), format_matrix(pmat))
-            X = parse_mf_file(text)[0]
-            assert X.phi[0].mat == P @ _sigma(W, X.fil[0].mat)
-
-
-def _sigma(W, mat):
-    return Matrix(W, [[W.frobenius(a) for a in row] for row in mat.data],
-                  mat.rows, mat.cols)
-
-
-def _random_invertible(rng, W, k):
-    while True:
-        A = Matrix(W, [[rng.randrange(W.size) for _ in range(k)]
-                       for _ in range(k)], k, k)
-        if is_invertible(A):
-            return A
-
-
-def test_mf_file_illformed_phi():
-    # phi values on listed generators that cannot come from a module map
-    text = """
-mf over GR(2^2,1) {
-  M = mod(2)
-  fil 0 = [[1]]
-  fil 1 = [[2]]
-  phi 0 = [[1]]
-  phi 1 = [[1]]
-}
-"""
-    with pytest.raises((ParseError, Exception)):
-        parse_mf_file(text)
