@@ -244,11 +244,12 @@ def smith(A: Matrix) -> SmithForm:
                 r[dst] = add(r[dst], mul(c, a))
 
     def row_scale(M, i, c):
-        M.data[i] = [mul(c, a) for a in M.data[i]]
+        M.data[i] = [mul(c, a) if a else 0 for a in M.data[i]]
 
     def col_scale(M, j, c):
         for r in M.data:
-            r[j] = mul(c, r[j])
+            if r[j]:
+                r[j] = mul(c, r[j])
 
     m = min(rows, cols)
     for k in range(m):

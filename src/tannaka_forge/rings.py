@@ -10,10 +10,13 @@ basis 1, x, ..., x^{f-1}, with 0 <= c_k < p^n, packs to sum(c_k * (p^n)**k).
 All arithmetic goes through the owning RingSpec, so enumeration of the ring is
 just range(spec.size) and element order is the packed-integer order.
 
-The defining modulus h is chosen deterministically: the Hensel lift to Z/p^n
-of the lexicographically least monic degree-f irreducible over F_p (comparing
-coefficient tuples from degree f-1 down to 0), which is what makes normal
-forms reproducible across runs.  Reports always print the chosen h.
+The defining modulus h is chosen deterministically: the unique monic lift to
+Z/p^n dividing x^{p^f - 1} - 1 of the lexicographically least monic degree-f
+irreducible over F_p (comparing coefficient tuples from degree f-1 down to 0),
+which is what makes normal forms reproducible across runs.  It is built as
+the product of X - xi over the Teichmueller lifts xi of the roots.  So x is a
+Teichmueller element and the Frobenius sends a(x) to a(x^p).  Reports always
+print the chosen h.
 
 Rings of at most TABLE_LIMIT elements keep full add/mul tables.  They are
 filled by linearity (see RingSpec._build_tables): each entry is one or two
@@ -37,8 +40,9 @@ class NonUnitError(ArithmeticError):
 TABLE_LIMIT = 256
 
 # ring_make refuses larger rings before building anything: the modulus
-# search and the Hensel lift take time and memory exponential in f (they
-# work with x^(p^f - 1) - 1), and elements grow with n.
+# search tries up to p^f candidates and the final check divides
+# x^(p^f - 1) - 1, so both take time exponential in f, and elements grow
+# with n.
 MAX_RESIDUE_FIELD = 4096    # p^f
 MAX_N = 64
 
@@ -73,10 +77,6 @@ def _poly_add(a, b, m):
     return _poly_trim(out)
 
 
-def _poly_scale(a, s, m):
-    return _poly_trim([(c * s) % m for c in a])
-
-
 def _poly_mul(a, b, m):
     if not a or not b:
         return []
@@ -89,26 +89,16 @@ def _poly_mul(a, b, m):
     return _poly_trim(out)
 
 
-def _poly_divmod(a, b, m):
-    # b must have unit leading coefficient mod m
-    lead = b[-1]
-    lead_inv = pow(lead, -1, m)
-    rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - len(b), -1, -1):
-        if len(rem) < len(b) + i:
-            continue
-        c = (rem[len(b) + i - 1] * lead_inv) % m
-        if c == 0:
-            continue
-        quo[i] = c
-        for j, cb in enumerate(b):
-            rem[i + j] = (rem[i + j] - c * cb) % m
-    return _poly_trim(quo), _poly_trim(rem)
-
-
 def _poly_mod(a, b, m):
-    return _poly_divmod(a, b, m)[1]
+    # b must have unit leading coefficient mod m
+    lead_inv = pow(b[-1], -1, m)
+    rem = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        c = (rem[len(b) + i - 1] * lead_inv) % m
+        if c:
+            for j, cb in enumerate(b):
+                rem[i + j] = (rem[i + j] - c * cb) % m
+    return _poly_trim(rem)
 
 
 def _irreducible_mod_p(h: list[int], p: int) -> bool:
@@ -147,58 +137,39 @@ def _lex_least_irreducible(p: int, f: int) -> list[int]:
     raise RuntimeError("no irreducible of degree %d over F_%d" % (f, p))
 
 
-def _hensel_lift(hbar: list[int], p: int, n: int, f: int) -> list[int]:
-    """Lift hbar | x^{p^f - 1} - 1 over F_p to a divisor over Z/p^n.
+def _teichmuller_modulus(hbar: list[int], p: int, n: int, f: int) -> list[int]:
+    """The monic lift h of hbar to Z/p^n dividing x^{p^f - 1} - 1.
 
-    Linear Hensel steps on the coprime factorization x^{p^f-1} - 1 =
-    hbar * kbar (mod p); the lift keeping both factors monic is unique.
+    S = (Z/p^n)[x]/(hbar), with hbar read over Z/p^n, is GR(p^n, f).  There
+    n - 1 rounds of p^f-th powering take x to its Teichmueller lift xi, and
+    h = prod_{i<f} (X - xi^{p^i}): its coefficients are fixed by the
+    Frobenius of S, so they are constants of S.
     """
-    deg_g = p**f - 1
-    if n == 1:
-        return list(hbar)
+    q = p**n
 
-    def target(m):
-        g = [0] * (deg_g + 1)
-        g[0] = (-1) % m
-        g[deg_g] = 1
-        return g
+    def mul(a, b):
+        return _poly_mod(_poly_mul(a, b, q), hbar, q)
 
-    kbar, rem = _poly_divmod(target(p), hbar, p)
-    if rem:
-        raise RuntimeError("modulus does not divide x^(p^f-1)-1 over F_p")
-    # Bezout: a*hbar + b*kbar = 1 over F_p, by extended Euclid.
-    r0, r1 = list(hbar), list(kbar)
-    s0, s1 = [1], []
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(s0, _poly_scale(_poly_mul(q, s1, p), p - 1, p), p)
-        t0, t1 = t1, _poly_add(t0, _poly_scale(_poly_mul(q, t1, p), p - 1, p), p)
-    if len(r0) != 1:
-        raise RuntimeError("factors not coprime mod p")
-    c_inv = pow(r0[0], -1, p)
-    a = _poly_scale(s0, c_inv, p)
-    b = _poly_scale(t0, c_inv, p)
+    def power(a, e):
+        r = [1]
+        while e:
+            if e & 1:
+                r = mul(r, a)
+            a = mul(a, a)
+            e >>= 1
+        return r
 
-    h, k = list(hbar), list(kbar)
-    for step in range(1, n):
-        mod_next = p ** (step + 1)
-        g = target(mod_next)
-        hk = _poly_mul([c % mod_next for c in h], [c % mod_next for c in k], mod_next)
-        diff = _poly_add(g, _poly_scale(hk, mod_next - 1, mod_next), mod_next)
-        # diff = p^step * e with e defined mod p
-        e = [(c // (p**step)) % p for c in diff]
-        be = _poly_mul(b, e, p)
-        q, u = _poly_divmod(be, hbar, p)
-        v = _poly_add(_poly_mul(a, e, p), _poly_mul(kbar, q, p), p)
-        h = _poly_add([c % mod_next for c in h],
-                      [(p**step) * c % mod_next for c in u], mod_next)
-        k = _poly_add([c % mod_next for c in k],
-                      [(p**step) * c % mod_next for c in v], mod_next)
-    if len(h) != f + 1 or h[-1] != 1:
-        raise RuntimeError("Hensel lift lost monicity")
-    return h
+    xi = [0, 1]
+    for _ in range(n - 1):
+        xi = power(xi, p**f)
+    h = [[1]]  # coefficients in S, ascending in X
+    for _ in range(f):
+        neg = [(-c) % q for c in xi]
+        h = [_poly_add(lo, mul(neg, hi), q) for lo, hi in zip([[]] + h, h + [[]])]
+        xi = power(xi, p)
+    if any(len(c) > 1 for c in h):
+        raise RuntimeError("Teichmueller product has a non-constant coefficient")
+    return [c[0] if c else 0 for c in h]
 
 
 class RingSpec:
@@ -220,6 +191,9 @@ class RingSpec:
         self.one = 1
         # x as an element: for f = 1 the class of x is h's root, 1.
         self.x = self.q if f > 1 else (-self.h[0]) % self.q
+        # h divides x^(p^f - 1) - 1, so x is a Teichmueller element: the
+        # Frobenius fixes Z/p^n and sends x to x^p
+        self._sigma_x = self._pack(_poly_mod([0] * p + [1], list(self.h), self.q))
         # reduction of x^(f+j) mod h for j = 0..f-2, as coefficient tuples
         self._xpow_red: list[tuple[int, ...]] = []
         if f > 1:
@@ -419,29 +393,11 @@ class RingSpec:
 
     # -- Frobenius --------------------------------------------------------
 
-    def teichmuller(self, a: int) -> int:
-        """The Teichmueller representative: the p^f-th-power fixpoint
-        congruent to a mod p (iterated p^f-th powering stabilizes)."""
-        pf = self.p**self.f
-        prev = a
-        for _ in range(self.n + 1):
-            nxt = self.pow(prev, pf)
-            if nxt == prev:
-                return prev
-            prev = nxt
-        raise RuntimeError("Teichmuller iteration failed to stabilize")
-
     def _frobenius_raw(self, a: int) -> int:
-        if self.f == 1:
-            return a  # sigma^f = sigma = id
-        # Teichmueller digit expansion a = sum p^i tau_i, sigma acts digitwise
+        # a evaluated at sigma(x) = x^p, by Horner
         out = 0
-        cur = a
-        for i in range(self.n):
-            tau = self.teichmuller(cur)
-            out = self.add(out, self.mul(self.from_int(self.p**i), self.pow(tau, self.p)))
-            diff = self.sub(cur, tau)
-            cur = self._pack([c // self.p for c in self._coeffs_raw(diff)])
+        for c in reversed(self._coeffs_raw(a)):
+            out = self.add(self.mul(out, self._sigma_x), c)
         return out
 
     def frobenius(self, a: int) -> int:
@@ -502,9 +458,9 @@ def _poly_str(coeffs) -> str:
 def ring_make(p: int, n: int, f: int) -> RingSpec:
     """Construct GR(p^n, f) with the deterministic choice of modulus.
 
-    For f = 1 the modulus is x - 1 by convention; otherwise it is the Hensel
-    lift of the lexicographically least degree-f irreducible over F_p (every
-    such irreducible divides x^{p^f - 1} - 1, so Teichmueller lifts exist).
+    For f = 1 the modulus is x - 1 by convention; otherwise it is the monic
+    lift dividing x^{p^f - 1} - 1 of the lexicographically least degree-f
+    irreducible over F_p, built as a product over Teichmueller roots.
     """
     if n < 1 or f < 1:
         raise ValueError("need n >= 1 and f >= 1")
@@ -521,12 +477,12 @@ def ring_make(p: int, n: int, f: int) -> RingSpec:
         h = ((-1) % q, 1)
         return RingSpec(p, n, f, h)
     hbar = _lex_least_irreducible(p, f)
-    h = _hensel_lift(hbar, p, n, f)
+    h = _teichmuller_modulus(hbar, p, n, f)
     spec = RingSpec(p, n, f, tuple(h))
-    # the lift must still divide x^{p^f - 1} - 1 over Z/p^n
+    # h must divide x^{p^f - 1} - 1 over Z/p^n
     g = [0] * (p**f - 1 + 1)
     g[0] = (-1) % q
     g[-1] = 1
     if _poly_mod(g, list(spec.h), q):
-        raise RuntimeError("internal error: Hensel lift fails divisibility")
+        raise RuntimeError("internal error: Teichmueller modulus fails divisibility")
     return spec

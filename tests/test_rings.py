@@ -1,8 +1,13 @@
+import random
+import time
+
 import pytest
 
-from tannaka_forge.rings import RingSpec, ring_make, NonUnitError, is_prime
+from tannaka_forge.rings import (RingSpec, ring_make, NonUnitError, is_prime,
+                                 _lex_least_irreducible)
 
-from ring_reference import TABLE_NAMES, reference_tables
+from ring_reference import (TABLE_NAMES, digit_frobenius, hensel_modulus,
+                            reference_tables, teichmuller)
 
 
 def test_ring_make_examples(Z8, F4, GR42):
@@ -12,7 +17,7 @@ def test_ring_make_examples(Z8, F4, GR42):
     assert all(Z8.frobenius(a) == a for a in Z8.elements())
     # (2,1,2): F_4 with the only irreducible quadratic over F_2
     assert F4.modulus_str() == "x^2+x+1"
-    # (2,2,2): the Hensel lift of x^2+x+1 over Z/4 is itself
+    # (2,2,2): the lift of x^2+x+1 over Z/4 dividing x^3 - 1 is itself
     assert GR42.modulus_str() == "x^2+x+1"
 
 
@@ -140,9 +145,37 @@ def test_teichmuller_digits(GR42):
     # tau is a p^f-power fixpoint congruent to a mod p
     R = GR42
     for a in R.elements():
-        t = R.teichmuller(a)
+        t = teichmuller(R, a)
         assert R.pow(t, R.p**R.f) == t
         assert R.val(R.sub(a, t)) >= 1
+
+
+def test_modulus_matches_hensel_reference():
+    # every prime p and f >= 2 with p^f <= 256 at n = 1..4, and n = 64 for
+    # p^f <= 16: the Teichmueller product is the Hensel lift
+    cases = []
+    for p in filter(is_prime, range(2, 17)):
+        f = 2
+        while p**f <= 256:
+            cases += [(p, n, f) for n in (1, 2, 3, 4)]
+            if p**f <= 16:
+                cases.append((p, 64, f))
+            f += 1
+    assert len(cases) == 68
+    for p, n, f in cases:
+        hbar = _lex_least_irreducible(p, f)
+        assert ring_make(p, n, f).h == tuple(hensel_modulus(hbar, p, n, f)), (p, n, f)
+
+
+def test_large_witt_rings_build_fast():
+    # both limits admit these rings; only the final divisibility check
+    # works with a polynomial of degree p^f - 1
+    for pnf in [(2, 64, 12), (3, 64, 7)]:
+        ring_make.cache_clear()
+        t0 = time.perf_counter()
+        R = ring_make(*pnf)
+        assert time.perf_counter() - t0 < 2.0, pnf
+        assert R.pow(R.x, R.p**R.f - 1) == R.one
 
 
 def test_coeff_roundtrip(Z8, F4, GR42):
@@ -168,6 +201,13 @@ def test_untabled_ring_agrees_with_tabled():
         for _ in range(R.f):
             b = R.frobenius(b)
         assert b == a
+        assert R.frobenius(a) == digit_frobenius(R, a)
+    # GR(3^4, 3) has 81^3 elements: sigma against the digit expansion
+    S = ring_make(3, 4, 3)
+    assert not S._tabled
+    rng = random.Random(7)
+    for a in [0, 1, S.x] + [rng.randrange(S.size) for _ in range(200)]:
+        assert S.frobenius(a) == digit_frobenius(S, a)
 
 
 def test_element_formatting(GR42, Z8):
