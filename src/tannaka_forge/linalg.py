@@ -6,19 +6,23 @@ A = U * D * V with U, V invertible and D_ii = p^{a_i}, a_1 <= a_2 <= ...
 (a_i = n encodes a zero entry).  The pivot rule is fixed - minimal
 valuation, then row-major position - and units are normalized into U, which
 makes the output deterministic for a given input.  `smith` returns U, D,
-U^-1 and V^-1, all that presentations, kernels, solves and inverses read;
-V itself is not accumulated.  Images are not computed here: a column span
-is presented by modules.submodule.
+U^-1 and V^-1; presentations and cokernel exponents read it, and V itself
+is not accumulated.  Images are not computed here: a column span is
+presented by modules.submodule.
 
 The Howell form implemented here is the canonical generating matrix of a row
 span: it depends only on the spanned submodule, not on the presented
 generators, which is what makes span comparisons and coend presentations
-reproducible.  It also decides membership: a `Span` keeps the Howell rows of
-a span, and `Span.contains` settles whether a vector lies in it by one
-reduction pass over those rows, with no Smith form; every membership
-question the recognition searches ask is answered this way.  When the
-coefficients of a solution are needed, `solve_columns` reads them for many
-right-hand sides off one Smith form; `solve` is its one-target case.
+reproducible.  A `Span` keeps the Howell rows of a span, and `Span.reduce`
+takes a vector to its canonical normal form modulo the span in one pass
+over those rows; the form is zero exactly on the span, which is how
+`Span.contains` answers every membership question.  Kernels, solves and
+inverses are read off one Span of the graph of A, the rows (A e_i, e_i) of
+[A^T | I] (Howell 1986; Storjohann, ETH thesis 2000, ch. 4): its rows with
+zero A-part generate the kernel, and (b, 0) reduces to (b - A x, -x).  Both
+depend only on A and b, and need no Smith form with its dense transforms
+of side A.rows; `solve_columns` answers many right-hand sides from one
+graph, and `solve` is its one-target case.
 
 No fraction-free or probabilistic shortcuts; everything is exact at desk
 scale.
@@ -115,8 +119,8 @@ class Matrix:
 
     def scale(self, c: int) -> "Matrix":
         mul = self.ring.mul
-        return Matrix(self.ring, [[mul(c, a) for a in row] for row in self.data],
-                      self.rows, self.cols)
+        return Matrix(self.ring, [[mul(c, a) if a else 0 for a in row]
+                                  for row in self.data], self.rows, self.cols)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows or self.ring != other.ring:
@@ -308,57 +312,48 @@ def smith(A: Matrix) -> SmithForm:
     return SmithForm(U, D, invariants, Ui, Vi)
 
 
+def _graph(A: Matrix) -> "Span":
+    """The span of the rows (A e_i, e_i) of [A^T | I], the graph of A: its
+    elements are the (A x, x)."""
+    m = A.rows
+    return Span(A.ring, [{**dict(col), m + i: 1} for i, col in enumerate(A.sparse_cols())],
+                m + A.cols)
+
+
 def is_invertible(A: Matrix) -> bool:
-    if A.rows != A.cols:
-        return False
-    return all(a == 0 for a in smith(A).invariants)
+    return A.rows == A.cols and Span(A.ring, A.data, A.cols).is_full()
 
 
 def inverse(A: Matrix) -> Matrix:
-    sf = smith(A)
-    if A.rows != A.cols or any(sf.invariants):
-        raise DimensionMismatch("matrix is not invertible")
-    # A = U D V with D = I, so A^{-1} = V^{-1} U^{-1}
-    return sf.v_inv @ sf.u_inv
+    if A.rows == A.cols:
+        sols = solve_columns(A, Matrix.identity(A.ring, A.rows).data)
+        if None not in sols:
+            return Matrix.from_cols(A.ring, sols, A.rows)
+    raise DimensionMismatch("matrix is not invertible")
 
 
 def kernel(A: Matrix) -> Matrix:
-    """Columns generate {v : A v = 0} as an R-module."""
-    ring = A.ring
-    n = ring.n
-    sf = smith(A)
-    gens = []
-    m = min(A.rows, A.cols)
-    for i, a in enumerate(sf.invariants):
-        if a > 0:
-            c = ring.p_elem(n - a)  # p^{n-a}, equal to 1 when a = n
-            gens.append([ring.mul(c, e) for e in sf.v_inv.col(i)])
-    for j in range(m, A.cols):
-        gens.append(sf.v_inv.col(j))
-    return Matrix.from_cols(ring, gens, A.cols)
+    """Columns generate {v : A v = 0} as an R-module: the graph's Howell rows
+    with zero A-part.  By the Howell property they span every graph element
+    (0, v), and they depend only on A."""
+    m = A.rows
+    gens = [r[m:] for r in _graph(A).rows if not any(r[:m])]
+    return Matrix.from_cols(A.ring, gens, A.cols)
 
 
 def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
-    """For each target b, some x with A x = b (None if there is none), all
-    read off one Smith form of A."""
+    """For each target b, the canonical x with A x = b (None if there is
+    none), all read off one Howell form of the graph of A: (b, 0) reduces
+    to (b - A x, -x), with zero A-part exactly when b = A x is solvable."""
     for b in targets:
         if len(b) != A.rows:
             raise DimensionMismatch("rhs length %d, expected %d" % (len(b), A.rows))
-    ring = A.ring
-    n = ring.n
-    sf = smith(A)
-    # invariant of each row of D; rows past min(rows, cols) are zero
-    inv = sf.invariants + (n,) * (A.rows - len(sf.invariants))
+    m, neg = A.rows, A.ring.neg
+    graph = _graph(A)
 
     def one(b):
-        c = sf.u_inv.apply(list(b))
-        y = [0] * A.cols
-        for i, (a, ci) in enumerate(zip(inv, c)):
-            if ring.val(ci) < a:    # val(0) = n: a zero row needs ci = 0
-                return None
-            if a < n:
-                y[i] = ring.divide_p_power(ci, a)
-        return sf.v_inv.apply(y)
+        r = graph.reduce(list(b) + [0] * A.cols)
+        return None if any(r[:m]) else [neg(e) for e in r[m:]]
 
     return [one(b) for b in targets]
 
@@ -488,25 +483,27 @@ class Span:
         ring = self.ring
         return ring.p ** (ring.f * sum(ring.n - a for _, a in self.pivots.values()))
 
+    def reduce(self, vec) -> list[int]:
+        """The canonical normal form of vec modulo the span: in increasing
+        column order, the entry at each pivot p^a is reduced mod p^a.  It is
+        zero exactly when vec lies in the span, and equal for two vectors
+        exactly when they differ by a span element."""
+        ring = self.ring
+        add, mul, red = ring.add, ring.mul, ring.reduce_exp
+        r = list(vec)
+        for j, (nz, a) in self.pivots.items():    # in increasing column order
+            e = r[j]
+            if e:
+                rest = red(e, a) if a else 0    # the residue mod a unit pivot is 0
+                if rest != e:
+                    t = ring.neg(ring.divide_p_power(ring.sub(e, rest), a))
+                    for k, pe in nz:
+                        r[k] = add(r[k], mul(t, pe))
+        return r
+
     def contains(self, vec) -> bool:
         """Is vec an R-combination of the rows?"""
         if len(vec) != self.width:
             raise DimensionMismatch("vector length %d, expected %d"
                                     % (len(vec), self.width))
-        ring = self.ring
-        add, mul, val = ring.add, ring.mul, ring.val
-        r = list(vec)
-        for j in range(self.width):
-            e = r[j]
-            if not e:
-                continue
-            piv = self.pivots.get(j)
-            if piv is None:
-                return False
-            nz, a = piv
-            if val(e) < a:
-                return False
-            t = ring.neg(ring.divide_p_power(e, a))
-            for k, pe in nz:
-                r[k] = add(r[k], mul(t, pe))
-        return True
+        return not any(self.reduce(vec))

@@ -15,7 +15,7 @@ a matrix A of elements of M by torsion_matrix(M) so that equations hold in
 M rather than in its free cover: syzygies(M, A) generates the relations
 among A's columns, submodule(M, A) presents their span in canonical form,
 and solve_in(M, A, targets) expresses any number of targets in that span
-from one Smith form.  Every map out of a presented quotient is descended
+from one Howell form of the graph of A | torsion_matrix(M).  Every map out of a presented quotient is descended
 by one sparse kernel, descend_sparse (descend_map is its dense entry
 point), on sparse columns such as those tensor_cols builds for f (x) g
 from the nonzeros of f and g.  Kernels and images of maps are
@@ -363,7 +363,7 @@ def submodule(M: FinModule, A: Matrix) -> tuple[FinModule, ModuleMap]:
 def solve_in(M: FinModule, A: Matrix, targets) -> list[list[int] | None]:
     """For each target in M, coefficients x with A x = target in M (None
     when the target lies outside the span of A's columns), all from one
-    Smith form of A | torsion_matrix(M)."""
+    Howell form of the graph of A | torsion_matrix(M)."""
     sols = solve_columns(A.hstack(torsion_matrix(M)), targets)
     return [None if x is None else x[:A.cols] for x in sols]
 

@@ -32,7 +32,9 @@ modules differ in size: it enumerates the cocones into every tip
 as it did before it compared sizes: containment, then a kernel that shows
 each factorization is unique (``factors_uniquely``).
 
-All of them are kept only to be tested against.
+Their kernels and solves are read off Smith forms (`smith_reference`), as
+they were when these searches ran.  All of them are kept only to be tested
+against.
 """
 
 from __future__ import annotations
@@ -41,8 +43,7 @@ import functools
 import itertools
 import math
 
-from tannaka_forge.linalg import (Matrix, Span, kernel, solve, is_invertible,
-                                  cokernel_exponents)
+from tannaka_forge.linalg import Matrix, Span, is_invertible, cokernel_exponents
 from tannaka_forge.modules import (FinModule, ModuleMap,
                                    module_from_presentation, is_isomorphism,
                                    span_elements)
@@ -51,6 +52,7 @@ from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _fiber_elements,
                                    _two_sided_inverse_in_span, _cocones,
                                    _is_universal)
+from smith_reference import smith_kernel as kernel, smith_solve as solve
 
 
 def factors_uniquely(alg, srows, gens) -> bool:

@@ -299,13 +299,13 @@ def test_l_rank_limit_is_per_component(tmp_path):
 
 def test_out_of_memory_is_an_input_error(tmp_path):
     # one rank-8 object over F2 with only its identity: L has rank 64, and
-    # its unit check does not fit in 200 MB of address space; running out
-    # is no refutation, so the exit code is 2, not 1
+    # its run does not fit in 60 MB of address space; running out is no
+    # refutation, so the exit code is 2, not 1
     f = tmp_path / "r8.diagram"
     f.write_text(format_diagram(DiagramCategory(
         AlgebraSpec.make(2, 1, 1), [DiagObject("A", 8)],
         {(0, 0): [Matrix.identity(ring_make(2, 1, 1), 8)]})))
-    out, _ = _capped_cli(["coend", str(f)], cap_bytes=200 << 20)
+    out, _ = _capped_cli(["coend", str(f)], cap_bytes=60 << 20)
     assert out.returncode == 2, out.stderr
     assert "input error: out of memory" in out.stderr
     assert "Traceback" not in out.stderr

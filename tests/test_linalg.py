@@ -3,11 +3,13 @@ import random
 
 import pytest
 
+from tannaka_forge import linalg
 from tannaka_forge.rings import ring_make
-from tannaka_forge.linalg import (Matrix, smith, kernel, solve, is_invertible,
-                                  inverse, cokernel_exponents,
+from tannaka_forge.linalg import (Matrix, smith, kernel, solve, solve_columns,
+                                  is_invertible, inverse, cokernel_exponents,
                                   howell, Span, DimensionMismatch)
 from recognition_reference import span_membership
+from smith_reference import smith_kernel, smith_solve_columns, smith_inverse
 
 
 def rand_matrix(rng, R, rows, cols):
@@ -223,3 +225,105 @@ def test_span_contains_howell_tail(Z4):
     assert not span.contains([0, 1])
     with pytest.raises(DimensionMismatch):
         span.contains([0, 2, 0])
+
+
+# F2, Z/4, Z/8, Z/9, F4, GR(4,2) and GR(8,2)
+GRAPH_RINGS = [(2, 1, 1), (2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2),
+               (2, 3, 2)]
+
+
+def graph_cases(seed, per_ring):
+    """Seeded matrices over GRAPH_RINGS with 0 to 5 rows and columns, a
+    third of them square; entries are zero with probability 0.3, and half
+    the matrices have one row multiplied by p, so that kernels, failed
+    solves and non-unit pivots all occur."""
+    rng = random.Random(seed)
+    for pnf in GRAPH_RINGS:
+        R = ring_make(*pnf)
+        for t in range(per_ring):
+            rows = rng.randint(0, 5)
+            cols = rows if t % 3 == 0 else rng.randint(0, 5)
+            A = Matrix(R, [[rng.randrange(R.size) if rng.random() < 0.7 else 0
+                            for _ in range(cols)] for _ in range(rows)], rows, cols)
+            if rows and t % 2:
+                i = rng.randrange(rows)
+                A.data[i] = [R.mul(R.p_elem(1), a) for a in A.data[i]]
+            yield rng, A
+
+
+def _inverse_or_none(inv, A):
+    try:
+        return inv(A)
+    except DimensionMismatch:
+        return None
+
+
+def test_graph_solves_match_smith_reference():
+    # kernels, solves and inverses from the Howell form of the graph
+    # [A^T | I] against the Smith path they replaced
+    seen = {"zero-rows": 0, "zero-cols": 0, "kernel": 0, "unsolvable": 0,
+            "invertible": 0, "singular": 0}
+    for rng, A in graph_cases(21, 170):
+        R, rows, cols = A.ring, A.rows, A.cols
+        K, K_ref = kernel(A), smith_kernel(A)
+        assert K.rows == cols
+        for j in range(K.cols):
+            assert not any(A.apply(K.col(j)))
+        ref_span = Span(R, [K_ref.col(j) for j in range(K_ref.cols)], cols)
+        assert howell(R, [K.col(j) for j in range(K.cols)], cols) == ref_span.rows
+        targets = [A.apply([rng.randrange(R.size) for _ in range(cols)])
+                   for _ in range(2)]
+        targets += [[rng.randrange(R.size) for _ in range(rows)] for _ in range(2)]
+        for x, x_ref, b in zip(solve_columns(A, targets),
+                               smith_solve_columns(A, targets), targets):
+            assert (x is None) == (x_ref is None)
+            if x is not None:
+                assert A.apply(x) == b
+                assert ref_span.contains([R.sub(a, c) for a, c in zip(x, x_ref)])
+            seen["unsolvable"] += x is None
+        inv = _inverse_or_none(inverse, A)
+        assert inv == _inverse_or_none(smith_inverse, A)
+        assert is_invertible(A) == (inv is not None)
+        seen["zero-rows"] += rows == 0
+        seen["zero-cols"] += cols == 0
+        seen["kernel"] += bool(ref_span.rows)
+        seen["invertible" if inv is not None else "singular"] += rows == cols
+    assert all(seen.values()), seen
+
+
+def test_span_reduce_is_a_normal_form():
+    # on the graph spans of graph_cases: reduce(v) is zero exactly on the
+    # span (decided by a Smith solve), is the same on v and v + s for every
+    # span element s, and is its own normal form
+    seen = {True: 0, False: 0}
+    for rng, A in graph_cases(22, 30):
+        R, width = A.ring, A.rows + A.cols
+        graph = linalg._graph(A)
+        gens = [A.col(j) + [1 if k == j else 0 for k in range(A.cols)]
+                for j in range(A.cols)]
+        for _ in range(4):
+            v = [rng.randrange(R.size) for _ in range(width)]
+            s = [0] * width
+            for g in gens:
+                c = rng.randrange(R.size)
+                s = [R.add(a, R.mul(c, b)) for a, b in zip(s, g)]
+            red = graph.reduce(v)
+            inside = not any(red)
+            assert inside == graph.contains(v) == (span_membership(R, gens, v) is not None)
+            assert graph.reduce([R.add(a, b) for a, b in zip(v, s)]) == red
+            assert graph.reduce(red) == red
+            assert not any(graph.reduce(s))
+            seen[inside] += 1
+    assert seen[True] and seen[False]
+
+
+def test_kernels_solves_and_inverses_run_no_smith(monkeypatch, Z8):
+    def no_smith(A):
+        raise AssertionError("smith called")
+
+    monkeypatch.setattr(linalg, "smith", no_smith)
+    A = Matrix.from_rows(Z8, [[1, 2], [3, 4]])
+    assert kernel(A).cols == 1
+    assert solve_columns(A, [[1, 3], [0, 1]])[0] == [1, 0]
+    assert is_invertible(Matrix.from_rows(Z8, [[1, 2], [3, 5]]))
+    assert inverse(Matrix.from_rows(Z8, [[3]])) == Matrix.from_rows(Z8, [[3]])

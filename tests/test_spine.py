@@ -1,7 +1,9 @@
 """The solve/submodule spine of `modules` (syzygies, submodule, solve_in and
 linalg.solve_columns) against a per-column reference: one Smith solve per
-target against A | torsion_matrix(M), with the single-target solver kept
-here so that the reference shares no code with the spine's solver."""
+target against A | torsion_matrix(M) (`smith_reference`), which shares no
+code with the spine's Howell solver.  A solution is not unique, so the two
+must agree on which targets are solvable, and differ by an element of the
+reference kernel."""
 
 import random
 
@@ -9,7 +11,7 @@ import pytest
 
 from tannaka_forge import linalg, tannaka
 from tannaka_forge.rings import ring_make
-from tannaka_forge.linalg import Matrix, kernel, smith, solve_columns
+from tannaka_forge.linalg import Matrix, Span, kernel, solve_columns
 from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentation,
                                    torsion_matrix, syzygies, submodule, solve_in,
                                    map_kernel, factor_through)
@@ -21,29 +23,9 @@ from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
                                  grouplike_coalgebra, grouplike_line,
                                  grouplike_diagram, comatrix_diagram,
                                  trivial_coalgebra)
+from smith_reference import smith_kernel, smith_solve as ref_solve
 
 RINGS = [(2, 1, 1), (2, 3, 1), (2, 2, 2)]    # F2, Z/8, GR(4,2)
-
-
-def ref_solve(A, b):
-    """Some x with A x = b from a Smith form of its own: the reference for
-    solve_columns."""
-    ring = A.ring
-    sf = smith(A)
-    c = sf.u_inv.apply(b)
-    m = min(A.rows, A.cols)
-    y = [0] * A.cols
-    for i in range(A.rows):
-        a = sf.invariants[i] if i < m else ring.n
-        ci = c[i]
-        if i >= m or a == ring.n:
-            if ci != 0:
-                return None
-            continue
-        if ring.val(ci) < a:
-            return None
-        y[i] = ring.divide_p_power(ci, a)
-    return sf.v_inv.apply(y)
 
 
 def ref_solve_in(M, A, targets):
@@ -53,6 +35,21 @@ def ref_solve_in(M, A, targets):
         x = ref_solve(aug, list(t))
         out.append(None if x is None else x[:A.cols])
     return out
+
+
+def ref_kernel_span(M, A):
+    """The span of {x : A x = 0 in M}, read off the reference kernel."""
+    K = smith_kernel(A.hstack(torsion_matrix(M)))
+    return Span(M.ring, [K.col(j)[:A.cols] for j in range(K.cols)], A.cols)
+
+
+def assert_same_solutions(got, want, span):
+    """got and want solve the same targets, and differ by elements of span."""
+    assert [x is None for x in got] == [y is None for y in want]
+    sub = span.ring.sub
+    for x, y in zip(got, want):
+        if x is not None:
+            assert span.contains([sub(a, b) for a, b in zip(x, y)])
 
 
 def ref_syzygies(M, A):
@@ -136,7 +133,7 @@ def test_solve_in_matches_per_column_solve():
     found = {True: 0, False: 0}
     for M, A, targets in cases(11, 30):
         got = solve_in(M, A, targets)
-        assert got == ref_solve_in(M, A, targets)
+        assert_same_solutions(got, ref_solve_in(M, A, targets), ref_kernel_span(M, A))
         for x, t in zip(got, targets):
             found[x is not None] += 1
             if x is not None:
@@ -154,7 +151,12 @@ def test_solve_columns_matches_solve():
             targets = [A.apply([rng.randrange(R.size) for _ in range(cols)])
                        for _ in range(2)]
             targets += [[rng.randrange(R.size) for _ in range(rows)] for _ in range(2)]
-            assert solve_columns(A, targets) == [ref_solve(A, list(b)) for b in targets]
+            got = solve_columns(A, targets)
+            K = smith_kernel(A)
+            assert_same_solutions(got, [ref_solve(A, list(b)) for b in targets],
+                                  Span(R, [K.col(j) for j in range(K.cols)], cols))
+            for x, b in zip(got, targets):
+                assert x is None or A.apply(x) == list(b)
             assert solve_columns(A, []) == []
     with pytest.raises(linalg.DimensionMismatch):
         solve_columns(Matrix.identity(R, 2), [[1, 2, 3]])
@@ -185,22 +187,24 @@ def test_map_kernel_and_image_match_reference():
                 assert incl.mat == incl_ref.mat
 
 
-def test_factor_through_is_one_smith(monkeypatch):
+def test_factor_through_is_one_elimination(monkeypatch):
     W = ring_make(2, 2, 2)
     X = mf_direct_sum(mf_direct_sum(tate_object(W, 1), tate_object(W, 1)),
                       tate_object(W, 2))
     incl, other = X.fil[0], X.fil[1]
-    assert other.src.rank >= 3      # one Smith solve per generator would be 3+
+    assert other.src.rank >= 3      # one solve per generator would be 3+
     calls = []
-    real = linalg.smith
 
-    def counted(A):
-        calls.append((A.rows, A.cols))
-        return real(A)
+    def counted(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapped
 
-    monkeypatch.setattr(linalg, "smith", counted)
+    monkeypatch.setattr(linalg, "howell", counted("howell", linalg.howell))
+    monkeypatch.setattr(linalg, "smith", counted("smith", linalg.smith))
     g = factor_through(incl, other)
-    assert len(calls) == 1
+    assert calls == ["howell"]
     assert g is not None and incl @ g == other
 
 
