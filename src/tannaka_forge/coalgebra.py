@@ -24,11 +24,17 @@ onto C (x)_B C and then through the projection of the nest.  The nest is
 generators, with no matrix of the nest's size, and the quotient by the
 middle relations otherwise.  Both maps are descended through C (x)_B Z by
 modules.descend_sparse, the one kernel every map out of a tensor over B
-goes through (the counit laws and the id (x) h of comodule_hom too), and
-stay sparse end to end.
+goes through (the counit laws too), and stay sparse end to end.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
+
+Comodule homs M -> N are the kernel of the coaction condition
+rho_N h - (id (x)_B h) rho_M, whose columns one helper writes from sparse
+columns into the chart Hom_R(M, C (x)_B N).  comodule_hom solves it over
+Hom_R(M, N) with B-linearity stacked on, for any comodules;
+comodule_hom_span solves it over an R-basis of Hom_B, for comodules on the
+standard free carriers, with f_B times fewer unknowns.
 """
 
 from __future__ import annotations
@@ -36,15 +42,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import Matrix
-from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
-                      submodule, solve_in, factor_through, sub_canonical,
-                      sub_elements, tensor_cols, sparse_image, descend_sparse,
+from .linalg import Matrix, Span
+from .modules import (FinModule, ModuleMap, HomData, hom_module, syzygies,
+                      direct_sum, submodule, solve_in, factor_through,
+                      sub_canonical, sub_elements, sparse_image, descend_sparse,
                       map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
                       tensor_bim_bmodule, triple_tensor, descend, descend_cols,
                       induced, act_powers, regular_bimodule, is_b_free,
-                      btensor_bmodule)
+                      btensor_bmodule, free_bmodule)
 
 
 class AxiomError(ValueError):
@@ -248,33 +254,102 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
 
 
 # ---------------------------------------------------------------------------
-# comodule homs via the hom-equalizer
+# comodule homs: the kernel of the coaction condition
 # ---------------------------------------------------------------------------
 
+def _coaction_condition(Mc: Comodule, Nc: Comodule):
+    """The map h |-> rho_N h - (id_C (x)_B h) rho_M : M -> C (x)_B N, on
+    maps h : M -> N and their conditions given by sparse columns.  Column i
+    is one sparse_image over the columns of rho_N and of the projection onto
+    C (x)_B N: h(m_i) through rho_N, less (id (x) h) of the flat lift of
+    rho_M(m_i)."""
+    if Nc.coalgebra != Mc.coalgebra:
+        raise ValueError("comodules over different coalgebras")
+    cmM, cmN = Mc.cm, Nc.cm
+    mul, neg = cmN.alg.R.mul, cmN.alg.R.neg
+    cols = Nc.rho.mat.sparse_cols() + cmN.proj_cols
+    off, pos = Nc.carrier.rank, cmN.TR.pos
+    pair = {k: ij for ij, k in cmM.TR.pos.items()}
+    # the flat lift of rho_M(m_i) as ((c, m) pair, -entry) terms
+    lift = [[(pair[k], neg(a)) for k, a in col]
+            for col in Mc.rhohat().sparse_cols()]
+
+    def condition(h):
+        return [sparse_image(h[i] + [(off + pos[(a, n)], mul(c, b))
+                                     for (a, m), c in lift[i] for n, b in h[m]],
+                             cols, cmN.module) for i in range(len(h))]
+    return condition
+
+
+def _condition_syzygies(unknowns: FinModule, charts: list[HomData],
+                        conds) -> Matrix:
+    """Generators of the unknowns on which every condition vanishes.
+    conds[u][t] holds the sparse columns of unknown u's condition map in the
+    Hom module charts[t]; they are written straight into the coordinates of
+    the direct sum of the charts, and the kernel is read off with its
+    torsion."""
+    tsum = direct_sum([chart.module for chart in charts])
+    place = tsum.place
+    cols = [[(place[(t, r)], v) for t, g in enumerate(cond)
+             for r, v in charts[t].sparse_coords(g)] for cond in conds]
+    return syzygies(tsum.module, map_from_cols(unknowns, tsum.module, cols).mat)
+
+
 def comodule_hom(Mc: Comodule, Nc: Comodule):
-    """The R-module of comodule maps M -> N, as the equalizer of
-    rho_N . f and (id_C (x)_B f) . rho_M inside Hom_B(M, N).
+    """The R-module of comodule maps M -> N, as the maps h in Hom_R(M, N)
+    with h x_M = x_N h (B-linear) and rho_N h = (id_C (x)_B h) rho_M.
 
     Returns (module, basis of ModuleMap).
     """
-    C = Mc.coalgebra
-    if Nc.coalgebra != C:
-        raise ValueError("comodules over different coalgebras")
+    coaction = _coaction_condition(Mc, Nc)
     M, N = Mc.module, Nc.module
     H = hom_module(M.carrier, N.carrier)
-    rhohat_M = Mc.rhohat().sparse_cols()
-    one, cmN = ModuleMap.identity(C.carrier), Nc.cm
+    xM, xN = M.act.mat.sparse_cols(), N.act.mat.sparse_cols()
+    neg = N.carrier.ring.neg
 
-    def image(_, h):
-        # (id (x) h) rhohat_M, pushed through the projection onto C (x)_B N
-        idh = tensor_cols(Mc.cm.TR, one, h, cmN.TR)
-        term = map_from_cols(M.carrier, cmN.module, cmN.project(
-            [sparse_image(col, idh, cmN.TR.module) for col in rhohat_M]))
-        return [(h @ M.act) - (N.act @ h), (Nc.rho @ h) - term]
+    def conditions(h):
+        # h x_M - x_N h, one sparse_image per column over h's and x_N's columns
+        comm = [sparse_image(col + [(len(h) + r, neg(c)) for r, c in h[q]],
+                             h + xN, N.carrier) for q, col in enumerate(xM)]
+        return [comm, coaction(h)]
 
-    K, incl, _ = hom_equalizer(
-        [H], [(M.carrier, N.carrier), (M.carrier, Nc.cm.module)], image)
+    syz = _condition_syzygies(H.module, [H, hom_module(M.carrier, Nc.cm.module)],
+                              [conditions(h) for h in H.basis_cols()])
+    K, incl = submodule(H.module, syz)
     return K, [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
+
+
+def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
+    """The comodule maps B^{r_k} -> B^{r_l} between comodules whose carriers
+    are the standard free B-modules free_bmodule(r), as the Span of their
+    B-matrices in flat coordinates (tannaka._flatten_bmat): entry (t, s),
+    coefficient of x^beta, at (t r_k + s) f_B + beta.  The unknowns are the
+    maps x^beta E_ts, an R-basis of Hom_B that is B-linear by construction,
+    so only the coaction condition is solved, in the chart
+    Hom_R(M, C (x)_B N), torsion included.  The span is that of the
+    B-matrices of comodule_hom's basis."""
+    alg = Mc.coalgebra.alg
+    R, B, fb = alg.R, alg.B, alg.fb
+    rk, rl = Mc.carrier.rank // fb, Nc.carrier.rank // fb
+    for Xc, r in ((Mc, rk), (Nc, rl)):
+        if Xc.module != free_bmodule(alg, r):
+            raise ValueError("comodule carrier is not a standard free B-module")
+    coaction = _coaction_condition(Mc, Nc)
+    # x^e in R-coordinates, for the products x^beta x^g with beta, g < f_B
+    xpow = [[(d, c) for d, c in enumerate(B.coeffs(B.pow(B.x, e))) if c]
+            for e in range(2 * fb - 1)]
+    conds = []
+    for t in range(rl):
+        for s in range(rk):
+            for beta in range(fb):
+                # x^beta E_ts : x^g e_s |-> x^(beta + g) e_t
+                h = [[] for _ in range(rk * fb)]
+                for g in range(fb):
+                    h[s * fb + g] = [(t * fb + d, c) for d, c in xpow[beta + g]]
+                conds.append([coaction(h)])
+    syz = _condition_syzygies(FinModule.free(R, len(conds)),
+                              [hom_module(Mc.carrier, Nc.cm.module)], conds)
+    return Span(R, [syz.col(j) for j in range(syz.cols)], len(conds))
 
 
 def is_cauchy(Mc: Comodule) -> bool:

@@ -21,8 +21,10 @@ point), on sparse columns such as those tensor_cols builds for f (x) g
 from the nonzeros of f and g.  Kernels and images of maps are
 submodules, and
 hom_equalizer solves for the maps in a sum of Hom modules that satisfy
-R-linear conditions (comodule maps, morphisms of filtered modules) as the
-kernel of the stacked condition map.
+R-linear conditions (morphisms of filtered modules) as the kernel of the
+stacked condition map.  A Hom module is a coordinate chart:
+HomData.sparse_coords writes a map given by sparse columns straight into
+its coordinates, which is how the comodule-hom conditions are stacked.
 
 Every canonical sum of summands (a direct sum, M tensor_R N, Hom_R(M, N), a
 Smith presentation) is laid out by one helper, canonical_layout, which
@@ -411,11 +413,15 @@ def is_isomorphism(g: ModuleMap) -> bool:
 @dataclass
 class HomData:
     """Hom_R(M, N) = sum over (i,j) of R/p^{min(e_i, d_j)}, with the basis
-    map for (i,j) sending gen_i to p^{max(0, d_j - e_i)} gen_j."""
+    map for (i,j) sending gen_i to p^{max(0, d_j - e_i)} gen_j; pos[(i, j)]
+    is that map's coordinate, and pos iterates in coordinate order."""
     src: FinModule
     dst: FinModule
     module: FinModule
-    pairs: list[tuple[int, int]]
+    pos: dict[tuple[int, int], int]
+
+    def _shift(self, i: int, j: int) -> int:
+        return max(0, self.dst.exps[j] - self.src.exps[i])
 
     @cached_property
     def basis(self) -> list[ModuleMap]:
@@ -424,19 +430,39 @@ class HomData:
         return [self.from_coords(self.module.gen(k))
                 for k in range(self.module.rank)]
 
-    def coords(self, g: ModuleMap) -> tuple[int, ...]:
-        ring = self.src.ring
+    def basis_cols(self):
+        """The sparse columns of each basis map in coordinate order, with no
+        matrix built."""
+        for i, j in self.pos:
+            cols = [[] for _ in range(self.src.rank)]
+            cols[i] = [(j, self.src.ring.p_elem(self._shift(i, j)))]
+            yield cols
+
+    def sparse_coords(self, cols) -> list[tuple[int, int]]:
+        """The coordinates of the map with sparse columns cols, as (index,
+        entry) pairs: entry (j, i) divided by p^shift, reduced into the
+        summand of (i, j)."""
+        ring, exps = self.src.ring, self.module.exps
         out = []
-        for (i, j), e in zip(self.pairs, self.module.exps):
-            shift = max(0, self.dst.exps[j] - self.src.exps[i])
-            out.append(ring.reduce_exp(ring.divide_p_power(g.mat.data[j][i], shift), e))
+        for i, col in enumerate(cols):
+            for j, a in col:
+                k = self.pos[(i, j)]
+                v = ring.reduce_exp(ring.divide_p_power(a, self._shift(i, j)), exps[k])
+                if v:
+                    out.append((k, v))
+        return out
+
+    def coords(self, g: ModuleMap) -> tuple[int, ...]:
+        out = [0] * self.module.rank
+        for k, v in self.sparse_coords(g.mat.sparse_cols()):
+            out[k] = v
         return tuple(out)
 
     def from_coords(self, coords) -> ModuleMap:
         ring = self.src.ring
         mat = Matrix.zeros(ring, self.dst.rank, self.src.rank)
-        for (i, j), c in zip(self.pairs, coords):
-            shift = max(0, self.dst.exps[j] - self.src.exps[i])
+        for (i, j), c in zip(self.pos, coords):
+            shift = self._shift(i, j)
             mat.data[j][i] = ring.mul(c, ring.p_elem(shift)) if shift else c
         return ModuleMap(self.src, self.dst, mat)
 
@@ -446,7 +472,7 @@ def hom_module(M: FinModule, N: FinModule) -> HomData:
     if M.ring != N.ring:
         raise RingMismatch("hom of modules over different rings")
     T = tensor_with_data(M, N)
-    return HomData(M, N, T.module, list(T.pos))
+    return HomData(M, N, T.module, T.pos)
 
 
 def hom_equalizer(unknowns: list[HomData],

@@ -25,6 +25,11 @@ family is (id (x)_B xi_w) rho.  Every map out of T is descended by
 modules.descend_map, which checks it on every relation generator, and the
 resulting coalgebra is re-validated axiom by axiom.
 
+The unit check compares each hom span with the comodule homs between the
+lifted fibers, both as Howell rows in flat B-matrix coordinates
+(coalgebra.comodule_hom_span); counit_map reads its family's hom lists off
+the same spans.
+
 The recognition checkers ask every span-membership question of a Howell
 `Span`, with no Smith solve.  Coequalizer and pushout probes are one
 search: a coequalizer of F, G : k -> l is a cocone on the legs [l] under
@@ -55,7 +60,7 @@ from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
                       induced, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
-                        comodule_hom, counit_contraction)
+                        comodule_hom, comodule_hom_span, counit_contraction)
 
 
 class DiagramNotClosed(ValueError):
@@ -428,7 +433,13 @@ def morphisms_are_comodule_maps(CR: CoendResult, lifted: list[Comodule]) -> bool
 def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = None):
     """Compare each hom span with the full comodule hom of the lifted
     coactions.  Returns {(k, l): ("equal",) or ("strictly-smaller", witness)}
-    where the witness is a comodule map outside the diagram span."""
+    where the witness is a comodule map outside the diagram span.
+
+    The comodule homs of a pair are one comodule_hom_span, the span of
+    B-matrices the diagram's spans are compared in: the diagram span must
+    lie inside it, and the verdict is "equal" exactly when the two Howell
+    forms agree.  Only a strictly smaller pair solves comodule_hom, whose
+    first basis map outside the diagram span is the witness."""
     D = CR.diagram
     alg = D.alg
     if lifted is None:
@@ -436,20 +447,17 @@ def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = N
     verdicts = {}
     for k in range(D.nobj()):
         for l in range(D.nobj()):
+            homs, span = comodule_hom_span(lifted[k], lifted[l]), D.span(k, l)
+            if not all(homs.contains(r) for r in span.rows):
+                raise RuntimeError("internal error: diagram morphism is "
+                                   "not a comodule map")
+            if homs.rows == span.rows:
+                verdicts[(k, l)] = ("equal",)
+                continue
             _, basis = comodule_hom(lifted[k], lifted[l])
-            rk, rl = D.objects[k].rank, D.objects[l].rank
-            bmats = [alg.rmat_to_bmat(g) for g in basis]
-            missing = next((bm for bm in bmats
-                            if not D.hom_contains(k, l, bm)), None)
-            # sanity: the diagram span must embed in the comodule homs
-            hom_span = Span(alg.R, [_flatten_bmat(alg, bm) for bm in bmats],
-                            rl * rk * alg.fb)
-            for F in D.homs[(k, l)]:
-                if not hom_span.contains(_flatten_bmat(alg, F)):
-                    raise RuntimeError("internal error: diagram morphism is "
-                                       "not a comodule map")
-            verdicts[(k, l)] = ("equal",) if missing is None \
-                else ("strictly-smaller", missing)
+            verdicts[(k, l)] = ("strictly-smaller", next(
+                bm for bm in map(alg.rmat_to_bmat, basis)
+                if not D.hom_contains(k, l, bm)))
     return verdicts
 
 
@@ -486,15 +494,14 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
         rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), thinv) \
             @ Mc.rho @ th
         std_comods.append(comodule_check(C, cm_std, rho_std))
-    objects = [DiagObject("M%d" % i, sc.carrier.rank // fb)
-               for i, sc in enumerate(std_comods)]
-    homs = {}
-    for i, Mi in enumerate(std_comods):
-        for j, Mj in enumerate(std_comods):
-            _, basis = comodule_hom(Mi, Mj)
-            homs[(i, j)] = [alg.rmat_to_bmat(g) for g in basis]
-    D = DiagramCategory(alg, objects, homs)
-    D = hom_closure(D)   # canonicalizes; adds identities if bases missed them
+    ranks = [sc.carrier.rank // fb for sc in std_comods]
+    # each hom list is the Howell rows of the comodule-hom span;
+    # hom_closure adds the identities and canonicalizes
+    homs = {(i, j): [_unflatten_bmat(alg, row, ranks[j], ranks[i])
+                     for row in comodule_hom_span(Mi, Mj).rows]
+            for i, Mi in enumerate(std_comods) for j, Mj in enumerate(std_comods)}
+    D = hom_closure(DiagramCategory(
+        alg, [DiagObject("M%d" % i, r) for i, r in enumerate(ranks)], homs))
     return counit_from_coend(C, std_comods, coend(D))
 
 

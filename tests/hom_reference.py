@@ -6,6 +6,12 @@ every condition target, places every basis map's condition coordinates
 with the layout of a direct sum, and takes ``map_kernel`` of the
 result.
 
+``ref_unit_fully_faithful_check`` is the unit check that solved the full
+comodule hom of every pair and read its verdict and witness off the basis;
+it takes the bases, so that a test solves each pair once, with
+``ref_comodule_hom`` (which agrees with ``comodule_hom`` entry for entry,
+see test_hom_equalizer).
+
 ``ref_mf_hom`` writes its columns in the order of the concatenated unknown
 Hom modules while the kernel reads them in the (exponent-sorted) order of
 their direct sum.  The two orders agree when every unknown's exponents sit
@@ -17,10 +23,11 @@ They are kept only to be tested against.
 """
 
 from tannaka_forge.rings import ring_make
-from tannaka_forge.linalg import Matrix
+from tannaka_forge.linalg import Matrix, Span
 from tannaka_forge.modules import ModuleMap, hom_module, map_kernel, direct_sum, map_tensor
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.mf import MFError, _RCarrier, _extend_window
+from tannaka_forge.tannaka import _flatten_bmat
 
 from dense_tensor import dense
 
@@ -74,6 +81,33 @@ def ref_comodule_hom(Mc, Nc):
     K, incl = map_kernel(phi)
     basis = [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
     return K, basis
+
+
+def ref_unit_fully_faithful_check(CR, bases):
+    """{(k, l): ("equal",) or ("strictly-smaller", witness)} from the full
+    comodule hom of each pair, bases[(k, l)] being its basis maps: "equal"
+    when every basis map lies in the diagram span, else the first one
+    outside it is the witness.  Raises RuntimeError when a diagram morphism
+    is not a comodule map."""
+    D = CR.diagram
+    alg = D.alg
+    verdicts = {}
+    for k in range(D.nobj()):
+        for l in range(D.nobj()):
+            basis = bases[(k, l)]
+            rk, rl = D.objects[k].rank, D.objects[l].rank
+            bmats = [alg.rmat_to_bmat(g) for g in basis]
+            missing = next((bm for bm in bmats
+                            if not D.hom_contains(k, l, bm)), None)
+            hom_span = Span(alg.R, [_flatten_bmat(alg, bm) for bm in bmats],
+                            rl * rk * alg.fb)
+            for F in D.homs[(k, l)]:
+                if not hom_span.contains(_flatten_bmat(alg, F)):
+                    raise RuntimeError("internal error: diagram morphism is "
+                                       "not a comodule map")
+            verdicts[(k, l)] = ("equal",) if missing is None \
+                else ("strictly-smaller", missing)
+    return verdicts
 
 
 def ref_mf_hom(X, Y):

@@ -313,13 +313,14 @@ def test_out_of_memory_is_an_input_error(tmp_path):
 
 def test_unit_check_solves_only_pairs_inside_a_component(count_calls, tmp_path,
                                                          capsys):
-    # grouplike g = 32: 32 one-object components, so one comodule hom each
-    # instead of 32 * 32; the 992 pairs across components are "equal"
+    # grouplike g = 32: 32 one-object components, so one comodule-hom span
+    # each instead of 32 * 32; the 992 pairs across components are "equal",
+    # and no pair needs comodule_hom for a witness
     f = tmp_path / "g32.diagram"
     f.write_text(format_diagram(grouplike_diagram(AlgebraSpec.make(2, 1, 1), 32)))
-    calls = count_calls((coalgebra, "comodule_hom"))
+    calls = count_calls((coalgebra, "comodule_hom_span"), (coalgebra, "comodule_hom"))
     code, rep = run(capsys, ["coend", str(f)])
-    assert code == 0 and calls == {"comodule_hom": 32}
+    assert code == 0 and calls == {"comodule_hom_span": 32, "comodule_hom": 0}
     unit = rep["results"]["unit"]
     assert len(unit) == 32 * 32 and set(unit.values()) == {"equal"}
 

@@ -60,7 +60,7 @@ def test_reuse_path_matches_counit_map():
 
 
 SOLVERS = ((tannaka, "coend"), (tannaka, "hom_closure"),
-           (coalgebra, "comodule_hom"))
+           (coalgebra, "comodule_hom_span"), (coalgebra, "comodule_hom"))
 
 
 def _run_coend(tmp_path, D):
@@ -73,18 +73,22 @@ def _run_coend(tmp_path, D):
 
 
 def test_echo_solves_nothing_when_every_verdict_is_equal(count_calls, tmp_path):
-    # the only comodule homs solved are the unit check's, one per pair
-    # inside a component: three one-object components, one coend each
+    # the only comodule homs solved are the unit check's, one span per pair
+    # inside a component: three one-object components, one coend each; no
+    # verdict needs a witness, so comodule_hom is never called
     D = grouplike_diagram(AlgebraSpec.make(2, 1, 1), 3)
     calls = count_calls(*SOLVERS)
     code, out = _run_coend(tmp_path, D)
     assert code == 0 and '"iso": true' in out
-    assert calls == {"coend": 3, "hom_closure": 1, "comodule_hom": 3}
+    assert calls == {"coend": 3, "hom_closure": 1, "comodule_hom_span": 3,
+                     "comodule_hom": 0}
 
 
 def test_echo_solves_again_when_a_verdict_is_strictly_smaller(count_calls, tmp_path):
     # A -> B with no way back: the comodule homs B -> A are larger than the
-    # diagram's, so the echo runs counit_map on the lifted family
+    # diagram's, so the echo runs counit_map on the lifted family: four
+    # spans for the unit check and four for the echo, and one comodule_hom
+    # for the witness of the strictly smaller pair
     alg = AlgebraSpec.make(2, 1, 1)
     one = Matrix.identity(alg.B, 1)
     D = DiagramCategory(alg, [DiagObject("A", 1), DiagObject("B", 1)],
@@ -92,4 +96,5 @@ def test_echo_solves_again_when_a_verdict_is_strictly_smaller(count_calls, tmp_p
     calls = count_calls(*SOLVERS)
     code, out = _run_coend(tmp_path, D)
     assert code == 1 and '"strictly-smaller"' in out and '"iso": true' in out
-    assert calls == {"coend": 2, "hom_closure": 2, "comodule_hom": 8}
+    assert calls == {"coend": 2, "hom_closure": 2, "comodule_hom_span": 8,
+                     "comodule_hom": 1}

@@ -3,7 +3,9 @@ linalg.solve_columns) against a per-column reference: one Smith solve per
 target against A | torsion_matrix(M) (`smith_reference`), which shares no
 code with the spine's Howell solver.  A solution is not unique, so the two
 must agree on which targets are solvable, and differ by an element of the
-reference kernel."""
+reference kernel.  The per-column reference `ref_syzygies` reads its kernel
+off linalg.kernel, as syzygies does, so both are also compared, as spans,
+with the Smith kernel."""
 
 import random
 
@@ -14,7 +16,7 @@ from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import Matrix, Span, kernel, solve_columns
 from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentation,
                                    torsion_matrix, syzygies, submodule, solve_in,
-                                   map_kernel, factor_through)
+                                   map_kernel, factor_through, sub_canonical)
 from tannaka_forge.algebra import AlgebraSpec, free_bmodule
 from tannaka_forge.coalgebra import cofree
 from tannaka_forge.tannaka import coend, coend_relation_rows, counit_map, lift_coaction
@@ -38,7 +40,9 @@ def ref_solve_in(M, A, targets):
 
 
 def ref_kernel_span(M, A):
-    """The span of {x : A x = 0 in M}, read off the reference kernel."""
+    """The span of {x : A x = 0 in M}, read off the reference kernel.  The per-column reference `ref_syzygies` reads its kernel
+off linalg.kernel, as syzygies does, so both are also compared, as spans,
+with the Smith kernel."""
     K = smith_kernel(A.hstack(torsion_matrix(M)))
     return Span(M.ring, [K.col(j)[:A.cols] for j in range(K.cols)], A.cols)
 
@@ -165,6 +169,11 @@ def test_solve_columns_matches_solve():
 def test_syzygies_and_submodule_match_reference():
     for M, A, _ in cases(12, 30):
         assert syzygies(M, A) == ref_syzygies(M, A)
+        # ref_syzygies shares linalg.kernel with syzygies, so both are also
+        # compared, as spans, with the Smith kernel
+        want = ref_kernel_span(M, A).rows
+        for syz in (syzygies(M, A), ref_syzygies(M, A)):
+            assert Span(M.ring, [syz.col(j) for j in range(syz.cols)], A.cols).rows == want
         S, incl = submodule(M, A)
         S_ref, incl_ref = ref_submodule(M, A)
         assert S.exps == S_ref.exps
@@ -185,6 +194,10 @@ def test_map_kernel_and_image_match_reference():
                     (submodule(g.dst, g.mat), ref_map_image(g))):
                 assert K.exps == K_ref.exps
                 assert incl.mat == incl_ref.mat
+            # the kernel is {x : g x = 0 in dst}, read off the Smith kernel
+            incl = map_kernel(g)[1].mat
+            assert sub_canonical(g.src, [incl.col(j) for j in range(incl.cols)]) == \
+                sub_canonical(g.src, ref_kernel_span(g.dst, g.mat).rows)
 
 
 def test_factor_through_is_one_elimination(monkeypatch):

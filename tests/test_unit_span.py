@@ -1,0 +1,55 @@
+"""The unit check on comodule_hom_span against the unit check that solved
+the full comodule hom of every pair (hom_reference): equal verdicts and
+witnesses, and, pair by pair, the span of comodule_hom_span equal to the
+span of the flattened reference basis, Howell row for Howell row."""
+
+import itertools
+import random
+
+from tannaka_forge.algebra import AlgebraSpec
+from tannaka_forge.linalg import Span
+from tannaka_forge.coalgebra import comodule_hom_span
+from tannaka_forge.suite import (mf_family_diagram, random_diagram,
+                                 standard_coend_cases)
+from tannaka_forge.tannaka import (_flatten_bmat, coend, hom_closure,
+                                   lift_coaction, unit_fully_faithful_check)
+
+from hom_reference import ref_comodule_hom, ref_unit_fully_faithful_check
+from test_counit_reuse import _echo_diagrams
+
+# GR(4,2), Z/8, F9, F4 and GR(8,2)
+RANDOM_RINGS = [(2, 2, 2), (2, 3, 1), (3, 1, 2), (2, 1, 2), (2, 3, 2)]
+
+
+def _diagrams():
+    out = [D for _, D in standard_coend_cases()] + _echo_diagrams()
+    out += [mf_family_diagram(2, 2, f, (0, 1), with_sum=True)[0] for f in (2, 3)]
+    for pnf in RANDOM_RINGS:
+        alg = AlgebraSpec.make(*pnf)
+        out += [random_diagram(random.Random(seed), alg)[0] for seed in range(30)]
+    return out
+
+
+def test_unit_check_matches_reference():
+    counts = {"equal": 0, "strictly-smaller": 0, "torsion": 0}
+    for D in _diagrams():
+        # the coalgebra axioms are tested elsewhere; lift_coaction still
+        # checks every coaction it returns
+        CR = coend(hom_closure(D), check=False)
+        lifted = lift_coaction(CR)
+        alg, n = D.alg, len(lifted)
+        bases = {}
+        for (k, Mc), (l, Nc) in itertools.product(enumerate(lifted), repeat=2):
+            bases[(k, l)] = ref_comodule_hom(Mc, Nc)[1]
+            want = Span(alg.R, [_flatten_bmat(alg, alg.rmat_to_bmat(g))
+                                for g in bases[(k, l)]],
+                        Mc.carrier.rank * Nc.carrier.rank // alg.fb)
+            assert comodule_hom_span(Mc, Nc).rows == want.rows
+            counts["torsion"] += not Nc.cm.module.is_free()
+        verdicts = unit_fully_faithful_check(CR, lifted)
+        assert verdicts == ref_unit_fully_faithful_check(CR, bases)
+        assert len(verdicts) == n * n
+        for v in verdicts.values():
+            counts[v[0]] += 1
+    # both verdicts occur, and some targets C (x)_B N carry torsion
+    assert all(counts.values()), counts
