@@ -168,19 +168,28 @@ def act_powers(act: ModuleMap, k: int) -> list[ModuleMap]:
     return pows
 
 
-def _poly_in(act: ModuleMap, coeffs) -> ModuleMap:
-    """sum_k coeffs[k] act^k for R-coefficients coeffs: a polynomial in an
-    x-action, such as the action of an element of B."""
-    acc = ModuleMap.zero(act.src, act.dst)
-    for c, powmap in zip(coeffs, act_powers(act, len(coeffs))):
-        if c:
-            acc = acc + powmap.scale(c)
-    return acc
+def power_cols(act: ModuleMap, k: int) -> list[list]:
+    """The sparse columns of id, act, ..., act^(k-1) for an endomorphism
+    act."""
+    cols = act.mat.sparse_cols()
+    pows = [[[(m, 1)] for m in range(act.src.rank)]]
+    for _ in range(k - 1):
+        pows.append([sparse_image(col, cols, act.dst) for col in pows[-1]])
+    return pows
+
+
+def poly_cols(pows, terms, dst: FinModule) -> list[list]:
+    """The sparse columns of sum_k c_k act^k over the (k, c_k) pairs terms,
+    from the power_cols pows of act: a polynomial in an x-action, such as
+    the action of an element of B."""
+    return [sparse_image(terms, [pw[m] for pw in pows], dst)
+            for m in range(len(pows[0]))]
 
 
 def _check_modulus(alg: AlgebraSpec, act: ModuleMap, which: str):
     """h(act) = 0 as a module map."""
-    if not _poly_in(act, [alg.R.from_int(c) for c in alg.B.h]).is_zero():
+    h = [(k, alg.R.from_int(c)) for k, c in enumerate(alg.B.h)]
+    if any(poly_cols(power_cols(act, alg.fb + 1), h, act.dst)):
         raise ModulusViolation("%s action does not satisfy h(x) = 0" % which)
 
 
@@ -197,10 +206,6 @@ class BModule:
             if act.src != carrier or act.dst != carrier:
                 raise ValueError("action must be an endomorphism of the carrier")
             _check_modulus(alg, act, "module")
-
-    def act_by(self, b: int) -> ModuleMap:
-        """The action of an arbitrary element b of B."""
-        return _poly_in(self.act, self.alg.B.coeffs(b))
 
     def __eq__(self, other):
         return (isinstance(other, BModule) and self.alg == other.alg
@@ -228,12 +233,6 @@ class BBBimodule:
             _check_modulus(alg, right, "right")
             if (left @ right) != (right @ left):
                 raise NonCommutingActions("left and right actions do not commute")
-
-    def left_by(self, b: int) -> ModuleMap:
-        return _poly_in(self.left, self.alg.B.coeffs(b))
-
-    def right_by(self, b: int) -> ModuleMap:
-        return _poly_in(self.right, self.alg.B.coeffs(b))
 
     def __eq__(self, other):
         return (isinstance(other, BBBimodule) and self.alg == other.alg

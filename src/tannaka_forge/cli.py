@@ -121,7 +121,13 @@ def _run_pipeline(D, budget: int, with_recognition: bool) -> tuple[list, dict]:
         L = CR.coalgebra
         exps += L.carrier.exps
         lifted = lift_coaction(CR)
-        verd = unit_fully_faithful_check(CR, lifted)
+        try:
+            verd = unit_fully_faithful_check(CR, lifted)
+        except RuntimeError as e:
+            # a diagram morphism that is no comodule map of the lifts
+            checks.append({"name": "unit-lift", "status": "fail",
+                           "detail": str(e)})
+            return checks, results
         verdicts.update({(ks[a], ks[b]): v for (a, b), v in verd.items()})
         flat = flatness_check(L) and flat
         # reconstruction echo: nu from the lifted family back onto L_c.

@@ -49,8 +49,8 @@ from .modules import (FinModule, ModuleMap, HomData, hom_module, syzygies,
                       map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
                       tensor_bim_bmodule, triple_tensor, descend, descend_cols,
-                      induced, act_powers, regular_bimodule, is_b_free,
-                      btensor_bmodule, free_bmodule)
+                      induced, act_powers, power_cols, poly_cols,
+                      regular_bimodule, is_b_free, btensor_bmodule, free_bmodule)
 
 
 class AxiomError(ValueError):
@@ -103,18 +103,19 @@ class Coalgebra:
 
 
 def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
-                act_by, left: bool = True) -> ModuleMap:
+                       act: ModuleMap, left: bool = True) -> ModuleMap:
     """(eps (x)_B id) : X (x)_B M -> M through B (x)_B M = M, descended from
     the flat map c (x) m |-> eps(c) . m; with left=False, (id (x)_B eps) :
     M (x)_B X -> M from m (x) c |-> m . eps(c).  eps : X -> B is a counit,
-    or any B-linear functional such as a dual-basis one.  act_by(b) is the
-    action of b on M: the left action for eps (x) id, the right one for
+    or any B-linear functional such as a dual-basis one.  act is the
+    x-action on M: the left one for eps (x) id, the right one for
     id (x) eps."""
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
-    # column (c, m) of the flat map is column m of the action of eps(c)
-    eps_act = [act_by(alg.B.from_coeffs(counit.apply(car_c.gen(i)))).mat.sparse_cols()
-               for i in range(car_c.rank)]
+    # column (c, m) of the flat map is column m of the action of eps(c),
+    # sum_k eps(c)_k act^k, read off the powers of act
+    pows = power_cols(act, alg.fb)
+    eps_act = [poly_cols(pows, terms, car_m) for terms in counit.mat.sparse_cols()]
     cols = [None] * data.TR.module.rank
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
@@ -190,9 +191,9 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
     # counit laws: (eps (x) id) delta = id = (id (x) eps) delta
     unit, dcols = [[(x, 1)] for x in range(C.carrier.rank)], delta.mat.sparse_cols()
-    for code, left, act_by in (("CounitLeft", True, C.left_by),
-                               ("CounitRight", False, C.right_by)):
-        contraction = counit_contraction(alg, counit, cc, act_by, left)
+    for code, left, act in (("CounitLeft", True, C.left),
+                            ("CounitRight", False, C.right)):
+        contraction = counit_contraction(alg, counit, cc, act, left)
         w = _first_difference(contraction.mat.sparse_cols(), dcols, unit, unit, C.carrier)
         if w is not None:
             raise AxiomError(code, w)
@@ -242,7 +243,7 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     w = _first_difference(cols, M.act.mat.sparse_cols(), cm.left, cols, cm.module)
     if w is not None:
         raise AxiomError("NotModuleMap", w)
-    eps_id = counit_contraction(alg, C.counit, cm, M.act_by)
+    eps_id = counit_contraction(alg, C.counit, cm, M.act)
     w = _first_difference(eps_id.mat.sparse_cols(), cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)

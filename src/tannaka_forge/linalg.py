@@ -24,6 +24,12 @@ depend only on A and b, and need no Smith form with its dense transforms
 of side A.rows; `solve_columns` answers many right-hand sides from one
 graph, and `solve` is its one-target case.
 
+Over R = Z/p^n (ring.native_q is q) elements are ints mod q, and the
+kernels here (products, Smith's row and column updates, the Howell
+insertion and Span.reduce) sum plain int products and reduce mod q once per
+entry instead of calling the ring twice per term; other rings go through
+ring.add and ring.mul.
+
 No fraction-free or probabilistic shortcuts; everything is exact at desk
 scale.
 """
@@ -126,22 +132,22 @@ class Matrix:
         if self.cols != other.rows or self.ring != other.ring:
             raise DimensionMismatch("%dx%d @ %dx%d" % (self.rows, self.cols,
                                                        other.rows, other.cols))
-        ring = self.ring
+        ring, q = self.ring, self.ring.native_q
         add, mul = ring.add, ring.mul
-        out = [[0] * other.cols for _ in range(self.rows)]
-        odata = other.data
-        for i in range(self.rows):
-            srow = self.data[i]
-            orow = out[i]
-            for k in range(self.cols):
-                a = srow[k]
-                if a == 0:
-                    continue
-                brow = odata[k]
-                for j in range(other.cols):
-                    b = brow[j]
-                    if b:
-                        orow[j] = add(orow[j], mul(a, b))
+        out = []
+        for srow in self.data:
+            acc = [0] * other.cols
+            if q:
+                # Z/q: sum plain int products, reduce once per entry
+                for a, brow in zip(srow, other.data):
+                    if a:
+                        acc = [x + a * b for x, b in zip(acc, brow)]
+                acc = [x % q for x in acc]
+            else:
+                for a, brow in zip(srow, other.data):
+                    if a:
+                        acc = [add(x, mul(a, b)) if b else x for x, b in zip(acc, brow)]
+            out.append(acc)
         return Matrix(ring, out, self.rows, other.cols)
 
     def apply(self, vec) -> list[int]:
@@ -224,7 +230,7 @@ def smith(A: Matrix) -> SmithForm:
     U = Matrix.identity(ring, rows)
     Ui = Matrix.identity(ring, rows)
     Vi = Matrix.identity(ring, cols)
-    add, mul, neg, val = ring.add, ring.mul, ring.neg, ring.val
+    add, mul, neg, val, q = ring.add, ring.mul, ring.neg, ring.val, ring.native_q
 
     def row_swap(M, i, j):
         M.data[i], M.data[j] = M.data[j], M.data[i]
@@ -235,17 +241,16 @@ def smith(A: Matrix) -> SmithForm:
 
     def row_addmul(M, dst, src, c):
         # row dst += c * row src
-        rd, rs = M.data[dst], M.data[src]
-        for j in range(len(rd)):
-            a = rs[j]
+        rd = M.data[dst]
+        for j, a in enumerate(M.data[src]):
             if a:
-                rd[j] = add(rd[j], mul(c, a))
+                rd[j] = (rd[j] + c * a) % q if q else add(rd[j], mul(c, a))
 
     def col_addmul(M, dst, src, c):
         for r in M.data:
             a = r[src]
             if a:
-                r[dst] = add(r[dst], mul(c, a))
+                r[dst] = (r[dst] + c * a) % q if q else add(r[dst], mul(c, a))
 
     def row_scale(M, i, c):
         M.data[i] = [mul(c, a) if a else 0 for a in M.data[i]]
@@ -397,7 +402,7 @@ def howell(ring: RingSpec, rows, width: int) -> list[list[int]]:
     Every new pivot p^a with a > 0 inserts its tail p^{n-a} * row.  The
     entries above each pivot are reduced at the end.
     """
-    n = ring.n
+    n, q = ring.n, ring.native_q
     add, mul, neg, val = ring.add, ring.mul, ring.neg, ring.val
     divide = ring.divide_p_power
     pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, exponent)
@@ -405,7 +410,7 @@ def howell(ring: RingSpec, rows, width: int) -> list[list[int]]:
     def reduce(r, prow, t):
         # r += t * prow, keeping r free of zero entries
         for k, pe in prow.items():
-            e = add(r.get(k, 0), mul(t, pe))
+            e = (r.get(k, 0) + t * pe) % q if q else add(r.get(k, 0), mul(t, pe))
             if e:
                 r[k] = e
             else:
@@ -488,18 +493,23 @@ class Span:
         column order, the entry at each pivot p^a is reduced mod p^a.  It is
         zero exactly when vec lies in the span, and equal for two vectors
         exactly when they differ by a span element."""
-        ring = self.ring
+        ring, q = self.ring, self.ring.native_q
         add, mul, red = ring.add, ring.mul, ring.reduce_exp
         r = list(vec)
         for j, (nz, a) in self.pivots.items():    # in increasing column order
-            e = r[j]
+            # over Z/q the entries are plain int sums, reduced when read
+            e = r[j] % q if q else r[j]
             if e:
                 rest = red(e, a) if a else 0    # the residue mod a unit pivot is 0
                 if rest != e:
                     t = ring.neg(ring.divide_p_power(ring.sub(e, rest), a))
-                    for k, pe in nz:
-                        r[k] = add(r[k], mul(t, pe))
-        return r
+                    if q:
+                        for k, pe in nz:
+                            r[k] += t * pe
+                    else:
+                        for k, pe in nz:
+                            r[k] = add(r[k], mul(t, pe))
+        return [e % q for e in r] if q else r
 
     def contains(self, vec) -> bool:
         """Is vec an R-combination of the rows?"""

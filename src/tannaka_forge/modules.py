@@ -35,6 +35,7 @@ layout alone, with no injection or projection matrices.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -154,7 +155,13 @@ def canonical_layout(ring: RingSpec, entries) -> tuple[FinModule, dict]:
     """The canonical module with one summand R/p^e per (e, key) entry, and
     the coordinate of each key: summands in descending exponent, ties by
     key.  The dict iterates its keys in coordinate order."""
-    entries = sorted(entries, key=lambda t: (-t[0], t[1]))
+    entries = list(entries)
+    # already in order when every exponent is equal and the keys ascend, as
+    # in a tensor or a sum of free modules: then the (e, key) pairs ascend
+    # and the first and last exponents agree, and the sort is skipped
+    if not (entries and entries[0][0] == entries[-1][0]
+            and all(map(operator.le, entries, itertools.islice(entries, 1, None)))):
+        entries.sort(key=lambda t: (-t[0], t[1]))
     return (FinModule(ring, tuple(e for e, _ in entries)),
             {key: r for r, (_, key) in enumerate(entries)})
 
@@ -289,16 +296,21 @@ def presentation_with_torsion(M: FinModule, rel_cols: Matrix) -> Presentation:
 
 def sparse_image(vec, cols, dst: FinModule) -> list[tuple[int, int]]:
     """The image of the sparse vector vec under the map with sparse columns
-    cols, reduced into dst: its nonzero (index, entry) pairs in order."""
-    ring = dst.ring
+    cols, reduced into dst: its nonzero (index, entry) pairs in order.  Over
+    Z/p^n the products are summed as plain ints, reduced once per entry."""
+    ring, q = dst.ring, dst.ring.native_q
     add, mul, red, exps = ring.add, ring.mul, ring.reduce_exp, dst.exps
     acc: dict[int, int] = {}
     for k, c in vec:
-        for r, a in cols[k]:
-            acc[r] = add(acc.get(r, 0), mul(c, a))
+        if q:
+            for r, a in cols[k]:
+                acc[r] = acc.get(r, 0) + c * a
+        else:
+            for r, a in cols[k]:
+                acc[r] = add(acc.get(r, 0), mul(c, a))
     out = []
     for r in sorted(acc):
-        v = red(acc[r], exps[r])
+        v = red(acc[r] % q if q else acc[r], exps[r])
         if v:
             out.append((r, v))
     return out

@@ -18,11 +18,21 @@ the product of X - xi over the Teichmueller lifts xi of the roots.  So x is a
 Teichmueller element and the Frobenius sends a(x) to a(x^p).  Reports always
 print the chosen h.
 
-Rings of at most TABLE_LIMIT elements keep full add/mul tables.  They are
-filled by linearity (see RingSpec._build_tables): each entry is one or two
-list lookups from an earlier entry, and only the size products a * x are
-polynomial products, so a 256-element ring builds in a few hundredths of a
-second.
+Each RingSpec picks its arithmetic once, when it is built, and binds add,
+sub, neg, mul, val, inv and frobenius to it:
+  * Z/p^n (f = 1, any n): an element is an int mod q = p^n, and every
+    operation is int arithmetic mod q (inv is pow(a, -1, q), the Frobenius
+    the identity).  No tables are built, and the matrix kernels in linalg
+    and modules sum plain int products there, reducing once per entry
+    (RingSpec.native_q is q exactly then);
+  * f >= 2 with at most TABLE_LIMIT elements: add and mul tables of size^2
+    entries are allocated at construction and filled entry by entry on
+    first use, each entry and its mirror by one digit sum or polynomial
+    product; negatives, valuations, inverses and Frobenius values are kept
+    the same way per element.  A 256-element ring builds in a few
+    milliseconds;
+  * f >= 2 above TABLE_LIMIT: every operation is computed per call on the
+    coefficient vectors.
 """
 
 from __future__ import annotations
@@ -34,9 +44,9 @@ class NonUnitError(ArithmeticError):
     """Raised when inverting an element with positive valuation."""
 
 
-# Ring ops are table-driven up to this size; beyond it they are computed
-# per call (still exact, just slower).  The size^2-entry add and mul tables
-# are filled by lookups from earlier rows, not by size^2 polynomial products.
+# Rings with f >= 2 keep add and mul tables up to this size, filled on first
+# use; beyond it they compute per call (still exact, just slower).  Z/p^n
+# never needs tables: its elements are ints mod p^n at every size.
 TABLE_LIMIT = 256
 
 # ring_make refuses larger rings before building anything: the modulus
@@ -172,11 +182,25 @@ def _teichmuller_modulus(hbar: list[int], p: int, n: int, f: int) -> list[int]:
     return [c[0] if c else 0 for c in h]
 
 
+def _memo(fn, size: int):
+    """fn on range(size), each value computed on first use and kept."""
+    tab = [None] * size
+
+    def get(a):
+        v = tab[a]
+        if v is None:
+            v = tab[a] = fn(a)
+        return v
+    return get
+
+
 class RingSpec:
     """The chain ring GR(p^n, f) = (Z/p^n)[x]/(h) with its Frobenius.
 
     Immutable after construction; all operations are pure functions of the
-    packed-int element encoding.
+    packed-int element encoding.  The constructor binds add, sub, neg, mul,
+    val, inv, frobenius and coeffs to one of three arithmetics (see the
+    module docstring), so no call chooses among them.
     """
 
     def __init__(self, p: int, n: int, f: int, h: tuple[int, ...]):
@@ -207,58 +231,100 @@ class RingSpec:
                     shifted = [(shifted[k] + top * red0[k]) % self.q
                                for k in range(f)]
                 self._xpow_red.append(tuple(shifted))
-        self._tabled = self.size <= TABLE_LIMIT
-        if self._tabled:
-            self._build_tables()
+        # q when an element is its own residue mod q (f = 1): the matrix
+        # kernels then sum plain int products and reduce once per entry
+        self.native_q = self.q if f == 1 else None
+        self._tabled = f > 1 and self.size <= TABLE_LIMIT
+        if f == 1:
+            self._bind_native()
+        elif self._tabled:
+            self._bind_tables()
         else:
-            self._val_cache: dict[int, int] = {}
+            self._bind_computed()
 
     # -- construction -----------------------------------------------------
 
-    def _build_tables(self):
-        """Fill the tables by linearity in the second argument.
+    def _bind_native(self):
+        """Z/p^n: every operation is int arithmetic mod q."""
+        p, n, q = self.p, self.n, self.q
+        pows = [p**e for e in range(n + 1)]
 
-        For b >= 1 let k be its lowest nonzero digit and b' = b - q^k, so
-        b = b' + x^k with no carry.  Then add(a, b) raises digit k of
-        add(a, b') by one mod q, and mul(a, b) = add(mul(a, b'), a * x^k):
-        row b of each table is one lookup per entry from row b'.  And
-        a * x^k = (a * x^(k-1)) * x, so the only polynomial products are
-        the size products a * x (none when f = 1).  Both tables are
-        symmetric, so row b also holds the entries (b, a).
-        """
-        size, q, f = self.size, self.q, self.f
-        coeffs = [self._coeffs_raw(a) for a in range(size)]
-        self._coeff_tab = coeffs
-        # inc[k][s] is s with digit k raised by one mod q; xmul[k][a] = a * x^k
-        inc, xmul = [], [range(size)]
-        for k in range(f):
-            qk = q**k
-            inc.append([s - (q - 1) * qk if c[k] == q - 1 else s + qk
-                        for s, c in enumerate(coeffs)])
-        if f > 1:
-            by_x = [self._mul_raw(a, self.x) for a in range(size)]
-            for k in range(1, f):
-                xmul.append([by_x[t] for t in xmul[k - 1]])
-        lows = []  # (k, b') for b = 1, ..., size - 1
-        for b in range(1, size):
-            k = 0
-            while coeffs[b][k] == 0:
-                k += 1
-            lows.append((k, b - q**k))
-        add_rows = [list(range(size))]
-        for k, prev in lows:
-            step = inc[k]
-            add_rows.append([step[s] for s in add_rows[prev]])
-        mul_rows = [[0] * size]
-        for k, prev in lows:
-            mul_rows.append([add_rows[m][t] for m, t in zip(mul_rows[prev], xmul[k])])
-        self._add_tab = [s for row in add_rows for s in row]
-        self._mul_tab = [m for row in mul_rows for m in row]
-        self._neg_tab = [self._pack([(-c) % q for c in coeffs[a]]) for a in range(size)]
-        self._val_tab = [self._val_raw(a) for a in range(size)]
-        self._inv_tab = [mul_rows[a].index(1) if v == 0 else 0
-                         for a, v in enumerate(self._val_tab)]
-        self._frob_tab = [self._frobenius_raw(a) for a in range(size)]
+        def val(a):
+            if not a:
+                return n
+            v = 0
+            while not a % p:
+                a //= p
+                v += 1
+            return v
+
+        def inv(a):
+            if not a % p:
+                raise NonUnitError("not a unit: %d in %s" % (a, self))
+            return pow(a, -1, q)
+
+        def divide_p_power(a, k):
+            if a % pows[k]:
+                raise ArithmeticError("inexact division by p^%d" % k)
+            return a // pows[k]
+
+        self.add = lambda a, b: (a + b) % q
+        self.sub = lambda a, b: (a - b) % q
+        self.neg = lambda a: -a % q
+        self.mul = lambda a, b: a * b % q
+        self.val = val
+        self.inv = inv
+        self.frobenius = lambda a: a
+        self.coeffs = lambda a: (a,)
+        self.divide_p_power = divide_p_power
+        self.reduce_exp = lambda a, e: a % pows[e] if e < n else a
+
+    def _bind_tables(self):
+        """At most TABLE_LIMIT elements: size^2-entry add and mul tables,
+        allocated here and filled entry by entry on first use, each entry
+        (and its mirror) by one digit sum or polynomial product; the
+        per-element values are computed on first use too."""
+        size, add_raw, mul_raw = self.size, self._add_raw, self._mul_raw
+        add_tab = [None] * (size * size)
+        mul_tab = [None] * (size * size)
+
+        def add(a, b):
+            s = add_tab[a * size + b]
+            if s is None:
+                s = add_tab[a * size + b] = add_tab[b * size + a] = add_raw(a, b)
+            return s
+
+        def mul(a, b):
+            m = mul_tab[a * size + b]
+            if m is None:
+                m = mul_tab[a * size + b] = mul_tab[b * size + a] = mul_raw(a, b)
+            return m
+
+        self.add, self.mul = add, mul
+        self.neg = neg = _memo(self._neg_raw, size)
+        self.sub = lambda a, b: add(a, neg(b))
+        self.val = _memo(self._val_raw, size)
+        self._inv_unit = _memo(self._inv_raw, size)
+        self.frobenius = _memo(self._frobenius_raw, size)
+        self.coeffs = _memo(self._coeffs_raw, size)
+
+    def _bind_computed(self):
+        """Above TABLE_LIMIT: every operation on the coefficient vectors,
+        valuations cached per element."""
+        self.add, self.mul, self.neg = self._add_raw, self._mul_raw, self._neg_raw
+        self.sub = lambda a, b: self._add_raw(a, self._neg_raw(b))
+        cache: dict[int, int] = {}
+
+        def val(a):
+            v = cache.get(a)
+            if v is None:
+                v = cache[a] = self._val_raw(a)
+            return v
+
+        self.val = val
+        self._inv_unit = self._inv_raw
+        self.frobenius = self._frobenius_raw
+        self.coeffs = self._coeffs_raw
 
     # -- packing ----------------------------------------------------------
 
@@ -275,10 +341,6 @@ class RingSpec:
             a //= self.q
         return tuple(out)
 
-    def coeffs(self, a: int) -> tuple[int, ...]:
-        """Coefficient vector (c_0, ..., c_{f-1}) of a, each in [0, p^n)."""
-        return self._coeff_tab[a] if self._tabled else self._coeffs_raw(a)
-
     def from_coeffs(self, coeffs) -> int:
         return self._pack([c % self.q for c in coeffs])
 
@@ -286,22 +348,20 @@ class RingSpec:
         """Image of the integer c under Z -> Z/p^n -> GR(p^n, f)."""
         return c % self.q
 
-    # -- arithmetic -------------------------------------------------------
+    # -- arithmetic (f >= 2; Z/p^n binds its own in _bind_native) ---------
+    #
+    # coeffs(a): coefficient vector (c_0, ..., c_{f-1}), each in [0, p^n);
+    # add, sub, neg, mul; val(a): p-adic valuation in 0..n, val(0) = n by
+    # convention; inv(a) for a unit (NonUnitError otherwise); frobenius(a):
+    # the ring automorphism lifting c -> c^p on the residue field.
 
-    def add(self, a: int, b: int) -> int:
-        if self._tabled:
-            return self._add_tab[a * self.size + b]
+    def _add_raw(self, a: int, b: int) -> int:
         q = self.q
         ca, cb = self._coeffs_raw(a), self._coeffs_raw(b)
         return self._pack([(ca[k] + cb[k]) % q for k in range(self.f)])
 
-    def neg(self, a: int) -> int:
-        if self._tabled:
-            return self._neg_tab[a]
+    def _neg_raw(self, a: int) -> int:
         return self._pack([(-c) % self.q for c in self._coeffs_raw(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
         q, f = self.q, self.f
@@ -320,11 +380,6 @@ class RingSpec:
                 for k in range(f):
                     out[k] = (out[k] + c * red[k]) % q
         return self._pack(out)
-
-    def mul(self, a: int, b: int) -> int:
-        if self._tabled:
-            return self._mul_tab[a * self.size + b]
-        return self._mul_raw(a, b)
 
     def pow(self, a: int, k: int) -> int:
         r = 1
@@ -349,24 +404,17 @@ class RingSpec:
             v = min(v, w)
         return v
 
-    def val(self, a: int) -> int:
-        """p-adic valuation, in 0..n; val(0) = n by convention."""
-        if self._tabled:
-            return self._val_tab[a]
-        if a not in self._val_cache:
-            self._val_cache[a] = self._val_raw(a)
-        return self._val_cache[a]
-
     def is_unit(self, a: int) -> bool:
         return self.val(a) == 0
+
+    def _inv_raw(self, a: int) -> int:
+        order = (self.p**self.f - 1) * self.p ** ((self.n - 1) * self.f)
+        return self.pow(a, order - 1)
 
     def inv(self, a: int) -> int:
         if not self.is_unit(a):
             raise NonUnitError("not a unit: %s in %s" % (self.format_elem(a), self))
-        if self._tabled:
-            return self._inv_tab[a]
-        order = (self.p**self.f - 1) * self.p ** ((self.n - 1) * self.f)
-        return self.pow(a, order - 1)
+        return self._inv_unit(a)
 
     def divide_p_power(self, a: int, k: int) -> int:
         """Exact division by p^k; requires val(a) >= k."""
@@ -400,12 +448,6 @@ class RingSpec:
             out = self.add(self.mul(out, self._sigma_x), c)
         return out
 
-    def frobenius(self, a: int) -> int:
-        """The ring automorphism lifting c -> c^p on the residue field."""
-        if self._tabled:
-            return self._frob_tab[a]
-        return self._frobenius_raw(a)
-
     # -- misc -------------------------------------------------------------
 
     def elements(self):
@@ -432,7 +474,7 @@ class RingSpec:
         return self.literal()
 
     def __eq__(self, other):
-        return (isinstance(other, RingSpec)
+        return other is self or (isinstance(other, RingSpec)
                 and (self.p, self.n, self.f, self.h) == (other.p, other.n, other.f, other.h))
 
     def __hash__(self):

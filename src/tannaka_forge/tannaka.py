@@ -524,7 +524,7 @@ def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
         nus = [counit_contraction(
                    alg, ModuleMap(sc.carrier, B_car,
                                   alg.dual_functional(m // fb, w), validate=False),
-                   sc.cm, C.bi.right_by, left=False) @ sc.rho
+                   sc.cm, C.bi.right, left=False) @ sc.rho
                for w in range(m)]
         cols += [nus[w].mat.col(v) for v in range(m) for w in range(m)]
     nu = descend_map(ModuleMap(FinModule.free(R, CR.classmap.cols), C.carrier,

@@ -47,6 +47,7 @@ from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                                    triple_tensor, _btensor_core)
 
 from dense_tensor import dense
+from descent_reference import act_by
 
 
 @dataclass
@@ -240,7 +241,7 @@ def unit_left_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleM
     flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
     for (a, j), k in data.TR.pos.items():
         # basis a of B-carrier is x^a; its action on gen_j
-        col = M.act_by(alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(j))
+        col = act_by(alg, M.act, alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(j))
         for i, v in enumerate(col):
             flat.data[i][k] = v
     fro = descend(data, ModuleMap(data.TR.module, M.carrier, flat, validate=False))
@@ -259,7 +260,7 @@ def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[Module
                    Matrix.from_cols(alg.R, cols, data.module.rank))
     flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
     for (i, a), k in data.TR.pos.items():
-        col = M.act_by(alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(i))
+        col = act_by(alg, M.act, alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(i))
         for r, v in enumerate(col):
             flat.data[r][k] = v
     fro = descend(data, ModuleMap(data.TR.module, M.carrier, flat, validate=False))

@@ -19,6 +19,8 @@ from tannaka_forge.coalgebra import comodule_check, comodule_hom
 from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    coend)
 
+from descent_reference import act_by
+
 
 def relation_columns(D: DiagramCategory, morphisms=None):
     """(N, offsets, dims, cols): the relations (F v) (x) xi - v (x) (xi F)
@@ -147,7 +149,7 @@ def nu_flat(C, family):
                     if s != t:
                         continue
                     b = B.pow(B.x, beta + gamma)
-                    vec = C.bi.right_by(b).apply(C.carrier.gen(a))
+                    vec = act_by(C.alg, C.bi.right, b).apply(C.carrier.gen(a))
                     for rix, val in enumerate(vec):
                         if val:
                             acc[rix] = R.add(acc[rix], R.mul(coeff, val))

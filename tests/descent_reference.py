@@ -6,7 +6,9 @@ tests/test_descent.py.
 composes it with the section by a dense product; ``descend``, ``induced``
 and ``counit_contraction`` reach it through the tensor over B, building
 dense flat maps as wide as the R-tensor (``induced`` through a dense
-``map_tensor`` and ``proj @ flat``).  ``coassoc_witness`` is the sparse
+``map_tensor`` and ``proj @ flat``), and ``counit_contraction`` through
+``act_by``, the action of an element of B as the dense polynomial
+``poly_in`` in the x-action.  ``coassoc_witness`` is the sparse
 coassociativity comparison with its private copy of the descent, and
 ``comodule_hom`` and ``subcomodule_as_comodule`` build their id (x) h and
 id (x) incl terms from the dense ``map_tensor``.  ``map_tensor`` here is
@@ -19,7 +21,7 @@ from __future__ import annotations
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import (ModuleMap, NotWellDefined, hom_module,
                                    hom_equalizer, submodule, solve_in)
-from tannaka_forge.algebra import BModule, tensor_bim_bmodule
+from tannaka_forge.algebra import BModule, act_powers, tensor_bim_bmodule
 from tannaka_forge.coalgebra import AxiomError, comodule_check
 
 from dense_tensor import dense
@@ -34,6 +36,20 @@ def map_tensor(T, f, g, T2):
             for j2, b in gcols[j]:
                 mat.data[T2.pos[(i2, j2)]][k] = ring.mul(a, b)
     return ModuleMap(T.module, T2.module, mat, validate=False)
+
+
+def poly_in(act, coeffs):
+    """sum_k coeffs[k] act^k as a dense ModuleMap."""
+    acc = ModuleMap.zero(act.src, act.dst)
+    for c, powmap in zip(coeffs, act_powers(act, len(coeffs))):
+        if c:
+            acc = acc + powmap.scale(c)
+    return acc
+
+
+def act_by(alg, act, b):
+    """The action of the element b of B through the x-action act."""
+    return poly_in(act, alg.B.coeffs(b))
 
 
 def descend_map(flat, rels, quotient, sect):
@@ -57,11 +73,11 @@ def induced(data, data2, f, g):
                                    dense(data2).proj.mat @ flat.mat, validate=False))
 
 
-def counit_contraction(alg, counit, data, act_by, left=True):
+def counit_contraction(alg, counit, data, act, left=True):
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     flat = Matrix.zeros(alg.R, car_m.rank, data.TR.module.rank)
-    eps_act = [act_by(alg.B.from_coeffs(counit.apply(car_c.gen(i))))
+    eps_act = [act_by(alg, act, alg.B.from_coeffs(counit.apply(car_c.gen(i))))
                for i in range(car_c.rank)]
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)

@@ -6,12 +6,12 @@ coprime factorization of x^{p^f - 1} - 1 over F_p, then n - 1 lifting steps.
 ``teichmuller`` and ``digit_frobenius`` are the Frobenius by the
 Teichmueller-digit expansion a = sum p^i tau_i, sigma acting digitwise.
 
-``reference_tables`` is the per-pair builder ``RingSpec._build_tables`` used
-before the tables were filled by linearity: one polynomial product and one
-coefficientwise sum for every pair a <= b, and the inverse found by scanning
-the row for 1.  It runs on an untabled copy of the ring, so every product,
-power and Frobenius value comes from the polynomial arithmetic and none from
-the tables under test; its Frobenius table is the digit expansion's.
+``reference_tables`` is the per-pair table builder the tabled rings once
+used: one polynomial product and one coefficientwise sum for every pair
+a <= b, and the inverse found by scanning the row for 1.  It runs on an
+untabled copy of the ring, so every product, power and Frobenius value comes
+from the polynomial arithmetic and none from the arithmetic under test; its
+Frobenius table is the digit expansion's.
 
 Kept only to be tested against.
 """
@@ -21,12 +21,8 @@ from __future__ import annotations
 from tannaka_forge import rings
 from tannaka_forge.rings import RingSpec, _poly_add, _poly_mul, _poly_trim
 
-TABLE_NAMES = ("_add_tab", "_mul_tab", "_neg_tab", "_val_tab", "_inv_tab",
-               "_frob_tab", "_coeff_tab")
-
-
 def untabled_copy(R: RingSpec) -> RingSpec:
-    """R with every operation computed per call."""
+    """R with every operation computed per call (Z/p^n is never tabled)."""
     saved = rings.TABLE_LIMIT
     rings.TABLE_LIMIT = 0
     try:
@@ -38,7 +34,9 @@ def untabled_copy(R: RingSpec) -> RingSpec:
 
 
 def reference_tables(R: RingSpec) -> dict[str, list]:
-    """The tables of R, keyed by attribute name, from the per-pair builder."""
+    """The values of R's operations, from the per-pair builder: "add" and
+    "mul" at a * size + b, the rest ("neg", "val", "inv", 0 at a non-unit,
+    "frobenius", "coeffs") at a."""
     U = untabled_copy(R)
     size, q, f = U.size, U.q, U.f
     coeffs = [U._coeffs_raw(a) for a in range(size)]
@@ -63,13 +61,13 @@ def reference_tables(R: RingSpec) -> dict[str, list]:
                     inv[a] = b
                     break
     return {
-        "_add_tab": add,
-        "_mul_tab": mul,
-        "_neg_tab": [U._pack([(-c) % q for c in coeffs[a]]) for a in range(size)],
-        "_val_tab": val,
-        "_inv_tab": inv,
-        "_frob_tab": [digit_frobenius(U, a) for a in range(size)],
-        "_coeff_tab": coeffs,
+        "add": add,
+        "mul": mul,
+        "neg": [U._pack([(-c) % q for c in coeffs[a]]) for a in range(size)],
+        "val": val,
+        "inv": inv,
+        "frobenius": [digit_frobenius(U, a) for a in range(size)],
+        "coeffs": coeffs,
     }
 
 

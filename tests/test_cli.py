@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import tannaka_forge
-from tannaka_forge import coalgebra
+from tannaka_forge import coalgebra, tannaka
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.cli import main
-from tannaka_forge.linalg import Matrix
+from tannaka_forge.coalgebra import comodule_hom_span
+from tannaka_forge.linalg import Matrix, Span
 from tannaka_forge.rings import ring_make
 from tannaka_forge.tannaka import DiagObject, DiagramCategory
 from tannaka_forge.suite import grouplike_diagram
@@ -323,6 +324,28 @@ def test_unit_check_solves_only_pairs_inside_a_component(count_calls, tmp_path,
     assert code == 0 and calls == {"comodule_hom_span": 32, "comodule_hom": 0}
     unit = rep["results"]["unit"]
     assert len(unit) == 32 * 32 and set(unit.values()) == {"equal"}
+
+
+def test_unit_lift_failure_is_a_failed_check(monkeypatch, tmp_path, capsys):
+    # with every comodule-hom span forced to zero, the diagram's identity
+    # leaves it: the unit check's RuntimeError becomes a failed unit-lift
+    # check in an exit-1 report, not a traceback
+    def zero_span(Mc, Nc):
+        span = comodule_hom_span(Mc, Nc)
+        return Span(span.ring, [], span.width)
+
+    monkeypatch.setattr(tannaka, "comodule_hom_span", zero_span)
+    f = tmp_path / "g.diagram"
+    f.write_text(GROUPLIKE)
+    out = tmp_path / "report.json"
+    code, rep = run(capsys, ["coend", "--json", str(out), str(f)])
+    assert code == 1
+    assert json.loads(out.read_text()) == rep
+    assert rep["report_digest"].startswith("sha256:")
+    failed = [c for c in rep["checks"] if c["status"] != "pass"]
+    assert failed == [{"name": "unit-lift", "status": "fail",
+                       "detail": "internal error: diagram morphism is not a "
+                                 "comodule map"}]
 
 
 def test_verify_suite_command(capsys):

@@ -213,7 +213,7 @@ def test_cofree_right_adjoint_bijection(alg_f2):
         assert K.cardinality() == KB.cardinality()
         # the correspondence phi -> (eps (x) id) . phi is injective on the span
         from tannaka_forge.coalgebra import counit_contraction
-        eps_id = counit_contraction(alg, C.counit, cmN, N.act_by)
+        eps_id = counit_contraction(alg, C.counit, cmN, N.act)
         images = set()
         for coords in itertools.product(
                 *[range(alg.R.p ** e) for e in K.exps]):

@@ -26,6 +26,7 @@ from tannaka_forge.tannaka import coend, lift_coaction
 from coassoc_reference import (dense_coassoc_witness, dense_tensor_free,
                                flat_triple_tensor, quotient_triple_tensor)
 from dense_tensor import dense
+from descent_reference import act_by
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
 WITT_ALGS = [(2, 1, 2), (2, 2, 2)]                      # F4, GR(4,2)
@@ -255,7 +256,7 @@ def _counit_kernel(C):
     piv = next(i for i, e in enumerate(eps) if B.is_unit(e))
     inv = B.inv(eps[piv])
     return [car.add(car.gen(i),
-                    C.bi.left_by(B.neg(B.mul(e, inv))).apply(car.gen(piv)))
+                    act_by(C.alg, C.bi.left, B.neg(B.mul(e, inv))).apply(car.gen(piv)))
             for i, e in enumerate(eps) if i != piv]
 
 

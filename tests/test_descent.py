@@ -80,9 +80,9 @@ def _compare_coalgebra(C):
     assert dense(cc).left == ref.induced(cc, cc, bi.left, one)
     assert dense(cc).right == ref.induced(cc, cc, one, bi.right)
     assert induced(cc, cc, bi.left, bi.right) == ref.induced(cc, cc, bi.left, bi.right)
-    for left, act_by in ((True, bi.left_by), (False, bi.right_by)):
-        assert counit_contraction(alg, C.counit, cc, act_by, left) == \
-            ref.counit_contraction(alg, C.counit, cc, act_by, left)
+    for left, act in ((True, bi.left), (False, bi.right)):
+        assert counit_contraction(alg, C.counit, cc, act, left) == \
+            ref.counit_contraction(alg, C.counit, cc, act, left)
     t3 = triple_tensor(alg, cc, bi.carrier, bi.left)
     assert coalgebra._coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta) \
         is None is ref.coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta)
@@ -102,8 +102,8 @@ def _compare_comodule(Mc):
     alg, one = C.alg, ModuleMap.identity(C.carrier)
     assert induced(cm, cm, one, M.act) == ref.induced(cm, cm, one, M.act)
     assert induced(cm, cm, C.bi.left, M.act) == ref.induced(cm, cm, C.bi.left, M.act)
-    assert counit_contraction(alg, C.counit, cm, M.act_by) == \
-        ref.counit_contraction(alg, C.counit, cm, M.act_by)
+    assert counit_contraction(alg, C.counit, cm, M.act) == \
+        ref.counit_contraction(alg, C.counit, cm, M.act)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
     hat = Mc.rhohat()
     assert coalgebra._coassoc_witness(t3, C.deltahat, cm, hat, Mc.rho) is None \

@@ -1,13 +1,14 @@
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from tannaka_forge.rings import (RingSpec, ring_make, NonUnitError, is_prime,
                                  _lex_least_irreducible)
 
-from ring_reference import (TABLE_NAMES, digit_frobenius, hensel_modulus,
-                            reference_tables, teichmuller)
+from ring_reference import (digit_frobenius, hensel_modulus, reference_tables,
+                            teichmuller)
 
 
 def test_ring_make_examples(Z8, F4, GR42):
@@ -231,30 +232,67 @@ REFERENCE_RINGS = [(2, 1, 1), (2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2),
 
 @pytest.mark.parametrize("pnf", REFERENCE_RINGS, ids=lambda t: "GR(%d^%d,%d)" % t)
 def test_tables_match_per_pair_reference(pnf):
-    R = ring_make(*pnf)
-    assert R._tabled
+    # every operation on every pair or element equals the per-pair builder's
+    # table; a fresh ring is visited in a seeded random order, so the tables
+    # of f >= 2 fill entry by entry in an order of no construction's making
+    h = ring_make(*pnf).h
+    R = RingSpec(*pnf, h)
+    assert R._tabled == (R.f > 1)
     ref = reference_tables(R)
-    for name in TABLE_NAMES:
-        assert getattr(R, name) == ref[name], name
+    size = R.size
+    rng = random.Random(size * R.f)
+    pairs = [(a, b) for a in range(size) for b in range(size)]
+    rng.shuffle(pairs)
+    for a, b in pairs:
+        k = a * size + b
+        assert R.add(a, b) == ref["add"][k], (a, b)
+        assert R.mul(a, b) == ref["mul"][k], (a, b)
+        assert R.sub(a, b) == ref["add"][a * size + ref["neg"][b]], (a, b)
+    for a in rng.sample(range(size), size):
+        assert R.neg(a) == ref["neg"][a], a
+        assert R.val(a) == ref["val"][a], a
+        assert R.frobenius(a) == ref["frobenius"][a], a
+        assert R.coeffs(a) == ref["coeffs"][a], a
+        if ref["val"][a] == 0:
+            assert R.inv(a) == ref["inv"][a], a
+        else:
+            with pytest.raises(NonUnitError):
+                R.inv(a)
 
 
 @pytest.mark.parametrize("pnf", [(2, 1, 8), (2, 2, 4)])
 def test_table_build_polynomial_product_count(pnf, monkeypatch):
-    # filling by linearity needs at most size * f polynomial products; the
-    # per-pair builder made size * (size + 1) / 2 = 32896 of them
+    # construction makes no polynomial product and no digit sum; after
+    # every operation on every pair and element, each unordered pair has
+    # been multiplied and added at most once (the per-pair builder made
+    # size * (size + 1) / 2 = 32896 products at construction)
     h = ring_make(*pnf).h
-    calls = [0]
-    mul_raw = RingSpec._mul_raw
+    products, sums = Counter(), Counter()
+    mul_raw, add_raw = RingSpec._mul_raw, RingSpec._add_raw
 
-    def counting(self, a, b):
-        calls[0] += 1
+    def counting_mul(self, a, b):
+        products[min(a, b), max(a, b)] += 1
         return mul_raw(self, a, b)
 
-    monkeypatch.setattr(RingSpec, "_mul_raw", counting)
+    def counting_add(self, a, b):
+        sums[min(a, b), max(a, b)] += 1
+        return add_raw(self, a, b)
+
+    monkeypatch.setattr(RingSpec, "_mul_raw", counting_mul)
+    monkeypatch.setattr(RingSpec, "_add_raw", counting_add)
     R = RingSpec(*pnf, h)
     assert R._tabled and R.size == 256
-    assert 0 < calls[0] <= R.size * R.f
-    units = list(R.units())
+    assert not products and not sums
+    units = [a for a in R.elements() if R.val(a) == 0]
     assert len(units) == R.size - R.size // R.p**R.f
     for a in units:
         assert R.mul(a, R.inv(a)) == R.one
+    for a in R.elements():
+        R.frobenius(a)
+        R.neg(a)
+        for b in R.elements():
+            R.add(a, b)
+            R.sub(a, b)
+            R.mul(a, b)
+    assert len(products) == len(sums) == R.size * (R.size + 1) // 2
+    assert set(products.values()) == set(sums.values()) == {1}
