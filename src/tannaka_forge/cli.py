@@ -29,7 +29,8 @@ from .textio import (ParseError, parse_diagram, parse_reconstruct_input,
                      parse_mf_objects_spec, format_matrix)
 from .tannaka import (hom_closure, coend, lift_coaction, unit_fully_faithful_check,
                       counit_map, counit_from_coend, flatness_check,
-                      recognition_check, DiagramNotClosed, CoendTooLarge)
+                      recognition_check, DiagramNotClosed, CoendTooLarge,
+                      UnitLiftError)
 from .coalgebra import AxiomError
 from .mf import mf_to_diagram, MFError
 from .suite import run_suite
@@ -123,8 +124,7 @@ def _run_pipeline(D, budget: int, with_recognition: bool) -> tuple[list, dict]:
         lifted = lift_coaction(CR)
         try:
             verd = unit_fully_faithful_check(CR, lifted)
-        except RuntimeError as e:
-            # a diagram morphism that is no comodule map of the lifts
+        except UnitLiftError as e:
             checks.append({"name": "unit-lift", "status": "fail",
                            "detail": str(e)})
             return checks, results

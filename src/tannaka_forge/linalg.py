@@ -25,10 +25,10 @@ of side A.rows; `solve_columns` answers many right-hand sides from one
 graph, and `solve` is its one-target case.
 
 Over R = Z/p^n (ring.native_q is q) elements are ints mod q, and the
-kernels here (products, Smith's row and column updates, the Howell
-insertion and Span.reduce) sum plain int products and reduce mod q once per
-entry instead of calling the ring twice per term; other rings go through
-ring.add and ring.mul.
+matrix product and Span.reduce sum plain int products and reduce mod q once
+per entry instead of calling the ring twice per term; other rings go
+through ring.add and ring.mul.  Smith's row and column updates and the
+Howell insertion make one ring.addmul per term.
 
 No fraction-free or probabilistic shortcuts; everything is exact at desk
 scale.
@@ -230,7 +230,7 @@ def smith(A: Matrix) -> SmithForm:
     U = Matrix.identity(ring, rows)
     Ui = Matrix.identity(ring, rows)
     Vi = Matrix.identity(ring, cols)
-    add, mul, neg, val, q = ring.add, ring.mul, ring.neg, ring.val, ring.native_q
+    mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
 
     def row_swap(M, i, j):
         M.data[i], M.data[j] = M.data[j], M.data[i]
@@ -244,13 +244,13 @@ def smith(A: Matrix) -> SmithForm:
         rd = M.data[dst]
         for j, a in enumerate(M.data[src]):
             if a:
-                rd[j] = (rd[j] + c * a) % q if q else add(rd[j], mul(c, a))
+                rd[j] = addmul(rd[j], c, a)
 
     def col_addmul(M, dst, src, c):
         for r in M.data:
             a = r[src]
             if a:
-                r[dst] = (r[dst] + c * a) % q if q else add(r[dst], mul(c, a))
+                r[dst] = addmul(r[dst], c, a)
 
     def row_scale(M, i, c):
         M.data[i] = [mul(c, a) if a else 0 for a in M.data[i]]
@@ -402,15 +402,15 @@ def howell(ring: RingSpec, rows, width: int) -> list[list[int]]:
     Every new pivot p^a with a > 0 inserts its tail p^{n-a} * row.  The
     entries above each pivot are reduced at the end.
     """
-    n, q = ring.n, ring.native_q
-    add, mul, neg, val = ring.add, ring.mul, ring.neg, ring.val
+    n = ring.n
+    mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
     divide = ring.divide_p_power
     pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, exponent)
 
     def reduce(r, prow, t):
         # r += t * prow, keeping r free of zero entries
         for k, pe in prow.items():
-            e = (r.get(k, 0) + t * pe) % q if q else add(r.get(k, 0), mul(t, pe))
+            e = addmul(r.get(k, 0), t, pe)
             if e:
                 r[k] = e
             else:

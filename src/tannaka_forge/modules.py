@@ -35,7 +35,6 @@ layout alone, with no injection or projection matrices.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -155,13 +154,7 @@ def canonical_layout(ring: RingSpec, entries) -> tuple[FinModule, dict]:
     """The canonical module with one summand R/p^e per (e, key) entry, and
     the coordinate of each key: summands in descending exponent, ties by
     key.  The dict iterates its keys in coordinate order."""
-    entries = list(entries)
-    # already in order when every exponent is equal and the keys ascend, as
-    # in a tensor or a sum of free modules: then the (e, key) pairs ascend
-    # and the first and last exponents agree, and the sort is skipped
-    if not (entries and entries[0][0] == entries[-1][0]
-            and all(map(operator.le, entries, itertools.islice(entries, 1, None)))):
-        entries.sort(key=lambda t: (-t[0], t[1]))
+    entries = sorted(entries, key=lambda t: (-t[0], t[1]))
     return (FinModule(ring, tuple(e for e, _ in entries)),
             {key: r for r, (_, key) in enumerate(entries)})
 

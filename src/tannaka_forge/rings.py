@@ -19,12 +19,12 @@ Teichmueller element and the Frobenius sends a(x) to a(x^p).  Reports always
 print the chosen h.
 
 Each RingSpec picks its arithmetic once, when it is built, and binds add,
-sub, neg, mul, val, inv and frobenius to it:
+sub, neg, mul, addmul (x + c * a), val, inv and frobenius to it:
   * Z/p^n (f = 1, any n): an element is an int mod q = p^n, and every
     operation is int arithmetic mod q (inv is pow(a, -1, q), the Frobenius
-    the identity).  No tables are built, and the matrix kernels in linalg
-    and modules sum plain int products there, reducing once per entry
-    (RingSpec.native_q is q exactly then);
+    the identity).  No tables are built, and the matrix product,
+    Span.reduce and sparse_image sum plain int products there, reducing
+    once per entry (RingSpec.native_q is q exactly then);
   * f >= 2 with at most TABLE_LIMIT elements: add and mul tables of size^2
     entries are allocated at construction and filled entry by entry on
     first use, each entry and its mirror by one digit sum or polynomial
@@ -199,7 +199,7 @@ class RingSpec:
 
     Immutable after construction; all operations are pure functions of the
     packed-int element encoding.  The constructor binds add, sub, neg, mul,
-    val, inv, frobenius and coeffs to one of three arithmetics (see the
+    addmul, val, inv, frobenius and coeffs to one of three arithmetics (see the
     module docstring), so no call chooses among them.
     """
 
@@ -232,12 +232,12 @@ class RingSpec:
                                for k in range(f)]
                 self._xpow_red.append(tuple(shifted))
         # q when an element is its own residue mod q (f = 1): the matrix
-        # kernels then sum plain int products and reduce once per entry
+        # product, Span.reduce and sparse_image then sum plain int products
+        # and reduce once per entry
         self.native_q = self.q if f == 1 else None
-        self._tabled = f > 1 and self.size <= TABLE_LIMIT
         if f == 1:
             self._bind_native()
-        elif self._tabled:
+        elif self.size <= TABLE_LIMIT:
             self._bind_tables()
         else:
             self._bind_computed()
@@ -272,6 +272,7 @@ class RingSpec:
         self.sub = lambda a, b: (a - b) % q
         self.neg = lambda a: -a % q
         self.mul = lambda a, b: a * b % q
+        self.addmul = lambda x, c, a: (x + c * a) % q
         self.val = val
         self.inv = inv
         self.frobenius = lambda a: a
@@ -301,6 +302,7 @@ class RingSpec:
             return m
 
         self.add, self.mul = add, mul
+        self.addmul = lambda x, c, a: add(x, mul(c, a))
         self.neg = neg = _memo(self._neg_raw, size)
         self.sub = lambda a, b: add(a, neg(b))
         self.val = _memo(self._val_raw, size)
@@ -311,8 +313,10 @@ class RingSpec:
     def _bind_computed(self):
         """Above TABLE_LIMIT: every operation on the coefficient vectors,
         valuations cached per element."""
-        self.add, self.mul, self.neg = self._add_raw, self._mul_raw, self._neg_raw
-        self.sub = lambda a, b: self._add_raw(a, self._neg_raw(b))
+        add, mul, neg = self._add_raw, self._mul_raw, self._neg_raw
+        self.add, self.mul, self.neg = add, mul, neg
+        self.addmul = lambda x, c, a: add(x, mul(c, a))
+        self.sub = lambda a, b: add(a, neg(b))
         cache: dict[int, int] = {}
 
         def val(a):

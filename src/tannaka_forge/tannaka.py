@@ -71,6 +71,11 @@ class CoendTooLarge(ValueError):
     """Raised when the coend's carrier has rank above MAX_L_RANK."""
 
 
+class UnitLiftError(RuntimeError):
+    """Raised by the unit check when a diagram morphism is not a comodule
+    map of the lifted coactions."""
+
+
 DEFAULT_BUDGET = 4096
 
 # The largest rank N = sum_k (r_k f_B)^2 of T a diagram may have; larger
@@ -449,7 +454,7 @@ def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = N
         for l in range(D.nobj()):
             homs, span = comodule_hom_span(lifted[k], lifted[l]), D.span(k, l)
             if not all(homs.contains(r) for r in span.rows):
-                raise RuntimeError("internal error: diagram morphism is "
+                raise UnitLiftError("internal error: diagram morphism is "
                                    "not a comodule map")
             if homs.rows == span.rows:
                 verdicts[(k, l)] = ("equal",)

@@ -22,15 +22,21 @@ from tannaka_forge import rings
 from tannaka_forge.rings import RingSpec, _poly_add, _poly_mul, _poly_trim
 
 def untabled_copy(R: RingSpec) -> RingSpec:
-    """R with every operation computed per call (Z/p^n is never tabled)."""
+    """R built with no tables: every operation computed per call when f >= 2
+    (Z/p^n keeps its int arithmetic, it has no tables)."""
     saved = rings.TABLE_LIMIT
     rings.TABLE_LIMIT = 0
     try:
         U = RingSpec(R.p, R.n, R.f, R.h)
     finally:
         rings.TABLE_LIMIT = saved
-    assert not U._tabled
+    assert U.f == 1 or computed_per_call(U)
     return U
+
+
+def computed_per_call(R: RingSpec) -> bool:
+    """Did R bind the per-call arithmetic (no tables, not Z/p^n)?"""
+    return R.mul == R._mul_raw and R.add == R._add_raw
 
 
 def reference_tables(R: RingSpec) -> dict[str, list]:

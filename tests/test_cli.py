@@ -14,6 +14,7 @@ from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.cli import main
 from tannaka_forge.coalgebra import comodule_hom_span
 from tannaka_forge.linalg import Matrix, Span
+from tannaka_forge.modules import EnumerationBudget
 from tannaka_forge.rings import ring_make
 from tannaka_forge.tannaka import DiagObject, DiagramCategory
 from tannaka_forge.suite import grouplike_diagram
@@ -346,6 +347,19 @@ def test_unit_lift_failure_is_a_failed_check(monkeypatch, tmp_path, capsys):
     assert failed == [{"name": "unit-lift", "status": "fail",
                        "detail": "internal error: diagram morphism is not a "
                                  "comodule map"}]
+
+
+def test_unit_lift_catches_only_its_own_error(monkeypatch, tmp_path, capsys):
+    # any other RuntimeError raised under the unit check (a budget, a
+    # recursion limit) is no refutation and is not reported as unit-lift
+    def failing_span(Mc, Nc):
+        raise EnumerationBudget("budget exhausted")
+
+    monkeypatch.setattr(tannaka, "comodule_hom_span", failing_span)
+    f = tmp_path / "g.diagram"
+    f.write_text(GROUPLIKE)
+    with pytest.raises(EnumerationBudget):
+        main(["coend", str(f)])
 
 
 def test_verify_suite_command(capsys):

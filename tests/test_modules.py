@@ -9,8 +9,7 @@ from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentatio
                                    hom_module, tensor_with_data, map_kernel,
                                    map_cokernel, submodule, direct_sum,
                                    solve_in, sub_elements, NotWellDefined,
-                                   EnumerationBudget, is_isomorphism, map_tensor,
-                                   canonical_layout)
+                                   EnumerationBudget, is_isomorphism, map_tensor)
 from tannaka_forge.algebra import AlgebraSpec, _btensor_core
 
 from dense_tensor import dense
@@ -324,28 +323,3 @@ def test_middle_relation_matches_dense(pnf):
         rel = (dense_map_tensor(TR, x_right, ModuleMap.identity(Y), TR)
                - dense_map_tensor(TR, ModuleMap.identity(X), y_left, TR))
         assert dense(data).rel_cols == rel.mat
-
-
-def test_canonical_layout_matches_full_sort():
-    # the layout skips its sort when the entries are already in order;
-    # either way it equals the layout of the fully sorted entries
-    R = ring_make(2, 3, 1)
-    rng = random.Random(11)
-    skipped = sorted_ = 0
-    for _ in range(400):
-        keys = rng.sample([(i, j) for i in range(4) for j in range(4)], rng.randint(0, 8))
-        if rng.random() < 0.5:
-            keys.sort()
-        if rng.random() < 0.5:
-            entries = [(3, k) for k in keys]
-        else:
-            entries = [(rng.randint(1, 3), k) for k in keys]
-        ref = sorted(entries, key=lambda t: (-t[0], t[1]))
-        M, at = canonical_layout(R, iter(entries))
-        assert M.exps == tuple(e for e, _ in ref)
-        assert list(at.items()) == [(k, r) for r, (_, k) in enumerate(ref)]
-        if entries == ref:
-            skipped += 1
-        else:
-            sorted_ += 1
-    assert skipped > 50 and sorted_ > 50

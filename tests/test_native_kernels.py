@@ -1,12 +1,13 @@
 """The Z/p^n fast paths of the matrix kernels, against ring-method loops.
 
-Over R = Z/p^n (f = 1) the kernels Matrix.__matmul__, modules.sparse_image,
-linalg.howell, Span.reduce and smith's row and column updates sum plain int
-products and reduce mod q once per entry.  Each is compared here with the
-same computation through R.add and R.mul: an explicit loop where the kernel
-is short, and otherwise the kernel itself on a copy of R whose native_q is
-None, so that it takes its ring-method branch (and, for howell, the dense
-reference).  The rings are Z/8 and Z/9 and the two whose q is far above a
+Over R = Z/p^n (f = 1) the kernels Matrix.__matmul__, modules.sparse_image
+and Span.reduce sum plain int products and reduce mod q once per entry, and
+linalg.howell and smith's row and column updates make one int addmul
+(x + c * a) % q per term.  Each is compared here with the same computation
+through R.add and R.mul: an explicit loop where the kernel is short, and
+otherwise the kernel itself on a copy of R whose native_q is None and whose
+addmul goes through R.add and R.mul, so that it takes its ring-method
+branch (and, for howell, the dense reference).  The rings are Z/8 and Z/9 and the two whose q is far above a
 machine word, Z/2^64 and Z/3^64.  The untabled Witt rings GR(2^64,12) and
 GR(3^64,7) are checked element by element against polynomial arithmetic
 mod h.
@@ -28,9 +29,11 @@ IDS = ["Z/%d^%d" % pn for pn in NATIVE]
 
 
 def generic(R):
-    """R with its kernels' fast path off: the same ring, native_q None."""
+    """R with its kernels' fast path off: the same ring, native_q None and
+    addmul through the ring's add and mul."""
     G = copy.copy(R)
     G.native_q = None
+    G.addmul = lambda x, c, a: R.add(x, R.mul(c, a))
     return G
 
 
@@ -193,6 +196,7 @@ def test_large_ring_elements_match_polynomial_arithmetic(pnf):
             assert R.add(a, b) == R.from_coeffs([x + y for x, y in zip(ca, cb)])
             assert R.sub(a, b) == R.from_coeffs([x - y for x, y in zip(ca, cb)])
             assert R.mul(a, b) == poly_reference_mul(R, a, b)
+            assert R.addmul(a, b, els[-1]) == R.add(a, poly_reference_mul(R, b, els[-1]))
         for b in els[:8]:
             assert R.frobenius(R.mul(a, b)) == R.mul(R.frobenius(a), R.frobenius(b))
             assert R.frobenius(R.add(a, b)) == R.add(R.frobenius(a), R.frobenius(b))

@@ -7,8 +7,8 @@ import pytest
 from tannaka_forge.rings import (RingSpec, ring_make, NonUnitError, is_prime,
                                  _lex_least_irreducible)
 
-from ring_reference import (digit_frobenius, hensel_modulus, reference_tables,
-                            teichmuller)
+from ring_reference import (computed_per_call, digit_frobenius, hensel_modulus,
+                            reference_tables, teichmuller)
 
 
 def test_ring_make_examples(Z8, F4, GR42):
@@ -189,7 +189,7 @@ def test_untabled_ring_agrees_with_tabled():
     # GR(2^5, 2) has 1024 elements, beyond the table limit; spot-check the
     # computed path against ring axioms and the Frobenius contract
     R = ring_make(2, 5, 2)
-    assert not R._tabled
+    assert computed_per_call(R)
     sample = [0, 1, R.x, R.from_coeffs((3, 7)), R.from_coeffs((31, 2)),
               R.from_coeffs((16, 16)), R.from_coeffs((5, 27))]
     for a in sample:
@@ -205,7 +205,7 @@ def test_untabled_ring_agrees_with_tabled():
         assert R.frobenius(a) == digit_frobenius(R, a)
     # GR(3^4, 3) has 81^3 elements: sigma against the digit expansion
     S = ring_make(3, 4, 3)
-    assert not S._tabled
+    assert computed_per_call(S)
     rng = random.Random(7)
     for a in [0, 1, S.x] + [rng.randrange(S.size) for _ in range(200)]:
         assert S.frobenius(a) == digit_frobenius(S, a)
@@ -237,7 +237,7 @@ def test_tables_match_per_pair_reference(pnf):
     # of f >= 2 fill entry by entry in an order of no construction's making
     h = ring_make(*pnf).h
     R = RingSpec(*pnf, h)
-    assert R._tabled == (R.f > 1)
+    assert not computed_per_call(R) and (R.native_q is None) == (R.f > 1)
     ref = reference_tables(R)
     size = R.size
     rng = random.Random(size * R.f)
@@ -281,7 +281,7 @@ def test_table_build_polynomial_product_count(pnf, monkeypatch):
     monkeypatch.setattr(RingSpec, "_mul_raw", counting_mul)
     monkeypatch.setattr(RingSpec, "_add_raw", counting_add)
     R = RingSpec(*pnf, h)
-    assert R._tabled and R.size == 256
+    assert not computed_per_call(R) and R.size == 256
     assert not products and not sums
     units = [a for a in R.elements() if R.val(a) == 0]
     assert len(units) == R.size - R.size // R.p**R.f
