@@ -5,7 +5,7 @@ F-module pipeline, with a CLI that emits structured reports."""
 
 from .rings import RingSpec, ring_make, NonUnitError
 from .linalg import (Matrix, SmithForm, smith, kernel, solve, inverse,
-                     is_invertible, cokernel_exponents, howell)
+                     is_invertible, howell)
 from .modules import (FinModule, ModuleMap, module_from_presentation,
                       hom_module, tensor_with_data, map_kernel, map_cokernel,
                       direct_sum)
@@ -24,7 +24,7 @@ from .mf import (FilteredFModule, mf_make, mbar, is_mf_fl, mf_hom,
 __all__ = [
     "RingSpec", "ring_make", "NonUnitError",
     "Matrix", "SmithForm", "smith", "kernel", "solve", "inverse",
-    "is_invertible", "cokernel_exponents", "howell",
+    "is_invertible", "howell",
     "FinModule", "ModuleMap", "module_from_presentation", "hom_module",
     "tensor_with_data", "map_kernel", "map_cokernel", "direct_sum",
     "AlgebraSpec", "BModule", "BBBimodule", "bimodule_make", "free_bmodule",

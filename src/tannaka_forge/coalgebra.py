@@ -30,11 +30,12 @@ Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
 
 Comodule homs M -> N are the kernel of the coaction condition
-rho_N h - (id (x)_B h) rho_M, whose columns one helper writes from sparse
-columns into the chart Hom_R(M, C (x)_B N).  comodule_hom solves it over
-Hom_R(M, N) with B-linearity stacked on, for any comodules;
-comodule_hom_span solves it over an R-basis of Hom_B, for comodules on the
-standard free carriers, with f_B times fewer unknowns.
+rho_N h - (id (x)_B h) rho_M, whose columns one helper writes as sparse
+columns in the chart Hom_R(M, C (x)_B N); modules.hom_equalizer solves it.
+comodule_hom solves it over Hom_R(M, N) with B-linearity (commutator_cols)
+stacked on, for any comodules; comodule_hom_span solves it over an R-basis
+of Hom_B, for comodules on the standard free carriers, with f_B times fewer
+unknowns.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .linalg import Matrix, Span
-from .modules import (FinModule, ModuleMap, HomData, hom_module, syzygies,
-                      direct_sum, submodule, solve_in, factor_through,
+from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
+                      commutator_cols, submodule, solve_in, factor_through,
                       sub_canonical, sub_elements, sparse_image, descend_sparse,
                       map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
@@ -282,20 +283,6 @@ def _coaction_condition(Mc: Comodule, Nc: Comodule):
     return condition
 
 
-def _condition_syzygies(unknowns: FinModule, charts: list[HomData],
-                        conds) -> Matrix:
-    """Generators of the unknowns on which every condition vanishes.
-    conds[u][t] holds the sparse columns of unknown u's condition map in the
-    Hom module charts[t]; they are written straight into the coordinates of
-    the direct sum of the charts, and the kernel is read off with its
-    torsion."""
-    tsum = direct_sum([chart.module for chart in charts])
-    place = tsum.place
-    cols = [[(place[(t, r)], v) for t, g in enumerate(cond)
-             for r, v in charts[t].sparse_coords(g)] for cond in conds]
-    return syzygies(tsum.module, map_from_cols(unknowns, tsum.module, cols).mat)
-
-
 def comodule_hom(Mc: Comodule, Nc: Comodule):
     """The R-module of comodule maps M -> N, as the maps h in Hom_R(M, N)
     with h x_M = x_N h (B-linear) and rho_N h = (id_C (x)_B h) rho_M.
@@ -306,16 +293,9 @@ def comodule_hom(Mc: Comodule, Nc: Comodule):
     M, N = Mc.module, Nc.module
     H = hom_module(M.carrier, N.carrier)
     xM, xN = M.act.mat.sparse_cols(), N.act.mat.sparse_cols()
-    neg = N.carrier.ring.neg
-
-    def conditions(h):
-        # h x_M - x_N h, one sparse_image per column over h's and x_N's columns
-        comm = [sparse_image(col + [(len(h) + r, neg(c)) for r, c in h[q]],
-                             h + xN, N.carrier) for q, col in enumerate(xM)]
-        return [comm, coaction(h)]
-
-    syz = _condition_syzygies(H.module, [H, hom_module(M.carrier, Nc.cm.module)],
-                              [conditions(h) for h in H.basis_cols()])
+    syz = hom_equalizer(H.module, [H, hom_module(M.carrier, Nc.cm.module)],
+                        [[commutator_cols(h, xM, xN, N.carrier), coaction(h)]
+                         for h in H.basis_cols()])
     K, incl = submodule(H.module, syz)
     return K, [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
 
@@ -348,8 +328,8 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
                 for g in range(fb):
                     h[s * fb + g] = [(t * fb + d, c) for d, c in xpow[beta + g]]
                 conds.append([coaction(h)])
-    syz = _condition_syzygies(FinModule.free(R, len(conds)),
-                              [hom_module(Mc.carrier, Nc.cm.module)], conds)
+    syz = hom_equalizer(FinModule.free(R, len(conds)),
+                        [hom_module(Mc.carrier, Nc.cm.module)], conds)
     return Span(R, [syz.col(j) for j in range(syz.cols)], len(conds))
 
 

@@ -5,10 +5,11 @@ minimal-valuation pivoting produces a diagonal (Smith-style) normal form
 A = U * D * V with U, V invertible and D_ii = p^{a_i}, a_1 <= a_2 <= ...
 (a_i = n encodes a zero entry).  The pivot rule is fixed - minimal
 valuation, then row-major position - and units are normalized into U, which
-makes the output deterministic for a given input.  `smith` returns U, D,
-U^-1 and V^-1; presentations and cokernel exponents read it, and V itself
-is not accumulated.  Images are not computed here: a column span is
-presented by modules.submodule.
+makes the output deterministic for a given input.  `smith` returns U, U^-1,
+the invariants and the column swaps: presentations read only these, so
+the row operations alone are carried out, leaving U^-1 A, with its columns
+swapped, upper triangular, and neither V nor V^-1 is built.  Images are
+not computed here: a column span is presented by modules.submodule.
 
 The Howell form implemented here is the canonical generating matrix of a row
 span: it depends only on the spanned submodule, not on the presented
@@ -211,15 +212,18 @@ def block_diag(ring: RingSpec, blocks: list[Matrix]) -> Matrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """A = U * D * V with U, V invertible and D = diag(p^{a_i}) padded by
-    zeros; invariants lists a_i (a_i = n for a zero entry), nondecreasing.
-    u_inv and v_inv are the exact inverses, accumulated during reduction,
-    so D = u_inv * A * v_inv; V itself is not kept, as no reader needs it."""
+    """U^-1 A P = T with U invertible, P the column permutation perm
+    (column j of A P is column perm[j] of A) and T upper triangular: row i
+    has p^{a_i} on the diagonal and entries divisible by p^{a_i} to its
+    right, and the rows past the rank are zero.  invariants lists a_i (a_i =
+    n for a zero pivot), nondecreasing; u_inv is the exact inverse of U,
+    accumulated during reduction.  Column operations alone take T to
+    diag(p^{a_i}), so A = U D V for some invertible V, which no reader
+    needs and so is not built."""
     U: Matrix
-    D: Matrix
     invariants: tuple[int, ...]
     u_inv: Matrix
-    v_inv: Matrix
+    perm: tuple[int, ...]
 
 
 def smith(A: Matrix) -> SmithForm:
@@ -229,7 +233,7 @@ def smith(A: Matrix) -> SmithForm:
     D = A.copy()
     U = Matrix.identity(ring, rows)
     Ui = Matrix.identity(ring, rows)
-    Vi = Matrix.identity(ring, cols)
+    perm = list(range(cols))
     mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
 
     def row_swap(M, i, j):
@@ -287,7 +291,7 @@ def smith(A: Matrix) -> SmithForm:
             row_swap(Ui, pi, k)
         if pj != k:
             col_swap(D, pj, k)
-            col_swap(Vi, pj, k)
+            perm[pj], perm[k] = perm[k], perm[pj]
         # normalize pivot to p^a, pushing the unit into U
         a = best_val
         u = ring.unit_part(D.data[k][k])
@@ -296,8 +300,8 @@ def smith(A: Matrix) -> SmithForm:
             row_scale(D, k, u_inv)
             col_scale(U, k, u)
             row_scale(Ui, k, u_inv)
-        piv = D.data[k][k]  # = p^a
-        # clear column k below the pivot
+        # clear column k below the pivot; row k is left as it is, since
+        # clearing it changes only row k, which no later step reads
         for i in range(k + 1, rows):
             e = D.data[i][k]
             if e:
@@ -305,16 +309,8 @@ def smith(A: Matrix) -> SmithForm:
                 row_addmul(D, i, k, neg(t))
                 col_addmul(U, k, i, t)
                 row_addmul(Ui, i, k, neg(t))
-        # clear row k right of the pivot
-        for j in range(k + 1, cols):
-            e = D.data[k][j]
-            if e:
-                t = ring.divide_p_power(e, a)
-                col_addmul(D, j, k, neg(t))
-                col_addmul(Vi, j, k, neg(t))
-        assert D.data[k][k] == piv
     invariants = tuple(val(D.data[i][i]) for i in range(m))
-    return SmithForm(U, D, invariants, Ui, Vi)
+    return SmithForm(U, invariants, Ui, tuple(perm))
 
 
 def _graph(A: Matrix) -> "Span":
@@ -366,17 +362,6 @@ def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
 def solve(A: Matrix, b: list[int]) -> list[int] | None:
     """Some x with A x = b, or None if no solution exists."""
     return solve_columns(A, [b])[0]
-
-
-def cokernel_exponents(A: Matrix) -> tuple[int, ...]:
-    """Exponent multiset of coker(A) = R^rows / colspan(A), sorted
-    descending; e = n is a free summand, zero summands are dropped."""
-    ring = A.ring
-    sf = smith(A)
-    m = min(A.rows, A.cols)
-    exps = [a for a in sf.invariants if a > 0]
-    exps.extend([ring.n] * (A.rows - m))
-    return tuple(sorted(exps, reverse=True))
 
 
 # ---------------------------------------------------------------------------

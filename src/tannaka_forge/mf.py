@@ -16,7 +16,9 @@ cross-check of the relation convention.
 Hom spaces are solved over R = Z/p^n, not W: sigma-semilinearity makes the
 phi-compatibility constraint only R-linear, which is exactly why base
 coalgebras over B = W_n (rather than plain W_n-coalgebras) appear when these
-categories are fed to the coend machinery.
+categories are fed to the coend machinery.  mf_hom writes W-linearity, the
+filtration and phi as sparse condition columns, and modules.hom_equalizer
+solves them, as it solves the comodule-hom conditions.
 
 The objects a command builds are Tate objects M(k), with k at most
 MAX_TWIST, and their direct sums, as the CLI's object spec names them;
@@ -32,8 +34,8 @@ from .rings import RingSpec, ring_make
 from .linalg import Matrix, block_diag
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
                       presentation_with_torsion, hom_module, hom_equalizer,
-                      map_kernel, is_isomorphism, is_surjective, descend_map,
-                      factor_through)
+                      commutator_cols, sparse_image, submodule, map_kernel,
+                      is_isomorphism, is_surjective, descend_map, factor_through)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
 
@@ -314,31 +316,38 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     carX = [_RCarrier(alg, X.M)] + [_RCarrier(alg, filX[i].src) for i in steps]
     carY = [_RCarrier(alg, Y.M)] + [_RCarrier(alg, filY[i].src) for i in steps]
     unknowns = [hom_module(a.rmod, b.rmod) for a, b in zip(carX, carY)]
-    # targets: the x-commutator of each slot, then per step the inclusion
+    usum = direct_sum([U.module for U in unknowns])
+    # charts: the x-commutator of each slot, then per step the inclusion
     # factorization and the phi compatibility, both Fil^i_X -> M_Y
-    nfil = len(steps)
-    targets = [(U.src, U.dst) for U in unknowns]
-    for c in carX[1:]:
-        targets += [(c.rmod, carY[0].rmod)] * 2
+    nfil, MY = len(steps), carY[0].rmod
+    charts = unknowns + [H for c in carX[1:] for H in [hom_module(c.rmod, MY)] * 2]
     fils = list(zip(carX[1:], carY[1:], steps))
-    iotaX = [carX[0].w2r_map(cx, filX[i].mat) for cx, _, i in fils]
-    iotaY = [carY[0].w2r_map(cy, filY[i].mat) for _, cy, i in fils]
-    phiXr = [carX[0].w2r_map(cx, phiX[i].mat) @ cx.sigma for cx, _, i in fils]
-    phiYr = [carY[0].w2r_map(cy, phiY[i].mat) @ cy.sigma for _, cy, i in fils]
+    # each step's inclusion and phi as sparse columns: X's negated, as g
+    # follows them, and Y's, which follow g_i
+    pre = [[(-m).mat.sparse_cols() for m in (carX[0].w2r_map(cx, filX[i].mat),
+            carX[0].w2r_map(cx, phiX[i].mat) @ cx.sigma)] for cx, _, i in fils]
+    post = [[m.mat.sparse_cols() for m in (carY[0].w2r_map(cy, filY[i].mat),
+             carY[0].w2r_map(cy, phiY[i].mat) @ cy.sigma)] for _, cy, i in fils]
+    acts = [(a.act.mat.sparse_cols(), b.act.mat.sparse_cols(), b.rmod)
+            for a, b in zip(carX, carY)]
 
-    def image(s: int, h: ModuleMap):
-        out = [None] * len(targets)
-        out[s] = (h @ carX[s].act) - (carY[s].act @ h)
+    def conditions(s: int, h):
+        out = [[] for _ in charts]
+        out[s] = commutator_cols(h, *acts[s])
         if s == 0:
             for t in range(nfil):
-                out[nfil + 1 + 2 * t] = -(h @ iotaX[t])
-                out[nfil + 2 + 2 * t] = -(h @ phiXr[t])
+                for d, m in enumerate(pre[t]):
+                    out[nfil + 1 + 2 * t + d] = [sparse_image(c, h, MY) for c in m]
         else:
-            out[nfil + 2 * s - 1] = iotaY[s - 1] @ h
-            out[nfil + 2 * s] = phiYr[s - 1] @ h
+            for d, m in enumerate(post[s - 1]):
+                out[nfil + 2 * s - 1 + d] = [sparse_image(c, m, MY) for c in h]
         return out
 
-    K, incl, usum = hom_equalizer(unknowns, targets, image)
+    conds = [None] * usum.module.rank
+    for s, U in enumerate(unknowns):
+        for k, h in enumerate(U.basis_cols()):
+            conds[usum.place[(s, k)]] = conditions(s, h)
+    K, incl = submodule(usum.module, hom_equalizer(usum.module, charts, conds))
     basis = []
     for k in range(K.rank):
         v = incl.apply(K.gen(k))

@@ -15,16 +15,20 @@ a matrix A of elements of M by torsion_matrix(M) so that equations hold in
 M rather than in its free cover: syzygies(M, A) generates the relations
 among A's columns, submodule(M, A) presents their span in canonical form,
 and solve_in(M, A, targets) expresses any number of targets in that span
-from one Howell form of the graph of A | torsion_matrix(M).  Every map out of a presented quotient is descended
-by one sparse kernel, descend_sparse (descend_map is its dense entry
-point), on sparse columns such as those tensor_cols builds for f (x) g
-from the nonzeros of f and g.  Kernels and images of maps are
-submodules, and
-hom_equalizer solves for the maps in a sum of Hom modules that satisfy
-R-linear conditions (morphisms of filtered modules) as the kernel of the
-stacked condition map.  A Hom module is a coordinate chart:
-HomData.sparse_coords writes a map given by sparse columns straight into
-its coordinates, which is how the comodule-hom conditions are stacked.
+from one Howell form of the graph of A | torsion_matrix(M).  Every map out
+of a presented quotient is descended by one sparse kernel, descend_sparse
+(descend_map is its dense entry point), on sparse columns such as those
+tensor_cols builds for f (x) g from the nonzeros of f and g.  Kernels and
+images of maps are submodules.
+
+A Hom module is a coordinate chart: HomData.sparse_coords writes a map
+given by sparse columns straight into its coordinates.  hom_equalizer is
+the one solver for the maps that satisfy R-linear conditions (comodule
+maps, morphisms of filtered modules): each unknown's conditions are sparse
+columns in the charts of their Hom modules, stacked into the direct sum
+of the charts, and the syzygies of the stack generate the solutions.
+commutator_cols writes the linearity condition h x - x h both solvers
+impose.
 
 Every canonical sum of summands (a direct sum, M tensor_R N, Hom_R(M, N), a
 Smith presentation) is laid out by one helper, canonical_layout, which
@@ -36,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
 
 from .rings import RingSpec
 from .linalg import Matrix, smith, kernel, howell, solve_columns
@@ -428,13 +431,6 @@ class HomData:
     def _shift(self, i: int, j: int) -> int:
         return max(0, self.dst.exps[j] - self.src.exps[i])
 
-    @cached_property
-    def basis(self) -> list[ModuleMap]:
-        """The basis maps, built on first use: a Hom module read only
-        through coords builds none."""
-        return [self.from_coords(self.module.gen(k))
-                for k in range(self.module.rank)]
-
     def basis_cols(self):
         """The sparse columns of each basis map in coordinate order, with no
         matrix built."""
@@ -457,12 +453,6 @@ class HomData:
                     out.append((k, v))
         return out
 
-    def coords(self, g: ModuleMap) -> tuple[int, ...]:
-        out = [0] * self.module.rank
-        for k, v in self.sparse_coords(g.mat.sparse_cols()):
-            out[k] = v
-        return tuple(out)
-
     def from_coords(self, coords) -> ModuleMap:
         ring = self.src.ring
         mat = Matrix.zeros(ring, self.dst.rank, self.src.rank)
@@ -480,31 +470,25 @@ def hom_module(M: FinModule, N: FinModule) -> HomData:
     return HomData(M, N, T.module, T.pos)
 
 
-def hom_equalizer(unknowns: list[HomData],
-                  targets: list[tuple[FinModule, FinModule]], image):
-    """The maps in the sum of the unknown Hom modules on which every
-    R-linear condition vanishes: (K, incl, usum) with usum the direct sum of
-    the unknowns' modules and incl : K -> usum.module the kernel of the
-    condition map.  targets lists the (src, dst) pair of each condition's
-    Hom module; image(s, h) gives, for a basis map h of unknowns[s], one
-    ModuleMap (or None for zero) per target.  The images are stacked, in
-    target order, into the direct sum of the targets' Hom modules, which
-    are read only through coords.  With one unknown, usum.module is that
-    unknown's module and incl lands in its coordinates."""
-    ring = unknowns[0].src.ring
-    charts = [hom_module(src, dst) for src, dst in targets]
-    tsum = direct_sum([T.module for T in charts])
-    usum = direct_sum([U.module for U in unknowns])
-    mat = Matrix.zeros(ring, tsum.module.rank, usum.module.rank)
-    for s, U in enumerate(unknowns):
-        for k, h in enumerate(U.basis):
-            c = usum.place[(s, k)]
-            for t, g in enumerate(image(s, h)):
-                if g is not None:
-                    for r, v in enumerate(charts[t].coords(g)):
-                        mat.data[tsum.place[(t, r)]][c] = v
-    K, incl = map_kernel(ModuleMap(usum.module, tsum.module, mat, validate=False))
-    return K, incl, usum
+def commutator_cols(h, xM, xN, dst: FinModule) -> list[list[tuple[int, int]]]:
+    """The sparse columns of h xM - xN h, reduced into dst, for maps
+    h : M -> N, xM : M -> M and xN : N -> N given by sparse columns: one
+    sparse_image per column, over the columns of h and of xN."""
+    neg = dst.ring.neg
+    return [sparse_image(col + [(len(h) + r, neg(c)) for r, c in h[q]], h + xN, dst)
+            for q, col in enumerate(xM)]
+
+
+def hom_equalizer(unknowns: FinModule, charts: list[HomData], conds) -> Matrix:
+    """Generators of the unknowns on which every R-linear condition
+    vanishes.  conds[u][t] holds the sparse columns of the condition map of
+    unknown generator u in the Hom module charts[t] (empty where it has
+    none); they are written straight into the coordinates of the direct sum
+    of the charts, and the kernel is read off with its torsion."""
+    tsum = direct_sum([chart.module for chart in charts])
+    cols = [[(tsum.place[(t, r)], v) for t, g in enumerate(cond)
+             for r, v in charts[t].sparse_coords(g)] for cond in conds]
+    return syzygies(tsum.module, map_from_cols(unknowns, tsum.module, cols).mat)
 
 
 # ---------------------------------------------------------------------------
@@ -513,28 +497,15 @@ def hom_equalizer(unknowns: list[HomData],
 
 @dataclass
 class TensorData:
-    """M tensor_R N in canonical form with the pure-tensor embedding.
+    """M tensor_R N in canonical form.
 
     pos maps a summand pair (i, j) to its position in the sorted exponent
-    list; embed is bilinear on elements; map_tensor is functorial on maps.
+    list; map_tensor is functorial on maps.
     """
     left: FinModule
     right: FinModule
     module: FinModule
     pos: dict[tuple[int, int], int]
-
-    def embed(self, v, w) -> tuple[int, ...]:
-        ring = self.left.ring
-        out = [0] * self.module.rank
-        mul = ring.mul
-        for i, a in enumerate(v):
-            if a == 0:
-                continue
-            for j, b in enumerate(w):
-                if b:
-                    k = self.pos[(i, j)]
-                    out[k] = ring.add(out[k], mul(a, b))
-        return self.module.reduce(out)
 
 
 def tensor_with_data(M: FinModule, N: FinModule) -> TensorData:

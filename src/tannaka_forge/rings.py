@@ -457,9 +457,6 @@ class RingSpec:
     def elements(self):
         return range(self.size)
 
-    def units(self):
-        return (a for a in range(self.size) if self.val(a) == 0)
-
     def p_elem(self, k: int = 1) -> int:
         return (self.p**k) % self.q
 

@@ -11,7 +11,7 @@ import random
 import time
 
 from .rings import ring_make
-from .linalg import Matrix, smith, is_invertible
+from .linalg import Matrix, smith
 from .modules import FinModule, ModuleMap, is_isomorphism, EnumerationBudget
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule)
@@ -326,9 +326,16 @@ def run_suite(budget: int = 4096) -> list[dict]:
                 A = Matrix(R, [[rng.randrange(R.size) for _ in range(c)]
                                for _ in range(r)], r, c)
                 sf = smith(A)
-                assert sf.u_inv @ A @ sf.v_inv == sf.D
+                # U^-1 A, its columns in perm order, is upper triangular
+                # with row i divisible by its diagonal p^(a_i), which column
+                # operations alone then diagonalise
+                a = list(sf.invariants) + [R.n] * (r - len(sf.invariants))
+                for i, row in enumerate((sf.u_inv @ A).data):
+                    row = [row[j] for j in sf.perm]
+                    assert not any(row[:i]) and all(R.val(e) >= a[i] for e in row[i:])
+                    assert a[i] == R.n or row[i] == R.p_elem(a[i])
+                assert sorted(sf.perm) == list(range(c))
                 assert sf.U @ sf.u_inv == Matrix.identity(R, r)
-                assert is_invertible(sf.u_inv) and is_invertible(sf.v_inv)
                 assert list(sf.invariants) == sorted(sf.invariants)
                 count += 1
         return {"matrices": count}

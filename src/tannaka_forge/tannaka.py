@@ -51,11 +51,11 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .linalg import (Matrix, Span, howell, kernel, is_invertible, block_diag,
-                     cokernel_exponents)
-from .modules import (FinModule, ModuleMap, module_from_presentation,
-                      map_kernel, map_cokernel, is_isomorphism, span_elements,
-                      tensor_with_data, map_tensor, descend_map)
+from .linalg import Matrix, Span, howell, kernel, is_invertible, block_diag
+from .modules import (FinModule, ModuleMap, Presentation,
+                      module_from_presentation, map_kernel, map_cokernel,
+                      is_isomorphism, span_elements, tensor_with_data,
+                      map_tensor, descend_map)
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
                       induced, as_b_module, is_b_free)
@@ -805,10 +805,11 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
             detail = {"kind": "pushout", "span": (c, k, l)}
             legs, cond = [k, l], F.vstack(-G)
         probes.append(detail)
-        if any(e != B.n for e in cokernel_exponents(cond)):
+        pres = module_from_presentation(cond)
+        if not pres.module.is_free():
             detail["verdict"] = "not-applicable"
             continue
-        tip = _find_colimit(D, legs, cond, budget)
+        tip = _find_colimit(D, legs, cond, pres, budget)
         if tip is None:
             detail["verdict"] = "refuted"
             if overall != "refuted":
@@ -827,10 +828,11 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
 
 
 def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
-                  budget: int):
+                  pres: Presentation, budget: int):
     """The first object t of D, with legs q_i : legs[i] -> t in the hom spans
     and (q_1 | ... | q_m) cond = 0, that is a universal cocone and whose
-    fiber comparison coker(cond) -> fiber(t) is an isomorphism over B.
+    fiber comparison coker(cond) -> fiber(t) is an isomorphism over B, with
+    coker(cond) read off its presentation pres.
     Returns t, None when there is none, or "budget" when the product of
     the hom spans from the legs into some object has more than budget
     elements.  The candidate legs into t are the elements of the
@@ -840,7 +842,6 @@ def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
     alg = D.alg
     cocones = _cocones(D, legs, cond)
     starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
-    pres = module_from_presentation(cond)
     for t, tobj in enumerate(D.objects):
         if math.prod(D.span(i, t).size() for i in legs) > budget:
             return "budget"

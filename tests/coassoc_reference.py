@@ -46,7 +46,7 @@ from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                                    BForm, TripleTensor, descend, tensor_bimodules,
                                    triple_tensor, _btensor_core)
 
-from dense_tensor import dense
+from dense_tensor import dense, embed
 from descent_reference import act_by
 
 
@@ -130,8 +130,8 @@ def flat_triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
         i, j = pos12_inv[pk]
         yi = Y_right.apply(Y_car.gen(j))
         zl = Z_left.apply(Z_car.gen(zc))
-        v1 = TR.embed(T12.embed(X_car.gen(i), yi), Z_car.gen(zc))
-        v2 = TR.embed(T12.embed(X_car.gen(i), Y_car.gen(j)), zl)
+        v1 = embed(TR, embed(T12, X_car.gen(i), yi), Z_car.gen(zc))
+        v2 = embed(TR, embed(T12, X_car.gen(i), Y_car.gen(j)), zl)
         for idx in range(TR.module.rank):
             t23.data[idx][k] = alg.R.sub(v1[idx], v2[idx])
     pres = presentation_with_torsion(TR.module, rel12.mat.hstack(t23))
@@ -157,7 +157,7 @@ def _delta_tensor_id(deltahat: Matrix, data: BTensor, t3, proj: ModuleMap,
     flat = Matrix.zeros(t3.alg.R, t3.module.rank, data.TR.module.rank)
     for (i, j), k in data.TR.pos.items():
         dcol = deltahat.col(i)
-        col = proj.apply(t3.TR.embed(tuple(dcol), right_car.gen(j)))
+        col = proj.apply(embed(t3.TR, tuple(dcol), right_car.gen(j)))
         for r, v in enumerate(col):
             flat.data[r][k] = v
     return descend(data, ModuleMap(data.TR.module, t3.module, flat, validate=False))
@@ -204,7 +204,7 @@ def dense_coassoc_witness(t3: TripleTensor | FlatTripleTensor, deltahat: Matrix,
 
 def embed3(t3: TripleTensor | FlatTripleTensor, v, w, u) -> tuple[int, ...]:
     """v (x) w (x) u in the flat triple coordinates."""
-    return t3.TR.embed(t3.T12.embed(v, w), u)
+    return embed(t3.TR, embed(t3.T12, v, w), u)
 
 
 def pure3(t3: TripleTensor, v, w, u) -> tuple[int, ...]:
@@ -225,7 +225,7 @@ def lift_gen(t3: TripleTensor, q: int) -> list[int]:
     for (qq, z), k in t3.nest.TR.pos.items():
         c = nest_sect.data[k][q]
         if c:
-            vec = t3.TR.embed(xy_sect.col(qq), Z.gen(z))
+            vec = embed(t3.TR, xy_sect.col(qq), Z.gen(z))
             out = [R.add(a, R.mul(c, b)) for a, b in zip(out, vec)]
     return out
 

@@ -5,7 +5,10 @@ entry, as the projection ``ModuleMap`` TR.module -> module, the section
 ``Matrix`` (its entries unreduced, as the section records them), the
 relation ``Matrix`` over TR.module (None for a nest in B-coordinates, which
 records none) and the left and right actions as ``ModuleMap``s module ->
-module (None where the tensor records none)."""
+module (None where the tensor records none).
+
+``embed`` is the pure-tensor embedding of a ``TensorData``: v (x) w as an
+element of M tensor_R N."""
 
 from __future__ import annotations
 
@@ -42,3 +45,15 @@ def dense(data) -> DenseTensor:
                    for cols in (data.left, data.right))
     return DenseTensor(proj, _matrix(R, data.sect_cols, flat.rank), rels,
                        left, right)
+
+
+def embed(T, v, w) -> tuple[int, ...]:
+    ring = T.left.ring
+    out = [0] * T.module.rank
+    for i, a in enumerate(v):
+        if a:
+            for j, b in enumerate(w):
+                if b:
+                    k = T.pos[(i, j)]
+                    out[k] = ring.add(out[k], ring.mul(a, b))
+    return T.module.reduce(out)

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import (ModuleMap, NotWellDefined, hom_module,
-                                   hom_equalizer, submodule, solve_in)
+                                   submodule, solve_in)
 from tannaka_forge.algebra import BModule, act_powers, tensor_bim_bmodule
 from tannaka_forge.coalgebra import AxiomError, comodule_check
 
 from dense_tensor import dense
+from hom_reference import dense_hom_equalizer
 
 
 def map_tensor(T, f, g, T2):
@@ -172,7 +173,7 @@ def comodule_hom(Mc, Nc):
                          dense(Nc.cm).proj.mat @ flat.mat @ rhohat_M, validate=False)
         return [(h @ M.act) - (N.act @ h), (Nc.rho @ h) - term]
 
-    K, incl, _ = hom_equalizer(
+    K, incl, _ = dense_hom_equalizer(
         [H], [(M.carrier, N.carrier), (M.carrier, Nc.cm.module)], image)
     return K, [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
 

@@ -1,5 +1,13 @@
 """References for the hom solvers built on ``modules.hom_equalizer``.
 
+``hom_basis`` and ``hom_coords`` are the dense views of a Hom module: its
+basis maps as ``ModuleMap``s, and the coordinates of a dense map.
+``dense_hom_equalizer`` is the equalizer as it ran on them: each unknown
+basis map's conditions are dense ``ModuleMap``s, read back through
+``hom_coords`` and stacked into one dense condition map, whose kernel it
+returns.  ``modules.hom_equalizer`` writes sparse condition columns
+instead.
+
 ``ref_b_hom``, ``ref_comodule_hom`` and ``ref_mf_hom`` are the solvers that
 stacked their hom conditions by hand: each builds a full Hom module for
 every condition target, places every basis map's condition coordinates
@@ -32,12 +40,50 @@ from tannaka_forge.tannaka import _flatten_bmat
 from dense_tensor import dense
 
 
+def hom_basis(H):
+    """The basis maps of the Hom module H, in coordinate order."""
+    return [H.from_coords(H.module.gen(k)) for k in range(H.module.rank)]
+
+
+def hom_coords(H, g):
+    """The coordinates of the map g in the Hom module H: entry (j, i)
+    divided by p^shift, reduced into the summand of (i, j)."""
+    ring, out = H.src.ring, [0] * H.module.rank
+    for (i, j), k in H.pos.items():
+        shift = max(0, H.dst.exps[j] - H.src.exps[i])
+        out[k] = ring.reduce_exp(ring.divide_p_power(g.mat.data[j][i], shift),
+                                 H.module.exps[k])
+    return tuple(out)
+
+
+def dense_hom_equalizer(unknowns, targets, image):
+    """(K, incl, usum): usum is the direct sum of the unknown Hom modules and
+    incl : K -> usum.module the kernel of the stacked conditions.  targets
+    lists the (src, dst) pair of each condition's Hom module; image(s, h)
+    gives, for a basis map h of unknowns[s], one ModuleMap (or None for
+    zero) per target."""
+    ring = unknowns[0].src.ring
+    charts = [hom_module(src, dst) for src, dst in targets]
+    tsum = direct_sum([T.module for T in charts])
+    usum = direct_sum([U.module for U in unknowns])
+    mat = Matrix.zeros(ring, tsum.module.rank, usum.module.rank)
+    for s, U in enumerate(unknowns):
+        for k, h in enumerate(hom_basis(U)):
+            c = usum.place[(s, k)]
+            for t, g in enumerate(image(s, h)):
+                if g is not None:
+                    for r, v in enumerate(hom_coords(charts[t], g)):
+                        mat.data[tsum.place[(t, r)]][c] = v
+    K, incl = map_kernel(ModuleMap(usum.module, tsum.module, mat, validate=False))
+    return K, incl, usum
+
+
 def ref_b_hom(alg, M, N):
     """Hom_B(M, N) as a submodule of Hom_R, with a basis of maps."""
     H = hom_module(M.carrier, N.carrier)
     defect_coords = []
-    for h in H.basis:
-        defect_coords.append(H.coords((h @ M.act) - (N.act @ h)))
+    for h in hom_basis(H):
+        defect_coords.append(hom_coords(H, (h @ M.act) - (N.act @ h)))
     if H.module.rank:
         mat = Matrix(alg.R, [list(r) for r in zip(*defect_coords)],
                      H.module.rank, H.module.rank)
@@ -63,14 +109,14 @@ def ref_comodule_hom(Mc, Nc):
     rhohat_M = Mc.rhohat()
     cond_cols = []
     sum_data = direct_sum([H2.module, HC.module])
-    for h in H.basis:
+    for h in hom_basis(H):
         d1 = (h @ M.act) - (N.act @ h)
         flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), h, Nc.cm.TR)
         term = ModuleMap(M.carrier, Nc.cm.module,
                          dense(Nc.cm).proj.mat @ flat.mat @ rhohat_M, validate=False)
         d2 = (Nc.rho @ h) - term
-        v1 = sum_data.inject(0, H2.coords(d1))
-        v2 = sum_data.inject(1, HC.coords(d2))
+        v1 = sum_data.inject(0, hom_coords(H2, d1))
+        v2 = sum_data.inject(1, hom_coords(HC, d2))
         cond_cols.append(sum_data.module.add(v1, v2))
     if H.module.rank:
         mat = Matrix(alg.R, [list(r) for r in zip(*cond_cols)],
@@ -146,30 +192,30 @@ def ref_mf_hom(X, Y):
         nfil = hi - lo + 1
         if slot == 0:
             d = (h @ carMX.act) - (carMY.act @ h)
-            out = tsum.module.add(out, tsum.inject(0, targets[0].coords(d)))
+            out = tsum.module.add(out, tsum.inject(0, hom_coords(targets[0], d)))
             for idx, i in enumerate(range(lo, hi + 1)):
                 c = -(h @ iotaX[i])
                 out = tsum.module.add(out, tsum.inject(
-                    1 + nfil + 2 * idx, targets[1 + nfil + 2 * idx].coords(c)))
+                    1 + nfil + 2 * idx, hom_coords(targets[1 + nfil + 2 * idx], c)))
                 dphi = -(h @ phiXr[i])
                 out = tsum.module.add(out, tsum.inject(
-                    2 + nfil + 2 * idx, targets[2 + nfil + 2 * idx].coords(dphi)))
+                    2 + nfil + 2 * idx, hom_coords(targets[2 + nfil + 2 * idx], dphi)))
         else:
             i = lo + slot - 1
             idx = slot - 1
             d = (h @ carFX[i].act) - (carFY[i].act @ h)
-            out = tsum.module.add(out, tsum.inject(slot, targets[slot].coords(d)))
+            out = tsum.module.add(out, tsum.inject(slot, hom_coords(targets[slot], d)))
             c = iotaY[i] @ h
             out = tsum.module.add(out, tsum.inject(
-                1 + nfil + 2 * idx, targets[1 + nfil + 2 * idx].coords(c)))
+                1 + nfil + 2 * idx, hom_coords(targets[1 + nfil + 2 * idx], c)))
             dphi = phiYr[i] @ h
             out = tsum.module.add(out, tsum.inject(
-                2 + nfil + 2 * idx, targets[2 + nfil + 2 * idx].coords(dphi)))
+                2 + nfil + 2 * idx, hom_coords(targets[2 + nfil + 2 * idx], dphi)))
         return out
 
     cols = []
     for slot, h in enumerate(unknowns):
-        for b in h.basis:
+        for b in hom_basis(h):
             cols.append(conditions(slot, b))
     if cols:
         mat = Matrix(alg.R, [list(r) for r in zip(*cols)], tsum.module.rank,

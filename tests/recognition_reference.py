@@ -30,7 +30,9 @@ cocone modules as it ran before it skipped tips whose hom spans and cocone
 modules differ in size: it enumerates the cocones into every tip
 (``cocone_candidates``).  ``factoring_is_universal`` decides universality
 as it did before it compared sizes: containment, then a kernel that shows
-each factorization is unique (``factors_uniquely``).
+each factorization is unique (``factors_uniquely``).  Both colimit searches
+take the presentation of coker(cond) that the sweep computed, as
+``tannaka._find_colimit`` does, so that a test can put either in its place.
 
 Their kernels and solves are read off Smith forms (`smith_reference`), as
 they were when these searches ran.  All of them are kept only to be tested
@@ -43,7 +45,7 @@ import functools
 import itertools
 import math
 
-from tannaka_forge.linalg import Matrix, Span, is_invertible, cokernel_exponents
+from tannaka_forge.linalg import Matrix, Span, is_invertible
 from tannaka_forge.modules import (FinModule, ModuleMap,
                                    module_from_presentation, is_isomorphism,
                                    span_elements)
@@ -134,7 +136,7 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
             _, k, l, F, G = job
             detail = {"kind": "coeq", "pair": (k, l)}
             diffB = F - G
-            cok_exps = cokernel_exponents(diffB)
+            cok_exps = module_from_presentation(diffB).module.exps
             if any(e != B.n for e in cok_exps):
                 detail["verdict"] = "not-applicable"
                 probes.append(detail)
@@ -144,7 +146,7 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
             _, c, k, l, F, G = job
             detail = {"kind": "pushout", "span": (c, k, l)}
             glueB = F.vstack(-G)
-            cok_exps = cokernel_exponents(glueB)
+            cok_exps = module_from_presentation(glueB).module.exps
             if any(e != B.n for e in cok_exps):
                 detail["verdict"] = "not-applicable"
                 probes.append(detail)
@@ -505,7 +507,7 @@ def el_morphisms(D, obj1, obj2, budget):
 
 
 def product_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
-                         budget: int):
+                         pres, budget: int):
     alg = D.alg
     ranks = [D.objects[i].rank for i in legs]
     for t, tobj in enumerate(D.objects):
@@ -521,7 +523,6 @@ def product_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
             if not (q @ cond).is_zero() or \
                not product_is_universal(D, legs, cond, t, qs):
                 continue
-            pres = module_from_presentation(cond)
             qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
                              q @ pres.sect)
             if is_isomorphism(qbar):
@@ -559,10 +560,9 @@ def product_is_universal(D: DiagramCategory, legs: list[int], cond: Matrix,
 
 
 def cocone_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
-                        budget: int):
+                        pres, budget: int):
     alg = D.alg
     cocones = _cocones(D, legs, cond)
-    pres = module_from_presentation(cond)
     for t, tobj in enumerate(D.objects):
         if math.prod(D.span(i, t).size() for i in legs) > budget:
             return "budget"

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from tannaka_forge.linalg import Matrix
-from tannaka_forge.modules import FinModule, ModuleMap, hom_module, hom_equalizer
+from tannaka_forge.modules import FinModule, ModuleMap, hom_module
 from tannaka_forge.algebra import AlgebraSpec, free_bmodule, tensor_bim_bmodule
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, comodule_hom,
                                      cofree, is_cauchy, enumerate_subcomodules,
@@ -14,13 +14,14 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
 from tannaka_forge.textio import format_reconstruct_input, parse_reconstruct_input
 from recognition_reference import span_membership
 from dense_tensor import dense
+from hom_reference import dense_hom_equalizer
 
 
 def b_hom(M, N):
     """Hom_B(M, N) as a submodule of Hom_R: (module, basis of maps, Hom_R)."""
     H = hom_module(M.carrier, N.carrier)
-    K, incl, _ = hom_equalizer([H], [(M.carrier, N.carrier)],
-                               lambda _, h: [(h @ M.act) - (N.act @ h)])
+    K, incl, _ = dense_hom_equalizer([H], [(M.carrier, N.carrier)],
+                                     lambda _, h: [(h @ M.act) - (N.act @ h)])
     return K, [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)], H
 
 

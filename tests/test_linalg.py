@@ -6,10 +6,13 @@ import pytest
 from tannaka_forge import linalg
 from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import (Matrix, smith, kernel, solve, solve_columns,
-                                  is_invertible, inverse, cokernel_exponents,
-                                  howell, Span, DimensionMismatch)
+                                  is_invertible, inverse, howell, Span,
+                                  DimensionMismatch)
+from tannaka_forge.modules import module_from_presentation
 from recognition_reference import span_membership
-from smith_reference import smith_kernel, smith_solve_columns, smith_inverse
+from smith_reference import (reference_smith, smith_certificate, smith_kernel,
+                             smith_solve_columns, smith_inverse)
+from test_native_kernels import rand_rows
 
 
 def rand_matrix(rng, R, rows, cols):
@@ -17,24 +20,33 @@ def rand_matrix(rng, R, rows, cols):
                       for _ in range(rows)], rows, cols)
 
 
+def same_as_reference(A):
+    """smith(A) satisfies its certificate and has the reference's U, U^-1
+    and invariants; returns the reference, with its D and V^-1."""
+    sf, ref = smith(A), reference_smith(A)
+    smith_certificate(A, sf)
+    assert (sf.U, sf.u_inv, sf.invariants) == (ref.U, ref.u_inv, ref.invariants)
+    return ref
+
+
 def test_smith_identity(Z8):
-    sf = smith(Matrix.identity(Z8, 3))
-    assert sf.invariants == (0, 0, 0)
-    assert sf.D == Matrix.identity(Z8, 3)
+    ref = same_as_reference(Matrix.identity(Z8, 3))
+    assert ref.invariants == (0, 0, 0)
+    assert ref.D == Matrix.identity(Z8, 3)
 
 
 def test_smith_single_entry(Z8):
-    sf = smith(Matrix.from_rows(Z8, [[2]]))
-    assert sf.invariants == (1,)
-    assert sf.D.data == [[2]]
+    ref = same_as_reference(Matrix.from_rows(Z8, [[2]]))
+    assert ref.invariants == (1,)
+    assert ref.D.data == [[2]]
 
 
 def test_smith_spec_example(Z8):
     A = Matrix.from_rows(Z8, [[2, 4], [6, 4]])
-    sf = smith(A)
-    assert sf.invariants == (1, 3)
-    assert sf.D.data[0][0] == 2 and sf.D.data[1][1] == 0
-    assert sf.u_inv @ A @ sf.v_inv == sf.D
+    ref = same_as_reference(A)
+    assert ref.invariants == (1, 3)
+    assert ref.D.data[0][0] == 2 and ref.D.data[1][1] == 0
+    assert ref.u_inv @ A @ ref.v_inv == ref.D
     # |coker| = |R/p| * |R/p^3| = 2 * 8 = 16, confirmed by enumeration
     count = 0
     span = set()
@@ -49,7 +61,7 @@ def test_smith_random_udv():
     for R in (ring_make(2, 3, 1), ring_make(2, 1, 2), ring_make(2, 2, 2)):
         for _ in range(250):
             A = rand_matrix(rng, R, rng.randint(0, 6), rng.randint(0, 6))
-            sf = smith(A)
+            sf = same_as_reference(A)
             assert sf.u_inv @ A @ sf.v_inv == sf.D
             assert sf.U @ sf.u_inv == Matrix.identity(R, A.rows)
             assert is_invertible(sf.u_inv) and is_invertible(sf.v_inv)
@@ -65,11 +77,30 @@ def test_smith_random_udv():
                     (a == R.n and sf.D.data[i][i] == 0)
 
 
+SEVEN_RINGS = [(2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 64, 1),
+               (2, 3, 3)]
+
+
+@pytest.mark.parametrize("pnf", SEVEN_RINGS, ids=[
+    "Z8", "Z9", "F4", "GR(4,2)", "GR(8,2)", "Z2^64", "GR(8,3)"])
+def test_smith_matches_reference(pnf):
+    # 300 seeded matrices per ring, 2,100 in all, whose entries are zeros,
+    # random elements (mostly units) and multiples of p^k
+    R = ring_make(*pnf)
+    rng = random.Random(sum(pnf) * 131 + pnf[0])
+    swapped = 0
+    for _ in range(300):
+        r, c = rng.randint(0, 6), rng.randint(0, 6)
+        A = Matrix(R, rand_rows(rng, R, r, c), r, c)
+        same_as_reference(A)
+        swapped += smith(A).perm != tuple(range(c))
+    assert swapped     # the column swaps are exercised
+
+
 def test_smith_deterministic(Z8):
     A = Matrix.from_rows(Z8, [[2, 4], [6, 4]])
     s1, s2 = smith(A), smith(A)
-    assert s1.U == s2.U and s1.D == s2.D
-    assert s1.u_inv == s2.u_inv and s1.v_inv == s2.v_inv
+    assert s1 == s2
 
 
 def test_kernel_spec_example(Z8):
@@ -95,7 +126,7 @@ def test_kernel_cokernel_vs_enumeration():
             # cokernel size from invariants equals the enumeration count
             img = {tuple(A.apply(list(v)))
                    for v in itertools.product(range(R.size), repeat=cols)}
-            exps = cokernel_exponents(A)
+            exps = module_from_presentation(A).module.exps
             size = 1
             for e in exps:
                 size *= R.p ** (e * R.f)

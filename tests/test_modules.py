@@ -12,7 +12,8 @@ from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentatio
                                    EnumerationBudget, is_isomorphism, map_tensor)
 from tannaka_forge.algebra import AlgebraSpec, _btensor_core
 
-from dense_tensor import dense
+from dense_tensor import dense, embed
+from hom_reference import hom_basis, hom_coords
 
 
 def brute_force_maps(M, N):
@@ -62,11 +63,11 @@ def test_hom_examples(Z8):
     Z2 = FinModule(Z8, (1,))
     Z4m = FinModule(Z8, (2,))
     hd = hom_module(R1, R1)
-    assert hd.module.exps == (3,) and hd.basis[0].mat.data == [[1]]
+    assert hd.module.exps == (3,) and hom_basis(hd)[0].mat.data == [[1]]
     hd = hom_module(Z2, R1)
-    assert hd.module.exps == (1,) and hd.basis[0].mat.data == [[4]]
+    assert hd.module.exps == (1,) and hom_basis(hd)[0].mat.data == [[4]]
     hd = hom_module(Z4m, Z2)
-    assert hd.module.exps == (1,) and hd.basis[0].mat.data == [[1]]
+    assert hd.module.exps == (1,) and hom_basis(hd)[0].mat.data == [[1]]
 
 
 def test_hom_vs_brute_force():
@@ -79,8 +80,9 @@ def test_hom_vs_brute_force():
                 hd = hom_module(M, N)
                 assert hd.module.cardinality() == len(brute_force_maps(M, N))
                 # coords round-trip on every basis element
-                for k, b in enumerate(hd.basis):
-                    assert hd.coords(b) == hd.module.gen(k)
+                for k, b in enumerate(hom_basis(hd)):
+                    assert hom_coords(hd, b) == hd.module.gen(k)
+                    assert hd.sparse_coords(b.mat.sparse_cols()) == [(k, 1)]
 
 
 def test_hom_coords_roundtrip(Z8):
@@ -91,7 +93,10 @@ def test_hom_coords_roundtrip(Z8):
     for _ in range(30):
         coords = hd.module.reduce([rng.randrange(Z8.size)
                                    for _ in range(hd.module.rank)])
-        assert hd.coords(hd.from_coords(coords)) == coords
+        g = hd.from_coords(coords)
+        assert hom_coords(hd, g) == coords
+        assert dict(hd.sparse_coords(g.mat.sparse_cols())) == \
+            {k: v for k, v in enumerate(coords) if v}
 
 
 def test_tensor_examples(Z8):
@@ -110,14 +115,14 @@ def test_tensor_universal_property(Z4):
     for v in M.elements():
         for w in N.elements():
             for c in range(4):
-                lhs = td.embed(M.scale(c, v), w)
-                rhs = td.module.scale(c, td.embed(v, w))
+                lhs = embed(td, M.scale(c, v), w)
+                rhs = td.module.scale(c, embed(td, v, w))
                 assert lhs == rhs
     for v1 in M.elements():
         for v2 in M.elements():
             w = (1,)
-            assert td.embed(M.add(v1, v2), w) == \
-                td.module.add(td.embed(v1, w), td.embed(v2, w))
+            assert embed(td, M.add(v1, v2), w) == \
+                td.module.add(embed(td, v1, w), embed(td, v2, w))
 
 
 def test_projectivity(Z8):
@@ -192,7 +197,7 @@ def test_kernel_image_cokernel_vs_enumeration():
 def test_compose_associative(Z8):
     M = FinModule(Z8, (3, 2))
     hd = hom_module(M, M)
-    f, g, h = hd.basis[0], hd.basis[1], hd.basis[2]
+    f, g, h = hom_basis(hd)[:3]
     assert (f @ g) @ h == f @ (g @ h)
 
 

@@ -21,6 +21,7 @@ from tannaka_forge.suite import (trivial_full_hom_diagram, grouplike_diagram,
                                  comatrix_standard_comodule, trivial_coalgebra,
                                  random_diagram, reconstruction_probe)
 from recognition_reference import span_membership
+import smith_reference
 
 
 def test_closure_idempotent(alg_f2):
@@ -433,6 +434,14 @@ def test_closed_closure_violation_runs_no_smith(monkeypatch, alg_gr42):
     monkeypatch.setattr(linalg, "smith", counted_smith)
     assert D.closure_violation() is None
     assert calls == []
-    # the counter sees the Smith solves of the reference path
+    # the counter sees the Smith solves of the reference path, which reads
+    # the reference Smith form
+    reference_smith = smith_reference.reference_smith
+
+    def counted_reference(A):
+        calls.append(A.rows)
+        return reference_smith(A)
+
+    monkeypatch.setattr(smith_reference, "reference_smith", counted_reference)
     assert _reference_closure_violation(D) is None
     assert calls
