@@ -65,6 +65,7 @@ class AlgebraSpec:
         self.R = R
         self.B = B
         self.fb = B.f
+        self.xpows = tuple(B.pow(B.x, k) for k in range(B.f))  # x^0..x^{f_B-1}
 
     @classmethod
     def make(cls, p: int, n: int, f: int) -> "AlgebraSpec":
@@ -87,7 +88,7 @@ class AlgebraSpec:
     def regular_rep(self, b: int) -> Matrix:
         """Matrix over R of multiplication by b on B, basis 1..x^{f_B-1}."""
         B, R = self.B, self.R
-        cols = [B.coeffs(B.mul(b, B.pow(B.x, k))) for k in range(self.fb)]
+        cols = [B.coeffs(B.mul(b, xk)) for xk in self.xpows]
         return Matrix(R, [list(r) for r in zip(*cols)], self.fb, self.fb)
 
     def bmat_to_rmat(self, M: Matrix) -> Matrix:
@@ -120,7 +121,7 @@ class AlgebraSpec:
         of the dual."""
         t, beta = divmod(w, self.fb)
         row = [0] * r
-        row[t] = self.B.pow(self.B.x, beta)
+        row[t] = self.xpows[beta]
         return self.bmat_to_rmat(Matrix(self.B, [row], 1, r))
 
     def rmat_to_bmat(self, g: ModuleMap) -> Matrix:

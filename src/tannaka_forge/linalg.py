@@ -11,13 +11,13 @@ the row operations alone are carried out, leaving U^-1 A, with its columns
 swapped, upper triangular, and neither V nor V^-1 is built.  Images are
 not computed here: a column span is presented by modules.submodule.
 
-The Howell form implemented here is the canonical generating matrix of a row
-span: it depends only on the spanned submodule, not on the presented
-generators, which is what makes span comparisons and coend presentations
-reproducible.  A `Span` keeps the Howell rows of a span, and `Span.reduce`
-takes a vector to its canonical normal form modulo the span in one pass
-over those rows; the form is zero exactly on the span, which is how
-`Span.contains` answers every membership question.  Kernels, solves and
+The Howell form is the canonical generating matrix of a row span: it
+depends only on the span, which makes span comparisons and coend
+presentations reproducible.  A `HowellForm` grows it batch by batch, saying
+whether a batch grew the span.  A `Span` keeps the Howell rows of a span,
+and `Span.reduce` takes a vector to its canonical normal form modulo the
+span in one pass over those rows; the form is zero exactly on the span,
+which is how `Span.contains` answers every membership question.  Kernels, solves and
 inverses are read off one Span of the graph of A, the rows (A e_i, e_i) of
 [A^T | I] (Howell 1986; Storjohann, ETH thesis 2000, ch. 4): its rows with
 zero A-part generate the kernel, and (b, 0) reduces to (b - A x, -x).  Both
@@ -369,75 +369,107 @@ def solve(A: Matrix, b: list[int]) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 def howell(ring: RingSpec, rows, width: int) -> list[list[int]]:
-    """Canonical row-span form over a chain ring.
+    """The Howell rows of the span of rows: one `HowellForm.extend`."""
+    form = HowellForm(ring, width)
+    form.extend(rows)
+    return form.rows()
 
-    The rows are dense lists or sparse {column: nonzero entry} dicts.  The
-    output depends only on the R-submodule of R^width they span: pivots
-    are pure powers p^a in increasing column order, each column below a
-    pivot is zero, entries above a pivot are reduced mod p^a,
-    and for every pivot p^a with a > 0 the annihilated tail p^{n-a} * row is
-    in the span of the rows below it, so every span element whose first j
-    entries vanish is a combination of the rows with pivot column >= j.
 
-    The rows are inserted one at a time into sparse pivot rows (a
-    {column: entry} dict per pivot column), so a reduction touches only the
-    pivot row's nonzeros.  A row reaching a pivot column reduces against its
-    pivot when its entry's valuation is not smaller; otherwise it takes the
-    column, and the old pivot row, reduced against it, is inserted again.
-    Every new pivot p^a with a > 0 inserts its tail p^{n-a} * row.  The
-    entries above each pivot are reduced at the end.
-    """
-    n = ring.n
-    mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
-    divide = ring.divide_p_power
-    pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, exponent)
+def _add_row(addmul, r, prow, t):
+    # r += t * prow, keeping r free of zero entries
+    for k, pe in prow.items():
+        e = addmul(r.get(k, 0), t, pe)
+        if e:
+            r[k] = e
+        else:
+            r.pop(k, None)
 
-    def reduce(r, prow, t):
-        # r += t * prow, keeping r free of zero entries
-        for k, pe in prow.items():
-            e = addmul(r.get(k, 0), t, pe)
-            if e:
-                r[k] = e
-            else:
-                r.pop(k, None)
 
-    todo = [dict(r) if isinstance(r, dict) else {k: e for k, e in enumerate(r) if e}
-            for r in rows]
-    while todo:
-        r = todo.pop()
-        while r:
-            j = min(r)
-            e = r[j]
-            a = val(e)
-            piv = pivots.get(j)
-            if piv is not None and piv[1] <= a:
-                reduce(r, piv[0], neg(divide(e, piv[1])))
-                continue
-            u_inv = ring.inv(ring.unit_part(e))
-            new = {k: mul(u_inv, x) for k, x in r.items()}
-            pivots[j] = (new, a)
-            if piv is not None:
-                old = piv[0]
-                reduce(old, new, neg(divide(old[j], a)))
-                todo.append(old)
-            if a > 0:
-                tail: dict[int, int] = {}
-                reduce(tail, new, ring.p_elem(n - a))
-                todo.append(tail)
-            break
-    cols = sorted(pivots)
-    # reduce entries above each pivot modulo p^a
-    for idx, j in enumerate(cols):
-        prow, a = pivots[j]
-        for i in cols[:idx]:
-            row2 = pivots[i][0]
-            e = row2.get(j)
-            if e:
-                # the residue mod a unit pivot is 0
-                red = ring.reduce_exp(e, a) if a else 0
-                if red != e:
-                    reduce(row2, prow, neg(divide(ring.sub(e, red), a)))
-    return [[pivots[j][0].get(k, 0) for k in range(width)] for j in cols]
+class HowellForm:
+    """The Howell form of a row span over a chain ring, grown by `extend`:
+    pivots are pure powers p^a in increasing column order, each column
+    below a pivot is zero, entries above a pivot are reduced mod p^a, and
+    for every pivot p^a with a > 0 the tail p^{n-a} * row is in the span of
+    the rows below it, so every span element whose first j entries vanish
+    is a combination of the rows with pivot column >= j.  The form depends
+    only on the span.
+
+    Rows go in one at a time, the last first, as sparse {column: entry}
+    dicts, so a reduction touches only the pivot row's nonzeros.  A row
+    reaching a pivot column reduces against its pivot when its entry's
+    valuation is not smaller; otherwise it takes the column, and the old
+    pivot row, reduced against it, goes in again, as does the tail of
+    every new pivot p^a with a > 0.  Between rows the last property above
+    holds, so the span grows exactly when a pivot is set.  `rows` reduces
+    the entries above each pivot, which keeps the pivots and the span."""
+
+    __slots__ = ("ring", "width", "pivots", "units")
+
+    def __init__(self, ring: RingSpec, width: int):
+        self.ring, self.width, self.units = ring, width, 0  # units: pivots p^0
+        self.pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, exponent)
+
+    def extend(self, rows) -> bool:
+        """Insert rows, dense lists or sparse {column: nonzero entry} dicts;
+        True when some row lay outside the span."""
+        ring, pivots = self.ring, self.pivots
+        mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
+        divide = ring.divide_p_power
+        todo = [dict(r) if isinstance(r, dict) else {k: e for k, e in enumerate(r) if e}
+                for r in rows]
+        grew = False
+        while todo:
+            r = todo.pop()
+            while r:
+                j = min(r)
+                e = r[j]
+                a = val(e)
+                piv = pivots.get(j)
+                if piv is not None and piv[1] <= a:
+                    _add_row(addmul, r, piv[0], neg(divide(e, piv[1])))
+                    continue
+                u_inv = ring.inv(ring.unit_part(e))
+                new = {k: mul(u_inv, x) for k, x in r.items()}
+                pivots[j] = (new, a)
+                grew = True
+                if piv is not None:
+                    old = piv[0]
+                    _add_row(addmul, old, new, neg(divide(old[j], a)))
+                    todo.append(old)
+                if a > 0:
+                    tail: dict[int, int] = {}
+                    _add_row(addmul, tail, new, ring.p_elem(ring.n - a))
+                    todo.append(tail)
+                else:
+                    self.units += 1
+                break
+        return grew
+
+    def is_full(self) -> bool:
+        """Is the span all of R^width: a unit pivot in every column?"""
+        return self.units == self.width
+
+    def rows(self) -> list[list[int]]:
+        """The Howell rows, dense, once the entries above each pivot p^a
+        are reduced mod p^a."""
+        ring, pivots = self.ring, self.pivots
+        cols = sorted(pivots)
+        for idx, j in enumerate(cols):
+            prow, a = pivots[j]
+            for i in cols[:idx]:
+                row2 = pivots[i][0]
+                e = row2.get(j)
+                if e:
+                    # the residue mod a unit pivot is 0
+                    red = ring.reduce_exp(e, a) if a else 0
+                    if red != e:
+                        _add_row(ring.addmul, row2, prow,
+                                 ring.neg(ring.divide_p_power(ring.sub(e, red), a)))
+        return [[pivots[j][0].get(k, 0) for k in range(self.width)] for j in cols]
+
+    def span(self) -> "Span":
+        """The `Span` of the rows so far, with no second Howell pass."""
+        return Span.__new__(Span)._read(self.ring, self.width, self.rows())
 
 
 class Span:
@@ -451,21 +483,20 @@ class Span:
     __slots__ = ("ring", "width", "rows", "pivots")
 
     def __init__(self, ring: RingSpec, rows: list[list[int]], width: int):
-        self.ring = ring
-        self.width = width
-        self.rows = howell(ring, rows, width)
+        self._read(ring, width, howell(ring, rows, width))
+
+    def _read(self, ring: RingSpec, width: int, rows: list[list[int]]) -> "Span":
+        self.ring, self.width, self.rows = ring, width, rows
         # pivot column -> (nonzero (column, entry) pairs of its row, exponent a)
         self.pivots: dict[int, tuple[list[tuple[int, int]], int]] = {}
-        for r in self.rows:
+        for r in rows:
             nz = [(k, e) for k, e in enumerate(r) if e]
-            j, e = nz[0]
-            self.pivots[j] = (nz, ring.val(e))
+            self.pivots[nz[0][0]] = (nz, ring.val(nz[0][1]))
+        return self
 
     def is_full(self) -> bool:
-        """Is the span all of R^width, i.e. does every column carry a unit
-        pivot?"""
-        return len(self.pivots) == self.width and \
-            all(a == 0 for _, a in self.pivots.values())
+        """Is the span all of R^width: a unit pivot in every column?"""
+        return sum(a == 0 for _, a in self.pivots.values()) == self.width
 
     def size(self) -> int:
         """The number of elements of the span: a row with pivot p^a

@@ -109,8 +109,7 @@ def comatrix_standard_comodule(C: Coalgebra, r: int) -> Comodule:
 def trivial_full_hom_diagram(alg: AlgebraSpec) -> DiagramCategory:
     """One object, fiber B, hom the full endomorphism module B (spanned
     over R by the powers of x)."""
-    gens = [Matrix.from_rows(alg.B, [[alg.B.pow(alg.B.x, k)]])
-            for k in range(alg.fb)]
+    gens = [Matrix.from_rows(alg.B, [[xk]]) for xk in alg.xpows]
     D = DiagramCategory(alg, [DiagObject("A", 1)], {(0, 0): gens})
     return hom_closure(D)
 

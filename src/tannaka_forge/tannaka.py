@@ -49,9 +49,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, Span, howell, kernel, is_invertible, block_diag
+from .linalg import Matrix, HowellForm, Span, howell, kernel, is_invertible, block_diag
 from .modules import (FinModule, ModuleMap, Presentation,
                       module_from_presentation, map_kernel, map_cokernel,
                       is_isomorphism, span_elements, tensor_with_data,
@@ -213,54 +214,31 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     and the identities, with every hom set in canonical (Howell) form.
     Idempotent.
 
-    One `Span` per pair is grown to a fixpoint: a round forms the products
-    G F of hom(k, l) and hom(l, m) and re-Howells them together with the
-    rows of span(k, m).  A triple (k, l, m) is skipped when a factor is
-    empty or span(k, m) is all of Hom, or when neither factor changed since
-    it was last formed (a version counter per pair).  The spans are handed
-    to the returned diagram, whose hom lists are exactly their rows."""
+    span(k, l) is spanned by the words in the input generators applied to
+    id_k, so it is spun (Parker 1984) from a first-in, first-out worklist
+    of items (k, l, g, F), seeded with the identities: popping one forms
+    g F and inserts it into the `HowellForm` of span(k, l), unless that is
+    all of Hom; only if the span grew are the items (k, m, g', g F) queued,
+    one per input generator g' : l -> m whose target is not all of Hom.
+    Short words go in first and fill spans early.  The spans are handed to
+    the returned diagram, whose hom lists are exactly their rows."""
     alg = D.alg
-    R = alg.R
     ranks = [obj.rank for obj in D.objects]
-
-    def flat_rows(mats):
-        return [_flatten_bmat(alg, F) for F in mats]
-
-    def hom_list(pair, sp):
-        k, l = pair
-        return [_unflatten_bmat(alg, r, ranks[l], ranks[k]) for r in sp.rows]
-
-    spans, homs = {}, {}
-    for (k, l), mats in D.homs.items():
-        rows = flat_rows(mats)
-        if k == l:
-            rows.append(_flatten_bmat(alg, Matrix.identity(alg.B, ranks[k])))
-        spans[(k, l)] = Span(R, rows, ranks[l] * ranks[k] * alg.fb)
-        homs[(k, l)] = hom_list((k, l), spans[(k, l)])
-    version = dict.fromkeys(homs, 0)
-    formed: dict[tuple[int, int, int], tuple[int, int]] = {}
-    changed = True
-    while changed:
-        changed = False
-        for (k, l) in list(homs):
-            if not homs[(k, l)]:
-                continue
-            for m in range(D.nobj()):
-                if not homs[(l, m)]:
-                    continue
-                target = spans[(k, m)]
-                seen = (version[(k, l)], version[(l, m)])
-                if target.is_full() or formed.get((k, l, m)) == seen:
-                    continue
-                formed[(k, l, m)] = seen
-                prods = [G @ F for F in homs[(k, l)] for G in homs[(l, m)]]
-                grown = Span(R, target.rows + flat_rows(prods), target.width)
-                if grown.rows != target.rows:
-                    spans[(k, m)] = grown
-                    homs[(k, m)] = hom_list((k, m), grown)
-                    version[(k, m)] += 1
-                    changed = True
-    out = DiagramCategory(alg, D.objects, homs)
+    forms = {(k, l): HowellForm(alg.R, ranks[l] * ranks[k] * alg.fb) for (k, l) in D.homs}
+    gens = [[(m, g) for (src, m), mats in D.homs.items() if src == l for g in mats]
+            for l in range(D.nobj())]
+    todo = deque((k, k, None, Matrix.identity(alg.B, r)) for k, r in enumerate(ranks))
+    while todo:
+        k, l, g, F = todo.popleft()
+        if forms[(k, l)].is_full():
+            continue
+        GF = F if g is None else g @ F
+        if forms[(k, l)].extend([_flatten_bmat(alg, GF)]):
+            todo.extend((k, m, h, GF) for m, h in gens[l] if not forms[(k, m)].is_full())
+    spans = {pair: form.span() for pair, form in forms.items()}
+    out = DiagramCategory(alg, D.objects, {
+        (k, l): [_unflatten_bmat(alg, r, ranks[l], ranks[k]) for r in sp.rows]
+        for (k, l), sp in spans.items()})
     out._spans.update(spans)
     return out
 

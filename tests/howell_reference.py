@@ -6,11 +6,13 @@ least valuation in that column as the pivot and eliminating the column from
 every other work row at full width.  The Howell form of a span is unique, so
 it must agree with ``linalg.howell`` entry for entry.
 
-``hom_closure`` is the closure as it ran before it skipped any work: every
-round forms every product G F and re-Howells it with the target's rows,
+``hom_closure`` is the closure as a fixpoint over Howell-row lists, as it
+ran before the closure spun the input generators: every round forms every
+product G F of two hom lists and re-Howells it with the target's rows,
 even when the target is all of Hom or neither factor changed, and the
 diagram it returns holds no spans.  It calls ``linalg.howell`` through the
-module, so a test can count its calls.
+module, so a test can count its calls, and it forms its products with
+``Matrix.__matmul__``, so a test can count those too.
 
 Kept only to be tested against.
 """
