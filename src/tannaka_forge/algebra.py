@@ -5,7 +5,10 @@ right) B-module structure on an R-module is exactly an R-linear endomorphism
 X (the action of the generator x) with h(X) = 0; a B-B-bimodule carries two
 commuting such actions.  This keeps every carrier inside the canonical
 FinModule world while the two actions stay genuinely distinct, which is what
-B-B-coalgebras need: B tensor_R B is not B.
+B-B-coalgebras need: B tensor_R B is not B.  A B-matrix becomes an R-matrix
+in one place, AlgebraSpec.bmat_cols, which writes it as sparse columns
+(bmat_to_rmat is its dense form): the x-actions, the dual-basis functionals
+and the coend's relations are all read off it.
 
 Tensor over B is the cokernel of the middle-relation map
 
@@ -85,44 +88,41 @@ class AlgebraSpec:
 
     # -- B <-> R conversions ----------------------------------------------
 
-    def regular_rep(self, b: int) -> Matrix:
-        """Matrix over R of multiplication by b on B, basis 1..x^{f_B-1}."""
-        B, R = self.B, self.R
-        cols = [B.coeffs(B.mul(b, xk)) for xk in self.xpows]
-        return Matrix(R, [list(r) for r in zip(*cols)], self.fb, self.fb)
-
-    def bmat_to_rmat(self, M: Matrix) -> Matrix:
+    def bmat_cols(self, M: Matrix) -> list[list[tuple[int, int]]]:
         """A B-matrix as an R-matrix on the underlying free R-modules
-        (coordinate s*f_B + gamma of B^r is x^gamma e_s)."""
+        (coordinate s*f_B + gamma of B^r is x^gamma e_s), as sparse
+        columns: column s*f_B + gamma is the coefficients of M[t][s] x^gamma
+        over the rows t, in increasing row order."""
         if M.ring != self.B:
             raise RingMismatch("expected a matrix over B")
-        R, fb = self.R, self.fb
-        out = Matrix.zeros(R, M.rows * fb, M.cols * fb)
-        for t in range(M.rows):
-            for s in range(M.cols):
-                b = M.data[t][s]
-                if b == 0:
-                    continue
-                blk = self.regular_rep(b)
-                for d in range(fb):
-                    row = out.data[t * fb + d]
-                    brow = blk.data[d]
-                    for g in range(fb):
-                        row[s * fb + g] = brow[g]
-        return out
+        B, fb = self.B, self.fb
+        cols = []
+        for s in range(M.cols):
+            entries = [(t, M.data[t][s]) for t in range(M.rows) if M.data[t][s]]
+            for xg in self.xpows:
+                cols.append([(t * fb + d, c) for t, b in entries
+                             for d, c in enumerate(B.coeffs(B.mul(b, xg))) if c])
+        return cols
+
+    def bmat_to_rmat(self, M: Matrix) -> Matrix:
+        """bmat_cols as a dense matrix."""
+        fb = self.fb
+        return map_from_cols(FinModule.free(self.R, M.cols * fb),
+                             FinModule.free(self.R, M.rows * fb),
+                             self.bmat_cols(M)).mat
 
     def x_action(self, r: int) -> Matrix:
         """The R-matrix of multiplication by x on B^r."""
         return self.bmat_to_rmat(Matrix.identity(self.B, r).scale(self.B.x))
 
-    def dual_functional(self, r: int, w: int) -> Matrix:
-        """The R-matrix (f_B x r f_B) of the dual-basis functional
-        xi_w = x^beta e_t^dual : B^r -> B, for R-coordinate w = t f_B + beta
-        of the dual."""
+    def dual_functional(self, r: int, w: int) -> list[list[tuple[int, int]]]:
+        """The sparse columns of the R-matrix (f_B x r f_B) of the dual-basis
+        functional xi_w = x^beta e_t^dual : B^r -> B, for R-coordinate
+        w = t f_B + beta of the dual."""
         t, beta = divmod(w, self.fb)
         row = [0] * r
         row[t] = self.xpows[beta]
-        return self.bmat_to_rmat(Matrix(self.B, [row], 1, r))
+        return self.bmat_cols(Matrix(self.B, [row], 1, r))
 
     def rmat_to_bmat(self, g: ModuleMap) -> Matrix:
         """Inverse of bmat_to_rmat on the matrix of a map g between
@@ -352,12 +352,6 @@ def descend_cols(data: BTensor, cols, dst: FinModule) -> list:
     if data.rels is None:
         raise ValueError("tensor in B-coordinates records no middle relations")
     return descend_sparse(cols, data.rels, data.sect_cols, dst, data.module)
-
-
-def descend(data: BTensor, flat: ModuleMap) -> ModuleMap:
-    """descend_cols for a dense flat map."""
-    return map_from_cols(data.module, flat.dst,
-                         descend_cols(data, flat.mat.sparse_cols(), flat.dst))
 
 
 def induced_cols(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> list:

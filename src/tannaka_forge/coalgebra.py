@@ -49,7 +49,7 @@ from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       sub_canonical, sub_elements, sparse_image, descend_sparse,
                       map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
-                      tensor_bim_bmodule, triple_tensor, descend, descend_cols,
+                      tensor_bim_bmodule, triple_tensor, descend_cols,
                       induced, act_powers, power_cols, poly_cols,
                       regular_bimodule, is_b_free, btensor_bmodule, free_bmodule)
 
@@ -104,13 +104,13 @@ class Coalgebra:
 
 
 def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
-                       act: ModuleMap, left: bool = True) -> ModuleMap:
-    """(eps (x)_B id) : X (x)_B M -> M through B (x)_B M = M, descended from
-    the flat map c (x) m |-> eps(c) . m; with left=False, (id (x)_B eps) :
-    M (x)_B X -> M from m (x) c |-> m . eps(c).  eps : X -> B is a counit,
-    or any B-linear functional such as a dual-basis one.  act is the
-    x-action on M: the left one for eps (x) id, the right one for
-    id (x) eps."""
+                       act: ModuleMap, left: bool = True) -> list:
+    """(eps (x)_B id) : X (x)_B M -> M through B (x)_B M = M, as sparse
+    columns descended from the flat map c (x) m |-> eps(c) . m; with
+    left=False, (id (x)_B eps) : M (x)_B X -> M from m (x) c |-> m . eps(c).
+    eps : X -> B is a counit, or any B-linear functional such as a
+    dual-basis one.  act is the x-action on M: the left one for
+    eps (x) id, the right one for id (x) eps."""
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     # column (c, m) of the flat map is column m of the action of eps(c),
@@ -121,7 +121,7 @@ def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
         cols[k] = eps_act[c][m]
-    return map_from_cols(data.module, car_m, descend_cols(data, cols, car_m))
+    return descend_cols(data, cols, car_m)
 
 
 def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
@@ -195,7 +195,7 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
     for code, left, act in (("CounitLeft", True, C.left),
                             ("CounitRight", False, C.right)):
         contraction = counit_contraction(alg, counit, cc, act, left)
-        w = _first_difference(contraction.mat.sparse_cols(), dcols, unit, unit, C.carrier)
+        w = _first_difference(contraction, dcols, unit, unit, C.carrier)
         if w is not None:
             raise AxiomError(code, w)
     # coassociativity inside the triple tensor
@@ -245,7 +245,7 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     if w is not None:
         raise AxiomError("NotModuleMap", w)
     eps_id = counit_contraction(alg, C.counit, cm, M.act)
-    w = _first_difference(eps_id.mat.sparse_cols(), cols, unit, unit, M.carrier)
+    w = _first_difference(eps_id, cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
@@ -316,18 +316,14 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
         if Xc.module != free_bmodule(alg, r):
             raise ValueError("comodule carrier is not a standard free B-module")
     coaction = _coaction_condition(Mc, Nc)
-    # x^e in R-coordinates, for the products x^beta x^g with beta, g < f_B
-    xpow = [[(d, c) for d, c in enumerate(B.coeffs(B.pow(B.x, e))) if c]
-            for e in range(2 * fb - 1)]
     conds = []
     for t in range(rl):
         for s in range(rk):
-            for beta in range(fb):
+            for xb in alg.xpows:
                 # x^beta E_ts : x^g e_s |-> x^(beta + g) e_t
-                h = [[] for _ in range(rk * fb)]
-                for g in range(fb):
-                    h[s * fb + g] = [(t * fb + d, c) for d, c in xpow[beta + g]]
-                conds.append([coaction(h)])
+                E = Matrix.zeros(B, rl, rk)
+                E.data[t][s] = xb
+                conds.append([coaction(alg.bmat_cols(E))])
     syz = hom_equalizer(FinModule.free(R, len(conds)),
                         [hom_module(Mc.carrier, Nc.cm.module)], conds)
     return Span(R, [syz.col(j) for j in range(syz.cols)], len(conds))
@@ -352,8 +348,8 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
                              cm.pure(car.gen(b), M.carrier.gen(j)))
                             for (a, b), kk in C.cc.TR.pos.items() if dh.data[kk][i])
             for i, j in cm.TR.pos]
-    rho = descend(cm, ModuleMap(cm.TR.module, target.module, Matrix.from_cols(
-        alg.R, cols, target.module.rank), validate=False))
+    rho = map_from_cols(cm.module, target.module, descend_cols(
+        cm, [[(r, a) for r, a in enumerate(col) if a] for col in cols], target.module))
     return comodule_check(C, target, rho)
 
 

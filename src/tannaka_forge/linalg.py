@@ -197,19 +197,6 @@ class Matrix:
             raise DimensionMismatch("shape mismatch")
 
 
-def block_diag(ring: RingSpec, blocks: list[Matrix]) -> Matrix:
-    rows = sum(b.rows for b in blocks)
-    cols = sum(b.cols for b in blocks)
-    out = Matrix.zeros(ring, rows, cols)
-    r = c = 0
-    for b in blocks:
-        for i in range(b.rows):
-            out.data[r + i][c:c + b.cols] = list(b.data[i])
-        r += b.rows
-        c += b.cols
-    return out
-
-
 @dataclass(frozen=True)
 class SmithForm:
     """U^-1 A P = T with U invertible, P the column permutation perm

@@ -31,11 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingSpec, ring_make
-from .linalg import Matrix, block_diag
+from .linalg import Matrix
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
                       presentation_with_torsion, hom_module, hom_equalizer,
                       commutator_cols, sparse_image, submodule, map_kernel,
-                      is_isomorphism, is_surjective, descend_map, factor_through)
+                      is_isomorphism, is_surjective, descend_sparse,
+                      map_from_cols, factor_through)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
 
@@ -192,13 +193,13 @@ def mbar(X: FilteredFModule) -> MBarResult:
     Mbar = pres.module
     # the blockwise semilinear map descends: its linear part kills the
     # twisted relations, which present Mbar with the twisted section
-    phi_s = Matrix.from_cols(W, [X.phi[slots[idx]].mat.col(k) for idx, k in sd.place],
-                             X.M.rank)
-    tw_rels = [[W.frobenius(a) for a in col] if W.f > 1 else col
+    phis = [X.phi[i].mat.sparse_cols() for i in slots]
+    tw_rels = [[(j, W.frobenius(a)) for j, a in enumerate(col) if a]
                for col in rel_cols]
     sect_tw = _sigma_mat(W, pres.sect) if W.f > 1 else pres.sect
-    lin = descend_map(ModuleMap(sd.module, X.M, phi_s, validate=False),
-                      tw_rels, Mbar, sect_tw)
+    lin = map_from_cols(Mbar, X.M, descend_sparse(
+        [phis[idx][k] for idx, k in sd.place], tw_rels, sect_tw.sparse_cols(),
+        X.M, Mbar))
     phibar = SemilinearMap(Mbar, X.M, lin.mat)
     slotmaps = {i: ModuleMap(X.fil[i].src, Mbar, Matrix.from_cols(
                     W, [pres.proj.col(sd.place[(idx, k)]) for k in range(mods[idx].rank)],
@@ -287,14 +288,11 @@ class _RCarrier:
         R, W, f = alg.R, alg.B, alg.fb
         self.rmod = FinModule(R, tuple(e for e in wmod.exps for _ in range(f)))
         self.act = ModuleMap(self.rmod, self.rmod, alg.x_action(wmod.rank))
-        sig = Matrix.from_cols(R, [W.coeffs(W.frobenius(W.pow(W.x, g)))
-                                   for g in range(f)], f)
-        self.sigma = ModuleMap(self.rmod, self.rmod,
-                               block_diag(R, [sig] * wmod.rank))
-
-    def w2r_map(self, src: "_RCarrier", wmat: Matrix) -> ModuleMap:
-        """The R-matrix of a W-matrix src.wmod -> self.wmod."""
-        return ModuleMap(src.rmod, self.rmod, self.alg.bmat_to_rmat(wmat))
+        # sigma(x^g e_s) = sigma(x^g) e_s, one block per coordinate
+        sig = [[(d, c) for d, c in enumerate(W.coeffs(W.frobenius(xg))) if c]
+               for xg in alg.xpows]
+        self.sigma = map_from_cols(self.rmod, self.rmod, [
+            [(s * f + d, c) for d, c in col] for s in range(wmod.rank) for col in sig])
 
 
 def mf_hom(X: FilteredFModule, Y: FilteredFModule):
@@ -322,12 +320,16 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     nfil, MY = len(steps), carY[0].rmod
     charts = unknowns + [H for c in carX[1:] for H in [hom_module(c.rmod, MY)] * 2]
     fils = list(zip(carX[1:], carY[1:], steps))
-    # each step's inclusion and phi as sparse columns: X's negated, as g
-    # follows them, and Y's, which follow g_i
-    pre = [[(-m).mat.sparse_cols() for m in (carX[0].w2r_map(cx, filX[i].mat),
-            carX[0].w2r_map(cx, phiX[i].mat) @ cx.sigma)] for cx, _, i in fils]
-    post = [[m.mat.sparse_cols() for m in (carY[0].w2r_map(cy, filY[i].mat),
-             carY[0].w2r_map(cy, phiY[i].mat) @ cy.sigma)] for _, cy, i in fils]
+    # each step's inclusion and phi . sigma as the sparse columns of their
+    # R-matrices: X's, which g follows (so with -g), and Y's, which follow g_i
+    neg = alg.R.neg
+
+    def step_cols(c: _RCarrier, M: FinModule, fil: ModuleMap, phi: SemilinearMap):
+        phic = alg.bmat_cols(phi.mat)
+        return [alg.bmat_cols(fil.mat),
+                [sparse_image(col, phic, M) for col in c.sigma.mat.sparse_cols()]]
+    pre = [step_cols(cx, carX[0].rmod, filX[i], phiX[i]) for cx, _, i in fils]
+    post = [step_cols(cy, MY, filY[i], phiY[i]) for _, cy, i in fils]
     acts = [(a.act.mat.sparse_cols(), b.act.mat.sparse_cols(), b.rmod)
             for a, b in zip(carX, carY)]
 
@@ -335,9 +337,10 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
         out = [[] for _ in charts]
         out[s] = commutator_cols(h, *acts[s])
         if s == 0:
+            minus_h = [[(r, neg(a)) for r, a in col] for col in h]
             for t in range(nfil):
                 for d, m in enumerate(pre[t]):
-                    out[nfil + 1 + 2 * t + d] = [sparse_image(c, h, MY) for c in m]
+                    out[nfil + 1 + 2 * t + d] = [sparse_image(c, minus_h, MY) for c in m]
         else:
             for d, m in enumerate(post[s - 1]):
                 out[nfil + 2 * s - 1 + d] = [sparse_image(c, m, MY) for c in h]

@@ -16,10 +16,10 @@ M rather than in its free cover: syzygies(M, A) generates the relations
 among A's columns, submodule(M, A) presents their span in canonical form,
 and solve_in(M, A, targets) expresses any number of targets in that span
 from one Howell form of the graph of A | torsion_matrix(M).  Every map out
-of a presented quotient is descended by one sparse kernel, descend_sparse
-(descend_map is its dense entry point), on sparse columns such as those
-tensor_cols builds for f (x) g from the nonzeros of f and g.  Kernels and
-images of maps are submodules.
+of a presented quotient is descended by one sparse kernel, descend_sparse,
+on sparse columns such as those tensor_cols builds for f (x) g from the
+nonzeros of f and g; map_from_cols writes a result out as a ModuleMap.
+Kernels and images of maps are submodules.
 
 A Hom module is a coordinate chart: HomData.sparse_coords writes a map
 given by sparse columns straight into its coordinates.  hom_equalizer is
@@ -344,15 +344,6 @@ def map_from_cols(src: FinModule, dst: FinModule, cols) -> ModuleMap:
     return ModuleMap(src, dst, mat, validate=False)
 
 
-def descend_map(flat: ModuleMap, rels, quotient: FinModule,
-                sect: Matrix) -> ModuleMap:
-    """descend_sparse for a dense flat map, dense relation vectors rels and
-    a dense section sect."""
-    rels = [[(k, a) for k, a in enumerate(rel) if a] for rel in rels]
-    return map_from_cols(quotient, flat.dst, descend_sparse(
-        flat.mat.sparse_cols(), rels, sect.sparse_cols(), flat.dst, quotient))
-
-
 # ---------------------------------------------------------------------------
 # the solve/submodule spine, and kernels, images, cokernels of module maps
 # ---------------------------------------------------------------------------
@@ -500,7 +491,7 @@ class TensorData:
     """M tensor_R N in canonical form.
 
     pos maps a summand pair (i, j) to its position in the sorted exponent
-    list; map_tensor is functorial on maps.
+    list; tensor_cols is functorial on maps.
     """
     left: FinModule
     right: FinModule
@@ -528,11 +519,6 @@ def tensor_cols(T: TensorData, f: ModuleMap, g: ModuleMap,
         cols[k] = [(pos2[(i2, j2)], mul(a, b))
                    for i2, a in fcols[i] for j2, b in gcols[j]]
     return cols
-
-
-def map_tensor(T: TensorData, f: ModuleMap, g: ModuleMap, T2: TensorData) -> ModuleMap:
-    """f tensor g : T -> T2 as a module map: the dense form of tensor_cols."""
-    return map_from_cols(T.module, T2.module, tensor_cols(T, f, g, T2))
 
 
 # ---------------------------------------------------------------------------

@@ -40,13 +40,12 @@ from dataclasses import dataclass
 
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import (FinModule, ModuleMap, TensorData,
-                                   tensor_with_data, map_tensor,
-                                   presentation_with_torsion)
+                                   tensor_with_data, presentation_with_torsion)
 from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
-                                   BForm, TripleTensor, descend, tensor_bimodules,
+                                   BForm, TripleTensor, tensor_bimodules,
                                    triple_tensor, _btensor_core)
 
-from dense_tensor import dense, embed
+from dense_tensor import dense, descend, embed, map_tensor
 from descent_reference import act_by
 
 

@@ -11,15 +11,30 @@ w = t f_B + beta.
 
 from __future__ import annotations
 
-from tannaka_forge.linalg import Matrix, block_diag
+from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import ModuleMap
 from tannaka_forge.algebra import (free_bmodule, tensor_bim_bmodule, induced,
-                                   as_b_module, btensor_bmodule, descend)
+                                   as_b_module, btensor_bmodule)
 from tannaka_forge.coalgebra import comodule_check, comodule_hom
 from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    coend)
 
+from dense_tensor import descend
 from descent_reference import act_by
+
+
+def block_diag(ring, blocks) -> Matrix:
+    """The block-diagonal matrix of the blocks, in order."""
+    rows = sum(b.rows for b in blocks)
+    cols = sum(b.cols for b in blocks)
+    out = Matrix.zeros(ring, rows, cols)
+    r = c = 0
+    for b in blocks:
+        for i in range(b.rows):
+            out.data[r + i][c:c + b.cols] = list(b.data[i])
+        r += b.rows
+        c += b.cols
+    return out
 
 
 def relation_columns(D: DiagramCategory, morphisms=None):
@@ -67,7 +82,7 @@ def block_x_action(alg, dims, offsets, N, side: str) -> Matrix:
     """x acting on T on the chosen side: through the fiber for 'left',
     through the dual for 'right'; both act by the regular matrix of x."""
     R = alg.R
-    xmat = alg.regular_rep(alg.B.x)
+    xmat = alg.x_action(1)
     out = Matrix.zeros(R, N, N)
     for k, m in enumerate(dims):
         rk = m // alg.fb

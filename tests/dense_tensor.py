@@ -8,14 +8,19 @@ records none) and the left and right actions as ``ModuleMap``s module ->
 module (None where the tensor records none).
 
 ``embed`` is the pure-tensor embedding of a ``TensorData``: v (x) w as an
-element of M tensor_R N."""
+element of M tensor_R N.  ``map_tensor``, ``descend_map`` and ``descend``
+are the dense forms of ``modules.tensor_cols``, ``modules.descend_sparse``
+and ``algebra.descend_cols``: the same kernels, on and to dense maps, for
+the references and tests that multiply them."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from tannaka_forge.linalg import Matrix
-from tannaka_forge.modules import ModuleMap
+from tannaka_forge.modules import (ModuleMap, descend_sparse, map_from_cols,
+                                   tensor_cols)
+from tannaka_forge.algebra import descend_cols
 
 
 @dataclass
@@ -57,3 +62,22 @@ def embed(T, v, w) -> tuple[int, ...]:
                     k = T.pos[(i, j)]
                     out[k] = ring.add(out[k], ring.mul(a, b))
     return T.module.reduce(out)
+
+
+def map_tensor(T, f, g, T2) -> ModuleMap:
+    """f tensor g : T -> T2 as a module map."""
+    return map_from_cols(T.module, T2.module, tensor_cols(T, f, g, T2))
+
+
+def descend_map(flat: ModuleMap, rels, quotient, sect: Matrix) -> ModuleMap:
+    """descend_sparse for a dense flat map, dense relation vectors rels and
+    a dense section sect."""
+    rels = [[(k, a) for k, a in enumerate(rel) if a] for rel in rels]
+    return map_from_cols(quotient, flat.dst, descend_sparse(
+        flat.mat.sparse_cols(), rels, sect.sparse_cols(), flat.dst, quotient))
+
+
+def descend(data, flat: ModuleMap) -> ModuleMap:
+    """descend_cols for a dense flat map."""
+    return map_from_cols(data.module, flat.dst,
+                         descend_cols(data, flat.mat.sparse_cols(), flat.dst))

@@ -32,12 +32,12 @@ They are kept only to be tested against.
 
 from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import Matrix, Span
-from tannaka_forge.modules import ModuleMap, hom_module, map_kernel, direct_sum, map_tensor
+from tannaka_forge.modules import ModuleMap, hom_module, map_kernel, direct_sum
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.mf import MFError, _RCarrier, _extend_window
 from tannaka_forge.tannaka import _flatten_bmat
 
-from dense_tensor import dense
+from dense_tensor import dense, map_tensor
 
 
 def hom_basis(H):
@@ -180,11 +180,15 @@ def ref_mf_hom(X, Y):
         targets.append(hom_module(carFX[i].rmod, carMY.rmod))
         targets.append(hom_module(carFX[i].rmod, carMY.rmod))
     tsum = direct_sum([t.module for t in targets])
-    iotaX = {i: carMX.w2r_map(carFX[i], filX[i].mat) for i in range(lo, hi + 1)}
-    iotaY = {i: carMY.w2r_map(carFY[i], filY[i].mat) for i in range(lo, hi + 1)}
-    phiXr = {i: carMX.w2r_map(carFX[i], phiX[i].mat) @ carFX[i].sigma
+    def w2r_map(dst, src, wmat):
+        """The R-matrix of a W-matrix src.wmod -> dst.wmod."""
+        return ModuleMap(src.rmod, dst.rmod, alg.bmat_to_rmat(wmat))
+
+    iotaX = {i: w2r_map(carMX, carFX[i], filX[i].mat) for i in range(lo, hi + 1)}
+    iotaY = {i: w2r_map(carMY, carFY[i], filY[i].mat) for i in range(lo, hi + 1)}
+    phiXr = {i: w2r_map(carMX, carFX[i], phiX[i].mat) @ carFX[i].sigma
              for i in range(lo, hi + 1)}
-    phiYr = {i: carMY.w2r_map(carFY[i], phiY[i].mat) @ carFY[i].sigma
+    phiYr = {i: w2r_map(carMY, carFY[i], phiY[i].mat) @ carFY[i].sigma
              for i in range(lo, hi + 1)}
 
     def conditions(slot, h):

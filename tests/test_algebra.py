@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tannaka_forge.linalg import Matrix, inverse, is_invertible
@@ -29,6 +31,45 @@ def test_bmat_rmat_roundtrip(alg_gr42):
     # multiplicativity of the regular representation
     N = Matrix(B, [[1, B.x], [B.x, 2]], 2, 2)
     assert alg.bmat_to_rmat(M @ N) == alg.bmat_to_rmat(M) @ alg.bmat_to_rmat(N)
+
+
+def _reference_bmat_cols(alg, M):
+    """The R-matrix of M block by block: entry (t, s) fills rows t f_B + d
+    of column s f_B + gamma with the coefficients of M[t][s] x^gamma, as
+    tests/coend_reference.py builds its x-action; then read off by
+    columns."""
+    B, fb = alg.B, alg.fb
+    dense = [[0] * (M.cols * fb) for _ in range(M.rows * fb)]
+    for t in range(M.rows):
+        for s in range(M.cols):
+            for gamma in range(fb):
+                b = B.mul(M.data[t][s], B.pow(B.x, gamma))
+                for d, c in enumerate(B.coeffs(b)):
+                    dense[t * fb + d][s * fb + gamma] = c
+    return dense, [[(r, row[q]) for r, row in enumerate(dense) if row[q]]
+                   for q in range(M.cols * fb)]
+
+
+@pytest.mark.parametrize("pnf", [(2, 1, 2), (3, 1, 2), (2, 2, 2), (2, 3, 2),
+                                 (2, 2, 3)])
+def test_bmat_cols_matches_block_reference(pnf):
+    # F4, F9, GR(4,2), GR(8,2), GR(4,3): seeded matrices with about half
+    # their entries zero, every shape up to 3 x 3 including the empty ones
+    alg = AlgebraSpec.make(*pnf)
+    B = alg.B
+    rng = random.Random(sum(pnf))
+    for rows in range(4):
+        for cols in range(4):
+            for _ in range(3):
+                M = Matrix(B, [[0 if rng.random() < 0.5 else rng.randrange(B.size)
+                                for _ in range(cols)] for _ in range(rows)],
+                           rows, cols)
+                dense, cols_ref = _reference_bmat_cols(alg, M)
+                assert alg.bmat_cols(M) == cols_ref
+                assert alg.bmat_to_rmat(M) == Matrix(alg.R, dense, rows * alg.fb,
+                                                     cols * alg.fb)
+    assert alg.x_action(2) == Matrix(alg.R, _reference_bmat_cols(
+        alg, Matrix.identity(B, 2).scale(B.x))[0], 2 * alg.fb, 2 * alg.fb)
 
 
 def test_rmat_to_bmat_into_torsion_carrier(alg_gr42):

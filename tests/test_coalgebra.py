@@ -143,7 +143,7 @@ def test_comodule_hom_vs_brute_force(alg_f2):
         K, basis = comodule_hom(Mc, Nc)
         brute = set()
         H = hom_module(Mc.carrier, Nc.carrier)
-        from tannaka_forge.modules import map_tensor
+        from dense_tensor import map_tensor
         for coords in itertools.product(
                 *[range(alg_f2.R.p ** e) for e in H.module.exps]):
             g = H.from_coords(coords)
@@ -214,7 +214,9 @@ def test_cofree_right_adjoint_bijection(alg_f2):
         assert K.cardinality() == KB.cardinality()
         # the correspondence phi -> (eps (x) id) . phi is injective on the span
         from tannaka_forge.coalgebra import counit_contraction
-        eps_id = counit_contraction(alg, C.counit, cmN, N.act)
+        from tannaka_forge.modules import map_from_cols
+        eps_id = map_from_cols(cmN.module, N.carrier,
+                               counit_contraction(alg, C.counit, cmN, N.act))
         images = set()
         for coords in itertools.product(
                 *[range(alg.R.p ** e) for e in K.exps]):

@@ -13,7 +13,7 @@ from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    regular_bimodule,
                                    bimodule_make, tensor_bimodules,
-                                   triple_tensor, descend, as_b_module)
+                                   triple_tensor, as_b_module)
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, cofree,
                                      AxiomError)
 from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
@@ -25,7 +25,7 @@ from tannaka_forge.tannaka import coend, lift_coaction
 
 from coassoc_reference import (dense_coassoc_witness, dense_tensor_free,
                                flat_triple_tensor, quotient_triple_tensor)
-from dense_tensor import dense
+from dense_tensor import dense, descend
 from descent_reference import act_by
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
@@ -178,7 +178,7 @@ def _b_grouplike(alg, g):
 def _torsion_bmodule(alg):
     """B/p, a B-module that is not free when n >= 2."""
     car = FinModule(alg.R, (1,) * alg.fb)
-    return BModule(alg, car, ModuleMap(car, car, alg.regular_rep(alg.B.x)))
+    return BModule(alg, car, ModuleMap(car, car, alg.x_action(1)))
 
 
 def _suite_coalgebras():

@@ -1,9 +1,10 @@
 """Differential tests: the coend's relation columns, x-actions, counit and
-counit map nu, built from `bmat_to_rmat`, `map_tensor`, the dual-basis
+counit map nu, built as sparse columns from `bmat_cols`, the dual-basis
 functional and the counit contraction, equal the hand-indexed loops of
-tests/coend_reference.py entry for entry, as does the cofree coaction; and
-the one descent refuses a flat map that misses a relation, on a tensor over
-B and on the coend's T."""
+tests/coend_reference.py entry for entry, as does the cofree coaction; the
+one descent refuses a flat map that misses a relation, on a tensor over B
+and on the coend's T; and no map out of T is multiplied as a dense matrix
+of T's rank."""
 
 import importlib.util
 import random
@@ -13,15 +14,16 @@ from pathlib import Path
 import pytest
 
 import coend_reference as ref
-from dense_tensor import dense
-from tannaka_forge import algebra, coalgebra, linalg, modules, textio
+from dense_tensor import dense, descend, descend_map
+from tannaka_forge import algebra, coalgebra, linalg, mf, modules, tannaka, textio
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
-                                   tensor_bimodules, regular_bimodule, descend)
+                                   tensor_bimodules, regular_bimodule)
 from tannaka_forge.linalg import Matrix
-from tannaka_forge.modules import FinModule, ModuleMap, descend_map
+from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.coalgebra import cofree
-from tannaka_forge.tannaka import (_relation_columns, _t_actions, coend,
-                                   counit_map, hom_closure, lift_coaction)
+from tannaka_forge.tannaka import (DiagramCategory, _relation_columns, coend,
+                                   counit_map, counit_from_coend, hom_closure,
+                                   lift_coaction)
 from tannaka_forge.suite import (random_diagram, comatrix_coalgebra,
                                  comatrix_standard_comodule, comatrix_diagram,
                                  grouplike_coalgebra, grouplike_line,
@@ -103,14 +105,11 @@ def _dense_relation_columns(D, morphisms=None):
 
 
 def _assert_coend_maps_match(D):
-    """The flat actions, and the actions and counit of coend(D), equal the
-    reference's; returns the coend."""
+    """The actions and counit of coend(D) equal the reference's flat maps
+    through the class map and the section; returns the coend."""
     alg = D.alg
     N, offsets, dims, cols = ref.relation_columns(D)
     assert _dense_relation_columns(D) == (N, offsets, dims, cols)
-    left, right = _t_actions(D)
-    assert left == ref.block_x_action(alg, dims, offsets, N, "left")
-    assert right == ref.block_x_action(alg, dims, offsets, N, "right")
     CR = coend(D, check=False)
     L, P, S = CR.coalgebra, CR.classmap, CR.sect
     for got, side in ((L.bi.left, "left"), (L.bi.right, "right")):
@@ -252,7 +251,7 @@ def test_the_descents_share_one_function(monkeypatch):
         calls.append(quotient)
         return real(cols, rels, sect, dst, quotient)
 
-    for mod in (modules, algebra, coalgebra):
+    for mod in (modules, algebra, coalgebra, tannaka, mf):
         monkeypatch.setattr(mod, "descend_sparse", counted)
     alg = AlgebraSpec.make(2, 2, 2)
     bi = regular_bimodule(alg)
@@ -267,3 +266,99 @@ def test_the_descents_share_one_function(monkeypatch):
     assert len(calls) == 10
     assert sum(q is C.carrier for q in calls) == 4
     assert sum(q is C.cc.module for q in calls) == 6
+    # nu is descended out of T once; its checks descend only the counit
+    # contractions through each C (x)_B M and nu (x) nu onto C (x)_B C
+    lifted = lift_coaction(CR)
+    calls.clear()
+    counit_from_coend(C, lifted, CR)
+    assert sum(q is C.carrier for q in calls) == 1
+    assert sum(q is C.cc.module for q in calls) == 1
+    assert len(calls) == 2 + sum(Mc.carrier.rank for Mc in lifted)
+    # the colimit map of a filtered F-module
+    calls.clear()
+    mf.mbar(mf.tate_object(alg.B, 1))
+    assert len(calls) == 1
+
+
+def _record_products(monkeypatch):
+    """The shapes (rows, inner, cols) of every Matrix product formed from
+    now on."""
+    shapes = []
+    real = Matrix.__matmul__
+
+    def counted(a, b):
+        shapes.append((a.rows, a.cols, b.cols))
+        return real(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    return shapes
+
+
+def _products_of_rank(shapes, N):
+    """The nonempty products with a dimension equal to N."""
+    return [s for s in shapes if N in s and 0 not in s]
+
+
+def test_the_coend_forms_no_product_of_t_rank(monkeypatch, spans_draws):
+    # the class map was multiplied by the dense N x N actions on T; where
+    # L has T's rank, L's own products (the commuting check of its two
+    # actions) have that rank too, so those draws are skipped
+    closed = [hom_closure(D) for D in spans_draws]
+    shapes = _record_products(monkeypatch)
+    seen = 0
+    for D in closed:
+        shapes.clear()
+        CR = coend(D, check=False)
+        N = CR.classmap.cols
+        if CR.coalgebra.carrier.rank != N:
+            assert not _products_of_rank(shapes, N)
+            seen += 1
+    assert seen >= 25
+
+
+def test_nu_forms_no_product_of_t_rank(monkeypatch):
+    # the families of _assert_nu_matches; nu and its checks stay sparse,
+    # so not even L's products appear where L has T's rank
+    f2, gr42 = AlgebraSpec.make(2, 1, 1), AlgebraSpec.make(2, 2, 2)
+    families = []
+    for alg in (f2, AlgebraSpec.make(3, 1, 1)):
+        for r in (1, 2, 3, 4) if alg == f2 else (1, 2):
+            C = comatrix_coalgebra(alg, r)
+            families.append((C, [comatrix_standard_comodule(C, r)]))
+    for g in (1, 2, 3, 5, 8):
+        C = grouplike_coalgebra(f2, g)
+        lines = [grouplike_line(C, i) for i in range(g)]
+        families += [(C, lines), (C, lines[:1])]
+    C = trivial_coalgebra(gr42)
+    families.append((C, [cofree(C, free_bmodule(gr42, 1))]))
+    CR = coend(mf_family_diagram(2, 2, 2, (0, 1))[0])
+    families.append((CR.coalgebra, lift_coaction(CR)))
+    shapes, seen = _record_products(monkeypatch), []
+    real = tannaka.counit_from_coend
+
+    def probe(C, std_comods, CR):
+        shapes.clear()
+        res = real(C, std_comods, CR)
+        seen.append(_products_of_rank(shapes, CR.classmap.cols))
+        return res
+
+    monkeypatch.setattr(tannaka, "counit_from_coend", probe)
+    for C, family in families:
+        counit_map(C, family)
+    assert len(seen) == 18 and not any(seen)
+
+
+def test_a_closed_diagram_is_not_rechecked(monkeypatch, spans_draws):
+    calls = []
+    real = DiagramCategory.closure_violation
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(DiagramCategory, "closure_violation", counted)
+    for D in spans_draws:
+        closed = hom_closure(D)
+        coend(closed, check=False)
+        coend(closed.restrict(closed.components()[0]), check=False)
+    assert not calls

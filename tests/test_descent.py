@@ -1,6 +1,7 @@
 """Differential tests for the one sparse descent: `induced`,
-`counit_contraction`, `descend_map`, `_coassoc_witness`, `comodule_hom` and
-`subcomodule_as_comodule` against the dense descents and the private
+`counit_contraction`, `descend_sparse` (through its dense form
+`descend_map` in tests/dense_tensor.py), `_coassoc_witness`, `comodule_hom`
+and `subcomodule_as_comodule` against the dense descents and the private
 sparse copy they replaced (tests/descent_reference.py), on the suite
 coalgebras and comodules, seeded random coends with and without torsion,
 and the MF coends over GR(4,2) and GR(8,2): equal matrices, equal
@@ -11,15 +12,14 @@ import random
 import pytest
 
 import descent_reference as ref
-from dense_tensor import dense
+from dense_tensor import dense, descend, descend_map
 from tannaka_forge import coalgebra
 from tannaka_forge.linalg import Matrix, kernel
 from tannaka_forge.modules import (FinModule, ModuleMap, NotWellDefined,
-                                   descend_map)
+                                   map_from_cols)
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    regular_bimodule, tensor_bimodules,
-                                   tensor_bim_bmodule, triple_tensor, induced,
-                                   descend)
+                                   tensor_bim_bmodule, triple_tensor, induced)
 from tannaka_forge.coalgebra import (comodule_hom,
                                      counit_contraction, cofree,
                                      enumerate_subcomodules,
@@ -56,7 +56,7 @@ def _same_descent(new, old):
 def _torsion_bmodule(alg):
     """B/p, a B-module that is not free when n >= 2."""
     car = FinModule(alg.R, (1,) * alg.fb)
-    return BModule(alg, car, ModuleMap(car, car, alg.regular_rep(alg.B.x)))
+    return BModule(alg, car, ModuleMap(car, car, alg.x_action(1)))
 
 
 def _perturbed(C):
@@ -81,7 +81,8 @@ def _compare_coalgebra(C):
     assert dense(cc).right == ref.induced(cc, cc, one, bi.right)
     assert induced(cc, cc, bi.left, bi.right) == ref.induced(cc, cc, bi.left, bi.right)
     for left, act in ((True, bi.left), (False, bi.right)):
-        assert counit_contraction(alg, C.counit, cc, act, left) == \
+        assert map_from_cols(cc.module, bi.carrier,
+                             counit_contraction(alg, C.counit, cc, act, left)) == \
             ref.counit_contraction(alg, C.counit, cc, act, left)
     t3 = triple_tensor(alg, cc, bi.carrier, bi.left)
     assert coalgebra._coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta) \
@@ -102,7 +103,8 @@ def _compare_comodule(Mc):
     alg, one = C.alg, ModuleMap.identity(C.carrier)
     assert induced(cm, cm, one, M.act) == ref.induced(cm, cm, one, M.act)
     assert induced(cm, cm, C.bi.left, M.act) == ref.induced(cm, cm, C.bi.left, M.act)
-    assert counit_contraction(alg, C.counit, cm, M.act) == \
+    assert map_from_cols(cm.module, M.carrier,
+                         counit_contraction(alg, C.counit, cm, M.act)) == \
         ref.counit_contraction(alg, C.counit, cm, M.act)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
     hat = Mc.rhohat()

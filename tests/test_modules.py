@@ -9,10 +9,10 @@ from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentatio
                                    hom_module, tensor_with_data, map_kernel,
                                    map_cokernel, submodule, direct_sum,
                                    solve_in, sub_elements, NotWellDefined,
-                                   EnumerationBudget, is_isomorphism, map_tensor)
+                                   EnumerationBudget, is_isomorphism)
 from tannaka_forge.algebra import AlgebraSpec, _btensor_core
 
-from dense_tensor import dense, embed
+from dense_tensor import dense, embed, map_tensor
 from hom_reference import hom_basis, hom_coords
 
 
