@@ -106,10 +106,7 @@ class AlgebraSpec:
 
     def bmat_to_rmat(self, M: Matrix) -> Matrix:
         """bmat_cols as a dense matrix."""
-        fb = self.fb
-        return map_from_cols(FinModule.free(self.R, M.cols * fb),
-                             FinModule.free(self.R, M.rows * fb),
-                             self.bmat_cols(M)).mat
+        return Matrix.from_sparse(self.R, self.bmat_cols(M), M.rows * self.fb)
 
     def x_action(self, r: int) -> Matrix:
         """The R-matrix of multiplication by x on B^r."""
@@ -339,10 +336,8 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
     minus = alg.R.neg(1)
     rels = [sparse_image([(k, 1), (N + k, minus)], sides, TR.module)
             for k in range(N)]
-    pres = presentation_with_torsion(
-        TR.module, map_from_cols(TR.module, TR.module, rels).mat)
-    return BTensor(alg, TR, pres.module, pres.proj.sparse_cols(),
-                   pres.sect.sparse_cols(), rels)
+    pres = presentation_with_torsion(TR.module, Matrix.from_sparse(alg.R, rels, N))
+    return BTensor(alg, TR, pres.module, pres.proj, pres.sect, rels)
 
 
 def descend_cols(data: BTensor, cols, dst: FinModule) -> list:
@@ -511,10 +506,11 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
     exps = pres.module.exps
     theta = theta_inv = None
     if all(e == B.n for e in exps):
+        sect = Matrix.from_sparse(B, pres.sect, m)
         tcols = []
         for j in range(len(exps)):
             # the j-th B-generator inside the carrier, and its x-powers
-            gen = carrier.reduce(phi.apply(list(alg.bvec_to_rvec(pres.sect.col(j)))))
+            gen = carrier.reduce(phi.apply(list(alg.bvec_to_rvec(sect.col(j)))))
             for g in range(fb):
                 tcols.append(list(pows[g].apply(gen)))
         theta = Matrix.from_cols(R, tcols, carrier.rank)

@@ -124,15 +124,16 @@ def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
     return descend_cols(data, cols, car_m)
 
 
-def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
-                     hat: Matrix, phi: ModuleMap) -> int | None:
-    """First generator g of phi.src with (delta (x) id) phi(g) different
-    from (id (x) rho) phi(g) in t3.module, or None.
+def _coassoc_witness(t3: TripleTensor, deltahat: list, src: BTensor,
+                     hat: list, phi: list) -> int | None:
+    """First generator g of the source of phi with (delta (x) id) phi(g)
+    different from (id (x) rho) phi(g) in t3.module, or None.
 
     src is C (x)_B Z, hat lifts rho : Z -> src.module into src.TR, deltahat
-    lifts delta into t3.T12 (the flat C (x) C of t3.xy), and
-    phi : phi.src -> src.module is the map both composites start from (delta
-    itself, or rho).  Both flat maps are built as sparse columns on flat
+    lifts delta into t3.T12 (the flat C (x) C of t3.xy), and phi, with
+    values in src.module, is the map both composites start from (delta
+    itself, or rho); all three are given by their sparse columns, which the
+    caller reads once.  Both flat maps are built as sparse columns on flat
     triple coordinates.  When f_B = 1 those are the quotient's; otherwise
     each column is pushed through xy's projection (tensor id) and then
     projected into the nest.  Both are descended through src by
@@ -142,12 +143,11 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
     p12, p3 = t3.T12.pos, t3.TR.pos
     src_inv = {k: ij for ij, k in src.TR.pos.items()}
     # delta(c_i) as (T12 index, coeff); rho(z_j) as ((c, z) pair, coeff)
-    dcols = deltahat.sparse_cols()
-    hcols = [[(src_inv[kk], c) for kk, c in col] for col in hat.sparse_cols()]
+    hcols = [[(src_inv[kk], c) for kk, c in col] for col in hat]
     lhs = [None] * src.TR.module.rank
     rhs = [None] * src.TR.module.rank
     for (i, j), k in src.TR.pos.items():
-        lhs[k] = [(p3[(pk, j)], c) for pk, c in dcols[i]]
+        lhs[k] = [(p3[(pk, j)], c) for pk, c in deltahat[i]]
         rhs[k] = [(p3[(p12[(i, a)], b)], c) for (a, b), c in hcols[j]]
     if t3.nest is not None:
         # column k of xy's projection (x) id, in nest.TR coordinates
@@ -160,7 +160,7 @@ def _coassoc_witness(t3: TripleTensor, deltahat: Matrix, src: BTensor,
         rhs = nest.project([sparse_image(col, xz, nest.TR.module) for col in rhs])
     lhs = descend_sparse(lhs, src.rels, src.sect_cols, mod, src.module)
     rhs = descend_sparse(rhs, src.rels, src.sect_cols, mod, src.module)
-    for g, terms in enumerate(phi.mat.sparse_cols()):
+    for g, terms in enumerate(phi):
         if sparse_image(terms, lhs, mod) != sparse_image(terms, rhs, mod):
             return g
     return None
@@ -180,18 +180,19 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         raise ValueError("delta must map the carrier into C (x)_B C")
     if counit.src != C.carrier or counit.dst != breg.carrier:
         raise ValueError("counit must map the carrier into B")
+    # the columns of delta and eps, each read once for every check below
+    dcols, ecols = delta.mat.sparse_cols(), counit.mat.sparse_cols()
     # bimodule-map conditions
-    for name, phi, act, act_dst in (
-            ("left", delta, C.left, cc.left),
-            ("right", delta, C.right, cc.right),
-            ("left", counit, C.left, breg.left.mat.sparse_cols()),
-            ("right", counit, C.right, breg.right.mat.sparse_cols())):
-        cols = phi.mat.sparse_cols()
-        w = _first_difference(cols, act.mat.sparse_cols(), act_dst, cols, phi.dst)
+    for name, cols, act, act_dst, dst in (
+            ("left", dcols, C.left, cc.left, cc.module),
+            ("right", dcols, C.right, cc.right, cc.module),
+            ("left", ecols, C.left, breg.left.mat.sparse_cols(), breg.carrier),
+            ("right", ecols, C.right, breg.right.mat.sparse_cols(), breg.carrier)):
+        w = _first_difference(cols, act.mat.sparse_cols(), act_dst, cols, dst)
         if w is not None:
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
     # counit laws: (eps (x) id) delta = id = (id (x) eps) delta
-    unit, dcols = [[(x, 1)] for x in range(C.carrier.rank)], delta.mat.sparse_cols()
+    unit = [[(x, 1)] for x in range(C.carrier.rank)]
     for code, left, act in (("CounitLeft", True, C.left),
                             ("CounitRight", False, C.right)):
         contraction = counit_contraction(alg, counit, cc, act, left)
@@ -200,7 +201,8 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
             raise AxiomError(code, w)
     # coassociativity inside the triple tensor
     t3 = triple_tensor(alg, cc, C.carrier, C.left)
-    w = _coassoc_witness(t3, coalg.deltahat, cc, coalg.deltahat, delta)
+    hat = coalg.deltahat.sparse_cols()
+    w = _coassoc_witness(t3, hat, cc, hat, dcols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return coalg
@@ -249,7 +251,8 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     if w is not None:
         raise AxiomError("CounitLeft", w)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
-    w = _coassoc_witness(t3, C.deltahat, cm, Mc.rhohat(), rho)
+    w = _coassoc_witness(t3, C.deltahat.sparse_cols(), cm, Mc.rhohat().sparse_cols(),
+                         cols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Mc

@@ -8,8 +8,10 @@ valuation, then row-major position - and units are normalized into U, which
 makes the output deterministic for a given input.  `smith` returns U, U^-1,
 the invariants and the column swaps: presentations read only these, so
 the row operations alone are carried out, leaving U^-1 A, with its columns
-swapped, upper triangular, and neither V nor V^-1 is built.  Images are
-not computed here: a column span is presented by modules.submodule.
+swapped, upper triangular, and neither V nor V^-1 is built.  It runs on
+sparse rows, with U kept by columns and U^-1 by rows, and swaps columns in
+a permutation, so its cost follows the nonzeros of A, not its side.  Images
+are not computed here: a column span is presented by modules.submodule.
 
 The Howell form is the canonical generating matrix of a row span: it
 depends only on the span, which makes span comparisons and coend
@@ -21,15 +23,15 @@ which is how `Span.contains` answers every membership question.  Kernels, solves
 inverses are read off one Span of the graph of A, the rows (A e_i, e_i) of
 [A^T | I] (Howell 1986; Storjohann, ETH thesis 2000, ch. 4): its rows with
 zero A-part generate the kernel, and (b, 0) reduces to (b - A x, -x).  Both
-depend only on A and b, and need no Smith form with its dense transforms
-of side A.rows; `solve_columns` answers many right-hand sides from one
+depend only on A and b, and need no Smith form with its transforms of
+side A.rows; `solve_columns` answers many right-hand sides from one
 graph, and `solve` is its one-target case.
 
 Over R = Z/p^n (ring.native_q is q) elements are ints mod q, and the
 matrix product and Span.reduce sum plain int products and reduce mod q once
 per entry instead of calling the ring twice per term; other rings go
-through ring.add and ring.mul.  Smith's row and column updates and the
-Howell insertion make one ring.addmul per term.
+through ring.add and ring.mul.  Smith's row updates and the Howell
+insertion make one ring.addmul per term.
 
 No fraction-free or probabilistic shortcuts; everything is exact at desk
 scale.
@@ -88,8 +90,15 @@ class Matrix:
             return cls(ring, [[] for _ in range(rows)], rows, 0)
         return cls(ring, [list(r) for r in zip(*cols)], rows, len(cols))
 
-    def copy(self) -> "Matrix":
-        return Matrix(self.ring, [row[:] for row in self.data], self.rows, self.cols)
+    @classmethod
+    def from_sparse(cls, ring: RingSpec, cols, rows: int) -> "Matrix":
+        """Write out the sparse columns cols, lists of (row, entry) pairs,
+        as a dense matrix with rows rows."""
+        mat = cls.zeros(ring, rows, len(cols))
+        for q, col in enumerate(cols):
+            for j, a in col:
+                mat.data[j][q] = a
+        return mat
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.ring == other.ring
@@ -203,101 +212,74 @@ class SmithForm:
     (column j of A P is column perm[j] of A) and T upper triangular: row i
     has p^{a_i} on the diagonal and entries divisible by p^{a_i} to its
     right, and the rows past the rank are zero.  invariants lists a_i (a_i =
-    n for a zero pivot), nondecreasing; u_inv is the exact inverse of U,
-    accumulated during reduction.  Column operations alone take T to
-    diag(p^{a_i}), so A = U D V for some invertible V, which no reader
+    n for a zero pivot), nondecreasing.  U is given by its sparse columns
+    and its exact inverse u_inv by its sparse rows, lists of (index, entry)
+    pairs, both accumulated during reduction.  Column operations alone take
+    T to diag(p^{a_i}), so A = U D V for some invertible V, which no reader
     needs and so is not built."""
-    U: Matrix
+    U: list[list[tuple[int, int]]]
     invariants: tuple[int, ...]
-    u_inv: Matrix
+    u_inv: list[list[tuple[int, int]]]
     perm: tuple[int, ...]
 
 
 def smith(A: Matrix) -> SmithForm:
+    """The Smith form of A on sparse rows: the rows of A are read once into
+    {column: entry} dicts, U is kept by columns and U^-1 by rows, also as
+    dicts, and a column swap swaps two positions of perm."""
     ring = A.ring
-    n = ring.n
-    rows, cols = A.rows, A.cols
-    D = A.copy()
-    U = Matrix.identity(ring, rows)
-    Ui = Matrix.identity(ring, rows)
-    perm = list(range(cols))
+    rows = A.rows
+    D = [{j: e for j, e in enumerate(row) if e} for row in A.data]
+    U = [{i: 1} for i in range(rows)]      # U[c]: column c of U, {row: entry}
+    Ui = [{i: 1} for i in range(rows)]     # Ui[r]: row r of U^-1, {column: entry}
+    perm = list(range(A.cols))
+    at = list(range(A.cols))               # the position of each column: at[perm[j]] = j
     mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
-
-    def row_swap(M, i, j):
-        M.data[i], M.data[j] = M.data[j], M.data[i]
-
-    def col_swap(M, i, j):
-        for r in M.data:
-            r[i], r[j] = r[j], r[i]
-
-    def row_addmul(M, dst, src, c):
-        # row dst += c * row src
-        rd = M.data[dst]
-        for j, a in enumerate(M.data[src]):
-            if a:
-                rd[j] = addmul(rd[j], c, a)
-
-    def col_addmul(M, dst, src, c):
-        for r in M.data:
-            a = r[src]
-            if a:
-                r[dst] = addmul(r[dst], c, a)
-
-    def row_scale(M, i, c):
-        M.data[i] = [mul(c, a) if a else 0 for a in M.data[i]]
-
-    def col_scale(M, j, c):
-        for r in M.data:
-            if r[j]:
-                r[j] = mul(c, r[j])
-
-    m = min(rows, cols)
+    m = min(rows, A.cols)
+    a = 0
     for k in range(m):
-        # pivot: minimal valuation, then row-major position
-        best = None
-        best_val = n
+        # pivot: minimal valuation, then row-major position.  Rows k.. hold
+        # entries only at positions >= k, all of valuation >= a, the last
+        # pivot's (each pivot has the least valuation left, and the row
+        # operations add its multiples), so an entry of valuation a ends the
+        # scan after its row.
+        bv, bi, bp = ring.n, -1, -1
         for i in range(k, rows):
-            di = D.data[i]
-            for j in range(k, cols):
-                e = di[j]
-                if e:
-                    v = val(e)
-                    if v < best_val:
-                        best_val = v
-                        best = (i, j)
-                        if v == 0:
-                            break
-            if best_val == 0:
+            for j, e in D[i].items():
+                v = val(e)
+                if v < bv or (v == bv and i == bi and at[j] < bp):
+                    bv, bi, bp = v, i, at[j]
+            if bv == a:
                 break
-        if best is None:
+        if bi < 0:
             break  # submatrix is zero
-        pi, pj = best
-        if pi != k:
-            row_swap(D, pi, k)
-            col_swap(U, pi, k)
-            row_swap(Ui, pi, k)
-        if pj != k:
-            col_swap(D, pj, k)
-            perm[pj], perm[k] = perm[k], perm[pj]
+        if bi != k:
+            D[bi], D[k] = D[k], D[bi]
+            U[bi], U[k] = U[k], U[bi]
+            Ui[bi], Ui[k] = Ui[k], Ui[bi]
+        if bp != k:
+            perm[bp], perm[k] = perm[k], perm[bp]
+            at[perm[bp]], at[perm[k]] = bp, k
         # normalize pivot to p^a, pushing the unit into U
-        a = best_val
-        u = ring.unit_part(D.data[k][k])
+        c, a = perm[k], bv
+        u = ring.unit_part(D[k][c])
         if u != 1:
             u_inv = ring.inv(u)
-            row_scale(D, k, u_inv)
-            col_scale(U, k, u)
-            row_scale(Ui, k, u_inv)
+            D[k] = {j: mul(u_inv, e) for j, e in D[k].items()}
+            U[k] = {i: mul(u, e) for i, e in U[k].items()}
+            Ui[k] = {j: mul(u_inv, e) for j, e in Ui[k].items()}
         # clear column k below the pivot; row k is left as it is, since
         # clearing it changes only row k, which no later step reads
         for i in range(k + 1, rows):
-            e = D.data[i][k]
+            e = D[i].get(c)
             if e:
                 t = ring.divide_p_power(e, a)
-                row_addmul(D, i, k, neg(t))
-                col_addmul(U, k, i, t)
-                row_addmul(Ui, i, k, neg(t))
-    invariants = tuple(val(D.data[i][i]) for i in range(m))
-    return SmithForm(U, invariants, Ui, tuple(perm))
+                _add_row(addmul, D[i], D[k], neg(t))
+                _add_row(addmul, U[k], U[i], t)
+                _add_row(addmul, Ui[i], Ui[k], neg(t))
+    invariants = tuple(val(D[i].get(perm[i], 0)) for i in range(m))
+    return SmithForm([list(col.items()) for col in U], invariants,
+                     [list(row.items()) for row in Ui], tuple(perm))
 
 
 def _graph(A: Matrix) -> "Span":

@@ -56,12 +56,6 @@ class MFError(ValueError):
                                      " " + detail if detail else ""))
 
 
-def _sigma_mat(W: RingSpec, mat: Matrix) -> Matrix:
-    """Frobenius applied entrywise."""
-    fr = W.frobenius
-    return Matrix(W, [[fr(a) for a in row] for row in mat.data], mat.rows, mat.cols)
-
-
 @dataclass
 class SemilinearMap:
     """v |-> mat . sigma(v) between modules over W (sigma is the identity
@@ -81,8 +75,10 @@ class SemilinearMap:
 
     def after_linear(self, g: ModuleMap) -> "SemilinearMap":
         """self . g  (apply g first)."""
-        W = self.src.ring
-        gm = _sigma_mat(W, g.mat) if W.f > 1 else g.mat
+        W, gm = self.src.ring, g.mat
+        if W.f > 1:     # sigma(g), entry by entry
+            gm = Matrix(W, [[W.frobenius(a) for a in row] for row in gm.data],
+                        gm.rows, gm.cols)
         return SemilinearMap(g.src, self.dst, self.mat @ gm)
 
     def scale(self, c: int) -> "SemilinearMap":
@@ -196,13 +192,12 @@ def mbar(X: FilteredFModule) -> MBarResult:
     phis = [X.phi[i].mat.sparse_cols() for i in slots]
     tw_rels = [[(j, W.frobenius(a)) for j, a in enumerate(col) if a]
                for col in rel_cols]
-    sect_tw = _sigma_mat(W, pres.sect) if W.f > 1 else pres.sect
+    sect_tw = [[(j, W.frobenius(a)) for j, a in col] for col in pres.sect]
     lin = map_from_cols(Mbar, X.M, descend_sparse(
-        [phis[idx][k] for idx, k in sd.place], tw_rels, sect_tw.sparse_cols(),
-        X.M, Mbar))
+        [phis[idx][k] for idx, k in sd.place], tw_rels, sect_tw, X.M, Mbar))
     phibar = SemilinearMap(Mbar, X.M, lin.mat)
-    slotmaps = {i: ModuleMap(X.fil[i].src, Mbar, Matrix.from_cols(
-                    W, [pres.proj.col(sd.place[(idx, k)]) for k in range(mods[idx].rank)],
+    slotmaps = {i: ModuleMap(X.fil[i].src, Mbar, Matrix.from_sparse(
+                    W, [pres.proj[sd.place[(idx, k)]] for k in range(mods[idx].rank)],
                     Mbar.rank))
                 for idx, i in enumerate(slots)}
     if Mbar.length() != X.M.length():

@@ -15,9 +15,10 @@ a matrix A of elements of M by torsion_matrix(M) so that equations hold in
 M rather than in its free cover: syzygies(M, A) generates the relations
 among A's columns, submodule(M, A) presents their span in canonical form,
 and solve_in(M, A, targets) expresses any number of targets in that span
-from one Howell form of the graph of A | torsion_matrix(M).  Every map out
-of a presented quotient is descended by one sparse kernel, descend_sparse,
-on sparse columns such as those tensor_cols builds for f (x) g from the
+from one Howell form of the graph of A | torsion_matrix(M).  A presented
+quotient comes with its projection and section as sparse columns, and
+every map out of it is descended by one sparse kernel, descend_sparse, on
+sparse columns such as those tensor_cols builds for f (x) g from the
 nonzeros of f and g; map_from_cols writes a result out as a ModuleMap.
 Kernels and images of maps are submodules.
 
@@ -248,41 +249,41 @@ def torsion_matrix(M: FinModule) -> Matrix:
     """Columns p^{e_i} e_i for the non-free summands: the relations of M
     inside its free cover R^rank."""
     ring = M.ring
-    cols = []
-    for i, e in enumerate(M.exps):
-        if e < ring.n:
-            col = [0] * M.rank
-            col[i] = ring.p_elem(e)
-            cols.append(col)
-    return Matrix.from_cols(ring, cols, M.rank)
+    return Matrix.from_sparse(ring, [[(i, ring.p_elem(e))] for i, e in enumerate(M.exps)
+                                     if e < ring.n], M.rank)
 
 
 @dataclass
 class Presentation:
     """coker(P) in canonical form.  proj maps raw coordinates R^rows onto
     canonical coordinates; sect lifts canonical generators (a choice of
-    representatives, not a module map).  proj @ sect = identity."""
+    representatives, not a module map).  proj @ sect = identity.  Both are
+    sparse columns, proj one per raw coordinate, sect one per generator."""
     module: FinModule
-    proj: Matrix
-    sect: Matrix
+    proj: list[list[tuple[int, int]]]
+    sect: list[list[tuple[int, int]]]
 
 
 def module_from_presentation(P: Matrix) -> Presentation:
+    """The canonical form of coker(P), read off the Smith form of P: proj
+    from the rows of U^-1 at the kept invariants, sect from the columns of U."""
     ring = P.ring
     n = ring.n
     if P.rows == 0:
-        M = FinModule.zero(ring)
-        return Presentation(M, Matrix.zeros(ring, 0, 0), Matrix.zeros(ring, 0, 0))
+        return Presentation(FinModule.zero(ring), [], [])
     sf = smith(P)
     m = min(P.rows, P.cols)
     keep = [(a, i) for i, a in enumerate(sf.invariants) if a > 0]
     keep += [(n, i) for i in range(m, P.rows)]
     M, at = canonical_layout(ring, keep)
     red = ring.reduce_exp
-    proj_rows = [[red(v, a) for v in sf.u_inv.data[i]] for i, a in zip(at, M.exps)]
-    proj = Matrix(ring, proj_rows, M.rank, P.rows)
-    sect = Matrix.from_cols(ring, [sf.U.col(i) for i in at], P.rows)
-    return Presentation(M, proj, sect)
+    proj = [[] for _ in range(P.rows)]
+    for r, (i, a) in enumerate(zip(at, M.exps)):
+        for c, v in sf.u_inv[i]:
+            v = red(v, a)
+            if v:
+                proj[c].append((r, v))
+    return Presentation(M, proj, [sf.U[i] for i in at])
 
 
 def presentation_with_torsion(M: FinModule, rel_cols: Matrix) -> Presentation:
@@ -337,11 +338,8 @@ def descend_sparse(cols, rels, sect, dst: FinModule,
 def map_from_cols(src: FinModule, dst: FinModule, cols) -> ModuleMap:
     """The dense map src -> dst with the sparse columns cols, which must
     satisfy the valuation condition: it is not checked."""
-    mat = Matrix.zeros(src.ring, dst.rank, src.rank)
-    for q, col in enumerate(cols):
-        for j, a in col:
-            mat.data[j][q] = a
-    return ModuleMap(src, dst, mat, validate=False)
+    return ModuleMap(src, dst, Matrix.from_sparse(src.ring, cols, dst.rank),
+                     validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +356,8 @@ def submodule(M: FinModule, A: Matrix) -> tuple[FinModule, ModuleMap]:
     """(S, incl) with incl : S -> M the span of A's columns, in canonical
     form."""
     pres = module_from_presentation(syzygies(M, A))
-    return pres.module, ModuleMap(pres.module, M, A @ pres.sect)
+    return pres.module, ModuleMap(pres.module, M,
+                                  A @ Matrix.from_sparse(M.ring, pres.sect, A.cols))
 
 
 def solve_in(M: FinModule, A: Matrix, targets) -> list[list[int] | None]:
@@ -389,7 +388,8 @@ def map_kernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
 def map_cokernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     """(C, proj) with proj : dst -> C the cokernel in canonical form."""
     pres = presentation_with_torsion(g.dst, g.mat)
-    proj = ModuleMap(g.dst, pres.module, pres.proj)
+    proj = ModuleMap(g.dst, pres.module,
+                     Matrix.from_sparse(g.dst.ring, pres.proj, pres.module.rank))
     return pres.module, proj
 
 
@@ -479,7 +479,8 @@ def hom_equalizer(unknowns: FinModule, charts: list[HomData], conds) -> Matrix:
     tsum = direct_sum([chart.module for chart in charts])
     cols = [[(tsum.place[(t, r)], v) for t, g in enumerate(cond)
              for r, v in charts[t].sparse_coords(g)] for cond in conds]
-    return syzygies(tsum.module, map_from_cols(unknowns, tsum.module, cols).mat)
+    return syzygies(tsum.module,
+                    Matrix.from_sparse(unknowns.ring, cols, tsum.module.rank))
 
 
 # ---------------------------------------------------------------------------
@@ -553,10 +554,7 @@ def direct_sum(mods: list[FinModule]) -> SumData:
 def sub_canonical(M: FinModule, gens: list[tuple[int, ...]]) -> tuple:
     """Canonical form of the submodule of M generated by gens (as a row
     tuple); equal iff the submodules are equal."""
-    rows = [list(g) for g in gens]
-    tors = torsion_matrix(M)
-    for j in range(tors.cols):
-        rows.append(tors.col(j))
+    rows = [list(g) for g in gens] + [dict(c) for c in torsion_matrix(M).sparse_cols()]
     hf = howell(M.ring, rows, M.rank)
     return tuple(tuple(r) for r in hf)
 

@@ -325,16 +325,20 @@ def run_suite(budget: int = 4096) -> list[dict]:
                 A = Matrix(R, [[rng.randrange(R.size) for _ in range(c)]
                                for _ in range(r)], r, c)
                 sf = smith(A)
+                # U from its sparse columns, and U^-1 from its sparse rows:
+                # written as columns, they give its transpose
+                U = Matrix.from_sparse(R, sf.U, r)
+                u_inv = Matrix.from_cols(R, Matrix.from_sparse(R, sf.u_inv, r).data, r)
                 # U^-1 A, its columns in perm order, is upper triangular
                 # with row i divisible by its diagonal p^(a_i), which column
                 # operations alone then diagonalise
                 a = list(sf.invariants) + [R.n] * (r - len(sf.invariants))
-                for i, row in enumerate((sf.u_inv @ A).data):
+                for i, row in enumerate((u_inv @ A).data):
                     row = [row[j] for j in sf.perm]
                     assert not any(row[:i]) and all(R.val(e) >= a[i] for e in row[i:])
                     assert a[i] == R.n or row[i] == R.p_elem(a[i])
                 assert sorted(sf.perm) == list(range(c))
-                assert sf.U @ sf.u_inv == Matrix.identity(R, r)
+                assert U @ u_inv == Matrix.identity(R, r)
                 assert list(sf.invariants) == sorted(sf.invariants)
                 count += 1
         return {"matrices": count}

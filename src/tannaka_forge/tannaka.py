@@ -272,7 +272,7 @@ class CoendResult:
     classmap: Matrix                 # carrier coords of each T-basis vector
     offsets: list[int]               # block offset of object k inside T
     block_dims: list[int]            # m_k = r_k * f_B
-    sect: Matrix                     # lifts carrier generators to T
+    sect: list                       # lifts carrier generators to T, sparse columns
     rel_rows: list[list[int]]        # Howell rows of the relations in T
 
     def class_of(self, k: int, v: int, w: int) -> tuple[int, ...]:
@@ -341,9 +341,9 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
                             % (L_car.rank, MAX_L_RANK))
     # the class map, the relations and the section as sparse columns, read
     # once; each map out of T is written as sparse columns over T
-    classes = pres.proj.sparse_cols()
+    classes, sect = pres.proj, pres.sect
+    classmap = Matrix.from_sparse(R, classes, L_car.rank)
     rels = [[(j, a) for j, a in enumerate(row) if a] for row in rel_rows]
-    sect = pres.sect.sparse_cols()
 
     def descend_T(flat, dst: FinModule) -> ModuleMap:
         return map_from_cols(L_car, dst, descend_sparse(flat, rels, sect, dst, L_car))
@@ -373,14 +373,14 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
         for v in range(m):
             for w in range(m):
                 cols.append([(r, a) for r, a in enumerate(cc.pure_sum(
-                    (pres.proj.col(o + v * m + mg * fb),
-                     pres.proj.col(o + (mg * fb) * m + w))
+                    (classmap.col(o + v * m + mg * fb),
+                     classmap.col(o + (mg * fb) * m + w))
                     for mg in range(m // fb))) if a])
     delta = descend_T(cols, cc.module)
 
     coalg = coalgebra_check(cc, delta, counit) if check else \
         Coalgebra(cc, delta, counit)
-    return CoendResult(D, coalg, pres.proj, offsets, dims, pres.sect, rel_rows)
+    return CoendResult(D, coalg, classmap, offsets, dims, sect, rel_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +522,7 @@ def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
             nus.append([sparse_image(col, contraction, C.carrier) for col in rho])
         cols += [nus[w][v] for v in range(m) for w in range(m)]
     rels = [[(j, a) for j, a in enumerate(row) if a] for row in CR.rel_rows]
-    nu_cols = descend_sparse(cols, rels, CR.sect.sparse_cols(), C.carrier, L.carrier)
+    nu_cols = descend_sparse(cols, rels, CR.sect, C.carrier, L.carrier)
     nu = map_from_cols(L.carrier, C.carrier, nu_cols)
     # coalgebra-morphism checks, each a comparison of two composites on
     # the generators of L
@@ -834,6 +834,7 @@ def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
     for some e is skipped without enumerating its candidates."""
     alg = D.alg
     cocones = _cocones(D, legs, cond)
+    sect = Matrix.from_sparse(alg.B, pres.sect, cond.rows)
     starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
     for t, tobj in enumerate(D.objects):
         if math.prod(D.span(i, t).size() for i in legs) > budget:
@@ -849,7 +850,7 @@ def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
                 continue
             q = functools.reduce(Matrix.hstack, qs)
             qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
-                             q @ pres.sect)
+                             q @ sect)
             if is_isomorphism(qbar):
                 return t
     return None

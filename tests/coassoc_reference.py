@@ -22,7 +22,8 @@ the flat triple coordinates, descended with ``descend`` (which checks the
 middle relations and validates the result) and composed with delta or rho
 before being compared generator by generator.  It accepts the nested
 ``TripleTensor`` and ``FlatTripleTensor`` alike, with the signature of
-``coalgebra._coassoc_witness``.
+``coalgebra._coassoc_witness``: it writes the sparse columns of the lifts
+and of delta or rho out as dense matrices first.
 
 All four are kept only to be tested against.
 
@@ -47,6 +48,7 @@ from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
 
 from dense_tensor import dense, descend, embed, map_tensor
 from descent_reference import act_by
+from smith_reference import densify
 
 
 @dataclass
@@ -133,7 +135,7 @@ def flat_triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
         v2 = embed(TR, embed(T12, X_car.gen(i), Y_car.gen(j)), zl)
         for idx in range(TR.module.rank):
             t23.data[idx][k] = alg.R.sub(v1[idx], v2[idx])
-    pres = presentation_with_torsion(TR.module, rel12.mat.hstack(t23))
+    pres = densify(alg.R, presentation_with_torsion(TR.module, rel12.mat.hstack(t23)))
     return FlatTripleTensor(alg, T12, TR, pres.module,
                             ModuleMap(TR.module, pres.module, pres.proj))
 
@@ -186,8 +188,13 @@ def _id_tensor_coaction(data: BTensor, t3, proj: ModuleMap, C_car: FinModule,
     return descend(data, ModuleMap(data.TR.module, t3.module, flat, validate=False))
 
 
-def dense_coassoc_witness(t3: TripleTensor | FlatTripleTensor, deltahat: Matrix,
-                          src: BTensor, hat: Matrix, phi: ModuleMap) -> int | None:
+def dense_coassoc_witness(t3: TripleTensor | FlatTripleTensor, deltahat: list,
+                          src: BTensor, hat: list, phi: list) -> int | None:
+    R = src.alg.R
+    deltahat = Matrix.from_sparse(R, deltahat, t3.T12.module.rank)
+    hat = Matrix.from_sparse(R, hat, src.TR.module.rank)
+    phi = ModuleMap(FinModule.free(R, len(phi)), src.module,
+                    Matrix.from_sparse(R, phi, src.module.rank), validate=False)
     proj = dense_proj(t3)
     lhs = _delta_tensor_id(deltahat, src, t3, proj, src.TR.right) @ phi
     rhs = _id_tensor_coaction(src, t3, proj, t3.T12.left, hat) @ phi

@@ -32,23 +32,13 @@ class DenseTensor:
     right: ModuleMap | None
 
 
-def _matrix(ring, cols, rows: int) -> Matrix:
-    mat = Matrix.zeros(ring, rows, len(cols))
-    for q, col in enumerate(cols):
-        for r, a in col:
-            mat.data[r][q] = a
-    return mat
-
-
 def dense(data) -> DenseTensor:
     R, flat, mod = data.alg.R, data.TR.module, data.module
-    proj = ModuleMap(flat, mod, _matrix(R, data.proj_cols, mod.rank),
-                     validate=False)
-    rels = None if data.rels is None else _matrix(R, data.rels, flat.rank)
-    left, right = (None if cols is None else
-                   ModuleMap(mod, mod, _matrix(R, cols, mod.rank), validate=False)
+    proj = map_from_cols(flat, mod, data.proj_cols)
+    rels = None if data.rels is None else Matrix.from_sparse(R, data.rels, flat.rank)
+    left, right = (None if cols is None else map_from_cols(mod, mod, cols)
                    for cols in (data.left, data.right))
-    return DenseTensor(proj, _matrix(R, data.sect_cols, flat.rank), rels,
+    return DenseTensor(proj, Matrix.from_sparse(R, data.sect_cols, flat.rank), rels,
                        left, right)
 
 

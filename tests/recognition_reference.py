@@ -54,7 +54,7 @@ from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _fiber_elements,
                                    _two_sided_inverse_in_span, _cocones,
                                    _is_universal)
-from smith_reference import smith_kernel as kernel, smith_solve as solve
+from smith_reference import densify, smith_kernel as kernel, smith_solve as solve
 
 
 def factors_uniquely(alg, srows, gens) -> bool:
@@ -189,7 +189,7 @@ def find_coequalizer(D: DiagramCategory, l: int, F: Matrix, G: Matrix,
             if is_universal_cocone(D, l, c, q, diff, budget):
                 # omega must send it to the fiber colimit: the induced map
                 # coker(diff) -> fiber(c) must be an isomorphism over B
-                presB = module_from_presentation(diff)
+                presB = densify(B, module_from_presentation(diff))
                 qbar = ModuleMap(presB.module, FinModule.free(B, cobj.rank),
                                  q @ presB.sect)
                 if is_isomorphism(qbar):
@@ -222,7 +222,7 @@ def find_pushout(D: DiagramCategory, c: int, k: int, l: int, F: Matrix,
                 if ok == "budget":
                     return "budget"
                 if ok:
-                    pres = module_from_presentation(glueB)
+                    pres = densify(B, module_from_presentation(glueB))
                     qbar = ModuleMap(pres.module, FinModule.free(B, tobj.rank),
                                      q1.hstack(q2) @ pres.sect)
                     if is_isomorphism(qbar):
@@ -509,6 +509,7 @@ def el_morphisms(D, obj1, obj2, budget):
 def product_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
                          pres, budget: int):
     alg = D.alg
+    pres = densify(alg.B, pres)
     ranks = [D.objects[i].rank for i in legs]
     for t, tobj in enumerate(D.objects):
         elems = [span_elements(alg.R, D.span_rows(i, t),
@@ -562,6 +563,7 @@ def product_is_universal(D: DiagramCategory, legs: list[int], cond: Matrix,
 def cocone_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
                         pres, budget: int):
     alg = D.alg
+    pres = densify(alg.B, pres)
     cocones = _cocones(D, legs, cond)
     for t, tobj in enumerate(D.objects):
         if math.prod(D.span(i, t).size() for i in legs) > budget:

@@ -1,10 +1,13 @@
 """Smith forms with both transforms, and the kernels, solves and inverses
 read off them.
 
-`reference_smith` is `linalg.smith` as it ran while it also cleared each
-pivot row by column operations and accumulated V^-1: it returns U, the
-diagonal D, U^-1 and V^-1 with D = U^-1 A V^-1.  `linalg.smith` keeps only
-the row operations; `smith_certificate` checks what it returns.
+`reference_smith` is `linalg.smith` as it ran on dense matrices while it
+also cleared each pivot row by column operations and accumulated V^-1: it
+returns U, the diagonal D, U^-1, V^-1 with D = U^-1 A V^-1, and the column
+swaps perm.  `linalg.smith` keeps only the row operations, on sparse rows,
+and returns U and U^-1 as sparse columns and rows; `densify` writes them,
+or the sparse proj and sect of a `Presentation`, out as dense matrices, and
+`smith_certificate` checks what `linalg.smith` returns.
 
 `smith_kernel`, `smith_solve_columns`, `smith_solve` and `smith_inverse`
 are `linalg.kernel`, `solve_columns`, `solve` and `inverse` as they ran
@@ -19,9 +22,10 @@ Kept only to be tested against.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
-from tannaka_forge.linalg import DimensionMismatch, Matrix
+from tannaka_forge.linalg import DimensionMismatch, Matrix, SmithForm
 
 
 @dataclass(frozen=True)
@@ -31,16 +35,33 @@ class ReferenceSmith:
     invariants: tuple[int, ...]
     u_inv: Matrix
     v_inv: Matrix
+    perm: tuple[int, ...]
+
+
+def densify(ring, form):
+    """The SmithForm or Presentation form with its sparse fields written out
+    as dense Matrixes over ring: U from its columns and u_inv from its rows,
+    or proj and sect from their columns."""
+    if isinstance(form, SmithForm):
+        side = len(form.U)
+        rows_as_cols = Matrix.from_sparse(ring, form.u_inv, side)
+        return dataclasses.replace(
+            form, U=Matrix.from_sparse(ring, form.U, side),
+            u_inv=Matrix.from_cols(ring, rows_as_cols.data, side))
+    return dataclasses.replace(
+        form, proj=Matrix.from_sparse(ring, form.proj, form.module.rank),
+        sect=Matrix.from_sparse(ring, form.sect, len(form.proj)))
 
 
 def reference_smith(A: Matrix) -> ReferenceSmith:
     ring = A.ring
     n = ring.n
     rows, cols = A.rows, A.cols
-    D = A.copy()
+    D = Matrix(ring, [row[:] for row in A.data], rows, cols)
     U = Matrix.identity(ring, rows)
     Ui = Matrix.identity(ring, rows)
     Vi = Matrix.identity(ring, cols)
+    perm = list(range(cols))
     mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
 
     def row_swap(M, i, j):
@@ -98,6 +119,7 @@ def reference_smith(A: Matrix) -> ReferenceSmith:
         if pj != k:
             col_swap(D, pj, k)
             col_swap(Vi, pj, k)
+            perm[pj], perm[k] = perm[k], perm[pj]
         a = best_val
         u = ring.unit_part(D.data[k][k])
         if u != 1:
@@ -121,7 +143,7 @@ def reference_smith(A: Matrix) -> ReferenceSmith:
                 col_addmul(Vi, j, k, neg(t))
         assert D.data[k][k] == piv
     invariants = tuple(val(D.data[i][i]) for i in range(m))
-    return ReferenceSmith(U, D, invariants, Ui, Vi)
+    return ReferenceSmith(U, D, invariants, Ui, Vi, tuple(perm))
 
 
 def smith_certificate(A: Matrix, sf) -> None:
@@ -130,6 +152,7 @@ def smith_certificate(A: Matrix, sf) -> None:
     by it, the rows past the rank are zero, U U^-1 = I and the invariants
     are sorted."""
     R = A.ring
+    sf = densify(R, sf)
     assert sorted(sf.perm) == list(range(A.cols))
     a = list(sf.invariants) + [R.n] * (A.rows - len(sf.invariants))
     for i, row in enumerate((sf.u_inv @ A).data):

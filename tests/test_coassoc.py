@@ -348,7 +348,7 @@ def test_descent_failure_agrees_with_dense():
         cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(2))))
         delta = ModuleMap(car, cc.module,
                           Matrix.from_cols(alg.R, cols, cc.module.rank))
-        deltahat = dense(cc).sect @ delta.mat
+        deltahat = (dense(cc).sect @ delta.mat).sparse_cols()
         t3 = triple_tensor(alg, cc, car, C.bi.left)
         flat = flat_triple_tensor(alg, car, C.bi.right, car, C.bi.left,
                                   C.bi.right, car, C.bi.left)
@@ -356,7 +356,7 @@ def test_descent_failure_agrees_with_dense():
                            (t3, dense_coassoc_witness),
                            (flat, dense_coassoc_witness)):
             with pytest.raises(ValueError, match="does not descend"):
-                witness(t, deltahat, cc, deltahat, delta)
+                witness(t, deltahat, cc, deltahat, delta.mat.sparse_cols())
 
 
 def test_comatrix_r5_checked_coend():

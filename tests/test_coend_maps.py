@@ -111,7 +111,8 @@ def _assert_coend_maps_match(D):
     N, offsets, dims, cols = ref.relation_columns(D)
     assert _dense_relation_columns(D) == (N, offsets, dims, cols)
     CR = coend(D, check=False)
-    L, P, S = CR.coalgebra, CR.classmap, CR.sect
+    L, P = CR.coalgebra, CR.classmap
+    S = Matrix.from_sparse(alg.R, CR.sect, N)
     for got, side in ((L.bi.left, "left"), (L.bi.right, "right")):
         X = ref.block_x_action(alg, dims, offsets, N, side)
         assert got == ModuleMap(L.carrier, L.carrier, P @ X @ S)
@@ -159,7 +160,8 @@ def _assert_nu_matches(C, family):
     T = FinModule.free(C.alg.R, CR.classmap.cols)
     assert ModuleMap(T, C.carrier, res.nu.mat @ CR.classmap) == \
         ModuleMap(T, C.carrier, nu_flat)
-    assert res.nu == ModuleMap(CR.coalgebra.carrier, C.carrier, nu_flat @ CR.sect)
+    S = Matrix.from_sparse(C.alg.R, CR.sect, CR.classmap.cols)
+    assert res.nu == ModuleMap(CR.coalgebra.carrier, C.carrier, nu_flat @ S)
     return res
 
 
@@ -233,14 +235,15 @@ def test_descent_refuses_a_map_that_misses_a_relation_on_the_coend():
               mf_family_diagram(2, 1, 1, (0, 1), with_sum=True)[0]):
         CR = coend(D, check=False)
         L = CR.coalgebra.carrier
+        S = Matrix.from_sparse(D.alg.R, CR.sect, CR.classmap.cols)
         flat = _missing_one(CR.rel_rows, CR.classmap.cols,
                             FinModule.free(D.alg.R, 1))
         with pytest.raises(ValueError, match="does not descend"):
-            descend_map(flat, CR.rel_rows, L, CR.sect)
+            descend_map(flat, CR.rel_rows, L, S)
         # the class map itself descends, to the identity of L
         P = ModuleMap(FinModule.free(D.alg.R, CR.classmap.cols), L, CR.classmap,
                       validate=False)
-        assert descend_map(P, CR.rel_rows, L, CR.sect) == ModuleMap.identity(L)
+        assert descend_map(P, CR.rel_rows, L, S) == ModuleMap.identity(L)
 
 
 def test_the_descents_share_one_function(monkeypatch):

@@ -85,13 +85,16 @@ def _compare_coalgebra(C):
                              counit_contraction(alg, C.counit, cc, act, left)) == \
             ref.counit_contraction(alg, C.counit, cc, act, left)
     t3 = triple_tensor(alg, cc, bi.carrier, bi.left)
-    assert coalgebra._coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta) \
+    dh = C.deltahat.sparse_cols()
+    assert coalgebra._coassoc_witness(t3, dh, cc, dh, C.delta.mat.sparse_cols()) \
         is None is ref.coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta)
     out = []
     for delta in _perturbed(C):
         hat = dense(cc).sect @ delta.mat
         out.append(_same_descent(
-            lambda: coalgebra._coassoc_witness(t3, hat, cc, hat, delta),
+            lambda: coalgebra._coassoc_witness(t3, hat.sparse_cols(), cc,
+                                               hat.sparse_cols(),
+                                               delta.mat.sparse_cols()),
             lambda: ref.coassoc_witness(t3, hat, cc, hat, delta)))
     return out
 
@@ -108,8 +111,9 @@ def _compare_comodule(Mc):
         ref.counit_contraction(alg, C.counit, cm, M.act)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
     hat = Mc.rhohat()
-    assert coalgebra._coassoc_witness(t3, C.deltahat, cm, hat, Mc.rho) is None \
-        is ref.coassoc_witness(t3, C.deltahat, cm, hat, Mc.rho)
+    assert coalgebra._coassoc_witness(t3, C.deltahat.sparse_cols(), cm,
+                                      hat.sparse_cols(), Mc.rho.mat.sparse_cols()) \
+        is None is ref.coassoc_witness(t3, C.deltahat, cm, hat, Mc.rho)
     K, basis = comodule_hom(Mc, Mc)
     K_ref, basis_ref = ref.comodule_hom(Mc, Mc)
     assert K == K_ref and basis == basis_ref
@@ -165,11 +169,11 @@ def _compare_coend(CR):
     the witness outcomes of _compare_coalgebra."""
     L = CR.coalgebra
     T = FinModule.free(L.alg.R, CR.classmap.cols)
-    P = CR.classmap
+    P, S = CR.classmap, Matrix.from_sparse(L.alg.R, CR.sect, T.rank)
     for g in (L.counit, L.bi.left, L.bi.right, L.delta):
         flat = ModuleMap(T, g.dst, g.mat @ P, validate=False)
-        assert descend_map(flat, CR.rel_rows, L.carrier, CR.sect) == \
-            ref.descend_map(flat, CR.rel_rows, L.carrier, CR.sect) == g
+        assert descend_map(flat, CR.rel_rows, L.carrier, S) == \
+            ref.descend_map(flat, CR.rel_rows, L.carrier, S) == g
     if CR.rel_rows:
         rel = CR.rel_rows[0]
         i = next(i for i, a in enumerate(rel) if a)
@@ -178,8 +182,8 @@ def _compare_coend(CR):
         flat = ModuleMap(T, FinModule.free(L.alg.R, 1),
                          Matrix(L.alg.R, [row], 1, T.rank), validate=False)
         assert _same_descent(
-            lambda: descend_map(flat, CR.rel_rows, L.carrier, CR.sect),
-            lambda: ref.descend_map(flat, CR.rel_rows, L.carrier, CR.sect))[0] \
+            lambda: descend_map(flat, CR.rel_rows, L.carrier, S),
+            lambda: ref.descend_map(flat, CR.rel_rows, L.carrier, S))[0] \
             is ValueError
     outs = _compare_coalgebra(L)
     for Mc in lift_coaction(CR):

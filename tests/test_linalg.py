@@ -10,9 +10,9 @@ from tannaka_forge.linalg import (Matrix, smith, kernel, solve, solve_columns,
                                   DimensionMismatch)
 from tannaka_forge.modules import module_from_presentation
 from recognition_reference import span_membership
-from smith_reference import (reference_smith, smith_certificate, smith_kernel,
-                             smith_solve_columns, smith_inverse)
-from test_native_kernels import rand_rows
+from smith_reference import (densify, reference_smith, smith_certificate,
+                             smith_kernel, smith_solve_columns, smith_inverse)
+from test_native_kernels import rand_elem, rand_rows
 
 
 def rand_matrix(rng, R, rows, cols):
@@ -21,11 +21,14 @@ def rand_matrix(rng, R, rows, cols):
 
 
 def same_as_reference(A):
-    """smith(A) satisfies its certificate and has the reference's U, U^-1
-    and invariants; returns the reference, with its D and V^-1."""
+    """smith(A) satisfies its certificate and has the reference's U, U^-1,
+    invariants and column swaps; returns the reference, with its D and
+    V^-1."""
     sf, ref = smith(A), reference_smith(A)
     smith_certificate(A, sf)
-    assert (sf.U, sf.u_inv, sf.invariants) == (ref.U, ref.u_inv, ref.invariants)
+    sf = densify(A.ring, sf)
+    assert (sf.U, sf.u_inv, sf.invariants, sf.perm) == \
+        (ref.U, ref.u_inv, ref.invariants, ref.perm)
     return ref
 
 
@@ -77,24 +80,67 @@ def test_smith_random_udv():
                     (a == R.n and sf.D.data[i][i] == 0)
 
 
-SEVEN_RINGS = [(2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 64, 1),
-               (2, 3, 3)]
+SMITH_RINGS = [(2, 3, 1), (3, 2, 1), (2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 64, 1),
+               (2, 3, 3), (2, 1, 1), (2, 2, 1), (3, 64, 7)]
 
 
-@pytest.mark.parametrize("pnf", SEVEN_RINGS, ids=[
-    "Z8", "Z9", "F4", "GR(4,2)", "GR(8,2)", "Z2^64", "GR(8,3)"])
+def any_density(rng, R):
+    """A 0-8 x 0-8 matrix whose entries are nonzero with a probability
+    drawn for the matrix, and which may have an all-zero row and column."""
+    r, c, d = rng.randint(0, 8), rng.randint(0, 8), rng.random()
+    rows = [[rand_elem(rng, R) if rng.random() < d else 0 for _ in range(c)]
+            for _ in range(r)]
+    if r and rng.random() < 0.25:
+        rows[rng.randrange(r)] = [0] * c
+    if c and rng.random() < 0.25:
+        j = rng.randrange(c)
+        for row in rows:
+            row[j] = 0
+    return Matrix(R, rows, r, c)
+
+
+@pytest.mark.parametrize("pnf", SMITH_RINGS, ids=[
+    "Z8", "Z9", "F4", "GR(4,2)", "GR(8,2)", "Z2^64", "GR(8,3)", "F2", "Z4",
+    "GR(3^64,7)"])
 def test_smith_matches_reference(pnf):
-    # 300 seeded matrices per ring, 2,100 in all, whose entries are zeros,
-    # random elements (mostly units) and multiples of p^k
+    # per ring, 300 seeded matrices (0-6 x 0-6) whose entries are zeros,
+    # random elements (mostly units) and multiples of p^k, then 150 of any
+    # density; over GR(3^64,7), where every unit pivot costs an inverse of
+    # about 0.1 s, 4 and 8
     R = ring_make(*pnf)
     rng = random.Random(sum(pnf) * 131 + pnf[0])
+    few = pnf == (3, 64, 7)
     swapped = 0
-    for _ in range(300):
+    for _ in range(4 if few else 300):
         r, c = rng.randint(0, 6), rng.randint(0, 6)
         A = Matrix(R, rand_rows(rng, R, r, c), r, c)
         same_as_reference(A)
         swapped += smith(A).perm != tuple(range(c))
+    for _ in range(8 if few else 150):
+        A = any_density(rng, R)
+        same_as_reference(A)
+        swapped += smith(A).perm != tuple(range(A.cols))
     assert swapped     # the column swaps are exercised
+
+
+def test_smith_builds_no_matrix(monkeypatch):
+    # U and U^-1 are kept as sparse columns and rows: a seeded 60 x 60
+    # matrix with 5% nonzeros is reduced without constructing a Matrix
+    R = ring_make(2, 2, 2)
+    rng = random.Random(60)
+    A = Matrix(R, [[rand_elem(rng, R) if rng.random() < 0.05 else 0
+                    for _ in range(60)] for _ in range(60)], 60, 60)
+    built, init = [], Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Matrix, "__init__", counted)
+        smith(A)
+    assert not built
+    same_as_reference(A)
 
 
 def test_smith_deterministic(Z8):

@@ -14,6 +14,7 @@ from tannaka_forge.algebra import AlgebraSpec, _btensor_core
 
 from dense_tensor import dense, embed, map_tensor
 from hom_reference import hom_basis, hom_coords
+from smith_reference import densify
 
 
 def brute_force_maps(M, N):
@@ -48,7 +49,7 @@ def test_presentation_projection_section(Z8):
         rows, cols = rng.randint(1, 3), rng.randint(0, 3)
         P = Matrix(Z8, [[rng.randrange(8) for _ in range(cols)]
                         for _ in range(rows)], rows, cols)
-        pres = module_from_presentation(P)
+        pres = densify(Z8, module_from_presentation(P))
         M = pres.module
         # proj . sect = id on canonical coordinates
         for k in range(M.rank):
