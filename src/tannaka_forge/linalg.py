@@ -15,11 +15,13 @@ are not computed here: a column span is presented by modules.submodule.
 
 The Howell form is the canonical generating matrix of a row span: it
 depends only on the span, which makes span comparisons and coend
-presentations reproducible.  A `HowellForm` grows it batch by batch, saying
-whether a batch grew the span.  A `Span` keeps the Howell rows of a span,
-and `Span.reduce` takes a vector to its canonical normal form modulo the
-span in one pass over those rows; the form is zero exactly on the span,
-which is how `Span.contains` answers every membership question.  Kernels, solves and
+presentations reproducible.  A `Span` is the one structure that holds it:
+it grows in place, batch by batch, saying whether a batch grew the span,
+keeps its pivot rows sparse, and writes the dense Howell rows only when
+`rows` is read.  `Span.reduce` takes a vector to its canonical normal form
+modulo the span in one pass over the pivot rows; the form is zero exactly
+on the span, which is how `Span.contains` answers every membership
+question.  Kernels, solves and
 inverses are read off one Span of the graph of A, the rows (A e_i, e_i) of
 [A^T | I] (Howell 1986; Storjohann, ETH thesis 2000, ch. 4): its rows with
 zero A-part generate the kernel, and (b, 0) reduces to (b - A x, -x).  Both
@@ -338,10 +340,8 @@ def solve(A: Matrix, b: list[int]) -> list[int] | None:
 # ---------------------------------------------------------------------------
 
 def howell(ring: RingSpec, rows, width: int) -> list[list[int]]:
-    """The Howell rows of the span of rows: one `HowellForm.extend`."""
-    form = HowellForm(ring, width)
-    form.extend(rows)
-    return form.rows()
+    """The Howell rows of the span of rows."""
+    return Span(ring, rows, width).rows
 
 
 def _add_row(addmul, r, prow, t):
@@ -354,14 +354,15 @@ def _add_row(addmul, r, prow, t):
             r.pop(k, None)
 
 
-class HowellForm:
-    """The Howell form of a row span over a chain ring, grown by `extend`:
-    pivots are pure powers p^a in increasing column order, each column
-    below a pivot is zero, entries above a pivot are reduced mod p^a, and
-    for every pivot p^a with a > 0 the tail p^{n-a} * row is in the span of
-    the rows below it, so every span element whose first j entries vanish
-    is a combination of the rows with pivot column >= j.  The form depends
-    only on the span.
+class Span:
+    """The R-span of some rows of R^width, held as its Howell form and
+    grown in place by `extend`: pivots are pure powers p^a in increasing
+    column order, each column below a pivot is zero, and for every pivot
+    p^a with a > 0 the tail p^{n-a} * row is in the span of the rows below
+    it, so every span element whose first j entries vanish is a
+    combination of the rows with pivot column >= j.  Pivots and their
+    exponents depend only on the span, and so does the form once the
+    entries above each pivot p^a are reduced mod p^a, which `rows` does.
 
     Rows go in one at a time, the last first, as sparse {column: entry}
     dicts, so a reduction touches only the pivot row's nonzeros.  A row
@@ -369,14 +370,22 @@ class HowellForm:
     valuation is not smaller; otherwise it takes the column, and the old
     pivot row, reduced against it, goes in again, as does the tail of
     every new pivot p^a with a > 0.  Between rows the last property above
-    holds, so the span grows exactly when a pivot is set.  `rows` reduces
-    the entries above each pivot, which keeps the pivots and the span."""
+    holds, so the span grows exactly when a pivot is set.
 
-    __slots__ = ("ring", "width", "pivots", "units")
+    Build it once and ask `contains` many times: the Howell property makes
+    membership one greedy pass over the pivot rows in increasing column
+    order, and `is_full`, `size`, `reduce` and `contains` read those
+    sparse rows as they are.  The dense `rows` are written on first read
+    and kept until the span grows."""
 
-    def __init__(self, ring: RingSpec, width: int):
+    __slots__ = ("ring", "width", "pivots", "units", "_rows")
+
+    def __init__(self, ring: RingSpec, rows, width: int):
         self.ring, self.width, self.units = ring, width, 0  # units: pivots p^0
-        self.pivots: dict[int, tuple[dict[int, int], int]] = {}  # column -> (row, exponent)
+        # pivot column -> (row, exponent a), in increasing column order
+        self.pivots: dict[int, tuple[dict[int, int], int]] = {}
+        self._rows: list[list[int]] | None = None
+        self.extend(rows)
 
     def extend(self, rows) -> bool:
         """Insert rows, dense lists or sparse {column: nonzero entry} dicts;
@@ -412,60 +421,13 @@ class HowellForm:
                 else:
                     self.units += 1
                 break
+        if grew:
+            self.pivots, self._rows = dict(sorted(pivots.items())), None
         return grew
 
     def is_full(self) -> bool:
         """Is the span all of R^width: a unit pivot in every column?"""
         return self.units == self.width
-
-    def rows(self) -> list[list[int]]:
-        """The Howell rows, dense, once the entries above each pivot p^a
-        are reduced mod p^a."""
-        ring, pivots = self.ring, self.pivots
-        cols = sorted(pivots)
-        for idx, j in enumerate(cols):
-            prow, a = pivots[j]
-            for i in cols[:idx]:
-                row2 = pivots[i][0]
-                e = row2.get(j)
-                if e:
-                    # the residue mod a unit pivot is 0
-                    red = ring.reduce_exp(e, a) if a else 0
-                    if red != e:
-                        _add_row(ring.addmul, row2, prow,
-                                 ring.neg(ring.divide_p_power(ring.sub(e, red), a)))
-        return [[pivots[j][0].get(k, 0) for k in range(self.width)] for j in cols]
-
-    def span(self) -> "Span":
-        """The `Span` of the rows so far, with no second Howell pass."""
-        return Span.__new__(Span)._read(self.ring, self.width, self.rows())
-
-
-class Span:
-    """The R-span of some rows of R^width, held as its Howell rows.
-
-    Build it once and ask `contains` many times: the Howell property (every
-    span element whose first j entries vanish is a combination of the rows
-    with pivot column >= j) makes membership one greedy pass over the pivot
-    columns in increasing order."""
-
-    __slots__ = ("ring", "width", "rows", "pivots")
-
-    def __init__(self, ring: RingSpec, rows: list[list[int]], width: int):
-        self._read(ring, width, howell(ring, rows, width))
-
-    def _read(self, ring: RingSpec, width: int, rows: list[list[int]]) -> "Span":
-        self.ring, self.width, self.rows = ring, width, rows
-        # pivot column -> (nonzero (column, entry) pairs of its row, exponent a)
-        self.pivots: dict[int, tuple[list[tuple[int, int]], int]] = {}
-        for r in rows:
-            nz = [(k, e) for k, e in enumerate(r) if e]
-            self.pivots[nz[0][0]] = (nz, ring.val(nz[0][1]))
-        return self
-
-    def is_full(self) -> bool:
-        """Is the span all of R^width: a unit pivot in every column?"""
-        return sum(a == 0 for _, a in self.pivots.values()) == self.width
 
     def size(self) -> int:
         """The number of elements of the span: a row with pivot p^a
@@ -473,15 +435,38 @@ class Span:
         ring = self.ring
         return ring.p ** (ring.f * sum(ring.n - a for _, a in self.pivots.values()))
 
+    @property
+    def rows(self) -> list[list[int]]:
+        """The Howell rows, dense, once the entries above each pivot p^a
+        are reduced mod p^a."""
+        if self._rows is None:
+            ring, pivots = self.ring, self.pivots
+            cols = list(pivots)
+            for idx, j in enumerate(cols):
+                prow, a = pivots[j]
+                for i in cols[:idx]:
+                    row2 = pivots[i][0]
+                    e = row2.get(j)
+                    if e:
+                        # the residue mod a unit pivot is 0
+                        red = ring.reduce_exp(e, a) if a else 0
+                        if red != e:
+                            _add_row(ring.addmul, row2, prow,
+                                     ring.neg(ring.divide_p_power(ring.sub(e, red), a)))
+            self._rows = [[prow.get(k, 0) for k in range(self.width)]
+                          for prow, _ in pivots.values()]
+        return self._rows
+
     def reduce(self, vec) -> list[int]:
         """The canonical normal form of vec modulo the span: in increasing
         column order, the entry at each pivot p^a is reduced mod p^a.  It is
         zero exactly when vec lies in the span, and equal for two vectors
-        exactly when they differ by a span element."""
+        exactly when they differ by a span element, whether or not the
+        entries above the pivots are reduced yet."""
         ring, q = self.ring, self.ring.native_q
         add, mul, red = ring.add, ring.mul, ring.reduce_exp
         r = list(vec)
-        for j, (nz, a) in self.pivots.items():    # in increasing column order
+        for j, (prow, a) in self.pivots.items():
             # over Z/q the entries are plain int sums, reduced when read
             e = r[j] % q if q else r[j]
             if e:
@@ -489,10 +474,10 @@ class Span:
                 if rest != e:
                     t = ring.neg(ring.divide_p_power(ring.sub(e, rest), a))
                     if q:
-                        for k, pe in nz:
+                        for k, pe in prow.items():
                             r[k] += t * pe
                     else:
-                        for k, pe in nz:
+                        for k, pe in prow.items():
                             r[k] = add(r[k], mul(t, pe))
         return [e % q for e in r] if q else r
 

@@ -54,7 +54,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, HowellForm, Span, howell, kernel, is_invertible
+from .linalg import Matrix, Span, howell, kernel, is_invertible
 from .modules import (FinModule, ModuleMap, Presentation,
                       module_from_presentation, map_kernel, map_cokernel,
                       is_isomorphism, span_elements, sparse_image,
@@ -234,25 +234,25 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     span(k, l) is spanned by the words in the input generators applied to
     id_k, so it is spun (Parker 1984) from a first-in, first-out worklist
     of items (k, l, g, F), seeded with the identities: popping one forms
-    g F and inserts it into the `HowellForm` of span(k, l), unless that is
-    all of Hom; only if the span grew are the items (k, m, g', g F) queued,
-    one per input generator g' : l -> m whose target is not all of Hom.
-    Short words go in first and fill spans early.  The spans are handed to
-    the returned diagram, whose hom lists are exactly their rows."""
+    g F and extends the `Span` of span(k, l) by it, unless that is all of
+    Hom; only if the span grew are the items (k, m, g', g F) queued, one
+    per input generator g' : l -> m whose target is not all of Hom.  Short
+    words go in first and fill spans early.  The spans are handed to the
+    returned diagram as they are, and its hom lists are exactly their
+    Howell rows."""
     alg = D.alg
     ranks = [obj.rank for obj in D.objects]
-    forms = {(k, l): HowellForm(alg.R, ranks[l] * ranks[k] * alg.fb) for (k, l) in D.homs}
+    spans = {(k, l): Span(alg.R, [], ranks[l] * ranks[k] * alg.fb) for (k, l) in D.homs}
     gens = [[(m, g) for (src, m), mats in D.homs.items() if src == l for g in mats]
             for l in range(D.nobj())]
     todo = deque((k, k, None, Matrix.identity(alg.B, r)) for k, r in enumerate(ranks))
     while todo:
         k, l, g, F = todo.popleft()
-        if forms[(k, l)].is_full():
+        if spans[(k, l)].is_full():
             continue
         GF = F if g is None else g @ F
-        if forms[(k, l)].extend([_flatten_bmat(alg, GF)]):
-            todo.extend((k, m, h, GF) for m, h in gens[l] if not forms[(k, m)].is_full())
-    spans = {pair: form.span() for pair, form in forms.items()}
+        if spans[(k, l)].extend([_flatten_bmat(alg, GF)]):
+            todo.extend((k, m, h, GF) for m, h in gens[l] if not spans[(k, m)].is_full())
     out = DiagramCategory(alg, D.objects, {
         (k, l): [_unflatten_bmat(alg, r, ranks[l], ranks[k]) for r in sp.rows]
         for (k, l), sp in spans.items()})

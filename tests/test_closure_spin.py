@@ -5,7 +5,7 @@ oracle that enumerates elements, and the compositions the spin saves."""
 import random
 
 from tannaka_forge.algebra import AlgebraSpec
-from tannaka_forge.linalg import HowellForm, Matrix, Span, howell
+from tannaka_forge.linalg import Matrix, Span, howell
 from tannaka_forge.rings import ring_make
 from tannaka_forge.suite import (comatrix_diagram, grouplike_diagram,
                                  mf_family_diagram, random_diagram)
@@ -32,13 +32,13 @@ def test_howell_form_grows_exactly_when_a_row_is_new():
     modes = ("dense", "sparse", "zero", "duplicates", "p-multiples")
     for t in SEVEN_RINGS:
         R = ring_make(*t)
-        assert HowellForm(R, 3).extend([]) is False
+        assert Span(R, [], 3).extend([]) is False
         for _ in range(60):
             w = rng.randint(0, 6)
             rows = [r for _ in range(rng.randint(1, 3))
                     for r in _random_rows(rng, R, w, rng.choice(modes))]
             rng.shuffle(rows)
-            form, seen = HowellForm(R, w), []
+            form, seen = Span(R, [], w), []
             while rows:
                 cut = rng.randint(1, len(rows))
                 batch, rows = rows[:cut], rows[cut:]
@@ -47,10 +47,59 @@ def test_howell_form_grows_exactly_when_a_row_is_new():
                 assert grew == any(not before.contains(r) for r in batch), (t, seen, batch)
                 seen += batch
                 want = howell(R, seen, w)
-                assert form.rows() == want == ref.dense_howell(R, seen, w), (t, seen)
-                sp, fresh = form.span(), Span(R, seen, w)
+                assert form.rows == want == ref.dense_howell(R, seen, w), (t, seen)
+                sp, fresh = form, Span(R, seen, w)
                 assert (sp.rows, sp.pivots) == (fresh.rows, fresh.pivots)
                 assert form.is_full() == fresh.is_full()
+
+
+def _span_answers(sp, probes):
+    return ([sp.reduce(v) for v in probes], [sp.contains(v) for v in probes],
+            sp.size(), sp.is_full())
+
+
+def test_span_grown_row_by_row_equals_one_batch():
+    # the seven rings and Z/3^64; each span is asked before and after its
+    # dense rows are written, so reduce must not depend on the entries
+    # above the pivots being reduced
+    rng = random.Random(2030)
+    modes = ("dense", "sparse", "zero", "duplicates", "p-multiples")
+    for t in SEVEN_RINGS + ((3, 64, 1),):
+        R = ring_make(*t)
+        for _ in range(300):
+            w = rng.randint(0, 6)
+            rows = [r for _ in range(rng.randint(1, 3))
+                    for r in _random_rows(rng, R, w, rng.choice(modes))]
+            batch, grown = Span(R, rows, w), Span(R, [], w)
+            for r in rng.sample(rows, len(rows)):
+                grown.extend(_sparse(rng, [r]))
+            probes = rows + _random_rows(rng, R, w, rng.choice(modes))
+            probes += [[R.add(a, b) for a, b in zip(u, v)] for u, v in zip(probes, probes[1:])]
+            want = _span_answers(batch, probes)
+            assert _span_answers(grown, probes) == want, (t, rows)
+            assert grown.rows == ref.dense_howell(R, rows, w), (t, rows)
+            assert _span_answers(grown, probes) == want, (t, rows)
+            assert batch.rows == grown.rows
+            assert _span_answers(batch, probes) == want, (t, rows)
+
+
+def test_span_membership_writes_no_dense_rows(monkeypatch):
+    reads = []
+    dense = Span.rows
+    monkeypatch.setattr(Span, "rows", property(lambda sp: reads.append(sp) or dense.__get__(sp)))
+    rng = random.Random(30)
+    for t in SEVEN_RINGS:
+        R = ring_make(*t)
+        for _ in range(20):
+            w = rng.randint(0, 6)
+            rows = _random_rows(rng, R, w, rng.choice(("dense", "sparse", "p-multiples")))
+            sp = Span(R, rows, w)
+            assert all(sp.contains(r) for r in rows)
+            sp.contains([rng.randrange(R.size) for _ in range(w)])
+            assert sp.size() >= 1 and sp.is_full() in (True, False)
+    assert reads == []
+    assert Span(ring_make(2, 2, 1), [[2, 1]], 2).rows == [[2, 1], [0, 2]]
+    assert len(reads) == 1
 
 
 # -- the closure against enumeration ---------------------------------------
