@@ -18,6 +18,7 @@ the timing section removed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -275,7 +276,10 @@ def _budget(text: str) -> int:
     return int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it, and every in-process `main` call reuses it."""
     ap = argparse.ArgumentParser(
         prog="tannaka-forge",
         description="exact coend-coalgebra engine over finite chain rings")

@@ -10,7 +10,8 @@ C (x)_B C and C (x)_B M: the BTensor their constructor built.  That tensor is
 the coalgebra's cc and the comodule's cm; coalgebra_check and comodule_check
 take it and validate against it, and never build it again.  They read its
 sparse columns, its outer actions too, on the columns of delta and rho;
-only the flat lifts deltahat and rhohat are dense.
+only the flat lifts deltahat and rhohat are dense.  The coalgebra keeps
+deltahat's sparse columns, which its own check and every comodule check read.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  Coassociativity is compared inside the triple tensor
@@ -94,6 +95,12 @@ class Coalgebra:
     def deltahat(self) -> Matrix:
         """The lift of delta into the flat R-tensor cc.TR."""
         return self.cc.lift(self.delta)
+
+    @cached_property
+    def deltahat_cols(self) -> list:
+        """The sparse columns of deltahat, read once for the coalgebra
+        check and every comodule check."""
+        return self.deltahat.sparse_cols()
 
     def __eq__(self, other):
         return (isinstance(other, Coalgebra) and self.bi == other.bi
@@ -201,7 +208,7 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
             raise AxiomError(code, w)
     # coassociativity inside the triple tensor
     t3 = triple_tensor(alg, cc, C.carrier, C.left)
-    hat = coalg.deltahat.sparse_cols()
+    hat = coalg.deltahat_cols
     w = _coassoc_witness(t3, hat, cc, hat, dcols)
     if w is not None:
         raise AxiomError("Coassoc", w)
@@ -251,8 +258,7 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     if w is not None:
         raise AxiomError("CounitLeft", w)
     t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
-    w = _coassoc_witness(t3, C.deltahat.sparse_cols(), cm, Mc.rhohat().sparse_cols(),
-                         cols)
+    w = _coassoc_witness(t3, C.deltahat_cols, cm, Mc.rhohat().sparse_cols(), cols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Mc

@@ -24,7 +24,8 @@ on the span, which is how `Span.contains` answers every membership
 question.  Kernels, solves and
 inverses are read off one Span of the graph of A, the rows (A e_i, e_i) of
 [A^T | I] (Howell 1986; Storjohann, ETH thesis 2000, ch. 4): its rows with
-zero A-part generate the kernel, and (b, 0) reduces to (b - A x, -x).  Both
+zero A-part generate the kernel, and are the only rows `kernel` writes, and
+(b, 0) reduces to (b - A x, -x).  Both
 depend only on A and b, and need no Smith form with its transforms of
 side A.rows; `solve_columns` answers many right-hand sides from one
 graph, and `solve` is its one-target case.
@@ -306,11 +307,10 @@ def inverse(A: Matrix) -> Matrix:
 
 def kernel(A: Matrix) -> Matrix:
     """Columns generate {v : A v = 0} as an R-module: the graph's Howell rows
-    with zero A-part.  By the Howell property they span every graph element
-    (0, v), and they depend only on A."""
-    m = A.rows
-    gens = [r[m:] for r in _graph(A).rows if not any(r[:m])]
-    return Matrix.from_cols(A.ring, gens, A.cols)
+    with zero A-part, those with pivot column >= A.rows.  By the Howell
+    property they span every graph element (0, v), and they depend only on
+    A."""
+    return Matrix.from_cols(A.ring, _graph(A).tail_rows(A.rows), A.cols)
 
 
 def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
@@ -440,22 +440,28 @@ class Span:
         """The Howell rows, dense, once the entries above each pivot p^a
         are reduced mod p^a."""
         if self._rows is None:
-            ring, pivots = self.ring, self.pivots
-            cols = list(pivots)
-            for idx, j in enumerate(cols):
-                prow, a = pivots[j]
-                for i in cols[:idx]:
-                    row2 = pivots[i][0]
-                    e = row2.get(j)
-                    if e:
-                        # the residue mod a unit pivot is 0
-                        red = ring.reduce_exp(e, a) if a else 0
-                        if red != e:
-                            _add_row(ring.addmul, row2, prow,
-                                     ring.neg(ring.divide_p_power(ring.sub(e, red), a)))
-            self._rows = [[prow.get(k, 0) for k in range(self.width)]
-                          for prow, _ in pivots.values()]
+            self._rows = self.tail_rows(0)
         return self._rows
+
+    def tail_rows(self, start: int) -> list[list[int]]:
+        """The Howell rows with pivot column >= start, dense from column
+        start on (they are zero before it).  Only these rows reduce one
+        another, so they are reduced and written alone, in place; reducing
+        a reduced row again leaves it as it is."""
+        ring, pivots = self.ring, self.pivots
+        cols = [j for j in pivots if j >= start]
+        for idx, j in enumerate(cols):
+            prow, a = pivots[j]
+            for i in cols[:idx]:
+                row2 = pivots[i][0]
+                e = row2.get(j)
+                if e:
+                    # the residue mod a unit pivot is 0
+                    red = ring.reduce_exp(e, a) if a else 0
+                    if red != e:
+                        _add_row(ring.addmul, row2, prow,
+                                 ring.neg(ring.divide_p_power(ring.sub(e, red), a)))
+        return [[pivots[j][0].get(k, 0) for k in range(start, self.width)] for j in cols]
 
     def reduce(self, vec) -> list[int]:
         """The canonical normal form of vec modulo the span: in increasing

@@ -12,10 +12,14 @@ fiber_k^dual, by the relations F (x) 1 - 1 (x) F^dual, that is
 pair (v, xi); they are read off the R-matrices of F and of F^T, since
 xi |-> xi F on the B-dual is F^T.  Relations for composites follow from
 relations for factors (rel is R-linear in F, and rel(GF) = rel(G at Fv) +
-rel(F at xi.G)), so any spanning family of the hom modules presents the
-same submodule.  Relation generators are put in Howell form before the
-quotient is taken, which makes the whole presentation canonical: two
-diagrams with the same hom spans produce identical output, entry for entry.
+rel(F at xi.G)), and rel(id) = 0, so any family whose words span the hom
+modules presents the same submodule: the closure's hom lists, or the input
+generators `hom_closure` records.  `coend` takes the family with the
+smaller estimated sum of squared nonzero counts over its relation columns,
+what their Howell form costs.  Relation generators are put in Howell form
+before the quotient is taken, which makes the whole presentation
+canonical: two diagrams with the same hom spans produce identical output,
+entry for entry.
 
 x acts on T_k as X (x) 1 (left) and 1 (x) X (right).  Comultiplication on
 classes is  [v (x) xi] |-> sum_m [v (x) e_m*] (x)_B [e_m (x) xi]  over a
@@ -113,7 +117,9 @@ class DiagramCategory:
     hands over the spans it has already built.  closed records that the
     diagram is composition-closed by construction, as `hom_closure` and
     `restrict` of a closed diagram return it; `require_closed` checks only
-    a diagram that does not record it."""
+    a diagram that does not record it.  gens, when not None, records
+    morphisms (k, l, F) whose words span every hom set, as `hom_closure`
+    returns it."""
 
     def __init__(self, alg: AlgebraSpec, objects: list[DiagObject],
                  homs: dict[tuple[int, int], list[Matrix]]):
@@ -132,6 +138,7 @@ class DiagramCategory:
                 self.homs[(k, l)] = mats
         self._spans: dict[tuple[int, int], Span] = {}
         self.closed = False
+        self.gens: list | None = None
 
     def nobj(self) -> int:
         return len(self.objects)
@@ -205,13 +212,20 @@ class DiagramCategory:
     def restrict(self, ks: list[int]) -> DiagramCategory:
         """The full sub-diagram on the objects ks, in that order; the spans
         already built are handed over, as `hom_closure` does, and so is the
-        record of closedness."""
+        record of closedness.  The record of generators is handed over only
+        when ks is a union of components: a word between two objects of
+        ks may pass through objects outside it, and then its letters are
+        not all in ks."""
         pairs = [((a, b), (k, l)) for a, k in enumerate(ks) for b, l in enumerate(ks)]
         out = DiagramCategory(self.alg, [self.objects[k] for k in ks],
                               {ab: self.homs[kl] for ab, kl in pairs})
         out._spans.update({ab: self._spans[kl] for ab, kl in pairs
                            if kl in self._spans})
         out.closed = self.closed
+        at = {k: a for a, k in enumerate(ks)}
+        if self.gens is not None and \
+           all(at.keys() >= set(c) or at.keys().isdisjoint(c) for c in self.components()):
+            out.gens = [(at[k], at[l], F) for k, l, F in self.gens if k in at and l in at]
         return out
 
 
@@ -239,7 +253,8 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     per input generator g' : l -> m whose target is not all of Hom.  Short
     words go in first and fill spans early.  The spans are handed to the
     returned diagram as they are, and its hom lists are exactly their
-    Howell rows."""
+    Howell rows.  It records the input generators, or those of D when D
+    records them."""
     alg = D.alg
     ranks = [obj.rank for obj in D.objects]
     spans = {(k, l): Span(alg.R, [], ranks[l] * ranks[k] * alg.fb) for (k, l) in D.homs}
@@ -258,6 +273,7 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
         for (k, l), sp in spans.items()})
     out._spans.update(spans)
     out.closed = True
+    out.gens = D.gens if D.gens is not None else _hom_list_family(D)
     return out
 
 
@@ -283,24 +299,47 @@ class CoendResult:
         return L.reduce(self.classmap.col(j))
 
 
-def _relation_columns(D: DiagramCategory, morphisms=None):
+def _hom_list_family(D: DiagramCategory) -> list:
+    return [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
+
+
+def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     """Relation generators in T-coordinates, v (x) xi_w of block k at
     offsets[k] + v m_k + w, as sparse {coordinate: entry} columns that
     `howell` takes as they are; morphisms defaults to the diagram's own
     spanning lists.  The relation of F : k -> l at (v, w) is
     (F v) (x) xi_w - v (x) (xi_w F): v |-> F v is the R-matrix of F, and
-    xi |-> xi F on the B-dual is the R-matrix of F^T."""
+    xi |-> xi F on the B-dual is the R-matrix of F^T.
+
+    other, another family presenting the same relations, is taken instead
+    when its columns have the smaller sum of squared nonzero counts, as
+    estimated from the R-matrices alone: column (v, w) has at most
+    a_v + b_w nonzeros, a_v those of F v and b_w those of xi_w F, and
+    these squares sum to m_l sum a_v^2 + m_k sum b_w^2 + 2 sum a sum b."""
     alg = D.alg
     R, fb = alg.R, alg.fb
     dims = [obj.rank * fb for obj in D.objects]
     *offsets, N = itertools.accumulate((m * m for m in dims), initial=0)
+
+    def read(family):
+        return [(k, l, alg.bmat_cols(F),
+                 alg.bmat_cols(Matrix.from_cols(alg.B, F.data, F.cols)))
+                for k, l, F in family]
+
+    def cost(family):
+        total = 0
+        for k, l, Fv, xiF in family:
+            a, b = [len(c) for c in Fv], [len(c) for c in xiF]
+            total += dims[l] * sum(x * x for x in a) + dims[k] * sum(x * x for x in b) \
+                + 2 * sum(a) * sum(b)
+        return total
+
+    family = read(morphisms if morphisms is not None else _hom_list_family(D))
+    if other is not None:
+        family = min(family, read(other), key=cost)
     cols = []
-    items = morphisms if morphisms is not None else \
-        [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
-    for (k, l, F) in items:
+    for (k, l, Fv, xiF) in family:
         mk, ml = dims[k], dims[l]
-        Fv = alg.bmat_cols(F)
-        xiF = alg.bmat_cols(Matrix.from_cols(alg.B, F.data, F.cols))
         for v in range(mk):
             for w in range(ml):
                 col = {offsets[l] + w2 * ml + w: a for w2, a in Fv[v]}
@@ -314,9 +353,10 @@ def _relation_columns(D: DiagramCategory, morphisms=None):
 
 
 def coend_relation_rows(D: DiagramCategory, morphisms=None):
-    """Canonical (Howell) generators of the coend relation submodule.
-    Relations from any R-spanning morphism family agree with relations from
-    the full closure; this is the function the robustness property tests."""
+    """Canonical (Howell) generators of the coend relation submodule, from
+    morphisms or D's hom lists.  Relations from any R-spanning morphism
+    family agree with relations from the full closure; this is the
+    function the robustness property tests."""
     N, _, _, cols = _relation_columns(D, morphisms)
     return N, howell(D.alg.R, cols, N)
 
@@ -324,15 +364,21 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
 def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult:
     """The coend coalgebra of a composition-closed concrete diagram.
 
-    morphisms optionally overrides the relation-generating family (used to
-    test generator robustness); the diagram itself must still be closed.
+    The relations come from D's hom lists or, when D records them
+    (`hom_closure`, `restrict` to a union of components), from its input
+    generators, whichever family `_relation_columns` estimates the cheaper
+    to put in Howell form: both present the same submodule, so the Howell
+    rows and everything built from them are the same.  morphisms
+    optionally overrides the relation-generating family (used to test
+    generator robustness); the diagram itself must still be closed.
     check=False skips the final coalgebra axiom re-validation (descent of
     delta and eps onto classes is always verified).
     """
     alg = D.alg
     R, B, fb = alg.R, alg.B, alg.fb
     D.require_closed()
-    N, offsets, dims, cols = _relation_columns(D, morphisms)
+    N, offsets, dims, cols = _relation_columns(D, morphisms,
+                                               D.gens if morphisms is None else None)
     rel_rows = howell(R, cols, N)
     pres = module_from_presentation(Matrix.from_cols(R, rel_rows, N))
     L_car = pres.module

@@ -9,6 +9,7 @@ from tannaka_forge.linalg import (Matrix, smith, kernel, solve, solve_columns,
                                   is_invertible, inverse, howell, Span,
                                   DimensionMismatch)
 from tannaka_forge.modules import module_from_presentation
+import kernel_reference
 from recognition_reference import span_membership
 from smith_reference import (densify, reference_smith, smith_certificate,
                              smith_kernel, smith_solve_columns, smith_inverse)
@@ -404,3 +405,20 @@ def test_kernels_solves_and_inverses_run_no_smith(monkeypatch, Z8):
     assert solve_columns(A, [[1, 3], [0, 1]])[0] == [1, 0]
     assert is_invertible(Matrix.from_rows(Z8, [[1, 2], [3, 5]]))
     assert inverse(Matrix.from_rows(Z8, [[3]])) == Matrix.from_rows(Z8, [[3]])
+
+
+def test_kernel_matches_full_graph_reference():
+    # kernel reduces and writes only the graph's Howell rows with pivot
+    # column >= A.rows; the reference writes every row and keeps those
+    # with zero A-part
+    rng = random.Random(31)
+    for p, n in ((2, 1), (2, 2), (2, 3), (3, 2), (3, 64)):
+        R = ring_make(p, n, 1)
+        nonzero = 0
+        for _ in range(60):
+            rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+            A = Matrix(R, rand_rows(rng, R, rows, cols), rows, cols)
+            K = kernel(A)
+            assert K == kernel_reference.kernel(A)
+            nonzero += K.cols > 0
+        assert nonzero
