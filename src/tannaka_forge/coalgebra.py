@@ -10,17 +10,23 @@ C (x)_B C and C (x)_B M: the BTensor their constructor built.  That tensor is
 the coalgebra's cc and the comodule's cm; coalgebra_check and comodule_check
 take it and validate against it, and never build it again.  They read its
 sparse columns, its outer actions too, on the columns of delta and rho;
-only the flat lifts deltahat and rhohat are dense.  The coalgebra keeps
-deltahat's sparse columns, which its own check and every comodule check read.
+only the flat lifts deltahat and rhohat are dense, and only when f_B >= 2.
+The coalgebra keeps deltahat's sparse columns, which its own check and
+every comodule check read.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
-this is exhaustive).  Coassociativity is compared inside the triple tensor
-over B, built nested as (C (x)_B C) (x)_B Z on the already computed
-C (x)_B C.  The flat maps (delta (x) id) and (id (x) rho) are built as
-sparse columns on flat triple coordinates, straight from the sparse columns
-of the lifted delta and rho; when f_B = 1 those coordinates are already the
-triple tensor's, otherwise the columns are pushed through the projection
-onto C (x)_B C and then through the projection of the nest.  The nest is
+this is exhaustive).  When f_B = 1, B = R and every tensor is flat, so
+coassociativity is compared in Sweedler coordinates, with no triple tensor:
+for each generator g, with phi = delta for a coalgebra and rho for a
+comodule, (delta (x) id) phi(g) and (id (x) rho) phi(g) are sparse dicts
+over the triples (i, j, k) of generators of C, C and Z, each entry reduced
+mod p^min(e_i, e_j, z_k), and the first g whose two dicts differ is the
+witness.  When f_B >= 2 it is compared inside the triple tensor over B,
+built nested as (C (x)_B C) (x)_B Z on the already computed C (x)_B C.
+The flat maps (delta (x) id) and (id (x) rho) are built as sparse columns
+on flat triple coordinates, straight from the sparse columns of the lifted
+delta and rho, pushed through the projection onto C (x)_B C and then
+through the projection of the nest.  The nest is
 (C (x)_B C)^{(+)s} in B-coordinates when Z is free over B with s
 generators, with no matrix of the nest's size, and the quotient by the
 middle relations otherwise.  Both maps are descended through C (x)_B Z by
@@ -99,7 +105,11 @@ class Coalgebra:
     @cached_property
     def deltahat_cols(self) -> list:
         """The sparse columns of deltahat, read once for the coalgebra
-        check and every comodule check."""
+        check and every comodule check.  When f_B = 1 the lift is the
+        identity on coordinates, so they are delta's, and deltahat is not
+        written."""
+        if self.alg.fb == 1:
+            return self.delta.mat.sparse_cols()
         return self.deltahat.sparse_cols()
 
     def __eq__(self, other):
@@ -173,6 +183,50 @@ def _coassoc_witness(t3: TripleTensor, deltahat: list, src: BTensor,
     return None
 
 
+def _sweedler_witness(cc: BTensor, deltahat: list, src: BTensor,
+                      phi: list) -> int | None:
+    """When f_B = 1: the first generator g of the source of phi with
+    (delta (x) id) phi(g) different from (id (x) rho) phi(g), or None, as
+    _coassoc_witness finds it, with no triple tensor.
+
+    Over B = R every tensor is flat: src = C (x) Z has the pairs (a, z) as
+    coordinates, cc = C (x) C the pairs (i, j), and the lifts are the
+    identity on them, so deltahat holds the columns of delta over cc and
+    rho is phi itself.  In Sweedler notation (Sweedler, Hopf Algebras,
+    1969, 1.2), for phi(g) = sum c_az (c_a (x) z) the two sides are
+    sum c_az delta(c_a) (x) z and sum c_az c_a (x) rho(z), sums of pure
+    tensors c_i (x) c_j (x) z_k: dicts keyed (i, j, k), each entry reduced
+    mod p^min(e_i, e_j, z_k), the order of that pure tensor."""
+    R = src.alg.R                           # Z/p^n: entries are ints mod p^n
+    pe = [R.p ** e for e in range(R.n + 1)]
+    ec, ez = src.TR.left.exps, src.TR.right.exps
+    cpair = {k: ij for ij, k in cc.TR.pos.items()}
+    spair = {k: az for az, k in src.TR.pos.items()}
+    dterms = [[(cpair[k], c) for k, c in col] for col in deltahat]
+    rterms = [[(spair[k], c) for k, c in col] for col in phi]
+
+    def reduced(acc):
+        out = {}
+        for (i, j, k), x in acc.items():
+            x %= pe[min(ec[i], ec[j], ez[k])]
+            if x:
+                out[i, j, k] = x
+        return out
+
+    for g, terms in enumerate(phi):
+        lhs: dict[tuple, int] = {}
+        rhs: dict[tuple, int] = {}
+        for k, c in terms:
+            a, z = spair[k]
+            for (i, j), d in dterms[a]:
+                lhs[i, j, z] = lhs.get((i, j, z), 0) + c * d
+            for (j, k2), d in rterms[z]:
+                rhs[a, j, k2] = rhs.get((a, j, k2), 0) + c * d
+        if reduced(lhs) != reduced(rhs):
+            return g
+    return None
+
+
 def coalgebra_check(cc: BTensor, delta: ModuleMap,
                     counit: ModuleMap) -> Coalgebra:
     """Validate (C, delta, eps) for cc = C (x)_B C, the tensor delta is
@@ -187,8 +241,10 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         raise ValueError("delta must map the carrier into C (x)_B C")
     if counit.src != C.carrier or counit.dst != breg.carrier:
         raise ValueError("counit must map the carrier into B")
-    # the columns of delta and eps, each read once for every check below
-    dcols, ecols = delta.mat.sparse_cols(), counit.mat.sparse_cols()
+    # the columns of delta and eps, each read once for every check below;
+    # when f_B = 1 delta's are deltahat's, which the coalgebra keeps
+    dcols = coalg.deltahat_cols if alg.fb == 1 else delta.mat.sparse_cols()
+    ecols = counit.mat.sparse_cols()
     # bimodule-map conditions
     for name, cols, act, act_dst, dst in (
             ("left", dcols, C.left, cc.left, cc.module),
@@ -206,10 +262,14 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         w = _first_difference(contraction, dcols, unit, unit, C.carrier)
         if w is not None:
             raise AxiomError(code, w)
-    # coassociativity inside the triple tensor
-    t3 = triple_tensor(alg, cc, C.carrier, C.left)
-    hat = coalg.deltahat_cols
-    w = _coassoc_witness(t3, hat, cc, hat, dcols)
+    # coassociativity: in Sweedler coordinates when f_B = 1, otherwise
+    # inside the triple tensor
+    if alg.fb == 1:
+        w = _sweedler_witness(cc, dcols, cc, dcols)
+    else:
+        hat = coalg.deltahat_cols
+        w = _coassoc_witness(triple_tensor(alg, cc, C.carrier, C.left), hat,
+                             cc, hat, dcols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return coalg
@@ -257,8 +317,11 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     w = _first_difference(eps_id, cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)
-    t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
-    w = _coassoc_witness(t3, C.deltahat_cols, cm, Mc.rhohat().sparse_cols(), cols)
+    if alg.fb == 1:
+        w = _sweedler_witness(C.cc, C.deltahat_cols, cm, cols)
+    else:
+        w = _coassoc_witness(triple_tensor(alg, C.cc, M.carrier, M.act),
+                             C.deltahat_cols, cm, Mc.rhohat().sparse_cols(), cols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Mc

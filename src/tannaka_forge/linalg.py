@@ -364,8 +364,9 @@ class Span:
     exponents depend only on the span, and so does the form once the
     entries above each pivot p^a are reduced mod p^a, which `rows` does.
 
-    Rows go in one at a time, the last first, as sparse {column: entry}
-    dicts, so a reduction touches only the pivot row's nonzeros.  A row
+    Rows go in one at a time, as sparse {column: entry} dicts, so a
+    reduction touches only the pivot row's nonzeros; the form does not
+    depend on their order, but its cost does.  A row
     reaching a pivot column reduces against its pivot when its entry's
     valuation is not smaller; otherwise it takes the column, and the old
     pivot row, reduced against it, goes in again, as does the tail of
@@ -389,38 +390,43 @@ class Span:
 
     def extend(self, rows) -> bool:
         """Insert rows, dense lists or sparse {column: nonzero entry} dicts;
-        True when some row lay outside the span."""
+        True when some row lay outside the span.  A list or tuple goes in
+        the last row first; any other iterable is read lazily, in the order
+        it yields, so a stream of rows is never held whole."""
         ring, pivots = self.ring, self.pivots
         mul, neg, val, addmul = ring.mul, ring.neg, ring.val, ring.addmul
         divide = ring.divide_p_power
-        todo = [dict(r) if isinstance(r, dict) else {k: e for k, e in enumerate(r) if e}
-                for r in rows]
+        if isinstance(rows, (list, tuple)):
+            rows = reversed(rows)
         grew = False
-        while todo:
-            r = todo.pop()
-            while r:
-                j = min(r)
-                e = r[j]
-                a = val(e)
-                piv = pivots.get(j)
-                if piv is not None and piv[1] <= a:
-                    _add_row(addmul, r, piv[0], neg(divide(e, piv[1])))
-                    continue
-                u_inv = ring.inv(ring.unit_part(e))
-                new = {k: mul(u_inv, x) for k, x in r.items()}
-                pivots[j] = (new, a)
-                grew = True
-                if piv is not None:
-                    old = piv[0]
-                    _add_row(addmul, old, new, neg(divide(old[j], a)))
-                    todo.append(old)
-                if a > 0:
-                    tail: dict[int, int] = {}
-                    _add_row(addmul, tail, new, ring.p_elem(ring.n - a))
-                    todo.append(tail)
-                else:
-                    self.units += 1
-                break
+        for row in rows:
+            todo = [dict(row) if isinstance(row, dict)
+                    else {k: e for k, e in enumerate(row) if e}]
+            while todo:
+                r = todo.pop()
+                while r:
+                    j = min(r)
+                    e = r[j]
+                    a = val(e)
+                    piv = pivots.get(j)
+                    if piv is not None and piv[1] <= a:
+                        _add_row(addmul, r, piv[0], neg(divide(e, piv[1])))
+                        continue
+                    u_inv = ring.inv(ring.unit_part(e))
+                    new = {k: mul(u_inv, x) for k, x in r.items()}
+                    pivots[j] = (new, a)
+                    grew = True
+                    if piv is not None:
+                        old = piv[0]
+                        _add_row(addmul, old, new, neg(divide(old[j], a)))
+                        todo.append(old)
+                    if a > 0:
+                        tail: dict[int, int] = {}
+                        _add_row(addmul, tail, new, ring.p_elem(ring.n - a))
+                        todo.append(tail)
+                    else:
+                        self.units += 1
+                    break
         if grew:
             self.pivots, self._rows = dict(sorted(pivots.items())), None
         return grew

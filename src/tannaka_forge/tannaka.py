@@ -305,11 +305,18 @@ def _hom_list_family(D: DiagramCategory) -> list:
 
 def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     """Relation generators in T-coordinates, v (x) xi_w of block k at
-    offsets[k] + v m_k + w, as sparse {coordinate: entry} columns that
-    `howell` takes as they are; morphisms defaults to the diagram's own
-    spanning lists.  The relation of F : k -> l at (v, w) is
-    (F v) (x) xi_w - v (x) (xi_w F): v |-> F v is the R-matrix of F, and
-    xi |-> xi F on the B-dual is the R-matrix of F^T.
+    offsets[k] + v m_k + w, as a stream of sparse {coordinate: entry}
+    columns that `howell` takes as they come, so no list of them is ever
+    held; morphisms defaults to the diagram's own spanning lists.  The
+    relation of F : k -> l at (v, w) is (F v) (x) xi_w - v (x) (xi_w F):
+    v |-> F v is the R-matrix of F, and xi |-> xi F on the B-dual is the
+    R-matrix of F^T.
+
+    The stream runs over the family, v and w, each in reverse, the order
+    in which a `Span` inserts a list of the same columns: the Howell rows
+    do not depend on the order, but their cost does: inserted in the
+    forward order, the relations of the 30 seed-3 `spans` draws took
+    about 1.4 times as long in `howell`.
 
     other, another family presenting the same relations, is taken instead
     when its columns have the smaller sum of squared nonzero counts, as
@@ -337,19 +344,20 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     family = read(morphisms if morphisms is not None else _hom_list_family(D))
     if other is not None:
         family = min(family, read(other), key=cost)
-    cols = []
-    for (k, l, Fv, xiF) in family:
-        mk, ml = dims[k], dims[l]
-        for v in range(mk):
-            for w in range(ml):
-                col = {offsets[l] + w2 * ml + w: a for w2, a in Fv[v]}
-                for u, c in xiF[w]:
-                    j = offsets[k] + v * mk + u
-                    col[j] = R.sub(col.get(j, 0), c)
-                col = {j: a for j, a in col.items() if a}
-                if col:
-                    cols.append(col)
-    return N, offsets, dims, cols
+
+    def columns():
+        for (k, l, Fv, xiF) in reversed(family):
+            mk, ml = dims[k], dims[l]
+            for v in reversed(range(mk)):
+                for w in reversed(range(ml)):
+                    col = {offsets[l] + w2 * ml + w: a for w2, a in Fv[v]}
+                    for u, c in xiF[w]:
+                        j = offsets[k] + v * mk + u
+                        col[j] = R.sub(col.get(j, 0), c)
+                    col = {j: a for j, a in col.items() if a}
+                    if col:
+                        yield col
+    return N, offsets, dims, columns()
 
 
 def coend_relation_rows(D: DiagramCategory, morphisms=None):

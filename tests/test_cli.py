@@ -300,13 +300,13 @@ def test_l_rank_limit_is_per_component(tmp_path):
 
 
 def test_out_of_memory_is_an_input_error(tmp_path):
-    # one rank-8 object over F2 with only its identity: L has rank 64, and
-    # its run does not fit in 60 MB of address space; running out is no
-    # refutation, so the exit code is 2, not 1
-    f = tmp_path / "r8.diagram"
+    # one rank-4 object over GR(4,2) with only its identity: L has rank 64,
+    # at MAX_L_RANK, and its run does not fit in 60 MB of address space;
+    # running out is no refutation, so the exit code is 2, not 1
+    f = tmp_path / "gr42r4.diagram"
     f.write_text(format_diagram(DiagramCategory(
-        AlgebraSpec.make(2, 1, 1), [DiagObject("A", 8)],
-        {(0, 0): [Matrix.identity(ring_make(2, 1, 1), 8)]})))
+        AlgebraSpec.make(2, 2, 2), [DiagObject("A", 4)],
+        {(0, 0): [Matrix.identity(ring_make(2, 2, 2), 4)]})))
     out, _ = _capped_cli(["coend", str(f)], cap_bytes=60 << 20)
     assert out.returncode == 2, out.stderr
     assert "input error: out of memory" in out.stderr

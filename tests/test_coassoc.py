@@ -76,8 +76,10 @@ def _same_result(a, b):
 def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     """The outcomes of fn, which checks a coalgebra or comodule over the
     coalgebra bimodule bi: with the sparse comparison on the nested triple
-    tensor, with the dense reference on the same quotient and, when
-    f_B >= 2, with the dense reference on the flat one-Smith quotient.  The
+    tensor (in Sweedler coordinates when f_B = 1, with no triple tensor),
+    with the dense reference on the same quotient (when f_B = 1, on the
+    flat triple tensor the Sweedler comparison skips) and, when f_B >= 2,
+    with the dense reference on the flat one-Smith quotient.  The
     references must actually have run, and the nested and flat quotients
     must have the same exponents.  Whenever the nest is built in
     B-coordinates, the dense reference nest and the Smith quotient of the
@@ -86,9 +88,13 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     witness, or raise the same error, on the nest and the quotient.  kinds
     collects "free" or "quotient" for each nest built.  With references
     False only the first run is made."""
-    calls, exps = [], {"nested": [], "flat": []}
+    calls, swept, exps = [], [], {"nested": [], "flat": []}
     quotients = {}
-    witness = coalgebra._coassoc_witness
+    witness, sweedler = coalgebra._coassoc_witness, coalgebra._sweedler_witness
+
+    def recorded(*args):
+        swept.append(1)
+        return sweedler(*args)
 
     def reference(*args):
         calls.append(1)
@@ -121,6 +127,12 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
             raise w
         return w
 
+    def sweedler_reference(cc, deltahat, src, phi):
+        # f_B = 1: the lifts are the identity on coordinates, so rho's
+        # lift is phi; triple_tensor reads no action of Z then
+        return reference(nested(src.alg, cc, src.TR.right, None),
+                         deltahat, src, phi, phi)
+
     def flat(alg, xy, Z_car, Z_left):
         t3 = flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier,
                                 bi.left, bi.right, Z_car, Z_left)
@@ -130,12 +142,14 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "triple_tensor", nested)
         m.setattr(coalgebra, "_coassoc_witness", compared)
+        m.setattr(coalgebra, "_sweedler_witness", recorded)
         out = [_outcome(fn)]
     assert not quotients, "a B-coordinate nest was never compared"
     if not references:
         return out
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "_coassoc_witness", reference)
+        m.setattr(coalgebra, "_sweedler_witness", sweedler_reference)
         out.append(_outcome(fn))
         if bi.alg.fb > 1:
             m.setattr(coalgebra, "triple_tensor", flat)
@@ -145,6 +159,7 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
                          "CounitLeft", "CounitRight"):
         assert calls, "the reference comparison was never reached"
         assert exps["nested"], "no triple tensor was built"
+        assert bool(swept) == (bi.alg.fb == 1), "Sweedler coordinates exactly when f_B = 1"
     return out
 
 

@@ -92,10 +92,12 @@ def suite_diagrams():
 
 def _dense_relation_columns(D, morphisms=None):
     """_relation_columns with its sparse columns written out as the dense
-    T-columns of the reference; a sparse column holds no zero entry."""
+    T-columns of the reference; a sparse column holds no zero entry.  The
+    stream yields them in the reverse of the reference's list order, the
+    order in which a Span inserts that list."""
     N, offsets, dims, cols = _relation_columns(D, morphisms)
     dense = []
-    for col in cols:
+    for col in reversed(list(cols)):
         assert col and all(col.values())
         row = [0] * N
         for j, a in col.items():

@@ -71,7 +71,8 @@ def test_howell_matches_dense_reference():
 
 def test_howell_matches_dense_reference_on_spans_relations(spans_draws):
     for D_raw in spans_draws:
-        N, _, _, cols = _relation_columns(hom_closure(D_raw))
+        N, _, _, stream = _relation_columns(hom_closure(D_raw))
+        cols = list(stream)[::-1]       # the column list, read twice below
         dense = [[col.get(j, 0) for j in range(N)] for col in cols]
         assert howell(D_raw.alg.R, cols, N) == ref.dense_howell(D_raw.alg.R, dense, N)
         assert howell(D_raw.alg.R, dense, N) == howell(D_raw.alg.R, cols, N)
