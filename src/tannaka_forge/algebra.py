@@ -19,16 +19,20 @@ holds it in one form, sparse columns: the projection from the R-tensor, a
 section back, the middle relations and the outer actions.  Maps are induced
 on it from those columns alone: f (x) g is pushed through the target's
 projection and descended by modules.descend_sparse, and the outer actions
-are such maps.  Only the Smith quotient of a nest (triple_tensor) and
-btensor_bmodule write an action out densely.  When f_B = 1 the relation
-map is zero and tensor over B coincides with tensor over R: the projection
-and the section are unit columns and there are no relations.
-Triple tensors are nested, (X tensor_B Y) tensor_B Z, which right exactness
-makes canonically isomorphic to the quotient of the flat triple tensor by
-both middle relations.  When Z is free over B with basis z_1..z_s the outer
-step needs no quotient: X tensor_B B^s is X^{(+)s}, written down from the
-B-basis of Z and the powers of the right action of X, straight into
-sparse columns.  Otherwise the outer step presents a binary tensor as
+are such maps; a map into it is lifted back to the R-tensor (BTensor.lift)
+through the section's columns, as sparse columns too.  Only the Smith
+quotient of a nest (triple_tensor) and btensor_bmodule write an action out
+densely.  When f_B = 1 the relation map is zero and tensor over B coincides
+with tensor over R: the projection and the section are unit columns and
+there are no relations.
+A triple tensor over B is needed only for the coassociativity check at
+f_B >= 2, and only as its nest (X tensor_B Y) tensor_B Z, the binary tensor
+of the already computed X tensor_B Y with Z; right exactness makes it
+canonically isomorphic to the quotient of the flat triple tensor by both
+middle relations, which is never built.  When Z is free over B with basis
+z_1..z_s the nest needs no quotient: X tensor_B B^s is X^{(+)s}, written
+down from the B-basis of Z and the powers of the right action of X,
+straight into sparse columns.  Otherwise it presents a binary tensor as
 above.
 
 Free-vs-not over B is decided by re-expressing a carrier as a B-module and
@@ -292,15 +296,17 @@ class BTensor:
         """The sparse vectors flat over TR.module, projected into module."""
         return [sparse_image(col, self.proj_cols, self.module) for col in flat]
 
-    def lift(self, phi: ModuleMap) -> Matrix:
-        """The flat lift sect @ phi.mat of phi into module, dense, unreduced."""
-        R = self.alg.R
-        add, mul = R.add, R.mul
-        out = Matrix.zeros(R, self.TR.module.rank, phi.src.rank)
-        for q, col in enumerate(phi.mat.sparse_cols()):
+    def lift(self, phi: ModuleMap) -> list[list[tuple[int, int]]]:
+        """The flat lift sect @ phi.mat of phi into TR.module, as sparse
+        columns, unreduced."""
+        q = self.alg.R.q                    # R = Z/p^n: entries are ints
+        out = []
+        for col in phi.mat.sparse_cols():
+            acc: dict[int, int] = {}
             for r, c in col:
                 for t, s in self.sect_cols[r]:
-                    out.data[t][q] = add(out.data[t][q], mul(s, c))
+                    acc[t] = acc.get(t, 0) + s * c
+            out.append([(t, acc[t] % q) for t in sorted(acc) if acc[t] % q])
         return out
 
     def pure_sum(self, pairs) -> tuple[int, ...]:
@@ -385,30 +391,8 @@ def btensor_bmodule(data: BTensor) -> BModule:
 
 
 # ---------------------------------------------------------------------------
-# triple tensors (for coassociativity checks)
+# the nest of a triple tensor (for coassociativity checks)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class TripleTensor:
-    """X tensor_B Y tensor_B Z as the nested tensor (X tensor_B Y) tensor_B Z.
-
-    TR is the flat R-triple tensor (T12.module) tensor Z, T12 = xy.TR the
-    flat X tensor Y.  Tensor over B is right exact, so the flat triple tensor
-    maps onto the nested tensor by the sparse columns of xy's projection
-    (tensor id) followed by those of nest's, where nest is the binary tensor
-    xy.module tensor_B Z; no presentation of the flat (rank)^3 module is ever
-    built.  When f_B = 1 the flat triple tensor is the quotient: nest is None
-    and module is TR.module."""
-    alg: AlgebraSpec
-    xy: BTensor
-    TR: TensorData          # (T12.module) tensor Z
-    nest: BTensor | None    # (xy.module) tensor_B Z
-    module: FinModule
-
-    @property
-    def T12(self) -> TensorData:
-        return self.xy.TR
-
 
 def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
                  form: BForm) -> BTensor:
@@ -443,20 +427,16 @@ def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
 
 
 def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
-                  Z_left: ModuleMap) -> TripleTensor:
-    """(X tensor_B Y) tensor_B Z from the recorded xy = X tensor_B Y, whose
-    right action pairs with Z_left.  When Z is free over B the nest is built
-    in B-coordinates; otherwise it is the quotient by the middle relations."""
-    TR = tensor_with_data(xy.TR.module, Z_car)
-    if alg.fb == 1:
-        return TripleTensor(alg, xy, TR, None, TR.module)
+                  Z_left: ModuleMap) -> BTensor:
+    """The nest (X tensor_B Y) tensor_B Z, for f_B >= 2: the binary tensor
+    of xy.module = X tensor_B Y, over xy's right action, with Z, over
+    Z_left.  When Z is free over B it is built in B-coordinates
+    (_tensor_free); otherwise it is the quotient by the middle relations."""
     form = as_b_module(alg, Z_car, Z_left)
     if form.is_free():
-        nest = _tensor_free(alg, xy, Z_car, form)
-    else:
-        right = map_from_cols(xy.module, xy.module, xy.right)
-        nest = _btensor_core(alg, xy.module, right, Z_car, Z_left)
-    return TripleTensor(alg, xy, TR, nest, nest.module)
+        return _tensor_free(alg, xy, Z_car, form)
+    right = map_from_cols(xy.module, xy.module, xy.right)
+    return _btensor_core(alg, xy.module, right, Z_car, Z_left)
 
 
 # ---------------------------------------------------------------------------

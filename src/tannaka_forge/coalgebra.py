@@ -9,10 +9,11 @@ delta and rho are matrices written in the coordinates of one presentation of
 C (x)_B C and C (x)_B M: the BTensor their constructor built.  That tensor is
 the coalgebra's cc and the comodule's cm; coalgebra_check and comodule_check
 take it and validate against it, and never build it again.  They read its
-sparse columns, its outer actions too, on the columns of delta and rho;
-only the flat lifts deltahat and rhohat are dense, and only when f_B >= 2.
-The coalgebra keeps deltahat's sparse columns, which its own check and
-every comodule check read.
+sparse columns, its outer actions too, on the columns of delta and rho.
+The flat lifts of delta and rho into the R-tensors are sparse columns as
+well, each computed once: the coalgebra keeps deltahat_cols, which its own
+check and every comodule check read, and a comodule keeps rhohat_cols,
+which its check and every comodule-hom condition read.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  When f_B = 1, B = R and every tensor is flat, so
@@ -22,11 +23,12 @@ comodule, (delta (x) id) phi(g) and (id (x) rho) phi(g) are sparse dicts
 over the triples (i, j, k) of generators of C, C and Z, each entry reduced
 mod p^min(e_i, e_j, z_k), and the first g whose two dicts differ is the
 witness.  When f_B >= 2 it is compared inside the triple tensor over B,
-built nested as (C (x)_B C) (x)_B Z on the already computed C (x)_B C.
-The flat maps (delta (x) id) and (id (x) rho) are built as sparse columns
-on flat triple coordinates, straight from the sparse columns of the lifted
-delta and rho, pushed through the projection onto C (x)_B C and then
-through the projection of the nest.  The nest is
+which is only its nest (C (x)_B C) (x)_B Z on the already computed
+C (x)_B C.  The columns of the flat maps (delta (x) id) and (id (x) rho)
+are Sweedler sums over flat triples, read off the sparse lifts of delta and
+rho; only the triples they touch are pushed, each once, through the
+projection onto C (x)_B C and then through the projection of the nest, and
+no module of the flat triple tensor's rank is built.  The nest is
 (C (x)_B C)^{(+)s} in B-coordinates when Z is free over B with s
 generators, with no matrix of the nest's size, and the quotient by the
 middle relations otherwise.  Both maps are descended through C (x)_B Z by
@@ -55,7 +57,7 @@ from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       commutator_cols, submodule, solve_in, factor_through,
                       sub_canonical, sub_elements, sparse_image, descend_sparse,
                       map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
-from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, TripleTensor,
+from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                       tensor_bim_bmodule, triple_tensor, descend_cols,
                       induced, act_powers, power_cols, poly_cols,
                       regular_bimodule, is_b_free, btensor_bmodule, free_bmodule)
@@ -98,19 +100,14 @@ class Coalgebra:
         return self.bi.carrier
 
     @cached_property
-    def deltahat(self) -> Matrix:
-        """The lift of delta into the flat R-tensor cc.TR."""
-        return self.cc.lift(self.delta)
-
-    @cached_property
     def deltahat_cols(self) -> list:
-        """The sparse columns of deltahat, read once for the coalgebra
-        check and every comodule check.  When f_B = 1 the lift is the
-        identity on coordinates, so they are delta's, and deltahat is not
-        written."""
+        """The sparse columns of the lift of delta into the flat R-tensor
+        cc.TR, computed once for the coalgebra check, every comodule check
+        and the formatted coalgebra.  When f_B = 1 the lift is the identity
+        on coordinates, so they are delta's."""
         if self.alg.fb == 1:
             return self.delta.mat.sparse_cols()
-        return self.deltahat.sparse_cols()
+        return self.cc.lift(self.delta)
 
     def __eq__(self, other):
         return (isinstance(other, Coalgebra) and self.bi == other.bi
@@ -141,40 +138,47 @@ def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
     return descend_cols(data, cols, car_m)
 
 
-def _coassoc_witness(t3: TripleTensor, deltahat: list, src: BTensor,
+def _coassoc_witness(xy: BTensor, nest: BTensor, deltahat: list, src: BTensor,
                      hat: list, phi: list) -> int | None:
-    """First generator g of the source of phi with (delta (x) id) phi(g)
-    different from (id (x) rho) phi(g) in t3.module, or None.
+    """When f_B >= 2: the first generator g of the source of phi with
+    (delta (x) id) phi(g) different from (id (x) rho) phi(g) in the nest,
+    or None.
 
-    src is C (x)_B Z, hat lifts rho : Z -> src.module into src.TR, deltahat
-    lifts delta into t3.T12 (the flat C (x) C of t3.xy), and phi, with
-    values in src.module, is the map both composites start from (delta
-    itself, or rho); all three are given by their sparse columns, which the
-    caller reads once.  Both flat maps are built as sparse columns on flat
-    triple coordinates.  When f_B = 1 those are the quotient's; otherwise
-    each column is pushed through xy's projection (tensor id) and then
-    projected into the nest.  Both are descended through src by
-    descend_sparse, and compared on the columns of phi.
+    xy is C (x)_B C, nest = triple_tensor(alg, xy, Z, ...) and src is
+    C (x)_B Z; deltahat lifts delta into xy.TR, hat lifts rho : Z ->
+    src.module into src.TR, and phi, with values in src.module, is the map
+    both composites start from (delta itself, or rho).  All three are given
+    by their sparse columns, which the caller reads once.  Column (i, z) of
+    the flat maps is a sum over flat triples (pk, z), pk a generator of the
+    flat C (x) C: sum delta(c_i)_pk (pk, z) for delta (x) id, and
+    sum rho(z)_ab ((i, a), b) for id (x) rho (Sweedler, Hopf Algebras,
+    1969, 1.2).  Each triple the sums touch is pushed through xy's
+    projection (tensor id) and the nest's projection once, on first use;
+    the rest are never formed.  Both maps are descended through src by
+    descend_sparse and compared on the columns of phi.
     """
-    mod = t3.module
-    p12, p3 = t3.T12.pos, t3.TR.pos
+    mod, npos, xcols, p12 = nest.module, nest.TR.pos, xy.proj_cols, xy.TR.pos
     src_inv = {k: ij for ij, k in src.TR.pos.items()}
-    # delta(c_i) as (T12 index, coeff); rho(z_j) as ((c, z) pair, coeff)
+    # rho(z_j) as ((c, z) pair, coeff)
     hcols = [[(src_inv[kk], c) for kk, c in col] for col in hat]
+    at: dict[tuple[int, int], int] = {}     # flat triple -> index in images
+    images = []                             # its image in the nest
+
+    def pushed(pk, z):
+        k = at.get((pk, z))
+        if k is None:
+            k = at[pk, z] = len(images)
+            images.append(sparse_image([(npos[(q, z)], a) for q, a in xcols[pk]],
+                                       nest.proj_cols, mod))
+        return k
+
     lhs = [None] * src.TR.module.rank
     rhs = [None] * src.TR.module.rank
     for (i, j), k in src.TR.pos.items():
-        lhs[k] = [(p3[(pk, j)], c) for pk, c in deltahat[i]]
-        rhs[k] = [(p3[(p12[(i, a)], b)], c) for (a, b), c in hcols[j]]
-    if t3.nest is not None:
-        # column k of xy's projection (x) id, in nest.TR coordinates
-        nest = t3.nest
-        npos, xcols = nest.TR.pos, t3.xy.proj_cols
-        xz = [None] * t3.TR.module.rank
-        for (pk, z), k in p3.items():
-            xz[k] = [(npos[(q, z)], a) for q, a in xcols[pk]]
-        lhs = nest.project([sparse_image(col, xz, nest.TR.module) for col in lhs])
-        rhs = nest.project([sparse_image(col, xz, nest.TR.module) for col in rhs])
+        lhs[k] = sparse_image([(pushed(pk, j), c) for pk, c in deltahat[i]],
+                              images, mod)
+        rhs[k] = sparse_image([(pushed(p12[(i, a)], b), c)
+                               for (a, b), c in hcols[j]], images, mod)
     lhs = descend_sparse(lhs, src.rels, src.sect_cols, mod, src.module)
     rhs = descend_sparse(rhs, src.rels, src.sect_cols, mod, src.module)
     for g, terms in enumerate(phi):
@@ -187,7 +191,7 @@ def _sweedler_witness(cc: BTensor, deltahat: list, src: BTensor,
                       phi: list) -> int | None:
     """When f_B = 1: the first generator g of the source of phi with
     (delta (x) id) phi(g) different from (id (x) rho) phi(g), or None, as
-    _coassoc_witness finds it, with no triple tensor.
+    the comparison in the triple tensor finds it, with no triple tensor.
 
     Over B = R every tensor is flat: src = C (x) Z has the pairs (a, z) as
     coordinates, cc = C (x) C the pairs (i, j), and the lifts are the
@@ -268,8 +272,8 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         w = _sweedler_witness(cc, dcols, cc, dcols)
     else:
         hat = coalg.deltahat_cols
-        w = _coassoc_witness(triple_tensor(alg, cc, C.carrier, C.left), hat,
-                             cc, hat, dcols)
+        w = _coassoc_witness(cc, triple_tensor(alg, cc, C.carrier, C.left),
+                             hat, cc, hat, dcols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return coalg
@@ -289,7 +293,11 @@ class Comodule:
     def carrier(self) -> FinModule:
         return self.module.carrier
 
-    def rhohat(self) -> Matrix:
+    @cached_property
+    def rhohat_cols(self) -> list:
+        """The sparse columns of the lift of rho into the flat R-tensor
+        cm.TR, computed once for the comodule check, every comodule-hom
+        condition and the formatted comodule."""
         return self.cm.lift(self.rho)
 
     def __eq__(self, other):
@@ -320,8 +328,8 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     if alg.fb == 1:
         w = _sweedler_witness(C.cc, C.deltahat_cols, cm, cols)
     else:
-        w = _coassoc_witness(triple_tensor(alg, C.cc, M.carrier, M.act),
-                             C.deltahat_cols, cm, Mc.rhohat().sparse_cols(), cols)
+        w = _coassoc_witness(C.cc, triple_tensor(alg, C.cc, M.carrier, M.act),
+                             C.deltahat_cols, cm, Mc.rhohat_cols, cols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Mc
@@ -345,8 +353,7 @@ def _coaction_condition(Mc: Comodule, Nc: Comodule):
     off, pos = Nc.carrier.rank, cmN.TR.pos
     pair = {k: ij for ij, k in cmM.TR.pos.items()}
     # the flat lift of rho_M(m_i) as ((c, m) pair, -entry) terms
-    lift = [[(pair[k], neg(a)) for k, a in col]
-            for col in Mc.rhohat().sparse_cols()]
+    lift = [[(pair[k], neg(a)) for k, a in col] for col in Mc.rhohat_cols]
 
     def condition(h):
         return [sparse_image(h[i] + [(off + pos[(a, n)], mul(c, b))
@@ -414,11 +421,12 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
     cm = tensor_bim_bmodule(alg, C.bi, M)
     carrier_mod = btensor_bmodule(cm)
     target = tensor_bim_bmodule(alg, C.bi, carrier_mod)
-    # column (i, j) of the flat map is delta(c_i) (x) m_j, reassociated
-    dh, car = C.deltahat, C.carrier
-    cols = [target.pure_sum((car.scale(dh.data[kk][i], car.gen(a)),
-                             cm.pure(car.gen(b), M.carrier.gen(j)))
-                            for (a, b), kk in C.cc.TR.pos.items() if dh.data[kk][i])
+    # column (i, j) of the flat map is delta(c_i) (x) m_j, reassociated;
+    # pos iterates its pairs in coordinate order
+    dh, car, pair = C.deltahat_cols, C.carrier, list(C.cc.TR.pos)
+    cols = [target.pure_sum((car.scale(c, car.gen(pair[kk][0])),
+                             cm.pure(car.gen(pair[kk][1]), M.carrier.gen(j)))
+                            for kk, c in dh[i])
             for i, j in cm.TR.pos]
     rho = map_from_cols(cm.module, target.module, descend_cols(
         cm, [[(r, a) for r, a in enumerate(col) if a] for col in cols], target.module))

@@ -321,14 +321,16 @@ def format_reconstruct_input(C: Coalgebra, family: list[Comodule]) -> str:
     out.append("  carrier = mod(%s)" % ",".join(map(str, C.carrier.exps)))
     out.append("  left = %s" % format_matrix(C.bi.left.mat))
     out.append("  right = %s" % format_matrix(C.bi.right.mat))
-    out.append("  delta = %s" % format_matrix(C.deltahat))
+    out.append("  delta = %s" % format_matrix(
+        Matrix.from_sparse(alg.R, C.deltahat_cols, C.cc.TR.module.rank)))
     out.append("  counit = %s" % format_matrix(C.counit.mat))
     out.append("}")
     for i, Mc in enumerate(family):
         out.append("comodule M%d {" % i)
         out.append("  carrier = mod(%s)" % ",".join(map(str, Mc.carrier.exps)))
         out.append("  action = %s" % format_matrix(Mc.module.act.mat))
-        out.append("  rho = %s" % format_matrix(Mc.rhohat()))
+        out.append("  rho = %s" % format_matrix(
+            Matrix.from_sparse(alg.R, Mc.rhohat_cols, Mc.cm.TR.module.rank)))
         out.append("}")
     return "\n".join(out) + "\n"
 

@@ -1,5 +1,11 @@
 """References for the coassociativity comparison.
 
+``TripleTensor`` is the container the comparison used before it worked on
+the nest alone: the nest ``algebra.triple_tensor`` returns, together with
+the flat R-triple tensor it is a quotient of.  ``nested_triple_tensor``
+builds it around that nest, and also when f_B = 1, where the flat triple
+tensor is the quotient and there is no nest.
+
 ``dense_tensor_free`` is the nest in B-coordinates as it was built before
 its projection and section became sparse columns: both filled into dense
 matrices, entry by entry.
@@ -21,11 +27,12 @@ tensor, pushed pure tensor by pure tensor through a dense projection from
 the flat triple coordinates, descended with ``descend`` (which checks the
 middle relations and validates the result) and composed with delta or rho
 before being compared generator by generator.  It accepts the nested
-``TripleTensor`` and ``FlatTripleTensor`` alike, with the signature of
-``coalgebra._coassoc_witness``: it writes the sparse columns of the lifts
-and of delta or rho out as dense matrices first.
+``TripleTensor`` and ``FlatTripleTensor`` alike, in place of the nest
+that ``coalgebra._coassoc_witness`` takes with xy, and the same sparse
+columns of the lifts and of delta or rho, which it writes out as dense
+matrices first.
 
-All four are kept only to be tested against.
+All of these are kept only to be tested against.
 
 The remaining helpers serve the tests of the tensor over B itself:
 ``embed3``, ``pure3`` and ``lift_gen`` move elements between the flat triple
@@ -43,12 +50,49 @@ from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import (FinModule, ModuleMap, TensorData,
                                    tensor_with_data, presentation_with_torsion)
 from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
-                                   BForm, TripleTensor, tensor_bimodules,
-                                   triple_tensor, _btensor_core)
+                                   BForm, tensor_bimodules, triple_tensor,
+                                   _btensor_core)
 
 from dense_tensor import dense, descend, embed, map_tensor
 from descent_reference import act_by
 from smith_reference import densify
+
+
+@dataclass
+class TripleTensor:
+    """X tensor_B Y tensor_B Z as the nested tensor (X tensor_B Y) tensor_B Z.
+
+    TR is the flat R-triple tensor (T12.module) tensor Z, T12 = xy.TR the
+    flat X tensor Y.  Tensor over B is right exact, so the flat triple tensor
+    maps onto the nested tensor by xy's projection (tensor id) followed by
+    nest's, where nest is the binary tensor xy.module tensor_B Z.  When
+    f_B = 1 the flat triple tensor is the quotient: nest is None and module
+    is TR.module."""
+    alg: AlgebraSpec
+    xy: BTensor
+    TR: TensorData          # (T12.module) tensor Z
+    nest: BTensor | None    # (xy.module) tensor_B Z
+    module: FinModule
+
+    @property
+    def T12(self) -> TensorData:
+        return self.xy.TR
+
+
+def as_triple(xy: BTensor, nest: BTensor) -> TripleTensor:
+    """The TripleTensor of the nest xy.module tensor_B Z."""
+    return TripleTensor(xy.alg, xy, tensor_with_data(xy.TR.module, nest.TR.right),
+                        nest, nest.module)
+
+
+def nested_triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
+                         Z_left: ModuleMap) -> TripleTensor:
+    """(X tensor_B Y) tensor_B Z around the nest triple_tensor builds; the
+    flat triple tensor itself when f_B = 1."""
+    if alg.fb == 1:
+        TR = tensor_with_data(xy.TR.module, Z_car)
+        return TripleTensor(alg, xy, TR, None, TR.module)
+    return as_triple(xy, triple_tensor(alg, xy, Z_car, Z_left))
 
 
 @dataclass
@@ -140,31 +184,37 @@ def flat_triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
                             ModuleMap(TR.module, pres.module, pres.proj))
 
 
-def dense_proj(t3) -> ModuleMap:
+def dense_proj(t3) -> ModuleMap | None:
     """The projection from the flat triple coordinates onto t3.module; for
-    the nested quotient the composite nest.proj . (xy.proj (x) id)."""
+    the nested quotient the composite nest.proj . (xy.proj (x) id).  None
+    when t3.module is the flat triple tensor itself (f_B = 1), where it is
+    the identity."""
+    if t3.module is t3.TR.module:
+        return None
     if isinstance(t3, FlatTripleTensor):
         return t3.proj
-    if t3.nest is None:
-        return ModuleMap.identity(t3.module)
     xz = map_tensor(t3.TR, dense(t3.xy).proj, ModuleMap.identity(t3.TR.right),
                     t3.nest.TR)
     return dense(t3.nest).proj @ xz
 
 
-def _delta_tensor_id(deltahat: Matrix, data: BTensor, t3, proj: ModuleMap,
+def _projected(proj: ModuleMap | None, vec) -> tuple[int, ...]:
+    return vec if proj is None else proj.apply(vec)
+
+
+def _delta_tensor_id(deltahat: Matrix, data: BTensor, t3, proj: ModuleMap | None,
                      right_car: FinModule) -> ModuleMap:
     """(delta (x)_B id) : C (x)_B Z -> C (x)_B C (x)_B Z."""
     flat = Matrix.zeros(t3.alg.R, t3.module.rank, data.TR.module.rank)
     for (i, j), k in data.TR.pos.items():
         dcol = deltahat.col(i)
-        col = proj.apply(embed(t3.TR, tuple(dcol), right_car.gen(j)))
+        col = _projected(proj, embed(t3.TR, tuple(dcol), right_car.gen(j)))
         for r, v in enumerate(col):
             flat.data[r][k] = v
     return descend(data, ModuleMap(data.TR.module, t3.module, flat, validate=False))
 
 
-def _id_tensor_coaction(data: BTensor, t3, proj: ModuleMap, C_car: FinModule,
+def _id_tensor_coaction(data: BTensor, t3, proj: ModuleMap | None, C_car: FinModule,
                         hat: Matrix) -> ModuleMap:
     """(id (x)_B rho) : C (x)_B Z -> C (x)_B C (x)_B Z, hat the lift of rho
     into data.TR."""
@@ -177,8 +227,8 @@ def _id_tensor_coaction(data: BTensor, t3, proj: ModuleMap, C_car: FinModule,
             if coeff == 0:
                 continue
             a, b = inner_pos[kk]
-            vec = proj.apply(embed3(t3, C_car.gen(i), C_car.gen(a),
-                                        t3.TR.right.gen(b)))
+            vec = _projected(proj, embed3(t3, C_car.gen(i), C_car.gen(a),
+                                          t3.TR.right.gen(b)))
             for r, v in enumerate(vec):
                 if v:
                     acc[r] = R.add(acc[r], R.mul(coeff, v))
@@ -281,7 +331,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
     (Y (x)_B Z), both verified, constructed through the common triple
     tensor."""
     txy = tensor_bimodules(alg, X, Y)
-    t3 = triple_tensor(alg, txy, Z.carrier, Z.left)
+    t3 = nested_triple_tensor(alg, txy, Z.carrier, Z.left)
     left_nested = _btensor_core(alg, txy.module, dense(txy).right, Z.carrier,
                                 Z.left)
     tyz = tensor_bimodules(alg, Y, Z)

@@ -19,7 +19,7 @@ from tannaka_forge.coalgebra import comodule_check, comodule_hom
 from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    coend)
 
-from dense_tensor import descend
+from dense_tensor import deltahat, descend, rhohat
 from descent_reference import act_by
 
 
@@ -149,10 +149,10 @@ def nu_flat(C, family):
     out = Matrix.zeros(R, C.carrier.rank, N)
     for i, sc in enumerate(std_comods):
         m = CR.block_dims[i]
-        rhohat = sc.rhohat()
+        hat = rhohat(sc)
         pos_inv = {v: kk for kk, v in sc.cm.TR.pos.items()}
         for v in range(m):
-            lift = rhohat.col(v)
+            lift = hat.col(v)
             for w in range(m):
                 t, beta = divmod(w, fb)
                 acc = [0] * C.carrier.rank
@@ -183,9 +183,10 @@ def cofree_rho(C, M) -> ModuleMap:
     target = tensor_bim_bmodule(alg, C.bi, btensor_bmodule(cm))
     flat = Matrix.zeros(R, target.module.rank, cm.TR.module.rank)
     pos_inv = {v: k for k, v in C.cc.TR.pos.items()}
+    dh = deltahat(C)
     for (i, j), k in cm.TR.pos.items():
         acc = [0] * target.module.rank
-        for kk, coeff in enumerate(C.deltahat.col(i)):
+        for kk, coeff in enumerate(dh.col(i)):
             if coeff == 0:
                 continue
             a, b = pos_inv[kk]

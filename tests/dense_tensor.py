@@ -11,7 +11,10 @@ module (None where the tensor records none).
 element of M tensor_R N.  ``map_tensor``, ``descend_map`` and ``descend``
 are the dense forms of ``modules.tensor_cols``, ``modules.descend_sparse``
 and ``algebra.descend_cols``: the same kernels, on and to dense maps, for
-the references and tests that multiply them."""
+the references and tests that multiply them.  ``dense_lift`` writes the
+flat lift of a map into a tensor over B out as a dense matrix, and
+``deltahat`` and ``rhohat`` apply it to a coalgebra's delta and a
+comodule's rho."""
 
 from __future__ import annotations
 
@@ -71,3 +74,25 @@ def descend(data, flat: ModuleMap) -> ModuleMap:
     """descend_cols for a dense flat map."""
     return map_from_cols(data.module, flat.dst,
                          descend_cols(data, flat.mat.sparse_cols(), flat.dst))
+
+
+def dense_lift(data, phi: ModuleMap) -> Matrix:
+    """The flat lift sect @ phi.mat of phi into data.TR.module, dense and
+    unreduced, entry by entry: the dense form of ``BTensor.lift``."""
+    R = data.alg.R
+    out = Matrix.zeros(R, data.TR.module.rank, phi.src.rank)
+    for q, col in enumerate(phi.mat.sparse_cols()):
+        for r, c in col:
+            for t, s in data.sect_cols[r]:
+                out.data[t][q] = R.add(out.data[t][q], R.mul(s, c))
+    return out
+
+
+def deltahat(C) -> Matrix:
+    """The dense flat lift of a coalgebra's delta into C.cc.TR."""
+    return dense_lift(C.cc, C.delta)
+
+
+def rhohat(Mc) -> Matrix:
+    """The dense flat lift of a comodule's rho into Mc.cm.TR."""
+    return dense_lift(Mc.cm, Mc.rho)

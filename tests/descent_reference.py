@@ -24,7 +24,7 @@ from tannaka_forge.modules import (ModuleMap, NotWellDefined, hom_module,
 from tannaka_forge.algebra import BModule, act_powers, tensor_bim_bmodule
 from tannaka_forge.coalgebra import AxiomError, comodule_check
 
-from dense_tensor import dense
+from dense_tensor import dense, rhohat
 from hom_reference import dense_hom_equalizer
 
 
@@ -165,7 +165,7 @@ def comodule_hom(Mc, Nc):
     C = Mc.coalgebra
     M, N = Mc.module, Nc.module
     H = hom_module(M.carrier, N.carrier)
-    rhohat_M = Mc.rhohat()
+    rhohat_M = rhohat(Mc)
 
     def image(_, h):
         flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), h, Nc.cm.TR)

@@ -37,7 +37,7 @@ from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.mf import MFError, _RCarrier, _extend_window
 from tannaka_forge.tannaka import _flatten_bmat
 
-from dense_tensor import dense, map_tensor
+from dense_tensor import dense, map_tensor, rhohat
 
 
 def hom_basis(H):
@@ -106,7 +106,7 @@ def ref_comodule_hom(Mc, Nc):
     H = hom_module(M.carrier, N.carrier)
     H2 = hom_module(M.carrier, N.carrier)
     HC = hom_module(M.carrier, Nc.cm.module)
-    rhohat_M = Mc.rhohat()
+    rhohat_M = rhohat(Mc)
     cond_cols = []
     sum_data = direct_sum([H2.module, HC.module])
     for h in hom_basis(H):

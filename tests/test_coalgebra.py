@@ -13,7 +13,7 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  comatrix_coalgebra, grouplike_line)
 from tannaka_forge.textio import format_reconstruct_input, parse_reconstruct_input
 from recognition_reference import span_membership
-from dense_tensor import dense
+from dense_tensor import dense, rhohat
 from hom_reference import dense_hom_equalizer
 
 
@@ -151,7 +151,7 @@ def test_comodule_hom_vs_brute_force(alg_f2):
                 continue
             flat = map_tensor(Mc.cm.TR, ModuleMap.identity(C.carrier), g, Nc.cm.TR)
             term = ModuleMap(Mc.carrier, Nc.cm.module,
-                             dense(Nc.cm).proj.mat @ flat.mat @ Mc.rhohat(),
+                             dense(Nc.cm).proj.mat @ flat.mat @ rhohat(Mc),
                              validate=False)
             if (Nc.rho @ g) == term:
                 brute.add(g.mat)

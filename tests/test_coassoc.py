@@ -10,7 +10,7 @@ import pytest
 from tannaka_forge import coalgebra, linalg, modules
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
-from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
+from tannaka_forge.algebra import (AlgebraSpec, BModule, BTensor, free_bmodule,
                                    regular_bimodule,
                                    bimodule_make, tensor_bimodules,
                                    triple_tensor, as_b_module)
@@ -23,8 +23,9 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  random_diagram)
 from tannaka_forge.tannaka import coend, lift_coaction
 
-from coassoc_reference import (dense_coassoc_witness, dense_tensor_free,
-                               flat_triple_tensor, quotient_triple_tensor)
+from coassoc_reference import (as_triple, dense_coassoc_witness,
+                               dense_tensor_free, flat_triple_tensor,
+                               quotient_triple_tensor)
 from dense_tensor import dense, descend
 from descent_reference import act_by
 
@@ -96,42 +97,48 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
         swept.append(1)
         return sweedler(*args)
 
-    def reference(*args):
+    def reference(xy, t3, *args):
+        # the nest triple_tensor returns, or the flat one-Smith quotient
         calls.append(1)
-        return dense_coassoc_witness(*args)
+        if isinstance(t3, BTensor):
+            t3 = as_triple(xy, t3)
+        return dense_coassoc_witness(t3, *args)
 
     def nested(alg, xy, Z_car, Z_left):
-        t3 = triple_tensor(alg, xy, Z_car, Z_left)
-        exps["nested"].append(t3.module.exps)
-        if t3.nest is not None and t3.nest.rels is None:
+        nest = triple_tensor(alg, xy, Z_car, Z_left)
+        exps["nested"].append(nest.module.exps)
+        if nest.rels is None:
             q = quotient_triple_tensor(alg, xy, Z_car, Z_left)
             reference = dense_tensor_free(alg, xy, Z_car,
                                           as_b_module(alg, Z_car, Z_left))
-            _assert_nest_agrees(t3.nest, q.nest, reference)
-            quotients[id(t3)] = q
+            _assert_nest_agrees(nest, q.nest, reference)
+            quotients[id(nest)] = q
             kinds.append("free")
-        elif t3.nest is not None:
+        else:
             kinds.append("quotient")
-        return t3
+        return nest
 
-    def compared(t3, *args):
+    def compared(xy, nest, *args):
         def run(t):
             try:
-                return witness(t, *args)
+                return witness(xy, t, *args)
             except ValueError as e:
                 return e
-        w = run(t3)
-        if id(t3) in quotients:
-            assert _same_result(w, run(quotients.pop(id(t3))))
+        w = run(nest)
+        if id(nest) in quotients:
+            assert _same_result(w, run(quotients.pop(id(nest)).nest))
         if isinstance(w, Exception):
             raise w
         return w
 
     def sweedler_reference(cc, deltahat, src, phi):
         # f_B = 1: the lifts are the identity on coordinates, so rho's
-        # lift is phi; triple_tensor reads no action of Z then
-        return reference(nested(src.alg, cc, src.TR.right, None),
-                         deltahat, src, phi, phi)
+        # lift is phi, and the flat triple tensor is the quotient
+        C_car, Z_car = cc.TR.left, src.TR.right
+        t3 = flat_triple_tensor(bi.alg, C_car, None, C_car, None, None,
+                                Z_car, None)
+        exps["nested"].append(t3.module.exps)
+        return reference(cc, t3, deltahat, src, phi, phi)
 
     def flat(alg, xy, Z_car, Z_left):
         t3 = flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier,
@@ -298,6 +305,22 @@ def _perturbed_delta(rng, C, counital):
     return ModuleMap(car, cc.module, Matrix.from_cols(R, cols, cc.module.rank))
 
 
+def _perturbed_rho(rng, Mc, ker):
+    """rho + (m |-> c u (x) x^j m) for u in ker, the counit's kernel: it
+    keeps the counit law, and it is B-linear when the coalgebra's left and
+    right actions are equal."""
+    C, M, cm = Mc.coalgebra, Mc.module, Mc.cm
+    R = C.alg.R
+    u = C.carrier.reduce([R.mul(rng.randrange(1, R.size), a)
+                          for a in rng.choice(ker)])
+    phi = ModuleMap.identity(M.carrier)
+    for _ in range(rng.randrange(C.alg.fb)):
+        phi = M.act @ phi
+    cols = [list(cm.module.add(Mc.rho.apply(g), cm.pure(u, phi.apply(g))))
+            for g in (M.carrier.gen(i) for i in range(M.carrier.rank))]
+    return ModuleMap(M.carrier, cm.module, Matrix.from_cols(R, cols, cm.module.rank))
+
+
 def _perturbable_coalgebras():
     out = []
     for p, n, f in FIELD_ALGS:
@@ -330,21 +353,11 @@ def test_perturbed_comodules_agree_with_dense(monkeypatch):
     rng = random.Random(4711)
     codes, kinds = {}, []
     for C in _perturbable_coalgebras():
-        R = C.alg.R
         ker = _counit_kernel(C)
         Mc = cofree(C, free_bmodule(C.alg, 1))
-        M, cm = Mc.module, Mc.cm
         for _ in range(4):
-            u = C.carrier.reduce([R.mul(rng.randrange(1, R.size), a)
-                                  for a in rng.choice(ker)])
-            phi = ModuleMap.identity(M.carrier)
-            for _ in range(rng.randrange(C.alg.fb)):
-                phi = M.act @ phi
-            cols = [list(cm.module.add(Mc.rho.apply(g), cm.pure(u, phi.apply(g))))
-                    for g in (M.carrier.gen(i) for i in range(M.carrier.rank))]
-            rho = ModuleMap(M.carrier, cm.module,
-                            Matrix.from_cols(R, cols, cm.module.rank))
-            out = _outcomes(monkeypatch, lambda: comodule_check(C, cm, rho),
+            rho = _perturbed_rho(rng, Mc, ker)
+            out = _outcomes(monkeypatch, lambda: comodule_check(C, Mc.cm, rho),
                             C.bi, kinds)
             assert len(set(out)) == 1
             codes.setdefault(C.alg.fb, set()).add(out[0][0])
@@ -364,14 +377,15 @@ def test_descent_failure_agrees_with_dense():
         delta = ModuleMap(car, cc.module,
                           Matrix.from_cols(alg.R, cols, cc.module.rank))
         deltahat = (dense(cc).sect @ delta.mat).sparse_cols()
-        t3 = triple_tensor(alg, cc, car, C.bi.left)
+        nest = triple_tensor(alg, cc, car, C.bi.left)
         flat = flat_triple_tensor(alg, car, C.bi.right, car, C.bi.left,
                                   C.bi.right, car, C.bi.left)
-        for t, witness in ((t3, coalgebra._coassoc_witness),
-                           (t3, dense_coassoc_witness),
-                           (flat, dense_coassoc_witness)):
+        args = (deltahat, cc, deltahat, delta.mat.sparse_cols())
+        for witness in (lambda: coalgebra._coassoc_witness(cc, nest, *args),
+                        lambda: dense_coassoc_witness(as_triple(cc, nest), *args),
+                        lambda: dense_coassoc_witness(flat, *args)):
             with pytest.raises(ValueError, match="does not descend"):
-                witness(t, deltahat, cc, deltahat, delta.mat.sparse_cols())
+                witness()
 
 
 def test_comatrix_r5_checked_coend():
@@ -513,10 +527,10 @@ def test_descend_refuses_b_coordinate_nest():
     # through it cannot be checked and is refused
     alg = AlgebraSpec.make(2, 2, 2)
     C = _b_grouplike(alg, 2)
-    t3 = triple_tensor(alg, C.cc, C.carrier, C.bi.left)
-    assert t3.nest.rels is None
+    nest = triple_tensor(alg, C.cc, C.carrier, C.bi.left)
+    assert nest.rels is None
     with pytest.raises(ValueError, match="no middle relations"):
-        descend(t3.nest, dense(t3.nest).proj)
+        descend(nest, dense(nest).proj)
 
 
 def test_checked_coend_random_gr42_seed4():

@@ -1,0 +1,221 @@
+"""Coassociativity at f_B >= 2 on the nest alone: `_coassoc_witness` pushes
+only the flat triples its Sweedler sums touch into the nest that
+`triple_tensor` returns.  It is compared, witness for witness and error for
+error, with the dense reference on the nested Smith quotient and on the flat
+one-Smith quotient (tests/coassoc_reference.py); and the flat triple layout
+and the dense lifts it no longer builds are counted."""
+
+import random
+
+from tannaka_forge import algebra, cli, modules, textio
+from tannaka_forge.linalg import Matrix
+from tannaka_forge.modules import FinModule, ModuleMap
+from tannaka_forge.algebra import (AlgebraSpec, BModule, BTensor, free_bmodule,
+                                   triple_tensor)
+from tannaka_forge.coalgebra import _coassoc_witness, coalgebra_check, cofree
+from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
+                                 grouplike_coalgebra, grouplike_line,
+                                 random_diagram, trivial_coalgebra)
+from tannaka_forge.tannaka import coend, hom_closure, lift_coaction
+
+from coassoc_reference import (dense_coassoc_witness, flat_triple_tensor,
+                               quotient_triple_tensor)
+from dense_tensor import deltahat, rhohat
+from test_coassoc import (_b_grouplike, _counit_kernel, _perturbed_delta,
+                          _perturbed_rho)
+
+# F4, GR(4,2), GR(8,2), GR(4,3), F16
+WITT_ALGS = [(2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 1, 4)]
+
+GR42_RANK3 = """alg R=GR(2^2,1) B=GR(2^2,2)
+object A rank 3
+hom A A = [[[1,0,0],[0,1,0],[0,0,1]]]
+"""
+
+
+def _torsion_bmodule(alg):
+    """B/p, a B-module that is not free when n >= 2."""
+    car = FinModule(alg.R, (1,) * alg.fb)
+    return BModule(alg, car, ModuleMap(car, car, alg.x_action(1)))
+
+
+def _outcome(fn):
+    """The witness, or the type and text of the error."""
+    try:
+        return fn()
+    except ValueError as e:
+        return (type(e), str(e))
+
+
+def _not_b_linear(C):
+    """delta plus c_0 (x) c_last at generator 0 only: not B-linear, so it
+    does not descend through C (x)_B C."""
+    cc, car = C.cc, C.carrier
+    cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
+    cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(car.rank - 1))))
+    return ModuleMap(car, cc.module, Matrix.from_cols(C.alg.R, cols, cc.module.rank))
+
+
+class _Comparison:
+    """The three comparisons for one coalgebra C and one Z (C itself, or a
+    comodule's module): the nest, the nested Smith quotient and the flat
+    one-Smith quotient are built once and reused for every map."""
+
+    def __init__(self, C, Z_car, Z_left):
+        alg, bi = C.alg, C.bi
+        self.cc = C.cc
+        self.nest = triple_tensor(alg, C.cc, Z_car, Z_left)
+        self.references = (
+            quotient_triple_tensor(alg, C.cc, Z_car, Z_left),
+            flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier, bi.left,
+                               bi.right, Z_car, Z_left))
+
+    def outcomes(self, dh, src, hat, phi):
+        args = (dh, src, hat, phi)
+        return ([_outcome(lambda: _coassoc_witness(self.cc, self.nest, *args))]
+                + [_outcome(lambda: dense_coassoc_witness(t3, *args))
+                   for t3 in self.references])
+
+
+def test_nest_witness_matches_dense_references():
+    rng = random.Random(3719)
+    checks = witnesses = errors = torsion = 0
+    kinds = set()
+
+    def agree(comparison, dh, src, hat, phi):
+        nonlocal checks, witnesses, errors
+        got = comparison.outcomes(dh, src, hat, phi)
+        assert got[0] == got[1] == got[2], got
+        checks += 1
+        witnesses += isinstance(got[0], int)
+        errors += isinstance(got[0], tuple)
+        return got[0]
+
+    for a in WITT_ALGS:
+        alg = AlgebraSpec.make(*a)
+        coalgebras = [trivial_coalgebra(alg), _b_grouplike(alg, 2)]
+        if a == (2, 2, 2):
+            # a coend whose left and right B-actions differ
+            coalgebras.append(coend(random_diagram(
+                random.Random(1), alg, max_obj=2, max_rank=2)[0]).coalgebra)
+        for C in coalgebras:
+            cc, car = C.cc, C.carrier
+            comparison = _Comparison(C, car, C.bi.left)
+            kinds.add("free" if comparison.nest.rels is None else "quotient")
+            dcols = C.delta.mat.sparse_cols()
+            assert agree(comparison, C.deltahat_cols, cc, C.deltahat_cols,
+                         dcols) is None
+            same_actions = C.bi.left == C.bi.right
+            for trial in range(16 if same_actions else 4):
+                delta = _not_b_linear(C) if trial % 4 == 3 else \
+                    _perturbed_delta(rng, C, counital=trial % 4 != 2)
+                hat = cc.lift(delta)
+                agree(comparison, hat, cc, hat, delta.mat.sparse_cols())
+            if not same_actions:
+                continue
+            ker = _counit_kernel(C)
+            for M in (free_bmodule(alg, 1), _torsion_bmodule(alg)):
+                Mc = cofree(C, M)
+                torsion += not Mc.carrier.is_free()
+                comparison = _Comparison(C, Mc.carrier, Mc.module.act)
+                kinds.add("free" if comparison.nest.rels is None else "quotient")
+                assert agree(comparison, C.deltahat_cols, Mc.cm, Mc.rhohat_cols,
+                             Mc.rho.mat.sparse_cols()) is None
+                for _ in range(20):
+                    rho = _perturbed_rho(rng, Mc, ker)
+                    agree(comparison, C.deltahat_cols, Mc.cm, Mc.cm.lift(rho),
+                          rho.mat.sparse_cols())
+    assert checks >= 500 and witnesses >= 100, (checks, witnesses)
+    assert errors and torsion and kinds == {"free", "quotient"}, \
+        (errors, torsion, kinds)
+
+
+def _coalgebras_and_comodules():
+    """Coalgebras and comodules over f_B = 1 and f_B >= 2, with torsion."""
+    out = []
+    for a in ((2, 1, 1), (2, 2, 1)):
+        alg = AlgebraSpec.make(*a)
+        C = grouplike_coalgebra(alg, 3)
+        out.append((C, [grouplike_line(C, i) for i in range(3)]))
+        C = comatrix_coalgebra(alg, 2)
+        out.append((C, [comatrix_standard_comodule(C, 2)]))
+    for a in ((2, 2, 2), (2, 3, 2), (2, 1, 2)):
+        alg = AlgebraSpec.make(*a)
+        C = _b_grouplike(alg, 2)
+        out.append((C, [cofree(C, free_bmodule(alg, 1)),
+                        cofree(C, _torsion_bmodule(alg))]))
+        CR = coend(random_diagram(random.Random(2), alg, max_obj=2,
+                                  max_rank=2)[0])
+        out.append((CR.coalgebra, lift_coaction(CR)))
+    return out
+
+
+def test_sparse_lift_is_the_dense_lift(monkeypatch):
+    # BTensor.lift writes the columns of sect @ phi.mat, unreduced, and
+    # builds no Matrix on the way
+    cases = _coalgebras_and_comodules()
+    built = []
+    init = Matrix.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    lifts = [(C.cc.lift(C.delta), [Mc.cm.lift(Mc.rho) for Mc in comods])
+             for C, comods in cases]
+    assert not built, len(built)
+    monkeypatch.undo()
+    for (C, comods), (dlift, rlifts) in zip(cases, lifts):
+        assert dlift == C.deltahat_cols == deltahat(C).sparse_cols()
+        for Mc, rlift in zip(comods, rlifts):
+            assert rlift == Mc.rhohat_cols == rhohat(Mc).sparse_cols()
+    assert any(not Mc.carrier.is_free() for _, comods in cases for Mc in comods)
+
+
+def test_gr42_rank3_check_lays_out_no_flat_triple_tensor(monkeypatch):
+    # L has rank 36 and C (x)_B C rank 648: the flat triple tensor has
+    # rank 1,296 * 36 = 46,656, which the check laid out.  The nest has
+    # rank 11,664; the largest layout left is the nest's own flat tensor,
+    # of rank 648 * 36 = 23,328
+    CR = coend(hom_closure(textio.parse_diagram(GR42_RANK3)), check=False)
+    C = CR.coalgebra
+    assert (C.carrier.rank, C.cc.module.rank, C.cc.TR.module.rank) == \
+        (36, 648, 1296)
+    sizes = []
+    tensor_with_data, layout = modules.tensor_with_data, modules.canonical_layout
+
+    def counted_tensor(M, N):
+        sizes.append(M.rank * N.rank)
+        return tensor_with_data(M, N)
+
+    def counted_layout(ring, entries):
+        entries = list(entries)
+        sizes.append(len(entries))
+        return layout(ring, entries)
+
+    for mod in (modules, algebra):
+        monkeypatch.setattr(mod, "canonical_layout", counted_layout)
+    monkeypatch.setattr(algebra, "tensor_with_data", counted_tensor)
+    coalgebra_check(C.cc, C.delta, C.counit)
+    assert max(sizes) == C.cc.module.rank * C.carrier.rank == 23328, max(sizes)
+    assert 11664 in sizes and 46656 not in sizes
+
+
+def test_mf_triple_lifts_each_comodule_once(monkeypatch, capsys):
+    # the GR(4,2) MF triple lifts three comodules; each lift of rho is
+    # computed once, where it was rebuilt at every read (12 in all)
+    lifted = []
+    lift = BTensor.lift
+
+    def counted(self, phi):
+        if self.factors and isinstance(self.factors[1], BModule):
+            lifted.append(id(self))
+        return lift(self, phi)
+
+    monkeypatch.setattr(BTensor, "lift", counted)
+    code = cli.main(["mf", "demo", "--p", "2", "--n", "2", "--f", "2",
+                     "--objects", "M(0),M(1),M(0)+M(1)"])
+    capsys.readouterr()
+    assert code == 0
+    assert len(lifted) == len(set(lifted)) == 3, lifted

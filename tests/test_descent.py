@@ -1,6 +1,7 @@
 """Differential tests for the one sparse descent: `induced`,
 `counit_contraction`, `descend_sparse` (through its dense form
-`descend_map` in tests/dense_tensor.py), `_coassoc_witness`, `comodule_hom`
+`descend_map` in tests/dense_tensor.py), `_coassoc_witness` (and
+`_sweedler_witness` when f_B = 1), `comodule_hom`
 and `subcomodule_as_comodule` against the dense descents and the private
 sparse copy they replaced (tests/descent_reference.py), on the suite
 coalgebras and comodules, seeded random coends with and without torsion,
@@ -12,14 +13,15 @@ import random
 import pytest
 
 import descent_reference as ref
-from dense_tensor import dense, descend, descend_map
+from coassoc_reference import nested_triple_tensor
+from dense_tensor import deltahat, dense, descend, descend_map, rhohat
 from tannaka_forge import coalgebra
 from tannaka_forge.linalg import Matrix, kernel
 from tannaka_forge.modules import (FinModule, ModuleMap, NotWellDefined,
                                    map_from_cols)
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    regular_bimodule, tensor_bimodules,
-                                   tensor_bim_bmodule, triple_tensor, induced)
+                                   tensor_bim_bmodule, induced)
 from tannaka_forge.coalgebra import (comodule_hom,
                                      counit_contraction, cofree,
                                      enumerate_subcomodules,
@@ -71,6 +73,16 @@ def _perturbed(C):
     return out
 
 
+def _witness(t3, dh, src, hat, phi):
+    """The coassociativity witness as coalgebra_check and comodule_check
+    compute it: in Sweedler coordinates when f_B = 1, where the lifts are
+    the identity on coordinates (hat is phi), otherwise on the nest of the
+    triple tensor t3."""
+    if t3.nest is None:
+        return coalgebra._sweedler_witness(t3.xy, dh, src, phi)
+    return coalgebra._coassoc_witness(t3.xy, t3.nest, dh, src, hat, phi)
+
+
 def _compare_coalgebra(C):
     """Outer actions, induced maps, both counit contractions and the
     coassociativity witness of delta and of perturbed deltas; returns the
@@ -84,17 +96,16 @@ def _compare_coalgebra(C):
         assert map_from_cols(cc.module, bi.carrier,
                              counit_contraction(alg, C.counit, cc, act, left)) == \
             ref.counit_contraction(alg, C.counit, cc, act, left)
-    t3 = triple_tensor(alg, cc, bi.carrier, bi.left)
-    dh = C.deltahat.sparse_cols()
-    assert coalgebra._coassoc_witness(t3, dh, cc, dh, C.delta.mat.sparse_cols()) \
-        is None is ref.coassoc_witness(t3, C.deltahat, cc, C.deltahat, C.delta)
+    t3 = nested_triple_tensor(alg, cc, bi.carrier, bi.left)
+    dh, dense_dh = C.deltahat_cols, deltahat(C)
+    assert _witness(t3, dh, cc, dh, C.delta.mat.sparse_cols()) \
+        is None is ref.coassoc_witness(t3, dense_dh, cc, dense_dh, C.delta)
     out = []
     for delta in _perturbed(C):
         hat = dense(cc).sect @ delta.mat
         out.append(_same_descent(
-            lambda: coalgebra._coassoc_witness(t3, hat.sparse_cols(), cc,
-                                               hat.sparse_cols(),
-                                               delta.mat.sparse_cols()),
+            lambda: _witness(t3, hat.sparse_cols(), cc, hat.sparse_cols(),
+                             delta.mat.sparse_cols()),
             lambda: ref.coassoc_witness(t3, hat, cc, hat, delta)))
     return out
 
@@ -109,11 +120,11 @@ def _compare_comodule(Mc):
     assert map_from_cols(cm.module, M.carrier,
                          counit_contraction(alg, C.counit, cm, M.act)) == \
         ref.counit_contraction(alg, C.counit, cm, M.act)
-    t3 = triple_tensor(alg, C.cc, M.carrier, M.act)
-    hat = Mc.rhohat()
-    assert coalgebra._coassoc_witness(t3, C.deltahat.sparse_cols(), cm,
-                                      hat.sparse_cols(), Mc.rho.mat.sparse_cols()) \
-        is None is ref.coassoc_witness(t3, C.deltahat, cm, hat, Mc.rho)
+    t3 = nested_triple_tensor(alg, C.cc, M.carrier, M.act)
+    hat = rhohat(Mc)
+    assert _witness(t3, C.deltahat_cols, cm, Mc.rhohat_cols,
+                    Mc.rho.mat.sparse_cols()) \
+        is None is ref.coassoc_witness(t3, deltahat(C), cm, hat, Mc.rho)
     K, basis = comodule_hom(Mc, Mc)
     K_ref, basis_ref = ref.comodule_hom(Mc, Mc)
     assert K == K_ref and basis == basis_ref

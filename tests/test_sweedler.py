@@ -1,16 +1,16 @@
 """Coassociativity at f_B = 1 in Sweedler coordinates against the comparison
-on the flat triple tensor it replaces (`_coassoc_witness` on
-`triple_tensor`), witness for witness, on suite coalgebras, coends with
-torsion, lifted and cofree comodules and perturbed delta and rho; and the
-memory the triple tensor no longer takes."""
+on the flat triple tensor it replaces (`dense_coassoc_witness` on
+`flat_triple_tensor`, tests/coassoc_reference.py), witness for witness, on
+suite coalgebras, coends with torsion, lifted and cofree comodules and
+perturbed delta and rho; and the memory the triple tensor no longer
+takes."""
 
 import random
 import tracemalloc
 
 from tannaka_forge import textio
-from tannaka_forge.algebra import AlgebraSpec, free_bmodule, triple_tensor
-from tannaka_forge.coalgebra import (_coassoc_witness, _sweedler_witness,
-                                     cofree)
+from tannaka_forge.algebra import AlgebraSpec, free_bmodule
+from tannaka_forge.coalgebra import _sweedler_witness, cofree
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import ModuleMap
 from tannaka_forge.suite import (comatrix_coalgebra, comatrix_diagram,
@@ -18,6 +18,8 @@ from tannaka_forge.suite import (comatrix_coalgebra, comatrix_diagram,
                                  grouplike_line, mf_family_diagram,
                                  random_diagram, trivial_coalgebra)
 from tannaka_forge.tannaka import coend, hom_closure, lift_coaction
+
+from coassoc_reference import dense_coassoc_witness, flat_triple_tensor
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
 
@@ -56,9 +58,11 @@ def _bumped(rng, phi, g):
 
 def _both(cc, deltahat, src, phi):
     """The Sweedler witness and the one on the flat triple tensor."""
-    t3 = triple_tensor(src.alg, cc, src.TR.right, None)
+    C_car = cc.TR.left
+    t3 = flat_triple_tensor(src.alg, C_car, None, C_car, None, None,
+                            src.TR.right, None)
     return (_sweedler_witness(cc, deltahat, src, phi),
-            _coassoc_witness(t3, deltahat, src, phi, phi))
+            dense_coassoc_witness(t3, deltahat, src, phi, phi))
 
 
 def test_sweedler_witness_matches_flat_triple_tensor():
