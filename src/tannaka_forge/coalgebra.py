@@ -12,8 +12,9 @@ take it and validate against it, and never build it again.  They read its
 sparse columns, its outer actions too, on the columns of delta and rho.
 The flat lifts of delta and rho into the R-tensors are sparse columns as
 well, each computed once: the coalgebra keeps deltahat_cols, which its own
-check and every comodule check read, and a comodule keeps rhohat_cols,
-which its check and every comodule-hom condition read.
+check and every comodule check read, and a comodule keeps rhohat_cols and
+what every comodule-hom condition reads of it: its columns as a source and
+as a target (lift_terms, target_cols) and bmat_rank, its standard rank.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  When f_B = 1, B = R and every tensor is flat, so
@@ -60,7 +61,7 @@ from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                       tensor_bim_bmodule, triple_tensor, descend_cols,
                       induced, act_powers, power_cols, poly_cols,
-                      regular_bimodule, is_b_free, btensor_bmodule, free_bmodule)
+                      regular_bimodule, is_b_free, btensor_bmodule)
 
 
 class AxiomError(ValueError):
@@ -110,8 +111,8 @@ class Coalgebra:
         return self.cc.lift(self.delta)
 
     def __eq__(self, other):
-        return (isinstance(other, Coalgebra) and self.bi == other.bi
-                and self.delta == other.delta and self.counit == other.counit)
+        return self is other or (isinstance(other, Coalgebra) and self.bi == other.bi
+                                 and self.delta == other.delta and self.counit == other.counit)
 
     def __hash__(self):
         return hash((self.bi, self.delta, self.counit))
@@ -300,6 +301,28 @@ class Comodule:
         condition and the formatted comodule."""
         return self.cm.lift(self.rho)
 
+    @cached_property
+    def bmat_rank(self) -> int | None:
+        """r when the carrier is the standard free B-module
+        free_bmodule(r), read off its exponents and x-action, else None."""
+        alg, M = self.coalgebra.alg, self.module
+        r = M.carrier.rank // alg.fb
+        return r if M.alg == alg and M.carrier == FinModule.free(alg.R, r * alg.fb) \
+            and M.act.mat == alg.x_action(r) else None
+
+    @cached_property
+    def target_cols(self) -> list:
+        """The sparse columns of rho and then of the projection onto cm,
+        which every comodule-hom condition into this comodule reads."""
+        return self.rho.mat.sparse_cols() + self.cm.proj_cols
+
+    @cached_property
+    def lift_terms(self) -> list:
+        """The flat lift of rho(m_i), for each i, as ((c, m) pair, -entry)
+        terms, which every comodule-hom condition out of it reads."""
+        neg, pair = self.coalgebra.alg.R.neg, {k: ij for ij, k in self.cm.TR.pos.items()}
+        return [[(pair[k], neg(a)) for k, a in col] for col in self.rhohat_cols]
+
     def __eq__(self, other):
         return (isinstance(other, Comodule) and self.coalgebra == other.coalgebra
                 and self.module == other.module and self.rho == other.rho)
@@ -344,16 +367,11 @@ def _coaction_condition(Mc: Comodule, Nc: Comodule):
     maps h : M -> N and their conditions given by sparse columns.  Column i
     is one sparse_image over the columns of rho_N and of the projection onto
     C (x)_B N: h(m_i) through rho_N, less (id (x) h) of the flat lift of
-    rho_M(m_i)."""
+    rho_M(m_i), both kept by the comodules."""
     if Nc.coalgebra != Mc.coalgebra:
         raise ValueError("comodules over different coalgebras")
-    cmM, cmN = Mc.cm, Nc.cm
-    mul, neg = cmN.alg.R.mul, cmN.alg.R.neg
-    cols = Nc.rho.mat.sparse_cols() + cmN.proj_cols
-    off, pos = Nc.carrier.rank, cmN.TR.pos
-    pair = {k: ij for ij, k in cmM.TR.pos.items()}
-    # the flat lift of rho_M(m_i) as ((c, m) pair, -entry) terms
-    lift = [[(pair[k], neg(a)) for k, a in col] for col in Mc.rhohat_cols]
+    cmN, cols, lift = Nc.cm, Nc.target_cols, Mc.lift_terms
+    mul, off, pos = cmN.alg.R.mul, Nc.carrier.rank, cmN.TR.pos
 
     def condition(h):
         return [sparse_image(h[i] + [(off + pos[(a, n)], mul(c, b))
@@ -389,11 +407,10 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
     Hom_R(M, C (x)_B N), torsion included.  The span is that of the
     B-matrices of comodule_hom's basis."""
     alg = Mc.coalgebra.alg
-    R, B, fb = alg.R, alg.B, alg.fb
-    rk, rl = Mc.carrier.rank // fb, Nc.carrier.rank // fb
-    for Xc, r in ((Mc, rk), (Nc, rl)):
-        if Xc.module != free_bmodule(alg, r):
-            raise ValueError("comodule carrier is not a standard free B-module")
+    R, B = alg.R, alg.B
+    rk, rl = Mc.bmat_rank, Nc.bmat_rank
+    if rk is None or rl is None:
+        raise ValueError("comodule carrier is not a standard free B-module")
     coaction = _coaction_condition(Mc, Nc)
     conds = []
     for t in range(rl):

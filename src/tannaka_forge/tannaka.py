@@ -37,17 +37,17 @@ lifted fibers, both as Howell rows in flat B-matrix coordinates
 the same spans.
 
 The recognition checkers ask every span-membership question of a Howell
-`Span`, with no Smith solve.  Coequalizer and pushout probes are one
-search: a coequalizer of F, G : k -> l is a cocone on the legs [l] under
-F - G, a pushout of F : c -> k, G : c -> l one on [k, l] under F stacked
-on -G.  The cocones into an object form an R-submodule, the image of a
-kernel: the candidate legs into a tip are its elements, and a candidate's
-universality is decided exactly, by containment on Howell rows and by
-comparing the sizes of hom spans and cocone modules.  The cones of the
-cofilteredness check are read off the sets {F u : F in span(c, k)}, one per
-source (c, u) and object k, and its parallel pairs off the elements of
-each span(k, l), bucketed by F v_A.  The budget bounds only what is still
-enumerated: fiber elements, hom span elements and candidate cocones.
+`Span`, and build each one once per call.  The cones of the cofilteredness
+check are read off the sets {F u : F in span(c, k)}, per source (c, u) and
+object k, its parallel pairs off each span(k, l), bucketed by F v_A, and
+its equalizers off the rows [G u | flat((f - g) G)].  Coequalizer and
+pushout probes are one search, for a cocone under one condition: F - G on
+the legs [l], or F stacked on -G on [k, l].  Cocones are counted, and
+enumerated only into a tip of the fiber colimit's rank whose hom spans
+match the counts; there a candidate must pass the fiber comparison, an
+invertibility test, before its universality is counted.  The budget
+bounds only what is still enumerated: fiber elements, hom span elements
+and candidate cocones.
 """
 
 from __future__ import annotations
@@ -58,10 +58,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .linalg import Matrix, Span, howell, kernel, is_invertible
+from .linalg import Matrix, Span, howell, is_invertible
 from .modules import (FinModule, ModuleMap, Presentation,
                       module_from_presentation, map_kernel, map_cokernel,
-                      is_isomorphism, span_elements, sparse_image,
+                      span_elements, sparse_image,
                       descend_sparse, map_from_cols)
 from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
@@ -115,9 +115,9 @@ class DiagramCategory:
     The hom lists are not changed after construction, so each hom span is
     put in Howell form once, the first time it is needed; `hom_closure`
     hands over the spans it has already built.  closed records that the
-    diagram is composition-closed by construction, as `hom_closure` and
-    `restrict` of a closed diagram return it; `require_closed` checks only
-    a diagram that does not record it.  gens, when not None, records
+    diagram is composition-closed, by construction, as `hom_closure` and
+    `restrict` of a closed diagram return it, or once `require_closed` has
+    checked it.  gens, when not None, records
     morphisms (k, l, F) whose words span every hom set, as `hom_closure`
     returns it."""
 
@@ -180,11 +180,12 @@ class DiagramCategory:
 
     def require_closed(self) -> None:
         """Raise DiagramNotClosed with the witness of closure_violation,
-        unless the diagram records that it is closed."""
+        unless the diagram records that it is closed, as it then does."""
         if not self.closed:
             violation = self.closure_violation()
             if violation is not None:
                 raise DiagramNotClosed(str(violation))
+            self.closed = True
 
     def components(self) -> list[list[int]]:
         """The connected components of the graph with an edge k - l
@@ -707,7 +708,7 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     the pairs of bucket v_B in span order.  Their differences are exactly
     the nonzero elements of bucket 0, and the equalizing answer depends
     only on (k, v_A, f - g); when it holds for all of them, no pair out of
-    (k, v_A) into l is refuted."""
+    (k, v_A) into l is refuted.  The equalizers reuse the cones' G u."""
     alg = D.alg
     R = alg.R
     if not D.objects:
@@ -723,9 +724,11 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
         return Verdict("inconclusive", reason="element-pair sweep over budget")
     # sources[(k, v)]: the set, as a bit mask over objs, of sources reaching v
     sources: dict[tuple, int] = {}
+    reach: dict[tuple, list] = {}
     for s, (c, u) in enumerate(objs):
         for k in range(D.nobj()):
-            sp = _reach_span(D, c, u, k)
+            rows = reach[(c, u, k)] = [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]]
+            sp = Span(R, rows, D.objects[k].rank * alg.fb)
             for vec in span_elements(R, sp.rows, sp.width, None):
                 key = (k, alg.rvec_to_bvec(vec))
                 sources[key] = sources.get(key, 0) | 1 << s
@@ -739,6 +742,7 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
     # equalizing morphisms for parallel pairs
     elements: dict[tuple[int, int], list | None] = {}
     equalizing: dict[tuple, bool] = {}
+    memo: dict[tuple, object] = {}
     for (k, vA) in objs:
         for l, vBs in enumerate(fibers):
             if (k, l) not in elements:
@@ -758,7 +762,8 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
             for vec, F in buckets.get(vBs[0], []):   # vBs[0] is the zero vector
                 key = (k, vA, vec)
                 if any(vec) and key not in equalizing:
-                    equalizing[key] = _has_equalizing(D, (k, vA), F, budget)
+                    equalizing[key] = _has_equalizing(D, (k, vA), F, vec, budget,
+                                                      reach, memo)
                 refutable = refutable or not equalizing.get(key, True)
             if not refutable:
                 continue
@@ -771,13 +776,6 @@ def cofiltered_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Verdic
                                                    "target": (l, list(vB)),
                                                    "f": f, "g": g})
     return Verdict("verified")
-
-
-def _reach_span(D: DiagramCategory, c: int, u, k: int) -> Span:
-    """The R-span of the F u, F in span(c -> k), in R-coordinates."""
-    alg = D.alg
-    return Span(alg.R, [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]],
-                D.objects[k].rank * alg.fb)
 
 
 def _some_source(D: DiagramCategory, budget: int, found) -> bool | str:
@@ -796,30 +794,37 @@ def _some_source(D: DiagramCategory, budget: int, found) -> bool | str:
     return "budget" if exhausted else False
 
 
-def _has_equalizing(D, src, diff, budget):
-    """Is there a source (c, u) and h in span(c -> src) with h u = v_src
-    and diff h = 0, for diff = f - g?"""
+def _has_equalizing(D, src, diff, dvec, budget, reach, memo):
+    """Is there a source (c, u) and h in span(c -> src) with h u = v_src and
+    diff h = 0, for diff = f - g, flat as dvec?  reach holds the cones' G u;
+    memo, one per cofiltered_check, the flat diff G per (c, k, dvec) and the
+    Span of the rows [G u | flat(diff G)] per (c, u, k, dvec), for all v_src."""
     alg = D.alg
     k, vA = src
+    rv = alg.bvec_to_rvec(vA)
 
     def found(c, u):
-        target = alg.bvec_to_rvec(vA) + (0,) * (diff.rows * D.objects[c].rank * alg.fb)
-        rows = [alg.bvec_to_rvec(G.apply(u)) + _flatten_bmat(alg, diff @ G)
-                for G in D.homs[(c, k)]]
-        return Span(alg.R, rows, len(target)).contains(target)
+        pad = (0,) * (diff.rows * D.objects[c].rank * alg.fb)
+        if (c, u, k, dvec) not in memo:
+            if (c, k, dvec) not in memo:
+                memo[(c, k, dvec)] = [_flatten_bmat(alg, diff @ G) for G in D.homs[(c, k)]]
+            rows = [gu + fl for gu, fl in zip(reach[(c, u, k)], memo[(c, k, dvec)])]
+            memo[(c, u, k, dvec)] = Span(alg.R, rows, D.objects[k].rank * alg.fb + len(pad))
+        return memo[(c, u, k, dvec)].contains(rv + pad)
     return _some_source(D, budget, found)
 
 
 def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
                          extra_probes=None):
     """Coequalizer and pushout probes whose fiber colimit is free over B:
-    search for a universal cocone object inside D and compare with the
-    fiber colimit.  Returns (Verdict, probe detail list).
+    search for a universal cocone object inside the closed D and compare
+    with the fiber colimit.  Returns (Verdict, probe detail list).
 
     extra_probes entries are ("coeq", k, l, F, G) or
     ("pushout", c, k, l, F, G) with F : c -> k, G : c -> l.  At most 96
     probes run, and pushouts take the first two generators of each leg; a
     sweep that either cap cut short is inconclusive, not verified."""
+    D.require_closed()
     B = D.alg.B
     jobs = []
     for (k, l), mats in sorted(D.homs.items()):
@@ -838,25 +843,30 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
         jobs.extend(extra_probes)
     total = len(jobs) + dropped
     jobs = jobs[:96]
-    probes = []
+    probes, products, outcomes = [], {}, {}
     overall, witness, reason = "verified", None, ""
     for job in jobs:
-        # a coequalizer is a cocone on [l] under F - G, a pushout one on
-        # [k, l] under F stacked on -G
+        # a coequalizer is a cocone on [l] under F - G, a pushout one on [k, l]
+        # under F stacked on -G; legs and condition, up to order, fix the outcome
         if job[0] == "coeq":
             _, k, l, F, G = job
             detail = {"kind": "coeq", "pair": (k, l)}
             legs, cond = [l], F - G
+            key = (l, cond)
         else:
             _, c, k, l, F, G = job
             detail = {"kind": "pushout", "span": (c, k, l)}
             legs, cond = [k, l], F.vstack(-G)
+            key = frozenset({(k, F), (l, G)})
         probes.append(detail)
-        pres = module_from_presentation(cond)
-        if not pres.module.is_free():
-            detail["verdict"] = "not-applicable"
+        if key not in outcomes:
+            pres = module_from_presentation(cond)
+            outcomes[key] = _find_colimit(D, legs, cond, pres, budget, products) \
+                if pres.module.is_free() else "not-applicable"
+        tip = outcomes[key]
+        if tip == "not-applicable":
+            detail["verdict"] = tip
             continue
-        tip = _find_colimit(D, legs, cond, pres, budget)
         if tip is None:
             detail["verdict"] = "refuted"
             if overall != "refuted":
@@ -875,82 +885,75 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
 
 
 def _find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
-                  pres: Presentation, budget: int):
-    """The first object t of D, with legs q_i : legs[i] -> t in the hom spans
-    and (q_1 | ... | q_m) cond = 0, that is a universal cocone and whose
-    fiber comparison coker(cond) -> fiber(t) is an isomorphism over B, with
-    coker(cond) read off its presentation pres.
-    Returns t, None when there is none, or "budget" when the product of
-    the hom spans from the legs into some object has more than budget
-    elements.  The candidate legs into t are the elements of the
-    cocone module into t.  Universal legs make S |-> S q a bijection from
-    span(t, e) onto the cocones into e, so a tip where the two sizes differ
-    for some e is skipped without enumerating its candidates."""
-    alg = D.alg
-    cocones = _cocones(D, legs, cond)
-    sect = Matrix.from_sparse(alg.B, pres.sect, cond.rows)
-    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
-    for t, tobj in enumerate(D.objects):
-        if math.prod(D.span(i, t).size() for i in legs) > budget:
-            return "budget"
-        if any(D.span(t, e).size() != cone.size() for e, cone in enumerate(cocones)):
-            continue
-        into = cocones[t]
-        for vec in span_elements(alg.R, into.rows, into.width, None):
-            qs = [_unflatten_bmat(alg, vec[tobj.rank * a * alg.fb:tobj.rank * b * alg.fb],
-                                  tobj.rank, b - a)
-                  for a, b in zip(starts, starts[1:])]
-            if not _is_universal(D, cocones, t, qs):
-                continue
-            q = functools.reduce(Matrix.hstack, qs)
-            qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
-                             q @ sect)
-            if is_isomorphism(qbar):
-                return t
-    return None
-
-
-def _cocones(D: DiagramCategory, legs: list[int], cond: Matrix) -> list[Span]:
-    """The cocones on the legs under cond into each object e, as the span
-    of the flattened (q_1 | ... | q_m).  With H_g running over the hom
-    generators leg_i -> e, they are the combinations sum c_g H_g whose
-    coefficients lie in the kernel of c |-> sum c_g H_g cond_i (cond_i the
-    rows of cond that leg i meets)."""
+                  pres: Presentation, budget: int, products: dict):
+    """The first object t of the closed D, with legs q_i : legs[i] -> t in
+    the hom spans and (q_1 | ... | q_m) cond = 0, that is a universal cocone
+    and whose fiber comparison coker(cond) -> fiber(t), coker(cond) free
+    with presentation pres, is an isomorphism over B.  Returns t, None, or
+    "budget" when the leg spans into some tip have a product above budget.
+    The cocones into e are the (q_i) in the leg spans with sum q_i cond_i =
+    0 (cond_i the rows leg i meets), so they number prod_i |span(leg_i, e)|
+    over the size of the span of the flat H cond_i, H over the generators
+    leg_i -> e; products keeps these for the whole sweep.  A tip is skipped
+    unless it has coker(cond)'s rank and span(t, e) has as many elements as
+    the cocones into each e, as universal legs make S |-> S q a bijection;
+    the candidates are then read off the rows (H cond_i, H), and each must
+    make q sect invertible, the fiber comparison, before universality."""
     alg = D.alg
     R, fb = alg.R, alg.fb
     starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
     blocks = [Matrix(alg.B, cond.data[a:b], b - a, cond.cols)
               for a, b in zip(starts, starts[1:])]
-    out = []
-    for e, eobj in enumerate(D.objects):
-        width = eobj.rank * starts[-1] * fb
-        conds, cocones = [], []
-        for i, a, block in zip(legs, starts, blocks):
-            lo = eobj.rank * a * fb
-            for H in D.homs[(i, e)]:
-                conds.append(_flatten_bmat(alg, H @ block))
-                flat = _flatten_bmat(alg, H)
-                cocones.append((0,) * lo + flat + (0,) * (width - lo - len(flat)))
-        K = kernel(Matrix.from_cols(R, conds, eobj.rank * cond.cols * fb))
-        G = Matrix.from_cols(R, cocones, width) @ K
-        out.append(Span(R, [G.col(j) for j in range(G.cols)], width))
-    return out
+
+    def conditions(e):
+        for i, block in zip(legs, blocks):
+            if (i, e, block) not in products:
+                products[(i, e, block)] = [_flatten_bmat(alg, H @ block) for H in D.homs[(i, e)]]
+        return [row for i, block in zip(legs, blocks) for row in products[(i, e, block)]]
+
+    @functools.cache
+    def count(e):
+        image = Span(R, conditions(e), D.objects[e].rank * cond.cols * fb)
+        return math.prod(D.span(i, e).size() for i in legs) // image.size()
+
+    sect = Matrix.from_sparse(alg.B, pres.sect, cond.rows)
+    objects = range(D.nobj())
+    for t, tobj in enumerate(D.objects):
+        if math.prod(D.span(i, t).size() for i in legs) > budget:
+            return "budget"
+        if tobj.rank != pres.module.rank or \
+           any(D.span(t, e).size() != count(e) for e in objects):
+            continue
+        # the cocones into t: the (0, q) in the span of the rows (H cond_i, H)
+        wc, width = tobj.rank * cond.cols * fb, tobj.rank * starts[-1] * fb
+        placed = [(0,) * (tobj.rank * a * fb) + _flatten_bmat(alg, H)
+                  + (0,) * (tobj.rank * (starts[-1] - b) * fb)
+                  for i, a, b in zip(legs, starts, starts[1:]) for H in D.homs[(i, t)]]
+        into = Span(R, [c + h for c, h in zip(conditions(t), placed)],
+                    wc + width).tail_rows(wc)
+        sizes = [count(e) for e in objects]
+        for vec in span_elements(R, into, width, None):
+            qs = [_unflatten_bmat(alg, vec[tobj.rank * a * fb:tobj.rank * b * fb],
+                                  tobj.rank, b - a)
+                  for a, b in zip(starts, starts[1:])]
+            if is_invertible(functools.reduce(Matrix.hstack, qs) @ sect) and \
+               _is_universal(D, sizes, t, qs):
+                return t
+    return None
 
 
-def _is_universal(D: DiagramCategory, cocones: list[Span], tip: int, qs) -> bool:
-    """Does every cocone (cocones[e] spans those into e, `_cocones`) factor
-    through the cocone qs into tip, and uniquely?  Factoring is checked on
-    the Howell rows of the cocones into e alone.  On a closed D every S q
-    with S in span(tip, e) is a cocone, so once every cocone factors,
-    S |-> S q maps span(tip, e) onto the cocones into e, and this map of
-    finite sets is one to one exactly when the two have the same size."""
+def _is_universal(D: DiagramCategory, sizes: list[int], tip: int, qs) -> bool:
+    """Is the cocone qs into tip universal, sizes[e] being the number of
+    cocones into e?  On a closed D, S |-> S q maps span(tip, e) into them:
+    onto exactly when the span of the S_g q, S_g the generators, has
+    sizes[e] elements, and then one to one when span(tip, e) has as many."""
     alg = D.alg
-    for e, into in enumerate(cocones):
+    width = sum(q.cols for q in qs)
+    for e, size in enumerate(sizes):
         srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
                  for S in D.homs[(tip, e)]]
-        factored = Span(alg.R, srows, into.width)
-        if D.span(tip, e).size() != into.size() or \
-           not all(factored.contains(r) for r in into.rows):
+        if D.span(tip, e).size() != size or \
+           Span(alg.R, srows, D.objects[e].rank * width * alg.fb).size() != size:
             return False
     return True
 
@@ -986,7 +989,7 @@ def recheck_cone_witness(D: DiagramCategory, first, second,
     """True iff every source fiber can be enumerated within budget and no
     source (c, u) reaches both elements."""
     alg = D.alg
-    (k, vA), (l, vB) = first, second
-    return _some_source(D, budget, lambda c, u: (
-        _reach_span(D, c, u, k).contains(alg.bvec_to_rvec(vA))
-        and _reach_span(D, c, u, l).contains(alg.bvec_to_rvec(vB)))) is False
+    return _some_source(D, budget, lambda c, u: all(
+        Span(alg.R, [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]],
+             D.objects[k].rank * alg.fb).contains(alg.bvec_to_rvec(v))
+        for k, v in (first, second))) is False

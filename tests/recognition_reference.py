@@ -27,12 +27,17 @@ computes the kernel of cocones into every object again for each candidate.
 ``sweep_reflects_isos_check`` tests every invertible element of each span,
 not only the first.  ``cocone_find_colimit`` is the colimit search on
 cocone modules as it ran before it skipped tips whose hom spans and cocone
-modules differ in size: it enumerates the cocones into every tip
-(``cocone_candidates``).  ``factoring_is_universal`` decides universality
-as it did before it compared sizes: containment, then a kernel that shows
-each factorization is unique (``factors_uniquely``).  Both colimit searches
-take the presentation of coker(cond) that the sweep computed, as
-``tannaka._find_colimit`` does, so that a test can put either in its place.
+modules differ in size: it builds the cocone module into every object as
+the image of a kernel (``cocones``), enumerates the cocones into every tip
+(``cocone_candidates``), and decides universality on each candidate before
+it compares fibers, by containment on Howell rows and by comparing the
+sizes of hom spans and cocone modules (``containment_is_universal``).
+``factoring_is_universal`` decides universality as it did before it
+compared sizes: containment, then a kernel that shows each factorization
+is unique (``factors_uniquely``).  Both colimit searches take the
+presentation of coker(cond) that the sweep computed, and the sweep's table
+of products, which they do not read, as ``tannaka._find_colimit`` does, so
+that a test can put either in its place.
 
 Their kernels and solves are read off Smith forms (`smith_reference`), as
 they were when these searches ran.  All of them are kept only to be tested
@@ -52,8 +57,7 @@ from tannaka_forge.modules import (FinModule, ModuleMap,
 from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _flatten_bmat, _unflatten_bmat,
                                    _fiber_elements,
-                                   _two_sided_inverse_in_span, _cocones,
-                                   _is_universal)
+                                   _two_sided_inverse_in_span)
 from smith_reference import densify, smith_kernel as kernel, smith_solve as solve
 
 
@@ -507,7 +511,7 @@ def el_morphisms(D, obj1, obj2, budget):
 
 
 def product_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
-                         pres, budget: int):
+                         pres, budget: int, products=None):
     alg = D.alg
     pres = densify(alg.B, pres)
     ranks = [D.objects[i].rank for i in legs]
@@ -561,15 +565,15 @@ def product_is_universal(D: DiagramCategory, legs: list[int], cond: Matrix,
 
 
 def cocone_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
-                        pres, budget: int):
+                        pres, budget: int, products=None):
     alg = D.alg
     pres = densify(alg.B, pres)
-    cocones = _cocones(D, legs, cond)
+    into_all = cocones(D, legs, cond)
     for t, tobj in enumerate(D.objects):
         if math.prod(D.span(i, t).size() for i in legs) > budget:
             return "budget"
-        for qs in cocone_candidates(D, legs, cocones[t], t):
-            if not _is_universal(D, cocones, t, qs):
+        for qs in cocone_candidates(D, legs, into_all[t], t):
+            if not containment_is_universal(D, into_all, t, qs):
                 continue
             q = functools.reduce(Matrix.hstack, qs)
             qbar = ModuleMap(pres.module, FinModule.free(alg.B, tobj.rank),
@@ -577,3 +581,49 @@ def cocone_find_colimit(D: DiagramCategory, legs: list[int], cond: Matrix,
             if is_isomorphism(qbar):
                 return t
     return None
+
+
+def cocones(D: DiagramCategory, legs: list[int], cond: Matrix) -> list[Span]:
+    """The cocones on the legs under cond into each object e, as the span
+    of the flattened (q_1 | ... | q_m).  With H_g running over the hom
+    generators leg_i -> e, they are the combinations sum c_g H_g whose
+    coefficients lie in the kernel of c |-> sum c_g H_g cond_i (cond_i the
+    rows of cond that leg i meets)."""
+    alg = D.alg
+    R, fb = alg.R, alg.fb
+    starts = list(itertools.accumulate((D.objects[i].rank for i in legs), initial=0))
+    blocks = [Matrix(alg.B, cond.data[a:b], b - a, cond.cols)
+              for a, b in zip(starts, starts[1:])]
+    out = []
+    for e, eobj in enumerate(D.objects):
+        width = eobj.rank * starts[-1] * fb
+        conds, gens = [], []
+        for i, a, block in zip(legs, starts, blocks):
+            lo = eobj.rank * a * fb
+            for H in D.homs[(i, e)]:
+                conds.append(_flatten_bmat(alg, H @ block))
+                flat = _flatten_bmat(alg, H)
+                gens.append((0,) * lo + flat + (0,) * (width - lo - len(flat)))
+        K = kernel(Matrix.from_cols(R, conds, eobj.rank * cond.cols * fb))
+        G = Matrix.from_cols(R, gens, width) @ K
+        out.append(Span(R, [G.col(j) for j in range(G.cols)], width))
+    return out
+
+
+def containment_is_universal(D: DiagramCategory, into_all, tip: int, qs) -> bool:
+    """Does every cocone (into_all[e] spans those into e, ``cocones``)
+    factor through the cocone qs into tip, and uniquely?  Factoring is
+    checked on the Howell rows of the cocones into e alone.  On a closed D
+    every S q with S in span(tip, e) is a cocone, so once every cocone
+    factors, S |-> S q maps span(tip, e) onto the cocones into e, and this
+    map of finite sets is one to one exactly when the two have the same
+    size."""
+    alg = D.alg
+    for e, into in enumerate(into_all):
+        srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
+                 for S in D.homs[(tip, e)]]
+        factored = Span(alg.R, srows, into.width)
+        if D.span(tip, e).size() != into.size() or \
+           not all(factored.contains(r) for r in into.rows):
+            return False
+    return True

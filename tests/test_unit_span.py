@@ -6,11 +6,14 @@ span of the flattened reference basis, Howell row for Howell row."""
 import itertools
 import random
 
-from tannaka_forge.algebra import AlgebraSpec
-from tannaka_forge.linalg import Span
-from tannaka_forge.coalgebra import comodule_hom_span
+import pytest
+
+from tannaka_forge.algebra import AlgebraSpec, BModule, free_bmodule
+from tannaka_forge.linalg import Matrix, Span
+from tannaka_forge.modules import FinModule, ModuleMap
+from tannaka_forge.coalgebra import cofree, comodule_hom_span
 from tannaka_forge.suite import (mf_family_diagram, random_diagram,
-                                 standard_coend_cases)
+                                 standard_coend_cases, trivial_coalgebra)
 from tannaka_forge.tannaka import (_flatten_bmat, coend, hom_closure,
                                    lift_coaction, unit_fully_faithful_check)
 
@@ -53,3 +56,21 @@ def test_unit_check_matches_reference():
             counts[v[0]] += 1
     # both verdicts occur, and some targets C (x)_B N carry torsion
     assert all(counts.values()), counts
+
+
+def test_hom_span_refuses_a_nonstandard_carrier():
+    # over GR(4,2) the carriers must be free_bmodule(r): a torsion carrier,
+    # and a free one whose x-action is written in the swapped basis (x, 1),
+    # are refused on either side
+    alg = AlgebraSpec.make(2, 2, 2)
+    C = trivial_coalgebra(alg)
+    free, torsion = FinModule.free(alg.R, 2), FinModule(alg.R, (1, 1))
+    swap = Matrix.from_rows(alg.R, [[0, 1], [1, 0]])
+    std = cofree(C, free_bmodule(alg, 1))
+    assert std.bmat_rank == 1 and comodule_hom_span(std, std).size() == 16
+    for car, act in ((free, swap @ alg.x_action(1) @ swap), (torsion, alg.x_action(1))):
+        bad = cofree(C, BModule(alg, car, ModuleMap(car, car, act)))
+        assert bad.bmat_rank is None
+        for Mc, Nc in ((std, bad), (bad, std)):
+            with pytest.raises(ValueError, match="not a standard free B-module"):
+                comodule_hom_span(Mc, Nc)
