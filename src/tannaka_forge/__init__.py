@@ -9,8 +9,8 @@ from .linalg import (Matrix, SmithForm, smith, kernel, solve, inverse,
 from .modules import (FinModule, ModuleMap, module_from_presentation,
                       hom_module, tensor_with_data, map_kernel, map_cokernel,
                       direct_sum)
-from .algebra import (AlgebraSpec, BModule, BBBimodule, bimodule_make,
-                      free_bmodule, regular_bimodule, as_b_module, is_b_free)
+from .algebra import (AlgebraSpec, BModule, BBBimodule, free_bmodule,
+                      regular_bimodule, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
                         comodule_hom, comodule_hom_span, is_cauchy, cofree,
                         enumerate_subcomodules, AxiomError)
@@ -27,7 +27,7 @@ __all__ = [
     "is_invertible", "howell",
     "FinModule", "ModuleMap", "module_from_presentation", "hom_module",
     "tensor_with_data", "map_kernel", "map_cokernel", "direct_sum",
-    "AlgebraSpec", "BModule", "BBBimodule", "bimodule_make", "free_bmodule",
+    "AlgebraSpec", "BModule", "BBBimodule", "free_bmodule",
     "regular_bimodule", "as_b_module", "is_b_free",
     "Coalgebra", "Comodule", "coalgebra_check", "comodule_check",
     "comodule_hom", "comodule_hom_span", "is_cauchy", "cofree",

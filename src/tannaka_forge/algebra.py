@@ -30,10 +30,10 @@ f_B >= 2, and only as its nest (X tensor_B Y) tensor_B Z, the binary tensor
 of the already computed X tensor_B Y with Z; right exactness makes it
 canonically isomorphic to the quotient of the flat triple tensor by both
 middle relations, which is never built.  When Z is free over B with basis
-z_1..z_s the nest needs no quotient: X tensor_B B^s is X^{(+)s}, written
-down from the B-basis of Z and the powers of the right action of X,
-straight into sparse columns.  Otherwise it presents a binary tensor as
-above.
+z_1..z_s the nest needs no quotient and no flat X tensor_R Z: X tensor_B B^s
+is X^{(+)s}, and the image of x_q (x) e_k is formed from the B-coordinates
+of e_k and the powers of the right action of X only when the check asks for
+it (FreeNest).  Otherwise it presents a binary tensor as above.
 
 Free-vs-not over B is decided by re-expressing a carrier as a B-module and
 running the chain-ring normal form over B itself.
@@ -170,13 +170,12 @@ def act_powers(act: ModuleMap, k: int) -> list[ModuleMap]:
     return pows
 
 
-def power_cols(act: ModuleMap, k: int) -> list[list]:
-    """The sparse columns of id, act, ..., act^(k-1) for an endomorphism
-    act."""
-    cols = act.mat.sparse_cols()
-    pows = [[[(m, 1)] for m in range(act.src.rank)]]
+def power_cols(cols, M: FinModule, k: int) -> list[list]:
+    """The sparse columns of id, act, ..., act^(k-1) for the endomorphism
+    act of M with sparse columns cols."""
+    pows = [[[(m, 1)] for m in range(M.rank)]]
     for _ in range(k - 1):
-        pows.append([sparse_image(col, cols, act.dst) for col in pows[-1]])
+        pows.append([sparse_image(col, cols, M) for col in pows[-1]])
     return pows
 
 
@@ -191,7 +190,8 @@ def poly_cols(pows, terms, dst: FinModule) -> list[list]:
 def _check_modulus(alg: AlgebraSpec, act: ModuleMap, which: str):
     """h(act) = 0 as a module map."""
     h = [(k, alg.R.from_int(c)) for k, c in enumerate(alg.B.h)]
-    if any(poly_cols(power_cols(act, alg.fb + 1), h, act.dst)):
+    pows = power_cols(act.mat.sparse_cols(), act.dst, alg.fb + 1)
+    if any(poly_cols(pows, h, act.dst)):
         raise ModulusViolation("%s action does not satisfy h(x) = 0" % which)
 
 
@@ -245,12 +245,6 @@ class BBBimodule:
         return hash((self.alg, self.carrier, self.left, self.right))
 
 
-def bimodule_make(alg: AlgebraSpec, carrier: FinModule, left_x: ModuleMap,
-                  right_x: ModuleMap) -> BBBimodule:
-    """Validated constructor; errors name the failing axiom."""
-    return BBBimodule(alg, carrier, left_x, right_x)
-
-
 def free_bmodule(alg: AlgebraSpec, r: int) -> BModule:
     """B^r as a left B-module on the R-carrier R^{r f_B}."""
     carrier = FinModule.free(alg.R, r * alg.fb)
@@ -277,17 +271,16 @@ class BTensor:
     of TR.module in module, sect_cols[q] lifts generator q of module into
     TR.module (proj after sect is the identity), and rels are the middle
     relations over TR.module that descend_sparse checks maps on.  When
-    f_B = 1 both are unit columns and rels is empty; a tensor in
-    B-coordinates (_tensor_free) records rels = None, and descend_cols
-    refuses it.  left and right are the outer x-actions, sparse columns
-    module -> module.  factors is (X, Y) for tensor_bimodules and (X, M) for
-    tensor_bim_bmodule; the nests of a triple tensor record none."""
+    f_B = 1 both are unit columns and rels is empty.  left and right are the
+    outer x-actions, sparse columns module -> module.  factors is (X, Y) for
+    tensor_bimodules and (X, M) for tensor_bim_bmodule; the nest of a triple
+    tensor records none."""
     alg: AlgebraSpec
     TR: TensorData
     module: FinModule
     proj_cols: list
     sect_cols: list
-    rels: list | None
+    rels: list
     left: list | None = None
     right: list | None = None
     factors: tuple | None = None
@@ -295,6 +288,10 @@ class BTensor:
     def project(self, flat) -> list[list[tuple[int, int]]]:
         """The sparse vectors flat over TR.module, projected into module."""
         return [sparse_image(col, self.proj_cols, self.module) for col in flat]
+
+    def project_pair(self, q: int, z: int) -> list[tuple[int, int]]:
+        """The image in module of the flat generator (q, z) of TR.module."""
+        return self.proj_cols[self.TR.pos[(q, z)]]
 
     def lift(self, phi: ModuleMap) -> list[list[tuple[int, int]]]:
         """The flat lift sect @ phi.mat of phi into TR.module, as sparse
@@ -348,10 +345,7 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
 
 def descend_cols(data: BTensor, cols, dst: FinModule) -> list:
     """Factor the flat map TR.module -> dst with sparse columns cols through
-    the quotient by descend_sparse, as sparse columns.  A tensor in
-    B-coordinates records no middle relations, so it is refused."""
-    if data.rels is None:
-        raise ValueError("tensor in B-coordinates records no middle relations")
+    the quotient by descend_sparse, as sparse columns."""
     return descend_sparse(cols, data.rels, data.sect_cols, dst, data.module)
 
 
@@ -394,49 +388,46 @@ def btensor_bmodule(data: BTensor) -> BModule:
 # the nest of a triple tensor (for coassociativity checks)
 # ---------------------------------------------------------------------------
 
-def _tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
-                 form: BForm) -> BTensor:
+class FreeNest:
     """X tensor_B Z = X^{(+)s} for X = xy.module and Z free over B with basis
-    z_1..z_s (form), in B-coordinates: summand (j, q) is x_q in block j.
+    z_1..z_s (form), in B-coordinates: summand (j, q) is x_q in block j.  No
+    flat X tensor_R Z and no section is laid out: e_k = sum_j beta_kj z_j
+    (column k of form.theta_inv), so project_pair(q, k), the image of
+    x_q (x) e_k, is (x_q . beta_kj)_j, formed from the nonzeros of beta_k
+    and the powers of xy.right."""
 
-    e_k = sum_j beta_kj z_j (read off form.theta_inv), so proj sends
-    x_q (x) e_k to (x_q . beta_kj)_j, built from the powers of xy.right;
-    sect sends (j, q) to x_q (x) z_j.  Both are written as sparse columns.
-    No relation module is presented, so rels is None and descend_cols
-    refuses the result."""
-    R, fb, X = alg.R, alg.fb, xy.module
-    TR = tensor_with_data(X, Z_car)
-    s = len(form.exps)
-    module, at = canonical_layout(R, ((e, (j, q)) for j in range(s)
-                                      for q, e in enumerate(X.exps)))
-    # pows[g][q]: right^g(x_q) as sparse (index, coeff) pairs
-    pows = [[[(q, 1)] for q in range(X.rank)]]
-    for _ in range(fb - 1):
-        pows.append([sparse_image(col, xy.right, X) for col in pows[-1]])
-    # blocks[q][j fb + g]: right^g(x_q) placed in block j
-    blocks = [[[(at[(j, q2)], a) for q2, a in pows[g][q]]
-               for j in range(s) for g in range(fb)] for q in range(X.rank)]
-    beta = form.theta_inv.sparse_cols()
-    proj_cols = [None] * TR.module.rank
-    for (q, k), c in TR.pos.items():
-        proj_cols[c] = sparse_image(beta[k], blocks[q], module)
-    zcols = form.theta.sparse_cols()
-    sect_cols = [sorted((TR.pos[(q, k)], b) for k, b in zcols[j * fb])
-                 for j, q in at]
-    return BTensor(alg, TR, module, proj_cols, sect_cols, None)
+    def __init__(self, alg: AlgebraSpec, xy: BTensor, form: BForm):
+        X, self.fb = xy.module, alg.fb
+        self.module, self.at = canonical_layout(alg.R, (
+            (e, (j, q)) for j in range(len(form.exps)) for q, e in enumerate(X.exps)))
+        self.pows = power_cols(xy.right, X, alg.fb)     # pows[g][q] = right^g(x_q)
+        self.beta = form.theta_inv.sparse_cols()
+
+    def project_pair(self, q: int, k: int) -> list[tuple[int, int]]:
+        fb, at, pows = self.fb, self.at, self.pows
+        # right^g(x_q) placed in block j, for each nonzero beta_k at j fb + g
+        blocks = {jg: [(at[(jg // fb, q2)], a) for q2, a in pows[jg % fb][q]]
+                  for jg, _ in self.beta[k]}
+        return sparse_image(self.beta[k], blocks, self.module)
 
 
 def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
                   Z_left: ModuleMap) -> BTensor:
-    """The nest (X tensor_B Y) tensor_B Z, for f_B >= 2: the binary tensor
-    of xy.module = X tensor_B Y, over xy's right action, with Z, over
-    Z_left.  When Z is free over B it is built in B-coordinates
-    (_tensor_free); otherwise it is the quotient by the middle relations."""
-    form = as_b_module(alg, Z_car, Z_left)
-    if form.is_free():
-        return _tensor_free(alg, xy, Z_car, form)
+    """The nest (X tensor_B Y) tensor_B Z, for f_B >= 2, as the quotient by
+    the middle relations: the binary tensor of xy.module = X tensor_B Y,
+    over xy's right action, with Z, over Z_left."""
     right = map_from_cols(xy.module, xy.module, xy.right)
     return _btensor_core(alg, xy.module, right, Z_car, Z_left)
+
+
+def nest_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
+                Z_left: ModuleMap) -> FreeNest | BTensor:
+    """The nest (X tensor_B Y) tensor_B Z for the coassociativity check at
+    f_B >= 2: a FreeNest when Z is free over B, else triple_tensor's."""
+    form = as_b_module(alg, Z_car, Z_left)
+    if form.is_free():
+        return FreeNest(alg, xy, form)
+    return triple_tensor(alg, xy, Z_car, Z_left)
 
 
 # ---------------------------------------------------------------------------

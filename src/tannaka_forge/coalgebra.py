@@ -27,12 +27,12 @@ witness.  When f_B >= 2 it is compared inside the triple tensor over B,
 which is only its nest (C (x)_B C) (x)_B Z on the already computed
 C (x)_B C.  The columns of the flat maps (delta (x) id) and (id (x) rho)
 are Sweedler sums over flat triples, read off the sparse lifts of delta and
-rho; only the triples they touch are pushed, each once, through the
-projection onto C (x)_B C and then through the projection of the nest, and
-no module of the flat triple tensor's rank is built.  The nest is
-(C (x)_B C)^{(+)s} in B-coordinates when Z is free over B with s
-generators, with no matrix of the nest's size, and the quotient by the
-middle relations otherwise.  Both maps are descended through C (x)_B Z by
+rho; the triples they touch are taken through the projection onto
+C (x)_B C to pairs of the nest, each pair is projected into the nest once,
+and nothing of the flat triple tensor's rank is built.  The nest is
+(C (x)_B C)^{(+)s} in B-coordinates, with no flat tensor laid out, when Z
+is free over B with s generators, and the quotient by the middle relations
+otherwise.  Both maps are descended through C (x)_B Z by
 modules.descend_sparse, the one kernel every map out of a tensor over B
 goes through (the counit laws too), and stay sparse end to end.
 
@@ -58,10 +58,10 @@ from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       commutator_cols, submodule, solve_in, factor_through,
                       sub_canonical, sub_elements, sparse_image, descend_sparse,
                       map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
-from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
-                      tensor_bim_bmodule, triple_tensor, descend_cols,
+from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, FreeNest,
+                      tensor_bim_bmodule, nest_tensor, descend_cols,
                       induced, act_powers, power_cols, poly_cols,
-                      regular_bimodule, is_b_free, btensor_bmodule)
+                      regular_bimodule, is_b_free, btensor_bmodule, _standard_rank)
 
 
 class AxiomError(ValueError):
@@ -130,7 +130,7 @@ def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
         (data.TR.right, data.TR.left)
     # column (c, m) of the flat map is column m of the action of eps(c),
     # sum_k eps(c)_k act^k, read off the powers of act
-    pows = power_cols(act, alg.fb)
+    pows = power_cols(act.mat.sparse_cols(), act.dst, alg.fb)
     eps_act = [poly_cols(pows, terms, car_m) for terms in counit.mat.sparse_cols()]
     cols = [None] * data.TR.module.rank
     for (i, j), k in data.TR.pos.items():
@@ -139,13 +139,13 @@ def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
     return descend_cols(data, cols, car_m)
 
 
-def _coassoc_witness(xy: BTensor, nest: BTensor, deltahat: list, src: BTensor,
-                     hat: list, phi: list) -> int | None:
+def _coassoc_witness(xy: BTensor, nest: FreeNest | BTensor, deltahat: list,
+                     src: BTensor, hat: list, phi: list) -> int | None:
     """When f_B >= 2: the first generator g of the source of phi with
     (delta (x) id) phi(g) different from (id (x) rho) phi(g) in the nest,
     or None.
 
-    xy is C (x)_B C, nest = triple_tensor(alg, xy, Z, ...) and src is
+    xy is C (x)_B C, nest = nest_tensor(alg, xy, Z, ...) and src is
     C (x)_B Z; deltahat lifts delta into xy.TR, hat lifts rho : Z ->
     src.module into src.TR, and phi, with values in src.module, is the map
     both composites start from (delta itself, or rho).  All three are given
@@ -153,33 +153,32 @@ def _coassoc_witness(xy: BTensor, nest: BTensor, deltahat: list, src: BTensor,
     the flat maps is a sum over flat triples (pk, z), pk a generator of the
     flat C (x) C: sum delta(c_i)_pk (pk, z) for delta (x) id, and
     sum rho(z)_ab ((i, a), b) for id (x) rho (Sweedler, Hopf Algebras,
-    1969, 1.2).  Each triple the sums touch is pushed through xy's
-    projection (tensor id) and the nest's projection once, on first use;
-    the rest are never formed.  Both maps are descended through src by
-    descend_sparse and compared on the columns of phi.
+    1969, 1.2).  Each triple is taken through xy's projection (tensor id)
+    to pairs (q, z) of the nest, and each pair the sums touch is projected
+    once, on first use, by nest.project_pair; the rest are never formed.
+    Both maps are descended through src by descend_sparse and compared on
+    the columns of phi.
     """
-    mod, npos, xcols, p12 = nest.module, nest.TR.pos, xy.proj_cols, xy.TR.pos
+    mod, xcols, p12 = nest.module, xy.proj_cols, xy.TR.pos
     src_inv = {k: ij for ij, k in src.TR.pos.items()}
     # rho(z_j) as ((c, z) pair, coeff)
     hcols = [[(src_inv[kk], c) for kk, c in col] for col in hat]
-    at: dict[tuple[int, int], int] = {}     # flat triple -> index in images
-    images = []                             # its image in the nest
+    pairs: dict[tuple[int, int], list] = {}     # pair of the nest -> its image
 
-    def pushed(pk, z):
-        k = at.get((pk, z))
-        if k is None:
-            k = at[pk, z] = len(images)
-            images.append(sparse_image([(npos[(q, z)], a) for q, a in xcols[pk]],
-                                       nest.proj_cols, mod))
-        return k
+    def pushed(triples):
+        """The image in the nest of the sum of c (pk, z) over the
+        ((pk, z), c) in triples."""
+        terms = [((q, z), c * a) for (pk, z), c in triples for q, a in xcols[pk]]
+        for qz, _ in terms:
+            if qz not in pairs:
+                pairs[qz] = nest.project_pair(*qz)
+        return sparse_image(terms, pairs, mod)
 
     lhs = [None] * src.TR.module.rank
     rhs = [None] * src.TR.module.rank
     for (i, j), k in src.TR.pos.items():
-        lhs[k] = sparse_image([(pushed(pk, j), c) for pk, c in deltahat[i]],
-                              images, mod)
-        rhs[k] = sparse_image([(pushed(p12[(i, a)], b), c)
-                               for (a, b), c in hcols[j]], images, mod)
+        lhs[k] = pushed(((pk, j), c) for pk, c in deltahat[i])
+        rhs[k] = pushed(((p12[(i, a)], b), c) for (a, b), c in hcols[j])
     lhs = descend_sparse(lhs, src.rels, src.sect_cols, mod, src.module)
     rhs = descend_sparse(rhs, src.rels, src.sect_cols, mod, src.module)
     for g, terms in enumerate(phi):
@@ -273,7 +272,7 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         w = _sweedler_witness(cc, dcols, cc, dcols)
     else:
         hat = coalg.deltahat_cols
-        w = _coassoc_witness(cc, triple_tensor(alg, cc, C.carrier, C.left),
+        w = _coassoc_witness(cc, nest_tensor(alg, cc, C.carrier, C.left),
                              hat, cc, hat, dcols)
     if w is not None:
         raise AxiomError("Coassoc", w)
@@ -306,9 +305,7 @@ class Comodule:
         """r when the carrier is the standard free B-module
         free_bmodule(r), read off its exponents and x-action, else None."""
         alg, M = self.coalgebra.alg, self.module
-        r = M.carrier.rank // alg.fb
-        return r if M.alg == alg and M.carrier == FinModule.free(alg.R, r * alg.fb) \
-            and M.act.mat == alg.x_action(r) else None
+        return _standard_rank(alg, M.carrier, M.act) if M.alg == alg else None
 
     @cached_property
     def target_cols(self) -> list:
@@ -351,7 +348,7 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     if alg.fb == 1:
         w = _sweedler_witness(C.cc, C.deltahat_cols, cm, cols)
     else:
-        w = _coassoc_witness(C.cc, triple_tensor(alg, C.cc, M.carrier, M.act),
+        w = _coassoc_witness(C.cc, nest_tensor(alg, C.cc, M.carrier, M.act),
                              C.deltahat_cols, cm, Mc.rhohat_cols, cols)
     if w is not None:
         raise AxiomError("Coassoc", w)

@@ -13,7 +13,7 @@ import time
 from .rings import ring_make
 from .linalg import Matrix, smith
 from .modules import FinModule, ModuleMap, is_isomorphism, EnumerationBudget
-from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
+from .algebra import (AlgebraSpec, BBBimodule, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
                         comodule_hom, cofree, is_cauchy, enumerate_subcomodules,
@@ -50,7 +50,7 @@ def grouplike_coalgebra(alg: AlgebraSpec, g: int) -> Coalgebra:
         raise ValueError("grouplike example is defined over B = R")
     car = FinModule.free(alg.R, g)
     ident = ModuleMap.identity(car)
-    bi = bimodule_make(alg, car, ident, ident)
+    bi = BBBimodule(alg, car, ident, ident)
     cc = tensor_bimodules(alg, bi, bi)
     cols = [list(cc.pure(car.gen(i), car.gen(i))) for i in range(g)]
     delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
@@ -66,7 +66,7 @@ def comatrix_coalgebra(alg: AlgebraSpec, r: int) -> Coalgebra:
         raise ValueError("comatrix example is defined over B = R")
     car = FinModule.free(alg.R, r * r)
     ident = ModuleMap.identity(car)
-    bi = bimodule_make(alg, car, ident, ident)
+    bi = BBBimodule(alg, car, ident, ident)
     cc = tensor_bimodules(alg, bi, bi)
     cols = [cc.pure_sum((car.gen(i * r + k), car.gen(k * r + j)) for k in range(r))
             for i in range(r) for j in range(r)]

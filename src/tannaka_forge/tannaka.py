@@ -63,7 +63,7 @@ from .modules import (FinModule, ModuleMap, Presentation,
                       module_from_presentation, map_kernel, map_cokernel,
                       span_elements, sparse_image,
                       descend_sparse, map_from_cols)
-from .algebra import (AlgebraSpec, bimodule_make, free_bmodule,
+from .algebra import (AlgebraSpec, BBBimodule, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
                       induced, induced_cols, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
@@ -417,7 +417,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
                 right.append(sparse_image([(o + v * m + w2, a) for w2, a in X[w]],
                                           classes, L_car))
                 eps.append(xis[w][v])
-    L_bi = bimodule_make(alg, L_car, descend_T(left, L_car), descend_T(right, L_car))
+    L_bi = BBBimodule(alg, L_car, descend_T(left, L_car), descend_T(right, L_car))
     counit = descend_T(eps, regular_bimodule(alg).carrier)
 
     # comultiplication on classes via the dual basis of each fiber

@@ -27,7 +27,7 @@ import re
 from .rings import RingSpec, ring_make
 from .linalg import Matrix
 from .modules import FinModule, ModuleMap, map_from_cols
-from .algebra import (AlgebraSpec, BModule, bimodule_make, tensor_bimodules,
+from .algebra import (AlgebraSpec, BModule, BBBimodule, tensor_bimodules,
                       tensor_bim_bmodule)
 from .coalgebra import Coalgebra, Comodule, coalgebra_check, comodule_check
 from .tannaka import DiagObject, DiagramCategory, check_t_rank
@@ -281,7 +281,7 @@ def parse_reconstruct_input(text: str):
     carrier = mk_module(car_txt, ln0)
     left = ModuleMap(carrier, carrier, parse_matrix(get(co, "left")[0], alg.R, ln0))
     right = ModuleMap(carrier, carrier, parse_matrix(get(co, "right")[0], alg.R, ln0))
-    bi = bimodule_make(alg, carrier, left, right)
+    bi = BBBimodule(alg, carrier, left, right)
     cc = tensor_bimodules(alg, bi, bi)
     dl = parse_matrix(get(co, "delta")[0], alg.R, ln0)
     if dl.rows != cc.TR.module.rank:

@@ -1,14 +1,18 @@
 """References for the coassociativity comparison.
 
 ``TripleTensor`` is the container the comparison used before it worked on
-the nest alone: the nest ``algebra.triple_tensor`` returns, together with
-the flat R-triple tensor it is a quotient of.  ``nested_triple_tensor``
-builds it around that nest, and also when f_B = 1, where the flat triple
-tensor is the quotient and there is no nest.
+the nest alone: a nest, together with the flat R-triple tensor it is a
+quotient of.  ``nested_triple_tensor`` builds it around ``reference_nest``,
+and also when f_B = 1, where the flat triple tensor is the quotient and
+there is no nest.
 
 ``dense_tensor_free`` is the nest in B-coordinates as it was built before
 its projection and section became sparse columns: both filled into dense
-matrices, entry by entry.
+matrices, entry by entry, over the whole flat X (x)_R Z.
+``reference_nest`` is the nest as a ``BTensor`` over that flat tensor: for
+a Z free over B, ``dense_tensor_free``'s projection and section with the
+middle relations the quotient presents; otherwise
+``algebra.triple_tensor``'s quotient.
 
 ``quotient_triple_tensor`` is the nested triple tensor with the nest always
 presented as the quotient of the flat (X (x)_B Y) (x) Z by the middle
@@ -51,7 +55,7 @@ from tannaka_forge.modules import (FinModule, ModuleMap, TensorData,
                                    tensor_with_data, presentation_with_torsion)
 from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                                    BForm, tensor_bimodules, triple_tensor,
-                                   _btensor_core)
+                                   _btensor_core, as_b_module)
 
 from dense_tensor import dense, descend, embed, map_tensor
 from descent_reference import act_by
@@ -87,12 +91,12 @@ def as_triple(xy: BTensor, nest: BTensor) -> TripleTensor:
 
 def nested_triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
                          Z_left: ModuleMap) -> TripleTensor:
-    """(X tensor_B Y) tensor_B Z around the nest triple_tensor builds; the
-    flat triple tensor itself when f_B = 1."""
+    """(X tensor_B Y) tensor_B Z around reference_nest; the flat triple
+    tensor itself when f_B = 1."""
     if alg.fb == 1:
         TR = tensor_with_data(xy.TR.module, Z_car)
         return TripleTensor(alg, xy, TR, None, TR.module)
-    return as_triple(xy, triple_tensor(alg, xy, Z_car, Z_left))
+    return as_triple(xy, reference_nest(alg, xy, Z_car, Z_left))
 
 
 @dataclass
@@ -109,9 +113,9 @@ class FlatTripleTensor:
 def dense_tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
                       form: BForm) -> tuple[FinModule, ModuleMap, Matrix]:
     """(module, proj, sect) of X (x)_B Z = X^{(+)s} for X = xy.module and Z
-    free over B with basis z_1..z_s (form), as algebra._tensor_free built
-    them before it wrote sparse columns: proj and sect filled entry by entry
-    into dense matrices of side rank(X (x)_B Z) x rank(X (x)_R Z)."""
+    free over B with basis z_1..z_s (form), as the nest in B-coordinates
+    was built before it wrote sparse columns: proj and sect filled entry by
+    entry into dense matrices of side rank(X (x)_B Z) x rank(X (x)_R Z)."""
     R, fb, X = alg.R, alg.fb, xy.module
     add, mul = R.add, R.mul
     TR = tensor_with_data(X, Z_car)
@@ -146,6 +150,23 @@ def dense_tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
         for k, b in zcols[j * fb]:
             sect.data[TR.pos[(q, k)]][r] = b
     return module, ModuleMap(TR.module, module, proj, validate=False), sect
+
+
+def reference_nest(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
+                   Z_left: ModuleMap) -> BTensor:
+    """The nest xy.module (x)_B Z as a BTensor over the flat
+    xy.module (x)_R Z, for f_B >= 2: when Z is free over B, the projection
+    and section of dense_tensor_free, with the middle relations written out
+    by the dense map_tensor; otherwise triple_tensor's quotient."""
+    form = as_b_module(alg, Z_car, Z_left)
+    if not form.is_free():
+        return triple_tensor(alg, xy, Z_car, Z_left)
+    module, proj, sect = dense_tensor_free(alg, xy, Z_car, form)
+    TR, X = tensor_with_data(xy.module, Z_car), xy.module
+    rels = (map_tensor(TR, dense(xy).right, ModuleMap.identity(Z_car), TR)
+            - map_tensor(TR, ModuleMap.identity(X), Z_left, TR))
+    return BTensor(alg, TR, module, proj.mat.sparse_cols(), sect.sparse_cols(),
+                   rels.mat.sparse_cols())
 
 
 def quotient_triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,

@@ -3,9 +3,8 @@ them.  A ``BTensor`` holds its projection, section, middle relations and
 outer actions only as sparse columns; ``dense`` writes them out, entry for
 entry, as the projection ``ModuleMap`` TR.module -> module, the section
 ``Matrix`` (its entries unreduced, as the section records them), the
-relation ``Matrix`` over TR.module (None for a nest in B-coordinates, which
-records none) and the left and right actions as ``ModuleMap``s module ->
-module (None where the tensor records none).
+relation ``Matrix`` over TR.module and the left and right actions as
+``ModuleMap``s module -> module (None where the tensor records none).
 
 ``embed`` is the pure-tensor embedding of a ``TensorData``: v (x) w as an
 element of M tensor_R N.  ``map_tensor``, ``descend_map`` and ``descend``
@@ -30,7 +29,7 @@ from tannaka_forge.algebra import descend_cols
 class DenseTensor:
     proj: ModuleMap
     sect: Matrix
-    rel_cols: Matrix | None
+    rel_cols: Matrix
     left: ModuleMap | None
     right: ModuleMap | None
 
@@ -38,7 +37,7 @@ class DenseTensor:
 def dense(data) -> DenseTensor:
     R, flat, mod = data.alg.R, data.TR.module, data.module
     proj = map_from_cols(flat, mod, data.proj_cols)
-    rels = None if data.rels is None else Matrix.from_sparse(R, data.rels, flat.rank)
+    rels = Matrix.from_sparse(R, data.rels, flat.rank)
     left, right = (None if cols is None else map_from_cols(mod, mod, cols)
                    for cols in (data.left, data.right))
     return DenseTensor(proj, Matrix.from_sparse(R, data.sect_cols, flat.rank), rels,

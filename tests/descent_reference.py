@@ -61,8 +61,6 @@ def descend_map(flat, rels, quotient, sect):
 
 
 def descend(data, flat):
-    if data.rels is None:
-        raise ValueError("tensor in B-coordinates records no middle relations")
     d = dense(data)
     rels = (d.rel_cols.col(j) for j in range(d.rel_cols.cols))
     return descend_map(flat, rels, data.module, d.sect)

@@ -4,7 +4,7 @@ import pytest
 
 from tannaka_forge.linalg import Matrix, inverse, is_invertible
 from tannaka_forge.modules import FinModule, ModuleMap, tensor_with_data
-from tannaka_forge.algebra import (AlgebraSpec, bimodule_make,
+from tannaka_forge.algebra import (AlgebraSpec, BBBimodule,
                                    free_bmodule, regular_bimodule,
                                    tensor_bimodules, tensor_bim_bmodule,
                                    _btensor_core, induced, as_b_module,
@@ -88,13 +88,13 @@ def test_rmat_to_bmat_into_torsion_carrier(alg_gr42):
 def test_regular_bimodule_valid(alg_f4, alg_gr42):
     for alg in (alg_f4, alg_gr42):
         bi = regular_bimodule(alg)
-        bimodule_make(alg, bi.carrier, bi.left, bi.right)
+        BBBimodule(alg, bi.carrier, bi.left, bi.right)
 
 
 def test_bimodule_scalar_actions_valid(alg_f2):
     car = FinModule(alg_f2.R, (1,))
     ident = ModuleMap.identity(car)
-    bimodule_make(alg_f2, car, ident, ident)
+    BBBimodule(alg_f2, car, ident, ident)
 
 
 def test_modulus_violation_example(alg_f2):
@@ -104,7 +104,7 @@ def test_modulus_violation_example(alg_f2):
     lx = ModuleMap(car, car, Matrix.from_rows(alg_f2.R, [[0, 1], [0, 0]]))
     rx = ModuleMap(car, car, Matrix.from_rows(alg_f2.R, [[0, 0], [1, 0]]))
     with pytest.raises(ModulusViolation):
-        bimodule_make(alg_f2, car, lx, rx)
+        BBBimodule(alg_f2, car, lx, rx)
 
 
 def test_noncommuting_actions(alg_f4):
@@ -119,7 +119,7 @@ def test_noncommuting_actions(alg_f4):
     rx = ModuleMap(car, car, b)
     if (lx @ rx) != (rx @ lx):
         with pytest.raises(NonCommutingActions):
-            bimodule_make(alg, car, lx, rx)
+            BBBimodule(alg, car, lx, rx)
 
 
 def test_tensor_ranks_f4_over_f2(alg_f4):

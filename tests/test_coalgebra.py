@@ -45,10 +45,10 @@ def test_comatrix_coalgebra(alg_f2, alg_f3):
 def test_broken_coassociativity_detected(alg_f2):
     # tweak the grouplike comultiplication into delta(g0) = g0 (x) g1
     alg = alg_f2
-    from tannaka_forge.algebra import bimodule_make, tensor_bimodules
+    from tannaka_forge.algebra import BBBimodule, tensor_bimodules
     car = FinModule.free(alg.R, 2)
     ident = ModuleMap.identity(car)
-    bi = bimodule_make(alg, car, ident, ident)
+    bi = BBBimodule(alg, car, ident, ident)
     cc = tensor_bimodules(alg, bi, bi)
     cols = [list(cc.pure(car.gen(0), car.gen(1))),
             list(cc.pure(car.gen(1), car.gen(1)))]

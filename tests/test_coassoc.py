@@ -10,10 +10,10 @@ import pytest
 from tannaka_forge import coalgebra, linalg, modules
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
-from tannaka_forge.algebra import (AlgebraSpec, BModule, BTensor, free_bmodule,
-                                   regular_bimodule,
-                                   bimodule_make, tensor_bimodules,
-                                   triple_tensor, as_b_module)
+from tannaka_forge.algebra import (AlgebraSpec, BModule, FreeNest,
+                                   free_bmodule, regular_bimodule,
+                                   BBBimodule, tensor_bimodules,
+                                   nest_tensor, as_b_module)
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, cofree,
                                      AxiomError)
 from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
@@ -23,10 +23,11 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  random_diagram)
 from tannaka_forge.tannaka import coend, lift_coaction
 
-from coassoc_reference import (as_triple, dense_coassoc_witness,
-                               dense_tensor_free, flat_triple_tensor,
-                               quotient_triple_tensor)
-from dense_tensor import dense, descend
+from coassoc_reference import (FlatTripleTensor, as_triple,
+                               dense_coassoc_witness, dense_tensor_free,
+                               flat_triple_tensor, nested_triple_tensor,
+                               quotient_triple_tensor, reference_nest)
+from dense_tensor import dense
 from descent_reference import act_by
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
@@ -44,17 +45,19 @@ def _outcome(fn):
 
 def _assert_nest_agrees(nest, quotient, reference):
     """The nest in B-coordinates against the dense nest the reference
-    builds, (module, proj, sect): equal columns, entry for entry; and
-    against the Smith quotient of the same flat tensor: equal exponents,
-    proj kills every middle relation of the quotient, and proj after sect is
-    the identity."""
-    R, mod = nest.alg.R, nest.module
+    builds, (module, proj, sect), over the flat tensor of the Smith quotient
+    of the same nest: equal modules and exponents; project_pair(q, k) equal
+    to the reference's column for every flat pair (q, k), entry for entry;
+    the projection kills every middle relation of the quotient, and the
+    projection after the reference's section is the identity."""
+    R, mod, TR = quotient.alg.R, nest.module, quotient.TR
     ref_module, ref_proj, ref_sect = reference
     assert mod == ref_module
-    assert nest.proj_cols == ref_proj.mat.sparse_cols()
-    assert nest.sect_cols == ref_sect.sparse_cols()
     assert mod.exps == quotient.module.exps
-    pcols = nest.proj_cols
+    pcols = [None] * TR.module.rank
+    for (q, k), c in TR.pos.items():
+        pcols[c] = nest.project_pair(q, k)
+    assert pcols == ref_proj.mat.sparse_cols()
 
     def image(col):
         acc = [0] * mod.rank
@@ -64,7 +67,7 @@ def _assert_nest_agrees(nest, quotient, reference):
         return mod.reduce(acc)
 
     assert all(image(col) == mod.zero_elem() for col in quotient.rels)
-    assert [image(col) for col in nest.sect_cols] == \
+    assert [image(col) for col in ref_sect.sparse_cols()] == \
         [mod.gen(r) for r in range(mod.rank)]
 
 
@@ -86,9 +89,10 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     B-coordinates, the dense reference nest and the Smith quotient of the
     same flat tensor are built as well; the nest must agree with both
     (_assert_nest_agrees) and the sparse comparison must give the same
-    witness, or raise the same error, on the nest and the quotient.  kinds
-    collects "free" or "quotient" for each nest built.  With references
-    False only the first run is made."""
+    witness, or raise the same error, on the nest and the quotient.  The
+    dense reference runs on reference_nest.  kinds collects "free" or
+    "quotient" for each nest built.  With references False only the first
+    run is made."""
     calls, swept, exps = [], [], {"nested": [], "flat": []}
     quotients = {}
     witness, sweedler = coalgebra._coassoc_witness, coalgebra._sweedler_witness
@@ -98,16 +102,16 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
         return sweedler(*args)
 
     def reference(xy, t3, *args):
-        # the nest triple_tensor returns, or the flat one-Smith quotient
+        # the reference nest, or the flat one-Smith quotient
         calls.append(1)
-        if isinstance(t3, BTensor):
+        if not isinstance(t3, FlatTripleTensor):
             t3 = as_triple(xy, t3)
         return dense_coassoc_witness(t3, *args)
 
     def nested(alg, xy, Z_car, Z_left):
-        nest = triple_tensor(alg, xy, Z_car, Z_left)
+        nest = nest_tensor(alg, xy, Z_car, Z_left)
         exps["nested"].append(nest.module.exps)
-        if nest.rels is None:
+        if isinstance(nest, FreeNest):
             q = quotient_triple_tensor(alg, xy, Z_car, Z_left)
             reference = dense_tensor_free(alg, xy, Z_car,
                                           as_b_module(alg, Z_car, Z_left))
@@ -147,7 +151,7 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
         return t3
 
     with monkeypatch.context() as m:
-        m.setattr(coalgebra, "triple_tensor", nested)
+        m.setattr(coalgebra, "nest_tensor", nested)
         m.setattr(coalgebra, "_coassoc_witness", compared)
         m.setattr(coalgebra, "_sweedler_witness", recorded)
         out = [_outcome(fn)]
@@ -155,11 +159,12 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     if not references:
         return out
     with monkeypatch.context() as m:
+        m.setattr(coalgebra, "nest_tensor", reference_nest)
         m.setattr(coalgebra, "_coassoc_witness", reference)
         m.setattr(coalgebra, "_sweedler_witness", sweedler_reference)
         out.append(_outcome(fn))
         if bi.alg.fb > 1:
-            m.setattr(coalgebra, "triple_tensor", flat)
+            m.setattr(coalgebra, "nest_tensor", flat)
             out.append(_outcome(fn))
             assert exps["flat"] == exps["nested"]
     if out[0][0] not in ("NotBimoduleMap", "NotModuleMap",
@@ -183,7 +188,7 @@ def _b_grouplike(alg, g):
     a grouplike coalgebra whose elements are B-multiples, for any f_B."""
     fb = alg.fb
     M = free_bmodule(alg, g)
-    bi = bimodule_make(alg, M.carrier, M.act, M.act)
+    bi = BBBimodule(alg, M.carrier, M.act, M.act)
     cc = tensor_bimodules(alg, bi, bi)
     cols = [list(cc.pure(M.carrier.gen(i * fb + k), M.carrier.gen(i * fb)))
             for i in range(g) for k in range(fb)]
@@ -377,12 +382,13 @@ def test_descent_failure_agrees_with_dense():
         delta = ModuleMap(car, cc.module,
                           Matrix.from_cols(alg.R, cols, cc.module.rank))
         deltahat = (dense(cc).sect @ delta.mat).sparse_cols()
-        nest = triple_tensor(alg, cc, car, C.bi.left)
+        nest = nest_tensor(alg, cc, car, C.bi.left)
+        nested = nested_triple_tensor(alg, cc, car, C.bi.left)
         flat = flat_triple_tensor(alg, car, C.bi.right, car, C.bi.left,
                                   C.bi.right, car, C.bi.left)
         args = (deltahat, cc, deltahat, delta.mat.sparse_cols())
         for witness in (lambda: coalgebra._coassoc_witness(cc, nest, *args),
-                        lambda: dense_coassoc_witness(as_triple(cc, nest), *args),
+                        lambda: dense_coassoc_witness(nested, *args),
                         lambda: dense_coassoc_witness(flat, *args)):
             with pytest.raises(ValueError, match="does not descend"):
                 witness()
@@ -494,7 +500,7 @@ def test_mf_coend_nests_agree_with_quotient(monkeypatch):
 
 
 def test_gr43_triple_tensor_smith_size(monkeypatch):
-    # inside triple_tensor only as_b_module presents anything: the coend L
+    # inside nest_tensor only as_b_module presents anything: the coend L
     # has R-rank 18, where the Smith quotient of the nest presented
     # rank(C (x)_B C) * rank(L) = 108 * 18 = 1,944 rows
     CR = coend(mf_family_diagram(2, 2, 3, (0, 1))[0], check=False)
@@ -511,26 +517,15 @@ def test_gr43_triple_tensor_smith_size(monkeypatch):
     def traced(*args):
         inside[0] = True
         try:
-            return triple_tensor(*args)
+            return nest_tensor(*args)
         finally:
             inside[0] = False
 
     monkeypatch.setattr(linalg, "smith", counted_smith)
     monkeypatch.setattr(modules, "smith", counted_smith)
-    monkeypatch.setattr(coalgebra, "triple_tensor", traced)
+    monkeypatch.setattr(coalgebra, "nest_tensor", traced)
     coalgebra_check(C.cc, C.delta, C.counit)
     assert rows and max(rows) <= 64
-
-
-def test_descend_refuses_b_coordinate_nest():
-    # the nest in B-coordinates records no middle relations, so descent
-    # through it cannot be checked and is refused
-    alg = AlgebraSpec.make(2, 2, 2)
-    C = _b_grouplike(alg, 2)
-    nest = triple_tensor(alg, C.cc, C.carrier, C.bi.left)
-    assert nest.rels is None
-    with pytest.raises(ValueError, match="no middle relations"):
-        descend(nest, dense(nest).proj)
 
 
 def test_checked_coend_random_gr42_seed4():

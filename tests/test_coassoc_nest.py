@@ -1,17 +1,18 @@
 """Coassociativity at f_B >= 2 on the nest alone: `_coassoc_witness` pushes
 only the flat triples its Sweedler sums touch into the nest that
-`triple_tensor` returns.  It is compared, witness for witness and error for
-error, with the dense reference on the nested Smith quotient and on the flat
-one-Smith quotient (tests/coassoc_reference.py); and the flat triple layout
-and the dense lifts it no longer builds are counted."""
+`nest_tensor` returns, projecting each pair of the nest they reach once.  It
+is compared, witness for witness and error for error, with the dense
+reference on the nested Smith quotient and on the flat one-Smith quotient
+(tests/coassoc_reference.py); and the flat layouts, the projected pairs and
+the dense lifts it no longer builds are counted."""
 
 import random
 
 from tannaka_forge import algebra, cli, modules, textio
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
-from tannaka_forge.algebra import (AlgebraSpec, BModule, BTensor, free_bmodule,
-                                   triple_tensor)
+from tannaka_forge.algebra import (AlgebraSpec, BModule, BTensor, FreeNest,
+                                   free_bmodule, nest_tensor)
 from tannaka_forge.coalgebra import _coassoc_witness, coalgebra_check, cofree
 from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
                                  grouplike_coalgebra, grouplike_line,
@@ -64,7 +65,7 @@ class _Comparison:
     def __init__(self, C, Z_car, Z_left):
         alg, bi = C.alg, C.bi
         self.cc = C.cc
-        self.nest = triple_tensor(alg, C.cc, Z_car, Z_left)
+        self.nest = nest_tensor(alg, C.cc, Z_car, Z_left)
         self.references = (
             quotient_triple_tensor(alg, C.cc, Z_car, Z_left),
             flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier, bi.left,
@@ -101,7 +102,7 @@ def test_nest_witness_matches_dense_references():
         for C in coalgebras:
             cc, car = C.cc, C.carrier
             comparison = _Comparison(C, car, C.bi.left)
-            kinds.add("free" if comparison.nest.rels is None else "quotient")
+            kinds.add("free" if isinstance(comparison.nest, FreeNest) else "quotient")
             dcols = C.delta.mat.sparse_cols()
             assert agree(comparison, C.deltahat_cols, cc, C.deltahat_cols,
                          dcols) is None
@@ -118,7 +119,8 @@ def test_nest_witness_matches_dense_references():
                 Mc = cofree(C, M)
                 torsion += not Mc.carrier.is_free()
                 comparison = _Comparison(C, Mc.carrier, Mc.module.act)
-                kinds.add("free" if comparison.nest.rels is None else "quotient")
+                kinds.add("free" if isinstance(comparison.nest, FreeNest)
+                          else "quotient")
                 assert agree(comparison, C.deltahat_cols, Mc.cm, Mc.rhohat_cols,
                              Mc.rho.mat.sparse_cols()) is None
                 for _ in range(20):
@@ -173,15 +175,20 @@ def test_sparse_lift_is_the_dense_lift(monkeypatch):
     assert any(not Mc.carrier.is_free() for _, comods in cases for Mc in comods)
 
 
-def test_gr42_rank3_check_lays_out_no_flat_triple_tensor(monkeypatch):
-    # L has rank 36 and C (x)_B C rank 648: the flat triple tensor has
-    # rank 1,296 * 36 = 46,656, which the check laid out.  The nest has
-    # rank 11,664; the largest layout left is the nest's own flat tensor,
-    # of rank 648 * 36 = 23,328
+def _gr42_rank3_coalgebra():
     CR = coend(hom_closure(textio.parse_diagram(GR42_RANK3)), check=False)
     C = CR.coalgebra
     assert (C.carrier.rank, C.cc.module.rank, C.cc.TR.module.rank) == \
         (36, 648, 1296)
+    return C
+
+
+def test_gr42_rank3_check_lays_out_no_flat_triple_tensor(monkeypatch):
+    # L has rank 36 and C (x)_B C rank 648: the flat triple tensor has
+    # rank 1,296 * 36 = 46,656, and the nest's own flat tensor rank
+    # 648 * 36 = 23,328, both of which the check once laid out.  The
+    # largest layout left is the nest itself, of rank 11,664
+    C = _gr42_rank3_coalgebra()
     sizes = []
     tensor_with_data, layout = modules.tensor_with_data, modules.canonical_layout
 
@@ -198,8 +205,25 @@ def test_gr42_rank3_check_lays_out_no_flat_triple_tensor(monkeypatch):
         monkeypatch.setattr(mod, "canonical_layout", counted_layout)
     monkeypatch.setattr(algebra, "tensor_with_data", counted_tensor)
     coalgebra_check(C.cc, C.delta, C.counit)
-    assert max(sizes) == C.cc.module.rank * C.carrier.rank == 23328, max(sizes)
-    assert 11664 in sizes and 46656 not in sizes
+    assert max(sizes) == C.cc.module.rank * C.carrier.rank // C.alg.fb == 11664, \
+        max(sizes)
+
+
+def test_gr42_rank3_check_projects_only_the_pairs_it_touches(monkeypatch):
+    # the nest's flat tensor has 648 * 36 = 23,328 pairs (q, k), and the
+    # check once projected every one; its Sweedler sums reach 10,368 of
+    # them, and each is projected into the nest once
+    C = _gr42_rank3_coalgebra()
+    projected = []
+    project_pair = FreeNest.project_pair
+
+    def counted(self, q, k):
+        projected.append((q, k))
+        return project_pair(self, q, k)
+
+    monkeypatch.setattr(FreeNest, "project_pair", counted)
+    coalgebra_check(C.cc, C.delta, C.counit)
+    assert len(projected) == len(set(projected)) == 10368, len(projected)
 
 
 def test_mf_triple_lifts_each_comodule_once(monkeypatch, capsys):

@@ -5,7 +5,7 @@ import pytest
 from tannaka_forge import linalg
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
-from tannaka_forge.algebra import AlgebraSpec, bimodule_make
+from tannaka_forge.algebra import AlgebraSpec, BBBimodule
 from tannaka_forge.coalgebra import comodule_hom
 from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    coend, coend_relation_rows, lift_coaction,
@@ -208,7 +208,7 @@ def test_flatness_examples(alg_f2):
     algZ4 = AlgebraSpec.make(2, 2, 1)
     car = FinModule(algZ4.R, (1,))
     ident = ModuleMap.identity(car)
-    bi = bimodule_make(algZ4, car, ident, ident)
+    bi = BBBimodule(algZ4, car, ident, ident)
     from tannaka_forge.algebra import tensor_bimodules
     cc = tensor_bimodules(algZ4, bi, bi)
     delta = ModuleMap(car, cc.module, Matrix.identity(algZ4.R, 1))
