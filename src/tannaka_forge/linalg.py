@@ -42,6 +42,7 @@ scale.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .rings import RingSpec
@@ -339,9 +340,22 @@ def solve(A: Matrix, b: list[int]) -> list[int] | None:
 # Howell form: canonical generating matrix of a row span
 # ---------------------------------------------------------------------------
 
-def howell(ring: RingSpec, rows, width: int) -> list[list[int]]:
-    """The Howell rows of the span of rows."""
-    return Span(ring, rows, width).rows
+def howell(ring: RingSpec, rows, width: int, corank: int = 0) -> list[list[int]]:
+    """The Howell rows of the span of rows, which are read, as `Span.extend`
+    reads them, only until the span has width - corank unit pivots.
+
+    corank = 0 is always safe: a span with a unit pivot in every column is
+    all of R^width.  A caller passing corank > 0 guarantees that every row
+    lies in a free summand S of R^width of rank width - corank.  Once the
+    unit-pivot rows, which span a free summand U of that rank, are in, the
+    quotient map R^width/U -> R^width/S is onto and both sides are free of
+    rank corank, so it is a bijection: U = S, the span is S, and no later
+    row changes it or its Howell rows."""
+    span = Span(ring, (), width)
+    if isinstance(rows, (list, tuple)):
+        rows = reversed(rows)
+    span.extend(itertools.takewhile(lambda _: span.units < width - corank, rows))
+    return span.rows
 
 
 def _add_row(addmul, r, prow, t):

@@ -56,20 +56,24 @@ def hom_lists(D):
 
 @pytest.fixture
 def howell_widths(monkeypatch):
-    """The number of relation columns of each `howell` call the coend
-    makes, in call order; the columns come as a stream, which is counted
-    as it is consumed."""
+    """The number of relation columns each `howell` call the coend makes is
+    offered, in call order: the columns come as a stream, of which `howell`
+    may leave a tail unread once its span is the full category's, so the
+    columns it reads are counted as they go and the rest once it returns."""
     widths = []
     orig = tannaka.howell
 
-    def counted(ring, rows, width):
+    def counted(ring, rows, width, corank=0):
         widths.append(0)
+        rows = iter(rows)
 
         def rows_counted():
             for row in rows:
                 widths[-1] += 1
                 yield row
-        return orig(ring, rows_counted(), width)
+        out = orig(ring, rows_counted(), width, corank)
+        widths[-1] += sum(1 for _ in rows)
+        return out
     monkeypatch.setattr(tannaka, "howell", counted)
     return widths
 
