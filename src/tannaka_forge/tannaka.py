@@ -323,11 +323,7 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     when its columns have the smaller sum of squared nonzero counts, as
     estimated from the R-matrices alone: column (v, w) has at most
     a_v + b_w nonzeros, a_v those of F v and b_w those of xi_w F, and
-    these squares sum to m_l sum a_v^2 + m_k sum b_w^2 + 2 sum a sum b.
-
-    Returns N, the block offsets and sides m_k, the stream and f_B c, c the
-    number of components of positive total rank in the graph of the
-    streamed family, with an edge k - l for each member k -> l."""
+    these squares sum to m_l sum a_v^2 + m_k sum b_w^2 + 2 sum a sum b."""
     alg = D.alg
     R, fb = alg.R, alg.fb
     dims = [obj.rank * fb for obj in D.objects]
@@ -362,13 +358,7 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
                     col = {j: a for j, a in col.items() if a}
                     if col:
                         yield col
-
-    # label each object by its component: an edge k - l relabels l's to k's
-    comp = list(range(len(dims)))
-    for k, l, *_ in family:
-        comp = [comp[k] if x == comp[l] else x for x in comp]
-    c = len({comp[k] for k, m in enumerate(dims) if m})
-    return N, offsets, dims, columns(), fb * c
+    return N, offsets, dims, columns()
 
 
 def coend_relation_rows(D: DiagramCategory, morphisms=None):
@@ -379,7 +369,7 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
     stream, with no early exit short of a full span, and so is the
     reference for `coend`, which stops once its span is the full
     category's."""
-    N, _, _, cols, _ = _relation_columns(D, morphisms)
+    N, _, _, cols = _relation_columns(D, morphisms)
     return N, howell(D.alg.R, cols, N)
 
 
@@ -392,15 +382,15 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     to put in Howell form: both present the same submodule, so the Howell
     rows and everything built from them are the same.
 
-    The stream is read only until its span has N - f_B c unit pivots, c
-    the number of components of positive total rank in the streamed
-    family's graph.  On each such component, with objects B^{r_k}, the
-    relations lie among those of the full category of B-linear maps,
-    whose coend is Hom_R(B, R) (co-Yoneda and Cauchy invariance: each
-    B^r, r > 0, generates it), free of rank f_B.  So Rel_full is a free
-    summand of T of rank N - f_B c holding every relation column, which
-    is what `howell` needs with corank f_B c: a span with that many unit
-    pivots is Rel_full, and no later column changes it.  morphisms
+    The stream is read only until its span has N - f_B unit pivots.  The
+    relations lie among those of the full category of B-linear maps on
+    the objects B^{r_k}, whose coend is Hom_R(B, R) when N > 0 (co-Yoneda
+    and Cauchy invariance: each B^r, r > 0, generates it), free of rank
+    f_B.  So Rel_full is a free summand of T of rank N - f_B holding every
+    relation column, which is what `howell` needs with corank f_B: a span
+    with that many unit pivots is Rel_full, and no later column changes
+    it.  A diagram of c components of positive rank has at most
+    N - f_B c unit pivots and is read to the end when c >= 2.  morphisms
     optionally overrides the relation-generating family (used to test
     generator robustness); the diagram itself must still be closed.
     check=False skips the final coalgebra axiom re-validation (descent of
@@ -409,9 +399,9 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     alg = D.alg
     R, B, fb = alg.R, alg.B, alg.fb
     D.require_closed()
-    N, offsets, dims, cols, corank = _relation_columns(
-        D, morphisms, D.gens if morphisms is None else None)
-    rel_rows = howell(R, cols, N, corank)
+    N, offsets, dims, cols = _relation_columns(D, morphisms,
+                                               D.gens if morphisms is None else None)
+    rel_rows = howell(R, cols, N, fb if N else 0)
     pres = module_from_presentation(Matrix.from_cols(R, rel_rows, N))
     L_car = pres.module
     if L_car.rank > MAX_L_RANK:

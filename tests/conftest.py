@@ -5,6 +5,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
+from tannaka_forge import tannaka
 from tannaka_forge.rings import ring_make
 from tannaka_forge.algebra import AlgebraSpec
 
@@ -76,3 +77,36 @@ def count_calls(monkeypatch):
                         monkeypatch.setattr(mod, key, counted)
         return counts
     return install
+
+
+class _Widths(list):
+    """Columns offered to each call, in call order; read: those it read."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = []
+
+
+@pytest.fixture
+def howell_widths(monkeypatch):
+    """The number of relation columns each `howell` call through `tannaka`
+    is offered, in call order, and in .read how many of them it read: the
+    columns come as a stream, of which `howell` may leave a tail unread
+    once its span is the full category's, so the columns it reads are
+    counted as they go and the rest once it returns."""
+    widths = _Widths()
+    orig = tannaka.howell
+
+    def counted(ring, rows, width, corank=0):
+        widths.read.append(0)
+        rows = iter(rows)
+
+        def rows_counted():
+            for row in rows:
+                widths.read[-1] += 1
+                yield row
+        out = orig(ring, rows_counted(), width, corank)
+        widths.append(widths.read[-1] + sum(1 for _ in rows))
+        return out
+    monkeypatch.setattr(tannaka, "howell", counted)
+    return widths

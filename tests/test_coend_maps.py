@@ -95,7 +95,7 @@ def _dense_relation_columns(D, morphisms=None):
     T-columns of the reference; a sparse column holds no zero entry.  The
     stream yields them in the reverse of the reference's list order, the
     order in which a Span inserts that list."""
-    N, offsets, dims, cols, _ = _relation_columns(D, morphisms)
+    N, offsets, dims, cols = _relation_columns(D, morphisms)
     dense = []
     for col in reversed(list(cols)):
         assert col and all(col.values())

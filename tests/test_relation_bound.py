@@ -1,9 +1,9 @@
 """The coend stops reading its relation stream once the span holds the
-relations of the full category on the same objects: N - f_B c unit pivots,
-c the components of positive total rank of the streamed family's graph.
+relations of the full category on the same objects: N - f_B unit pivots.
 `coend_relation_rows` reads the whole stream and is the reference: the
 Howell rows agree on every draw, and the bound is reached on some draws and
-missed on others."""
+missed on others, among them every draw of two components of positive
+rank, which has at most N - 2 f_B."""
 
 import random
 
@@ -60,11 +60,10 @@ def test_coend_rows_equal_the_full_stream_reference():
             D, morphisms = _draw(rng, alg, i % 4)
             N, want = coend_relation_rows(D)
             assert coend(D, morphisms=morphisms, check=False).rel_rows == want, (t, i)
-            # the components of nonzero hom sets refine every family's graph
-            c = sum(1 for comp in D.components() if any(D.objects[k].rank for k in comp))
             units = _unit_pivots(alg.R, want)
+            c = sum(1 for comp in D.components() if any(D.objects[k].rank for k in comp))
             assert units <= N - alg.fb * c
-            if units == N - alg.fb * c:
+            if c and units == N - alg.fb:
                 reached += 1
             else:
                 missed += 1

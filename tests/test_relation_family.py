@@ -11,9 +11,7 @@ import random
 import sys
 from pathlib import Path
 
-import pytest
-
-from tannaka_forge import tannaka, textio
+from tannaka_forge import textio
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.suite import mf_family_diagram, standard_coend_cases
@@ -52,30 +50,6 @@ def full_endo(p, n, f):
 
 def hom_lists(D):
     return [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
-
-
-@pytest.fixture
-def howell_widths(monkeypatch):
-    """The number of relation columns each `howell` call the coend makes is
-    offered, in call order: the columns come as a stream, of which `howell`
-    may leave a tail unread once its span is the full category's, so the
-    columns it reads are counted as they go and the rest once it returns."""
-    widths = []
-    orig = tannaka.howell
-
-    def counted(ring, rows, width, corank=0):
-        widths.append(0)
-        rows = iter(rows)
-
-        def rows_counted():
-            for row in rows:
-                widths[-1] += 1
-                yield row
-        out = orig(ring, rows_counted(), width, corank)
-        widths[-1] += sum(1 for _ in rows)
-        return out
-    monkeypatch.setattr(tannaka, "howell", counted)
-    return widths
 
 
 def coend_outputs(D, morphisms=None):

@@ -59,7 +59,7 @@ def _assert_stream_is_list_reversed(D):
     lists = []
     for family in families:
         want = _reference_list(D, family)
-        N, offsets, dims, stream, _ = _relation_columns(D, family)
+        N, offsets, dims, stream = _relation_columns(D, family)
         assert list(stream) == want[::-1]
         lists.append(want[::-1])
     # the coend's call, which picks one of the two families
