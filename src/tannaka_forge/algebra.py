@@ -5,10 +5,10 @@ right) B-module structure on an R-module is exactly an R-linear endomorphism
 X (the action of the generator x) with h(X) = 0; a B-B-bimodule carries two
 commuting such actions.  This keeps every carrier inside the canonical
 FinModule world while the two actions stay genuinely distinct, which is what
-B-B-coalgebras need: B tensor_R B is not B.  A B-matrix becomes an R-matrix
-in one place, AlgebraSpec.bmat_cols, which writes it as sparse columns
-(bmat_to_rmat is its dense form): the x-actions, the dual-basis functionals
-and the coend's relations are all read off it.
+B-B-coalgebras need: B tensor_R B is not B.  A B-matrix becomes sparse
+R-matrix columns in AlgebraSpec.bmat_cols (bmat_to_rmat is the dense form),
+or in flat_cols from its flat R-coordinates, as the closure, the coend's
+relations, the dual-basis functionals and the comodule-hom unknowns read it.
 
 Tensor over B is the cokernel of the middle-relation map
 
@@ -73,6 +73,8 @@ class AlgebraSpec:
         self.B = B
         self.fb = B.f
         self.xpows = tuple(B.pow(B.x, k) for k in range(B.f))  # x^0..x^{f_B-1}
+        self.xprods = tuple(tuple((d, c) for d, c in enumerate(B.coeffs(B.pow(B.x, e))) if c)
+                            for e in range(2 * B.f - 1))
 
     @classmethod
     def make(cls, p: int, n: int, f: int) -> "AlgebraSpec":
@@ -108,6 +110,24 @@ class AlgebraSpec:
                              for d, c in enumerate(B.coeffs(B.mul(b, xg))) if c])
         return cols
 
+    def flat_cols(self, flat, cols: int) -> list[list[tuple[int, int]]]:
+        """bmat_cols of the M with cols columns whose flat R-coordinates are
+        the (index, entry) pairs flat: c at (t cols + s) f_B + alpha adds c
+        x^(alpha + gamma), by the structure constants xprods, the nonzero
+        coefficients of x^e, to column s f_B + gamma, in M[t][s] x^gamma."""
+        fb, q, xprods = self.fb, self.R.q, self.xprods
+        acc = [{} for _ in range(cols * fb)]
+        for i, c in flat:
+            if c:
+                ts, alpha = divmod(i, fb)
+                t, s = divmod(ts, cols)
+                tf, sf = t * fb, s * fb
+                for gamma in range(fb):
+                    col = acc[sf + gamma]
+                    for d, x in xprods[alpha + gamma]:
+                        col[tf + d] = col.get(tf + d, 0) + c * x
+        return [[(j, r) for j, a in sorted(col.items()) if (r := a % q)] for col in acc]
+
     def bmat_to_rmat(self, M: Matrix) -> Matrix:
         """bmat_cols as a dense matrix."""
         return Matrix.from_sparse(self.R, self.bmat_cols(M), M.rows * self.fb)
@@ -119,11 +139,8 @@ class AlgebraSpec:
     def dual_functional(self, r: int, w: int) -> list[list[tuple[int, int]]]:
         """The sparse columns of the R-matrix (f_B x r f_B) of the dual-basis
         functional xi_w = x^beta e_t^dual : B^r -> B, for R-coordinate
-        w = t f_B + beta of the dual."""
-        t, beta = divmod(w, self.fb)
-        row = [0] * r
-        row[t] = self.xpows[beta]
-        return self.bmat_cols(Matrix(self.B, [row], 1, r))
+        w = t f_B + beta of the dual, which is also its flat coordinate."""
+        return self.flat_cols([(w, 1)], r)
 
     def rmat_to_bmat(self, g: ModuleMap) -> Matrix:
         """Inverse of bmat_to_rmat on the matrix of a map g between
@@ -132,11 +149,8 @@ class AlgebraSpec:
         B-linear map fail)."""
         B, fb, M = self.B, self.fb, g.mat
         rows, cols = g.dst.rank // fb, g.src.rank // fb
-        out = Matrix.zeros(B, rows, cols)
-        for t in range(rows):
-            for s in range(cols):
-                coeffs = [M.data[t * fb + d][s * fb] for d in range(fb)]
-                out.data[t][s] = B.from_coeffs(coeffs)
+        out = Matrix(B, [[B.from_coeffs([M.data[t * fb + d][s * fb] for d in range(fb)])
+                          for s in range(cols)] for t in range(rows)], rows, cols)
         back = self.bmat_to_rmat(out)
         red = self.R.reduce_exp
         back = Matrix(self.R, [[red(a, e) for a in row]
@@ -153,9 +167,7 @@ class AlgebraSpec:
         return tuple(out)
 
     def rvec_to_bvec(self, vec) -> tuple[int, ...]:
-        fb = self.fb
-        return tuple(self.B.from_coeffs(vec[s * fb:(s + 1) * fb])
-                     for s in range(len(vec) // fb))
+        return tuple(self.B.from_coeffs(vec[s:s + self.fb]) for s in range(0, len(vec), self.fb))
 
 
 # ---------------------------------------------------------------------------

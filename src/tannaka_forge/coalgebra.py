@@ -404,22 +404,14 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
     Hom_R(M, C (x)_B N), torsion included.  The span is that of the
     B-matrices of comodule_hom's basis."""
     alg = Mc.coalgebra.alg
-    R, B = alg.R, alg.B
     rk, rl = Mc.bmat_rank, Nc.bmat_rank
     if rk is None or rl is None:
         raise ValueError("comodule carrier is not a standard free B-module")
     coaction = _coaction_condition(Mc, Nc)
-    conds = []
-    for t in range(rl):
-        for s in range(rk):
-            for xb in alg.xpows:
-                # x^beta E_ts : x^g e_s |-> x^(beta + g) e_t
-                E = Matrix.zeros(B, rl, rk)
-                E.data[t][s] = xb
-                conds.append([coaction(alg.bmat_cols(E))])
-    syz = hom_equalizer(FinModule.free(R, len(conds)),
+    conds = [[coaction(alg.flat_cols([(i, 1)], rk))] for i in range(rl * rk * alg.fb)]
+    syz = hom_equalizer(FinModule.free(alg.R, len(conds)),
                         [hom_module(Mc.carrier, Nc.cm.module)], conds)
-    return Span(R, [syz.col(j) for j in range(syz.cols)], len(conds))
+    return Span(alg.R, [syz.col(j) for j in range(syz.cols)], len(conds))
 
 
 def is_cauchy(Mc: Comodule) -> bool:

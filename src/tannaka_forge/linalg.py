@@ -463,11 +463,11 @@ class Span:
             self._rows = self.tail_rows(0)
         return self._rows
 
-    def tail_rows(self, start: int) -> list[list[int]]:
+    def tail_rows(self, start: int, sparse: bool = False) -> list:
         """The Howell rows with pivot column >= start, dense from column
-        start on (they are zero before it).  Only these rows reduce one
-        another, so they are reduced and written alone, in place; reducing
-        a reduced row again leaves it as it is."""
+        start on (they are zero before it), or if sparse the span's own dicts,
+        not to be changed.  Only these rows reduce one another, so they are
+        reduced alone, in place; reducing a reduced row again leaves it."""
         ring, pivots = self.ring, self.pivots
         cols = [j for j in pivots if j >= start]
         for idx, j in enumerate(cols):
@@ -481,6 +481,8 @@ class Span:
                     if red != e:
                         _add_row(ring.addmul, row2, prow,
                                  ring.neg(ring.divide_p_power(ring.sub(e, red), a)))
+        if sparse:
+            return [pivots[j][0] for j in cols]
         return [[pivots[j][0].get(k, 0) for k in range(start, self.width)] for j in cols]
 
     def reduce(self, vec) -> list[int]:

@@ -4,13 +4,15 @@ A diagram category is concrete: every object carries a free left B-module
 B^{r_k} as its fiber, and hom-data from A_k to A_l is an R-spanned set of
 B-matrices (R = Z/p^n, so hom sets are R-submodules of B-linear maps, the
 situation filtered F-modules force).  Morphisms ARE their matrices, so the
-fiber functor is faithful by construction.
+fiber functor is faithful by construction.  Closure and coend keep each hom
+set as a Howell `Span` in flat R-coordinates; hom lists are written when read.
 
 The coend L is the quotient of T = sum_k T_k, T_k = fiber_k (x)_R
 fiber_k^dual, by the relations F (x) 1 - 1 (x) F^dual, that is
 (F v) (x) xi - v (x) (xi F), for every spanning morphism F and every R-basis
 pair (v, xi); they are read off the R-matrices of F and of F^T, since
-xi |-> xi F on the B-dual is F^T.  Relations for composites follow from
+xi |-> xi F on the B-dual is F^T, both converted once from the flat
+coordinates of F (AlgebraSpec.flat_cols).  Relations for composites follow from
 relations for factors (rel is R-linear in F, and rel(GF) = rel(G at Fv) +
 rel(F at xi.G)), and rel(id) = 0, so any family whose words span the hom
 modules presents the same submodule: the closure's hom lists, or the input
@@ -32,22 +34,14 @@ it on every relation generator; the resulting coalgebra is re-validated
 axiom by axiom.
 
 The unit check compares each hom span with the comodule homs between the
-lifted fibers, both as Howell rows in flat B-matrix coordinates
-(coalgebra.comodule_hom_span); counit_map reads its family's hom lists off
-the same spans.
+lifted fibers, both as Howell rows in flat coordinates
+(coalgebra.comodule_hom_span), whose spans counit_map closes.
 
 The recognition checkers ask every span-membership question of a Howell
-`Span`, and build each one once per call.  The cones of the cofilteredness
-check are read off the sets {F u : F in span(c, k)}, per source (c, u) and
-object k, its parallel pairs off each span(k, l), bucketed by F v_A, and
-its equalizers off the rows [G u | flat((f - g) G)].  Coequalizer and
-pushout probes are one search, for a cocone under one condition: F - G on
-the legs [l], or F stacked on -G on [k, l].  Cocones are counted, and
-enumerated only into a tip of the fiber colimit's rank whose hom spans
-match the counts; there a candidate must pass the fiber comparison, an
-invertibility test, before its universality is counted.  The budget
-bounds only what is still enumerated: fiber elements, hom span elements
-and candidate cocones.
+`Span`, built once per call, and read cones, parallel pairs, equalizers and
+colimit probes off the hom spans as `cofiltered_check` and `_find_colimit`
+describe; the budget bounds only what is still enumerated: fiber elements,
+hom span elements and candidate cocones.
 """
 
 from __future__ import annotations
@@ -113,20 +107,20 @@ class DiagramCategory:
     """Objects with free B-module fibers and R-spanned hom sets of
     B-matrices; homs[(k, l)] holds maps A_k -> A_l as r_l x r_k matrices.
     The hom lists are not changed after construction, so each hom span is
-    put in Howell form once, the first time it is needed; `hom_closure`
-    hands over the spans it has already built.  closed records that the
-    diagram is composition-closed, by construction, as `hom_closure` and
-    `restrict` of a closed diagram return it, or once `require_closed` has
-    checked it.  gens, when not None, records
-    morphisms (k, l, F) whose words span every hom set, as `hom_closure`
-    returns it."""
+    put in Howell form once, the first time it is needed; a diagram made
+    `from_spans` has them from the start and writes its hom lists, their
+    Howell rows, on the first read of homs.  closed records that the diagram
+    is composition-closed, by construction, as `hom_closure` and `restrict`
+    of a closed diagram return it, or once `require_closed` has checked it.
+    gens, when not None, records morphisms (k, l, F) whose words span every
+    hom set, as `hom_closure` returns it."""
 
     def __init__(self, alg: AlgebraSpec, objects: list[DiagObject],
                  homs: dict[tuple[int, int], list[Matrix]]):
         check_t_rank([obj.rank for obj in objects], alg.fb)
         self.alg = alg
         self.objects = list(objects)
-        self.homs = {}
+        self._homs = {}
         for k in range(len(objects)):
             for l in range(len(objects)):
                 mats = list(homs.get((k, l), []))
@@ -135,10 +129,25 @@ class DiagramCategory:
                        F.cols != objects[k].rank:
                         raise ValueError("hom %s -> %s has wrong shape or ring"
                                          % (objects[k].name, objects[l].name))
-                self.homs[(k, l)] = mats
+                self._homs[(k, l)] = mats
         self._spans: dict[tuple[int, int], Span] = {}
         self.closed = False
         self.gens: list | None = None
+
+    @classmethod
+    def from_spans(cls, alg: AlgebraSpec, objects: list, spans: dict) -> DiagramCategory:
+        """The diagram whose hom lists are the Howell rows of spans."""
+        D = cls(alg, objects, {})
+        D._spans, D._homs = dict(spans), None
+        return D
+
+    @property
+    def homs(self) -> dict[tuple[int, int], list[Matrix]]:
+        if self._homs is None:
+            rk = [obj.rank for obj in self.objects]
+            self._homs = {(k, l): [_unflatten_bmat(self.alg, r, rk[l], rk[k]) for r in sp.rows]
+                          for (k, l), sp in self._spans.items()}
+        return self._homs
 
     def nobj(self) -> int:
         return len(self.objects)
@@ -193,7 +202,7 @@ class DiagramCategory:
         lists ordered by their smallest index.  On a closed diagram the
         coend is the direct sum of the components' coends."""
         n = self.nobj()
-        nbrs = [[l for l in range(n) if self.span(k, l).rows or self.span(l, k).rows]
+        nbrs = [[l for l in range(n) if self.span(k, l).pivots or self.span(l, k).pivots]
                 for k in range(n)]
         seen, out = set(), []
         for k in range(n):
@@ -213,15 +222,15 @@ class DiagramCategory:
     def restrict(self, ks: list[int]) -> DiagramCategory:
         """The full sub-diagram on the objects ks, in that order; the spans
         already built are handed over, as `hom_closure` does, and so is the
-        record of closedness.  The record of generators is handed over only
-        when ks is a union of components: a word between two objects of
-        ks may pass through objects outside it, and then its letters are
-        not all in ks."""
+        record of closedness; unwritten hom lists stay unwritten.  The record
+        of generators is handed over only when ks is a union of components:
+        a word between two objects of ks may pass through objects outside
+        it, and then its letters are not all in ks."""
         pairs = [((a, b), (k, l)) for a, k in enumerate(ks) for b, l in enumerate(ks)]
-        out = DiagramCategory(self.alg, [self.objects[k] for k in ks],
-                              {ab: self.homs[kl] for ab, kl in pairs})
-        out._spans.update({ab: self._spans[kl] for ab, kl in pairs
-                           if kl in self._spans})
+        spans = {ab: self._spans[kl] for ab, kl in pairs if kl in self._spans}
+        out = DiagramCategory.from_spans(self.alg, [self.objects[k] for k in ks], spans)
+        if self._homs is not None:      # written, or not the spans' Howell rows
+            out._homs = {ab: self._homs[kl] for ab, kl in pairs}
         out.closed = self.closed
         at = {k: a for a, k in enumerate(ks)}
         if self.gens is not None and \
@@ -241,6 +250,13 @@ def _unflatten_bmat(alg: AlgebraSpec, vec, rows: int, cols: int) -> Matrix:
                   rows, cols)
 
 
+def _compose_cols(G: list, fb: int, rk: int) -> list:
+    """F |-> g F on the flat coordinates (t rk + s) f_B + d of the F with rk
+    columns: G, g's R-matrix, sends t f_B + d to t' f_B + d', here (t' rk + s) f_B + d'."""
+    return [[((j // fb * rk + s) * fb + j % fb, c) for j, c in G[t * fb + d]]
+            for t in range(len(G) // fb) for s in range(rk) for d in range(fb)]
+
+
 def hom_closure(D: DiagramCategory) -> DiagramCategory:
     """Smallest composition-closed R-span family containing the input homs
     and the identities, with every hom set in canonical (Howell) form.
@@ -252,27 +268,29 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     g F and extends the `Span` of span(k, l) by it, unless that is all of
     Hom; only if the span grew are the items (k, m, g', g F) queued, one
     per input generator g' : l -> m whose target is not all of Hom.  Short
-    words go in first and fill spans early.  The spans are handed to the
-    returned diagram as they are, and its hom lists are exactly their
-    Howell rows.  It records the input generators, or those of D when D
-    records them."""
-    alg = D.alg
+    words go in first and fill spans early.  Words are sparse vectors in
+    flat coordinates; each generator, read by `_flat_family`, becomes
+    F |-> g F there once per source rank.  The result is made `from_spans`
+    and records the input generators, or those of D when D records them."""
+    alg, fb = D.alg, D.alg.fb
     ranks = [obj.rank for obj in D.objects]
-    spans = {(k, l): Span(alg.R, [], ranks[l] * ranks[k] * alg.fb) for (k, l) in D.homs}
-    gens = [[(m, g) for (src, m), mats in D.homs.items() if src == l for g in mats]
-            for l in range(D.nobj())]
-    todo = deque((k, k, None, Matrix.identity(alg.B, r)) for k, r in enumerate(ranks))
+    spans = {(k, l): Span(alg.R, [], rl * rk * fb)
+             for k, rk in enumerate(ranks) for l, rl in enumerate(ranks)}
+    free = FinModule.free(alg.R, max(ranks, default=0) ** 2 * fb)
+    gens = [[] for _ in ranks]
+    for l, m, flat in _flat_family(D):
+        G = alg.flat_cols(flat, ranks[l])
+        gens[l].append((m, {r: _compose_cols(G, fb, r) for r in set(ranks)}))
+    todo = deque((k, k, None, [((t * r + t) * fb, 1) for t in range(r)])
+                 for k, r in enumerate(ranks))
     while todo:
         k, l, g, F = todo.popleft()
         if spans[(k, l)].is_full():
             continue
-        GF = F if g is None else g @ F
-        if spans[(k, l)].extend([_flatten_bmat(alg, GF)]):
+        GF = F if g is None else sparse_image(F, g[ranks[k]], free)
+        if spans[(k, l)].extend([dict(GF)]):
             todo.extend((k, m, h, GF) for m, h in gens[l] if not spans[(k, m)].is_full())
-    out = DiagramCategory(alg, D.objects, {
-        (k, l): [_unflatten_bmat(alg, r, ranks[l], ranks[k]) for r in sp.rows]
-        for (k, l), sp in spans.items()})
-    out._spans.update(spans)
+    out = DiagramCategory.from_spans(alg, D.objects, spans)
     out.closed = True
     out.gens = D.gens if D.gens is not None else _hom_list_family(D)
     return out
@@ -304,6 +322,16 @@ def _hom_list_family(D: DiagramCategory) -> list:
     return [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
 
 
+def _flat_family(D: DiagramCategory, morphisms=None) -> list:
+    """(k, l, the flat (index, entry) pairs of F) for morphisms or D's hom
+    lists, read off the spans' sparse Howell rows while those are unwritten."""
+    if morphisms is None and D._homs is None:
+        return [(k, l, row.items()) for (k, l), sp in sorted(D._spans.items())
+                for row in sp.tail_rows(0, sparse=True)]
+    return [(k, l, enumerate(_flatten_bmat(D.alg, F))) for k, l, F in
+            (_hom_list_family(D) if morphisms is None else morphisms)]
+
+
 def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     """Relation generators in T-coordinates, v (x) xi_w of block k at
     offsets[k] + v m_k + w, as a stream of sparse {coordinate: entry}
@@ -311,13 +339,11 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     held; morphisms defaults to the diagram's own spanning lists.  The
     relation of F : k -> l at (v, w) is (F v) (x) xi_w - v (x) (xi_w F):
     v |-> F v is the R-matrix of F, and xi |-> xi F on the B-dual is the
-    R-matrix of F^T.
+    R-matrix of F^T; each member is converted once, from `_flat_family`.
 
     The stream runs over the family, v and w, each in reverse, the order
-    in which a `Span` inserts a list of the same columns: the Howell rows
-    do not depend on the order, but their cost does: inserted in the
-    forward order, the relations of the 30 seed-3 `spans` draws took
-    about 1.4 times as long in `howell`.
+    in which a `Span` inserts a list of the same columns; the forward order
+    gives the same Howell rows, 1.4 times slower on the `spans` draws.
 
     other, another family presenting the same relations, is taken instead
     when its columns have the smaller sum of squared nonzero counts, as
@@ -330,21 +356,22 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     *offsets, N = itertools.accumulate((m * m for m in dims), initial=0)
 
     def read(family):
-        return [(k, l, alg.bmat_cols(F),
-                 alg.bmat_cols(Matrix.from_cols(alg.B, F.data, F.cols)))
-                for k, l, F in family]
-
-    def cost(family):
-        total = 0
-        for k, l, Fv, xiF in family:
+        cost, out = 0, []
+        for k, l, flat in family:
+            Fv, xiF = alg.flat_cols(flat, D.objects[k].rank), [[] for _ in range(dims[l])]
+            for v, col in enumerate(Fv):        # F[t][s] x^gamma is F^T[s][t] x^gamma
+                for j, a in col:
+                    xiF[j - j % fb + v % fb].append((v - v % fb + j % fb, a))
             a, b = [len(c) for c in Fv], [len(c) for c in xiF]
-            total += dims[l] * sum(x * x for x in a) + dims[k] * sum(x * x for x in b) \
+            cost += dims[l] * sum(x * x for x in a) + dims[k] * sum(x * x for x in b) \
                 + 2 * sum(a) * sum(b)
-        return total
+            out.append((k, l, Fv, xiF))
+        return cost, out
 
-    family = read(morphisms if morphisms is not None else _hom_list_family(D))
+    family = read(_flat_family(D, morphisms))
     if other is not None:
-        family = min(family, read(other), key=cost)
+        family = min(family, read(_flat_family(D, other)), key=lambda cf: cf[0])
+    family = family[1]
 
     def columns():
         for (k, l, Fv, xiF) in reversed(family):
@@ -363,12 +390,9 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
 
 def coend_relation_rows(D: DiagramCategory, morphisms=None):
     """Canonical (Howell) generators of the coend relation submodule, from
-    morphisms or D's hom lists.  Relations from any R-spanning morphism
-    family agree with relations from the full closure; this is the
-    function the robustness property tests.  It reads the whole relation
-    stream, with no early exit short of a full span, and so is the
-    reference for `coend`, which stops once its span is the full
-    category's."""
+    morphisms or D's hom lists, which any R-spanning family agrees with (the
+    robustness property tested here).  It reads the whole relation stream,
+    and so is the reference for `coend`, which stops at the full category's."""
     N, _, _, cols = _relation_columns(D, morphisms)
     return N, howell(D.alg.R, cols, N)
 
@@ -376,11 +400,9 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
 def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult:
     """The coend coalgebra of a composition-closed concrete diagram.
 
-    The relations come from D's hom lists or, when D records them
-    (`hom_closure`, `restrict` to a union of components), from its input
-    generators, whichever family `_relation_columns` estimates the cheaper
-    to put in Howell form: both present the same submodule, so the Howell
-    rows and everything built from them are the same.
+    The relations come from D's hom lists or its recorded generators,
+    whichever `_relation_columns` estimates the cheaper; both present the
+    same submodule, so everything built from them is the same.
 
     The stream is read only until its span has N - f_B unit pivots.  The
     relations lie among those of the full category of B-linear maps on
@@ -555,14 +577,11 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
         rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), thinv) \
             @ Mc.rho @ th
         std_comods.append(comodule_check(C, cm_std, rho_std))
-    ranks = [sc.carrier.rank // fb for sc in std_comods]
-    # each hom list is the Howell rows of the comodule-hom span;
-    # hom_closure adds the identities and canonicalizes
-    homs = {(i, j): [_unflatten_bmat(alg, row, ranks[j], ranks[i])
-                     for row in comodule_hom_span(Mi, Mj).rows]
-            for i, Mi in enumerate(std_comods) for j, Mj in enumerate(std_comods)}
-    D = hom_closure(DiagramCategory(
-        alg, [DiagObject("M%d" % i, r) for i, r in enumerate(ranks)], homs))
+    # the hom sets are the comodule-hom spans; hom_closure adds the identities
+    D = hom_closure(DiagramCategory.from_spans(
+        alg, [DiagObject("M%d" % i, sc.carrier.rank // fb) for i, sc in enumerate(std_comods)],
+        {(i, j): comodule_hom_span(Mi, Mj)
+         for i, Mi in enumerate(std_comods) for j, Mj in enumerate(std_comods)}))
     return counit_from_coend(C, std_comods, coend(D))
 
 

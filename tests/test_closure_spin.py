@@ -4,6 +4,7 @@ oracle that enumerates elements, and the compositions the spin saves."""
 
 import random
 
+from tannaka_forge import tannaka
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.linalg import Matrix, Span, howell
 from tannaka_forge.rings import ring_make
@@ -209,24 +210,27 @@ def test_hom_closure_keeps_closed_diagrams():
 
 # -- the work saved ----------------------------------------------------------
 
-def _compositions(monkeypatch, closure, draws):
-    """The products G F that closure forms on draws, and its diagrams."""
+def _compositions(monkeypatch, closure, draws, owner, name):
+    """The compositions closure forms on draws, as the calls of owner.name,
+    and its diagrams."""
     count = [0]
-    orig = Matrix.__matmul__
+    orig = getattr(owner, name)
 
-    def counted(G, F):
+    def counted(*args):
         count[0] += 1
-        return orig(G, F)
+        return orig(*args)
 
-    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    monkeypatch.setattr(owner, name, counted)
     out = [closure(D) for D in draws]
     monkeypatch.undo()
     return count[0], out
 
 
 def test_spin_forms_a_quarter_of_the_reference_compositions(monkeypatch, spans_draws):
-    new, got = _compositions(monkeypatch, hom_closure, spans_draws)
-    old, want = _compositions(monkeypatch, ref.hom_closure, spans_draws)
+    # the spin composes flat vectors, one sparse_image each; the reference
+    # composes B-matrices, one Matrix.__matmul__ each
+    new, got = _compositions(monkeypatch, hom_closure, spans_draws, tannaka, "sparse_image")
+    old, want = _compositions(monkeypatch, ref.hom_closure, spans_draws, Matrix, "__matmul__")
     assert [_hom_data(D) for D in got] == [_hom_data(D) for D in want]
     assert 0 < 4 * new <= old, (new, old)
     assert new <= 3000, new
