@@ -5,10 +5,10 @@ right) B-module structure on an R-module is exactly an R-linear endomorphism
 X (the action of the generator x) with h(X) = 0; a B-B-bimodule carries two
 commuting such actions.  This keeps every carrier inside the canonical
 FinModule world while the two actions stay genuinely distinct, which is what
-B-B-coalgebras need: B tensor_R B is not B.  A B-matrix becomes sparse
-R-matrix columns in AlgebraSpec.bmat_cols (bmat_to_rmat is the dense form),
-or in flat_cols from its flat R-coordinates, as the closure, the coend's
-relations, the dual-basis functionals and the comodule-hom unknowns read it.
+B-B-coalgebras need: B tensor_R B is not B.  A B-matrix becomes an R-matrix
+in one place, AlgebraSpec.flat_cols, which writes it as sparse columns from
+its flat R-coordinates: bmat_cols reads a B-matrix through it (bmat_to_rmat
+is the dense form), and the closure and the coend's relations read flat rows.
 
 Tensor over B is the cokernel of the middle-relation map
 
@@ -73,8 +73,10 @@ class AlgebraSpec:
         self.B = B
         self.fb = B.f
         self.xpows = tuple(B.pow(B.x, k) for k in range(B.f))  # x^0..x^{f_B-1}
-        self.xprods = tuple(tuple((d, c) for d, c in enumerate(B.coeffs(B.pow(B.x, e))) if c)
-                            for e in range(2 * B.f - 1))
+        # xmul[alpha]: (gamma, d, c) with c the x^d coefficient of x^alpha x^gamma, if nonzero
+        xe = [B.coeffs(B.pow(B.x, e)) for e in range(2 * B.f - 1)]
+        self.xmul = tuple(tuple((g, d, c) for g in range(B.f)
+                                for d, c in enumerate(xe[a + g]) if c) for a in range(B.f))
 
     @classmethod
     def make(cls, p: int, n: int, f: int) -> "AlgebraSpec":
@@ -101,32 +103,31 @@ class AlgebraSpec:
         over the rows t, in increasing row order."""
         if M.ring != self.B:
             raise RingMismatch("expected a matrix over B")
-        B, fb = self.B, self.fb
-        cols = []
-        for s in range(M.cols):
-            entries = [(t, M.data[t][s]) for t in range(M.rows) if M.data[t][s]]
-            for xg in self.xpows:
-                cols.append([(t * fb + d, c) for t, b in entries
-                             for d, c in enumerate(B.coeffs(B.mul(b, xg))) if c])
-        return cols
+        return self.flat_cols(enumerate(self.bvec_to_rvec(b for row in M.data for b in row)),
+                              M.cols)
 
     def flat_cols(self, flat, cols: int) -> list[list[tuple[int, int]]]:
         """bmat_cols of the M with cols columns whose flat R-coordinates are
-        the (index, entry) pairs flat: c at (t cols + s) f_B + alpha adds c
-        x^(alpha + gamma), by the structure constants xprods, the nonzero
-        coefficients of x^e, to column s f_B + gamma, in M[t][s] x^gamma."""
-        fb, q, xprods = self.fb, self.R.q, self.xprods
-        acc = [{} for _ in range(cols * fb)]
+        the (index, entry) pairs flat, one per index: c at (t cols + s) f_B +
+        alpha adds c x^(alpha + gamma), by the structure constants xmul, to
+        column s f_B + gamma, in M[t][s] x^gamma.  The sums are keyed by
+        their row-major position, so that one sort orders every column."""
+        fb, q, xmul, n = self.fb, self.R.q, self.xmul, cols * self.fb
+        acc = {}
         for i, c in flat:
             if c:
                 ts, alpha = divmod(i, fb)
                 t, s = divmod(ts, cols)
-                tf, sf = t * fb, s * fb
-                for gamma in range(fb):
-                    col = acc[sf + gamma]
-                    for d, x in xprods[alpha + gamma]:
-                        col[tf + d] = col.get(tf + d, 0) + c * x
-        return [[(j, r) for j, a in sorted(col.items()) if (r := a % q)] for col in acc]
+                base = t * fb * n + s * fb
+                for gamma, d, x in xmul[alpha]:
+                    k = base + d * n + gamma
+                    acc[k] = acc.get(k, 0) + c * x
+        out = [[] for _ in range(n)]
+        for k in sorted(acc):
+            if r := acc[k] % q:
+                j, col = divmod(k, n)
+                out[col].append((j, r))
+        return out
 
     def bmat_to_rmat(self, M: Matrix) -> Matrix:
         """bmat_cols as a dense matrix."""
@@ -149,8 +150,11 @@ class AlgebraSpec:
         B-linear map fail)."""
         B, fb, M = self.B, self.fb, g.mat
         rows, cols = g.dst.rank // fb, g.src.rank // fb
-        out = Matrix(B, [[B.from_coeffs([M.data[t * fb + d][s * fb] for d in range(fb)])
-                          for s in range(cols)] for t in range(rows)], rows, cols)
+        out = Matrix.zeros(B, rows, cols)
+        for t in range(rows):
+            for s in range(cols):
+                coeffs = [M.data[t * fb + d][s * fb] for d in range(fb)]
+                out.data[t][s] = B.from_coeffs(coeffs)
         back = self.bmat_to_rmat(out)
         red = self.R.reduce_exp
         back = Matrix(self.R, [[red(a, e) for a in row]
@@ -167,7 +171,9 @@ class AlgebraSpec:
         return tuple(out)
 
     def rvec_to_bvec(self, vec) -> tuple[int, ...]:
-        return tuple(self.B.from_coeffs(vec[s:s + self.fb]) for s in range(0, len(vec), self.fb))
+        fb = self.fb
+        return tuple(self.B.from_coeffs(vec[s * fb:(s + 1) * fb])
+                     for s in range(len(vec) // fb))
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,17 @@ lifted fibers, both as Howell rows in flat coordinates
 (coalgebra.comodule_hom_span), whose spans counit_map closes.
 
 The recognition checkers ask every span-membership question of a Howell
-`Span`, built once per call, and read cones, parallel pairs, equalizers and
-colimit probes off the hom spans as `cofiltered_check` and `_find_colimit`
-describe; the budget bounds only what is still enumerated: fiber elements,
-hom span elements and candidate cocones.
+`Span`, and build each one once per call.  The cones of the cofilteredness
+check are read off the sets {F u : F in span(c, k)}, per source (c, u) and
+object k, its parallel pairs off each span(k, l), bucketed by F v_A, and
+its equalizers off the rows [G u | flat((f - g) G)].  Coequalizer and
+pushout probes are one search, for a cocone under one condition: F - G on
+the legs [l], or F stacked on -G on [k, l].  Cocones are counted, and
+enumerated only into a tip of the fiber colimit's rank whose hom spans
+match the counts; there a candidate must pass the fiber comparison, an
+invertibility test, before its universality is counted.  The budget
+bounds only what is still enumerated: fiber elements, hom span elements
+and candidate cocones.
 """
 
 from __future__ import annotations
@@ -108,10 +115,11 @@ class DiagramCategory:
     B-matrices; homs[(k, l)] holds maps A_k -> A_l as r_l x r_k matrices.
     The hom lists are not changed after construction, so each hom span is
     put in Howell form once, the first time it is needed; a diagram made
-    `from_spans` has them from the start and writes its hom lists, their
-    Howell rows, on the first read of homs.  closed records that the diagram
-    is composition-closed, by construction, as `hom_closure` and `restrict`
-    of a closed diagram return it, or once `require_closed` has checked it.
+    `from_spans` has them from the start, and its hom lists are their
+    Howell rows (span_homs), written on the first read of homs.  closed
+    records that the diagram is composition-closed, by construction, as
+    `hom_closure` and `restrict` of a closed diagram return it, or once
+    `require_closed` has checked it.
     gens, when not None, records morphisms (k, l, F) whose words span every
     hom set, as `hom_closure` returns it."""
 
@@ -131,14 +139,16 @@ class DiagramCategory:
                                          % (objects[k].name, objects[l].name))
                 self._homs[(k, l)] = mats
         self._spans: dict[tuple[int, int], Span] = {}
+        self.span_homs = False
         self.closed = False
         self.gens: list | None = None
 
     @classmethod
     def from_spans(cls, alg: AlgebraSpec, objects: list, spans: dict) -> DiagramCategory:
-        """The diagram whose hom lists are the Howell rows of spans."""
+        """The diagram whose hom lists are the Howell rows of spans, one
+        for every pair of objects."""
         D = cls(alg, objects, {})
-        D._spans, D._homs = dict(spans), None
+        D._spans, D._homs, D.span_homs = dict(spans), None, True
         return D
 
     @property
@@ -222,15 +232,18 @@ class DiagramCategory:
     def restrict(self, ks: list[int]) -> DiagramCategory:
         """The full sub-diagram on the objects ks, in that order; the spans
         already built are handed over, as `hom_closure` does, and so is the
-        record of closedness; unwritten hom lists stay unwritten.  The record
+        record of closedness; hom lists that are span rows stay so.  The record
         of generators is handed over only when ks is a union of components:
         a word between two objects of ks may pass through objects outside
         it, and then its letters are not all in ks."""
         pairs = [((a, b), (k, l)) for a, k in enumerate(ks) for b, l in enumerate(ks)]
+        objects = [self.objects[k] for k in ks]
         spans = {ab: self._spans[kl] for ab, kl in pairs if kl in self._spans}
-        out = DiagramCategory.from_spans(self.alg, [self.objects[k] for k in ks], spans)
-        if self._homs is not None:      # written, or not the spans' Howell rows
-            out._homs = {ab: self._homs[kl] for ab, kl in pairs}
+        if self.span_homs:
+            out = DiagramCategory.from_spans(self.alg, objects, spans)
+        else:
+            out = DiagramCategory(self.alg, objects, {ab: self.homs[kl] for ab, kl in pairs})
+            out._spans.update(spans)
         out.closed = self.closed
         at = {k: a for a, k in enumerate(ks)}
         if self.gens is not None and \
@@ -324,8 +337,8 @@ def _hom_list_family(D: DiagramCategory) -> list:
 
 def _flat_family(D: DiagramCategory, morphisms=None) -> list:
     """(k, l, the flat (index, entry) pairs of F) for morphisms or D's hom
-    lists, read off the spans' sparse Howell rows while those are unwritten."""
-    if morphisms is None and D._homs is None:
+    lists, read off the spans' sparse Howell rows when those are the lists."""
+    if morphisms is None and D.span_homs:
         return [(k, l, row.items()) for (k, l), sp in sorted(D._spans.items())
                 for row in sp.tail_rows(0, sparse=True)]
     return [(k, l, enumerate(_flatten_bmat(D.alg, F))) for k, l, F in
@@ -342,8 +355,10 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     R-matrix of F^T; each member is converted once, from `_flat_family`.
 
     The stream runs over the family, v and w, each in reverse, the order
-    in which a `Span` inserts a list of the same columns; the forward order
-    gives the same Howell rows, 1.4 times slower on the `spans` draws.
+    in which a `Span` inserts a list of the same columns: the Howell rows
+    do not depend on the order, but their cost does: inserted in the
+    forward order, the relations of the 30 seed-3 `spans` draws took
+    about 1.4 times as long in `howell`.
 
     other, another family presenting the same relations, is taken instead
     when its columns have the smaller sum of squared nonzero counts, as
@@ -390,9 +405,12 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
 
 def coend_relation_rows(D: DiagramCategory, morphisms=None):
     """Canonical (Howell) generators of the coend relation submodule, from
-    morphisms or D's hom lists, which any R-spanning family agrees with (the
-    robustness property tested here).  It reads the whole relation stream,
-    and so is the reference for `coend`, which stops at the full category's."""
+    morphisms or D's hom lists.  Relations from any R-spanning morphism
+    family agree with relations from the full closure; this is the
+    function the robustness property tests.  It reads the whole relation
+    stream, with no early exit short of a full span, and so is the
+    reference for `coend`, which stops once its span is the full
+    category's."""
     N, _, _, cols = _relation_columns(D, morphisms)
     return N, howell(D.alg.R, cols, N)
 
@@ -400,9 +418,11 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
 def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult:
     """The coend coalgebra of a composition-closed concrete diagram.
 
-    The relations come from D's hom lists or its recorded generators,
-    whichever `_relation_columns` estimates the cheaper; both present the
-    same submodule, so everything built from them is the same.
+    The relations come from D's hom lists or, when D records them
+    (`hom_closure`, `restrict` to a union of components), from its input
+    generators, whichever family `_relation_columns` estimates the cheaper
+    to put in Howell form: both present the same submodule, so the Howell
+    rows and everything built from them are the same.
 
     The stream is read only until its span has N - f_B unit pivots.  The
     relations lie among those of the full category of B-linear maps on

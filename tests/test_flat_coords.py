@@ -47,10 +47,9 @@ def test_structure_constants_are_the_products_of_powers_of_x():
         alg = AlgebraSpec.make(*t)
         B, fb = alg.B, alg.fb
         for a in range(fb):
-            for b in range(fb):
-                assert dict(alg.xprods[a + b]) == \
-                    {d: c for d, c in enumerate(B.coeffs(B.mul(alg.xpows[a], alg.xpows[b])))
-                     if c}, (t, a, b)
+            assert {(b, d): c for b, d, c in alg.xmul[a]} == \
+                {(b, d): c for b in range(fb)
+                 for d, c in enumerate(B.coeffs(B.mul(alg.xpows[a], alg.xpows[b]))) if c}, (t, a)
     assert AlgebraSpec.make(3, 64, 2).B.size > TABLE_LIMIT
 
 
@@ -123,18 +122,32 @@ def test_spans_pipeline_writes_no_hom_list_and_multiplies_no_bmatrix(monkeypatch
             {kl: [F.data for F in mats] for kl, mats in want.homs.items()}
 
 
-def test_restrict_keeps_written_hom_lists_and_leaves_unwritten_ones(spans_draws):
+def test_restrict_keeps_written_hom_lists_and_leaves_unwritten_ones(monkeypatch, spans_draws):
     # draw 9: four objects of ranks 3, 2, 3, 3, one or two generators on
     # most pairs; its raw hom lists are generators, not Howell rows
     raw = spans_draws[9]
     ks = [2, 0, 3]
     pairs = [((a, b), (k, l)) for a, k in enumerate(ks) for b, l in enumerate(ks)]
     sub = raw.restrict(ks)
-    assert all(sub.homs[ab] == raw.homs[kl] for ab, kl in pairs)
+    assert not sub.span_homs and all(sub.homs[ab] == raw.homs[kl] for ab, kl in pairs)
     closed = hom_closure(raw)
     sub = closed.restrict(ks)
-    assert sub._homs is None and closed._homs is None
+    assert sub._homs is None and closed._homs is None and sub.span_homs
     # components reads the spans' pivots: no dense row and no hom list is written
     assert closed.components() == [[0, 1, 2, 3]] and closed._homs is None
     assert all(sp._rows is None for sp in closed._spans.values())
     assert all(sub.homs[ab] == closed.homs[kl] for ab, kl in pairs)
+    # once written, the hom lists are still read off the spans: only the
+    # generators closed records (sub records none) are flattened
+    flattened = [0]
+    flatten = tannaka._flatten_bmat
+
+    def counted_flatten(*args):
+        flattened[0] += 1
+        return flatten(*args)
+
+    want = [coend(D, check=False).rel_rows for D in (closed, sub)]
+    monkeypatch.setattr(tannaka, "_flatten_bmat", counted_flatten)
+    got = [coend(D, check=False).rel_rows for D in (closed, closed.restrict(ks))]
+    monkeypatch.undo()
+    assert sub.gens is None and flattened[0] == len(closed.gens) and got == want
