@@ -77,6 +77,7 @@ class AlgebraSpec:
         xe = [B.coeffs(B.pow(B.x, e)) for e in range(2 * B.f - 1)]
         self.xmul = tuple(tuple((g, d, c) for g in range(B.f)
                                 for d, c in enumerate(xe[a + g]) if c) for a in range(B.f))
+        self._x_actions: dict[int, Matrix] = {}
 
     @classmethod
     def make(cls, p: int, n: int, f: int) -> "AlgebraSpec":
@@ -134,8 +135,12 @@ class AlgebraSpec:
         return Matrix.from_sparse(self.R, self.bmat_cols(M), M.rows * self.fb)
 
     def x_action(self, r: int) -> Matrix:
-        """The R-matrix of multiplication by x on B^r."""
-        return self.bmat_to_rmat(Matrix.identity(self.B, r).scale(self.B.x))
+        """The R-matrix of multiplication by x on B^r, built once per rank
+        and shared, so not to be changed."""
+        X = self._x_actions.get(r)
+        if X is None:
+            X = self._x_actions[r] = self.bmat_to_rmat(Matrix.identity(self.B, r).scale(self.B.x))
+        return X
 
     def dual_functional(self, r: int, w: int) -> list[list[tuple[int, int]]]:
         """The sparse columns of the R-matrix (f_B x r f_B) of the dual-basis

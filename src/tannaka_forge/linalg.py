@@ -42,6 +42,7 @@ scale.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass
 
@@ -467,23 +468,37 @@ class Span:
         """The Howell rows with pivot column >= start, dense from column
         start on (they are zero before it), or if sparse the span's own dicts,
         not to be changed.  Only these rows reduce one another, so they are
-        reduced alone, in place; reducing a reduced row again leaves it."""
+        reduced alone, in place; reducing a reduced row again leaves it.
+        The last row is reduced first, and each row then against the
+        reduced rows below it at its own nonzero pivot columns, in
+        increasing order, so the cost follows the rows' nonzeros, not the
+        square of their number; the reduced form is unique, so the order
+        does not change it."""
         ring, pivots = self.ring, self.pivots
         cols = [j for j in pivots if j >= start]
-        for idx, j in enumerate(cols):
-            prow, a = pivots[j]
-            for i in cols[:idx]:
-                row2 = pivots[i][0]
-                e = row2.get(j)
+        for i in reversed(cols):
+            row = pivots[i][0]
+            todo = sorted(k for k in row if k > i and k in pivots)
+            while todo:
+                j = heapq.heappop(todo)
+                e = row.get(j)
                 if e:
+                    prow, a = pivots[j]
                     # the residue mod a unit pivot is 0
                     red = ring.reduce_exp(e, a) if a else 0
                     if red != e:
-                        _add_row(ring.addmul, row2, prow,
+                        fresh = [k for k in prow if k not in row and k in pivots]
+                        _add_row(ring.addmul, row, prow,
                                  ring.neg(ring.divide_p_power(ring.sub(e, red), a)))
+                        for k in fresh:
+                            heapq.heappush(todo, k)
         if sparse:
             return [pivots[j][0] for j in cols]
-        return [[pivots[j][0].get(k, 0) for k in range(start, self.width)] for j in cols]
+        out = [[0] * (self.width - start) for _ in cols]
+        for row, j in zip(out, cols):
+            for k, e in pivots[j][0].items():
+                row[k - start] = e
+        return out
 
     def reduce(self, vec) -> list[int]:
         """The canonical normal form of vec modulo the span: in increasing

@@ -23,6 +23,20 @@ before the quotient is taken, which makes the whole presentation
 canonical: two diagrams with the same hom spans produce identical output,
 entry for entry.
 
+A full block b (objects of positive rank joined by full hom spans, one of
+them, the anchor, with a full End span) needs no relation stream: its
+relations are exactly the kernel of the counit eps_b : sum_{k in b} T_k ->
+B, v (x) xi_w |-> xi_w(v).  eps kills every relation, so they lie in the
+kernel.  At the anchor the full End span presents the coend of the full
+category on B^r, which is B^dual (co-Yoneda), free of the rank f_B of B.
+A full Hom(k, l) or Hom(l, k) holds the rank-one maps u e_1^dual, whose
+relations move every basis vector of T_l into T_k.  So T_b / Rel_b has
+at most |B| elements, as many as T_b / ker eps_b, and the two agree (the
+Cauchy invariance of Street, "Absolute colimits in enriched categories",
+1983).  `coend` writes each block's kernel rows off the graph of eps, as
+`linalg.kernel` does, and streams only the relations of the family
+members that are not inside one block, into the same `howell`.
+
 x acts on T_k as X (x) 1 (left) and 1 (x) X (right).  Comultiplication on
 classes is  [v (x) xi] |-> sum_m [v (x) e_m*] (x)_B [e_m (x) xi]  over a
 B-basis e_m of the fiber; the counit is evaluation xi_w(v) of the
@@ -211,23 +225,19 @@ class DiagramCategory:
         whenever span(k, l) or span(l, k) is nonzero, as sorted index
         lists ordered by their smallest index.  On a closed diagram the
         coend is the direct sum of the components' coends."""
-        n = self.nobj()
-        nbrs = [[l for l in range(n) if self.span(k, l).pivots or self.span(l, k).pivots]
-                for k in range(n)]
-        seen, out = set(), []
-        for k in range(n):
-            if k in seen:
-                continue
-            seen.add(k)
-            comp, todo = [], [k]
-            while todo:
-                c = todo.pop()
-                comp.append(c)
-                fresh = [l for l in nbrs[c] if l not in seen]
-                seen.update(fresh)
-                todo += fresh
-            out.append(sorted(comp))
-        return out
+        return _classes(range(self.nobj()),
+                        lambda k, l: self.span(k, l).pivots or self.span(l, k).pivots)
+
+    def full_blocks(self) -> list[list[int]]:
+        """The classes of the objects of positive rank, joined k - l
+        whenever span(k, l) or span(l, k) is full, that hold an object
+        whose End span is full, its anchor; as `components` orders them.
+        On a closed diagram a block's relations are the kernel of the
+        counit on its T_k (see `coend`)."""
+        pos = [k for k, obj in enumerate(self.objects) if obj.rank]
+        return [b for b in _classes(pos, lambda k, l: self.span(k, l).is_full()
+                                    or self.span(l, k).is_full())
+                if any(self.span(k, k).is_full() for k in b)]
 
     def restrict(self, ks: list[int]) -> DiagramCategory:
         """The full sub-diagram on the objects ks, in that order; the spans
@@ -250,6 +260,25 @@ class DiagramCategory:
            all(at.keys() >= set(c) or at.keys().isdisjoint(c) for c in self.components()):
             out.gens = [(at[k], at[l], F) for k, l, F in self.gens if k in at and l in at]
         return out
+
+
+def _classes(ks, linked) -> list[list[int]]:
+    """The classes of the equivalence on ks generated by linked(k, l), as
+    sorted lists ordered by their smallest element."""
+    seen, out = set(), []
+    for k in ks:
+        if k in seen:
+            continue
+        seen.add(k)
+        comp, todo = [], [k]
+        while todo:
+            c = todo.pop()
+            comp.append(c)
+            fresh = [l for l in ks if l not in seen and linked(c, l)]
+            seen.update(fresh)
+            todo += fresh
+        out.append(sorted(comp))
+    return out
 
 
 def _flatten_bmat(alg: AlgebraSpec, F: Matrix) -> tuple[int, ...]:
@@ -335,17 +364,18 @@ def _hom_list_family(D: DiagramCategory) -> list:
     return [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
 
 
-def _flat_family(D: DiagramCategory, morphisms=None) -> list:
+def _flat_family(D: DiagramCategory, morphisms=None, skip=lambda k, l: False) -> list:
     """(k, l, the flat (index, entry) pairs of F) for morphisms or D's hom
-    lists, read off the spans' sparse Howell rows when those are the lists."""
+    lists, but for the F : k -> l with skip(k, l), read off the spans'
+    sparse Howell rows when those are the lists."""
     if morphisms is None and D.span_homs:
         return [(k, l, row.items()) for (k, l), sp in sorted(D._spans.items())
-                for row in sp.tail_rows(0, sparse=True)]
+                if not skip(k, l) for row in sp.tail_rows(0, sparse=True)]
     return [(k, l, enumerate(_flatten_bmat(D.alg, F))) for k, l, F in
-            (_hom_list_family(D) if morphisms is None else morphisms)]
+            (_hom_list_family(D) if morphisms is None else morphisms) if not skip(k, l)]
 
 
-def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
+def _relation_columns(D: DiagramCategory, morphisms=None, other=None, blocks=()):
     """Relation generators in T-coordinates, v (x) xi_w of block k at
     offsets[k] + v m_k + w, as a stream of sparse {coordinate: entry}
     columns that `howell` takes as they come, so no list of them is ever
@@ -364,15 +394,20 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
     when its columns have the smaller sum of squared nonzero counts, as
     estimated from the R-matrices alone: column (v, w) has at most
     a_v + b_w nonzeros, a_v those of F v and b_w those of xi_w F, and
-    these squares sum to m_l sum a_v^2 + m_k sum b_w^2 + 2 sum a sum b."""
+    these squares sum to m_l sum a_v^2 + m_k sum b_w^2 + 2 sum a sum b.
+
+    Members F : k -> l with k and l in one of blocks, full blocks of
+    `coend`, are left out of either family, before they are read or
+    priced: `coend` takes their relations from the counit's kernel."""
     alg = D.alg
     R, fb = alg.R, alg.fb
     dims = [obj.rank * fb for obj in D.objects]
     *offsets, N = itertools.accumulate((m * m for m in dims), initial=0)
+    at = {k: i for i, b in enumerate(blocks) for k in b}
 
-    def read(family):
+    def read(morphisms):
         cost, out = 0, []
-        for k, l, flat in family:
+        for k, l, flat in _flat_family(D, morphisms, lambda k, l: k in at and at[k] == at.get(l)):
             Fv, xiF = alg.flat_cols(flat, D.objects[k].rank), [[] for _ in range(dims[l])]
             for v, col in enumerate(Fv):        # F[t][s] x^gamma is F^T[s][t] x^gamma
                 for j, a in col:
@@ -383,9 +418,9 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None):
             out.append((k, l, Fv, xiF))
         return cost, out
 
-    family = read(_flat_family(D, morphisms))
+    family = read(morphisms)
     if other is not None:
-        family = min(family, read(_flat_family(D, other)), key=lambda cf: cf[0])
+        family = min(family, read(other), key=lambda cf: cf[0])
     family = family[1]
 
     def columns():
@@ -408,9 +443,9 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
     morphisms or D's hom lists.  Relations from any R-spanning morphism
     family agree with relations from the full closure; this is the
     function the robustness property tests.  It reads the whole relation
-    stream, with no early exit short of a full span, and so is the
-    reference for `coend`, which stops once its span is the full
-    category's."""
+    stream, with no early exit short of a full span and no block taken
+    from the counit's kernel, and so is the reference for `coend`, which
+    does both."""
     N, _, _, cols = _relation_columns(D, morphisms)
     return N, howell(D.alg.R, cols, N)
 
@@ -418,13 +453,17 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
 def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult:
     """The coend coalgebra of a composition-closed concrete diagram.
 
-    The relations come from D's hom lists or, when D records them
-    (`hom_closure`, `restrict` to a union of components), from its input
-    generators, whichever family `_relation_columns` estimates the cheaper
-    to put in Howell form: both present the same submodule, so the Howell
-    rows and everything built from them are the same.
+    The relations of each full block (`DiagramCategory.full_blocks`) are
+    the kernel of the counit on its T_k (module docstring), whose Howell
+    rows go into `howell` first.  The other relations come from D's hom
+    lists or, when D records them (`hom_closure`, `restrict` to a union of
+    components), from its input generators, whichever family
+    `_relation_columns` estimates the cheaper to put in Howell form, less
+    the members inside one block: all present the same submodule, so the
+    Howell rows and everything built from them are the same.  On the 30
+    seed-3 `spans` draws, 22 are one block and read no stream column.
 
-    The stream is read only until its span has N - f_B unit pivots.  The
+    The rows are read only until their span has N - f_B unit pivots.  The
     relations lie among those of the full category of B-linear maps on
     the objects B^{r_k}, whose coend is Hom_R(B, R) when N > 0 (co-Yoneda
     and Cauchy invariance: each B^r, r > 0, generates it), free of rank
@@ -434,16 +473,31 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     it.  A diagram of c components of positive rank has at most
     N - f_B c unit pivots and is read to the end when c >= 2.  morphisms
     optionally overrides the relation-generating family (used to test
-    generator robustness); the diagram itself must still be closed.
+    generator robustness), and then every relation is streamed, no block
+    is taken; the diagram itself must still be closed.
     check=False skips the final coalgebra axiom re-validation (descent of
     delta and eps onto classes is always verified).
     """
     alg = D.alg
     R, B, fb = alg.R, alg.B, alg.fb
     D.require_closed()
+    blocks = D.full_blocks() if morphisms is None else []
     N, offsets, dims, cols = _relation_columns(D, morphisms,
-                                               D.gens if morphisms is None else None)
-    rel_rows = howell(R, cols, N, fb if N else 0)
+                                               D.gens if morphisms is None else None, blocks)
+    # the counit xi_w(v) on v (x) xi_w, at offsets[k] + v m_k + w
+    eps = []
+    for k, obj in enumerate(D.objects):
+        xis = [alg.dual_functional(obj.rank, w) for w in range(dims[k])]
+        eps += [xi[v] for v in range(dims[k]) for xi in xis]
+    # each block's relations: the rows of the graph {(eps u, u)} of its
+    # counit with zero eps-part, as `linalg.kernel` reads a kernel
+    kernel = []
+    for b in blocks:
+        js = [j for k in b for j in range(offsets[k], offsets[k] + dims[k] ** 2)]
+        graph = Span(R, [{**dict(eps[j]), fb + i: 1} for i, j in enumerate(js)], fb + len(js))
+        rows = graph.tail_rows(fb, sparse=True)
+        kernel += [{js[i - fb]: a for i, a in row.items()} for row in reversed(rows)]
+    rel_rows = howell(R, itertools.chain(kernel, cols), N, fb if N else 0)
     pres = module_from_presentation(Matrix.from_cols(R, rel_rows, N))
     L_car = pres.module
     if L_car.rank > MAX_L_RANK:
@@ -459,19 +513,17 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
         return map_from_cols(L_car, dst, descend_sparse(flat, rels, sect, dst, L_car))
 
     # x acts on v (x) xi_w as (X v) (x) xi_w (left) and v (x) (X xi_w)
-    # (right), X the action of x on B^{r_k}; the counit is xi_w(v)
-    left, right, eps = [], [], []
+    # (right), X the action of x on B^{r_k}
+    left, right = [], []
     for k, obj in enumerate(D.objects):
         m, o = dims[k], offsets[k]
         X = alg.bmat_cols(Matrix.identity(B, obj.rank).scale(B.x))
-        xis = [alg.dual_functional(obj.rank, w) for w in range(m)]
         for v in range(m):
             for w in range(m):
                 left.append(sparse_image([(o + v2 * m + w, a) for v2, a in X[v]],
                                          classes, L_car))
                 right.append(sparse_image([(o + v * m + w2, a) for w2, a in X[w]],
                                           classes, L_car))
-                eps.append(xis[w][v])
     L_bi = BBBimodule(alg, L_car, descend_T(left, L_car), descend_T(right, L_car))
     counit = descend_T(eps, regular_bimodule(alg).carrier)
 

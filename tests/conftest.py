@@ -110,3 +110,26 @@ def howell_widths(monkeypatch):
         return out
     monkeypatch.setattr(tannaka, "howell", counted)
     return widths
+
+
+@pytest.fixture
+def stream_reads(monkeypatch):
+    """How many relation columns the stream of each `_relation_columns`
+    call through `tannaka` yielded, in call order; with `howell_widths`,
+    which draws the tail `howell` leaves, that is every column offered.
+    The rows `howell` reads besides them are the full blocks' kernel rows."""
+    reads = []
+    orig = tannaka._relation_columns
+
+    def counted(*args, **kwargs):
+        *head, cols = orig(*args, **kwargs)
+        i = len(reads)
+        reads.append(0)
+
+        def cols_counted():
+            for col in cols:
+                reads[i] += 1
+                yield col
+        return (*head, cols_counted())
+    monkeypatch.setattr(tannaka, "_relation_columns", counted)
+    return reads

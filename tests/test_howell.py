@@ -203,10 +203,16 @@ def test_closure_and_coend_halve_howell_calls(monkeypatch, spans_draws):
     assert 0 < 2 * new <= old, (new, old)
 
 
-def test_coend_reads_a_third_of_the_spans_relation_stream(howell_widths, spans_draws):
-    # the spans relations reach the full category's on most draws, and the
-    # coend leaves the rest of the stream unread
-    for D in spans_draws:
-        coend(hom_closure(D), check=False)
-    assert sum(howell_widths) == 23688
-    assert sum(howell_widths.read) <= 9000, sum(howell_widths.read)
+def test_coend_reads_one_block_draws_off_the_counit_kernel(howell_widths, stream_reads,
+                                                          spans_draws):
+    # most spans draws are one full block, whose relations are the kernel
+    # of the counit: `howell` reads its rows and no relation stream column;
+    # the full stream of the 30 draws is 23,688 columns
+    closed = [hom_closure(D) for D in spans_draws]
+    for D in closed:
+        coend(D, check=False)
+    assert sum(howell_widths.read) <= 1500, sum(howell_widths.read)
+    one_block = [i for i, D in enumerate(closed)
+                 if D.full_blocks() == [[k for k, obj in enumerate(D.objects) if obj.rank]]]
+    assert len(one_block) == 22
+    assert [stream_reads[i] for i in one_block] == [0] * 22
