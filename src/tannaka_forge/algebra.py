@@ -16,11 +16,14 @@ Tensor over B is the cokernel of the middle-relation map
 
 on the R-tensor product.  The quotient is presented exactly, and a BTensor
 holds it in one form, sparse columns: the projection from the R-tensor, a
-section back, the middle relations and the outer actions.  Maps are induced
-on it from those columns alone: f (x) g is pushed through the target's
-projection and descended by modules.descend_sparse, and the outer actions
-are such maps; a map into it is lifted back to the R-tensor (BTensor.lift)
-through the section's columns, as sparse columns too.  Only the Smith
+section back, the middle relations and the outer actions.  Its elements
+are sparse (index, entry) pairs as well: a sum of pure tensors v (x) w is
+formed from sparse v and w (BTensor.pure_sum) and taken as a map's column
+as it is.  Maps are induced on it from those columns alone: f (x) g is
+pushed through the target's projection and descended by
+modules.descend_sparse, and the outer actions are such maps; a map into it
+is lifted back to the R-tensor (BTensor.lift) through the section's
+columns, as sparse columns too.  Only the Smith
 quotient of a nest (triple_tensor) and btensor_bmodule write an action out
 densely.  When f_B = 1 the relation map is zero and tensor over B coincides
 with tensor over R: the projection and the section are unit columns and
@@ -297,7 +300,9 @@ class BTensor:
     f_B = 1 both are unit columns and rels is empty.  left and right are the
     outer x-actions, sparse columns module -> module.  factors is (X, Y) for
     tensor_bimodules and (X, M) for tensor_bim_bmodule; the nest of a triple
-    tensor records none."""
+    tensor records none.  An element of module, such as a sum of pure
+    tensors (pure_sum), is a sparse vector too: its nonzero (index, entry)
+    pairs in increasing index order."""
     alg: AlgebraSpec
     TR: TensorData
     module: FinModule
@@ -329,24 +334,13 @@ class BTensor:
             out.append([(t, acc[t] % q) for t in sorted(acc) if acc[t] % q])
         return out
 
-    def pure_sum(self, pairs) -> tuple[int, ...]:
-        """The sum of v (x) w over the (v, w) pairs, as an element of module."""
-        add, mul, pos = self.alg.R.add, self.alg.R.mul, self.TR.pos
-        acc: dict[int, int] = {}
-        for v, w in pairs:
-            for i, a in enumerate(v):
-                if a:
-                    for j, b in enumerate(w):
-                        if b:
-                            k = pos[(i, j)]
-                            acc[k] = add(acc.get(k, 0), mul(a, b))
-        out = [0] * self.module.rank
-        for r, a in self.project([acc.items()])[0]:
-            out[r] = a
-        return tuple(out)
-
-    def pure(self, v, w) -> tuple[int, ...]:
-        return self.pure_sum(((v, w),))
+    def pure_sum(self, pairs) -> list[tuple[int, int]]:
+        """The sum of v (x) w over the (v, w) pairs of sparse vectors over
+        TR.left and TR.right, as the sparse pairs of an element of module:
+        the flat products a b at (i, j), projected."""
+        pos = self.TR.pos
+        return self.project([[(pos[(i, j)], a * b)
+                              for v, w in pairs for i, a in v for j, b in w]])[0]
 
 
 def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,

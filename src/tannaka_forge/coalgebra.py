@@ -118,20 +118,20 @@ class Coalgebra:
         return hash((self.bi, self.delta, self.counit))
 
 
-def counit_contraction(alg: AlgebraSpec, counit: ModuleMap, data: BTensor,
+def counit_contraction(alg: AlgebraSpec, ecols: list, data: BTensor,
                        act: ModuleMap, left: bool = True) -> list:
     """(eps (x)_B id) : X (x)_B M -> M through B (x)_B M = M, as sparse
     columns descended from the flat map c (x) m |-> eps(c) . m; with
     left=False, (id (x)_B eps) : M (x)_B X -> M from m (x) c |-> m . eps(c).
-    eps : X -> B is a counit, or any B-linear functional such as a
-    dual-basis one.  act is the x-action on M: the left one for
-    eps (x) id, the right one for id (x) eps."""
+    eps : X -> B, given by its sparse columns ecols, is a counit, or any
+    B-linear functional such as a dual-basis one.  act is the x-action on
+    M: the left one for eps (x) id, the right one for id (x) eps."""
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     # column (c, m) of the flat map is column m of the action of eps(c),
     # sum_k eps(c)_k act^k, read off the powers of act
     pows = power_cols(act.mat.sparse_cols(), act.dst, alg.fb)
-    eps_act = [poly_cols(pows, terms, car_m) for terms in counit.mat.sparse_cols()]
+    eps_act = [poly_cols(pows, terms, car_m) for terms in ecols]
     cols = [None] * data.TR.module.rank
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
@@ -262,7 +262,7 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
     unit = [[(x, 1)] for x in range(C.carrier.rank)]
     for code, left, act in (("CounitLeft", True, C.left),
                             ("CounitRight", False, C.right)):
-        contraction = counit_contraction(alg, counit, cc, act, left)
+        contraction = counit_contraction(alg, ecols, cc, act, left)
         w = _first_difference(contraction, dcols, unit, unit, C.carrier)
         if w is not None:
             raise AxiomError(code, w)
@@ -341,7 +341,7 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     w = _first_difference(cols, M.act.mat.sparse_cols(), cm.left, cols, cm.module)
     if w is not None:
         raise AxiomError("NotModuleMap", w)
-    eps_id = counit_contraction(alg, C.counit, cm, M.act)
+    eps_id = counit_contraction(alg, C.counit.mat.sparse_cols(), cm, M.act)
     w = _first_difference(eps_id, cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)
@@ -429,13 +429,11 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
     target = tensor_bim_bmodule(alg, C.bi, carrier_mod)
     # column (i, j) of the flat map is delta(c_i) (x) m_j, reassociated;
     # pos iterates its pairs in coordinate order
-    dh, car, pair = C.deltahat_cols, C.carrier, list(C.cc.TR.pos)
-    cols = [target.pure_sum((car.scale(c, car.gen(pair[kk][0])),
-                             cm.pure(car.gen(pair[kk][1]), M.carrier.gen(j)))
+    dh, pair = C.deltahat_cols, list(C.cc.TR.pos)
+    cols = [target.pure_sum(([(pair[kk][0], c)], cm.project_pair(pair[kk][1], j))
                             for kk, c in dh[i])
             for i, j in cm.TR.pos]
-    rho = map_from_cols(cm.module, target.module, descend_cols(
-        cm, [[(r, a) for r, a in enumerate(col) if a] for col in cols], target.module))
+    rho = map_from_cols(cm.module, target.module, descend_cols(cm, cols, target.module))
     return comodule_check(C, target, rho)
 
 
@@ -483,9 +481,10 @@ def enumerate_subcomodules(Mc: Comodule, budget: int = DEFAULT_ENUM_BUDGET):
     C_car = Mc.coalgebra.carrier
     out = []
     for size, gens, elems in enumerate_b_submodules(alg, Mc.module, budget):
-        image_gens = [Mc.cm.pure(C_car.gen(a), s)
-                      for a in range(C_car.rank) for s in gens]
-        A = Matrix.from_cols(alg.R, image_gens, Mc.cm.module.rank)
+        sparse = [[(i, x) for i, x in enumerate(s) if x] for s in gens]
+        image_gens = [Mc.cm.pure_sum([([(a, 1)], s)])
+                      for a in range(C_car.rank) for s in sparse]
+        A = Matrix.from_sparse(alg.R, image_gens, Mc.cm.module.rank)
         if None not in solve_in(Mc.cm.module, A, [Mc.rho.apply(s) for s in gens]):
             out.append((size, [tuple(g) for g in gens], elems))
     return out

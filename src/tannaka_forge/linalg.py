@@ -43,7 +43,6 @@ scale.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 
 from .rings import RingSpec
@@ -353,9 +352,10 @@ def howell(ring: RingSpec, rows, width: int, corank: int = 0) -> list[list[int]]
     rank corank, so it is a bijection: U = S, the span is S, and no later
     row changes it or its Howell rows."""
     span = Span(ring, (), width)
-    if isinstance(rows, (list, tuple)):
-        rows = reversed(rows)
-    span.extend(itertools.takewhile(lambda _: span.units < width - corank, rows))
+    rows = reversed(rows) if isinstance(rows, (list, tuple)) else iter(rows)
+    # the bound is tested before each row is drawn, so none is drawn past it
+    span.extend(iter(lambda: next(rows, None) if span.units < width - corank else None,
+                     None))
     return span.rows
 
 

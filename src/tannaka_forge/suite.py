@@ -34,10 +34,9 @@ def trivial_coalgebra(alg: AlgebraSpec) -> Coalgebra:
     """C = B with the unit-isomorphism comultiplication."""
     bi = regular_bimodule(alg)
     cc = tensor_bimodules(alg, bi, bi)
-    one = tuple([1] + [0] * (alg.fb - 1))
-    cols = [list(cc.pure(bi.carrier.gen(k), one)) for k in range(bi.carrier.rank)]
+    cols = [cc.pure_sum([([(k, 1)], [(0, 1)])]) for k in range(bi.carrier.rank)]
     delta = ModuleMap(bi.carrier, cc.module,
-                      Matrix.from_cols(alg.R, cols, cc.module.rank))
+                      Matrix.from_sparse(alg.R, cols, cc.module.rank))
     counit = ModuleMap(bi.carrier, bi.carrier,
                        Matrix.identity(alg.R, bi.carrier.rank))
     return coalgebra_check(cc, delta, counit)
@@ -52,8 +51,8 @@ def grouplike_coalgebra(alg: AlgebraSpec, g: int) -> Coalgebra:
     ident = ModuleMap.identity(car)
     bi = BBBimodule(alg, car, ident, ident)
     cc = tensor_bimodules(alg, bi, bi)
-    cols = [list(cc.pure(car.gen(i), car.gen(i))) for i in range(g)]
-    delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
+    cols = [cc.pure_sum([([(i, 1)], [(i, 1)])]) for i in range(g)]
+    delta = ModuleMap(car, cc.module, Matrix.from_sparse(alg.R, cols, cc.module.rank))
     counit = ModuleMap(car, FinModule.free(alg.R, 1),
                        Matrix(alg.R, [[1] * g], 1, g))
     return coalgebra_check(cc, delta, counit)
@@ -68,9 +67,9 @@ def comatrix_coalgebra(alg: AlgebraSpec, r: int) -> Coalgebra:
     ident = ModuleMap.identity(car)
     bi = BBBimodule(alg, car, ident, ident)
     cc = tensor_bimodules(alg, bi, bi)
-    cols = [cc.pure_sum((car.gen(i * r + k), car.gen(k * r + j)) for k in range(r))
+    cols = [cc.pure_sum(([(i * r + k, 1)], [(k * r + j, 1)]) for k in range(r))
             for i in range(r) for j in range(r)]
-    delta = ModuleMap(car, cc.module, Matrix.from_cols(alg.R, cols, cc.module.rank))
+    delta = ModuleMap(car, cc.module, Matrix.from_sparse(alg.R, cols, cc.module.rank))
     eps = Matrix.zeros(alg.R, 1, r * r)
     for i in range(r):
         eps.data[0][i * r + i] = 1
@@ -83,9 +82,9 @@ def grouplike_line(C: Coalgebra, i: int) -> Comodule:
     alg = C.alg
     line = free_bmodule(alg, 1)
     cm = tensor_bim_bmodule(alg, C.bi, line)
-    col = cm.pure(C.carrier.gen(i), (1,))
+    col = cm.pure_sum([([(i, 1)], [(0, 1)])])
     rho = ModuleMap(line.carrier, cm.module,
-                    Matrix.from_cols(alg.R, [list(col)], cm.module.rank))
+                    Matrix.from_sparse(alg.R, [col], cm.module.rank))
     return comodule_check(C, cm, rho)
 
 
@@ -95,10 +94,9 @@ def comatrix_standard_comodule(C: Coalgebra, r: int) -> Comodule:
     alg = C.alg
     std = free_bmodule(alg, r)
     cm = tensor_bim_bmodule(alg, C.bi, std)
-    cols = [cm.pure_sum((C.carrier.gen(j * r + i), std.carrier.gen(i))
-                        for i in range(r)) for j in range(r)]
+    cols = [cm.pure_sum(([(j * r + i, 1)], [(i, 1)]) for i in range(r)) for j in range(r)]
     rho = ModuleMap(std.carrier, cm.module,
-                    Matrix.from_cols(alg.R, cols, cm.module.rank))
+                    Matrix.from_sparse(alg.R, cols, cm.module.rank))
     return comodule_check(C, cm, rho)
 
 

@@ -352,13 +352,6 @@ class CoendResult:
     sect: list                       # lifts carrier generators to T, sparse columns
     rel_rows: list[list[int]]        # Howell rows of the relations in T
 
-    def class_of(self, k: int, v: int, w: int) -> tuple[int, ...]:
-        """Class of basis vector v (x) xi_w of fiber_k (x) fiber_k^dual."""
-        m = self.block_dims[k]
-        j = self.offsets[k] + v * m + w
-        L = self.coalgebra.carrier
-        return L.reduce(self.classmap.col(j))
-
 
 def _hom_list_family(D: DiagramCategory) -> list:
     return [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
@@ -479,7 +472,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     delta and eps onto classes is always verified).
     """
     alg = D.alg
-    R, B, fb = alg.R, alg.B, alg.fb
+    R, fb = alg.R, alg.fb
     D.require_closed()
     blocks = D.full_blocks() if morphisms is None else []
     N, offsets, dims, cols = _relation_columns(D, morphisms,
@@ -517,7 +510,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     left, right = [], []
     for k, obj in enumerate(D.objects):
         m, o = dims[k], offsets[k]
-        X = alg.bmat_cols(Matrix.identity(B, obj.rank).scale(B.x))
+        X = alg.x_action(obj.rank).sparse_cols()
         for v in range(m):
             for w in range(m):
                 left.append(sparse_image([(o + v2 * m + w, a) for v2, a in X[v]],
@@ -534,10 +527,9 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
         o = offsets[k]
         for v in range(m):
             for w in range(m):
-                cols.append([(r, a) for r, a in enumerate(cc.pure_sum(
-                    (classmap.col(o + v * m + mg * fb),
-                     classmap.col(o + (mg * fb) * m + w))
-                    for mg in range(m // fb))) if a])
+                cols.append(cc.pure_sum((classes[o + v * m + mg * fb],
+                                         classes[o + (mg * fb) * m + w])
+                                        for mg in range(m // fb)))
     delta = descend_T(cols, cc.module)
 
     coalg = coalgebra_check(cc, delta, counit) if check else \
@@ -555,16 +547,16 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
     D = CR.diagram
     alg = D.alg
     R, fb = alg.R, alg.fb
-    L = CR.coalgebra
+    L, classes = CR.coalgebra, CR.classmap.sparse_cols()
     out = []
     for k, obj in enumerate(D.objects):
-        m = CR.block_dims[k]
+        m, o = CR.block_dims[k], CR.offsets[k]
         fiber = free_bmodule(alg, obj.rank)
         cm = tensor_bim_bmodule(alg, L.bi, fiber)
-        cols = [cm.pure_sum((CR.class_of(k, v, mg * fb), fiber.carrier.gen(mg * fb))
+        cols = [cm.pure_sum((classes[o + v * m + mg * fb], [(mg * fb, 1)])
                             for mg in range(obj.rank)) for v in range(m)]
         rho = ModuleMap(fiber.carrier, cm.module,
-                        Matrix.from_cols(R, cols, cm.module.rank))
+                        Matrix.from_sparse(R, cols, cm.module.rank))
         out.append(comodule_check(L, cm, rho))
     return out
 
@@ -676,8 +668,8 @@ def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
         rho = sc.rho.mat.sparse_cols()
         nus = []
         for w in range(m):
-            xi = map_from_cols(sc.carrier, B_car, alg.dual_functional(m // fb, w))
-            contraction = counit_contraction(alg, xi, sc.cm, C.bi.right, left=False)
+            contraction = counit_contraction(alg, alg.dual_functional(m // fb, w),
+                                             sc.cm, C.bi.right, left=False)
             nus.append([sparse_image(col, contraction, C.carrier) for col in rho])
         cols += [nus[w][v] for v in range(m) for w in range(m)]
     rels = [[(j, a) for j, a in enumerate(row) if a] for row in CR.rel_rows]

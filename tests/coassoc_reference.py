@@ -57,7 +57,7 @@ from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                                    BForm, tensor_bimodules, triple_tensor,
                                    _btensor_core, as_b_module)
 
-from dense_tensor import dense, descend, embed, map_tensor
+from dense_tensor import dense, descend, embed, map_tensor, pure
 from descent_reference import act_by
 from smith_reference import densify
 
@@ -288,7 +288,7 @@ def pure3(t3: TripleTensor, v, w, u) -> tuple[int, ...]:
     """v (x) w (x) u in t3.module."""
     if t3.nest is None:
         return embed3(t3, v, w, u)
-    return t3.nest.pure(t3.xy.pure(v, w), u)
+    return pure(t3.nest, pure(t3.xy, v, w), u)
 
 
 def lift_gen(t3: TripleTensor, q: int) -> list[int]:
@@ -311,7 +311,7 @@ def unit_left_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleM
     """(to, fro) for B tensor_B M = M, data the tensor with the regular
     bimodule on the left; verified mutually inverse."""
     one = alg.B.coeffs(alg.B.one)
-    cols = [list(data.pure(one, M.carrier.gen(i))) for i in range(M.carrier.rank)]
+    cols = [list(pure(data, one, M.carrier.gen(i))) for i in range(M.carrier.rank)]
     to = ModuleMap(M.carrier, data.module,
                    Matrix.from_cols(alg.R, cols, data.module.rank))
     # b (x) m -> b . m, descended from the flat map
@@ -332,7 +332,7 @@ def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[Module
     """(to, fro) for M tensor_B B = M; M's action is used as the right
     action."""
     one = alg.B.coeffs(alg.B.one)
-    cols = [list(data.pure(M.carrier.gen(i), one)) for i in range(M.carrier.rank)]
+    cols = [list(pure(data, M.carrier.gen(i), one)) for i in range(M.carrier.rank)]
     to = ModuleMap(M.carrier, data.module,
                    Matrix.from_cols(alg.R, cols, data.module.rank))
     flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
@@ -393,8 +393,8 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
                     continue
                 pk, k = inv_t3tr[kk]
                 i, j = inv_t312[pk]
-                inner = txy.pure(X.carrier.gen(i), Y.carrier.gen(j))
-                vec = left_nested.pure(inner, Z.carrier.gen(k))
+                inner = pure(txy, X.carrier.gen(i), Y.carrier.gen(j))
+                vec = pure(left_nested, inner, Z.carrier.gen(k))
                 for r, v in enumerate(vec):
                     if v:
                         acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
@@ -432,8 +432,8 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
                     continue
                 pk, k = inv_t3tr[kk]
                 i, j = inv_t312[pk]
-                inner = tyz.pure(Y.carrier.gen(j), Z.carrier.gen(k))
-                vec = right_nested.pure(X.carrier.gen(i), inner)
+                inner = pure(tyz, Y.carrier.gen(j), Z.carrier.gen(k))
+                vec = pure(right_nested, X.carrier.gen(i), inner)
                 for r, v in enumerate(vec):
                     if v:
                         acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))

@@ -19,7 +19,7 @@ from tannaka_forge.coalgebra import comodule_check, comodule_hom
 from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    coend)
 
-from dense_tensor import deltahat, descend, rhohat
+from dense_tensor import deltahat, descend, pure, rhohat
 from descent_reference import act_by
 
 
@@ -190,8 +190,8 @@ def cofree_rho(C, M) -> ModuleMap:
             if coeff == 0:
                 continue
             a, b = pos_inv[kk]
-            inner = cm.pure(C.carrier.gen(b), M.carrier.gen(j))
-            vec = target.pure(C.carrier.gen(a), inner)
+            inner = pure(cm, C.carrier.gen(b), M.carrier.gen(j))
+            vec = pure(target, C.carrier.gen(a), inner)
             for r, v in enumerate(vec):
                 if v:
                     acc[r] = R.add(acc[r], R.mul(coeff, v))

@@ -7,9 +7,12 @@ relation ``Matrix`` over TR.module and the left and right actions as
 ``ModuleMap``s module -> module (None where the tensor records none).
 
 ``embed`` is the pure-tensor embedding of a ``TensorData``: v (x) w as an
-element of M tensor_R N.  ``map_tensor``, ``descend_map`` and ``descend``
-are the dense forms of ``modules.tensor_cols``, ``modules.descend_sparse``
-and ``algebra.descend_cols``: the same kernels, on and to dense maps, for
+element of M tensor_R N.  ``pure_sum`` is the dense form of
+``BTensor.pure_sum``, kept as its reference: dense vectors in, a dense
+element of the quotient out; ``pure`` is one v (x) w.  ``map_tensor``,
+``descend_map`` and ``descend`` are the dense forms of
+``modules.tensor_cols``, ``modules.descend_sparse`` and
+``algebra.descend_cols``: the same kernels, on and to dense maps, for
 the references and tests that multiply them.  ``dense_lift`` writes the
 flat lift of a map into a tensor over B out as a dense matrix, and
 ``deltahat`` and ``rhohat`` apply it to a coalgebra's delta and a
@@ -54,6 +57,30 @@ def embed(T, v, w) -> tuple[int, ...]:
                     k = T.pos[(i, j)]
                     out[k] = ring.add(out[k], ring.mul(a, b))
     return T.module.reduce(out)
+
+
+def pure_sum(data, pairs) -> tuple[int, ...]:
+    """The sum of v (x) w over the (v, w) pairs of dense vectors, as a
+    dense element of data.module: the products accumulated entry by entry
+    over the flat pairs, then projected."""
+    add, mul, pos = data.alg.R.add, data.alg.R.mul, data.TR.pos
+    acc: dict[int, int] = {}
+    for v, w in pairs:
+        for i, a in enumerate(v):
+            if a:
+                for j, b in enumerate(w):
+                    if b:
+                        k = pos[(i, j)]
+                        acc[k] = add(acc.get(k, 0), mul(a, b))
+    out = [0] * data.module.rank
+    for r, a in data.project([acc.items()])[0]:
+        out[r] = a
+    return tuple(out)
+
+
+def pure(data, v, w) -> tuple[int, ...]:
+    """v (x) w for dense v and w, as a dense element of data.module."""
+    return pure_sum(data, ((v, w),))
 
 
 def map_tensor(T, f, g, T2) -> ModuleMap:

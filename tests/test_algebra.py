@@ -12,6 +12,7 @@ from tannaka_forge.algebra import (AlgebraSpec, BBBimodule,
                                    NonCommutingActions)
 
 from coassoc_reference import unit_left_isos, unit_right_isos, assoc_isos
+from dense_tensor import pure
 
 
 def test_algebra_spec_validation(F4):
@@ -148,8 +149,8 @@ def test_middle_linearity_on_generators(alg_gr42):
     car = breg.carrier
     for i in range(car.rank):
         for j in range(car.rank):
-            lhs = data.pure(breg.right.apply(car.gen(i)), car.gen(j))
-            rhs = data.pure(car.gen(i), breg.left.apply(car.gen(j)))
+            lhs = pure(data, breg.right.apply(car.gen(i)), car.gen(j))
+            rhs = pure(data, car.gen(i), breg.left.apply(car.gen(j)))
             assert lhs == rhs
 
 

@@ -27,7 +27,7 @@ from coassoc_reference import (FlatTripleTensor, as_triple,
                                dense_coassoc_witness, dense_tensor_free,
                                flat_triple_tensor, nested_triple_tensor,
                                quotient_triple_tensor, reference_nest)
-from dense_tensor import dense
+from dense_tensor import dense, pure
 from descent_reference import act_by
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
@@ -190,7 +190,7 @@ def _b_grouplike(alg, g):
     M = free_bmodule(alg, g)
     bi = BBBimodule(alg, M.carrier, M.act, M.act)
     cc = tensor_bimodules(alg, bi, bi)
-    cols = [list(cc.pure(M.carrier.gen(i * fb + k), M.carrier.gen(i * fb)))
+    cols = [list(pure(cc, M.carrier.gen(i * fb + k), M.carrier.gen(i * fb)))
             for i in range(g) for k in range(fb)]
     delta = ModuleMap(M.carrier, cc.module,
                       Matrix.from_cols(alg.R, cols, cc.module.rank))
@@ -305,7 +305,7 @@ def _perturbed_delta(rng, C, counital):
     s = rng.randrange(car.rank // fb)
     cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
     for k in range(fb):
-        cols[s * fb + k] = list(cc.module.add(cols[s * fb + k], cc.pure(u, v)))
+        cols[s * fb + k] = list(cc.module.add(cols[s * fb + k], pure(cc, u, v)))
         u = act.apply(u)
     return ModuleMap(car, cc.module, Matrix.from_cols(R, cols, cc.module.rank))
 
@@ -321,7 +321,7 @@ def _perturbed_rho(rng, Mc, ker):
     phi = ModuleMap.identity(M.carrier)
     for _ in range(rng.randrange(C.alg.fb)):
         phi = M.act @ phi
-    cols = [list(cm.module.add(Mc.rho.apply(g), cm.pure(u, phi.apply(g))))
+    cols = [list(cm.module.add(Mc.rho.apply(g), pure(cm, u, phi.apply(g))))
             for g in (M.carrier.gen(i) for i in range(M.carrier.rank))]
     return ModuleMap(M.carrier, cm.module, Matrix.from_cols(R, cols, cm.module.rank))
 
@@ -378,7 +378,7 @@ def test_descent_failure_agrees_with_dense():
         C = _b_grouplike(alg, 2)
         car, cc = C.carrier, C.cc
         cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
-        cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(2))))
+        cols[0] = list(cc.module.add(cols[0], pure(cc, car.gen(0), car.gen(2))))
         delta = ModuleMap(car, cc.module,
                           Matrix.from_cols(alg.R, cols, cc.module.rank))
         deltahat = (dense(cc).sect @ delta.mat).sparse_cols()

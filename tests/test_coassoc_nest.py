@@ -21,7 +21,7 @@ from tannaka_forge.tannaka import coend, hom_closure, lift_coaction
 
 from coassoc_reference import (dense_coassoc_witness, flat_triple_tensor,
                                quotient_triple_tensor)
-from dense_tensor import deltahat, rhohat
+from dense_tensor import deltahat, pure, rhohat
 from test_coassoc import (_b_grouplike, _counit_kernel, _perturbed_delta,
                           _perturbed_rho)
 
@@ -53,7 +53,7 @@ def _not_b_linear(C):
     does not descend through C (x)_B C."""
     cc, car = C.cc, C.carrier
     cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
-    cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(car.rank - 1))))
+    cols[0] = list(cc.module.add(cols[0], pure(cc, car.gen(0), car.gen(car.rank - 1))))
     return ModuleMap(car, cc.module, Matrix.from_cols(C.alg.R, cols, cc.module.rank))
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import descent_reference as ref
 from coassoc_reference import nested_triple_tensor
-from dense_tensor import deltahat, dense, descend, descend_map, rhohat
+from dense_tensor import deltahat, dense, descend, descend_map, pure, rhohat
 from tannaka_forge import coalgebra
 from tannaka_forge.linalg import Matrix, kernel
 from tannaka_forge.modules import (FinModule, ModuleMap, NotWellDefined,
@@ -66,7 +66,7 @@ def _perturbed(C):
     f_B = 1, and when f_B >= 2 also the bimodule map delta + delta x."""
     cc, car = C.cc, C.carrier
     cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
-    cols[0] = list(cc.module.add(cols[0], cc.pure(car.gen(0), car.gen(car.rank - 1))))
+    cols[0] = list(cc.module.add(cols[0], pure(cc, car.gen(0), car.gen(car.rank - 1))))
     out = [ModuleMap(car, cc.module, Matrix.from_cols(C.alg.R, cols, cc.module.rank))]
     if C.alg.fb > 1:
         out.append(C.delta + C.delta @ C.bi.left)
@@ -94,7 +94,8 @@ def _compare_coalgebra(C):
     assert induced(cc, cc, bi.left, bi.right) == ref.induced(cc, cc, bi.left, bi.right)
     for left, act in ((True, bi.left), (False, bi.right)):
         assert map_from_cols(cc.module, bi.carrier,
-                             counit_contraction(alg, C.counit, cc, act, left)) == \
+                             counit_contraction(alg, C.counit.mat.sparse_cols(),
+                                                cc, act, left)) == \
             ref.counit_contraction(alg, C.counit, cc, act, left)
     t3 = nested_triple_tensor(alg, cc, bi.carrier, bi.left)
     dh, dense_dh = C.deltahat_cols, deltahat(C)
@@ -118,7 +119,7 @@ def _compare_comodule(Mc):
     assert induced(cm, cm, one, M.act) == ref.induced(cm, cm, one, M.act)
     assert induced(cm, cm, C.bi.left, M.act) == ref.induced(cm, cm, C.bi.left, M.act)
     assert map_from_cols(cm.module, M.carrier,
-                         counit_contraction(alg, C.counit, cm, M.act)) == \
+                         counit_contraction(alg, C.counit.mat.sparse_cols(), cm, M.act)) == \
         ref.counit_contraction(alg, C.counit, cm, M.act)
     t3 = nested_triple_tensor(alg, C.cc, M.carrier, M.act)
     hat = rhohat(Mc)

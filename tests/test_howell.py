@@ -69,6 +69,21 @@ def test_howell_matches_dense_reference():
             assert howell(R, rows, w) == ref.dense_howell(R, rows, w), (t, rows)
 
 
+def test_howell_draws_no_row_past_its_unit_pivot_bound(Z4):
+    """width 6 and corank 2: after the fourth row the span has its 4 unit
+    pivots, so howell stops there and draws no fifth row."""
+    rows = [{0: 1, 4: 2}, {1: 3}, {2: 1, 5: 1}, {3: 1}, {4: 1}, {5: 1}]
+    drawn = []
+
+    def stream():
+        for row in rows:
+            drawn.append(row)
+            yield row
+    got = howell(Z4, stream(), 6, 2)
+    assert len(drawn) == 4
+    assert got == ref.dense_howell(Z4, [[r.get(j, 0) for j in range(6)] for r in rows[:4]], 6)
+
+
 def test_howell_matches_dense_reference_on_spans_relations(spans_draws):
     for D_raw in spans_draws:
         N, _, _, stream = _relation_columns(hom_closure(D_raw))
