@@ -361,8 +361,9 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
 
 def mf_to_diagram(objects: list[FilteredFModule]):
     """Diagram with R = Z/p^n, B = W_n, fibers the underlying free modules
-    and homs the solver bases; closure of the raw bases is verified, then
-    hom sets are put in canonical form."""
+    and homs the solver bases, with hom sets in canonical form.  The raw
+    bases are verified closed by the spin: each hom span of their closure,
+    which holds theirs, must be no larger."""
     if not objects:
         raise MFError("WindowViolation", detail="empty object list")
     W = objects[0].W
@@ -377,7 +378,9 @@ def mf_to_diagram(objects: list[FilteredFModule]):
             _, basis, _ = mf_hom(Xi, Xj)
             homs[(i, j)] = [g.mat for g in basis]
     D = DiagramCategory(alg, objs, homs)
-    if not D.is_closed():
+    closed = hom_closure(D)
+    if any(closed.span(k, l).size() != D.span(k, l).size()
+           for k in range(D.nobj()) for l in range(D.nobj())):
         raise RuntimeError("internal error: MF hom bases are not "
                            "composition-closed")
-    return hom_closure(D)
+    return closed

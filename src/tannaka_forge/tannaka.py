@@ -4,8 +4,9 @@ A diagram category is concrete: every object carries a free left B-module
 B^{r_k} as its fiber, and hom-data from A_k to A_l is an R-spanned set of
 B-matrices (R = Z/p^n, so hom sets are R-submodules of B-linear maps, the
 situation filtered F-modules force).  Morphisms ARE their matrices, so the
-fiber functor is faithful by construction.  Closure and coend keep each hom
-set as a Howell `Span` in flat R-coordinates; hom lists are written when read.
+fiber functor is faithful by construction.  A diagram keeps each hom set
+in flat R-coordinates, as a list of sparse rows and its Howell `Span`;
+B-matrices are written only when read.
 
 The coend L is the quotient of T = sum_k T_k, T_k = fiber_k (x)_R
 fiber_k^dual, by the relations F (x) 1 - 1 (x) F^dual, that is
@@ -16,9 +17,8 @@ coordinates of F (AlgebraSpec.flat_cols).  Relations for composites follow from
 relations for factors (rel is R-linear in F, and rel(GF) = rel(G at Fv) +
 rel(F at xi.G)), and rel(id) = 0, so any family whose words span the hom
 modules presents the same submodule: the closure's hom lists, or the input
-generators `hom_closure` records.  `coend` takes the family with the
-smaller estimated sum of squared nonzero counts over its relation columns,
-what their Howell form costs.  Relation generators are put in Howell form
+generators `hom_closure` records, which `coend` streams when they are
+recorded.  Relation generators are put in Howell form
 before the quotient is taken, which makes the whole presentation
 canonical: two diagrams with the same hom spans produce identical output,
 entry for entry.
@@ -126,34 +126,36 @@ class DiagObject:
 
 class DiagramCategory:
     """Objects with free B-module fibers and R-spanned hom sets of
-    B-matrices; homs[(k, l)] holds maps A_k -> A_l as r_l x r_k matrices.
-    The hom lists are not changed after construction, so each hom span is
-    put in Howell form once, the first time it is needed; a diagram made
-    `from_spans` has them from the start, and its hom lists are their
-    Howell rows (span_homs), written on the first read of homs.  closed
+    B-matrices, each hom set held in one form: its hom list, the sparse
+    flat rows ({index: entry}, `_flatten_bmat`'s coordinates) of the
+    matrices A_k -> A_l (r_l x r_k) that span it, in input order, with the
+    Howell `Span` built from them on first use.  A diagram made
+    `from_spans` has the spans first, and its hom lists are their Howell
+    rows, read off on first use.  The lists are not changed after
+    construction; homs is a read-only view of them as B-matrices.  closed
     records that the diagram is composition-closed, by construction, as
     `hom_closure` and `restrict` of a closed diagram return it, or once
     `require_closed` has checked it.
-    gens, when not None, records morphisms (k, l, F) whose words span every
-    hom set, as `hom_closure` returns it."""
+    gens, when not None, records flat morphisms (k, l, row) whose words
+    span every hom set, as `hom_closure` returns it."""
 
     def __init__(self, alg: AlgebraSpec, objects: list[DiagObject],
                  homs: dict[tuple[int, int], list[Matrix]]):
         check_t_rank([obj.rank for obj in objects], alg.fb)
         self.alg = alg
         self.objects = list(objects)
-        self._homs = {}
+        self._flat: dict[tuple[int, int], list[dict[int, int]]] = {}
         for k in range(len(objects)):
             for l in range(len(objects)):
-                mats = list(homs.get((k, l), []))
+                mats = homs.get((k, l), [])
                 for F in mats:
                     if F.ring != alg.B or F.rows != objects[l].rank or \
                        F.cols != objects[k].rank:
                         raise ValueError("hom %s -> %s has wrong shape or ring"
                                          % (objects[k].name, objects[l].name))
-                self._homs[(k, l)] = mats
+                self._flat[(k, l)] = [_flat_row(alg, F) for F in mats]
         self._spans: dict[tuple[int, int], Span] = {}
-        self.span_homs = False
+        self._homs = None
         self.closed = False
         self.gens: list | None = None
 
@@ -162,28 +164,44 @@ class DiagramCategory:
         """The diagram whose hom lists are the Howell rows of spans, one
         for every pair of objects."""
         D = cls(alg, objects, {})
-        D._spans, D._homs, D.span_homs = dict(spans), None, True
+        D._flat, D._spans = {}, dict(spans)
         return D
 
     @property
     def homs(self) -> dict[tuple[int, int], list[Matrix]]:
+        """The hom lists as B-matrices, entry for entry and in order,
+        written on first read and not to be changed."""
         if self._homs is None:
-            rk = [obj.rank for obj in self.objects]
-            self._homs = {(k, l): [_unflatten_bmat(self.alg, r, rk[l], rk[k]) for r in sp.rows]
-                          for (k, l), sp in self._spans.items()}
+            rk, alg = [obj.rank for obj in self.objects], self.alg
+            self._homs = {(k, l): [_unflatten_bmat(alg, [row.get(i, 0) for i in
+                                                         range(rk[l] * rk[k] * alg.fb)],
+                                                   rk[l], rk[k])
+                                   for row in self.flat(k, l)]
+                          for k in range(self.nobj()) for l in range(self.nobj())}
         return self._homs
 
     def nobj(self) -> int:
         return len(self.objects)
 
+    def flat(self, k: int, l: int) -> list[dict[int, int]]:
+        """The hom list of (k, l), its rows not to be changed."""
+        rows = self._flat.get((k, l))
+        if rows is None:
+            rows = self._flat[(k, l)] = self._spans[(k, l)].tail_rows(0, sparse=True)
+        return rows
+
+    def family(self) -> list:
+        """(k, l, row) for every row of the hom lists, pairs in increasing
+        order."""
+        n = self.nobj()
+        return [(k, l, row) for k in range(n) for l in range(n) for row in self.flat(k, l)]
+
     def span(self, k: int, l: int) -> Span:
         """The R-span of hom(A_k, A_l) in flattened coordinates."""
         sp = self._spans.get((k, l))
         if sp is None:
-            alg = self.alg
-            width = self.objects[l].rank * self.objects[k].rank * alg.fb
-            rows = [_flatten_bmat(alg, F) for F in self.homs[(k, l)]]
-            sp = self._spans[(k, l)] = Span(alg.R, rows, width)
+            width = self.objects[l].rank * self.objects[k].rank * self.alg.fb
+            sp = self._spans[(k, l)] = Span(self.alg.R, self._flat[(k, l)], width)
         return sp
 
     def span_rows(self, k: int, l: int) -> list[list[int]]:
@@ -207,9 +225,6 @@ class DiagramCategory:
                         if not self.hom_contains(k, m, G @ F):
                             return ("not-closed", (k, l, m, F, G))
         return None
-
-    def is_closed(self) -> bool:
-        return self.closure_violation() is None
 
     def require_closed(self) -> None:
         """Raise DiagramNotClosed with the witness of closure_violation,
@@ -240,20 +255,16 @@ class DiagramCategory:
                 if any(self.span(k, k).is_full() for k in b)]
 
     def restrict(self, ks: list[int]) -> DiagramCategory:
-        """The full sub-diagram on the objects ks, in that order; the spans
-        already built are handed over, as `hom_closure` does, and so is the
-        record of closedness; hom lists that are span rows stay so.  The record
-        of generators is handed over only when ks is a union of components:
-        a word between two objects of ks may pass through objects outside
-        it, and then its letters are not all in ks."""
+        """The full sub-diagram on the objects ks, in that order; the hom
+        lists and the spans already built are handed over, as `hom_closure`
+        does, and so is the record of closedness.  The record of generators
+        is handed over only when ks is a union of components: a word between
+        two objects of ks may pass through objects outside it, and then its
+        letters are not all in ks."""
         pairs = [((a, b), (k, l)) for a, k in enumerate(ks) for b, l in enumerate(ks)]
-        objects = [self.objects[k] for k in ks]
-        spans = {ab: self._spans[kl] for ab, kl in pairs if kl in self._spans}
-        if self.span_homs:
-            out = DiagramCategory.from_spans(self.alg, objects, spans)
-        else:
-            out = DiagramCategory(self.alg, objects, {ab: self.homs[kl] for ab, kl in pairs})
-            out._spans.update(spans)
+        out = DiagramCategory(self.alg, [self.objects[k] for k in ks], {})
+        out._flat = {ab: self._flat[kl] for ab, kl in pairs if kl in self._flat}
+        out._spans = {ab: self._spans[kl] for ab, kl in pairs if kl in self._spans}
         out.closed = self.closed
         at = {k: a for a, k in enumerate(ks)}
         if self.gens is not None and \
@@ -286,6 +297,11 @@ def _flatten_bmat(alg: AlgebraSpec, F: Matrix) -> tuple[int, ...]:
     return alg.bvec_to_rvec([b for row in F.data for b in row])
 
 
+def _flat_row(alg: AlgebraSpec, F: Matrix) -> dict[int, int]:
+    """The nonzero R-coordinates of a B-matrix, read row by row."""
+    return {i: c for i, c in enumerate(_flatten_bmat(alg, F)) if c}
+
+
 def _unflatten_bmat(alg: AlgebraSpec, vec, rows: int, cols: int) -> Matrix:
     flat = alg.rvec_to_bvec(vec)
     return Matrix(alg.B, [list(flat[t * cols:(t + 1) * cols]) for t in range(rows)],
@@ -311,7 +327,7 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     Hom; only if the span grew are the items (k, m, g', g F) queued, one
     per input generator g' : l -> m whose target is not all of Hom.  Short
     words go in first and fill spans early.  Words are sparse vectors in
-    flat coordinates; each generator, read by `_flat_family`, becomes
+    flat coordinates; each generator, a row of D's hom lists, becomes
     F |-> g F there once per source rank.  The result is made `from_spans`
     and records the input generators, or those of D when D records them."""
     alg, fb = D.alg, D.alg.fb
@@ -319,9 +335,9 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
     spans = {(k, l): Span(alg.R, [], rl * rk * fb)
              for k, rk in enumerate(ranks) for l, rl in enumerate(ranks)}
     free = FinModule.free(alg.R, max(ranks, default=0) ** 2 * fb)
-    gens = [[] for _ in ranks]
-    for l, m, flat in _flat_family(D):
-        G = alg.flat_cols(flat, ranks[l])
+    gens, family = [[] for _ in ranks], D.family()
+    for l, m, row in family:
+        G = alg.flat_cols(row.items(), ranks[l])
         gens[l].append((m, {r: _compose_cols(G, fb, r) for r in set(ranks)}))
     todo = deque((k, k, None, [((t * r + t) * fb, 1) for t in range(r)])
                  for k, r in enumerate(ranks))
@@ -334,7 +350,7 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
             todo.extend((k, m, h, GF) for m, h in gens[l] if not spans[(k, m)].is_full())
     out = DiagramCategory.from_spans(alg, D.objects, spans)
     out.closed = True
-    out.gens = D.gens if D.gens is not None else _hom_list_family(D)
+    out.gens = D.gens if D.gens is not None else family
     return out
 
 
@@ -353,29 +369,16 @@ class CoendResult:
     rel_rows: list[list[int]]        # Howell rows of the relations in T
 
 
-def _hom_list_family(D: DiagramCategory) -> list:
-    return [(k, l, F) for (k, l), mats in sorted(D.homs.items()) for F in mats]
-
-
-def _flat_family(D: DiagramCategory, morphisms=None, skip=lambda k, l: False) -> list:
-    """(k, l, the flat (index, entry) pairs of F) for morphisms or D's hom
-    lists, but for the F : k -> l with skip(k, l), read off the spans'
-    sparse Howell rows when those are the lists."""
-    if morphisms is None and D.span_homs:
-        return [(k, l, row.items()) for (k, l), sp in sorted(D._spans.items())
-                if not skip(k, l) for row in sp.tail_rows(0, sparse=True)]
-    return [(k, l, enumerate(_flatten_bmat(D.alg, F))) for k, l, F in
-            (_hom_list_family(D) if morphisms is None else morphisms) if not skip(k, l)]
-
-
-def _relation_columns(D: DiagramCategory, morphisms=None, other=None, blocks=()):
+def _relation_columns(D: DiagramCategory, morphisms=None, blocks=()):
     """Relation generators in T-coordinates, v (x) xi_w of block k at
     offsets[k] + v m_k + w, as a stream of sparse {coordinate: entry}
     columns that `howell` takes as they come, so no list of them is ever
-    held; morphisms defaults to the diagram's own spanning lists.  The
-    relation of F : k -> l at (v, w) is (F v) (x) xi_w - v (x) (xi_w F):
+    held.  morphisms, triples (k, l, F) with F a B-matrix or a flat row as
+    `DiagramCategory.gens` holds them, defaults to the diagram's hom lists.
+    The relation of F : k -> l at (v, w) is (F v) (x) xi_w - v (x) (xi_w F):
     v |-> F v is the R-matrix of F, and xi |-> xi F on the B-dual is the
-    R-matrix of F^T; each member is converted once, from `_flat_family`.
+    R-matrix of F^T; each member is converted from its flat row once, when
+    the stream reaches it.
 
     The stream runs over the family, v and w, each in reverse, the order
     in which a `Span` inserts a list of the same columns: the Howell rows
@@ -383,42 +386,26 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None, blocks=())
     forward order, the relations of the 30 seed-3 `spans` draws took
     about 1.4 times as long in `howell`.
 
-    other, another family presenting the same relations, is taken instead
-    when its columns have the smaller sum of squared nonzero counts, as
-    estimated from the R-matrices alone: column (v, w) has at most
-    a_v + b_w nonzeros, a_v those of F v and b_w those of xi_w F, and
-    these squares sum to m_l sum a_v^2 + m_k sum b_w^2 + 2 sum a sum b.
-
     Members F : k -> l with k and l in one of blocks, full blocks of
-    `coend`, are left out of either family, before they are read or
-    priced: `coend` takes their relations from the counit's kernel."""
+    `coend`, are left out, unread: `coend` takes their relations from the
+    counit's kernel."""
     alg = D.alg
     R, fb = alg.R, alg.fb
     dims = [obj.rank * fb for obj in D.objects]
     *offsets, N = itertools.accumulate((m * m for m in dims), initial=0)
     at = {k: i for i, b in enumerate(blocks) for k in b}
+    family = D.family() if morphisms is None else \
+        [(k, l, F if isinstance(F, dict) else _flat_row(alg, F)) for k, l, F in morphisms]
 
-    def read(morphisms):
-        cost, out = 0, []
-        for k, l, flat in _flat_family(D, morphisms, lambda k, l: k in at and at[k] == at.get(l)):
-            Fv, xiF = alg.flat_cols(flat, D.objects[k].rank), [[] for _ in range(dims[l])]
+    def columns():
+        for k, l, row in reversed(family):
+            if k in at and at[k] == at.get(l):
+                continue
+            mk, ml = dims[k], dims[l]
+            Fv, xiF = alg.flat_cols(row.items(), D.objects[k].rank), [[] for _ in range(ml)]
             for v, col in enumerate(Fv):        # F[t][s] x^gamma is F^T[s][t] x^gamma
                 for j, a in col:
                     xiF[j - j % fb + v % fb].append((v - v % fb + j % fb, a))
-            a, b = [len(c) for c in Fv], [len(c) for c in xiF]
-            cost += dims[l] * sum(x * x for x in a) + dims[k] * sum(x * x for x in b) \
-                + 2 * sum(a) * sum(b)
-            out.append((k, l, Fv, xiF))
-        return cost, out
-
-    family = read(morphisms)
-    if other is not None:
-        family = min(family, read(other), key=lambda cf: cf[0])
-    family = family[1]
-
-    def columns():
-        for (k, l, Fv, xiF) in reversed(family):
-            mk, ml = dims[k], dims[l]
             for v in reversed(range(mk)):
                 for w in reversed(range(ml)):
                     col = {offsets[l] + w2 * ml + w: a for w2, a in Fv[v]}
@@ -433,12 +420,12 @@ def _relation_columns(D: DiagramCategory, morphisms=None, other=None, blocks=())
 
 def coend_relation_rows(D: DiagramCategory, morphisms=None):
     """Canonical (Howell) generators of the coend relation submodule, from
-    morphisms or D's hom lists.  Relations from any R-spanning morphism
-    family agree with relations from the full closure; this is the
-    function the robustness property tests.  It reads the whole relation
-    stream, with no early exit short of a full span and no block taken
-    from the counit's kernel, and so is the reference for `coend`, which
-    does both."""
+    morphisms, read as `_relation_columns` reads them, or D's hom lists.
+    Relations from any R-spanning morphism family agree with relations
+    from the full closure; this is the function the robustness property
+    tests.  It reads the whole relation stream, with no early exit short
+    of a full span and no block taken from the counit's kernel, and so is
+    the reference for `coend`, which does both."""
     N, _, _, cols = _relation_columns(D, morphisms)
     return N, howell(D.alg.R, cols, N)
 
@@ -448,13 +435,13 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
 
     The relations of each full block (`DiagramCategory.full_blocks`) are
     the kernel of the counit on its T_k (module docstring), whose Howell
-    rows go into `howell` first.  The other relations come from D's hom
-    lists or, when D records them (`hom_closure`, `restrict` to a union of
-    components), from its input generators, whichever family
-    `_relation_columns` estimates the cheaper to put in Howell form, less
-    the members inside one block: all present the same submodule, so the
-    Howell rows and everything built from them are the same.  On the 30
-    seed-3 `spans` draws, 22 are one block and read no stream column.
+    rows go into `howell` first.  The other relations are streamed from
+    the input generators D records (`hom_closure`, `restrict` to a union
+    of components), or from D's hom lists when it records none, less the
+    members inside one block: any family whose words span the hom sets
+    presents the same submodule, so the Howell rows and everything built
+    from them are the same.  On the 30 seed-3 `spans` draws, 22 are one
+    block and read no stream column.
 
     The rows are read only until their span has N - f_B unit pivots.  The
     relations lie among those of the full category of B-linear maps on
@@ -475,8 +462,8 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     R, fb = alg.R, alg.fb
     D.require_closed()
     blocks = D.full_blocks() if morphisms is None else []
-    N, offsets, dims, cols = _relation_columns(D, morphisms,
-                                               D.gens if morphisms is None else None, blocks)
+    N, offsets, dims, cols = _relation_columns(D, D.gens if morphisms is None else morphisms,
+                                               blocks)
     # the counit xi_w(v) on v (x) xi_w, at offsets[k] + v m_k + w
     eps = []
     for k, obj in enumerate(D.objects):
@@ -564,16 +551,14 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
 def morphisms_are_comodule_maps(CR: CoendResult, lifted: list[Comodule]) -> bool:
     """Every spanning morphism commutes with the lifted coactions."""
     D = CR.diagram
-    alg = D.alg
-    for (k, l), mats in D.homs.items():
-        for F in mats:
-            Fr = ModuleMap(lifted[k].carrier, lifted[l].carrier,
-                           alg.bmat_to_rmat(F))
-            lhs = lifted[l].rho @ Fr
-            rhs = induced(lifted[k].cm, lifted[l].cm,
-                          ModuleMap.identity(CR.coalgebra.carrier), Fr) @ lifted[k].rho
-            if lhs != rhs:
-                return False
+    for k, l, row in D.family():
+        Fr = map_from_cols(lifted[k].carrier, lifted[l].carrier,
+                           D.alg.flat_cols(row.items(), D.objects[k].rank))
+        lhs = lifted[l].rho @ Fr
+        rhs = induced(lifted[k].cm, lifted[l].cm,
+                      ModuleMap.identity(CR.coalgebra.carrier), Fr) @ lifted[k].rho
+        if lhs != rhs:
+            return False
     return True
 
 

@@ -97,7 +97,7 @@ def test_components_and_restrict():
     assert [obj.name for obj in sub.objects] == ["A", "C"]
     assert sub.homs == {(0, 0): D.homs[(0, 0)], (0, 1): D.homs[(0, 2)],
                         (1, 0): D.homs[(2, 0)], (1, 1): D.homs[(2, 2)]}
-    assert sub.span(1, 0) is D.span(2, 0) and sub.is_closed()
+    assert sub.span(1, 0) is D.span(2, 0) and sub.closure_violation() is None
 
 
 def test_split_matches_whole_on_suite_diagrams():

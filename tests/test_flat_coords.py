@@ -129,19 +129,21 @@ def test_restrict_keeps_written_hom_lists_and_leaves_unwritten_ones(monkeypatch,
     ks = [2, 0, 3]
     pairs = [((a, b), (k, l)) for a, k in enumerate(ks) for b, l in enumerate(ks)]
     sub = raw.restrict(ks)
-    assert not sub.span_homs and all(sub.homs[ab] == raw.homs[kl] for ab, kl in pairs)
+    assert all(sub.flat(*ab) is raw.flat(*kl) for ab, kl in pairs)
+    assert all(sub.homs[ab] == raw.homs[kl] for ab, kl in pairs)
     closed = hom_closure(raw)
     sub = closed.restrict(ks)
-    assert sub._homs is None and closed._homs is None and sub.span_homs
+    assert sub._homs is None and closed._homs is None and not sub._flat
     # components reads the spans' pivots: no dense row and no hom list is written
     assert closed.components() == [[0, 1, 2, 3]] and closed._homs is None
-    assert all(sp._rows is None for sp in closed._spans.values())
+    assert not closed._flat and all(sp._rows is None for sp in closed._spans.values())
     assert all(sub.homs[ab] == closed.homs[kl] for ab, kl in pairs)
-    # once written, the hom lists are still read off the spans: only the
-    # generators closed records (sub records none) are flattened.  The
-    # draw is one full block, whose relations `coend` takes from the
-    # counit's kernel, reading no family member, so the families are read
-    # here as `coend` reads them for members outside a block
+    # once written, the B-matrix hom lists are not read: the generators
+    # closed records (sub records none) are flat rows, and no B-matrix is
+    # flattened.  The draw is one full block, whose relations `coend`
+    # takes from the counit's kernel, reading no family member, so the
+    # families are read here as `coend` reads them for members outside a
+    # block
     flattened = [0]
     flatten = tannaka._flatten_bmat
 
@@ -150,7 +152,7 @@ def test_restrict_keeps_written_hom_lists_and_leaves_unwritten_ones(monkeypatch,
         return flatten(*args)
 
     def rel_rows(D):
-        N, _, _, cols = tannaka._relation_columns(D, None, D.gens)
+        N, _, _, cols = tannaka._relation_columns(D, D.gens)
         return howell(D.alg.R, cols, N)
 
     assert closed.full_blocks() == [[0, 1, 2, 3]]
@@ -159,4 +161,4 @@ def test_restrict_keeps_written_hom_lists_and_leaves_unwritten_ones(monkeypatch,
     got = [rel_rows(D) for D in (closed, closed.restrict(ks))]
     assert [coend(D, check=False).rel_rows for D in (closed, sub)] == want
     monkeypatch.undo()
-    assert sub.gens is None and flattened[0] == len(closed.gens) and got == want
+    assert sub.gens is None and flattened[0] == 0 and got == want

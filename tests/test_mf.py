@@ -4,6 +4,7 @@ import json
 import pytest
 
 from tannaka_forge import cli
+from tannaka_forge import mf as mf_module
 from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap, factor_through, is_surjective
@@ -259,6 +260,24 @@ def test_mf_direct_sum_window_harmonization():
     assert mbar(S).Mbar.length() == S.M.length()
 
 
+def test_mf_to_diagram_refuses_hom_bases_that_are_not_closed(monkeypatch):
+    # the raw bases are closed exactly when each hom span of their closure
+    # is no larger; cut to its first member, the basis of End(M0) is still
+    # the identity, and that of End(M0 + M0) no longer spans the identity
+    W = ring_make(2, 1, 1)
+    M0 = tate_object(W, 0)
+    real = mf_module.mf_hom
+
+    def first_only(X, Y):
+        K, basis, alg = real(X, Y)
+        return K, basis[:1], alg
+
+    monkeypatch.setattr(mf_module, "mf_hom", first_only)
+    assert len(mf_to_diagram([M0]).homs[(0, 0)]) == 1
+    with pytest.raises(RuntimeError, match="not composition-closed"):
+        mf_to_diagram([M0, mf_direct_sum(M0, M0)])
+
+
 def test_mf_to_diagram_examples():
     W = ring_make(2, 1, 1)
     M0, M1 = tate_object(W, 0), tate_object(W, 1)
@@ -270,7 +289,7 @@ def test_mf_to_diagram_examples():
     CR = coend(D)
     assert CR.coalgebra.carrier.rank == 2   # grouplike-shaped
     D = mf_to_diagram([M0, mf_direct_sum(M0, M0)])
-    assert D.is_closed()
+    assert D.closure_violation() is None
     # injections and projections are present in the hom spans
     inj = Matrix.from_rows(W, [[1], [0]])
     assert D.hom_contains(0, 1, inj)

@@ -7,7 +7,6 @@ rank, which has at most N - 2 f_B."""
 
 import random
 
-from tannaka_forge import tannaka
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.suite import random_diagram
@@ -44,7 +43,8 @@ def _draw(rng, alg, kind):
         n, r = D.nobj(), D.objects[0].rank
         ties = [(n, 0, Matrix.zeros(alg.B, r, 0)), (0, n, Matrix.zeros(alg.B, 0, r))]
         D0 = hom_closure(_raw(alg, D.objects + [DiagObject("Z", 0)], gens))
-        return D0, (tannaka._hom_list_family(D0) + ties if rng.random() < 0.5 else None)
+        hom_lists = [(k, l, F) for (k, l), mats in sorted(D0.homs.items()) for F in mats]
+        return D0, (hom_lists + ties if rng.random() < 0.5 else None)
     return D, gens
 
 

@@ -1,8 +1,8 @@
-"""The coend's relation family: `coend` takes its relations from the
-closure's hom lists or from the input generators `hom_closure` records,
-whichever is the cheaper to put in Howell form, and both present the same
-relation submodule.  So the default coend equals the coend from the hom
-lists in every output: Howell rows, carrier, class map, delta and counit.
+"""The coend's relation family: `coend` streams the input generators
+`hom_closure` records, or the hom lists when a diagram records none, and
+both present the same relation submodule.  So the default coend equals
+the coend from the hom lists in every output: Howell rows, carrier, class
+map, delta and counit.
 `restrict` hands the record over only to a union of components, and
 `coend_relation_rows` keeps the hom lists as its default family."""
 
@@ -63,8 +63,7 @@ def coend_outputs(D, morphisms=None):
 
 def assert_same_coend(D, widths):
     """coend(D) equals the coend from D's hom lists; returns whether the
-    default fed howell fewer columns, which on a diagram with no full
-    block means that it took the generators."""
+    default fed howell fewer columns."""
     want = coend_outputs(D, hom_lists(D))
     assert coend_outputs(D) == want
     return want is not None and widths[-1] < widths[-2]
@@ -104,8 +103,9 @@ def test_families_agree_on_spans_draws(howell_widths):
             took = assert_same_coend(D, howell_widths)
             if not D.full_blocks():
                 taken[took] += 1
-    # the rule takes each family on some draws (counted where no block's
-    # rows come from the counit's kernel instead)
+    # the generators feed howell fewer columns than the hom lists on some
+    # draws and not on others (counted where no block's rows come from the
+    # counit's kernel instead)
     assert taken[True] and taken[False]
 
 

@@ -11,7 +11,7 @@ from tannaka_forge import textio
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.linalg import Span
 from tannaka_forge.rings import ring_make
-from tannaka_forge.tannaka import _relation_columns, coend, hom_closure
+from tannaka_forge.tannaka import _relation_columns, _unflatten_bmat, coend, hom_closure
 
 import coend_reference as ref
 from test_closure_spin import SEVEN_RINGS, _sparse
@@ -49,7 +49,13 @@ def test_span_fed_a_stream_equals_span_fed_the_list_reversed():
 
 
 def _reference_list(D, family):
-    """The reference's relation columns of family, as sparse dicts."""
+    """The reference's relation columns of family, flat rows written out
+    as B-matrices for it, as sparse dicts."""
+    if family is not None:
+        alg, rk = D.alg, [obj.rank for obj in D.objects]
+        family = [(k, l, _unflatten_bmat(alg, [row.get(i, 0) for i in
+                                               range(rk[l] * rk[k] * alg.fb)], rk[l], rk[k]))
+                  for k, l, row in family]
     N, offsets, dims, cols = ref.relation_columns(D, family)
     return [{j: a for j, a in enumerate(col) if a} for col in cols]
 
@@ -62,8 +68,8 @@ def _assert_stream_is_list_reversed(D):
         N, offsets, dims, stream = _relation_columns(D, family)
         assert list(stream) == want[::-1]
         lists.append(want[::-1])
-    # the coend's call, which picks one of the two families
-    assert list(_relation_columns(D, None, D.gens)[3]) in lists
+    # the coend's call, which streams the generators D records, if any
+    assert list(_relation_columns(D, D.gens)[3]) == lists[-1]
 
 
 def test_relation_stream_is_the_column_list_reversed():

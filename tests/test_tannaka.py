@@ -144,7 +144,7 @@ def test_unit_strictly_smaller_with_witness(alg_f2):
     D = DiagramCategory(alg, objs, {(0, 0): [Matrix.identity(alg.B, 1)],
                                     (1, 1): [Matrix.identity(alg.B, 1)],
                                     (0, 1): [Matrix.identity(alg.B, 1)]})
-    assert D.is_closed()
+    assert D.closure_violation() is None
     CR = coend(D)
     verd = unit_fully_faithful_check(CR)
     assert verd[(0, 1)][0] == "equal"
@@ -270,7 +270,7 @@ def test_recognition_iso_reflection_refuted(alg_f2):
                         {(0, 0): [Matrix.identity(alg.B, 1)],
                          (1, 1): [Matrix.identity(alg.B, 1)],
                          (0, 1): [Matrix.identity(alg.B, 1)]})
-    assert D.is_closed()
+    assert D.closure_violation() is None
     rep = recognition_check(D, budget=512)
     assert rep.reflects_isos.status == "refuted"
     w = rep.reflects_isos.witness

@@ -20,6 +20,8 @@ from tannaka_forge.suite import (grouplike_coalgebra, grouplike_line,
                                  random_diagram)
 from tannaka_forge.tannaka import coend, lift_coaction
 
+from test_closure_spin import SEVEN_RINGS
+
 
 def test_parse_ring_literals():
     R = parse_ring("GR(2^3,1)")
@@ -85,13 +87,42 @@ hom G0 G0 = [[[1]]]
 hom G1 G1 = [[[1]]]
 """
     D = parse_diagram(text)
-    assert D.nobj() == 2 and D.is_closed()
+    assert D.nobj() == 2 and D.closure_violation() is None
     CR = coend(D)
     assert CR.coalgebra.carrier.rank == 2
     # round trip through the printer
     D2 = parse_diagram(format_diagram(D))
     assert [o.rank for o in D2.objects] == [o.rank for o in D.objects]
     assert all(D2.homs[p] == D.homs[p] for p in D.homs)
+
+
+def test_parsed_hom_lists_read_back_entry_for_entry():
+    # the seven rings: a diagram keeps its hom lists as flat rows, and homs
+    # writes them back as the parsed matrices, entry for entry and in input
+    # order, zero matrices and repeats included, on every pair; objects of
+    # rank 0 take no hom line.  format_diagram prints the parsed text again
+    rng = random.Random(4646)
+    for t in SEVEN_RINGS:
+        alg = AlgebraSpec.make(*t)
+        B = alg.B
+        for _ in range(8):
+            ranks = [rng.randint(0, 3) for _ in range(rng.randint(1, 3))]
+            lines = [alg.literal()] + ["object A%d rank %d" % kr for kr in enumerate(ranks)]
+            want = {}
+            for k, rk in enumerate(ranks):
+                for l, rl in enumerate(ranks):
+                    mats = [Matrix(B, [[rng.choice((0, rng.randrange(B.size)))
+                                        for _ in range(rk)] for _ in range(rl)], rl, rk)
+                            for _ in range(rng.randint(0, 3) if rk and rl else 0)]
+                    mats += mats[:rng.randint(0, 1)]
+                    if mats:
+                        lines.append("hom A%d A%d = [%s]" % (
+                            k, l, ",".join(format_matrix(M) for M in mats)))
+                    want[(k, l)] = mats
+            text = "\n".join(lines) + "\n"
+            D = parse_diagram(text)
+            assert D.homs == want, t
+            assert format_diagram(D) == text, t
 
 
 def test_diagram_parse_errors_carry_lines():
