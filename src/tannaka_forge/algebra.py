@@ -7,8 +7,8 @@ commuting such actions.  This keeps every carrier inside the canonical
 FinModule world while the two actions stay genuinely distinct, which is what
 B-B-coalgebras need: B tensor_R B is not B.  A B-matrix becomes an R-matrix
 in one place, AlgebraSpec.flat_cols, which writes it as sparse columns from
-its flat R-coordinates: bmat_cols reads a B-matrix through it (bmat_to_rmat
-is the dense form), and the closure and the coend's relations read flat rows.
+its flat R-coordinates: bmat_cols reads a B-matrix through it, and the
+closure and the coend's relations read flat rows.
 
 Tensor over B is the cokernel of the middle-relation map
 
@@ -23,8 +23,8 @@ as it is.  Maps are induced on it from those columns alone: f (x) g is
 pushed through the target's projection and descended by
 modules.descend_sparse, and the outer actions are such maps; a map into it
 is lifted back to the R-tensor (BTensor.lift) through the section's
-columns, as sparse columns too.  Only the Smith
-quotient of a nest (triple_tensor) and btensor_bmodule write an action out
+columns, as sparse columns too.  A ModuleMap holds such columns as they
+are, so only the Smith presentation of a quotient writes its relations out
 densely.  When f_B = 1 the relation map is zero and tensor over B coincides
 with tensor over R: the projection and the section are unit columns and
 there are no relations.
@@ -51,8 +51,7 @@ from .linalg import Matrix, inverse
 from .modules import (FinModule, ModuleMap, TensorData, tensor_with_data,
                       syzygies, module_from_presentation,
                       presentation_with_torsion, RingMismatch, tensor_cols,
-                      sparse_image, descend_sparse, map_from_cols,
-                      canonical_layout)
+                      sparse_image, descend_sparse, canonical_layout)
 
 
 class NonCommutingActions(ValueError):
@@ -80,7 +79,7 @@ class AlgebraSpec:
         xe = [B.coeffs(B.pow(B.x, e)) for e in range(2 * B.f - 1)]
         self.xmul = tuple(tuple((g, d, c) for g in range(B.f)
                                 for d, c in enumerate(xe[a + g]) if c) for a in range(B.f))
-        self._x_actions: dict[int, Matrix] = {}
+        self._x_cols: dict[int, list] = {}
 
     @classmethod
     def make(cls, p: int, n: int, f: int) -> "AlgebraSpec":
@@ -133,16 +132,12 @@ class AlgebraSpec:
                 out[col].append((j, r))
         return out
 
-    def bmat_to_rmat(self, M: Matrix) -> Matrix:
-        """bmat_cols as a dense matrix."""
-        return Matrix.from_sparse(self.R, self.bmat_cols(M), M.rows * self.fb)
-
-    def x_action(self, r: int) -> Matrix:
-        """The R-matrix of multiplication by x on B^r, built once per rank
-        and shared, so not to be changed."""
-        X = self._x_actions.get(r)
+    def x_cols(self, r: int) -> list[list[tuple[int, int]]]:
+        """The sparse columns of multiplication by x on B^r, built once per
+        rank and shared, so not to be changed."""
+        X = self._x_cols.get(r)
         if X is None:
-            X = self._x_actions[r] = self.bmat_to_rmat(Matrix.identity(self.B, r).scale(self.B.x))
+            X = self._x_cols[r] = self.bmat_cols(Matrix.identity(self.B, r).scale(self.B.x))
         return X
 
     def dual_functional(self, r: int, w: int) -> list[list[tuple[int, int]]]:
@@ -152,10 +147,9 @@ class AlgebraSpec:
         return self.flat_cols([(w, 1)], r)
 
     def rmat_to_bmat(self, g: ModuleMap) -> Matrix:
-        """Inverse of bmat_to_rmat on the matrix of a map g between
-        R-carriers of B-modules; g must commute with the x-action (checked by
-        re-expansion, reduced into g.dst so that torsion there cannot make a
-        B-linear map fail)."""
+        """Inverse of bmat_cols on a map g between R-carriers of B-modules;
+        g must commute with the x-action (checked by re-expansion, reduced
+        into g.dst so that torsion there cannot make a B-linear map fail)."""
         B, fb, M = self.B, self.fb, g.mat
         rows, cols = g.dst.rank // fb, g.src.rank // fb
         out = Matrix.zeros(B, rows, cols)
@@ -163,12 +157,7 @@ class AlgebraSpec:
             for s in range(cols):
                 coeffs = [M.data[t * fb + d][s * fb] for d in range(fb)]
                 out.data[t][s] = B.from_coeffs(coeffs)
-        back = self.bmat_to_rmat(out)
-        red = self.R.reduce_exp
-        back = Matrix(self.R, [[red(a, e) for a in row]
-                               for row, e in zip(back.data, g.dst.exps)],
-                      back.rows, back.cols)
-        if back != M:
+        if ModuleMap(g.src, g.dst, self.bmat_cols(out), validate=False) != g:
             raise ValueError("matrix is not B-linear")
         return out
 
@@ -216,7 +205,7 @@ def poly_cols(pows, terms, dst: FinModule) -> list[list]:
 def _check_modulus(alg: AlgebraSpec, act: ModuleMap, which: str):
     """h(act) = 0 as a module map."""
     h = [(k, alg.R.from_int(c)) for k, c in enumerate(alg.B.h)]
-    pows = power_cols(act.mat.sparse_cols(), act.dst, alg.fb + 1)
+    pows = power_cols(act.cols, act.dst, alg.fb + 1)
     if any(poly_cols(pows, h, act.dst)):
         raise ModulusViolation("%s action does not satisfy h(x) = 0" % which)
 
@@ -275,7 +264,7 @@ def free_bmodule(alg: AlgebraSpec, r: int) -> BModule:
     """B^r as a left B-module on the R-carrier R^{r f_B}."""
     carrier = FinModule.free(alg.R, r * alg.fb)
     return BModule(alg, carrier,
-                   ModuleMap(carrier, carrier, alg.x_action(r), validate=False),
+                   ModuleMap(carrier, carrier, alg.x_cols(r), validate=False),
                    check=False)
 
 
@@ -322,11 +311,11 @@ class BTensor:
         return self.proj_cols[self.TR.pos[(q, z)]]
 
     def lift(self, phi: ModuleMap) -> list[list[tuple[int, int]]]:
-        """The flat lift sect @ phi.mat of phi into TR.module, as sparse
+        """The flat lift sect @ phi of phi into TR.module, as sparse
         columns, unreduced."""
         q = self.alg.R.q                    # R = Z/p^n: entries are ints
         out = []
-        for col in phi.mat.sparse_cols():
+        for col in phi.cols:
             acc: dict[int, int] = {}
             for r, c in col:
                 for t, s in self.sect_cols[r]:
@@ -375,8 +364,9 @@ def induced_cols(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> l
 
 
 def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> ModuleMap:
-    """induced_cols as a dense map."""
-    return map_from_cols(data.module, data2.module, induced_cols(data, data2, f, g))
+    """induced_cols as a map."""
+    return ModuleMap(data.module, data2.module, induced_cols(data, data2, f, g),
+                     validate=False)
 
 
 def tensor_bimodules(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule) -> BTensor:
@@ -398,7 +388,8 @@ def tensor_bim_bmodule(alg: AlgebraSpec, X: BBBimodule, M: BModule) -> BTensor:
 
 def btensor_bmodule(data: BTensor) -> BModule:
     return BModule(data.alg, data.module,
-                   map_from_cols(data.module, data.module, data.left), check=False)
+                   ModuleMap(data.module, data.module, data.left, validate=False),
+                   check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +424,7 @@ def triple_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
     """The nest (X tensor_B Y) tensor_B Z, for f_B >= 2, as the quotient by
     the middle relations: the binary tensor of xy.module = X tensor_B Y,
     over xy's right action, with Z, over Z_left."""
-    right = map_from_cols(xy.module, xy.module, xy.right)
+    right = ModuleMap(xy.module, xy.module, xy.right, validate=False)
     return _btensor_core(alg, xy.module, right, Z_car, Z_left)
 
 
@@ -468,7 +459,7 @@ def _standard_rank(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> int 
     if not carrier.is_free() or carrier.rank % fb:
         return None
     r = carrier.rank // fb
-    return r if act.mat == alg.x_action(r) else None
+    return r if act.cols == alg.x_cols(r) else None
 
 
 def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
@@ -488,7 +479,7 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
             cols.append(list(pows[k].apply(carrier.gen(i))))
     phi = Matrix.from_cols(R, cols, m)
     # the relations of phi, reinterpreted over B
-    K = syzygies(carrier, phi)
+    K = syzygies(carrier, phi.sparse_cols())
     relB = Matrix.from_cols(B, [alg.rvec_to_bvec(K.col(j)) for j in range(K.cols)], m)
     pres = module_from_presentation(relB)
     exps = pres.module.exps

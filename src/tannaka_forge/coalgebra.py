@@ -5,16 +5,17 @@ and a counit eps : C -> B, both bimodule maps, satisfying coassociativity and
 the two counit laws.  A left comodule is a left B-module M with a coaction
 rho : M -> C (x)_B M compatible with delta and eps.
 
-delta and rho are matrices written in the coordinates of one presentation of
+delta and rho are maps written in the coordinates of one presentation of
 C (x)_B C and C (x)_B M: the BTensor their constructor built.  That tensor is
 the coalgebra's cc and the comodule's cm; coalgebra_check and comodule_check
 take it and validate against it, and never build it again.  They read its
-sparse columns, its outer actions too, on the columns of delta and rho.
-The flat lifts of delta and rho into the R-tensors are sparse columns as
-well, each computed once: the coalgebra keeps deltahat_cols, which its own
-check and every comodule check read, and a comodule keeps rhohat_cols and
-what every comodule-hom condition reads of it: its columns as a source and
-as a target (lift_terms, target_cols) and bmat_rank, its standard rank.
+sparse columns, its outer actions too, on the sparse columns every
+ModuleMap holds, delta's and rho's among them.  The flat lifts of delta
+and rho into the R-tensors are sparse columns as well, each computed once:
+the coalgebra keeps deltahat_cols, which its own check and every comodule
+check read, and a comodule keeps rhohat_cols and what every comodule-hom
+condition reads of it as a source (lift_terms) and bmat_rank, its
+standard rank.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
 this is exhaustive).  When f_B = 1, B = R and every tensor is flat, so
@@ -57,7 +58,7 @@ from .linalg import Matrix, Span
 from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       commutator_cols, submodule, solve_in, factor_through,
                       sub_canonical, sub_elements, sparse_image, descend_sparse,
-                      map_from_cols, DEFAULT_ENUM_BUDGET, EnumerationBudget)
+                      DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, FreeNest,
                       tensor_bim_bmodule, nest_tensor, descend_cols,
                       induced, act_powers, power_cols, poly_cols,
@@ -107,7 +108,7 @@ class Coalgebra:
         and the formatted coalgebra.  When f_B = 1 the lift is the identity
         on coordinates, so they are delta's."""
         if self.alg.fb == 1:
-            return self.delta.mat.sparse_cols()
+            return self.delta.cols
         return self.cc.lift(self.delta)
 
     def __eq__(self, other):
@@ -129,9 +130,10 @@ def counit_contraction(alg: AlgebraSpec, ecols: list, data: BTensor,
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     # column (c, m) of the flat map is column m of the action of eps(c),
-    # sum_k eps(c)_k act^k, read off the powers of act
-    pows = power_cols(act.mat.sparse_cols(), act.dst, alg.fb)
-    eps_act = [poly_cols(pows, terms, car_m) for terms in ecols]
+    # sum_k eps(c)_k act^k, read off the powers of act once per value of eps
+    pows = power_cols(act.cols, act.dst, alg.fb)
+    polys = {t: poly_cols(pows, t, car_m) for t in set(map(tuple, ecols))}
+    eps_act = [polys[tuple(terms)] for terms in ecols]
     cols = [None] * data.TR.module.rank
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
@@ -247,15 +249,14 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         raise ValueError("counit must map the carrier into B")
     # the columns of delta and eps, each read once for every check below;
     # when f_B = 1 delta's are deltahat's, which the coalgebra keeps
-    dcols = coalg.deltahat_cols if alg.fb == 1 else delta.mat.sparse_cols()
-    ecols = counit.mat.sparse_cols()
+    dcols, ecols = delta.cols, counit.cols
     # bimodule-map conditions
     for name, cols, act, act_dst, dst in (
             ("left", dcols, C.left, cc.left, cc.module),
             ("right", dcols, C.right, cc.right, cc.module),
-            ("left", ecols, C.left, breg.left.mat.sparse_cols(), breg.carrier),
-            ("right", ecols, C.right, breg.right.mat.sparse_cols(), breg.carrier)):
-        w = _first_difference(cols, act.mat.sparse_cols(), act_dst, cols, dst)
+            ("left", ecols, C.left, breg.left.cols, breg.carrier),
+            ("right", ecols, C.right, breg.right.cols, breg.carrier)):
+        w = _first_difference(cols, act.cols, act_dst, cols, dst)
         if w is not None:
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
     # counit laws: (eps (x) id) delta = id = (id (x) eps) delta
@@ -308,12 +309,6 @@ class Comodule:
         return _standard_rank(alg, M.carrier, M.act) if M.alg == alg else None
 
     @cached_property
-    def target_cols(self) -> list:
-        """The sparse columns of rho and then of the projection onto cm,
-        which every comodule-hom condition into this comodule reads."""
-        return self.rho.mat.sparse_cols() + self.cm.proj_cols
-
-    @cached_property
     def lift_terms(self) -> list:
         """The flat lift of rho(m_i), for each i, as ((c, m) pair, -entry)
         terms, which every comodule-hom condition out of it reads."""
@@ -337,11 +332,11 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     alg, M = C.alg, Mc.module
     if rho.src != M.carrier or rho.dst != cm.module:
         raise ValueError("rho must map the carrier into C (x)_B M")
-    cols, unit = rho.mat.sparse_cols(), [[(x, 1)] for x in range(M.carrier.rank)]
-    w = _first_difference(cols, M.act.mat.sparse_cols(), cm.left, cols, cm.module)
+    cols, unit = rho.cols, [[(x, 1)] for x in range(M.carrier.rank)]
+    w = _first_difference(cols, M.act.cols, cm.left, cols, cm.module)
     if w is not None:
         raise AxiomError("NotModuleMap", w)
-    eps_id = counit_contraction(alg, C.counit.mat.sparse_cols(), cm, M.act)
+    eps_id = counit_contraction(alg, C.counit.cols, cm, M.act)
     w = _first_difference(eps_id, cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)
@@ -367,7 +362,8 @@ def _coaction_condition(Mc: Comodule, Nc: Comodule):
     rho_M(m_i), both kept by the comodules."""
     if Nc.coalgebra != Mc.coalgebra:
         raise ValueError("comodules over different coalgebras")
-    cmN, cols, lift = Nc.cm, Nc.target_cols, Mc.lift_terms
+    cmN, lift = Nc.cm, Mc.lift_terms
+    cols = Nc.rho.cols + cmN.proj_cols
     mul, off, pos = cmN.alg.R.mul, Nc.carrier.rank, cmN.TR.pos
 
     def condition(h):
@@ -386,9 +382,8 @@ def comodule_hom(Mc: Comodule, Nc: Comodule):
     coaction = _coaction_condition(Mc, Nc)
     M, N = Mc.module, Nc.module
     H = hom_module(M.carrier, N.carrier)
-    xM, xN = M.act.mat.sparse_cols(), N.act.mat.sparse_cols()
-    syz = hom_equalizer(H.module, [H, hom_module(M.carrier, Nc.cm.module)],
-                        [[commutator_cols(h, xM, xN, N.carrier), coaction(h)]
+    syz = hom_equalizer([H, hom_module(M.carrier, Nc.cm.module)],
+                        [[commutator_cols(h, M.act.cols, N.act.cols, N.carrier), coaction(h)]
                          for h in H.basis_cols()])
     K, incl = submodule(H.module, syz)
     return K, [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
@@ -409,8 +404,7 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
         raise ValueError("comodule carrier is not a standard free B-module")
     coaction = _coaction_condition(Mc, Nc)
     conds = [[coaction(alg.flat_cols([(i, 1)], rk))] for i in range(rl * rk * alg.fb)]
-    syz = hom_equalizer(FinModule.free(alg.R, len(conds)),
-                        [hom_module(Mc.carrier, Nc.cm.module)], conds)
+    syz = hom_equalizer([hom_module(Mc.carrier, Nc.cm.module)], conds)
     return Span(alg.R, [syz.col(j) for j in range(syz.cols)], len(conds))
 
 
@@ -433,7 +427,8 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
     cols = [target.pure_sum(([(pair[kk][0], c)], cm.project_pair(pair[kk][1], j))
                             for kk, c in dh[i])
             for i, j in cm.TR.pos]
-    rho = map_from_cols(cm.module, target.module, descend_cols(cm, cols, target.module))
+    rho = ModuleMap(cm.module, target.module, descend_cols(cm, cols, target.module),
+                    validate=False)
     return comodule_check(C, target, rho)
 
 

@@ -25,7 +25,8 @@ question.  Kernels, solves and
 inverses are read off one Span of the graph of A, the rows (A e_i, e_i) of
 [A^T | I] (Howell 1986; Storjohann, ETH thesis 2000, ch. 4): its rows with
 zero A-part generate the kernel, and are the only rows `kernel` writes, and
-(b, 0) reduces to (b - A x, -x).  Both
+(b, 0) reduces to (b - A x, -x).  `kernel` takes A as its sparse columns
+and row count, which are the graph's rows as they are.  Both
 depend only on A and b, and need no Smith form with its transforms of
 side A.rows; `solve_columns` answers many right-hand sides from one
 graph, and `solve` is its one-target case.
@@ -286,12 +287,12 @@ def smith(A: Matrix) -> SmithForm:
                      [list(row.items()) for row in Ui], tuple(perm))
 
 
-def _graph(A: Matrix) -> "Span":
-    """The span of the rows (A e_i, e_i) of [A^T | I], the graph of A: its
-    elements are the (A x, x)."""
-    m = A.rows
-    return Span(A.ring, [{**dict(col), m + i: 1} for i, col in enumerate(A.sparse_cols())],
-                m + A.cols)
+def _graph(ring: RingSpec, cols, rows: int) -> "Span":
+    """The span of the rows (A e_i, e_i) of [A^T | I], the graph of the
+    map A with rows rows and the sparse columns cols, lists of (row,
+    nonzero entry) pairs: its elements are the (A x, x)."""
+    return Span(ring, [{**dict(col), rows + i: 1} for i, col in enumerate(cols)],
+                rows + len(cols))
 
 
 def is_invertible(A: Matrix) -> bool:
@@ -306,12 +307,12 @@ def inverse(A: Matrix) -> Matrix:
     raise DimensionMismatch("matrix is not invertible")
 
 
-def kernel(A: Matrix) -> Matrix:
-    """Columns generate {v : A v = 0} as an R-module: the graph's Howell rows
-    with zero A-part, those with pivot column >= A.rows.  By the Howell
-    property they span every graph element (0, v), and they depend only on
-    A."""
-    return Matrix.from_cols(A.ring, _graph(A).tail_rows(A.rows), A.cols)
+def kernel(ring: RingSpec, cols, rows: int) -> Matrix:
+    """Columns generate {v : A v = 0} as an R-module, for the map A with
+    rows rows and the sparse columns cols: the graph's Howell rows with
+    zero A-part, those with pivot column >= rows.  By the Howell property
+    they span every graph element (0, v), and they depend only on A."""
+    return Matrix.from_cols(ring, _graph(ring, cols, rows).tail_rows(rows), len(cols))
 
 
 def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
@@ -322,7 +323,7 @@ def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
         if len(b) != A.rows:
             raise DimensionMismatch("rhs length %d, expected %d" % (len(b), A.rows))
     m, neg = A.rows, A.ring.neg
-    graph = _graph(A)
+    graph = _graph(A.ring, A.sparse_cols(), m)
 
     def one(b):
         r = graph.reduce(list(b) + [0] * A.cols)

@@ -36,7 +36,7 @@ from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
                       presentation_with_torsion, hom_module, hom_equalizer,
                       commutator_cols, sparse_image, submodule, map_kernel,
                       is_isomorphism, is_surjective, descend_sparse,
-                      map_from_cols, factor_through)
+                      factor_through)
 from .algebra import AlgebraSpec
 from .tannaka import DiagObject, DiagramCategory, hom_closure
 
@@ -193,12 +193,10 @@ def mbar(X: FilteredFModule) -> MBarResult:
     tw_rels = [[(j, W.frobenius(a)) for j, a in enumerate(col) if a]
                for col in rel_cols]
     sect_tw = [[(j, W.frobenius(a)) for j, a in col] for col in pres.sect]
-    lin = map_from_cols(Mbar, X.M, descend_sparse(
-        [phis[idx][k] for idx, k in sd.place], tw_rels, sect_tw, X.M, Mbar))
-    phibar = SemilinearMap(Mbar, X.M, lin.mat)
-    slotmaps = {i: ModuleMap(X.fil[i].src, Mbar, Matrix.from_sparse(
-                    W, [pres.proj[sd.place[(idx, k)]] for k in range(mods[idx].rank)],
-                    Mbar.rank))
+    phibar = SemilinearMap(Mbar, X.M, Matrix.from_sparse(W, descend_sparse(
+        [phis[idx][k] for idx, k in sd.place], tw_rels, sect_tw, X.M, Mbar), X.M.rank))
+    slotmaps = {i: ModuleMap(X.fil[i].src, Mbar,
+                             [pres.proj[sd.place[(idx, k)]] for k in range(mods[idx].rank)])
                 for idx, i in enumerate(slots)}
     if Mbar.length() != X.M.length():
         raise RuntimeError("length of the colimit differs from len(M); "
@@ -282,12 +280,13 @@ class _RCarrier:
         self.wmod = wmod
         R, W, f = alg.R, alg.B, alg.fb
         self.rmod = FinModule(R, tuple(e for e in wmod.exps for _ in range(f)))
-        self.act = ModuleMap(self.rmod, self.rmod, alg.x_action(wmod.rank))
+        self.act = ModuleMap(self.rmod, self.rmod, alg.x_cols(wmod.rank))
         # sigma(x^g e_s) = sigma(x^g) e_s, one block per coordinate
         sig = [[(d, c) for d, c in enumerate(W.coeffs(W.frobenius(xg))) if c]
                for xg in alg.xpows]
-        self.sigma = map_from_cols(self.rmod, self.rmod, [
-            [(s * f + d, c) for d, c in col] for s in range(wmod.rank) for col in sig])
+        self.sigma = ModuleMap(self.rmod, self.rmod, [
+            [(s * f + d, c) for d, c in col] for s in range(wmod.rank) for col in sig],
+            validate=False)
 
 
 def mf_hom(X: FilteredFModule, Y: FilteredFModule):
@@ -322,10 +321,10 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     def step_cols(c: _RCarrier, M: FinModule, fil: ModuleMap, phi: SemilinearMap):
         phic = alg.bmat_cols(phi.mat)
         return [alg.bmat_cols(fil.mat),
-                [sparse_image(col, phic, M) for col in c.sigma.mat.sparse_cols()]]
+                [sparse_image(col, phic, M) for col in c.sigma.cols]]
     pre = [step_cols(cx, carX[0].rmod, filX[i], phiX[i]) for cx, _, i in fils]
     post = [step_cols(cy, MY, filY[i], phiY[i]) for _, cy, i in fils]
-    acts = [(a.act.mat.sparse_cols(), b.act.mat.sparse_cols(), b.rmod)
+    acts = [(a.act.cols, b.act.cols, b.rmod)
             for a, b in zip(carX, carY)]
 
     def conditions(s: int, h):
@@ -345,7 +344,7 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     for s, U in enumerate(unknowns):
         for k, h in enumerate(U.basis_cols()):
             conds[usum.place[(s, k)]] = conditions(s, h)
-    K, incl = submodule(usum.module, hom_equalizer(usum.module, charts, conds))
+    K, incl = submodule(usum.module, hom_equalizer(charts, conds))
     basis = []
     for k in range(K.rank):
         v = incl.apply(K.gen(k))

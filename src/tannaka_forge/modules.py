@@ -6,20 +6,22 @@ ring this classification is complete, so every isomorphism question reduces
 to equality of exponent lists.
 
 Elements are tuples of packed ring ints, coordinate i canonical mod p^{e_i}.
-Morphisms are matrices subject to the congruence val(mat[j][i]) >=
-max(0, e_j^dst - e_i^src); this is a constructor-time check, not a latent
-invariant.  Entries are canonicalized mod p^{e_j^dst} on construction.
+A morphism is held in one form, its sparse columns, each entry reduced mod
+p^{e_j^dst} and subject to the congruence val(entry (j, i)) >=
+max(0, e_j^dst - e_i^src), checked on construction, not a latent
+invariant; ModuleMap writes its dense matrix only when it is read.
 
 Every solve and submodule question goes through one spine, which augments
-a matrix A of elements of M by torsion_matrix(M) so that equations hold in
-M rather than in its free cover: syzygies(M, A) generates the relations
-among A's columns, submodule(M, A) presents their span in canonical form,
-and solve_in(M, A, targets) expresses any number of targets in that span
+a map A into M by the torsion of M so that equations hold in M rather
+than in its free cover: syzygies(M, cols) generates the relations among
+the sparse columns cols, which go to the kernel's graph as they are,
+submodule(M, A) presents their span in canonical form, and
+solve_in(M, A, targets) expresses any number of targets in that span
 from one Howell form of the graph of A | torsion_matrix(M).  A presented
 quotient comes with its projection and section as sparse columns, and
 every map out of it is descended by one sparse kernel, descend_sparse, on
 sparse columns such as those tensor_cols builds for f (x) g from the
-nonzeros of f and g; map_from_cols writes a result out as a ModuleMap.
+nonzeros of f and g; a ModuleMap takes its result as it is.
 Kernels and images of maps are submodules.
 
 A Hom module is a coordinate chart: HomData.sparse_coords writes a map
@@ -43,7 +45,7 @@ import itertools
 from dataclasses import dataclass
 
 from .rings import RingSpec
-from .linalg import Matrix, smith, kernel, howell, solve_columns
+from .linalg import Matrix, DimensionMismatch, smith, kernel, howell, solve_columns
 
 
 class RingMismatch(ValueError):
@@ -164,93 +166,114 @@ def canonical_layout(ring: RingSpec, entries) -> tuple[FinModule, dict]:
 
 
 class ModuleMap:
-    """A morphism src -> dst given by mat (dst.rank x src.rank)."""
+    """A morphism src -> dst, held in one form, its canonical sparse columns:
+    cols[i] is the image of generator i of src, its (row, entry) pairs in
+    increasing row order, each entry reduced into dst and nonzero.  It is
+    built from sparse columns (any row order, each row at most once) or from
+    a Matrix of shape dst.rank x src.rank; unless validate is False, entry
+    (j, i) must have valuation >= e_j^dst - e_i^src, and NotWellDefined names
+    the first bad entry in row order.  mat is the dense matrix, written on
+    first read and not to be changed."""
 
-    __slots__ = ("src", "dst", "mat")
+    __slots__ = ("src", "dst", "cols", "_mat")
 
-    def __init__(self, src: FinModule, dst: FinModule, mat: Matrix,
-                 validate: bool = True):
-        if src.ring != dst.ring or mat.ring != src.ring:
+    def __init__(self, src: FinModule, dst: FinModule, cols, validate: bool = True):
+        dense = isinstance(cols, Matrix)
+        if src.ring != dst.ring or (dense and cols.ring != src.ring):
             raise RingMismatch("map pieces over different rings")
-        if mat.rows != dst.rank or mat.cols != src.rank:
-            raise ValueError("matrix is %dx%d, expected %dx%d"
-                             % (mat.rows, mat.cols, dst.rank, src.rank))
-        ring = src.ring
-        n = ring.n
-        if src.is_free() and dst.is_free():
-            self.mat = mat
-        else:
-            red, val = ring.reduce_exp, ring.val
-            data = []
-            for j in range(dst.rank):
-                ej = dst.exps[j]
-                row = [red(a, ej) for a in mat.data[j]] if ej < n else list(mat.data[j])
-                if validate:
-                    for i, a in enumerate(row):
-                        need = ej - src.exps[i]
-                        if need > 0 and val(a) < need:
-                            raise NotWellDefined(
-                                "entry (%d,%d) has valuation %d < %d"
-                                % (j, i, val(a), need))
-                data.append(row)
-            mat = Matrix(ring, data, dst.rank, src.rank)
-            self.mat = mat
-        self.src = src
-        self.dst = dst
+        if dense:
+            if cols.rows != dst.rank or cols.cols != src.rank:
+                raise ValueError("matrix is %dx%d, expected %dx%d"
+                                 % (cols.rows, cols.cols, dst.rank, src.rank))
+            cols = cols.sparse_cols()
+        elif len(cols) != src.rank:
+            raise ValueError("%d columns, expected %d" % (len(cols), src.rank))
+        red, exps = src.ring.reduce_exp, dst.exps
+        self.cols = [[(j, v) for j, a in sorted(col) if (v := red(a, exps[j]))]
+                     for col in cols]
+        if validate and not src.is_free():
+            _check_valuations(self.cols, src, dst)
+        self.src, self.dst, self._mat = src, dst, None
 
     @classmethod
     def zero(cls, src: FinModule, dst: FinModule) -> "ModuleMap":
-        return cls(src, dst, Matrix.zeros(src.ring, dst.rank, src.rank), validate=False)
+        return cls(src, dst, [[] for _ in range(src.rank)], validate=False)
 
     @classmethod
     def identity(cls, M: FinModule) -> "ModuleMap":
-        return cls(M, M, Matrix.identity(M.ring, M.rank), validate=False)
+        return cls(M, M, [[(i, 1)] for i in range(M.rank)], validate=False)
+
+    @property
+    def mat(self) -> Matrix:
+        if self._mat is None:
+            self._mat = Matrix.from_sparse(self.src.ring, self.cols, self.dst.rank)
+        return self._mat
 
     def apply(self, v) -> tuple[int, ...]:
-        return self.dst.reduce(self.mat.apply(list(v)))
+        if len(v) != self.src.rank:
+            raise DimensionMismatch("vector length %d, expected %d"
+                                    % (len(v), self.src.rank))
+        out = [0] * self.dst.rank
+        for j, a in sparse_image([(k, c) for k, c in enumerate(v) if c], self.cols, self.dst):
+            out[j] = a
+        return tuple(out)
+
+    def _images(self, src: FinModule, vecs, cols) -> "ModuleMap":
+        """The map src -> dst whose columns are the images of the sparse
+        vectors vecs under the map with sparse columns cols."""
+        return ModuleMap(src, self.dst, [sparse_image(v, cols, self.dst) for v in vecs],
+                         validate=False)
 
     def __matmul__(self, other: "ModuleMap") -> "ModuleMap":
         """Composition: (g @ h)(v) = g(h(v)); requires h.dst == g.src."""
         if other.dst != self.src:
             raise ValueError("not composable: %r then %r" % (other, self))
-        return ModuleMap(other.src, self.dst, self.mat @ other.mat, validate=False)
+        return self._images(other.src, other.cols, self.cols)
+
+    def _plus(self, c: int, other: "ModuleMap", what: str) -> "ModuleMap":
+        """self + c other, column by column."""
+        if self.src != other.src or self.dst != other.dst:
+            raise ValueError("%s of maps with different endpoints" % what)
+        k = self.src.rank
+        return self._images(self.src, ([(q, 1), (k + q, c)] for q in range(k)),
+                            self.cols + other.cols)
 
     def __add__(self, other: "ModuleMap") -> "ModuleMap":
-        if self.src != other.src or self.dst != other.dst:
-            raise ValueError("sum of maps with different endpoints")
-        return ModuleMap(self.src, self.dst, self.mat + other.mat, validate=False)
+        return self._plus(1, other, "sum")
 
     def __sub__(self, other: "ModuleMap") -> "ModuleMap":
-        if self.src != other.src or self.dst != other.dst:
-            raise ValueError("difference of maps with different endpoints")
-        return ModuleMap(self.src, self.dst, self.mat - other.mat, validate=False)
+        return self._plus(self.src.ring.neg(1), other, "difference")
 
     def __neg__(self) -> "ModuleMap":
-        return ModuleMap(self.src, self.dst, -self.mat, validate=False)
+        return self.scale(self.src.ring.neg(1))
 
     def scale(self, c: int) -> "ModuleMap":
-        return ModuleMap(self.src, self.dst, self.mat.scale(c), validate=False)
+        return self._images(self.src, ([(q, c)] for q in range(self.src.rank)), self.cols)
 
     def is_zero(self) -> bool:
-        return self.mat.is_zero()
+        return not any(self.cols)
 
     def __eq__(self, other):
         return (isinstance(other, ModuleMap) and self.src == other.src
-                and self.dst == other.dst and self.mat == other.mat)
+                and self.dst == other.dst and self.cols == other.cols)
 
     def __hash__(self):
-        return hash((self.src, self.dst, self.mat))
+        return hash((self.src, self.dst, tuple(map(tuple, self.cols))))
 
     def __repr__(self):
         return "map %r -> %r: %r" % (self.src, self.dst, self.mat)
 
 
-def torsion_matrix(M: FinModule) -> Matrix:
-    """Columns p^{e_i} e_i for the non-free summands: the relations of M
-    inside its free cover R^rank."""
+def torsion_cols(M: FinModule) -> list[list[tuple[int, int]]]:
+    """The sparse columns p^{e_i} e_i for the non-free summands: the
+    relations of M inside its free cover R^rank."""
     ring = M.ring
-    return Matrix.from_sparse(ring, [[(i, ring.p_elem(e))] for i, e in enumerate(M.exps)
-                                     if e < ring.n], M.rank)
+    return [[(i, ring.p_elem(e))] for i, e in enumerate(M.exps) if e < ring.n]
+
+
+def torsion_matrix(M: FinModule) -> Matrix:
+    """torsion_cols as a dense matrix."""
+    return Matrix.from_sparse(M.ring, torsion_cols(M), M.rank)
 
 
 @dataclass
@@ -324,40 +347,43 @@ def descend_sparse(cols, rels, sect, dst: FinModule,
         if sparse_image(rel, cols, dst):
             raise ValueError("map does not descend to the quotient")
     out = [sparse_image(s, cols, dst) for s in sect]
-    val, bad = dst.ring.val, []
-    for q, col in enumerate(out):
-        for j, a in col:
-            need = dst.exps[j] - quotient.exps[q]
-            if need > 0 and val(a) < need:
-                bad.append((j, q, val(a), need))
-    if bad:
-        raise NotWellDefined("entry (%d,%d) has valuation %d < %d" % min(bad))
+    _check_valuations(out, quotient, dst)
     return out
 
 
-def map_from_cols(src: FinModule, dst: FinModule, cols) -> ModuleMap:
-    """The dense map src -> dst with the sparse columns cols, which must
-    satisfy the valuation condition: it is not checked."""
-    return ModuleMap(src, dst, Matrix.from_sparse(src.ring, cols, dst.rank),
-                     validate=False)
+def _check_valuations(cols, src: FinModule, dst: FinModule):
+    """Raise NotWellDefined, naming the first bad entry in row order, unless
+    every entry (j, i) of the map src -> dst with sparse columns cols has
+    valuation >= e_j^dst - e_i^src."""
+    val, bad = dst.ring.val, []
+    for i, col in enumerate(cols):
+        for j, a in col:
+            need = dst.exps[j] - src.exps[i]
+            if need > 0 and val(a) < need:
+                bad.append((j, i, val(a), need))
+    if bad:
+        raise NotWellDefined("entry (%d,%d) has valuation %d < %d" % min(bad))
 
 
 # ---------------------------------------------------------------------------
 # the solve/submodule spine, and kernels, images, cokernels of module maps
 # ---------------------------------------------------------------------------
 
-def syzygies(M: FinModule, A: Matrix) -> Matrix:
-    """Columns generating {x : A x = 0 in M}, for A with M.rank rows."""
-    K = kernel(A.hstack(torsion_matrix(M)))
-    return Matrix(M.ring, K.data[:A.cols], A.cols, K.cols)
+def syzygies(M: FinModule, cols) -> Matrix:
+    """Columns generating {x : A x = 0 in M}, for the map A into M with the
+    sparse columns cols, which go to the kernel's graph as they are, with
+    the torsion columns of M."""
+    K = kernel(M.ring, cols + torsion_cols(M), M.rank)
+    return Matrix(M.ring, K.data[:len(cols)], len(cols), K.cols)
 
 
 def submodule(M: FinModule, A: Matrix) -> tuple[FinModule, ModuleMap]:
     """(S, incl) with incl : S -> M the span of A's columns, in canonical
     form."""
-    pres = module_from_presentation(syzygies(M, A))
+    cols = A.sparse_cols()
+    pres = module_from_presentation(syzygies(M, cols))
     return pres.module, ModuleMap(pres.module, M,
-                                  A @ Matrix.from_sparse(M.ring, pres.sect, A.cols))
+                                  [sparse_image(s, cols, M) for s in pres.sect])
 
 
 def solve_in(M: FinModule, A: Matrix, targets) -> list[list[int] | None]:
@@ -375,22 +401,18 @@ def factor_through(incl: ModuleMap, other: ModuleMap) -> ModuleMap | None:
                     [other.apply(other.src.gen(k)) for k in range(other.src.rank)])
     if None in sols:
         return None
-    mat = Matrix.from_cols(incl.src.ring, [incl.src.reduce(x) for x in sols],
-                           incl.src.rank)
-    return ModuleMap(other.src, incl.src, mat)
+    return ModuleMap(other.src, incl.src, [list(enumerate(x)) for x in sols])
 
 
 def map_kernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     """(K, incl) with incl : K -> src the kernel in canonical form."""
-    return submodule(g.src, syzygies(g.dst, g.mat))
+    return submodule(g.src, syzygies(g.dst, g.cols))
 
 
 def map_cokernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     """(C, proj) with proj : dst -> C the cokernel in canonical form."""
     pres = presentation_with_torsion(g.dst, g.mat)
-    proj = ModuleMap(g.dst, pres.module,
-                     Matrix.from_sparse(g.dst.ring, pres.proj, pres.module.rank))
-    return pres.module, proj
+    return pres.module, ModuleMap(g.dst, pres.module, pres.proj)
 
 
 def is_injective(g: ModuleMap) -> bool:
@@ -446,11 +468,11 @@ class HomData:
 
     def from_coords(self, coords) -> ModuleMap:
         ring = self.src.ring
-        mat = Matrix.zeros(ring, self.dst.rank, self.src.rank)
+        cols = [[] for _ in range(self.src.rank)]
         for (i, j), c in zip(self.pos, coords):
             shift = self._shift(i, j)
-            mat.data[j][i] = ring.mul(c, ring.p_elem(shift)) if shift else c
-        return ModuleMap(self.src, self.dst, mat)
+            cols[i].append((j, ring.mul(c, ring.p_elem(shift)) if shift else c))
+        return ModuleMap(self.src, self.dst, cols)
 
 
 def hom_module(M: FinModule, N: FinModule) -> HomData:
@@ -470,17 +492,16 @@ def commutator_cols(h, xM, xN, dst: FinModule) -> list[list[tuple[int, int]]]:
             for q, col in enumerate(xM)]
 
 
-def hom_equalizer(unknowns: FinModule, charts: list[HomData], conds) -> Matrix:
+def hom_equalizer(charts: list[HomData], conds) -> Matrix:
     """Generators of the unknowns on which every R-linear condition
-    vanishes.  conds[u][t] holds the sparse columns of the condition map of
-    unknown generator u in the Hom module charts[t] (empty where it has
-    none); they are written straight into the coordinates of the direct sum
-    of the charts, and the kernel is read off with its torsion."""
+    vanishes, one unknown generator u per entry of conds.  conds[u][t]
+    holds the sparse columns of the condition map of u in the Hom module
+    charts[t] (empty where it has none); they are written straight into
+    the coordinates of the direct sum of the charts, and those columns are
+    the kernel's, with its torsion."""
     tsum = direct_sum([chart.module for chart in charts])
-    cols = [[(tsum.place[(t, r)], v) for t, g in enumerate(cond)
-             for r, v in charts[t].sparse_coords(g)] for cond in conds]
-    return syzygies(tsum.module,
-                    Matrix.from_sparse(unknowns.ring, cols, tsum.module.rank))
+    return syzygies(tsum.module, [[(tsum.place[(t, r)], v) for t, g in enumerate(cond)
+                                   for r, v in charts[t].sparse_coords(g)] for cond in conds])
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +535,7 @@ def tensor_cols(T: TensorData, f: ModuleMap, g: ModuleMap,
     and g : T.right -> T2.right.  Column (i, j) is built from the nonzeros
     of column i of f and column j of g only."""
     mul, pos2 = T.left.ring.mul, T2.pos
-    fcols, gcols = f.mat.sparse_cols(), g.mat.sparse_cols()
+    fcols, gcols = f.cols, g.cols
     cols = [None] * T.module.rank
     for (i, j), k in T.pos.items():
         cols[k] = [(pos2[(i2, j2)], mul(a, b))
@@ -554,7 +575,7 @@ def direct_sum(mods: list[FinModule]) -> SumData:
 def sub_canonical(M: FinModule, gens: list[tuple[int, ...]]) -> tuple:
     """Canonical form of the submodule of M generated by gens (as a row
     tuple); equal iff the submodules are equal."""
-    rows = [list(g) for g in gens] + [dict(c) for c in torsion_matrix(M).sparse_cols()]
+    rows = [list(g) for g in gens] + [dict(c) for c in torsion_cols(M)]
     hf = howell(M.ring, rows, M.rank)
     return tuple(tuple(r) for r in hf)
 

@@ -35,10 +35,8 @@ def trivial_coalgebra(alg: AlgebraSpec) -> Coalgebra:
     bi = regular_bimodule(alg)
     cc = tensor_bimodules(alg, bi, bi)
     cols = [cc.pure_sum([([(k, 1)], [(0, 1)])]) for k in range(bi.carrier.rank)]
-    delta = ModuleMap(bi.carrier, cc.module,
-                      Matrix.from_sparse(alg.R, cols, cc.module.rank))
-    counit = ModuleMap(bi.carrier, bi.carrier,
-                       Matrix.identity(alg.R, bi.carrier.rank))
+    delta = ModuleMap(bi.carrier, cc.module, cols)
+    counit = ModuleMap.identity(bi.carrier)
     return coalgebra_check(cc, delta, counit)
 
 
@@ -52,7 +50,7 @@ def grouplike_coalgebra(alg: AlgebraSpec, g: int) -> Coalgebra:
     bi = BBBimodule(alg, car, ident, ident)
     cc = tensor_bimodules(alg, bi, bi)
     cols = [cc.pure_sum([([(i, 1)], [(i, 1)])]) for i in range(g)]
-    delta = ModuleMap(car, cc.module, Matrix.from_sparse(alg.R, cols, cc.module.rank))
+    delta = ModuleMap(car, cc.module, cols)
     counit = ModuleMap(car, FinModule.free(alg.R, 1),
                        Matrix(alg.R, [[1] * g], 1, g))
     return coalgebra_check(cc, delta, counit)
@@ -69,11 +67,10 @@ def comatrix_coalgebra(alg: AlgebraSpec, r: int) -> Coalgebra:
     cc = tensor_bimodules(alg, bi, bi)
     cols = [cc.pure_sum(([(i * r + k, 1)], [(k * r + j, 1)]) for k in range(r))
             for i in range(r) for j in range(r)]
-    delta = ModuleMap(car, cc.module, Matrix.from_sparse(alg.R, cols, cc.module.rank))
-    eps = Matrix.zeros(alg.R, 1, r * r)
-    for i in range(r):
-        eps.data[0][i * r + i] = 1
-    counit = ModuleMap(car, FinModule.free(alg.R, 1), eps)
+    delta = ModuleMap(car, cc.module, cols)
+    # eps(c_ij) = 1 exactly on the diagonal, the c_ii at i * r + i
+    counit = ModuleMap(car, FinModule.free(alg.R, 1),
+                       [[] if k % (r + 1) else [(0, 1)] for k in range(r * r)])
     return coalgebra_check(cc, delta, counit)
 
 
@@ -83,8 +80,7 @@ def grouplike_line(C: Coalgebra, i: int) -> Comodule:
     line = free_bmodule(alg, 1)
     cm = tensor_bim_bmodule(alg, C.bi, line)
     col = cm.pure_sum([([(i, 1)], [(0, 1)])])
-    rho = ModuleMap(line.carrier, cm.module,
-                    Matrix.from_sparse(alg.R, [col], cm.module.rank))
+    rho = ModuleMap(line.carrier, cm.module, [col])
     return comodule_check(C, cm, rho)
 
 
@@ -95,8 +91,7 @@ def comatrix_standard_comodule(C: Coalgebra, r: int) -> Comodule:
     std = free_bmodule(alg, r)
     cm = tensor_bim_bmodule(alg, C.bi, std)
     cols = [cm.pure_sum(([(j * r + i, 1)], [(i, 1)]) for i in range(r)) for j in range(r)]
-    rho = ModuleMap(std.carrier, cm.module,
-                    Matrix.from_sparse(alg.R, cols, cm.module.rank))
+    rho = ModuleMap(std.carrier, cm.module, cols)
     return comodule_check(C, cm, rho)
 
 

@@ -76,8 +76,7 @@ from dataclasses import dataclass, field
 from .linalg import Matrix, Span, howell, is_invertible
 from .modules import (FinModule, ModuleMap, Presentation,
                       module_from_presentation, map_kernel, map_cokernel,
-                      span_elements, sparse_image,
-                      descend_sparse, map_from_cols)
+                      span_elements, sparse_image, descend_sparse)
 from .algebra import (AlgebraSpec, BBBimodule, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
                       induced, induced_cols, as_b_module, is_b_free)
@@ -490,14 +489,15 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     rels = [[(j, a) for j, a in enumerate(row) if a] for row in rel_rows]
 
     def descend_T(flat, dst: FinModule) -> ModuleMap:
-        return map_from_cols(L_car, dst, descend_sparse(flat, rels, sect, dst, L_car))
+        return ModuleMap(L_car, dst, descend_sparse(flat, rels, sect, dst, L_car),
+                         validate=False)
 
     # x acts on v (x) xi_w as (X v) (x) xi_w (left) and v (x) (X xi_w)
     # (right), X the action of x on B^{r_k}
     left, right = [], []
     for k, obj in enumerate(D.objects):
         m, o = dims[k], offsets[k]
-        X = alg.x_action(obj.rank).sparse_cols()
+        X = alg.x_cols(obj.rank)
         for v in range(m):
             for w in range(m):
                 left.append(sparse_image([(o + v2 * m + w, a) for v2, a in X[v]],
@@ -533,7 +533,7 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
     rho(v) = sum_m [v (x) e_m*] (x)_B e_m, verified object by object."""
     D = CR.diagram
     alg = D.alg
-    R, fb = alg.R, alg.fb
+    fb = alg.fb
     L, classes = CR.coalgebra, CR.classmap.sparse_cols()
     out = []
     for k, obj in enumerate(D.objects):
@@ -542,9 +542,7 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
         cm = tensor_bim_bmodule(alg, L.bi, fiber)
         cols = [cm.pure_sum((classes[o + v * m + mg * fb], [(mg * fb, 1)])
                             for mg in range(obj.rank)) for v in range(m)]
-        rho = ModuleMap(fiber.carrier, cm.module,
-                        Matrix.from_sparse(R, cols, cm.module.rank))
-        out.append(comodule_check(L, cm, rho))
+        out.append(comodule_check(L, cm, ModuleMap(fiber.carrier, cm.module, cols)))
     return out
 
 
@@ -552,8 +550,8 @@ def morphisms_are_comodule_maps(CR: CoendResult, lifted: list[Comodule]) -> bool
     """Every spanning morphism commutes with the lifted coactions."""
     D = CR.diagram
     for k, l, row in D.family():
-        Fr = map_from_cols(lifted[k].carrier, lifted[l].carrier,
-                           D.alg.flat_cols(row.items(), D.objects[k].rank))
+        Fr = ModuleMap(lifted[k].carrier, lifted[l].carrier,
+                       D.alg.flat_cols(row.items(), D.objects[k].rank), validate=False)
         lhs = lifted[l].rho @ Fr
         rhs = induced(lifted[k].cm, lifted[l].cm,
                       ModuleMap.identity(CR.coalgebra.carrier), Fr) @ lifted[k].rho
@@ -650,7 +648,7 @@ def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
     cols = []
     for i, sc in enumerate(std_comods):
         m = CR.block_dims[i]
-        rho = sc.rho.mat.sparse_cols()
+        rho = sc.rho.cols
         nus = []
         for w in range(m):
             contraction = counit_contraction(alg, alg.dual_functional(m // fb, w),
@@ -659,18 +657,16 @@ def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
         cols += [nus[w][v] for v in range(m) for w in range(m)]
     rels = [[(j, a) for j, a in enumerate(row) if a] for row in CR.rel_rows]
     nu_cols = descend_sparse(cols, rels, CR.sect, C.carrier, L.carrier)
-    nu = map_from_cols(L.carrier, C.carrier, nu_cols)
+    nu = ModuleMap(L.carrier, C.carrier, nu_cols, validate=False)
     # coalgebra-morphism checks, each a comparison of two composites on
     # the generators of L
     unit = [[(x, 1)] for x in range(L.carrier.rank)]
-    bimod_ok = all(_first_difference(nu_cols, act_L.mat.sparse_cols(),
-                                     act_C.mat.sparse_cols(), nu_cols, C.carrier) is None
+    bimod_ok = all(_first_difference(nu_cols, act_L.cols, act_C.cols, nu_cols,
+                                     C.carrier) is None
                    for act_L, act_C in ((L.bi.left, C.bi.left), (L.bi.right, C.bi.right)))
-    eps_ok = _first_difference(C.counit.mat.sparse_cols(), nu_cols,
-                               L.counit.mat.sparse_cols(), unit, B_car) is None
-    delta_ok = _first_difference(C.delta.mat.sparse_cols(), nu_cols,
-                                 induced_cols(L.cc, C.cc, nu, nu),
-                                 L.delta.mat.sparse_cols(), C.cc.module) is None
+    eps_ok = _first_difference(C.counit.cols, nu_cols, L.counit.cols, unit, B_car) is None
+    delta_ok = _first_difference(C.delta.cols, nu_cols, induced_cols(L.cc, C.cc, nu, nu),
+                                 L.delta.cols, C.cc.module) is None
     ker, _ = map_kernel(nu)
     cok, _ = map_cokernel(nu)
     injective, surjective = ker.is_zero(), cok.is_zero()

@@ -26,7 +26,7 @@ import re
 
 from .rings import RingSpec, ring_make
 from .linalg import Matrix
-from .modules import FinModule, ModuleMap, map_from_cols
+from .modules import FinModule, ModuleMap
 from .algebra import (AlgebraSpec, BModule, BBBimodule, tensor_bimodules,
                       tensor_bim_bmodule)
 from .coalgebra import Coalgebra, Comodule, coalgebra_check, comodule_check
@@ -287,8 +287,7 @@ def parse_reconstruct_input(text: str):
     if dl.rows != cc.TR.module.rank:
         raise ParseError("delta lift has %d rows, tensor square has rank %d"
                          % (dl.rows, cc.TR.module.rank), ln0)
-    delta = ModuleMap(carrier, cc.module, map_from_cols(
-        carrier, cc.module, cc.project(dl.sparse_cols())).mat)
+    delta = ModuleMap(carrier, cc.module, cc.project(dl.sparse_cols()))
     counit = ModuleMap(carrier, FinModule.free(alg.R, alg.fb),
                        parse_matrix(get(co, "counit")[0], alg.R, ln0))
     C = coalgebra_check(cc, delta, counit)
@@ -305,8 +304,7 @@ def parse_reconstruct_input(text: str):
         if rl.rows != cm.TR.module.rank:
             raise ParseError("rho lift has %d rows, tensor has rank %d"
                              % (rl.rows, cm.TR.module.rank), ln)
-        rho = ModuleMap(mcar, cm.module, map_from_cols(
-            mcar, cm.module, cm.project(rl.sparse_cols())).mat)
+        rho = ModuleMap(mcar, cm.module, cm.project(rl.sparse_cols()))
         family.append(comodule_check(C, cm, rho))
     if not family:
         raise ParseError("no comodule blocks")

@@ -19,7 +19,7 @@ from tannaka_forge.coalgebra import comodule_check, comodule_hom
 from tannaka_forge.tannaka import (DiagObject, DiagramCategory, hom_closure,
                                    coend)
 
-from dense_tensor import deltahat, descend, pure, rhohat
+from dense_tensor import bmat_to_rmat, deltahat, descend, pure, rhohat
 from descent_reference import act_by
 
 
@@ -55,7 +55,7 @@ def relation_columns(D: DiagramCategory, morphisms=None):
     for (k, l, F) in items:
         mk, ml = dims[k], dims[l]
         rk = D.objects[k].rank
-        Fr = alg.bmat_to_rmat(F)
+        Fr = bmat_to_rmat(alg, F)
         for v in range(mk):
             for w in range(ml):
                 col = [0] * N
@@ -82,7 +82,7 @@ def block_x_action(alg, dims, offsets, N, side: str) -> Matrix:
     """x acting on T on the chosen side: through the fiber for 'left',
     through the dual for 'right'; both act by the regular matrix of x."""
     R = alg.R
-    xmat = alg.x_action(1)
+    xmat = Matrix.from_sparse(R, alg.x_cols(1), alg.fb)
     out = Matrix.zeros(R, N, N)
     for k, m in enumerate(dims):
         rk = m // alg.fb

@@ -16,15 +16,20 @@ element of the quotient out; ``pure`` is one v (x) w.  ``map_tensor``,
 the references and tests that multiply them.  ``dense_lift`` writes the
 flat lift of a map into a tensor over B out as a dense matrix, and
 ``deltahat`` and ``rhohat`` apply it to a coalgebra's delta and a
-comodule's rho."""
+comodule's rho.  ``bmat_to_rmat`` writes ``AlgebraSpec.bmat_cols`` out as
+a dense R-matrix.
+
+``DenseModuleMap`` is ``ModuleMap`` as it was when it held a dense matrix:
+reduced row by row into dst and validated on it.  It is the reference
+tests/test_module_map.py checks the sparse-column map against."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from tannaka_forge.linalg import Matrix
-from tannaka_forge.modules import (ModuleMap, descend_sparse, map_from_cols,
-                                   tensor_cols)
+from tannaka_forge.modules import (ModuleMap, NotWellDefined, RingMismatch,
+                                   descend_sparse, tensor_cols)
 from tannaka_forge.algebra import descend_cols
 
 
@@ -39,9 +44,9 @@ class DenseTensor:
 
 def dense(data) -> DenseTensor:
     R, flat, mod = data.alg.R, data.TR.module, data.module
-    proj = map_from_cols(flat, mod, data.proj_cols)
+    proj = ModuleMap(flat, mod, data.proj_cols, validate=False)
     rels = Matrix.from_sparse(R, data.rels, flat.rank)
-    left, right = (None if cols is None else map_from_cols(mod, mod, cols)
+    left, right = (None if cols is None else ModuleMap(mod, mod, cols, validate=False)
                    for cols in (data.left, data.right))
     return DenseTensor(proj, Matrix.from_sparse(R, data.sect_cols, flat.rank), rels,
                        left, right)
@@ -85,21 +90,21 @@ def pure(data, v, w) -> tuple[int, ...]:
 
 def map_tensor(T, f, g, T2) -> ModuleMap:
     """f tensor g : T -> T2 as a module map."""
-    return map_from_cols(T.module, T2.module, tensor_cols(T, f, g, T2))
+    return ModuleMap(T.module, T2.module, tensor_cols(T, f, g, T2), validate=False)
 
 
 def descend_map(flat: ModuleMap, rels, quotient, sect: Matrix) -> ModuleMap:
     """descend_sparse for a dense flat map, dense relation vectors rels and
     a dense section sect."""
     rels = [[(k, a) for k, a in enumerate(rel) if a] for rel in rels]
-    return map_from_cols(quotient, flat.dst, descend_sparse(
-        flat.mat.sparse_cols(), rels, sect.sparse_cols(), flat.dst, quotient))
+    return ModuleMap(quotient, flat.dst, descend_sparse(
+        flat.mat.sparse_cols(), rels, sect.sparse_cols(), flat.dst, quotient), validate=False)
 
 
 def descend(data, flat: ModuleMap) -> ModuleMap:
     """descend_cols for a dense flat map."""
-    return map_from_cols(data.module, flat.dst,
-                         descend_cols(data, flat.mat.sparse_cols(), flat.dst))
+    return ModuleMap(data.module, flat.dst,
+                     descend_cols(data, flat.mat.sparse_cols(), flat.dst), validate=False)
 
 
 def dense_lift(data, phi: ModuleMap) -> Matrix:
@@ -122,3 +127,57 @@ def deltahat(C) -> Matrix:
 def rhohat(Mc) -> Matrix:
     """The dense flat lift of a comodule's rho into Mc.cm.TR."""
     return dense_lift(Mc.cm, Mc.rho)
+
+
+def bmat_to_rmat(alg, M: Matrix) -> Matrix:
+    """The B-matrix M as a dense R-matrix: alg.bmat_cols written out."""
+    return Matrix.from_sparse(alg.R, alg.bmat_cols(M), M.rows * alg.fb)
+
+
+class DenseModuleMap:
+    """A morphism src -> dst given by mat (dst.rank x src.rank), entries
+    reduced mod p^{e_j^dst}, with the valuation condition checked row by
+    row unless validate is False."""
+
+    def __init__(self, src, dst, mat: Matrix, validate: bool = True):
+        if src.ring != dst.ring or mat.ring != src.ring:
+            raise RingMismatch("map pieces over different rings")
+        if mat.rows != dst.rank or mat.cols != src.rank:
+            raise ValueError("matrix is %dx%d, expected %dx%d"
+                             % (mat.rows, mat.cols, dst.rank, src.rank))
+        ring = src.ring
+        n = ring.n
+        if not (src.is_free() and dst.is_free()):
+            red, val = ring.reduce_exp, ring.val
+            data = []
+            for j in range(dst.rank):
+                ej = dst.exps[j]
+                row = [red(a, ej) for a in mat.data[j]] if ej < n else list(mat.data[j])
+                if validate:
+                    for i, a in enumerate(row):
+                        need = ej - src.exps[i]
+                        if need > 0 and val(a) < need:
+                            raise NotWellDefined(
+                                "entry (%d,%d) has valuation %d < %d"
+                                % (j, i, val(a), need))
+                data.append(row)
+            mat = Matrix(ring, data, dst.rank, src.rank)
+        self.src, self.dst, self.mat = src, dst, mat
+
+    def apply(self, v) -> tuple[int, ...]:
+        return self.dst.reduce(self.mat.apply(list(v)))
+
+    def __matmul__(self, other: "DenseModuleMap") -> "DenseModuleMap":
+        if other.dst != self.src:
+            raise ValueError("not composable")
+        return DenseModuleMap(other.src, self.dst, self.mat @ other.mat, validate=False)
+
+    def is_zero(self) -> bool:
+        return self.mat.is_zero()
+
+    def __eq__(self, other):
+        return (isinstance(other, DenseModuleMap) and self.src == other.src
+                and self.dst == other.dst and self.mat == other.mat)
+
+    def __hash__(self):
+        return hash((self.src, self.dst, self.mat))

@@ -37,7 +37,7 @@ from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.mf import MFError, _RCarrier, _extend_window
 from tannaka_forge.tannaka import _flatten_bmat
 
-from dense_tensor import dense, map_tensor, rhohat
+from dense_tensor import bmat_to_rmat, dense, map_tensor, rhohat
 
 
 def hom_basis(H):
@@ -182,7 +182,7 @@ def ref_mf_hom(X, Y):
     tsum = direct_sum([t.module for t in targets])
     def w2r_map(dst, src, wmat):
         """The R-matrix of a W-matrix src.wmod -> dst.wmod."""
-        return ModuleMap(src.rmod, dst.rmod, alg.bmat_to_rmat(wmat))
+        return ModuleMap(src.rmod, dst.rmod, bmat_to_rmat(alg, wmat))
 
     iotaX = {i: w2r_map(carMX, carFX[i], filX[i].mat) for i in range(lo, hi + 1)}
     iotaY = {i: w2r_map(carMY, carFY[i], filY[i].mat) for i in range(lo, hi + 1)}

@@ -12,5 +12,5 @@ def kernel(A: Matrix) -> Matrix:
     with zero A-part.  By the Howell property they span every graph element
     (0, v), and they depend only on A."""
     m = A.rows
-    gens = [r[m:] for r in _graph(A).rows if not any(r[:m])]
+    gens = [r[m:] for r in _graph(A.ring, A.sparse_cols(), m).rows if not any(r[:m])]
     return Matrix.from_cols(A.ring, gens, A.cols)

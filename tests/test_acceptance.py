@@ -156,7 +156,7 @@ def test_criterion_07_smith_correctness():
                            for _ in range(r)], r, c)
             brute = {v for v in itertools.product(range(R.size), repeat=c)
                      if not any(A.apply(list(v)))}
-            K = kernel(A)
+            K = kernel(R, A.sparse_cols(), A.rows)
             spanned = {tuple(K.apply(list(cf))) for cf in
                        itertools.product(range(R.size), repeat=K.cols)} \
                 if K.cols else {(0,) * c}

@@ -21,7 +21,7 @@ from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  comatrix_standard_comodule, comatrix_diagram,
                                  trivial_full_hom_diagram, mf_family_diagram,
                                  random_diagram)
-from tannaka_forge.tannaka import coend, lift_coaction
+from tannaka_forge.tannaka import coend, lift_coaction, unit_fully_faithful_check
 
 from coassoc_reference import (FlatTripleTensor, as_triple,
                                dense_coassoc_witness, dense_tensor_free,
@@ -205,7 +205,7 @@ def _b_grouplike(alg, g):
 def _torsion_bmodule(alg):
     """B/p, a B-module that is not free when n >= 2."""
     car = FinModule(alg.R, (1,) * alg.fb)
-    return BModule(alg, car, ModuleMap(car, car, alg.x_action(1)))
+    return BModule(alg, car, ModuleMap(car, car, alg.x_cols(1)))
 
 
 def _suite_coalgebras():
@@ -422,12 +422,15 @@ def _largest_matrix(monkeypatch):
 
 def test_tensor_square_allocates_no_square_matrix(monkeypatch):
     # comatrix r=4 over F2: C (x)_B C has rank 256, and its outer actions
-    # are sparse columns, so no 256 x 256 matrix is built
+    # are sparse columns, so no 256 x 256 matrix is built, nor any other:
+    # the actions of C are read as the sparse columns their maps hold
     C = comatrix_coalgebra(AlgebraSpec.make(2, 1, 1), 4)
     largest = _largest_matrix(monkeypatch)
     cc = tensor_bimodules(C.alg, C.bi, C.bi)
     assert cc.module.rank == 256
-    assert 0 < largest[0] < cc.module.rank ** 2, largest[0]
+    assert 0 == largest[0] < cc.module.rank ** 2, largest[0]
+    # the counter is live: reading a map's dense matrix writes one
+    assert C.bi.left.mat.rows == 16 and largest[0] == 16 * 16
 
 
 def test_comodule_hom_allocates_nothing_above_its_condition_matrix(monkeypatch):
@@ -442,7 +445,24 @@ def test_comodule_hom_allocates_nothing_above_its_condition_matrix(monkeypatch):
     largest = _largest_matrix(monkeypatch)
     K, basis = coalgebra.comodule_hom(Mc, Mc)
     assert K.rank == len(basis) > 0
-    assert 0 < largest[0] <= (16 + 4 * 64) * 16, largest[0]
+    # the condition columns go to the kernel's graph as they are, so no
+    # matrix at all is built
+    assert 0 == largest[0] <= (16 + 4 * 64) * 16, largest[0]
+    # the counter is live: reading a map's dense matrix writes one
+    assert basis[0].mat.rows == 4 and largest[0] == 4 * 4
+
+
+def test_rank8_identity_coend_and_unit_check_allocate_no_large_matrix(monkeypatch):
+    # the identity of F2^8 (the CI input): L has rank 64 and C (x)_B C
+    # rank 4,096.  delta, the lifted coactions and the unit check's
+    # condition columns stay sparse, so the largest matrix is the 64 x 64
+    # class map, where a dense delta and condition matrix had 262,144 cells
+    D = comatrix_diagram(AlgebraSpec.make(2, 1, 1), 8)
+    largest = _largest_matrix(monkeypatch)
+    CR = coend(D, check=True)
+    assert CR.coalgebra.carrier.rank == 64 and CR.coalgebra.cc.module.rank == 4096
+    assert unit_fully_faithful_check(CR, lift_coaction(CR)) == {(0, 0): ("equal",)}
+    assert largest[0] <= 64 * 64, largest[0]
 
 
 def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):

@@ -37,7 +37,7 @@ hom A A = [[[1,0,0],[0,1,0],[0,0,1]]]
 def _torsion_bmodule(alg):
     """B/p, a B-module that is not free when n >= 2."""
     car = FinModule(alg.R, (1,) * alg.fb)
-    return BModule(alg, car, ModuleMap(car, car, alg.x_action(1)))
+    return BModule(alg, car, ModuleMap(car, car, alg.x_cols(1)))
 
 
 def _outcome(fn):

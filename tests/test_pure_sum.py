@@ -23,7 +23,7 @@ def _torsion(alg, free: int):
     """B^free (+) B/p as a left module and as a bimodule, x acting on each
     summand as on B: not free when n >= 2."""
     car = FinModule(alg.R, (alg.R.n,) * (free * alg.fb) + (1,) * alg.fb)
-    act = ModuleMap(car, car, alg.x_action(free + 1))
+    act = ModuleMap(car, car, alg.x_cols(free + 1))
     return BModule(alg, car, act), BBBimodule(alg, car, act, act)
 
 

@@ -68,7 +68,8 @@ def test_hom_span_refuses_a_nonstandard_carrier():
     swap = Matrix.from_rows(alg.R, [[0, 1], [1, 0]])
     std = cofree(C, free_bmodule(alg, 1))
     assert std.bmat_rank == 1 and comodule_hom_span(std, std).size() == 16
-    for car, act in ((free, swap @ alg.x_action(1) @ swap), (torsion, alg.x_action(1))):
+    X = Matrix.from_sparse(alg.R, alg.x_cols(1), alg.fb)
+    for car, act in ((free, swap @ X @ swap), (torsion, X)):
         bad = cofree(C, BModule(alg, car, ModuleMap(car, car, act)))
         assert bad.bmat_rank is None
         for Mc, Nc in ((std, bad), (bad, std)):
