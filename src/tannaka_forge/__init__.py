@@ -4,7 +4,7 @@ algebra, coend computation for concrete diagram categories, and the filtered
 F-module pipeline, with a CLI that emits structured reports."""
 
 from .rings import RingSpec, ring_make, NonUnitError
-from .linalg import (Matrix, SmithForm, smith, kernel, solve, inverse,
+from .linalg import (Matrix, SmithForm, smith, kernel, solve,
                      is_invertible, howell)
 from .modules import (FinModule, ModuleMap, module_from_presentation,
                       hom_module, tensor_with_data, map_kernel, map_cokernel,
@@ -23,7 +23,7 @@ from .mf import (FilteredFModule, mf_make, mbar, is_mf_fl, mf_hom,
 
 __all__ = [
     "RingSpec", "ring_make", "NonUnitError",
-    "Matrix", "SmithForm", "smith", "kernel", "solve", "inverse",
+    "Matrix", "SmithForm", "smith", "kernel", "solve",
     "is_invertible", "howell",
     "FinModule", "ModuleMap", "module_from_presentation", "hom_module",
     "tensor_with_data", "map_kernel", "map_cokernel", "direct_sum",

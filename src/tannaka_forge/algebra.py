@@ -47,11 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingSpec, ring_make
-from .linalg import Matrix, inverse
+from .linalg import Matrix
 from .modules import (FinModule, ModuleMap, TensorData, tensor_with_data,
-                      syzygies, module_from_presentation,
-                      presentation_with_torsion, RingMismatch, tensor_cols,
-                      sparse_image, descend_sparse, canonical_layout)
+                      syzygies, presentation_with_torsion, factor_through,
+                      RingMismatch, tensor_cols, sparse_image, descend_sparse,
+                      canonical_layout)
 
 
 class NonCommutingActions(ValueError):
@@ -345,7 +345,7 @@ def _btensor_core(alg: AlgebraSpec, left_car: FinModule, x_right: ModuleMap,
     minus = alg.R.neg(1)
     rels = [sparse_image([(k, 1), (N + k, minus)], sides, TR.module)
             for k in range(N)]
-    pres = presentation_with_torsion(TR.module, Matrix.from_sparse(alg.R, rels, N))
+    pres = presentation_with_torsion(TR.module, rels)
     return BTensor(alg, TR, pres.module, pres.proj, pres.sect, rels)
 
 
@@ -409,7 +409,7 @@ class FreeNest:
         self.module, self.at = canonical_layout(alg.R, (
             (e, (j, q)) for j in range(len(form.exps)) for q, e in enumerate(X.exps)))
         self.pows = power_cols(xy.right, X, alg.fb)     # pows[g][q] = right^g(x_q)
-        self.beta = form.theta_inv.sparse_cols()
+        self.beta = form.theta_inv.cols
 
     def project_pair(self, q: int, k: int) -> list[tuple[int, int]]:
         fb, at, pows = self.fb, self.at, self.pows
@@ -444,10 +444,13 @@ def nest_tensor(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
 
 @dataclass
 class BForm:
-    """A carrier-with-action re-expressed as a canonical B-module."""
+    """A carrier-with-action re-expressed as a canonical B-module; when it
+    is free of rank r, theta : R^{r f_B} -> carrier is the R-isomorphism
+    sending x^g e_j to x^g times the j-th B-generator, and theta_inv is its
+    inverse, both ModuleMaps."""
     exps: tuple[int, ...]           # over B; all equal n iff free
-    theta: Matrix | None            # iso R^{r f_B} -> carrier when free
-    theta_inv: Matrix | None
+    theta: ModuleMap | None
+    theta_inv: ModuleMap | None
 
     def is_free(self) -> bool:
         return bool(self.theta is not None)
@@ -465,35 +468,35 @@ def _standard_rank(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> int 
 def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
     """Canonical B-module form of (carrier, x-action), via the chain-ring
     normal form over B itself."""
-    R, B, fb = alg.R, alg.B, alg.fb
+    B, fb = alg.B, alg.fb
     std = _standard_rank(alg, carrier, act)
     if std is not None:
-        ident = Matrix.identity(R, carrier.rank)
+        ident = ModuleMap.identity(carrier)
         return BForm((B.n,) * std, ident, ident)
     m = carrier.rank
     # Phi : B^m -> carrier, R-basis x^k e_i |-> act^k(gen_i)
-    cols = []
     pows = act_powers(act, fb)
-    for i in range(m):
-        for k in range(fb):
-            cols.append(list(pows[k].apply(carrier.gen(i))))
-    phi = Matrix.from_cols(R, cols, m)
+    phi = [pows[k].cols[i] for i in range(m) for k in range(fb)]
     # the relations of phi, reinterpreted over B
-    K = syzygies(carrier, phi.sparse_cols())
-    relB = Matrix.from_cols(B, [alg.rvec_to_bvec(K.col(j)) for j in range(K.cols)], m)
-    pres = module_from_presentation(relB)
+    relB = []
+    for col in syzygies(carrier, phi):
+        coeffs: dict[int, list[int]] = {}
+        for i, a in col:
+            coeffs.setdefault(i // fb, [0] * fb)[i % fb] = a
+        relB.append([(s, B.from_coeffs(c)) for s, c in sorted(coeffs.items())])
+    pres = presentation_with_torsion(FinModule.free(B, m), relB)
     exps = pres.module.exps
     theta = theta_inv = None
     if all(e == B.n for e in exps):
-        sect = Matrix.from_sparse(B, pres.sect, m)
         tcols = []
-        for j in range(len(exps)):
-            # the j-th B-generator inside the carrier, and its x-powers
-            gen = carrier.reduce(phi.apply(list(alg.bvec_to_rvec(sect.col(j)))))
-            for g in range(fb):
-                tcols.append(list(pows[g].apply(gen)))
-        theta = Matrix.from_cols(R, tcols, carrier.rank)
-        theta_inv = inverse(theta)  # raises if the B-basis gives no iso
+        for col in pres.sect:
+            # each B-generator inside the carrier, and its x-powers
+            gen = sparse_image([(s * fb + d, c) for s, b in col
+                                for d, c in enumerate(B.coeffs(b)) if c], phi, carrier)
+            tcols += [sparse_image(gen, pw.cols, carrier) for pw in pows]
+        theta = ModuleMap(FinModule.free(alg.R, len(tcols)), carrier, tcols, validate=False)
+        # an isomorphism of free modules of one rank factors the identity
+        theta_inv = factor_through(theta, ModuleMap.identity(carrier))
     return BForm(exps, theta, theta_inv)
 
 

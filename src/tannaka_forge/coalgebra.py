@@ -54,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .linalg import Matrix, Span
+from .linalg import Span
 from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       commutator_cols, submodule, solve_in, factor_through,
                       sub_canonical, sub_elements, sparse_image, descend_sparse,
@@ -405,7 +405,7 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
     coaction = _coaction_condition(Mc, Nc)
     conds = [[coaction(alg.flat_cols([(i, 1)], rk))] for i in range(rl * rk * alg.fb)]
     syz = hom_equalizer([hom_module(Mc.carrier, Nc.cm.module)], conds)
-    return Span(alg.R, [syz.col(j) for j in range(syz.cols)], len(conds))
+    return Span(alg.R, [dict(col) for col in syz], len(conds))
 
 
 def is_cauchy(Mc: Comodule) -> bool:
@@ -479,8 +479,7 @@ def enumerate_subcomodules(Mc: Comodule, budget: int = DEFAULT_ENUM_BUDGET):
         sparse = [[(i, x) for i, x in enumerate(s) if x] for s in gens]
         image_gens = [Mc.cm.pure_sum([([(a, 1)], s)])
                       for a in range(C_car.rank) for s in sparse]
-        A = Matrix.from_sparse(alg.R, image_gens, Mc.cm.module.rank)
-        if None not in solve_in(Mc.cm.module, A, [Mc.rho.apply(s) for s in gens]):
+        if None not in solve_in(Mc.cm.module, image_gens, [Mc.rho.apply(s) for s in gens]):
             out.append((size, [tuple(g) for g in gens], elems))
     return out
 
@@ -491,8 +490,8 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
     axioms (possible only for non-flat coalgebras)."""
     alg = Mc.coalgebra.alg
     car, acts = Mc.carrier, act_powers(Mc.module.act, alg.fb)
-    full = [a.apply(g) for g in gens for a in acts]
-    S, incl = submodule(car, Matrix.from_cols(alg.R, full, car.rank))
+    S, incl = submodule(car, [sparse_image([(i, c) for i, c in enumerate(g) if c], a.cols, car)
+                              for g in gens for a in acts])
     # S as a B-module: x-action transported through incl
     act = factor_through(incl, Mc.module.act @ incl)
     if act is None:

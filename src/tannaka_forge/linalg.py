@@ -21,15 +21,16 @@ keeps its pivot rows sparse, and writes the dense Howell rows only when
 `rows` is read.  `Span.reduce` takes a vector to its canonical normal form
 modulo the span in one pass over the pivot rows; the form is zero exactly
 on the span, which is how `Span.contains` answers every membership
-question.  Kernels, solves and
-inverses are read off one Span of the graph of A, the rows (A e_i, e_i) of
+question.  Kernels and solves
+are read off one Span of the graph of A, the rows (A e_i, e_i) of
 [A^T | I] (Howell 1986; Storjohann, ETH thesis 2000, ch. 4): its rows with
-zero A-part generate the kernel, and are the only rows `kernel` writes, and
-(b, 0) reduces to (b - A x, -x).  `kernel` takes A as its sparse columns
-and row count, which are the graph's rows as they are.  Both
-depend only on A and b, and need no Smith form with its transforms of
-side A.rows; `solve_columns` answers many right-hand sides from one
-graph, and `solve` is its one-target case.
+zero A-part generate the kernel, and (b, 0) reduces to (b - A x, -x).
+`kernel` and `solve_columns` take A as its sparse columns and row count,
+which are the graph's rows as they are, and `kernel` returns the sparse
+rows with zero A-part, the only ones it reduces.  Both depend only on A
+and b, and need no Smith form with its transforms of side A.rows;
+`solve_columns` answers many right-hand sides from one graph, and
+`solve` is its one-target case on a Matrix.
 
 Over R = Z/p^n (ring.native_q is q) elements are ints mod q, and the
 matrix product and Span.reduce sum plain int products and reduce mod q once
@@ -299,42 +300,37 @@ def is_invertible(A: Matrix) -> bool:
     return A.rows == A.cols and Span(A.ring, A.data, A.cols).is_full()
 
 
-def inverse(A: Matrix) -> Matrix:
-    if A.rows == A.cols:
-        sols = solve_columns(A, Matrix.identity(A.ring, A.rows).data)
-        if None not in sols:
-            return Matrix.from_cols(A.ring, sols, A.rows)
-    raise DimensionMismatch("matrix is not invertible")
+def kernel(ring: RingSpec, cols, rows: int) -> list[list[tuple[int, int]]]:
+    """Sparse columns generating {v : A v = 0} as an R-module, for the map
+    A with rows rows and the sparse columns cols: the graph's Howell rows
+    with zero A-part, those with pivot column >= rows, in pivot order.  By
+    the Howell property they span every graph element (0, v), and they
+    depend only on A."""
+    return [[(k - rows, e) for k, e in sorted(row.items())]
+            for row in _graph(ring, cols, rows).tail_rows(rows, sparse=True)]
 
 
-def kernel(ring: RingSpec, cols, rows: int) -> Matrix:
-    """Columns generate {v : A v = 0} as an R-module, for the map A with
-    rows rows and the sparse columns cols: the graph's Howell rows with
-    zero A-part, those with pivot column >= rows.  By the Howell property
-    they span every graph element (0, v), and they depend only on A."""
-    return Matrix.from_cols(ring, _graph(ring, cols, rows).tail_rows(rows), len(cols))
-
-
-def solve_columns(A: Matrix, targets) -> list[list[int] | None]:
+def solve_columns(ring: RingSpec, cols, rows: int, targets) -> list[list[int] | None]:
     """For each target b, the canonical x with A x = b (None if there is
-    none), all read off one Howell form of the graph of A: (b, 0) reduces
-    to (b - A x, -x), with zero A-part exactly when b = A x is solvable."""
+    none), for the map A with rows rows and the sparse columns cols, as
+    `kernel` takes it, all read off one Howell form of the graph of A:
+    (b, 0) reduces to (b - A x, -x), with zero A-part exactly when b = A x
+    is solvable."""
     for b in targets:
-        if len(b) != A.rows:
-            raise DimensionMismatch("rhs length %d, expected %d" % (len(b), A.rows))
-    m, neg = A.rows, A.ring.neg
-    graph = _graph(A.ring, A.sparse_cols(), m)
+        if len(b) != rows:
+            raise DimensionMismatch("rhs length %d, expected %d" % (len(b), rows))
+    graph = _graph(ring, cols, rows)
 
     def one(b):
-        r = graph.reduce(list(b) + [0] * A.cols)
-        return None if any(r[:m]) else [neg(e) for e in r[m:]]
+        r = graph.reduce(list(b) + [0] * len(cols))
+        return None if any(r[:rows]) else [ring.neg(e) for e in r[rows:]]
 
     return [one(b) for b in targets]
 
 
 def solve(A: Matrix, b: list[int]) -> list[int] | None:
     """Some x with A x = b, or None if no solution exists."""
-    return solve_columns(A, [b])[0]
+    return solve_columns(A.ring, A.sparse_cols(), A.rows, [b])[0]
 
 
 # ---------------------------------------------------------------------------

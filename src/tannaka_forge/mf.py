@@ -3,9 +3,9 @@
 An object is a W-module M of finite length with a decreasing filtration
 Fil^lo = M >= Fil^{lo+1} >= ... >= Fil^hi >= Fil^{hi+1} = 0 (the finite
 window encodes exhaustive and separated) and sigma-semilinear maps
-phi^i : Fil^i -> M, stored as matrices with phi^i(v) = Phi^i . sigma(v)
-(sigma applied coordinatewise), subject to phi^i restricted to Fil^{i+1}
-being p . phi^{i+1}.
+phi^i : Fil^i -> M, stored as SemilinearMaps, phi^i(v) = Phi^i(sigma(v))
+with Phi^i a W-linear ModuleMap (sigma applied coordinatewise), subject
+to phi^i restricted to Fil^{i+1} being p . phi^{i+1}.
 
 The colimit module Mbar is the quotient of the slot sum by the relations
 incl(x) at slot i-1  =  p.x at slot i; slots below the window are redundant
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .rings import RingSpec, ring_make
-from .linalg import Matrix
 from .modules import (FinModule, ModuleMap, NotWellDefined, direct_sum,
                       presentation_with_torsion, hom_module, hom_equalizer,
                       commutator_cols, sparse_image, submodule, map_kernel,
@@ -56,36 +55,32 @@ class MFError(ValueError):
                                      " " + detail if detail else ""))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemilinearMap:
-    """v |-> mat . sigma(v) between modules over W (sigma is the identity
-    when f = 1), so self . g = (mat . sigma(g)) sigma for a linear g."""
-    src: FinModule
-    dst: FinModule
-    mat: Matrix
+    """v |-> linear(sigma(v)) between modules over W, for the W-linear map
+    linear, a ModuleMap, so with its congruence constraints (sigma fixes
+    p-powers); sigma, coordinatewise, is the identity when f = 1, and
+    self . g = (linear . sigma(g)) sigma for a linear g."""
+    linear: ModuleMap
 
-    def __post_init__(self):
-        # same congruence constraints as a linear map (sigma fixes p-powers)
-        self.mat = ModuleMap(self.src, self.dst, self.mat).mat
+    @property
+    def src(self) -> FinModule:
+        return self.linear.src
 
     def apply(self, v):
         W = self.src.ring
-        tw = [W.frobenius(a) for a in v] if W.f > 1 else list(v)
-        return self.dst.reduce(self.mat.apply(tw))
+        return self.linear.apply([W.frobenius(a) for a in v] if W.f > 1 else v)
 
     def after_linear(self, g: ModuleMap) -> "SemilinearMap":
         """self . g  (apply g first)."""
-        W, gm = self.src.ring, g.mat
+        W = self.src.ring
         if W.f > 1:     # sigma(g), entry by entry
-            gm = Matrix(W, [[W.frobenius(a) for a in row] for row in gm.data],
-                        gm.rows, gm.cols)
-        return SemilinearMap(g.src, self.dst, self.mat @ gm)
+            g = ModuleMap(g.src, g.dst, [[(j, W.frobenius(a)) for j, a in col]
+                                         for col in g.cols], validate=False)
+        return SemilinearMap(self.linear @ g)
 
     def scale(self, c: int) -> "SemilinearMap":
-        return SemilinearMap(self.src, self.dst, self.mat.scale(c))
-
-    def linear_part(self) -> ModuleMap:
-        return ModuleMap(self.src, self.dst, self.mat)
+        return SemilinearMap(self.linear.scale(c))
 
 
 class FilteredFModule:
@@ -106,9 +101,11 @@ class FilteredFModule:
 
 
 def mf_make(W: RingSpec, M: FinModule, lo: int, hi: int,
-            fil: dict[int, ModuleMap], phi: dict[int, Matrix],
+            fil: dict[int, ModuleMap], phi: dict,
             require_span: bool = True) -> FilteredFModule:
-    """Validate and construct; MFError names the first violated clause."""
+    """Validate and construct; MFError names the first violated clause.
+    phi[i] is the matrix Phi^i, as a Matrix or as sparse columns, either
+    of which a ModuleMap takes."""
     if M.ring != W:
         raise MFError("NotAnnihilated", detail="module is not over W")
     if lo > hi:
@@ -134,7 +131,7 @@ def mf_make(W: RingSpec, M: FinModule, lo: int, hi: int,
     semi = {}
     for i in range(lo, hi + 1):
         try:
-            semi[i] = SemilinearMap(fil[i].src, M, phi[i])
+            semi[i] = SemilinearMap(ModuleMap(fil[i].src, M, phi[i]))
         except NotWellDefined as exc:
             raise MFError("PhiIncompatible", (i,),
                           "phi^%d is not a morphism: %s" % (i, exc)) from exc
@@ -145,20 +142,15 @@ def mf_make(W: RingSpec, M: FinModule, lo: int, hi: int,
             w = next((k for k in range(lhs.src.rank)
                       if lhs.apply(lhs.src.gen(k)) != rhs.apply(rhs.src.gen(k))), 0)
             raise MFError("PhiIncompatible", (i, w))
-    span_ok = _span_check(W, M, semi)
+    span_ok = _span_check(M, semi)
     if require_span and not span_ok:
         raise MFError("SpanFails")
     return FilteredFModule(W, M, lo, hi, dict(fil), semi, eps, span_ok)
 
 
-def _span_check(W, M, semi) -> bool:
-    cols = None
-    for i, s in sorted(semi.items()):
-        cols = s.mat if cols is None else cols.hstack(s.mat)
-    if cols is None:
-        cols = Matrix.zeros(W, M.rank, 0)
-    pres = presentation_with_torsion(M, cols)
-    return pres.module.is_zero()
+def _span_check(M, semi) -> bool:
+    cols = [col for _, s in sorted(semi.items()) for col in s.linear.cols]
+    return presentation_with_torsion(M, cols).module.is_zero()
 
 
 @dataclass
@@ -174,27 +166,21 @@ def mbar(X: FilteredFModule) -> MBarResult:
     slots = list(range(X.lo, X.hi + 1))
     mods = [X.fil[i].src for i in slots]
     sd = direct_sum(mods)
-    rel_cols = []
-    for idx, i in enumerate(slots):
-        if i == X.lo:
-            continue
-        for k in range(X.fil[i].src.rank):
-            g = X.fil[i].src.gen(k)
-            a = sd.inject(idx - 1, X.eps[i].apply(g))
-            b = sd.inject(idx, g)
-            col = [W.sub(x, W.mul(W.p_elem(1), y)) for x, y in zip(a, b)]
-            rel_cols.append(col)
-    pres = presentation_with_torsion(sd.module,
-                                     Matrix.from_cols(W, rel_cols, sd.module.rank))
+    # eps(g) at slot i - 1, less p g at slot i, for each generator g of Fil^i
+    minus_p, rels = W.neg(W.p_elem(1)), []
+    for idx, i in enumerate(slots[1:], 1):
+        for k, col in enumerate(X.eps[i].cols):
+            rel = [(sd.place[(idx - 1, j)], a) for j, a in col] + [(sd.place[(idx, k)], minus_p)]
+            rels.append([(j, a) for j, a in rel if a])
+    pres = presentation_with_torsion(sd.module, rels)
     Mbar = pres.module
     # the blockwise semilinear map descends: its linear part kills the
     # twisted relations, which present Mbar with the twisted section
-    phis = [X.phi[i].mat.sparse_cols() for i in slots]
-    tw_rels = [[(j, W.frobenius(a)) for j, a in enumerate(col) if a]
-               for col in rel_cols]
-    sect_tw = [[(j, W.frobenius(a)) for j, a in col] for col in pres.sect]
-    phibar = SemilinearMap(Mbar, X.M, Matrix.from_sparse(W, descend_sparse(
-        [phis[idx][k] for idx, k in sd.place], tw_rels, sect_tw, X.M, Mbar), X.M.rank))
+    tw_rels, sect_tw = ([[(j, W.frobenius(a)) for j, a in col] for col in cols]
+                        for cols in (rels, pres.sect))
+    phibar = SemilinearMap(ModuleMap(Mbar, X.M, descend_sparse(
+        [X.phi[slots[idx]].linear.cols[k] for idx, k in sd.place],
+        tw_rels, sect_tw, X.M, Mbar), validate=False))
     slotmaps = {i: ModuleMap(X.fil[i].src, Mbar,
                              [pres.proj[sd.place[(idx, k)]] for k in range(mods[idx].rank)])
                 for idx, i in enumerate(slots)}
@@ -208,7 +194,7 @@ def is_mf_fl(X: FilteredFModule) -> bool:
     """Fontaine-Laffaille admissible: the induced map Mbar -> M_sigma is an
     isomorphism (equivalently surjective, by the length equality)."""
     mb = mbar(X)
-    return is_isomorphism(mb.phibar.linear_part())
+    return is_isomorphism(mb.phibar.linear)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +207,7 @@ def tate_object(W: RingSpec, k: int) -> FilteredFModule:
     M = FinModule.free(W, 1)
     ident = ModuleMap.identity(M)
     fil = {i: ident for i in range(0, k + 1)}
-    phi = {i: Matrix.from_rows(W, [[W.p_elem(k - i) if k - i < W.n else 0]])
-           for i in range(0, k + 1)}
+    phi = {i: [[(0, W.p_elem(k - i))] if k - i < W.n else []] for i in range(0, k + 1)}
     return mf_make(W, M, 0, k, fil, phi)
 
 
@@ -235,17 +220,17 @@ def mf_direct_sum(X: FilteredFModule, Y: FilteredFModule) -> FilteredFModule:
     Ye = _extend_window(Y, lo, hi)
     sd = direct_sum([X.M, Y.M])
 
-    def blocks(fs, mats) -> Matrix:
-        # the blockwise map from the sum fs of sources into X.M (+) Y.M
-        return Matrix.from_cols(W, [sd.inject(t, mats[t].col(k)) for t, k in fs.place],
-                                sd.module.rank)
+    def blocks(fs, maps) -> list:
+        # the sparse columns of the blockwise map from the sum fs of sources
+        # into X.M (+) Y.M
+        return [[(sd.place[(t, j)], a) for j, a in maps[t].cols[k]] for t, k in fs.place]
 
     fil, phi = {}, {}
     for i in range(lo, hi + 1):
         fs = direct_sum([Xe[0][i].src, Ye[0][i].src])
-        fil[i] = ModuleMap(fs.module, sd.module, blocks(fs, [Xe[0][i].mat, Ye[0][i].mat]),
+        fil[i] = ModuleMap(fs.module, sd.module, blocks(fs, [Xe[0][i], Ye[0][i]]),
                            validate=False)
-        phi[i] = blocks(fs, [Xe[1][i].mat, Ye[1][i].mat])
+        phi[i] = blocks(fs, [Xe[1][i].linear, Ye[1][i].linear])
     return mf_make(W, sd.module, lo, hi, fil, phi,
                    require_span=X.span_ok and Y.span_ok)
 
@@ -263,7 +248,7 @@ def _extend_window(X: FilteredFModule, lo: int, hi: int):
     zero = FinModule.zero(W)
     for i in range(X.hi + 1, hi + 1):
         fil[i] = ModuleMap.zero(zero, X.M)
-        phi[i] = SemilinearMap(zero, X.M, Matrix.zeros(W, X.M.rank, 0))
+        phi[i] = SemilinearMap(ModuleMap.zero(zero, X.M))
     return fil, phi
 
 
@@ -319,7 +304,7 @@ def mf_hom(X: FilteredFModule, Y: FilteredFModule):
     neg = alg.R.neg
 
     def step_cols(c: _RCarrier, M: FinModule, fil: ModuleMap, phi: SemilinearMap):
-        phic = alg.bmat_cols(phi.mat)
+        phic = alg.bmat_cols(phi.linear.mat)
         return [alg.bmat_cols(fil.mat),
                 [sparse_image(col, phic, M) for col in c.sigma.cols]]
     pre = [step_cols(cx, carX[0].rmod, filX[i], phiX[i]) for cx, _, i in fils]

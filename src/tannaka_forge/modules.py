@@ -11,13 +11,16 @@ p^{e_j^dst} and subject to the congruence val(entry (j, i)) >=
 max(0, e_j^dst - e_i^src), checked on construction, not a latent
 invariant; ModuleMap writes its dense matrix only when it is read.
 
-Every solve and submodule question goes through one spine, which augments
-a map A into M by the torsion of M so that equations hold in M rather
-than in its free cover: syzygies(M, cols) generates the relations among
-the sparse columns cols, which go to the kernel's graph as they are,
-submodule(M, A) presents their span in canonical form, and
-solve_in(M, A, targets) expresses any number of targets in that span
-from one Howell form of the graph of A | torsion_matrix(M).  A presented
+Every solve and submodule question goes through one spine, on sparse
+columns from end to end, which appends the torsion columns of M to the
+columns cols of a map into M so that equations hold in M rather than in
+its free cover: syzygies(M, cols) generates the relations among cols as
+sparse columns, read off the kernel's graph, submodule(M, cols) presents
+their span in canonical form, and solve_in(M, cols, targets) expresses
+any number of targets in that span from one Howell form of that graph.
+presentation_with_torsion(M, cols) is the one place a relation matrix is
+written dense, once, as the Matrix module_from_presentation takes to its
+Smith form.  A presented
 quotient comes with its projection and section as sparse columns, and
 every map out of it is descended by one sparse kernel, descend_sparse, on
 sparse columns such as those tensor_cols builds for f (x) g from the
@@ -271,11 +274,6 @@ def torsion_cols(M: FinModule) -> list[list[tuple[int, int]]]:
     return [[(i, ring.p_elem(e))] for i, e in enumerate(M.exps) if e < ring.n]
 
 
-def torsion_matrix(M: FinModule) -> Matrix:
-    """torsion_cols as a dense matrix."""
-    return Matrix.from_sparse(M.ring, torsion_cols(M), M.rank)
-
-
 @dataclass
 class Presentation:
     """coker(P) in canonical form.  proj maps raw coordinates R^rows onto
@@ -309,9 +307,12 @@ def module_from_presentation(P: Matrix) -> Presentation:
     return Presentation(M, proj, [sf.U[i] for i in at])
 
 
-def presentation_with_torsion(M: FinModule, rel_cols: Matrix) -> Presentation:
-    """Canonical form of M / (span of rel_cols), rel_cols in M-coordinates."""
-    return module_from_presentation(rel_cols.hstack(torsion_matrix(M)))
+def presentation_with_torsion(M: FinModule, cols) -> Presentation:
+    """Canonical form of M / (span of cols), for sparse columns cols in
+    M-coordinates: they and the torsion columns of M are written into the
+    one dense relation matrix that module_from_presentation reads."""
+    return module_from_presentation(Matrix.from_sparse(M.ring, cols + torsion_cols(M),
+                                                       M.rank))
 
 
 def sparse_image(vec, cols, dst: FinModule) -> list[tuple[int, int]]:
@@ -369,35 +370,37 @@ def _check_valuations(cols, src: FinModule, dst: FinModule):
 # the solve/submodule spine, and kernels, images, cokernels of module maps
 # ---------------------------------------------------------------------------
 
-def syzygies(M: FinModule, cols) -> Matrix:
-    """Columns generating {x : A x = 0 in M}, for the map A into M with the
-    sparse columns cols, which go to the kernel's graph as they are, with
-    the torsion columns of M."""
-    K = kernel(M.ring, cols + torsion_cols(M), M.rank)
-    return Matrix(M.ring, K.data[:len(cols)], len(cols), K.cols)
+def syzygies(M: FinModule, cols) -> list[list[tuple[int, int]]]:
+    """Sparse columns generating {x : A x = 0 in M}, for the map A into M
+    with the sparse columns cols, which go to the kernel's graph as they
+    are, with the torsion columns of M: the kernel's columns, cut to the
+    coordinates of cols."""
+    n = len(cols)
+    return [[(i, a) for i, a in col if i < n]
+            for col in kernel(M.ring, cols + torsion_cols(M), M.rank)]
 
 
-def submodule(M: FinModule, A: Matrix) -> tuple[FinModule, ModuleMap]:
-    """(S, incl) with incl : S -> M the span of A's columns, in canonical
-    form."""
-    cols = A.sparse_cols()
-    pres = module_from_presentation(syzygies(M, cols))
+def submodule(M: FinModule, cols) -> tuple[FinModule, ModuleMap]:
+    """(S, incl) with incl : S -> M the span of the sparse columns cols,
+    in canonical form."""
+    pres = presentation_with_torsion(FinModule.free(M.ring, len(cols)), syzygies(M, cols))
     return pres.module, ModuleMap(pres.module, M,
                                   [sparse_image(s, cols, M) for s in pres.sect])
 
 
-def solve_in(M: FinModule, A: Matrix, targets) -> list[list[int] | None]:
+def solve_in(M: FinModule, cols, targets) -> list[list[int] | None]:
     """For each target in M, coefficients x with A x = target in M (None
-    when the target lies outside the span of A's columns), all from one
-    Howell form of the graph of A | torsion_matrix(M)."""
-    sols = solve_columns(A.hstack(torsion_matrix(M)), targets)
-    return [None if x is None else x[:A.cols] for x in sols]
+    when the target lies outside the span of the sparse columns cols of
+    A), all from one Howell form of the graph of cols and the torsion
+    columns of M."""
+    sols = solve_columns(M.ring, cols + torsion_cols(M), M.rank, targets)
+    return [None if x is None else x[:len(cols)] for x in sols]
 
 
 def factor_through(incl: ModuleMap, other: ModuleMap) -> ModuleMap | None:
     """g with incl . g = other (unique when incl is injective), from one
     solve_in; None when other does not land in the image of incl."""
-    sols = solve_in(incl.dst, incl.mat,
+    sols = solve_in(incl.dst, incl.cols,
                     [other.apply(other.src.gen(k)) for k in range(other.src.rank)])
     if None in sols:
         return None
@@ -411,7 +414,7 @@ def map_kernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
 
 def map_cokernel(g: ModuleMap) -> tuple[FinModule, ModuleMap]:
     """(C, proj) with proj : dst -> C the cokernel in canonical form."""
-    pres = presentation_with_torsion(g.dst, g.mat)
+    pres = presentation_with_torsion(g.dst, g.cols)
     return pres.module, ModuleMap(g.dst, pres.module, pres.proj)
 
 
@@ -492,13 +495,14 @@ def commutator_cols(h, xM, xN, dst: FinModule) -> list[list[tuple[int, int]]]:
             for q, col in enumerate(xM)]
 
 
-def hom_equalizer(charts: list[HomData], conds) -> Matrix:
+def hom_equalizer(charts: list[HomData], conds) -> list[list[tuple[int, int]]]:
     """Generators of the unknowns on which every R-linear condition
     vanishes, one unknown generator u per entry of conds.  conds[u][t]
     holds the sparse columns of the condition map of u in the Hom module
     charts[t] (empty where it has none); they are written straight into
     the coordinates of the direct sum of the charts, and those columns are
-    the kernel's, with its torsion."""
+    the kernel's, with its torsion; the solutions are returned as sparse
+    columns, as syzygies returns them."""
     tsum = direct_sum([chart.module for chart in charts])
     return syzygies(tsum.module, [[(tsum.place[(t, r)], v) for t, g in enumerate(cond)
                                    for r, v in charts[t].sparse_coords(g)] for cond in conds])
@@ -553,13 +557,6 @@ class SumData:
     coordinate of generator i of summand t."""
     module: FinModule
     place: dict[tuple[int, int], int]
-
-    def inject(self, t: int, v) -> tuple[int, ...]:
-        """The element v of summand t, as an element of the sum."""
-        out = [0] * self.module.rank
-        for i, a in enumerate(v):
-            out[self.place[(t, i)]] = a
-        return tuple(out)
 
 
 def direct_sum(mods: list[FinModule]) -> SumData:

@@ -75,8 +75,9 @@ from dataclasses import dataclass, field
 
 from .linalg import Matrix, Span, howell, is_invertible
 from .modules import (FinModule, ModuleMap, Presentation,
-                      module_from_presentation, map_kernel, map_cokernel,
-                      span_elements, sparse_image, descend_sparse)
+                      module_from_presentation, presentation_with_torsion,
+                      map_kernel, map_cokernel, span_elements, sparse_image,
+                      descend_sparse)
 from .algebra import (AlgebraSpec, BBBimodule, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
                       induced, induced_cols, as_b_module, is_b_free)
@@ -361,11 +362,18 @@ def hom_closure(D: DiagramCategory) -> DiagramCategory:
 class CoendResult:
     diagram: DiagramCategory
     coalgebra: Coalgebra
-    classmap: Matrix                 # carrier coords of each T-basis vector
+    classes: list                    # carrier coords of each T-basis vector, sparse columns
     offsets: list[int]               # block offset of object k inside T
     block_dims: list[int]            # m_k = r_k * f_B
     sect: list                       # lifts carrier generators to T, sparse columns
     rel_rows: list[list[int]]        # Howell rows of the relations in T
+
+    @functools.cached_property
+    def classmap(self) -> Matrix:
+        """The class columns as a dense matrix, written on first read and
+        not to be changed."""
+        return Matrix.from_sparse(self.coalgebra.alg.R, self.classes,
+                                  self.coalgebra.carrier.rank)
 
 
 def _relation_columns(D: DiagramCategory, morphisms=None, blocks=()):
@@ -477,16 +485,15 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
         rows = graph.tail_rows(fb, sparse=True)
         kernel += [{js[i - fb]: a for i, a in row.items()} for row in reversed(rows)]
     rel_rows = howell(R, itertools.chain(kernel, cols), N, fb if N else 0)
-    pres = module_from_presentation(Matrix.from_cols(R, rel_rows, N))
+    rels = [[(j, a) for j, a in enumerate(row) if a] for row in rel_rows]
+    pres = presentation_with_torsion(FinModule.free(R, N), rels)
     L_car = pres.module
     if L_car.rank > MAX_L_RANK:
         raise CoendTooLarge("L has rank %d, above MAX_L_RANK = %d"
                             % (L_car.rank, MAX_L_RANK))
-    # the class map, the relations and the section as sparse columns, read
-    # once; each map out of T is written as sparse columns over T
+    # the class map, the relations and the section as sparse columns; each
+    # map out of T is written as sparse columns over T
     classes, sect = pres.proj, pres.sect
-    classmap = Matrix.from_sparse(R, classes, L_car.rank)
-    rels = [[(j, a) for j, a in enumerate(row) if a] for row in rel_rows]
 
     def descend_T(flat, dst: FinModule) -> ModuleMap:
         return ModuleMap(L_car, dst, descend_sparse(flat, rels, sect, dst, L_car),
@@ -521,7 +528,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
 
     coalg = coalgebra_check(cc, delta, counit) if check else \
         Coalgebra(cc, delta, counit)
-    return CoendResult(D, coalg, classmap, offsets, dims, sect, rel_rows)
+    return CoendResult(D, coalg, classes, offsets, dims, sect, rel_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +541,7 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
     D = CR.diagram
     alg = D.alg
     fb = alg.fb
-    L, classes = CR.coalgebra, CR.classmap.sparse_cols()
+    L, classes = CR.coalgebra, CR.classes
     out = []
     for k, obj in enumerate(D.objects):
         m, o = CR.block_dims[k], CR.offsets[k]
@@ -618,11 +625,9 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
                              "B-module not free)")
         r = len(form.exps)
         std = free_bmodule(alg, r)
-        th = ModuleMap(std.carrier, Mc.carrier, form.theta)
-        thinv = ModuleMap(Mc.carrier, std.carrier, form.theta_inv)
         cm_std = tensor_bim_bmodule(alg, C.bi, std)
-        rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), thinv) \
-            @ Mc.rho @ th
+        rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), form.theta_inv) \
+            @ Mc.rho @ form.theta
         std_comods.append(comodule_check(C, cm_std, rho_std))
     # the hom sets are the comodule-hom spans; hom_closure adds the identities
     D = hom_closure(DiagramCategory.from_spans(

@@ -137,7 +137,7 @@ def dense_tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
             nxt.append([(i, v) for i, v in acc.items() if v])
         pows.append(nxt)
     proj = Matrix.zeros(R, module.rank, TR.module.rank)
-    beta = form.theta_inv.sparse_cols()
+    beta = form.theta_inv.cols
     for (q, k), c in TR.pos.items():
         for jg, b in beta[k]:
             j, g = divmod(jg, fb)
@@ -145,7 +145,7 @@ def dense_tensor_free(alg: AlgebraSpec, xy: BTensor, Z_car: FinModule,
                 row = proj.data[at[(j, q2)]]
                 row[c] = add(row[c], mul(b, a))
     sect = Matrix.zeros(R, TR.module.rank, module.rank)
-    zcols = form.theta.sparse_cols()
+    zcols = form.theta.cols
     for (j, q), r in at.items():
         for k, b in zcols[j * fb]:
             sect.data[TR.pos[(q, k)]][r] = b
@@ -200,7 +200,8 @@ def flat_triple_tensor(alg: AlgebraSpec, X_car: FinModule, X_right: ModuleMap,
         v2 = embed(TR, embed(T12, X_car.gen(i), Y_car.gen(j)), zl)
         for idx in range(TR.module.rank):
             t23.data[idx][k] = alg.R.sub(v1[idx], v2[idx])
-    pres = densify(alg.R, presentation_with_torsion(TR.module, rel12.mat.hstack(t23)))
+    pres = densify(alg.R, presentation_with_torsion(TR.module,
+                                                        rel12.mat.hstack(t23).sparse_cols()))
     return FlatTripleTensor(alg, T12, TR, pres.module,
                             ModuleMap(TR.module, pres.module, pres.proj))
 

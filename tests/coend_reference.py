@@ -131,8 +131,7 @@ def nu_flat(C, family):
         form = as_b_module(alg, Mc.carrier, Mc.module.act)
         r = len(form.exps)
         std = free_bmodule(alg, r)
-        th = ModuleMap(std.carrier, Mc.carrier, form.theta)
-        thinv = ModuleMap(Mc.carrier, std.carrier, form.theta_inv)
+        th, thinv = form.theta, form.theta_inv
         cm_std = tensor_bim_bmodule(alg, C.bi, std)
         rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), thinv) \
             @ Mc.rho @ th

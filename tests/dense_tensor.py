@@ -21,15 +21,23 @@ a dense R-matrix.
 
 ``DenseModuleMap`` is ``ModuleMap`` as it was when it held a dense matrix:
 reduced row by row into dst and validated on it.  It is the reference
-tests/test_module_map.py checks the sparse-column map against."""
+tests/test_module_map.py checks the sparse-column map against.
+
+``torsion_matrix`` writes ``modules.torsion_cols`` out as a dense matrix,
+for the references that augment a dense map by the torsion of its target,
+and ``inverse`` is the dense inverse of a square matrix, read off the
+graph solves of ``linalg.solve_columns`` with the identity's columns as
+targets.  ``dense_kernel`` writes the sparse columns of ``linalg.kernel``
+out as a dense matrix, and ``inject`` places an element of one summand of
+a ``modules.SumData`` in the direct sum."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from tannaka_forge.linalg import Matrix
+from tannaka_forge.linalg import DimensionMismatch, Matrix, kernel, solve_columns
 from tannaka_forge.modules import (ModuleMap, NotWellDefined, RingMismatch,
-                                   descend_sparse, tensor_cols)
+                                   descend_sparse, tensor_cols, torsion_cols)
 from tannaka_forge.algebra import descend_cols
 
 
@@ -181,3 +189,33 @@ class DenseModuleMap:
 
     def __hash__(self):
         return hash((self.src, self.dst, self.mat))
+
+
+def torsion_matrix(M) -> Matrix:
+    """torsion_cols as a dense matrix."""
+    return Matrix.from_sparse(M.ring, torsion_cols(M), M.rank)
+
+
+def inverse(A: Matrix) -> Matrix:
+    """The inverse of A; DimensionMismatch when A is not invertible."""
+    if A.rows == A.cols:
+        sols = solve_columns(A.ring, A.sparse_cols(), A.rows,
+                             Matrix.identity(A.ring, A.rows).data)
+        if None not in sols:
+            return Matrix.from_cols(A.ring, sols, A.rows)
+    raise DimensionMismatch("matrix is not invertible")
+
+
+def dense_kernel(A: Matrix) -> Matrix:
+    """linalg.kernel of A, its sparse columns written out as a dense matrix
+    with A.cols rows."""
+    return Matrix.from_sparse(A.ring, kernel(A.ring, A.sparse_cols(), A.rows), A.cols)
+
+
+def inject(sd, t: int, v) -> tuple[int, ...]:
+    """The element v of summand t of the direct sum sd, as an element of
+    the sum."""
+    out = [0] * sd.module.rank
+    for i, a in enumerate(v):
+        out[sd.place[(t, i)]] = a
+    return tuple(out)

@@ -183,9 +183,9 @@ def subcomodule_as_comodule(Mc, gens):
     for _ in range(alg.fb - 1):
         acts.append(Mc.module.act @ acts[-1])
     full = [a.apply(g) for g in gens for a in acts]
-    S, incl = submodule(car, Matrix.from_cols(alg.R, full, car.rank))
+    S, incl = submodule(car, Matrix.from_cols(alg.R, full, car.rank).sparse_cols())
     s_elems = [incl.apply(S.gen(k)) for k in range(S.rank)]
-    sols = solve_in(car, incl.mat, [Mc.module.act.apply(v) for v in s_elems])
+    sols = solve_in(car, incl.cols, [Mc.module.act.apply(v) for v in s_elems])
     if None in sols:
         return None
     act = ModuleMap(S, S, Matrix.from_cols(alg.R, [S.reduce(x) for x in sols], S.rank))
@@ -193,7 +193,7 @@ def subcomodule_as_comodule(Mc, gens):
     flat = map_tensor(cs.TR, ModuleMap.identity(Mc.coalgebra.carrier), incl, Mc.cm.TR)
     idincl = ModuleMap(cs.module, Mc.cm.module,
                        dense(Mc.cm).proj.mat @ flat.mat @ dense(cs).sect, validate=False)
-    sols = solve_in(Mc.cm.module, idincl.mat, [Mc.rho.apply(v) for v in s_elems])
+    sols = solve_in(Mc.cm.module, idincl.cols, [Mc.rho.apply(v) for v in s_elems])
     if None in sols:
         return None
     rho = ModuleMap(S, cs.module, Matrix.from_cols(

@@ -37,7 +37,7 @@ from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.mf import MFError, _RCarrier, _extend_window
 from tannaka_forge.tannaka import _flatten_bmat
 
-from dense_tensor import bmat_to_rmat, dense, map_tensor, rhohat
+from dense_tensor import bmat_to_rmat, dense, inject, map_tensor, rhohat
 
 
 def hom_basis(H):
@@ -115,8 +115,8 @@ def ref_comodule_hom(Mc, Nc):
         term = ModuleMap(M.carrier, Nc.cm.module,
                          dense(Nc.cm).proj.mat @ flat.mat @ rhohat_M, validate=False)
         d2 = (Nc.rho @ h) - term
-        v1 = sum_data.inject(0, hom_coords(H2, d1))
-        v2 = sum_data.inject(1, hom_coords(HC, d2))
+        v1 = inject(sum_data, 0, hom_coords(H2, d1))
+        v2 = inject(sum_data, 1, hom_coords(HC, d2))
         cond_cols.append(sum_data.module.add(v1, v2))
     if H.module.rank:
         mat = Matrix(alg.R, [list(r) for r in zip(*cond_cols)],
@@ -186,9 +186,9 @@ def ref_mf_hom(X, Y):
 
     iotaX = {i: w2r_map(carMX, carFX[i], filX[i].mat) for i in range(lo, hi + 1)}
     iotaY = {i: w2r_map(carMY, carFY[i], filY[i].mat) for i in range(lo, hi + 1)}
-    phiXr = {i: w2r_map(carMX, carFX[i], phiX[i].mat) @ carFX[i].sigma
+    phiXr = {i: w2r_map(carMX, carFX[i], phiX[i].linear.mat) @ carFX[i].sigma
              for i in range(lo, hi + 1)}
-    phiYr = {i: w2r_map(carMY, carFY[i], phiY[i].mat) @ carFY[i].sigma
+    phiYr = {i: w2r_map(carMY, carFY[i], phiY[i].linear.mat) @ carFY[i].sigma
              for i in range(lo, hi + 1)}
 
     def conditions(slot, h):
@@ -196,24 +196,24 @@ def ref_mf_hom(X, Y):
         nfil = hi - lo + 1
         if slot == 0:
             d = (h @ carMX.act) - (carMY.act @ h)
-            out = tsum.module.add(out, tsum.inject(0, hom_coords(targets[0], d)))
+            out = tsum.module.add(out, inject(tsum, 0, hom_coords(targets[0], d)))
             for idx, i in enumerate(range(lo, hi + 1)):
                 c = -(h @ iotaX[i])
-                out = tsum.module.add(out, tsum.inject(
+                out = tsum.module.add(out, inject(tsum,
                     1 + nfil + 2 * idx, hom_coords(targets[1 + nfil + 2 * idx], c)))
                 dphi = -(h @ phiXr[i])
-                out = tsum.module.add(out, tsum.inject(
+                out = tsum.module.add(out, inject(tsum,
                     2 + nfil + 2 * idx, hom_coords(targets[2 + nfil + 2 * idx], dphi)))
         else:
             i = lo + slot - 1
             idx = slot - 1
             d = (h @ carFX[i].act) - (carFY[i].act @ h)
-            out = tsum.module.add(out, tsum.inject(slot, hom_coords(targets[slot], d)))
+            out = tsum.module.add(out, inject(tsum, slot, hom_coords(targets[slot], d)))
             c = iotaY[i] @ h
-            out = tsum.module.add(out, tsum.inject(
+            out = tsum.module.add(out, inject(tsum,
                 1 + nfil + 2 * idx, hom_coords(targets[1 + nfil + 2 * idx], c)))
             dphi = phiYr[i] @ h
-            out = tsum.module.add(out, tsum.inject(
+            out = tsum.module.add(out, inject(tsum,
                 2 + nfil + 2 * idx, hom_coords(targets[2 + nfil + 2 * idx], dphi)))
         return out
 

@@ -454,15 +454,17 @@ def test_comodule_hom_allocates_nothing_above_its_condition_matrix(monkeypatch):
 
 def test_rank8_identity_coend_and_unit_check_allocate_no_large_matrix(monkeypatch):
     # the identity of F2^8 (the CI input): L has rank 64 and C (x)_B C
-    # rank 4,096.  delta, the lifted coactions and the unit check's
-    # condition columns stay sparse, so the largest matrix is the 64 x 64
-    # class map, where a dense delta and condition matrix had 262,144 cells
+    # rank 4,096.  delta, the lifted coactions, which read the class
+    # columns, and the unit check's condition columns stay sparse, so the
+    # largest matrix is the 8 x 8 identity that AlgebraSpec.x_cols scales
+    # into the x-action of B^8, where a dense delta and condition matrix
+    # had 262,144 cells and the dense class map 4,096
     D = comatrix_diagram(AlgebraSpec.make(2, 1, 1), 8)
     largest = _largest_matrix(monkeypatch)
     CR = coend(D, check=True)
     assert CR.coalgebra.carrier.rank == 64 and CR.coalgebra.cc.module.rank == 4096
     assert unit_fully_faithful_check(CR, lift_coaction(CR)) == {(0, 0): ("equal",)}
-    assert largest[0] <= 64 * 64, largest[0]
+    assert largest[0] <= 8 * 8, largest[0]
 
 
 def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
@@ -484,7 +486,8 @@ def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
         sizes.append(largest[0])
     # the largest matrices built: over F2 none, since the one matrix it
     # built, the 1-cell x-action of B^1, is kept on the AlgebraSpec from
-    # C's construction; over GR(4,2) the 16 x 16 identities of as_b_module
+    # C's construction; over GR(4,2) the 16 x 16 B-presentation of L that
+    # as_b_module writes for its Smith form
     assert sizes == [0, 256]
 
 

@@ -14,9 +14,9 @@ import pytest
 
 import descent_reference as ref
 from coassoc_reference import nested_triple_tensor
-from dense_tensor import deltahat, dense, descend, descend_map, pure, rhohat
+from dense_tensor import deltahat, dense, dense_kernel, descend, descend_map, pure, rhohat
 from tannaka_forge import coalgebra
-from tannaka_forge.linalg import Matrix, kernel
+from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap, NotWellDefined
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    regular_bimodule, tensor_bimodules,
@@ -256,7 +256,7 @@ def test_a_map_that_ignores_the_torsion_of_the_r_tensor_is_refused():
     data = tensor_bim_bmodule(alg, regular_bimodule(alg), _torsion_bmodule(alg))
     rel = dense(data).rel_cols
     A = Matrix(alg.R, [list(c) for c in zip(*rel.data)], rel.cols, rel.rows)
-    K = kernel(alg.R, A.sparse_cols(), A.rows)
+    K = dense_kernel(A)
     outs = []
     for j in range(K.cols):
         flat = ModuleMap(data.TR.module, FinModule.free(alg.R, 1),

@@ -37,8 +37,8 @@ def mf_hom_oracle(X, Y):
                 ok = False
                 break
             lhs = phiY[i].after_linear(gi)
-            rhs = ModuleMap(phiX[i].src, Y.M, g.mat @ phiX[i].mat)
-            if lhs.mat != rhs.mat:
+            rhs = ModuleMap(phiX[i].src, Y.M, g.mat @ phiX[i].linear.mat)
+            if lhs.linear.mat != rhs.mat:
                 ok = False
                 break
         if ok:
@@ -83,7 +83,7 @@ def test_fl_false_when_phibar_zero():
     X = mf_make(W, M, 0, 0, {0: ModuleMap.identity(M)},
                 {0: Matrix.zeros(W, 1, 1)}, require_span=False)
     assert not is_mf_fl(X)
-    assert not is_surjective(mbar(X).phibar.linear_part())
+    assert not is_surjective(mbar(X).phibar.linear)
 
 
 def test_phibar_surjective_iff_iso():
@@ -95,14 +95,14 @@ def test_phibar_surjective_iff_iso():
     cases.append(mf_make(W2, M, 0, 0, {0: ModuleMap.identity(M)},
                          {0: Matrix.from_rows(W2, [[2]])}, require_span=False))
     for X in cases:
-        assert is_surjective(mbar(X).phibar.linear_part()) == is_mf_fl(X)
+        assert is_surjective(mbar(X).phibar.linear) == is_mf_fl(X)
 
 
 def test_mbar_tate_trace():
     # M(0) over F_2: single slot, phibar the identity
     W = ring_make(2, 1, 1)
     mb = mbar(tate_object(W, 0))
-    assert mb.Mbar.exps == (1,) and mb.phibar.mat.data == [[1]]
+    assert mb.Mbar.exps == (1,) and mb.phibar.linear.mat.data == [[1]]
     # M(1): two slots glued by [x]_0 = [p x]_1 = 0 over W_1
     mb = mbar(tate_object(W, 1))
     assert mb.Mbar.exps == (1,)
@@ -350,7 +350,7 @@ def test_mf_demo_witt_digests(capsys, pnf, digest):
 def test_semilinear_composition_twist():
     W = ring_make(2, 2, 2)
     M = FinModule.free(W, 1)
-    s = SemilinearMap(M, M, Matrix.from_rows(W, [[W.x]]))
+    s = SemilinearMap(ModuleMap(M, M, Matrix.from_rows(W, [[W.x]])))
     # apply: v -> x * sigma(v)
     v = (W.x,)
     assert s.apply(v) == (W.mul(W.x, W.frobenius(W.x)),)

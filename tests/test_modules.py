@@ -12,7 +12,7 @@ from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentatio
                                    EnumerationBudget, is_isomorphism)
 from tannaka_forge.algebra import AlgebraSpec, _btensor_core
 
-from dense_tensor import dense, embed, map_tensor
+from dense_tensor import dense, embed, inject, map_tensor
 from hom_reference import hom_basis, hom_coords
 from smith_reference import densify
 
@@ -159,7 +159,7 @@ def test_map_kernel_cokernel_examples(Z8):
     assert incl.apply(K.gen(0)) == (4,)
     C, proj = map_cokernel(g)
     assert C.exps == (1,)
-    I, iincl = submodule(g.dst, g.mat)
+    I, iincl = submodule(g.dst, g.cols)
     assert I.exps == (2,)
     K0, _ = map_kernel(ModuleMap.identity(R1))
     assert K0.is_zero()
@@ -186,7 +186,7 @@ def test_kernel_image_cokernel_vs_enumeration():
                     assert K.cardinality() == len(ker)
                     spanned = {incl.apply(v) for v in K.elements()}
                     assert spanned == ker
-                    I, iincl = submodule(g.dst, g.mat)
+                    I, iincl = submodule(g.dst, g.cols)
                     assert I.cardinality() == len(img)
                     assert {iincl.apply(v) for v in I.elements()} == img
                     C, proj = map_cokernel(g)
@@ -224,7 +224,7 @@ def test_direct_sum_maps(Z8):
         assert sd.module.exps[r] == mods[t].exps[i]
     for t, m in enumerate(mods):
         for v in m.elements():
-            w = sd.inject(t, v)
+            w = inject(sd, t, v)
             assert tuple(w[sd.place[(t, i)]] for i in range(m.rank)) == v
             assert sum(1 for a in w if a) == sum(1 for a in v if a)
 
@@ -255,8 +255,8 @@ def test_sub_membership_and_elements(Z8):
     M = FinModule(Z8, (3, 1))
     gens = [(2, 0)]
     A = Matrix.from_cols(Z8, gens, M.rank)
-    assert solve_in(M, A, [(6, 0)])[0] is not None
-    assert solve_in(M, A, [(1, 0)])[0] is None
+    assert solve_in(M, A.sparse_cols(), [(6, 0)])[0] is not None
+    assert solve_in(M, A.sparse_cols(), [(1, 0)])[0] is None
     assert set(sub_elements(M, gens)) == {(0, 0), (2, 0), (4, 0), (6, 0)}
 
 

@@ -140,9 +140,9 @@ def test_recognition_runs_no_smith_solve(monkeypatch):
     calls = []
     solve_columns = linalg.solve_columns
 
-    def counted(A, targets):
-        calls.append(A.rows)
-        return solve_columns(A, targets)
+    def counted(ring, cols, rows, targets):
+        calls.append(rows)
+        return solve_columns(ring, cols, rows, targets)
 
     monkeypatch.setattr(linalg, "solve_columns", counted)
     monkeypatch.setattr(modules, "solve_columns", counted)

@@ -11,21 +11,24 @@ import random
 
 import pytest
 
-from tannaka_forge import linalg, tannaka
+from tannaka_forge import algebra, linalg, mf, modules, tannaka
 from tannaka_forge.rings import ring_make
-from tannaka_forge.linalg import Matrix, Span, kernel, solve_columns
+from tannaka_forge.linalg import Matrix, Span, solve_columns
 from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentation,
-                                   torsion_matrix, syzygies, submodule, solve_in,
+                                   syzygies, submodule, solve_in,
                                    map_kernel, factor_through, sub_canonical)
 from tannaka_forge.algebra import AlgebraSpec, free_bmodule
 from tannaka_forge.coalgebra import cofree
-from tannaka_forge.tannaka import coend, coend_relation_rows, counit_map, lift_coaction
-from tannaka_forge.mf import mf_direct_sum, tate_object
+from tannaka_forge.tannaka import (coend, coend_relation_rows, counit_map, hom_closure,
+                                   lift_coaction)
+from tannaka_forge.mf import mf_direct_sum, mf_to_diagram, tate_object
+from tannaka_forge.textio import parse_diagram
 from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
                                  grouplike_coalgebra, grouplike_line,
                                  grouplike_diagram, comatrix_diagram,
                                  trivial_coalgebra)
 from smith_reference import densify, smith_kernel, smith_solve as ref_solve
+from dense_tensor import dense_kernel, torsion_matrix
 
 RINGS = [(2, 1, 1), (2, 3, 1), (2, 2, 2)]    # F2, Z/8, GR(4,2)
 
@@ -57,8 +60,7 @@ def assert_same_solutions(got, want, span):
 
 
 def ref_syzygies(M, A):
-    aug = A.hstack(torsion_matrix(M))
-    K = kernel(M.ring, aug.sparse_cols(), aug.rows)
+    K = dense_kernel(A.hstack(torsion_matrix(M)))
     return Matrix(M.ring, [K.data[i][:] for i in range(A.cols)], A.cols, K.cols)
 
 
@@ -69,8 +71,7 @@ def ref_submodule(M, A):
 
 def ref_map_kernel(g):
     X = ref_syzygies(g.dst, g.mat)
-    aug = X.hstack(torsion_matrix(g.src))
-    K2 = kernel(g.src.ring, aug.sparse_cols(), aug.rows)
+    K2 = dense_kernel(X.hstack(torsion_matrix(g.src)))
     rel = Matrix(g.src.ring, [K2.data[i][:] for i in range(X.cols)], X.cols, K2.cols)
     pres = densify(g.src.ring, module_from_presentation(rel))
     return pres.module, ModuleMap(pres.module, g.src, X @ pres.sect)
@@ -137,7 +138,7 @@ def test_spine_cases_cover_edges():
 def test_solve_in_matches_per_column_solve():
     found = {True: 0, False: 0}
     for M, A, targets in cases(11, 30):
-        got = solve_in(M, A, targets)
+        got = solve_in(M, A.sparse_cols(), targets)
         assert_same_solutions(got, ref_solve_in(M, A, targets), ref_kernel_span(M, A))
         for x, t in zip(got, targets):
             found[x is not None] += 1
@@ -156,32 +157,33 @@ def test_solve_columns_matches_solve():
             targets = [A.apply([rng.randrange(R.size) for _ in range(cols)])
                        for _ in range(2)]
             targets += [[rng.randrange(R.size) for _ in range(rows)] for _ in range(2)]
-            got = solve_columns(A, targets)
+            got = solve_columns(R, A.sparse_cols(), rows, targets)
             K = smith_kernel(A)
             assert_same_solutions(got, [ref_solve(A, list(b)) for b in targets],
                                   Span(R, [K.col(j) for j in range(K.cols)], cols))
             for x, b in zip(got, targets):
                 assert x is None or A.apply(x) == list(b)
-            assert solve_columns(A, []) == []
+            assert solve_columns(R, A.sparse_cols(), rows, []) == []
     with pytest.raises(linalg.DimensionMismatch):
-        solve_columns(Matrix.identity(R, 2), [[1, 2, 3]])
+        solve_columns(R, Matrix.identity(R, 2).sparse_cols(), 2, [[1, 2, 3]])
 
 
 def test_syzygies_and_submodule_match_reference():
     for M, A, _ in cases(12, 30):
-        assert syzygies(M, A.sparse_cols()) == ref_syzygies(M, A)
+        syz_new = Matrix.from_sparse(M.ring, syzygies(M, A.sparse_cols()), A.cols)
+        assert syz_new == ref_syzygies(M, A)
         # ref_syzygies shares linalg.kernel with syzygies, so both are also
         # compared, as spans, with the Smith kernel
         want = ref_kernel_span(M, A).rows
-        for syz in (syzygies(M, A.sparse_cols()), ref_syzygies(M, A)):
+        for syz in (syz_new, ref_syzygies(M, A)):
             assert Span(M.ring, [syz.col(j) for j in range(syz.cols)], A.cols).rows == want
-        S, incl = submodule(M, A)
+        S, incl = submodule(M, A.sparse_cols())
         S_ref, incl_ref = ref_submodule(M, A)
         assert S.exps == S_ref.exps
         assert incl.mat == incl_ref.mat
         # every column of A lies in the image of incl
         cols = [M.reduce(A.col(j)) for j in range(A.cols)]
-        assert None not in solve_in(M, incl.mat, cols)
+        assert None not in solve_in(M, incl.cols, cols)
 
 
 def test_map_kernel_and_image_match_reference():
@@ -192,7 +194,7 @@ def test_map_kernel_and_image_match_reference():
             g = rand_map(rng, rand_module(rng, R), rand_module(rng, R))
             for (K, incl), (K_ref, incl_ref) in (
                     (map_kernel(g), ref_map_kernel(g)),
-                    (submodule(g.dst, g.mat), ref_map_image(g))):
+                    (submodule(g.dst, g.cols), ref_map_image(g))):
                 assert K.exps == K_ref.exps
                 assert incl.mat == incl_ref.mat
             # the kernel is {x : g x = 0 in dst}, read off the Smith kernel
@@ -279,3 +281,50 @@ def test_counit_nu_matches_old_section(monkeypatch):
         assert (ref.iso, ref.coalgebra_morphism) == (res.iso, res.coalgebra_morphism)
     # the test is live: on some fixture the two sections really differ
     assert differ
+
+
+def test_each_presentation_writes_one_dense_matrix(monkeypatch):
+    # the spine passes sparse columns from end to end: no dense matrix is
+    # stacked onto another, and each presentation_with_torsion writes its
+    # relations and the torsion columns into one Matrix, the one Smith
+    # reads; Matrix.__init__ counts every Matrix built, zeros among them
+    def no_hstack(self, other):
+        raise AssertionError("Matrix.hstack called")
+
+    built = [0]
+    init = Matrix.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    per_call = []
+    present = modules.presentation_with_torsion
+
+    def counted(M, cols):
+        before = built[0]
+        pres = present(M, cols)
+        per_call.append(built[0] - before)
+        return pres
+
+    torsion = hom_closure(parse_diagram(
+        "alg R=GR(2^2,1) B=GR(2^2,2)\nobject A0 rank 1\nobject A1 rank 1\n"
+        "hom A0 A1 = [[[2]]]\n"))
+    Z4 = grouplike_coalgebra(AlgebraSpec.make(2, 2, 1), 4)
+    W = ring_make(2, 2, 2)
+    runs = {
+        "GR(4,2) rank-2 identity": lambda: coend(
+            comatrix_diagram(AlgebraSpec.make(2, 2, 2), 2), check=True),
+        "torsion coend": lambda: coend(torsion, check=True),
+        "Z/4 grouplike counit": lambda: counit_map(Z4, [grouplike_line(Z4, 0),
+                                                        grouplike_line(Z4, 1)]),
+        "GR(4,2) MF diagram": lambda: mf_to_diagram([tate_object(W, 0), tate_object(W, 1)]),
+    }
+    monkeypatch.setattr(Matrix, "hstack", no_hstack)
+    monkeypatch.setattr(Matrix, "__init__", counted_init)
+    for mod in (modules, algebra, tannaka, mf):
+        monkeypatch.setattr(mod, "presentation_with_torsion", counted, raising=False)
+    for name, run in runs.items():
+        per_call.clear()
+        run()
+        assert per_call and set(per_call) == {1}, (name, per_call)
