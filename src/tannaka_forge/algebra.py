@@ -14,29 +14,20 @@ Tensor over B is the cokernel of the middle-relation map
 
     x (x) y  |->  (x . b) (x) y - x (x) (b . y)      (b = the generator)
 
-on the R-tensor product.  The quotient is presented exactly, and a BTensor
-holds it in one form, sparse columns: the projection from the R-tensor, a
-section back, the middle relations and the outer actions.  Its elements
-are sparse (index, entry) pairs as well: a sum of pure tensors v (x) w is
-formed from sparse v and w (BTensor.pure_sum) and taken as a map's column
-as it is.  Maps are induced on it from those columns alone: f (x) g is
-pushed through the target's projection and descended by
-modules.descend_sparse, and the outer actions are such maps; a map into it
-is lifted back to the R-tensor (BTensor.lift) through the section's
-columns, as sparse columns too.  A ModuleMap holds such columns as they
-are, so only the Smith presentation of a quotient writes its relations out
-densely.  When f_B = 1 the relation map is zero and tensor over B coincides
-with tensor over R: the projection and the section are unit columns and
-there are no relations.
+on the R-tensor product.  The quotient is presented exactly and held by a
+BTensor in one form, sparse columns (its projection, section, relations
+and outer actions), as are its elements (BTensor.pure_sum).  A map out of
+it is f (x) g pushed through the target's projection and descended by
+modules.descend_sparse, and a map into it is lifted back through the
+section (BTensor.lift); only the Smith presentation of a quotient writes
+its relations out densely.  When f_B = 1, B is R and x = 1 (ring_make's
+modulus is x - 1), so every B-action is the identity and tensor over B is
+tensor over R: BTensor.over_r decides this once, and then no outer action
+is induced, no map projected or lifted, no counit contraction descended.
 A triple tensor over B is needed only for the coassociativity check at
-f_B >= 2, and only as its nest (X tensor_B Y) tensor_B Z, the binary tensor
-of the already computed X tensor_B Y with Z; right exactness makes it
-canonically isomorphic to the quotient of the flat triple tensor by both
-middle relations, which is never built.  When Z is free over B with basis
-z_1..z_s the nest needs no quotient and no flat X tensor_R Z: X tensor_B B^s
-is X^{(+)s}, and the image of x_q (x) e_k is formed from the B-coordinates
-of e_k and the powers of the right action of X only when the check asks for
-it (FreeNest).  Otherwise it presents a binary tensor as above.
+f_B >= 2, and only as its nest (X tensor_B Y) tensor_B Z on the computed
+X tensor_B Y (right exactness): X^{(+)s} in B-coordinates when Z is free
+over B with s generators (FreeNest), else a binary tensor as above.
 
 Free-vs-not over B is decided by re-expressing a carrier as a B-module and
 running the chain-ring normal form over B itself.
@@ -177,14 +168,6 @@ class AlgebraSpec:
 # one-sided modules and bimodules
 # ---------------------------------------------------------------------------
 
-def act_powers(act: ModuleMap, k: int) -> list[ModuleMap]:
-    """id, act, ..., act^(k-1) for an endomorphism act."""
-    pows = [ModuleMap.identity(act.src)]
-    for _ in range(k - 1):
-        pows.append(act @ pows[-1])
-    return pows
-
-
 def power_cols(cols, M: FinModule, k: int) -> list[list]:
     """The sparse columns of id, act, ..., act^(k-1) for the endomorphism
     act of M with sparse columns cols."""
@@ -285,13 +268,15 @@ class BTensor:
     held once, as sparse (index, entry) columns: proj_cols[k] is generator k
     of TR.module in module, sect_cols[q] lifts generator q of module into
     TR.module (proj after sect is the identity), and rels are the middle
-    relations over TR.module that descend_sparse checks maps on.  When
-    f_B = 1 both are unit columns and rels is empty.  left and right are the
-    outer x-actions, sparse columns module -> module.  factors is (X, Y) for
-    tensor_bimodules and (X, M) for tensor_bim_bmodule; the nest of a triple
-    tensor records none.  An element of module, such as a sum of pure
-    tensors (pure_sum), is a sparse vector too: its nonzero (index, entry)
-    pairs in increasing index order."""
+    relations over TR.module that descend_sparse checks maps on.  left and
+    right are the outer x-actions, sparse columns module -> module.  factors
+    is (X, Y) for tensor_bimodules and (X, M) for tensor_bim_bmodule; the
+    nest of a triple tensor records none.  An element of module, such as a
+    sum of pure tensors (pure_sum), is a sparse vector too: its nonzero
+    (index, entry) pairs in increasing index order.  When f_B = 1 (over_r)
+    module is TR.module, and proj_cols, sect_cols and the outer actions are
+    unit columns, with no rels: project merges and reduces, descend_cols
+    also checks, lift returns its input and induced_cols does not project."""
     alg: AlgebraSpec
     TR: TensorData
     module: FinModule
@@ -301,6 +286,10 @@ class BTensor:
     left: list | None = None
     right: list | None = None
     factors: tuple | None = None
+
+    @property
+    def over_r(self) -> bool:                   # f_B = 1: B is R
+        return self.alg.fb == 1
 
     def project(self, flat) -> list[list[tuple[int, int]]]:
         """The sparse vectors flat over TR.module, projected into module."""
@@ -312,7 +301,9 @@ class BTensor:
 
     def lift(self, phi: ModuleMap) -> list[list[tuple[int, int]]]:
         """The flat lift sect @ phi of phi into TR.module, as sparse
-        columns, unreduced."""
+        columns, unreduced; over R phi's own columns, not to be changed."""
+        if self.over_r:
+            return phi.cols
         q = self.alg.R.q                    # R = Z/p^n: entries are ints
         out = []
         for col in phi.cols:
@@ -322,6 +313,11 @@ class BTensor:
                     acc[t] = acc.get(t, 0) + s * c
             out.append([(t, acc[t] % q) for t in sorted(acc) if acc[t] % q])
         return out
+
+    def outer(self, f: ModuleMap, g: ModuleMap) -> list:
+        """The outer action f tensor_B g of module, f or g an x-action and
+        the other the identity: over R the unit columns proj_cols."""
+        return self.proj_cols if self.over_r else induced_cols(self, self, f, g)
 
     def pure_sum(self, pairs) -> list[tuple[int, int]]:
         """The sum of v (x) w over the (v, w) pairs of sparse vectors over
@@ -358,9 +354,9 @@ def descend_cols(data: BTensor, cols, dst: FinModule) -> list:
 def induced_cols(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> list:
     """f tensor_B g between two recorded tensors as sparse columns (f, g
     must be B-linear for the result to be canonical; descent is checked):
-    f tensor g on data.TR, projected into data2, descended."""
-    return descend_cols(data, data2.project(tensor_cols(data.TR, f, g, data2.TR)),
-                        data2.module)
+    f tensor g on data.TR, projected into data2 unless over R, descended."""
+    flat = tensor_cols(data.TR, f, g, data2.TR)
+    return descend_cols(data, flat if data2.over_r else data2.project(flat), data2.module)
 
 
 def induced(data: BTensor, data2: BTensor, f: ModuleMap, g: ModuleMap) -> ModuleMap:
@@ -373,8 +369,8 @@ def tensor_bimodules(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule) -> BTensor:
     """X tensor_B Y with the outer actions installed."""
     data = _btensor_core(alg, X.carrier, X.right, Y.carrier, Y.left)
     data.factors = (X, Y)
-    data.left = induced_cols(data, data, X.left, ModuleMap.identity(Y.carrier))
-    data.right = induced_cols(data, data, ModuleMap.identity(X.carrier), Y.right)
+    data.left = data.outer(X.left, ModuleMap.identity(Y.carrier))
+    data.right = data.outer(ModuleMap.identity(X.carrier), Y.right)
     return data
 
 
@@ -382,7 +378,7 @@ def tensor_bim_bmodule(alg: AlgebraSpec, X: BBBimodule, M: BModule) -> BTensor:
     """X tensor_B M as a left B-module (left action from X)."""
     data = _btensor_core(alg, X.carrier, X.right, M.carrier, M.act)
     data.factors = (X, M)
-    data.left = induced_cols(data, data, X.left, ModuleMap.identity(M.carrier))
+    data.left = data.outer(X.left, ModuleMap.identity(M.carrier))
     return data
 
 
@@ -475,8 +471,8 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
         return BForm((B.n,) * std, ident, ident)
     m = carrier.rank
     # Phi : B^m -> carrier, R-basis x^k e_i |-> act^k(gen_i)
-    pows = act_powers(act, fb)
-    phi = [pows[k].cols[i] for i in range(m) for k in range(fb)]
+    pows = power_cols(act.cols, carrier, fb)
+    phi = [pows[k][i] for i in range(m) for k in range(fb)]
     # the relations of phi, reinterpreted over B
     relB = []
     for col in syzygies(carrier, phi):
@@ -493,7 +489,7 @@ def as_b_module(alg: AlgebraSpec, carrier: FinModule, act: ModuleMap) -> BForm:
             # each B-generator inside the carrier, and its x-powers
             gen = sparse_image([(s * fb + d, c) for s, b in col
                                 for d, c in enumerate(B.coeffs(b)) if c], phi, carrier)
-            tcols += [sparse_image(gen, pw.cols, carrier) for pw in pows]
+            tcols += [sparse_image(gen, pw, carrier) for pw in pows]
         theta = ModuleMap(FinModule.free(alg.R, len(tcols)), carrier, tcols, validate=False)
         # an isomorphism of free modules of one rank factors the identity
         theta_inv = factor_through(theta, ModuleMap.identity(carrier))

@@ -18,24 +18,13 @@ condition reads of it as a source (lift_terms) and bmat_rank, its
 standard rank.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
-this is exhaustive).  When f_B = 1, B = R and every tensor is flat, so
-coassociativity is compared in Sweedler coordinates, with no triple tensor:
-for each generator g, with phi = delta for a coalgebra and rho for a
-comodule, (delta (x) id) phi(g) and (id (x) rho) phi(g) are sparse dicts
-over the triples (i, j, k) of generators of C, C and Z, each entry reduced
-mod p^min(e_i, e_j, z_k), and the first g whose two dicts differ is the
-witness.  When f_B >= 2 it is compared inside the triple tensor over B,
-which is only its nest (C (x)_B C) (x)_B Z on the already computed
-C (x)_B C.  The columns of the flat maps (delta (x) id) and (id (x) rho)
-are Sweedler sums over flat triples, read off the sparse lifts of delta and
-rho; the triples they touch are taken through the projection onto
-C (x)_B C to pairs of the nest, each pair is projected into the nest once,
-and nothing of the flat triple tensor's rank is built.  The nest is
-(C (x)_B C)^{(+)s} in B-coordinates, with no flat tensor laid out, when Z
-is free over B with s generators, and the quotient by the middle relations
-otherwise.  Both maps are descended through C (x)_B Z by
-modules.descend_sparse, the one kernel every map out of a tensor over B
-goes through (the counit laws too), and stay sparse end to end.
+this is exhaustive).  Coassociativity is compared in Sweedler coordinates
+when f_B = 1 (_sweedler_witness), with no triple tensor, and otherwise in
+the nest (C (x)_B C) (x)_B Z of the triple tensor over B
+(_coassoc_witness on algebra.nest_tensor), into which only the pairs the
+Sweedler sums touch are projected; both stay sparse end to end.  Every map
+out of a tensor over B is descended by modules.descend_sparse, but over R,
+where a counit contraction needs no descent.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
@@ -61,7 +50,7 @@ from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, FreeNest,
                       tensor_bim_bmodule, nest_tensor, descend_cols,
-                      induced, act_powers, power_cols, poly_cols,
+                      induced, power_cols, poly_cols,
                       regular_bimodule, is_b_free, btensor_bmodule, _standard_rank)
 
 
@@ -105,10 +94,7 @@ class Coalgebra:
     def deltahat_cols(self) -> list:
         """The sparse columns of the lift of delta into the flat R-tensor
         cc.TR, computed once for the coalgebra check, every comodule check
-        and the formatted coalgebra.  When f_B = 1 the lift is the identity
-        on coordinates, so they are delta's."""
-        if self.alg.fb == 1:
-            return self.delta.cols
+        and the formatted coalgebra."""
         return self.cc.lift(self.delta)
 
     def __eq__(self, other):
@@ -126,7 +112,9 @@ def counit_contraction(alg: AlgebraSpec, ecols: list, data: BTensor,
     left=False, (id (x)_B eps) : M (x)_B X -> M from m (x) c |-> m . eps(c).
     eps : X -> B, given by its sparse columns ecols, is a counit, or any
     B-linear functional such as a dual-basis one.  act is the x-action on
-    M: the left one for eps (x) id, the right one for id (x) eps."""
+    M: the left one for eps (x) id, the right one for id (x) eps.  Over R
+    (data.over_r) the flat map is the map: its columns eps(c) . m are
+    returned as written, with no descent, well defined when eps is."""
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     # column (c, m) of the flat map is column m of the action of eps(c),
@@ -138,7 +126,7 @@ def counit_contraction(alg: AlgebraSpec, ecols: list, data: BTensor,
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
         cols[k] = eps_act[c][m]
-    return descend_cols(data, cols, car_m)
+    return cols if data.over_r else descend_cols(data, cols, car_m)
 
 
 def _coassoc_witness(xy: BTensor, nest: FreeNest | BTensor, deltahat: list,
@@ -237,7 +225,12 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
                     counit: ModuleMap) -> Coalgebra:
     """Validate (C, delta, eps) for cc = C (x)_B C, the tensor delta is
     written in; raises AxiomError naming the first failing axiom with a
-    witness generator."""
+    witness generator.  At f_B = 1 every x-action is the identity, checked
+    by _check_modulus (h = x - 1) or built so by free_bmodule,
+    regular_bimodule, btensor_bmodule or the coend: NotBimoduleMap here and
+    NotModuleMap in comodule_check fire only at f_B >= 2, or on an action
+    built unchecked that is not the identity, which cc's unit outer actions
+    would otherwise hide."""
     if cc.factors is None or cc.factors[0] != cc.factors[1]:
         raise ValueError("cc must be the tensor square of one bimodule")
     coalg = Coalgebra(cc, delta, counit)
@@ -247,8 +240,7 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         raise ValueError("delta must map the carrier into C (x)_B C")
     if counit.src != C.carrier or counit.dst != breg.carrier:
         raise ValueError("counit must map the carrier into B")
-    # the columns of delta and eps, each read once for every check below;
-    # when f_B = 1 delta's are deltahat's, which the coalgebra keeps
+    # the columns of delta and eps, each read once for every check below
     dcols, ecols = delta.cols, counit.cols
     # bimodule-map conditions
     for name, cols, act, act_dst, dst in (
@@ -269,10 +261,10 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
             raise AxiomError(code, w)
     # coassociativity: in Sweedler coordinates when f_B = 1, otherwise
     # inside the triple tensor
+    hat = coalg.deltahat_cols
     if alg.fb == 1:
-        w = _sweedler_witness(cc, dcols, cc, dcols)
+        w = _sweedler_witness(cc, hat, cc, dcols)
     else:
-        hat = coalg.deltahat_cols
         w = _coassoc_witness(cc, nest_tensor(alg, cc, C.carrier, C.left),
                              hat, cc, hat, dcols)
     if w is not None:
@@ -389,7 +381,7 @@ def comodule_hom(Mc: Comodule, Nc: Comodule):
     return K, [H.from_coords(incl.apply(K.gen(k))) for k in range(K.rank)]
 
 
-def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
+def comodule_hom_span(Mc: Comodule, Nc: Comodule, charts: dict | None = None) -> Span:
     """The comodule maps B^{r_k} -> B^{r_l} between comodules whose carriers
     are the standard free B-modules free_bmodule(r), as the Span of their
     B-matrices in flat coordinates (tannaka._flatten_bmat): entry (t, s),
@@ -397,14 +389,16 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule) -> Span:
     maps x^beta E_ts, an R-basis of Hom_B that is B-linear by construction,
     so only the coaction condition is solved, in the chart
     Hom_R(M, C (x)_B N), torsion included.  The span is that of the
-    B-matrices of comodule_hom's basis."""
+    B-matrices of comodule_hom's basis.  charts, when given, keeps the
+    charts by (M, C (x)_B N), for a caller to build each one once."""
     alg = Mc.coalgebra.alg
     rk, rl = Mc.bmat_rank, Nc.bmat_rank
     if rk is None or rl is None:
         raise ValueError("comodule carrier is not a standard free B-module")
     coaction = _coaction_condition(Mc, Nc)
     conds = [[coaction(alg.flat_cols([(i, 1)], rk))] for i in range(rl * rk * alg.fb)]
-    syz = hom_equalizer([hom_module(Mc.carrier, Nc.cm.module)], conds)
+    charts, key = {} if charts is None else charts, (Mc.carrier, Nc.cm.module)
+    syz = hom_equalizer([charts.get(key) or charts.setdefault(key, hom_module(*key))], conds)
     return Span(alg.R, [dict(col) for col in syz], len(conds))
 
 
@@ -442,7 +436,7 @@ def enumerate_b_submodules(alg: AlgebraSpec, M: BModule,
     car = M.carrier
     if car.cardinality() > budget:
         raise EnumerationBudget("carrier too large for submodule enumeration")
-    acts = act_powers(M.act, alg.fb)
+    acts = [ModuleMap(car, car, c, validate=False) for c in power_cols(M.act.cols, car, alg.fb)]
 
     def close(gens):
         return frozenset(sub_elements(car, [a.apply(g) for g in gens for a in acts]))
@@ -489,8 +483,9 @@ def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
     abstractly; None when the restriction cannot be solved or fails the
     axioms (possible only for non-flat coalgebras)."""
     alg = Mc.coalgebra.alg
-    car, acts = Mc.carrier, act_powers(Mc.module.act, alg.fb)
-    S, incl = submodule(car, [sparse_image([(i, c) for i, c in enumerate(g) if c], a.cols, car)
+    car = Mc.carrier
+    acts = power_cols(Mc.module.act.cols, car, alg.fb)
+    S, incl = submodule(car, [sparse_image([(i, c) for i, c in enumerate(g) if c], a, car)
                               for g in gens for a in acts])
     # S as a B-module: x-action transported through incl
     act = factor_through(incl, Mc.module.act @ incl)

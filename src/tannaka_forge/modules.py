@@ -502,7 +502,9 @@ def hom_equalizer(charts: list[HomData], conds) -> list[list[tuple[int, int]]]:
     charts[t] (empty where it has none); they are written straight into
     the coordinates of the direct sum of the charts, and those columns are
     the kernel's, with its torsion; the solutions are returned as sparse
-    columns, as syzygies returns them."""
+    columns, as syzygies returns them.  One chart is its own direct sum."""
+    if len(charts) == 1:
+        return syzygies(charts[0].module, [charts[0].sparse_coords(c[0]) for c in conds])
     tsum = direct_sum([chart.module for chart in charts])
     return syzygies(tsum.module, [[(tsum.place[(t, r)], v) for t, g in enumerate(cond)
                                    for r, v in charts[t].sparse_coords(g)] for cond in conds])

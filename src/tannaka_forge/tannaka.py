@@ -155,7 +155,7 @@ class DiagramCategory:
                                          % (objects[k].name, objects[l].name))
                 self._flat[(k, l)] = [_flat_row(alg, F) for F in mats]
         self._spans: dict[tuple[int, int], Span] = {}
-        self._homs = None
+        self._homs = self._components = None
         self.closed = False
         self.gens: list | None = None
 
@@ -238,10 +238,13 @@ class DiagramCategory:
     def components(self) -> list[list[int]]:
         """The connected components of the graph with an edge k - l
         whenever span(k, l) or span(l, k) is nonzero, as sorted index
-        lists ordered by their smallest index.  On a closed diagram the
-        coend is the direct sum of the components' coends."""
-        return _classes(range(self.nobj()),
-                        lambda k, l: self.span(k, l).pivots or self.span(l, k).pivots)
+        lists ordered by their smallest index, found on first call and not
+        to be changed.  On a closed diagram the coend is the direct sum of
+        the components' coends."""
+        if self._components is None:
+            self._components = _classes(range(self.nobj()), lambda k, l:
+                                        self.span(k, l).pivots or self.span(l, k).pivots)
+        return self._components
 
     def full_blocks(self) -> list[list[int]]:
         """The classes of the objects of positive rank, joined k - l
@@ -573,18 +576,19 @@ def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = N
     where the witness is a comodule map outside the diagram span.
 
     The comodule homs of a pair are one comodule_hom_span, the span of
-    B-matrices the diagram's spans are compared in: the diagram span must
-    lie inside it, and the verdict is "equal" exactly when the two Howell
-    forms agree.  Only a strictly smaller pair solves comodule_hom, whose
-    first basis map outside the diagram span is the witness."""
+    B-matrices the diagram's spans are compared in (each distinct chart
+    built once per call): the diagram span must lie inside it, and the
+    verdict is "equal" exactly when the two Howell forms agree.  Only a
+    strictly smaller pair solves comodule_hom, whose first basis map
+    outside the diagram span is the witness."""
     D = CR.diagram
     alg = D.alg
     if lifted is None:
         lifted = lift_coaction(CR)
-    verdicts = {}
+    verdicts, charts = {}, {}
     for k in range(D.nobj()):
         for l in range(D.nobj()):
-            homs, span = comodule_hom_span(lifted[k], lifted[l]), D.span(k, l)
+            homs, span = comodule_hom_span(lifted[k], lifted[l], charts), D.span(k, l)
             if not all(homs.contains(r) for r in span.rows):
                 raise UnitLiftError("internal error: diagram morphism is "
                                    "not a comodule map")
@@ -630,9 +634,10 @@ def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
             @ Mc.rho @ form.theta
         std_comods.append(comodule_check(C, cm_std, rho_std))
     # the hom sets are the comodule-hom spans; hom_closure adds the identities
+    charts = {}
     D = hom_closure(DiagramCategory.from_spans(
         alg, [DiagObject("M%d" % i, sc.carrier.rank // fb) for i, sc in enumerate(std_comods)],
-        {(i, j): comodule_hom_span(Mi, Mj)
+        {(i, j): comodule_hom_span(Mi, Mj, charts)
          for i, Mi in enumerate(std_comods) for j, Mj in enumerate(std_comods)}))
     return counit_from_coend(C, std_comods, coend(D))
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import (ModuleMap, NotWellDefined, hom_module,
                                    submodule, solve_in)
-from tannaka_forge.algebra import BModule, act_powers, tensor_bim_bmodule
+from tannaka_forge.algebra import BModule, tensor_bim_bmodule
 from tannaka_forge.coalgebra import AxiomError, comodule_check
 
 from dense_tensor import dense, rhohat
@@ -37,6 +37,14 @@ def map_tensor(T, f, g, T2):
             for j2, b in gcols[j]:
                 mat.data[T2.pos[(i2, j2)]][k] = ring.mul(a, b)
     return ModuleMap(T.module, T2.module, mat, validate=False)
+
+
+def act_powers(act, k):
+    """id, act, ..., act^(k-1) for an endomorphism act, as ModuleMaps."""
+    pows = [ModuleMap.identity(act.src)]
+    for _ in range(k - 1):
+        pows.append(act @ pows[-1])
+    return pows
 
 
 def poly_in(act, coeffs):

@@ -331,8 +331,8 @@ def test_unit_lift_failure_is_a_failed_check(monkeypatch, tmp_path, capsys):
     # with every comodule-hom span forced to zero, the diagram's identity
     # leaves it: the unit check's RuntimeError becomes a failed unit-lift
     # check in an exit-1 report, not a traceback
-    def zero_span(Mc, Nc):
-        span = comodule_hom_span(Mc, Nc)
+    def zero_span(Mc, Nc, charts=None):
+        span = comodule_hom_span(Mc, Nc, charts)
         return Span(span.ring, [], span.width)
 
     monkeypatch.setattr(tannaka, "comodule_hom_span", zero_span)
@@ -352,7 +352,7 @@ def test_unit_lift_failure_is_a_failed_check(monkeypatch, tmp_path, capsys):
 def test_unit_lift_catches_only_its_own_error(monkeypatch, tmp_path, capsys):
     # any other RuntimeError raised under the unit check (a budget, a
     # recursion limit) is no refutation and is not reported as unit-lift
-    def failing_span(Mc, Nc):
+    def failing_span(Mc, Nc, charts=None):
         raise EnumerationBudget("budget exhausted")
 
     monkeypatch.setattr(tannaka, "comodule_hom_span", failing_span)

@@ -8,6 +8,7 @@ as the whole diagram's."""
 
 import random
 
+from tannaka_forge import tannaka
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.cli import _run_pipeline
 from tannaka_forge.coalgebra import comodule_hom
@@ -156,3 +157,24 @@ hom P1A1 P1A1 = [[[1]]]
     unit = results["unit"]["P1A0->P1A0"]
     assert unit["verdict"] == "strictly-smaller"
     _assert_valid_witness(hom_closure(D), 1, 1, unit["witness"])
+
+
+def test_components_are_found_once_per_diagram(monkeypatch):
+    # restrict reads the closed diagram's components to decide whether to
+    # hand over gens; the diagram keeps them, so the pipeline on the g = 12
+    # grouplike diagram finds them once, not once more per component
+    found, classes = [], tannaka._classes
+
+    def counted(ks, linked):
+        if "components" in linked.__qualname__:
+            found.append(list(ks))
+        return classes(ks, linked)
+
+    monkeypatch.setattr(tannaka, "_classes", counted)
+    D = hom_closure(grouplike_diagram(AlgebraSpec.make(2, 1, 1), 12))
+    checks, _ = _run_pipeline(D, 4096, with_recognition=False)
+    assert found == [list(range(12))]
+    assert all(c["status"] == "pass" for c in checks)
+    # the pipeline found them on its own closed copy; D finds its own once
+    first = D.components()
+    assert D.components() is first and len(found) == 2

@@ -8,13 +8,16 @@ import random
 
 import pytest
 
+from tannaka_forge import modules
 from tannaka_forge.algebra import AlgebraSpec, BModule, free_bmodule
 from tannaka_forge.linalg import Matrix, Span
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.coalgebra import cofree, comodule_hom_span
-from tannaka_forge.suite import (mf_family_diagram, random_diagram,
+from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
+                                 grouplike_coalgebra, grouplike_diagram,
+                                 grouplike_line, mf_family_diagram, random_diagram,
                                  standard_coend_cases, trivial_coalgebra)
-from tannaka_forge.tannaka import (_flatten_bmat, coend, hom_closure,
+from tannaka_forge.tannaka import (_flatten_bmat, coend, counit_map, hom_closure,
                                    lift_coaction, unit_fully_faithful_check)
 
 from hom_reference import ref_comodule_hom, ref_unit_fully_faithful_check
@@ -75,3 +78,32 @@ def test_hom_span_refuses_a_nonstandard_carrier():
         for Mc, Nc in ((std, bad), (bad, std)):
             with pytest.raises(ValueError, match="not a standard free B-module"):
                 comodule_hom_span(Mc, Nc)
+
+
+def test_each_chart_is_built_once_per_call(count_calls):
+    # every pair of the g = 8 grouplike family solves in one chart,
+    # Hom_R(R, C (x)_B N) with N a line: the unit check and counit_map each
+    # build it once, not once per pair, and a second call builds its own
+    F2 = AlgebraSpec.make(2, 1, 1)
+    CR = coend(hom_closure(grouplike_diagram(F2, 8)))
+    lifted = lift_coaction(CR)
+    C = grouplike_coalgebra(F2, 8)
+    family = [grouplike_line(C, i) for i in range(8)]
+    counts = count_calls((modules, "hom_module"))
+    verdicts = unit_fully_faithful_check(CR, lifted)
+    assert counts["hom_module"] == 1 and set(verdicts.values()) == {("equal",)}
+    assert unit_fully_faithful_check(CR, lifted) == verdicts
+    assert counts["hom_module"] == 2
+    assert counit_map(C, family).iso and counts["hom_module"] == 3
+
+
+def test_shared_charts_give_the_spans_of_fresh_ones():
+    # a family with two carriers and two targets C (x)_B N: four distinct
+    # charts, each kept once, and every span equal to the one solved in a
+    # chart of its own
+    C = comatrix_coalgebra(AlgebraSpec.make(2, 2, 1), 2)
+    family = [comatrix_standard_comodule(C, 2), cofree(C, free_bmodule(C.alg, 1))]
+    charts = {}
+    for Mc, Nc in itertools.product(family, repeat=2):
+        assert comodule_hom_span(Mc, Nc, charts).rows == comodule_hom_span(Mc, Nc).rows
+    assert len(charts) == 4
