@@ -18,13 +18,10 @@ condition reads of it as a source (lift_terms) and bmat_rank, its
 standard rank.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
-this is exhaustive).  Coassociativity is compared in Sweedler coordinates
-when f_B = 1 (_sweedler_witness), with no triple tensor, and otherwise in
-the nest (C (x)_B C) (x)_B Z of the triple tensor over B
-(_coassoc_witness on algebra.nest_tensor), into which only the pairs the
-Sweedler sums touch are projected; both stay sparse end to end.  Every map
-out of a tensor over B is descended by modules.descend_sparse, but over R,
-where a counit contraction needs no descent.
+this is exhaustive).  Coassociativity is one comparison for every f_B
+(_coassoc_witness): the flat Sweedler sums of both sides, per generator,
+with no triple tensor; at f_B >= 2 only the flat pairs where they differ
+are projected into the nest (C (x)_B C) (x)_B Z (algebra.nest_tensor).
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
@@ -46,7 +43,7 @@ from functools import cached_property
 from .linalg import Span
 from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       commutator_cols, submodule, solve_in, factor_through,
-                      sub_canonical, sub_elements, sparse_image, descend_sparse,
+                      sub_canonical, sub_elements, sparse_image,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, FreeNest,
                       tensor_bim_bmodule, nest_tensor, descend_cols,
@@ -129,94 +126,55 @@ def counit_contraction(alg: AlgebraSpec, ecols: list, data: BTensor,
     return cols if data.over_r else descend_cols(data, cols, car_m)
 
 
-def _coassoc_witness(xy: BTensor, nest: FreeNest | BTensor, deltahat: list,
-                     src: BTensor, hat: list, phi: list) -> int | None:
-    """When f_B >= 2: the first generator g of the source of phi with
-    (delta (x) id) phi(g) different from (id (x) rho) phi(g) in the nest,
-    or None.
+def _coassoc_witness(cc: BTensor, nest: FreeNest | BTensor | None,
+                     deltahat: list, src: BTensor, hat: list) -> int | None:
+    """The first generator g of Z with (delta (x) id) rho(g) different from
+    (id (x) rho) rho(g), or None, for rho : Z -> src.module = C (x)_B Z
+    (rho = delta when Z = C), cc = C (x)_B C and nest = (C (x)_B C) (x)_B Z
+    from nest_tensor, None when f_B = 1.  deltahat and hat are the flat
+    lifts of delta into cc.TR and of rho into src.TR, as sparse columns.
 
-    xy is C (x)_B C, nest = nest_tensor(alg, xy, Z, ...) and src is
-    C (x)_B Z; deltahat lifts delta into xy.TR, hat lifts rho : Z ->
-    src.module into src.TR, and phi, with values in src.module, is the map
-    both composites start from (delta itself, or rho).  All three are given
-    by their sparse columns, which the caller reads once.  Column (i, z) of
-    the flat maps is a sum over flat triples (pk, z), pk a generator of the
-    flat C (x) C: sum delta(c_i)_pk (pk, z) for delta (x) id, and
-    sum rho(z)_ab ((i, a), b) for id (x) rho (Sweedler, Hopf Algebras,
-    1969, 1.2).  Each triple is taken through xy's projection (tensor id)
-    to pairs (q, z) of the nest, and each pair the sums touch is projected
-    once, on first use, by nest.project_pair; the rest are never formed.
-    Both maps are descended through src by descend_sparse and compared on
-    the columns of phi.
-    """
-    mod, xcols, p12 = nest.module, xy.proj_cols, xy.TR.pos
-    src_inv = {k: ij for ij, k in src.TR.pos.items()}
-    # rho(z_j) as ((c, z) pair, coeff)
-    hcols = [[(src_inv[kk], c) for kk, c in col] for col in hat]
-    pairs: dict[tuple[int, int], list] = {}     # pair of the nest -> its image
+    In Sweedler notation (Sweedler, Hopf Algebras, 1969, 1.2), for each
+    flat term c (a, z) of hat[g] the two sides add c deltahat[a] (x) z and
+    c a (x) hat[z], and their difference is summed keyed by the flat pairs
+    (pk, z) of (C (x)_R C) (x)_R Z, each entry reduced mod p^min(e_pk, e_z),
+    its order.  When f_B = 1 that flat tensor is the triple tensor, so g
+    is a witness when an entry is left.  Otherwise only the entries left
+    are pushed through cc's projection and nest.project_pair, each pair
+    (q, z) of the nest projected once, and g is a witness when the image
+    is nonzero.
 
-    def pushed(triples):
-        """The image in the nest of the sum of c (pk, z) over the
-        ((pk, z), c) in triples."""
-        terms = [((q, z), c * a) for (pk, z), c in triples for q, a in xcols[pk]]
-        for qz, _ in terms:
-            if qz not in pairs:
-                pairs[qz] = nest.project_pair(*qz)
-        return sparse_image(terms, pairs, mod)
-
-    lhs = [None] * src.TR.module.rank
-    rhs = [None] * src.TR.module.rank
-    for (i, j), k in src.TR.pos.items():
-        lhs[k] = pushed(((pk, j), c) for pk, c in deltahat[i])
-        rhs[k] = pushed(((p12[(i, a)], b), c) for (a, b), c in hcols[j])
-    lhs = descend_sparse(lhs, src.rels, src.sect_cols, mod, src.module)
-    rhs = descend_sparse(rhs, src.rels, src.sect_cols, mod, src.module)
-    for g, terms in enumerate(phi):
-        if sparse_image(terms, lhs, mod) != sparse_image(terms, rhs, mod):
-            return g
-    return None
-
-
-def _sweedler_witness(cc: BTensor, deltahat: list, src: BTensor,
-                      phi: list) -> int | None:
-    """When f_B = 1: the first generator g of the source of phi with
-    (delta (x) id) phi(g) different from (id (x) rho) phi(g), or None, as
-    the comparison in the triple tensor finds it, with no triple tensor.
-
-    Over B = R every tensor is flat: src = C (x) Z has the pairs (a, z) as
-    coordinates, cc = C (x) C the pairs (i, j), and the lifts are the
-    identity on them, so deltahat holds the columns of delta over cc and
-    rho is phi itself.  In Sweedler notation (Sweedler, Hopf Algebras,
-    1969, 1.2), for phi(g) = sum c_az (c_a (x) z) the two sides are
-    sum c_az delta(c_a) (x) z and sum c_az c_a (x) rho(z), sums of pure
-    tensors c_i (x) c_j (x) z_k: dicts keyed (i, j, k), each entry reduced
-    mod p^min(e_i, e_j, z_k), the order of that pure tensor."""
+    The flat maps are never descended through src: (delta (x) id) descends
+    exactly when delta is right B-linear, and (id (x) rho) exactly when rho
+    is left B-linear, which NotBimoduleMap and NotModuleMap test before the
+    comparison, so either side's image of rho(g) is its image of any lift,
+    hat[g] among them."""
     R = src.alg.R                           # Z/p^n: entries are ints mod p^n
     pe = [R.p ** e for e in range(R.n + 1)]
-    ec, ez = src.TR.left.exps, src.TR.right.exps
-    cpair = {k: ij for ij, k in cc.TR.pos.items()}
-    spair = {k: az for az, k in src.TR.pos.items()}
-    dterms = [[(cpair[k], c) for k, c in col] for col in deltahat]
-    rterms = [[(spair[k], c) for k, c in col] for col in phi]
-
-    def reduced(acc):
-        out = {}
-        for (i, j, k), x in acc.items():
-            x %= pe[min(ec[i], ec[j], ez[k])]
-            if x:
-                out[i, j, k] = x
-        return out
-
-    for g, terms in enumerate(phi):
-        lhs: dict[tuple, int] = {}
-        rhs: dict[tuple, int] = {}
+    epk, ez, p12 = cc.TR.module.exps, src.TR.right.exps, cc.TR.pos
+    spair = list(src.TR.pos)                # pos iterates in coordinate order
+    pairs: dict[tuple[int, int], list] = {}     # pair of the nest -> its image
+    for g, terms in enumerate(hat):
+        diff: dict[tuple[int, int], int] = {}
         for k, c in terms:
             a, z = spair[k]
-            for (i, j), d in dterms[a]:
-                lhs[i, j, z] = lhs.get((i, j, z), 0) + c * d
-            for (j, k2), d in rterms[z]:
-                rhs[a, j, k2] = rhs.get((a, j, k2), 0) + c * d
-        if reduced(lhs) != reduced(rhs):
+            for pk, d in deltahat[a]:
+                diff[pk, z] = diff.get((pk, z), 0) + c * d
+            for kk, d in hat[z]:
+                b, z2 = spair[kk]
+                key = (p12[a, b], z2)
+                diff[key] = diff.get(key, 0) - c * d
+        left = [(pkz, r) for pkz, x in diff.items()
+                if (r := x % pe[min(epk[pkz[0]], ez[pkz[1]])])]
+        if not left:
+            continue
+        if nest is None:
+            return g
+        image = [((q, z), x * a) for (pk, z), x in left for q, a in cc.proj_cols[pk]]
+        for qz, _ in image:
+            if qz not in pairs:
+                pairs[qz] = nest.project_pair(*qz)
+        if sparse_image(image, pairs, nest.module):
             return g
     return None
 
@@ -259,14 +217,10 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         w = _first_difference(contraction, dcols, unit, unit, C.carrier)
         if w is not None:
             raise AxiomError(code, w)
-    # coassociativity: in Sweedler coordinates when f_B = 1, otherwise
-    # inside the triple tensor
+    # coassociativity, projected into the nest only at f_B >= 2
     hat = coalg.deltahat_cols
-    if alg.fb == 1:
-        w = _sweedler_witness(cc, hat, cc, dcols)
-    else:
-        w = _coassoc_witness(cc, nest_tensor(alg, cc, C.carrier, C.left),
-                             hat, cc, hat, dcols)
+    nest = None if cc.over_r else nest_tensor(alg, cc, C.carrier, C.left)
+    w = _coassoc_witness(cc, nest, hat, cc, hat)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return coalg
@@ -332,11 +286,8 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     w = _first_difference(eps_id, cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)
-    if alg.fb == 1:
-        w = _sweedler_witness(C.cc, C.deltahat_cols, cm, cols)
-    else:
-        w = _coassoc_witness(C.cc, nest_tensor(alg, C.cc, M.carrier, M.act),
-                             C.deltahat_cols, cm, Mc.rhohat_cols, cols)
+    nest = None if cm.over_r else nest_tensor(alg, C.cc, M.carrier, M.act)
+    w = _coassoc_witness(C.cc, nest, C.deltahat_cols, cm, Mc.rhohat_cols)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Mc

@@ -540,19 +540,20 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
 
 def lift_coaction(CR: CoendResult) -> list[Comodule]:
     """The canonical comodule structure on every fiber:
-    rho(v) = sum_m [v (x) e_m*] (x)_B e_m, verified object by object."""
+    rho(v) = sum_m [v (x) e_m*] (x)_B e_m, verified object by object; the
+    fibers of one rank share one L (x)_B B^r."""
     D = CR.diagram
     alg = D.alg
     fb = alg.fb
     L, classes = CR.coalgebra, CR.classes
-    out = []
+    out, tensors = [], {}
     for k, obj in enumerate(D.objects):
         m, o = CR.block_dims[k], CR.offsets[k]
-        fiber = free_bmodule(alg, obj.rank)
-        cm = tensor_bim_bmodule(alg, L.bi, fiber)
+        cm = tensors.get(obj.rank) or tensors.setdefault(
+            obj.rank, tensor_bim_bmodule(alg, L.bi, free_bmodule(alg, obj.rank)))
         cols = [cm.pure_sum((classes[o + v * m + mg * fb], [(mg * fb, 1)])
                             for mg in range(obj.rank)) for v in range(m)]
-        out.append(comodule_check(L, cm, ModuleMap(fiber.carrier, cm.module, cols)))
+        out.append(comodule_check(L, cm, ModuleMap(cm.factors[1].carrier, cm.module, cols)))
     return out
 
 
@@ -618,18 +619,19 @@ class CounitResult:
 
 def counit_map(C: Coalgebra, family: list[Comodule]) -> CounitResult:
     """nu : L(family) -> C, [m (x) xi] |-> (id (x) xi) rho(m), for a family
-    of Cauchy comodules with solver-computed hom data."""
+    of Cauchy comodules with solver-computed hom data; the members of one
+    rank r share one C (x)_B B^r."""
     alg = C.alg
     fb = alg.fb
-    std_comods = []
+    std_comods, tensors = [], {}
     for Mc in family:
         form = as_b_module(alg, Mc.carrier, Mc.module.act)
         if not form.is_free():
             raise ValueError("family member is not Cauchy (underlying "
                              "B-module not free)")
         r = len(form.exps)
-        std = free_bmodule(alg, r)
-        cm_std = tensor_bim_bmodule(alg, C.bi, std)
+        cm_std = tensors.get(r) or tensors.setdefault(
+            r, tensor_bim_bmodule(alg, C.bi, free_bmodule(alg, r)))
         rho_std = induced(Mc.cm, cm_std, ModuleMap.identity(C.carrier), form.theta_inv) \
             @ Mc.rho @ form.theta
         std_comods.append(comodule_check(C, cm_std, rho_std))

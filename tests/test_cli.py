@@ -129,6 +129,72 @@ comodule M0 {
     assert "entry (0,1) has valuation 0 < 1" in err
 
 
+# counital, B-linear and not coassociative: over F2 the grouplike
+# coalgebra on g0, g1, g2 with u (x) u added to delta(g2), u = g0 + g1; over
+# GR(4,2) the grouplike B^3 with x^k u (x) u added to delta(x^k e_2),
+# u = e_0 - e_1.  eps(u) = 0 keeps both counit laws, so only
+# coassociativity fails, at generator 2 (F2) and 4 (e_2 over GR(4,2))
+NOT_COASSOC_F2 = """alg R=GR(2^1,1) B=GR(2^1,1)
+coalgebra {
+  carrier = mod(1,1,1)
+  left = [[1,0,0],[0,1,0],[0,0,1]]
+  right = [[1,0,0],[0,1,0],[0,0,1]]
+  delta = [[1,0,1],[0,0,1],[0,0,0],[0,0,1],[0,1,1],[0,0,0],[0,0,0],[0,0,0],[0,0,1]]
+  counit = [[1,1,1]]
+}
+comodule M0 {
+  carrier = mod(1)
+  action = [[1]]
+  rho = [[1],[0],[0]]
+}
+comodule M1 {
+  carrier = mod(1)
+  action = [[1]]
+  rho = [[0],[1],[0]]
+}
+comodule M2 {
+  carrier = mod(1)
+  action = [[1]]
+  rho = [[0],[0],[1]]
+}
+"""
+
+NOT_COASSOC_GR42 = """alg R=GR(2^2,1) B=GR(2^2,2)
+coalgebra {
+  carrier = mod(2,2,2,2,2,2)
+  left = [[0,3,0,0,0,0],[1,3,0,0,0,0],[0,0,0,3,0,0],[0,0,1,3,0,0],[0,0,0,0,0,3],[0,0,0,0,1,3]]
+  right = [[0,3,0,0,0,0],[1,3,0,0,0,0],[0,0,0,3,0,0],[0,0,1,3,0,0],[0,0,0,0,0,3],[0,0,0,0,1,3]]
+  delta = [[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[3,1,0,0,3,1],[3,0,0,0,3,0],[0,0,0,0,1,3],[0,0,0,0,1,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,1,3],[0,0,0,0,1,0],[0,0,3,1,3,1],[0,0,3,0,3,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,3,1],[0,0,0,0,3,0]]
+  counit = [[1,0,1,0,1,0],[0,1,0,1,0,1]]
+}
+comodule M0 {
+  carrier = mod(2,2)
+  action = [[0,3],[1,3]]
+  rho = [[1,0],[0,0],[0,1],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0]]
+}
+comodule M1 {
+  carrier = mod(2,2)
+  action = [[0,3],[1,3]]
+  rho = [[0,0],[0,0],[0,0],[0,0],[1,0],[0,0],[0,1],[0,0],[0,0],[0,0],[0,0],[0,0]]
+}
+comodule M2 {
+  carrier = mod(2,2)
+  action = [[0,3],[1,3]]
+  rho = [[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[0,0],[1,0],[0,0],[0,1],[0,0]]
+}
+"""
+
+
+@pytest.mark.parametrize("text, witness", [(NOT_COASSOC_F2, 2), (NOT_COASSOC_GR42, 4)],
+                         ids=["F2", "GR(4,2)"])
+def test_reconstruct_names_the_coassociativity_witness(text, witness, tmp_path, capsys):
+    f = tmp_path / "not_coassoc.coalg"
+    f.write_text(text)
+    assert main(["reconstruct", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert "input error: Coassoc (witness generator %d)" % witness in err, err
+
+
 def test_reconstruct_partial_family_fails(tmp_path, capsys):
     partial = RECONSTRUCT.split("comodule M1")[0]
     f = tmp_path / "partial.coalg"

@@ -71,45 +71,41 @@ def _assert_nest_agrees(nest, quotient, reference):
         [mod.gen(r) for r in range(mod.rank)]
 
 
-def _same_result(a, b):
-    if isinstance(a, Exception) or isinstance(b, Exception):
-        return type(a) is type(b) and str(a) == str(b)
-    return a == b
-
-
 def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     """The outcomes of fn, which checks a coalgebra or comodule over the
-    coalgebra bimodule bi: with the sparse comparison on the nested triple
-    tensor (in Sweedler coordinates when f_B = 1, with no triple tensor),
-    with the dense reference on the same quotient (when f_B = 1, on the
-    flat triple tensor the Sweedler comparison skips) and, when f_B >= 2,
-    with the dense reference on the flat one-Smith quotient.  The
-    references must actually have run, and the nested and flat quotients
-    must have the same exponents.  Whenever the nest is built in
-    B-coordinates, the dense reference nest and the Smith quotient of the
-    same flat tensor are built as well; the nest must agree with both
-    (_assert_nest_agrees) and the sparse comparison must give the same
-    witness, or raise the same error, on the nest and the quotient.  The
-    dense reference runs on reference_nest.  kinds collects "free" or
-    "quotient" for each nest built.  With references False only the first
-    run is made."""
-    calls, swept, exps = [], [], {"nested": [], "flat": []}
+    coalgebra bimodule bi: with the one sparse comparison (on the nest when
+    f_B >= 2, on the flat Sweedler sums with no nest when f_B = 1), with the
+    dense reference on the nested quotient (when f_B = 1, on the flat
+    triple tensor) and, when f_B >= 2, with the dense reference on the flat
+    one-Smith quotient.  The references must actually have run, and the
+    nested and flat quotients must have the same exponents.  Whenever the
+    nest is built in B-coordinates, the dense reference nest and the Smith
+    quotient of the same flat tensor are built as well; the nest must agree
+    with both (_assert_nest_agrees) and the sparse comparison must give the
+    same witness on the nest and the quotient.  The dense reference runs on
+    reference_nest, with rho's columns read back from its lift by src's
+    projection.  kinds collects "free" or "quotient" for each nest built.
+    With references False only the first run is made."""
+    calls, built, exps = [], [], {"nested": [], "flat": []}
     quotients = {}
-    witness, sweedler = coalgebra._coassoc_witness, coalgebra._sweedler_witness
+    witness = coalgebra._coassoc_witness
 
-    def recorded(*args):
-        swept.append(1)
-        return sweedler(*args)
-
-    def reference(xy, t3, *args):
-        # the reference nest, or the flat one-Smith quotient
+    def reference(cc, t3, deltahat, src, hat):
+        # the reference nest, the flat one-Smith quotient, or when f_B = 1
+        # (no nest) the flat triple tensor, which is then the quotient
         calls.append(1)
-        if not isinstance(t3, FlatTripleTensor):
-            t3 = as_triple(xy, t3)
-        return dense_coassoc_witness(t3, *args)
+        if t3 is None:
+            C_car = cc.TR.left
+            t3 = flat_triple_tensor(bi.alg, C_car, None, C_car, None, None,
+                                    src.TR.right, None)
+            exps["nested"].append(t3.module.exps)
+        elif not isinstance(t3, FlatTripleTensor):
+            t3 = as_triple(cc, t3)
+        return dense_coassoc_witness(t3, deltahat, src, hat, src.project(hat))
 
     def nested(alg, xy, Z_car, Z_left):
         nest = nest_tensor(alg, xy, Z_car, Z_left)
+        built.append(nest)
         exps["nested"].append(nest.module.exps)
         if isinstance(nest, FreeNest):
             q = quotient_triple_tensor(alg, xy, Z_car, Z_left)
@@ -122,27 +118,11 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
             kinds.append("quotient")
         return nest
 
-    def compared(xy, nest, *args):
-        def run(t):
-            try:
-                return witness(xy, t, *args)
-            except ValueError as e:
-                return e
-        w = run(nest)
+    def compared(cc, nest, *args):
+        w = witness(cc, nest, *args)
         if id(nest) in quotients:
-            assert _same_result(w, run(quotients.pop(id(nest)).nest))
-        if isinstance(w, Exception):
-            raise w
+            assert w == witness(cc, quotients.pop(id(nest)).nest, *args)
         return w
-
-    def sweedler_reference(cc, deltahat, src, phi):
-        # f_B = 1: the lifts are the identity on coordinates, so rho's
-        # lift is phi, and the flat triple tensor is the quotient
-        C_car, Z_car = cc.TR.left, src.TR.right
-        t3 = flat_triple_tensor(bi.alg, C_car, None, C_car, None, None,
-                                Z_car, None)
-        exps["nested"].append(t3.module.exps)
-        return reference(cc, t3, deltahat, src, phi, phi)
 
     def flat(alg, xy, Z_car, Z_left):
         t3 = flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier,
@@ -153,7 +133,6 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "nest_tensor", nested)
         m.setattr(coalgebra, "_coassoc_witness", compared)
-        m.setattr(coalgebra, "_sweedler_witness", recorded)
         out = [_outcome(fn)]
     assert not quotients, "a B-coordinate nest was never compared"
     if not references:
@@ -161,7 +140,6 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     with monkeypatch.context() as m:
         m.setattr(coalgebra, "nest_tensor", reference_nest)
         m.setattr(coalgebra, "_coassoc_witness", reference)
-        m.setattr(coalgebra, "_sweedler_witness", sweedler_reference)
         out.append(_outcome(fn))
         if bi.alg.fb > 1:
             m.setattr(coalgebra, "nest_tensor", flat)
@@ -171,7 +149,7 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
                          "CounitLeft", "CounitRight"):
         assert calls, "the reference comparison was never reached"
         assert exps["nested"], "no triple tensor was built"
-        assert bool(swept) == (bi.alg.fb == 1), "Sweedler coordinates exactly when f_B = 1"
+        assert bool(built) == (bi.alg.fb > 1), "no nest is built at f_B = 1"
     return out
 
 
@@ -371,8 +349,10 @@ def test_perturbed_comodules_agree_with_dense(monkeypatch):
 
 
 def test_descent_failure_agrees_with_dense():
-    # coalgebra_check rejects a delta that is not B-linear before the
-    # comparison; called directly, every routine must refuse to descend it
+    # a delta that is not B-linear does not descend, so (delta (x) id) and
+    # (id (x) delta) are not defined on C (x)_B C: coalgebra_check refuses
+    # it as not a bimodule map before the comparison, which reads only flat
+    # lifts, runs, and the dense references refuse to descend it
     for a in WITT_ALGS:
         alg = AlgebraSpec.make(*a)
         C = _b_grouplike(alg, 2)
@@ -381,17 +361,18 @@ def test_descent_failure_agrees_with_dense():
         cols[0] = list(cc.module.add(cols[0], pure(cc, car.gen(0), car.gen(2))))
         delta = ModuleMap(car, cc.module,
                           Matrix.from_cols(alg.R, cols, cc.module.rank))
+        with pytest.raises(AxiomError) as e:
+            coalgebra_check(cc, delta, C.counit)
+        assert (e.value.code, e.value.witness, str(e.value)) == \
+            ("NotBimoduleMap", 0, "NotBimoduleMap (witness generator 0) (left action)")
         deltahat = (dense(cc).sect @ delta.mat).sparse_cols()
-        nest = nest_tensor(alg, cc, car, C.bi.left)
         nested = nested_triple_tensor(alg, cc, car, C.bi.left)
         flat = flat_triple_tensor(alg, car, C.bi.right, car, C.bi.left,
                                   C.bi.right, car, C.bi.left)
         args = (deltahat, cc, deltahat, delta.mat.sparse_cols())
-        for witness in (lambda: coalgebra._coassoc_witness(cc, nest, *args),
-                        lambda: dense_coassoc_witness(nested, *args),
-                        lambda: dense_coassoc_witness(flat, *args)):
+        for t3 in (nested, flat):
             with pytest.raises(ValueError, match="does not descend"):
-                witness()
+                dense_coassoc_witness(t3, *args)
 
 
 def test_comatrix_r5_checked_coend():

@@ -1,19 +1,23 @@
-"""Coassociativity at f_B >= 2 on the nest alone: `_coassoc_witness` pushes
-only the flat triples its Sweedler sums touch into the nest that
-`nest_tensor` returns, projecting each pair of the nest they reach once.  It
-is compared, witness for witness and error for error, with the dense
-reference on the nested Smith quotient and on the flat one-Smith quotient
-(tests/coassoc_reference.py); and the flat layouts, the projected pairs and
-the dense lifts it no longer builds are counted."""
+"""Coassociativity at f_B >= 2 on the nest alone: `_coassoc_witness` sums
+the flat Sweedler sums per generator and projects into the nest that
+`nest_tensor` returns only the flat pairs whose difference is nonzero, each
+pair of the nest they reach once.  It is compared, witness for witness, with
+the dense reference on the nested Smith quotient and on the flat one-Smith
+quotient (tests/coassoc_reference.py); a map those refuse to descend is
+refused by the public check as not B-linear.  The flat layouts, the
+projected pairs and the dense lifts it no longer builds are counted."""
 
 import random
+
+import pytest
 
 from tannaka_forge import algebra, cli, modules, textio
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import (AlgebraSpec, BModule, BTensor, FreeNest,
-                                   free_bmodule, nest_tensor)
-from tannaka_forge.coalgebra import _coassoc_witness, coalgebra_check, cofree
+                                   free_bmodule, induced, nest_tensor)
+from tannaka_forge.coalgebra import (AxiomError, _coassoc_witness, coalgebra_check,
+                                     comodule_check, cofree)
 from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
                                  grouplike_coalgebra, grouplike_line,
                                  random_diagram, trivial_coalgebra)
@@ -71,11 +75,17 @@ class _Comparison:
             flat_triple_tensor(alg, bi.carrier, bi.right, bi.carrier, bi.left,
                                bi.right, Z_car, Z_left))
 
-    def outcomes(self, dh, src, hat, phi):
-        args = (dh, src, hat, phi)
-        return ([_outcome(lambda: _coassoc_witness(self.cc, self.nest, *args))]
-                + [_outcome(lambda: dense_coassoc_witness(t3, *args))
-                   for t3 in self.references])
+    def outcomes(self, dh, src, hat, phi, check):
+        """The one comparison's witness and the references', when the
+        references descend both sides; else the code check raises."""
+        refs = [_outcome(lambda: dense_coassoc_witness(t3, dh, src, hat, phi))
+                for t3 in self.references]
+        if isinstance(refs[0], tuple):
+            assert refs[0] == refs[1] and "does not descend" in refs[0][1], refs
+            with pytest.raises(AxiomError) as e:
+                check()
+            return e.value.code
+        return [_coassoc_witness(self.cc, self.nest, dh, src, hat)] + refs
 
 
 def test_nest_witness_matches_dense_references():
@@ -83,13 +93,17 @@ def test_nest_witness_matches_dense_references():
     checks = witnesses = errors = torsion = 0
     kinds = set()
 
-    def agree(comparison, dh, src, hat, phi):
+    def agree(comparison, dh, src, hat, phi, check):
         nonlocal checks, witnesses, errors
-        got = comparison.outcomes(dh, src, hat, phi)
+        got = comparison.outcomes(dh, src, hat, phi, check)
+        if isinstance(got, str):
+            # a map that is not B-linear never reaches the comparison
+            assert got in ("NotBimoduleMap", "NotModuleMap"), got
+            errors += 1
+            return got
         assert got[0] == got[1] == got[2], got
         checks += 1
-        witnesses += isinstance(got[0], int)
-        errors += isinstance(got[0], tuple)
+        witnesses += got[0] is not None
         return got[0]
 
     for a in WITT_ALGS:
@@ -105,13 +119,14 @@ def test_nest_witness_matches_dense_references():
             kinds.add("free" if isinstance(comparison.nest, FreeNest) else "quotient")
             dcols = C.delta.mat.sparse_cols()
             assert agree(comparison, C.deltahat_cols, cc, C.deltahat_cols,
-                         dcols) is None
+                         dcols, lambda: None) is None
             same_actions = C.bi.left == C.bi.right
             for trial in range(16 if same_actions else 4):
                 delta = _not_b_linear(C) if trial % 4 == 3 else \
                     _perturbed_delta(rng, C, counital=trial % 4 != 2)
                 hat = cc.lift(delta)
-                agree(comparison, hat, cc, hat, delta.mat.sparse_cols())
+                agree(comparison, hat, cc, hat, delta.mat.sparse_cols(),
+                      lambda: coalgebra_check(cc, delta, C.counit))
             if not same_actions:
                 continue
             ker = _counit_kernel(C)
@@ -122,11 +137,12 @@ def test_nest_witness_matches_dense_references():
                 kinds.add("free" if isinstance(comparison.nest, FreeNest)
                           else "quotient")
                 assert agree(comparison, C.deltahat_cols, Mc.cm, Mc.rhohat_cols,
-                             Mc.rho.mat.sparse_cols()) is None
+                             Mc.rho.mat.sparse_cols(), lambda: None) is None
                 for _ in range(20):
                     rho = _perturbed_rho(rng, Mc, ker)
                     agree(comparison, C.deltahat_cols, Mc.cm, Mc.cm.lift(rho),
-                          rho.mat.sparse_cols())
+                          rho.mat.sparse_cols(),
+                          lambda: comodule_check(C, Mc.cm, rho))
     assert checks >= 500 and witnesses >= 100, (checks, witnesses)
     assert errors and torsion and kinds == {"free", "quotient"}, \
         (errors, torsion, kinds)
@@ -211,9 +227,15 @@ def test_gr42_rank3_check_lays_out_no_flat_triple_tensor(monkeypatch):
 
 def test_gr42_rank3_check_projects_only_the_pairs_it_touches(monkeypatch):
     # the nest's flat tensor has 648 * 36 = 23,328 pairs (q, k), and the
-    # check once projected every one; its Sweedler sums reach 10,368 of
-    # them, and each is projected into the nest once
+    # check once projected every one, then the 10,368 its Sweedler sums
+    # reach.  On the coend's delta the two sums agree as flat vectors, so
+    # no pair is projected.  Then delta + (k (x) k x) delta, k the bimodule
+    # map left - right action and x the left one: a bimodule map killed by
+    # eps on either side, so only coassociativity fails, and some pairs are
+    # projected, each once
     C = _gr42_rank3_coalgebra()
+    k = C.bi.left - C.bi.right
+    delta = C.delta + induced(C.cc, C.cc, k, k @ C.bi.left) @ C.delta
     projected = []
     project_pair = FreeNest.project_pair
 
@@ -223,18 +245,23 @@ def test_gr42_rank3_check_projects_only_the_pairs_it_touches(monkeypatch):
 
     monkeypatch.setattr(FreeNest, "project_pair", counted)
     coalgebra_check(C.cc, C.delta, C.counit)
-    assert len(projected) == len(set(projected)) == 10368, len(projected)
+    assert projected == []
+    with pytest.raises(AxiomError, match="Coassoc"):
+        coalgebra_check(C.cc, delta, C.counit)
+    assert 0 < len(projected) == len(set(projected)) < 23328, len(projected)
 
 
 def test_mf_triple_lifts_each_comodule_once(monkeypatch, capsys):
     # the GR(4,2) MF triple lifts three comodules; each lift of rho is
-    # computed once, where it was rebuilt at every read (12 in all)
+    # computed once, where it was rebuilt at every read (12 in all).  The
+    # two fibers of one rank share their tensor, so a lift is keyed by its
+    # tensor and its rho
     lifted = []
     lift = BTensor.lift
 
     def counted(self, phi):
         if self.factors and isinstance(self.factors[1], BModule):
-            lifted.append(id(self))
+            lifted.append((id(self), id(phi)))
         return lift(self, phi)
 
     monkeypatch.setattr(BTensor, "lift", counted)

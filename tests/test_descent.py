@@ -1,12 +1,13 @@
 """Differential tests for the one sparse descent: `induced`,
 `counit_contraction`, `descend_sparse` (through its dense form
-`descend_map` in tests/dense_tensor.py), `_coassoc_witness` (and
-`_sweedler_witness` when f_B = 1), `comodule_hom`
-and `subcomodule_as_comodule` against the dense descents and the private
-sparse copy they replaced (tests/descent_reference.py), on the suite
+`descend_map` in tests/dense_tensor.py), `comodule_hom` and
+`subcomodule_as_comodule` against the dense descents and the private sparse
+copy they replaced (tests/descent_reference.py), and `_coassoc_witness`,
+which descends nothing, against the dense comparison there, on the suite
 coalgebras and comodules, seeded random coends with and without torsion,
 and the MF coends over GR(4,2) and GR(8,2): equal matrices, equal
-witnesses and the same exceptions."""
+witnesses and the same exceptions; a delta the reference refuses to
+descend is refused by coalgebra_check as not a bimodule map."""
 
 import random
 
@@ -21,7 +22,7 @@ from tannaka_forge.modules import FinModule, ModuleMap, NotWellDefined
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    regular_bimodule, tensor_bimodules,
                                    tensor_bim_bmodule, induced)
-from tannaka_forge.coalgebra import (comodule_hom,
+from tannaka_forge.coalgebra import (AxiomError, comodule_hom,
                                      counit_contraction, cofree,
                                      enumerate_subcomodules,
                                      subcomodule_as_comodule)
@@ -72,14 +73,10 @@ def _perturbed(C):
     return out
 
 
-def _witness(t3, dh, src, hat, phi):
+def _witness(t3, dh, src, hat):
     """The coassociativity witness as coalgebra_check and comodule_check
-    compute it: in Sweedler coordinates when f_B = 1, where the lifts are
-    the identity on coordinates (hat is phi), otherwise on the nest of the
-    triple tensor t3."""
-    if t3.nest is None:
-        return coalgebra._sweedler_witness(t3.xy, dh, src, phi)
-    return coalgebra._coassoc_witness(t3.xy, t3.nest, dh, src, hat, phi)
+    compute it, on the nest of the triple tensor t3 (none when f_B = 1)."""
+    return coalgebra._coassoc_witness(t3.xy, t3.nest, dh, src, hat)
 
 
 def _compare_coalgebra(C):
@@ -98,15 +95,21 @@ def _compare_coalgebra(C):
             ref.counit_contraction(alg, C.counit, cc, act, left)
     t3 = nested_triple_tensor(alg, cc, bi.carrier, bi.left)
     dh, dense_dh = C.deltahat_cols, deltahat(C)
-    assert _witness(t3, dh, cc, dh, C.delta.mat.sparse_cols()) \
+    assert _witness(t3, dh, cc, dh) \
         is None is ref.coassoc_witness(t3, dense_dh, cc, dense_dh, C.delta)
     out = []
     for delta in _perturbed(C):
         hat = dense(cc).sect @ delta.mat
-        out.append(_same_descent(
-            lambda: _witness(t3, hat.sparse_cols(), cc, hat.sparse_cols(),
-                             delta.mat.sparse_cols()),
-            lambda: ref.coassoc_witness(t3, hat, cc, hat, delta)))
+        old = _outcome(lambda: ref.coassoc_witness(t3, hat, cc, hat, delta))
+        if old[0] is ValueError:
+            # not B-linear: the check refuses it before the comparison
+            assert "does not descend" in old[1]
+            old = _outcome(lambda: coalgebra.coalgebra_check(cc, delta, C.counit))
+            assert old[0] is AxiomError and old[1].startswith("NotBimoduleMap"), old
+        else:
+            assert _outcome(lambda: _witness(t3, hat.sparse_cols(), cc,
+                                             hat.sparse_cols())) == old
+        out.append(old)
     return out
 
 
@@ -123,8 +126,7 @@ def _compare_comodule(Mc):
         ref.counit_contraction(alg, C.counit, cm, M.act)
     t3 = nested_triple_tensor(alg, C.cc, M.carrier, M.act)
     hat = rhohat(Mc)
-    assert _witness(t3, C.deltahat_cols, cm, Mc.rhohat_cols,
-                    Mc.rho.mat.sparse_cols()) \
+    assert _witness(t3, C.deltahat_cols, cm, Mc.rhohat_cols) \
         is None is ref.coassoc_witness(t3, deltahat(C), cm, hat, Mc.rho)
     K, basis = comodule_hom(Mc, Mc)
     K_ref, basis_ref = ref.comodule_hom(Mc, Mc)
@@ -155,9 +157,9 @@ def test_suite_coalgebras_and_comodules_match_reference():
                          for out in _compare_coalgebra(C))
         for Mc in comods:
             _compare_comodule(Mc)
-    # the perturbed deltas give witnesses over F2 and Z/4 and a refused
-    # descent over GR(4,2)
-    assert 0 in witnesses and ValueError in witnesses
+    # the perturbed deltas give witnesses over F2 and Z/4, and over GR(4,2)
+    # a delta that is not B-linear, refused as not a bimodule map
+    assert 0 in witnesses and AxiomError in witnesses
     assert any(not Mc.carrier.is_free() for _, comods in suite for Mc in comods)
 
 
@@ -207,7 +209,7 @@ def test_random_coends_match_reference():
     coends = _random_coends()
     outs = {out[0] if out[0] != "ok" else type(out[1])
             for CR in coends for out in _compare_coend(CR)}
-    assert outs == {int, type(None), ValueError}
+    assert outs == {int, type(None), AxiomError}
     rings = {(CR.coalgebra.alg.R.p ** CR.coalgebra.alg.R.n, CR.coalgebra.alg.fb)
              for CR in coends}
     assert rings == {(2, 1), (4, 1), (8, 1), (2, 2), (4, 2)}

@@ -1,5 +1,6 @@
-"""Coassociativity at f_B = 1 in Sweedler coordinates against the comparison
-on the flat triple tensor it replaces (`dense_coassoc_witness` on
+"""Coassociativity at f_B = 1, where `_coassoc_witness` gets no nest and
+compares the flat Sweedler sums entry by entry, against the comparison on
+the flat triple tensor it replaces (`dense_coassoc_witness` on
 `flat_triple_tensor`, tests/coassoc_reference.py), witness for witness, on
 suite coalgebras, coends with torsion, lifted and cofree comodules and
 perturbed delta and rho; and the memory the triple tensor no longer
@@ -10,7 +11,7 @@ import tracemalloc
 
 from tannaka_forge import textio
 from tannaka_forge.algebra import AlgebraSpec, free_bmodule
-from tannaka_forge.coalgebra import _sweedler_witness, cofree
+from tannaka_forge.coalgebra import _coassoc_witness, cofree
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import ModuleMap
 from tannaka_forge.suite import (comatrix_coalgebra, comatrix_diagram,
@@ -56,13 +57,15 @@ def _bumped(rng, phi, g):
     return ModuleMap(src, dst, Matrix.from_cols(R, cols, dst.rank))
 
 
-def _both(cc, deltahat, src, phi):
-    """The Sweedler witness and the one on the flat triple tensor."""
+def _both(cc, deltahat, src, hat):
+    """The witness of the one comparison, with no nest, and the one on the
+    flat triple tensor.  At f_B = 1 a lift is the identity on coordinates,
+    so hat, the lift of rho, is also rho's own columns."""
     C_car = cc.TR.left
     t3 = flat_triple_tensor(src.alg, C_car, None, C_car, None, None,
                             src.TR.right, None)
-    return (_sweedler_witness(cc, deltahat, src, phi),
-            dense_coassoc_witness(t3, deltahat, src, phi, phi))
+    return (_coassoc_witness(cc, None, deltahat, src, hat),
+            dense_coassoc_witness(t3, deltahat, src, hat, hat))
 
 
 def test_sweedler_witness_matches_flat_triple_tensor():

@@ -41,14 +41,21 @@ def test_checked_coend_builds_one_tensor_square(tensor_calls):
         assert CR.coalgebra.cc.factors == (CR.coalgebra.bi, CR.coalgebra.bi)
 
 
-def test_lift_coaction_builds_one_tensor_per_object(tensor_calls):
+def test_lift_coaction_builds_one_tensor_per_fiber_rank(tensor_calls):
+    # the MF diagram has two objects of rank 1, whose fibers share one
+    # L (x)_B B, and each is still checked by comodule_check
+    ranks = []
     for D in _diagrams():
         CR = coend(D)
         tensor_calls.update(dict.fromkeys(TENSORS, 0))
         lifted = lift_coaction(CR)
+        ranks.append([obj.rank for obj in D.objects])
         assert tensor_calls == {"tensor_bimodules": 0,
-                                "tensor_bim_bmodule": D.nobj()}
+                                "tensor_bim_bmodule": len(set(ranks[-1]))}
         assert all(Mc.cm.factors[0] == CR.coalgebra.bi for Mc in lifted)
+        assert [Mc.carrier.rank // D.alg.fb for Mc in lifted] == ranks[-1]
+        assert all(comodule_check(CR.coalgebra, Mc.cm, Mc.rho) == Mc for Mc in lifted)
+    assert [1, 1] in ranks
 
 
 def test_checks_build_no_tensor(tensor_calls):
