@@ -23,9 +23,10 @@ section (BTensor.lift); only the Smith presentation of a quotient writes
 its relations out densely.  When f_B = 1, B is R and x = 1 (ring_make's
 modulus is x - 1), so every B-action is the identity and tensor over B is
 tensor over R: BTensor.over_r decides this once, and then no outer action
-is induced, no map projected or lifted, no counit contraction descended.
-A triple tensor over B is needed only for the coassociativity check at
-f_B >= 2, and only as its nest (X tensor_B Y) tensor_B Z on the computed
+is induced, no map projected or lifted.  A counit contraction is a flat map
+at every f_B, never descended.  A triple tensor over B is needed only where
+a coassociativity check at f_B >= 2 finds a flat difference, and only as
+its nest (X tensor_B Y) tensor_B Z on the computed
 X tensor_B Y (right exactness): X^{(+)s} in B-coordinates when Z is free
 over B with s generators (FreeNest), else a binary tensor as above.
 

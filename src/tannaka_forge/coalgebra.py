@@ -18,10 +18,12 @@ condition reads of it as a source (lift_terms) and bmat_rank, its
 standard rank.
 
 Axioms are evaluated on a generating set of the carrier (maps are linear, so
-this is exhaustive).  Coassociativity is one comparison for every f_B
-(_coassoc_witness): the flat Sweedler sums of both sides, per generator,
-with no triple tensor; at f_B >= 2 only the flat pairs where they differ
-are projected into the nest (C (x)_B C) (x)_B Z (algebra.nest_tensor).
+this is exhaustive).  Once the bimodule-map conditions hold, the other
+axioms are compared on the flat lifts, and no map is descended: the counit
+laws apply the flat counit_contraction to them, and coassociativity
+compares the flat Sweedler sums of both sides per generator
+(_coassoc_witness); at f_B >= 2 only the flat pairs where they differ are
+projected into the nest (C (x)_B C) (x)_B Z, built only then.
 
 Failure reports carry the axiom name and a witness generator index so a
 refutation can be replayed in isolation.
@@ -45,7 +47,7 @@ from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
                       commutator_cols, submodule, solve_in, factor_through,
                       sub_canonical, sub_elements, sparse_image,
                       DEFAULT_ENUM_BUDGET, EnumerationBudget)
-from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor, FreeNest,
+from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                       tensor_bim_bmodule, nest_tensor, descend_cols,
                       induced, power_cols, poly_cols,
                       regular_bimodule, is_b_free, btensor_bmodule, _standard_rank)
@@ -90,8 +92,8 @@ class Coalgebra:
     @cached_property
     def deltahat_cols(self) -> list:
         """The sparse columns of the lift of delta into the flat R-tensor
-        cc.TR, computed once for the coalgebra check, every comodule check
-        and the formatted coalgebra."""
+        cc.TR, computed once for the coalgebra check, every comodule check,
+        the counit echo and the formatted coalgebra."""
         return self.cc.lift(self.delta)
 
     def __eq__(self, other):
@@ -104,14 +106,13 @@ class Coalgebra:
 
 def counit_contraction(alg: AlgebraSpec, ecols: list, data: BTensor,
                        act: ModuleMap, left: bool = True) -> list:
-    """(eps (x)_B id) : X (x)_B M -> M through B (x)_B M = M, as sparse
-    columns descended from the flat map c (x) m |-> eps(c) . m; with
-    left=False, (id (x)_B eps) : M (x)_B X -> M from m (x) c |-> m . eps(c).
+    """The flat map c (x) m |-> eps(c) . m : X (x)_R M -> M on data.TR, as
+    sparse columns; with left=False, m (x) c |-> m . eps(c) on M (x)_R X.
     eps : X -> B, given by its sparse columns ecols, is a counit, or any
     B-linear functional such as a dual-basis one.  act is the x-action on
-    M: the left one for eps (x) id, the right one for id (x) eps.  Over R
-    (data.over_r) the flat map is the map: its columns eps(c) . m are
-    returned as written, with no descent, well defined when eps is."""
+    M: the left one for eps (x) id, the right one for id (x) eps.  The flat
+    map descends to (eps (x)_B id) : X (x)_B M -> M, as eps is B-linear,
+    so it maps any flat lift of an element as (eps (x)_B id) the element."""
     car_c, car_m = (data.TR.left, data.TR.right) if left else \
         (data.TR.right, data.TR.left)
     # column (c, m) of the flat map is column m of the action of eps(c),
@@ -123,16 +124,16 @@ def counit_contraction(alg: AlgebraSpec, ecols: list, data: BTensor,
     for (i, j), k in data.TR.pos.items():
         c, m = (i, j) if left else (j, i)
         cols[k] = eps_act[c][m]
-    return cols if data.over_r else descend_cols(data, cols, car_m)
+    return cols
 
 
-def _coassoc_witness(cc: BTensor, nest: FreeNest | BTensor | None,
-                     deltahat: list, src: BTensor, hat: list) -> int | None:
+def _coassoc_witness(cc: BTensor, deltahat: list, src: BTensor, hat: list,
+                     zact: ModuleMap) -> int | None:
     """The first generator g of Z with (delta (x) id) rho(g) different from
     (id (x) rho) rho(g), or None, for rho : Z -> src.module = C (x)_B Z
-    (rho = delta when Z = C), cc = C (x)_B C and nest = (C (x)_B C) (x)_B Z
-    from nest_tensor, None when f_B = 1.  deltahat and hat are the flat
-    lifts of delta into cc.TR and of rho into src.TR, as sparse columns.
+    (rho = delta when Z = C), cc = C (x)_B C and zact the x-action of Z.
+    deltahat and hat are the flat lifts of delta into cc.TR and of rho into
+    src.TR, as sparse columns.
 
     In Sweedler notation (Sweedler, Hopf Algebras, 1969, 1.2), for each
     flat term c (a, z) of hat[g] the two sides add c deltahat[a] (x) z and
@@ -140,7 +141,8 @@ def _coassoc_witness(cc: BTensor, nest: FreeNest | BTensor | None,
     (pk, z) of (C (x)_R C) (x)_R Z, each entry reduced mod p^min(e_pk, e_z),
     its order.  When f_B = 1 that flat tensor is the triple tensor, so g
     is a witness when an entry is left.  Otherwise only the entries left
-    are pushed through cc's projection and nest.project_pair, each pair
+    are pushed through cc's projection and the nest (C (x)_B C) (x)_B Z
+    (nest_tensor, built on the first generator that leaves one), each pair
     (q, z) of the nest projected once, and g is a witness when the image
     is nonzero.
 
@@ -153,7 +155,7 @@ def _coassoc_witness(cc: BTensor, nest: FreeNest | BTensor | None,
     pe = [R.p ** e for e in range(R.n + 1)]
     epk, ez, p12 = cc.TR.module.exps, src.TR.right.exps, cc.TR.pos
     spair = list(src.TR.pos)                # pos iterates in coordinate order
-    pairs: dict[tuple[int, int], list] = {}     # pair of the nest -> its image
+    nest, pairs = None, {}                  # pair of the nest -> its image
     for g, terms in enumerate(hat):
         diff: dict[tuple[int, int], int] = {}
         for k, c in terms:
@@ -168,8 +170,9 @@ def _coassoc_witness(cc: BTensor, nest: FreeNest | BTensor | None,
                 if (r := x % pe[min(epk[pkz[0]], ez[pkz[1]])])]
         if not left:
             continue
-        if nest is None:
+        if cc.over_r:
             return g
+        nest = nest or nest_tensor(src.alg, cc, src.TR.right, zact)
         image = [((q, z), x * a) for (pk, z), x in left for q, a in cc.proj_cols[pk]]
         for qz, _ in image:
             if qz not in pairs:
@@ -188,7 +191,9 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
     regular_bimodule, btensor_bmodule or the coend: NotBimoduleMap here and
     NotModuleMap in comodule_check fire only at f_B >= 2, or on an action
     built unchecked that is not the identity, which cc's unit outer actions
-    would otherwise hide."""
+    would otherwise hide.  The counit laws and coassociativity then read
+    deltahat_cols, which NotBimoduleMap makes sound: no map is descended,
+    and a nest is built only for a delta that is not coassociative."""
     if cc.factors is None or cc.factors[0] != cc.factors[1]:
         raise ValueError("cc must be the tensor square of one bimodule")
     coalg = Coalgebra(cc, delta, counit)
@@ -210,17 +215,14 @@ def coalgebra_check(cc: BTensor, delta: ModuleMap,
         if w is not None:
             raise AxiomError("NotBimoduleMap", w, "(%s action)" % name)
     # counit laws: (eps (x) id) delta = id = (id (x) eps) delta
-    unit = [[(x, 1)] for x in range(C.carrier.rank)]
+    unit, hat = [[(x, 1)] for x in range(C.carrier.rank)], coalg.deltahat_cols
     for code, left, act in (("CounitLeft", True, C.left),
                             ("CounitRight", False, C.right)):
         contraction = counit_contraction(alg, ecols, cc, act, left)
-        w = _first_difference(contraction, dcols, unit, unit, C.carrier)
+        w = _first_difference(contraction, hat, unit, unit, C.carrier)
         if w is not None:
             raise AxiomError(code, w)
-    # coassociativity, projected into the nest only at f_B >= 2
-    hat = coalg.deltahat_cols
-    nest = None if cc.over_r else nest_tensor(alg, cc, C.carrier, C.left)
-    w = _coassoc_witness(cc, nest, hat, cc, hat)
+    w = _coassoc_witness(cc, hat, cc, hat, C.left)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return coalg
@@ -271,7 +273,10 @@ class Comodule:
 
 def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     """Validate the coaction rho on M for cm = C (x)_B M, the tensor rho is
-    written in; raises AxiomError on the first failing axiom."""
+    written in; raises AxiomError on the first failing axiom.  C must have
+    passed coalgebra_check or be built B-linear, as the coend builds it:
+    the counit law reads rhohat_cols through the flat contraction by eps,
+    which descends only when eps is B-linear, not tested again here."""
     if cm.factors is None or cm.factors[0] != C.bi:
         raise ValueError("cm must be a tensor C (x)_B M over the coalgebra")
     Mc = Comodule(C, cm, rho)
@@ -283,11 +288,10 @@ def comodule_check(C: Coalgebra, cm: BTensor, rho: ModuleMap) -> Comodule:
     if w is not None:
         raise AxiomError("NotModuleMap", w)
     eps_id = counit_contraction(alg, C.counit.cols, cm, M.act)
-    w = _first_difference(eps_id, cols, unit, unit, M.carrier)
+    w = _first_difference(eps_id, Mc.rhohat_cols, unit, unit, M.carrier)
     if w is not None:
         raise AxiomError("CounitLeft", w)
-    nest = None if cm.over_r else nest_tensor(alg, C.cc, M.carrier, M.act)
-    w = _coassoc_witness(C.cc, nest, C.deltahat_cols, cm, Mc.rhohat_cols)
+    w = _coassoc_witness(C.cc, C.deltahat_cols, cm, Mc.rhohat_cols, M.act)
     if w is not None:
         raise AxiomError("Coassoc", w)
     return Mc

@@ -80,10 +80,10 @@ from .modules import (FinModule, ModuleMap, Presentation,
                       descend_sparse)
 from .algebra import (AlgebraSpec, BBBimodule, free_bmodule,
                       regular_bimodule, tensor_bimodules, tensor_bim_bmodule,
-                      induced, induced_cols, as_b_module, is_b_free)
+                      induced, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
                         comodule_hom, comodule_hom_span, counit_contraction,
-                        _first_difference)
+                        _coaction_condition, _first_difference)
 
 
 class DiagramNotClosed(ValueError):
@@ -558,17 +558,11 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
 
 
 def morphisms_are_comodule_maps(CR: CoendResult, lifted: list[Comodule]) -> bool:
-    """Every spanning morphism commutes with the lifted coactions."""
+    """Every spanning morphism F : k -> l meets the coaction condition that
+    comodule_hom solves: rho_l F = (id (x)_B F) rho_k on the lifted fibers."""
     D = CR.diagram
-    for k, l, row in D.family():
-        Fr = ModuleMap(lifted[k].carrier, lifted[l].carrier,
-                       D.alg.flat_cols(row.items(), D.objects[k].rank), validate=False)
-        lhs = lifted[l].rho @ Fr
-        rhs = induced(lifted[k].cm, lifted[l].cm,
-                      ModuleMap.identity(CR.coalgebra.carrier), Fr) @ lifted[k].rho
-        if lhs != rhs:
-            return False
-    return True
+    return not any(any(_coaction_condition(lifted[k], lifted[l])(
+        D.alg.flat_cols(row.items(), D.objects[k].rank))) for k, l, row in D.family())
 
 
 def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = None):
@@ -653,32 +647,34 @@ def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
     alg = C.alg
     fb = alg.fb
     L = CR.coalgebra
-    # nu on the T-basis: column (v, w) of block i is (id (x)_B xi_w) rho_i(e_v);
-    # it must kill the relations of L, and then any section of the coend
-    # presentation gives the same nu
+    # nu on the T-basis: column (v, w) of block i is (id (x)_B xi_w) rho_i(e_v),
+    # the flat contraction by xi_w of its lift; it must kill the relations
+    # of L, and then any section of the coend presentation gives the same nu
     B_car = regular_bimodule(alg).carrier
     cols = []
     for i, sc in enumerate(std_comods):
         m = CR.block_dims[i]
-        rho = sc.rho.cols
-        nus = []
-        for w in range(m):
-            contraction = counit_contraction(alg, alg.dual_functional(m // fb, w),
-                                             sc.cm, C.bi.right, left=False)
-            nus.append([sparse_image(col, contraction, C.carrier) for col in rho])
-        cols += [nus[w][v] for v in range(m) for w in range(m)]
+        xis = [counit_contraction(alg, alg.dual_functional(m // fb, w), sc.cm,
+                                  C.bi.right, left=False) for w in range(m)]
+        cols += [sparse_image(sc.rhohat_cols[v], xis[w], C.carrier)
+                 for v in range(m) for w in range(m)]
     rels = [[(j, a) for j, a in enumerate(row) if a] for row in CR.rel_rows]
     nu_cols = descend_sparse(cols, rels, CR.sect, C.carrier, L.carrier)
     nu = ModuleMap(L.carrier, C.carrier, nu_cols, validate=False)
     # coalgebra-morphism checks, each a comparison of two composites on
-    # the generators of L
+    # the generators of L; nu (x) nu descends for a bimodule map nu, so
+    # delta's sums nu(a) (x) nu(b) over the flat terms of deltahat_L(x)
     unit = [[(x, 1)] for x in range(L.carrier.rank)]
     bimod_ok = all(_first_difference(nu_cols, act_L.cols, act_C.cols, nu_cols,
                                      C.carrier) is None
                    for act_L, act_C in ((L.bi.left, C.bi.left), (L.bi.right, C.bi.right)))
     eps_ok = _first_difference(C.counit.cols, nu_cols, L.counit.cols, unit, B_car) is None
-    delta_ok = _first_difference(C.delta.cols, nu_cols, induced_cols(L.cc, C.cc, nu, nu),
-                                 L.delta.cols, C.cc.module) is None
+    pair = list(L.cc.TR.pos)                # pos iterates in coordinate order
+    delta_ok = bimod_ok and all(
+        sparse_image(nu_cols[x], C.delta.cols, C.cc.module) == C.cc.pure_sum(
+            ([(i, c * a) for i, a in nu_cols[pair[k][0]]], nu_cols[pair[k][1]])
+            for k, c in terms)
+        for x, terms in enumerate(L.deltahat_cols))
     ker, _ = map_kernel(nu)
     cok, _ = map_cokernel(nu)
     injective, surjective = ker.is_zero(), cok.is_zero()
@@ -903,16 +899,14 @@ def _has_equalizing(D, src, diff, dvec, budget, reach, memo):
     return _some_source(D, budget, found)
 
 
-def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
-                         extra_probes=None):
+def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET):
     """Coequalizer and pushout probes whose fiber colimit is free over B:
     search for a universal cocone object inside the closed D and compare
     with the fiber colimit.  Returns (Verdict, probe detail list).
 
-    extra_probes entries are ("coeq", k, l, F, G) or
-    ("pushout", c, k, l, F, G) with F : c -> k, G : c -> l.  At most 96
-    probes run, and pushouts take the first two generators of each leg; a
-    sweep that either cap cut short is inconclusive, not verified."""
+    At most 96 probes run, and pushouts take the first two generators of
+    each leg; a sweep that either cap cut short is inconclusive, not
+    verified."""
     D.require_closed()
     B = D.alg.B
     jobs = []
@@ -928,8 +922,6 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
             for F in Fs[:2]:
                 for G in Gs[:2]:
                     jobs.append(("pushout", c, k, l, F, G))
-    if extra_probes:
-        jobs.extend(extra_probes)
     total = len(jobs) + dropped
     jobs = jobs[:96]
     probes, products, outcomes = [], {}, {}

@@ -11,7 +11,12 @@ dense flat maps as wide as the R-tensor (``induced`` through a dense
 ``poly_in`` in the x-action.  ``coassoc_witness`` is the sparse
 coassociativity comparison with its private copy of the descent, and
 ``comodule_hom`` and ``subcomodule_as_comodule`` build their id (x) h and
-id (x) incl terms from the dense ``map_tensor``.  ``map_tensor`` here is
+id (x) incl terms from the dense ``map_tensor``.  ``coalgebra_outcome``,
+``comodule_outcome``, ``counit_nu`` and ``coalgebra_morphism`` are the
+axiom checks and the counit echo as they were made before they read flat
+lifts: each counit contraction descended and composed with delta or rho,
+both sides of coassociativity descended into a nested triple tensor, and
+nu (x) nu induced onto the tensor over B.  ``map_tensor`` here is
 its own fill loop, so that these references share no column builder with
 the code under test.
 """
@@ -19,12 +24,12 @@ the code under test.
 from __future__ import annotations
 
 from tannaka_forge.linalg import Matrix
-from tannaka_forge.modules import (ModuleMap, NotWellDefined, hom_module,
+from tannaka_forge.modules import (FinModule, ModuleMap, NotWellDefined, hom_module,
                                    submodule, solve_in)
 from tannaka_forge.algebra import BModule, tensor_bim_bmodule
 from tannaka_forge.coalgebra import AxiomError, comodule_check
 
-from dense_tensor import dense, rhohat
+from dense_tensor import deltahat, dense, rhohat
 from hom_reference import dense_hom_equalizer
 
 
@@ -210,3 +215,64 @@ def subcomodule_as_comodule(Mc, gens):
         return comodule_check(Mc.coalgebra, cs, rho)
     except AxiomError:
         return None
+
+
+def _first_change(f):
+    """The first generator an endomorphism f does not fix, or None."""
+    return next((i for i in range(f.src.rank) if f.apply(f.src.gen(i)) != f.src.gen(i)),
+                None)
+
+
+def coalgebra_outcome(cc, delta, counit, bi, t3):
+    """The counit laws and coassociativity of (delta, counit), bimodule maps
+    on bi, as (code, witness) or ("pass", None): each descended counit
+    contraction composed with delta, then coassoc_witness on the nested
+    triple tensor t3 of C (x)_B C (x)_B C."""
+    for code, left, act in (("CounitLeft", True, bi.left), ("CounitRight", False, bi.right)):
+        w = _first_change(counit_contraction(cc.alg, counit, cc, act, left) @ delta)
+        if w is not None:
+            return code, w
+    hat = dense(cc).sect @ delta.mat
+    w = coassoc_witness(t3, hat, cc, hat, delta)
+    return ("pass", None) if w is None else ("Coassoc", w)
+
+
+def comodule_outcome(C, cm, rho, act, t3):
+    """The counit law and coassociativity of the coaction rho, a module map
+    on the x-action act, as coalgebra_outcome reads them, t3 the nested
+    triple tensor of C (x)_B C (x)_B M."""
+    w = _first_change(counit_contraction(C.alg, C.counit, cm, act) @ rho)
+    if w is not None:
+        return "CounitLeft", w
+    w = coassoc_witness(t3, deltahat(C), cm, dense(cm).sect @ rho.mat, rho)
+    return ("pass", None) if w is None else ("Coassoc", w)
+
+
+def counit_nu(C, std_comods, CR):
+    """nu : L -> C of counit_from_coend: on the T-basis, column (v, w) of
+    block i is the descended contraction by xi_w composed with rho_i, at
+    e_v; then descended out of T."""
+    alg, fb, cols = C.alg, C.alg.fb, []
+    for i, sc in enumerate(std_comods):
+        m = CR.block_dims[i]
+        nus = [counit_contraction(alg, ModuleMap(sc.carrier, FinModule.free(alg.R, fb),
+                                                 alg.dual_functional(m // fb, w),
+                                                 validate=False),
+                                  sc.cm, C.bi.right, left=False) @ sc.rho
+               for w in range(m)]
+        cols += [nus[w].apply(sc.carrier.gen(v)) for v in range(m) for w in range(m)]
+    T = FinModule.free(alg.R, len(cols))
+    flat = ModuleMap(T, C.carrier, Matrix.from_cols(alg.R, cols, C.carrier.rank),
+                     validate=False)
+    return descend_map(flat, CR.rel_rows, CR.coalgebra.carrier,
+                       Matrix.from_sparse(alg.R, CR.sect, T.rank))
+
+
+def coalgebra_morphism(C, L, nu):
+    """nu is a bimodule map commuting with the counits and with delta, the
+    last through nu (x) nu induced onto C (x)_B C (defined for a bimodule
+    map nu only)."""
+    if any(nu @ a != b @ nu for a, b in ((L.bi.left, C.bi.left), (L.bi.right, C.bi.right))):
+        return False
+    return C.counit @ nu == L.counit and \
+        C.delta @ nu == induced(L.cc, C.cc, nu, nu) @ L.delta

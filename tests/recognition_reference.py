@@ -115,8 +115,7 @@ def span_membership(ring, gens, target):
     return solve(A, list(target))
 
 
-def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
-                         extra_probes=None):
+def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET):
     alg = D.alg
     B = alg.B
     probes = []
@@ -130,8 +129,6 @@ def rigid_colimit_probes(D: DiagramCategory, budget: int = DEFAULT_BUDGET,
             for F in D.homs[(c, k)][:2]:
                 for G in D.homs[(c, l)][:2]:
                     jobs.append(("pushout", c, k, l, F, G))
-    if extra_probes:
-        jobs.extend(extra_probes)
     overall = "verified"
     witness = None
     for job in jobs[:96]:

@@ -213,10 +213,11 @@ def test_cofree_right_adjoint_bijection(alg_f2):
         KB, bbasis, _H = b_hom(Mc.module, N)
         assert K.cardinality() == KB.cardinality()
         # the correspondence phi -> (eps (x) id) . phi is injective on the span
+        from tannaka_forge.algebra import descend_cols
         from tannaka_forge.coalgebra import counit_contraction
-        eps_id = ModuleMap(cmN.module, N.carrier,
-                           counit_contraction(alg, C.counit.mat.sparse_cols(),
-                                              cmN, N.act), validate=False)
+        eps_id = ModuleMap(cmN.module, N.carrier, descend_cols(
+            cmN, counit_contraction(alg, C.counit.mat.sparse_cols(), cmN, N.act),
+            N.carrier), validate=False)
         images = set()
         for coords in itertools.product(
                 *[range(alg.R.p ** e) for e in K.exps]):

@@ -12,7 +12,7 @@ from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import (AlgebraSpec, BModule, FreeNest,
                                    free_bmodule, regular_bimodule,
-                                   BBBimodule, tensor_bimodules,
+                                   BBBimodule, tensor_bimodules, induced,
                                    nest_tensor, as_b_module)
 from tannaka_forge.coalgebra import (coalgebra_check, comodule_check, cofree,
                                      AxiomError)
@@ -71,57 +71,73 @@ def _assert_nest_agrees(nest, quotient, reference):
         [mod.gen(r) for r in range(mod.rank)]
 
 
+def _checked_nest(kinds, alg, xy, Z_car, Z_left):
+    """nest_tensor's nest and, when it is built in B-coordinates, the
+    nested Smith quotient of the same flat tensor, else None.  A nest in
+    B-coordinates must agree with that quotient and with the dense
+    reference nest (_assert_nest_agrees).  kinds collects "free" or
+    "quotient" for each nest built."""
+    nest = nest_tensor(alg, xy, Z_car, Z_left)
+    if not isinstance(nest, FreeNest):
+        kinds.append("quotient")
+        return nest, None
+    q = quotient_triple_tensor(alg, xy, Z_car, Z_left)
+    _assert_nest_agrees(nest, q.nest, dense_tensor_free(
+        alg, xy, Z_car, as_b_module(alg, Z_car, Z_left)))
+    kinds.append("free")
+    return nest, q
+
+
 def _outcomes(monkeypatch, fn, bi, kinds, references=True):
     """The outcomes of fn, which checks a coalgebra or comodule over the
-    coalgebra bimodule bi: with the one sparse comparison (on the nest when
-    f_B >= 2, on the flat Sweedler sums with no nest when f_B = 1), with the
-    dense reference on the nested quotient (when f_B = 1, on the flat
-    triple tensor) and, when f_B >= 2, with the dense reference on the flat
-    one-Smith quotient.  The references must actually have run, and the
-    nested and flat quotients must have the same exponents.  Whenever the
-    nest is built in B-coordinates, the dense reference nest and the Smith
-    quotient of the same flat tensor are built as well; the nest must agree
-    with both (_assert_nest_agrees) and the sparse comparison must give the
-    same witness on the nest and the quotient.  The dense reference runs on
-    reference_nest, with rho's columns read back from its lift by src's
-    projection.  kinds collects "free" or "quotient" for each nest built.
-    With references False only the first run is made."""
+    coalgebra bimodule bi: with the one sparse comparison (on the nest it
+    builds for a flat difference when f_B >= 2, on the flat Sweedler sums
+    with no nest when f_B = 1), with the dense reference on the nested
+    quotient (when f_B = 1, on the flat triple tensor) and, when f_B >= 2,
+    with the dense reference on the flat one-Smith quotient.  The
+    references must actually have run, and the nested and flat quotients
+    must have the same exponents.  The check builds at most one nest, only
+    when f_B >= 2, and one for every Coassoc witness there; whenever it
+    builds one in B-coordinates, the sparse comparison must give the same
+    witness on the Smith quotient of the same nest.  Every nest a reference
+    comparison reaches is built by nest_tensor as well and checked by
+    _checked_nest.  The dense reference runs on reference_nest, with rho's
+    columns read back from its lift by src's projection.  With references
+    False only the first run is made."""
     calls, built, exps = [], [], {"nested": [], "flat": []}
-    quotients = {}
+    quotients = []
     witness = coalgebra._coassoc_witness
 
-    def reference(cc, t3, deltahat, src, hat):
+    def reference(cc, deltahat, src, hat, zact):
         # the reference nest, the flat one-Smith quotient, or when f_B = 1
         # (no nest) the flat triple tensor, which is then the quotient
         calls.append(1)
-        if t3 is None:
+        if cc.over_r:
             C_car = cc.TR.left
             t3 = flat_triple_tensor(bi.alg, C_car, None, C_car, None, None,
                                     src.TR.right, None)
             exps["nested"].append(t3.module.exps)
-        elif not isinstance(t3, FlatTripleTensor):
-            t3 = as_triple(cc, t3)
+        else:
+            t3 = coalgebra.nest_tensor(src.alg, cc, src.TR.right, zact)
+            if not isinstance(t3, FlatTripleTensor):
+                nest, _ = _checked_nest(kinds, src.alg, cc, src.TR.right, zact)
+                exps["nested"].append(nest.module.exps)
+                t3 = as_triple(cc, t3)
         return dense_coassoc_witness(t3, deltahat, src, hat, src.project(hat))
 
     def nested(alg, xy, Z_car, Z_left):
-        nest = nest_tensor(alg, xy, Z_car, Z_left)
+        nest, q = _checked_nest(kinds, alg, xy, Z_car, Z_left)
         built.append(nest)
-        exps["nested"].append(nest.module.exps)
-        if isinstance(nest, FreeNest):
-            q = quotient_triple_tensor(alg, xy, Z_car, Z_left)
-            reference = dense_tensor_free(alg, xy, Z_car,
-                                          as_b_module(alg, Z_car, Z_left))
-            _assert_nest_agrees(nest, q.nest, reference)
-            quotients[id(nest)] = q
-            kinds.append("free")
-        else:
-            kinds.append("quotient")
+        quotients.extend([q] if q else [])
         return nest
 
-    def compared(cc, nest, *args):
-        w = witness(cc, nest, *args)
-        if id(nest) in quotients:
-            assert w == witness(cc, quotients.pop(id(nest)).nest, *args)
+    def compared(*args):
+        w = witness(*args)
+        if quotients:
+            q = quotients.pop()
+            with monkeypatch.context() as m:
+                m.setattr(coalgebra, "nest_tensor", lambda *_: q.nest)
+                assert w == witness(*args)
         return w
 
     def flat(alg, xy, Z_car, Z_left):
@@ -135,6 +151,9 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
         m.setattr(coalgebra, "_coassoc_witness", compared)
         out = [_outcome(fn)]
     assert not quotients, "a B-coordinate nest was never compared"
+    assert len(built) <= 1 and (not built or bi.alg.fb > 1), built
+    if out[0][0] == "Coassoc" and bi.alg.fb > 1:
+        assert built, "a witness at f_B >= 2 was read without a nest"
     if not references:
         return out
     with monkeypatch.context() as m:
@@ -149,7 +168,6 @@ def _outcomes(monkeypatch, fn, bi, kinds, references=True):
                          "CounitLeft", "CounitRight"):
         assert calls, "the reference comparison was never reached"
         assert exps["nested"], "no triple tensor was built"
-        assert bool(built) == (bi.alg.fb > 1), "no nest is built at f_B = 1"
     return out
 
 
@@ -286,6 +304,15 @@ def _perturbed_delta(rng, C, counital):
         cols[s * fb + k] = list(cc.module.add(cols[s * fb + k], pure(cc, u, v)))
         u = act.apply(u)
     return ModuleMap(car, cc.module, Matrix.from_cols(R, cols, cc.module.rank))
+
+
+def _not_coassociative(C):
+    """delta + (k (x) k x) delta, k the bimodule map left - right action and
+    x the left one: a bimodule map killed by eps on either side, so only
+    coassociativity can fail, and it does on a coend whose two actions
+    differ."""
+    k = C.bi.left - C.bi.right
+    return C.delta + induced(C.cc, C.cc, k, k @ C.bi.left) @ C.delta
 
 
 def _perturbed_rho(rng, Mc, ker):
@@ -453,16 +480,20 @@ def test_coalgebra_check_allocates_no_large_matrix(monkeypatch):
     # flat triple tensor 4096.  The checked coend of one rank-2 object over
     # GR(4,2) with only its identity: rank L = 16, C (x)_B C has rank 128,
     # and its nest in B-coordinates has rank 1024 over a flat tensor of rank
-    # 2048, which a dense projection would fill
-    cases = [(comatrix_coalgebra(AlgebraSpec.make(2, 1, 1), 4), 256 ** 2)]
+    # 2048, which a dense projection would fill.  Each delta is perturbed
+    # so that only coassociativity fails, and over GR(4,2) the check builds
+    # the nest to find the witness
+    F2 = comatrix_coalgebra(AlgebraSpec.make(2, 1, 1), 4)
+    cases = [(F2, _perturbed_delta(random.Random(0), F2, counital=True), 256 ** 2)]
     C = coend(comatrix_diagram(AlgebraSpec.make(2, 2, 2), 2)).coalgebra
     assert (C.carrier.rank, C.cc.module.rank) == (16, 128)
-    cases.append((C, C.cc.module.rank ** 2))
+    cases.append((C, _not_coassociative(C), C.cc.module.rank ** 2))
     largest = _largest_matrix(monkeypatch)
     sizes = []
-    for C, bound in cases:
+    for C, delta, bound in cases:
         largest[0] = 0
-        coalgebra_check(C.cc, C.delta, C.counit)
+        with pytest.raises(AxiomError, match="Coassoc"):
+            coalgebra_check(C.cc, delta, C.counit)
         assert largest[0] <= bound, (largest[0], bound)
         sizes.append(largest[0])
     # the largest matrices built: over F2 none, since the one matrix it
@@ -496,23 +527,29 @@ def test_witt_coalgebra_check_smith_size(monkeypatch):
 
 def test_mf_coend_nests_agree_with_quotient(monkeypatch):
     # MF coends over GR(4,2), GR(8,2) and GR(4,3) are B-free, so every
-    # triple tensor of their checks is built in B-coordinates; over GR(4,3)
-    # the Smith quotient of the coalgebra's nest presents 1,944 rows
+    # nest their checks could build is in B-coordinates; over GR(4,3) the
+    # Smith quotient of the coalgebra's nest presents 1,944 rows.  Their
+    # deltas and coactions are coassociative, so the checks build none,
+    # and each nest is built here by a direct call
     for pnf in ((2, 2, 2), (2, 3, 2), (2, 2, 3)):
         CR = coend(mf_family_diagram(*pnf, (0, 1))[0], check=False)
         C, kinds = CR.coalgebra, []
         assert _outcomes(monkeypatch, _recheck_coalgebra(C), C.bi,
                          kinds, references=False) == [PASS]
+        _checked_nest(kinds, C.alg, C.cc, C.carrier, C.bi.left)
         for Mc in lift_coaction(CR):
             assert _outcomes(monkeypatch, _recheck_comodule(Mc), C.bi,
                              kinds, references=False) == [PASS]
+            _checked_nest(kinds, C.alg, C.cc, Mc.carrier, Mc.module.act)
         assert kinds == ["free"] * 3
 
 
 def test_gr43_triple_tensor_smith_size(monkeypatch):
     # inside nest_tensor only as_b_module presents anything: the coend L
     # has R-rank 18, where the Smith quotient of the nest presented
-    # rank(C (x)_B C) * rank(L) = 108 * 18 = 1,944 rows
+    # rank(C (x)_B C) * rank(L) = 108 * 18 = 1,944 rows.  Its delta is
+    # coassociative, so the check builds no nest, and the nest is built
+    # by a direct call
     CR = coend(mf_family_diagram(2, 2, 3, (0, 1))[0], check=False)
     C = CR.coalgebra
     assert C.carrier.rank == 18 and C.cc.module.rank == 108
@@ -535,6 +572,8 @@ def test_gr43_triple_tensor_smith_size(monkeypatch):
     monkeypatch.setattr(modules, "smith", counted_smith)
     monkeypatch.setattr(coalgebra, "nest_tensor", traced)
     coalgebra_check(C.cc, C.delta, C.counit)
+    assert rows == []
+    coalgebra.nest_tensor(C.alg, C.cc, C.carrier, C.bi.left)
     assert rows and max(rows) <= 64
 
 

@@ -1,7 +1,8 @@
 """Coassociativity at f_B >= 2 on the nest alone: `_coassoc_witness` sums
 the flat Sweedler sums per generator and projects into the nest that
 `nest_tensor` returns only the flat pairs whose difference is nonzero, each
-pair of the nest they reach once.  It is compared, witness for witness, with
+pair of the nest they reach once; it builds the nest only when such a pair
+is left, so a passing check builds none and descends nothing.  It is compared, witness for witness, with
 the dense reference on the nested Smith quotient and on the flat one-Smith
 quotient (tests/coassoc_reference.py); a map those refuse to descend is
 refused by the public check as not B-linear.  The flat layouts, the
@@ -11,11 +12,11 @@ import random
 
 import pytest
 
-from tannaka_forge import algebra, cli, modules, textio
+from tannaka_forge import algebra, cli, coalgebra, modules, tannaka, textio
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap
 from tannaka_forge.algebra import (AlgebraSpec, BModule, BTensor, FreeNest,
-                                   free_bmodule, induced, nest_tensor)
+                                   free_bmodule, nest_tensor)
 from tannaka_forge.coalgebra import (AxiomError, _coassoc_witness, coalgebra_check,
                                      comodule_check, cofree)
 from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
@@ -26,8 +27,8 @@ from tannaka_forge.tannaka import coend, hom_closure, lift_coaction
 from coassoc_reference import (dense_coassoc_witness, flat_triple_tensor,
                                quotient_triple_tensor)
 from dense_tensor import deltahat, pure, rhohat
-from test_coassoc import (_b_grouplike, _counit_kernel, _perturbed_delta,
-                          _perturbed_rho)
+from test_coassoc import (_b_grouplike, _counit_kernel, _not_coassociative,
+                          _perturbed_delta, _perturbed_rho)
 
 # F4, GR(4,2), GR(8,2), GR(4,3), F16
 WITT_ALGS = [(2, 1, 2), (2, 2, 2), (2, 3, 2), (2, 2, 3), (2, 1, 4)]
@@ -68,7 +69,7 @@ class _Comparison:
 
     def __init__(self, C, Z_car, Z_left):
         alg, bi = C.alg, C.bi
-        self.cc = C.cc
+        self.cc, self.zact = C.cc, Z_left
         self.nest = nest_tensor(alg, C.cc, Z_car, Z_left)
         self.references = (
             quotient_triple_tensor(alg, C.cc, Z_car, Z_left),
@@ -85,7 +86,7 @@ class _Comparison:
             with pytest.raises(AxiomError) as e:
                 check()
             return e.value.code
-        return [_coassoc_witness(self.cc, self.nest, dh, src, hat)] + refs
+        return [_coassoc_witness(self.cc, dh, src, hat, self.zact)] + refs
 
 
 def test_nest_witness_matches_dense_references():
@@ -202,9 +203,11 @@ def _gr42_rank3_coalgebra():
 def test_gr42_rank3_check_lays_out_no_flat_triple_tensor(monkeypatch):
     # L has rank 36 and C (x)_B C rank 648: the flat triple tensor has
     # rank 1,296 * 36 = 46,656, and the nest's own flat tensor rank
-    # 648 * 36 = 23,328, both of which the check once laid out.  The
-    # largest layout left is the nest itself, of rank 11,664
+    # 648 * 36 = 23,328, both of which the check once laid out.  On a
+    # delta that is not coassociative, the one check that builds the
+    # nest, the largest layout left is the nest itself, of rank 11,664
     C = _gr42_rank3_coalgebra()
+    delta = _not_coassociative(C)
     sizes = []
     tensor_with_data, layout = modules.tensor_with_data, modules.canonical_layout
 
@@ -220,7 +223,8 @@ def test_gr42_rank3_check_lays_out_no_flat_triple_tensor(monkeypatch):
     for mod in (modules, algebra):
         monkeypatch.setattr(mod, "canonical_layout", counted_layout)
     monkeypatch.setattr(algebra, "tensor_with_data", counted_tensor)
-    coalgebra_check(C.cc, C.delta, C.counit)
+    with pytest.raises(AxiomError, match="Coassoc"):
+        coalgebra_check(C.cc, delta, C.counit)
     assert max(sizes) == C.cc.module.rank * C.carrier.rank // C.alg.fb == 11664, \
         max(sizes)
 
@@ -234,8 +238,7 @@ def test_gr42_rank3_check_projects_only_the_pairs_it_touches(monkeypatch):
     # eps on either side, so only coassociativity fails, and some pairs are
     # projected, each once
     C = _gr42_rank3_coalgebra()
-    k = C.bi.left - C.bi.right
-    delta = C.delta + induced(C.cc, C.cc, k, k @ C.bi.left) @ C.delta
+    delta = _not_coassociative(C)
     projected = []
     project_pair = FreeNest.project_pair
 
@@ -249,6 +252,50 @@ def test_gr42_rank3_check_projects_only_the_pairs_it_touches(monkeypatch):
     with pytest.raises(AxiomError, match="Coassoc"):
         coalgebra_check(C.cc, delta, C.counit)
     assert 0 < len(projected) == len(set(projected)) < 23328, len(projected)
+
+
+def test_a_passing_check_descends_nothing_and_builds_no_nest(monkeypatch):
+    # the checked coend of the GR(4,2) rank-3 identity and its lifted
+    # coaction: no check descends a map (descend_sparse, which every
+    # descent calls) or builds a nest; the tensors they are written in are
+    # built outside the checks, and their outer actions are descended
+    # there.  The delta of _not_coassociative builds exactly one nest
+    descents, nests, inside = [], [], [0]
+    descend, nest_tensor_ = modules.descend_sparse, coalgebra.nest_tensor
+
+    def counted_descend(*args):
+        descents.append(inside[0])
+        return descend(*args)
+
+    def counted_nest(*args):
+        nests.append(inside[0])
+        return nest_tensor_(*args)
+
+    def inside_check(check):
+        def run(*args):
+            inside[0] += 1
+            try:
+                return check(*args)
+            finally:
+                inside[0] -= 1
+        return run
+
+    for mod in (modules, algebra, tannaka):
+        monkeypatch.setattr(mod, "descend_sparse", counted_descend)
+    monkeypatch.setattr(coalgebra, "nest_tensor", counted_nest)
+    for mod in (coalgebra, tannaka):
+        for name in ("coalgebra_check", "comodule_check"):
+            monkeypatch.setattr(mod, name, inside_check(getattr(coalgebra, name)))
+    CR = coend(hom_closure(textio.parse_diagram(GR42_RANK3)))
+    lifted = lift_coaction(CR)
+    assert CR.coalgebra.carrier.rank == 36 and len(lifted) == 1
+    # the counters are live: the coend descends its maps out of T, and
+    # its tensors' outer actions are descended, all outside the checks
+    assert descents and not any(descents) and nests == []
+    C = CR.coalgebra
+    with pytest.raises(AxiomError, match="Coassoc"):
+        coalgebra.coalgebra_check(C.cc, _not_coassociative(C), C.counit)
+    assert nests == [1]
 
 
 def test_mf_triple_lifts_each_comodule_once(monkeypatch, capsys):

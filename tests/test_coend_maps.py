@@ -265,21 +265,20 @@ def test_the_descents_share_one_function(monkeypatch):
     calls.clear()
     CR = coend(trivial_full_hom_diagram(alg))
     C = CR.coalgebra
-    # the two actions, eps and delta on the coend, the two outer actions of
-    # C (x)_B C in between, then the check: eps (x) id and id (x) eps.  The
-    # coassociativity comparison descends nothing: it reads delta's flat
-    # lift, which the bimodule-map conditions make well defined
-    assert len(calls) == 8
+    # the two actions, eps and delta on the coend, and the two outer
+    # actions of C (x)_B C in between.  The check descends nothing: its
+    # counit laws and coassociativity read delta's flat lift, which the
+    # bimodule-map conditions make well defined
+    assert len(calls) == 6
     assert sum(q is C.carrier for q in calls) == 4
-    assert sum(q is C.cc.module for q in calls) == 4
-    # nu is descended out of T once; its checks descend only the counit
-    # contractions through each C (x)_B M and nu (x) nu onto C (x)_B C
+    assert sum(q is C.cc.module for q in calls) == 2
+    # nu is descended out of T once; its checks descend nothing: the
+    # counit contractions read the flat lifts of the coactions, and
+    # nu (x) nu the flat lift of delta
     lifted = lift_coaction(CR)
     calls.clear()
     counit_from_coend(C, lifted, CR)
-    assert sum(q is C.carrier for q in calls) == 1
-    assert sum(q is C.cc.module for q in calls) == 1
-    assert len(calls) == 2 + sum(Mc.carrier.rank for Mc in lifted)
+    assert calls == [C.carrier]
     # the colimit map of a filtered F-module
     calls.clear()
     mf.mbar(mf.tate_object(alg.B, 1))

@@ -7,7 +7,10 @@ which descends nothing, against the dense comparison there, on the suite
 coalgebras and comodules, seeded random coends with and without torsion,
 and the MF coends over GR(4,2) and GR(8,2): equal matrices, equal
 witnesses and the same exceptions; a delta the reference refuses to
-descend is refused by coalgebra_check as not a bimodule map."""
+descend is refused by coalgebra_check as not a bimodule map.  The counit
+laws, coassociativity, nu and its coalgebra-morphism flag, which the
+checks and the counit echo read off flat lifts, are compared with the
+descended path of tests/descent_reference.py they replaced."""
 
 import random
 
@@ -16,17 +19,18 @@ import pytest
 import descent_reference as ref
 from coassoc_reference import nested_triple_tensor
 from dense_tensor import deltahat, dense, dense_kernel, descend, descend_map, pure, rhohat
-from tannaka_forge import coalgebra
+from tannaka_forge import coalgebra, tannaka
 from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import FinModule, ModuleMap, NotWellDefined
 from tannaka_forge.algebra import (AlgebraSpec, BModule, free_bmodule,
                                    regular_bimodule, tensor_bimodules,
-                                   tensor_bim_bmodule, induced)
-from tannaka_forge.coalgebra import (AxiomError, comodule_hom,
+                                   tensor_bim_bmodule, induced, descend_cols)
+from tannaka_forge.coalgebra import (AxiomError, Coalgebra, coalgebra_check,
+                                     comodule_check, comodule_hom, is_cauchy,
                                      counit_contraction, cofree,
                                      enumerate_subcomodules,
                                      subcomodule_as_comodule)
-from tannaka_forge.tannaka import coend, lift_coaction
+from tannaka_forge.tannaka import coend, counit_map, lift_coaction
 from tannaka_forge.suite import (trivial_coalgebra, grouplike_coalgebra,
                                  comatrix_coalgebra, grouplike_line,
                                  comatrix_standard_comodule, mf_family_diagram,
@@ -73,10 +77,11 @@ def _perturbed(C):
     return out
 
 
-def _witness(t3, dh, src, hat):
+def _witness(t3, dh, src, hat, zact):
     """The coassociativity witness as coalgebra_check and comodule_check
-    compute it, on the nest of the triple tensor t3 (none when f_B = 1)."""
-    return coalgebra._coassoc_witness(t3.xy, t3.nest, dh, src, hat)
+    compute it, for the triple tensor t3 and zact the x-action of its third
+    factor."""
+    return coalgebra._coassoc_witness(t3.xy, dh, src, hat, zact)
 
 
 def _compare_coalgebra(C):
@@ -89,13 +94,13 @@ def _compare_coalgebra(C):
     assert dense(cc).right == ref.induced(cc, cc, one, bi.right)
     assert induced(cc, cc, bi.left, bi.right) == ref.induced(cc, cc, bi.left, bi.right)
     for left, act in ((True, bi.left), (False, bi.right)):
-        assert ModuleMap(cc.module, bi.carrier,
-                         counit_contraction(alg, C.counit.mat.sparse_cols(),
-                                            cc, act, left), validate=False) == \
+        flat = counit_contraction(alg, C.counit.mat.sparse_cols(), cc, act, left)
+        assert ModuleMap(cc.module, bi.carrier, descend_cols(cc, flat, bi.carrier),
+                         validate=False) == \
             ref.counit_contraction(alg, C.counit, cc, act, left)
     t3 = nested_triple_tensor(alg, cc, bi.carrier, bi.left)
     dh, dense_dh = C.deltahat_cols, deltahat(C)
-    assert _witness(t3, dh, cc, dh) \
+    assert _witness(t3, dh, cc, dh, bi.left) \
         is None is ref.coassoc_witness(t3, dense_dh, cc, dense_dh, C.delta)
     out = []
     for delta in _perturbed(C):
@@ -108,7 +113,7 @@ def _compare_coalgebra(C):
             assert old[0] is AxiomError and old[1].startswith("NotBimoduleMap"), old
         else:
             assert _outcome(lambda: _witness(t3, hat.sparse_cols(), cc,
-                                             hat.sparse_cols())) == old
+                                             hat.sparse_cols(), bi.left)) == old
         out.append(old)
     return out
 
@@ -120,13 +125,13 @@ def _compare_comodule(Mc):
     alg, one = C.alg, ModuleMap.identity(C.carrier)
     assert induced(cm, cm, one, M.act) == ref.induced(cm, cm, one, M.act)
     assert induced(cm, cm, C.bi.left, M.act) == ref.induced(cm, cm, C.bi.left, M.act)
-    assert ModuleMap(cm.module, M.carrier,
-                     counit_contraction(alg, C.counit.mat.sparse_cols(), cm, M.act),
+    flat = counit_contraction(alg, C.counit.mat.sparse_cols(), cm, M.act)
+    assert ModuleMap(cm.module, M.carrier, descend_cols(cm, flat, M.carrier),
                      validate=False) == \
         ref.counit_contraction(alg, C.counit, cm, M.act)
     t3 = nested_triple_tensor(alg, C.cc, M.carrier, M.act)
     hat = rhohat(Mc)
-    assert _witness(t3, C.deltahat_cols, cm, Mc.rhohat_cols) \
+    assert _witness(t3, C.deltahat_cols, cm, Mc.rhohat_cols, M.act) \
         is None is ref.coassoc_witness(t3, deltahat(C), cm, hat, Mc.rho)
     K, basis = comodule_hom(Mc, Mc)
     K_ref, basis_ref = ref.comodule_hom(Mc, Mc)
@@ -280,3 +285,105 @@ def test_a_map_that_misses_a_middle_relation_is_refused():
         assert _same_descent(lambda: descend(data, flat),
                              lambda: ref.descend(data, flat))[0] is ValueError
 
+
+
+# ---------------------------------------------------------------------------
+# the flat comparisons against the descended path they replaced
+# ---------------------------------------------------------------------------
+
+def _code(fn):
+    """(code, witness) of an axiom check, ("pass", None) when it passes."""
+    try:
+        fn()
+    except AxiomError as e:
+        return e.code, e.witness
+    return "pass", None
+
+
+def _complement(C):
+    """psi, a bimodule endomorphism of C with eps psi = 0: left - right when
+    the two actions differ, else c |-> c - eps(c) u^-1 . g, g a generator
+    with eps(g) = u a unit; None when no generator has one."""
+    alg, car = C.alg, C.carrier
+    if C.bi.left != C.bi.right:
+        return C.bi.left - C.bi.right
+    B = alg.B
+    eps = [B.from_coeffs(C.counit.apply(car.gen(i))) for i in range(car.rank)]
+    piv = next((i for i, e in enumerate(eps) if B.is_unit(e)), None)
+    if piv is None:
+        return None
+    inv = B.inv(eps[piv])
+    cols = [car.add(car.gen(i), ref.act_by(alg, C.bi.left, B.neg(B.mul(e, inv)))
+                    .apply(car.gen(piv))) for i, e in enumerate(eps)]
+    return ModuleMap(car, car, Matrix.from_cols(alg.R, cols, car.rank))
+
+
+def _broken_deltas(C, psi):
+    """delta + (id (x) psi) delta, which breaks the left counit law where
+    psi is not zero, delta + (psi (x) id) delta, which breaks the right one,
+    and delta + (psi (x) psi x) delta, which keeps both."""
+    one, d = ModuleMap.identity(C.carrier), C.delta
+    return [d + induced(C.cc, C.cc, f, g) @ d
+            for f, g in ((one, psi), (psi, one), (psi, psi @ C.bi.left))]
+
+
+def test_flat_axiom_checks_match_the_descended_path(monkeypatch):
+    # coalgebra_check and comodule_check compare the counit laws and
+    # coassociativity on flat lifts, and counit_from_coend reads nu and its
+    # coalgebra-morphism flag off them; the descended path of
+    # tests/descent_reference.py gives the same codes, witnesses, nu and
+    # flag, on the suite, seeded coends over F2, Z/4, Z/8, F4 and GR(4,2)
+    # with torsion, and deltas and coactions broken in each axiom
+    echoes = []
+    real_echo = tannaka.counit_from_coend
+
+    def recorded(C, std_comods, CR):
+        echoes.append((C, std_comods, CR))
+        return real_echo(C, std_comods, CR)
+
+    monkeypatch.setattr(tannaka, "counit_from_coend", recorded)
+    codes, flags, cases = {}, [], _suite()
+    for C, comods in cases:
+        family = [Mc for Mc in comods if is_cauchy(Mc)]
+        if family:
+            counit_map(C, family)
+    for CR in _random_coends():
+        L = CR.coalgebra
+        cases.append((L, lift_coaction(CR)))
+        echoes.append((L, cases[-1][1], CR))
+    for C, comods in cases:
+        alg, car, psi = C.alg, C.carrier, _complement(C)
+        t3 = nested_triple_tensor(alg, C.cc, car, C.bi.left)
+        deltas = [C.delta] + (_broken_deltas(C, psi) if psi else []) + _perturbed(C)
+        for delta in deltas:
+            got = _code(lambda: coalgebra_check(C.cc, delta, C.counit))
+            if got[0] != "NotBimoduleMap":
+                assert got == ref.coalgebra_outcome(C.cc, delta, C.counit, C.bi, t3)
+                codes[got[0]] = codes.get(got[0], 0) + 1
+        for Mc in comods:
+            M, cm = Mc.module, Mc.cm
+            t3 = nested_triple_tensor(alg, C.cc, M.carrier, M.act)
+            rhos = [Mc.rho, Mc.rho + induced(cm, cm, ModuleMap.identity(car), M.act) @ Mc.rho]
+            if psi:
+                rhos.append(Mc.rho + induced(cm, cm, psi, ModuleMap.identity(M.carrier))
+                            @ Mc.rho)
+            for rho in rhos:
+                got = _code(lambda: comodule_check(C, cm, rho))
+                if got[0] != "NotModuleMap":
+                    assert got == ref.comodule_outcome(C, cm, rho, M.act, t3)
+                    codes[got[0]] = codes.get(got[0], 0) + 1
+    for L, std_comods, CR in echoes:
+        res = real_echo(L, std_comods, CR)
+        assert res.nu == ref.counit_nu(L, std_comods, CR)
+        psi = _complement(L)
+        for delta in [L.delta] + (_broken_deltas(L, psi) if psi else []):
+            C = Coalgebra(L.cc, delta, L.counit)
+            flag = real_echo(C, std_comods, CR).coalgebra_morphism
+            assert flag == ref.coalgebra_morphism(C, CR.coalgebra, res.nu)
+            flags.append(flag)
+    # measured: 277 passes, 150, 27 and 29 witnesses; 48 echoes, 120 flags
+    # True and 72 False
+    assert codes["pass"] >= 250 and codes["CounitLeft"] >= 100 and \
+        codes["CounitRight"] >= 20 and codes["Coassoc"] >= 20, codes
+    assert len(echoes) >= 40 and flags.count(True) >= 100 and flags.count(False) >= 50, \
+        (len(echoes), flags.count(True), flags.count(False))

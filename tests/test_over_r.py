@@ -155,7 +155,8 @@ def _general(monkeypatch):
 
 
 def _tensor_calls(count_calls, alg):
-    """sparse_image calls of the two tensor constructors and descend_sparse
+    """sparse_image and descend_sparse calls of the two tensor
+    constructors, whose outer actions are descended, and descend_sparse
     calls of the three counit contractions, on the coend of the rank-2
     identity."""
     C = coend(hom_closure(_identity_diagram(alg, 2)), check=False).coalgebra
@@ -163,24 +164,25 @@ def _tensor_calls(count_calls, alg):
     counts = count_calls((modules, "sparse_image"), (modules, "descend_sparse"))
     cc = tensor_bimodules(alg, C.bi, C.bi)
     cm = tensor_bim_bmodule(alg, C.bi, M)
-    images = counts["sparse_image"]
+    images, descents = counts["sparse_image"], counts["descend_sparse"]
     ecols = C.counit.cols
-    before = counts["descend_sparse"]
     counit_contraction(alg, ecols, cc, C.bi.left)
     counit_contraction(alg, ecols, cc, C.bi.right, left=False)
     counit_contraction(alg, ecols, cm, M.act)
-    return images, counts["descend_sparse"] - before
+    return images, descents, counts["descend_sparse"] - descents
 
 
 def test_tensors_project_and_descend_only_over_b(monkeypatch, count_calls):
+    # the outer actions cc.left, cc.right and cm.left are descended over B;
+    # the counit contractions are flat maps, descended on no path
     f2, gr42 = AlgebraSpec.make(2, 1, 1), AlgebraSpec.make(2, 2, 2)
-    assert _tensor_calls(count_calls, f2) == (0, 0)
-    images, descents = _tensor_calls(count_calls, gr42)
-    assert images > 0 and descents == 3
+    assert _tensor_calls(count_calls, f2) == (0, 0, 0)
+    images, descents, contractions = _tensor_calls(count_calls, gr42)
+    assert images > 0 and descents == 3 and contractions == 0
     # and the general path at f_B = 1 is the one the differential tests read
     _general(monkeypatch)
-    images, descents = _tensor_calls(count_calls, f2)
-    assert images > 0 and descents == 3
+    images, descents, contractions = _tensor_calls(count_calls, f2)
+    assert images > 0 and descents == 3 and contractions == 0
 
 
 # ---------------------------------------------------------------------------

@@ -123,16 +123,24 @@ def test_probe_caps_downgrade_verified():
     assert all(p["verdict"] == "verified" for p in probes)
     assert (v.status, v.reason) == ("inconclusive", "probed 13 of 18 colimit probes")
     assert ref.rigid_colimit_probes(D)[0].status == "verified"
+
+    def full(n, zero):
+        """n rank-1 objects with every hom F8, and a rank-0 object if zero."""
+        objs = [DiagObject("A%d" % i, 1) for i in range(n)] + [DiagObject("Z", 0)] * zero
+        return hom_closure(DiagramCategory(alg, objs, {(i, j): gens for i in range(n)
+                                                       for j in range(n)}))
     # past the cap of 96 probes
-    one = Matrix.identity(B, 1)
-    v, probes = rigid_colimit_probes(D, extra_probes=[("coeq", 0, 0, one, one)] * 90)
+    D = full(3, True)
+    v, probes = rigid_colimit_probes(D)
     assert len(probes) == 96
     assert all(p["verdict"] == "verified" for p in probes)
-    assert (v.status, v.reason) == ("inconclusive", "probed 96 of 108 colimit probes")
-    # a refutation stands whatever the caps dropped: the pushout of
-    # A <- Z -> A has a fiber of rank 2, and no object of D has one
-    empty = Matrix.zeros(B, 1, 0)
-    v, _ = rigid_colimit_probes(D, extra_probes=[("pushout", 1, 0, 0, empty, empty)])
+    assert (v.status, v.reason) == ("inconclusive", "probed 96 of 324 colimit probes")
+    assert ref.rigid_colimit_probes(D)[0].status == "verified"
+    # a refutation stands whatever the caps dropped: the coequalizer of 1
+    # and 0 on a rank-1 object has the zero fiber, and without Z no object
+    # of D has it
+    v, probes = rigid_colimit_probes(full(4, False))
+    assert len(probes) == 96
     assert v.status == "refuted" and v.reason == ""
 
 

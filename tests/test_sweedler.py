@@ -1,4 +1,4 @@
-"""Coassociativity at f_B = 1, where `_coassoc_witness` gets no nest and
+"""Coassociativity at f_B = 1, where `_coassoc_witness` builds no nest and
 compares the flat Sweedler sums entry by entry, against the comparison on
 the flat triple tensor it replaces (`dense_coassoc_witness` on
 `flat_triple_tensor`, tests/coassoc_reference.py), witness for witness, on
@@ -57,14 +57,15 @@ def _bumped(rng, phi, g):
     return ModuleMap(src, dst, Matrix.from_cols(R, cols, dst.rank))
 
 
-def _both(cc, deltahat, src, hat):
+def _both(cc, deltahat, src, hat, zact):
     """The witness of the one comparison, with no nest, and the one on the
-    flat triple tensor.  At f_B = 1 a lift is the identity on coordinates,
-    so hat, the lift of rho, is also rho's own columns."""
+    flat triple tensor, zact the x-action of rho's source.  At f_B = 1 a
+    lift is the identity on coordinates, so hat, the lift of rho, is also
+    rho's own columns."""
     C_car = cc.TR.left
     t3 = flat_triple_tensor(src.alg, C_car, None, C_car, None, None,
                             src.TR.right, None)
-    return (_coassoc_witness(cc, None, deltahat, src, hat),
+    return (_coassoc_witness(cc, deltahat, src, hat, zact),
             dense_coassoc_witness(t3, deltahat, src, hat, hat))
 
 
@@ -94,7 +95,7 @@ def test_sweedler_witness_matches_flat_triple_tensor():
             delta = C.delta if trial == 0 else \
                 _bumped(rng, C.delta, rng.randrange(C.carrier.rank))
             cols = delta.mat.sparse_cols()
-            got, want = _both(C.cc, cols, C.cc, cols)
+            got, want = _both(C.cc, cols, C.cc, cols, C.bi.left)
             assert got == want, (C.carrier, trial)
             checks, witnesses = checks + 1, witnesses + (want is not None)
             if trial == 0:
@@ -104,7 +105,8 @@ def test_sweedler_witness_matches_flat_triple_tensor():
         for trial in range(9):
             rho = Mc.rho if trial == 0 else \
                 _bumped(rng, Mc.rho, rng.randrange(Mc.carrier.rank))
-            got, want = _both(Mc.coalgebra.cc, dcols, Mc.cm, rho.mat.sparse_cols())
+            got, want = _both(Mc.coalgebra.cc, dcols, Mc.cm, rho.mat.sparse_cols(),
+                              Mc.module.act)
             assert got == want, (Mc.carrier, trial)
             checks, witnesses = checks + 1, witnesses + (want is not None)
             if trial == 0:
