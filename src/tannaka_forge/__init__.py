@@ -12,8 +12,7 @@ from .modules import (FinModule, ModuleMap, module_from_presentation,
 from .algebra import (AlgebraSpec, BModule, BBBimodule, free_bmodule,
                       regular_bimodule, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
-                        comodule_hom, comodule_hom_span, is_cauchy, cofree,
-                        enumerate_subcomodules, AxiomError)
+                        comodule_hom, comodule_hom_span, cofree, AxiomError)
 from .tannaka import (DiagObject, DiagramCategory, hom_closure, coend,
                       CoendResult, lift_coaction, unit_fully_faithful_check,
                       counit_map, flatness_check, recognition_check,
@@ -30,8 +29,7 @@ __all__ = [
     "AlgebraSpec", "BModule", "BBBimodule", "free_bmodule",
     "regular_bimodule", "as_b_module", "is_b_free",
     "Coalgebra", "Comodule", "coalgebra_check", "comodule_check",
-    "comodule_hom", "comodule_hom_span", "is_cauchy", "cofree",
-    "enumerate_subcomodules", "AxiomError",
+    "comodule_hom", "comodule_hom_span", "cofree", "AxiomError",
     "DiagObject", "DiagramCategory", "hom_closure", "coend", "CoendResult",
     "lift_coaction", "unit_fully_faithful_check", "counit_map",
     "flatness_check", "recognition_check", "RecognitionReport",

@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="e.g. M(0),M(1),M(0)+M(1)")
     common(p, with_file=False)
     p.set_defaults(fn=cmd_mf_demo)
-    p = sub.add_parser("verify-suite", help="run every built-in example and "
-                       "property family")
+    p = sub.add_parser("verify-suite", help="run the product's checks on the "
+                       "built-in examples")
     common(p, with_file=False)
     p.set_defaults(fn=cmd_verify_suite)
     return ap

@@ -44,13 +44,10 @@ from functools import cached_property
 
 from .linalg import Span
 from .modules import (FinModule, ModuleMap, hom_module, hom_equalizer,
-                      commutator_cols, submodule, solve_in, factor_through,
-                      sub_canonical, sub_elements, sparse_image,
-                      DEFAULT_ENUM_BUDGET, EnumerationBudget)
+                      commutator_cols, submodule, sparse_image)
 from .algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
-                      tensor_bim_bmodule, nest_tensor, descend_cols,
-                      induced, power_cols, poly_cols,
-                      regular_bimodule, is_b_free, btensor_bmodule, _standard_rank)
+                      tensor_bim_bmodule, nest_tensor, descend_cols, power_cols,
+                      poly_cols, regular_bimodule, btensor_bmodule, _standard_rank)
 
 
 class AxiomError(ValueError):
@@ -357,12 +354,6 @@ def comodule_hom_span(Mc: Comodule, Nc: Comodule, charts: dict | None = None) ->
     return Span(alg.R, [dict(col) for col in syz], len(conds))
 
 
-def is_cauchy(Mc: Comodule) -> bool:
-    """Cauchy = underlying B-module finitely generated projective; over a
-    chain ring that means free."""
-    return is_b_free(Mc.coalgebra.alg, Mc.carrier, Mc.module.act)
-
-
 def cofree(C: Coalgebra, M: BModule) -> Comodule:
     """The cofree comodule on M: carrier C (x)_B M, coaction delta (x) id
     (verified by comodule_check even though it holds by construction)."""
@@ -379,80 +370,3 @@ def cofree(C: Coalgebra, M: BModule) -> Comodule:
     rho = ModuleMap(cm.module, target.module, descend_cols(cm, cols, target.module),
                     validate=False)
     return comodule_check(C, target, rho)
-
-
-# ---------------------------------------------------------------------------
-# subcomodule enumeration (brute force, budgeted)
-# ---------------------------------------------------------------------------
-
-def enumerate_b_submodules(alg: AlgebraSpec, M: BModule,
-                           budget: int = DEFAULT_ENUM_BUDGET):
-    """All B-submodules of M's carrier, as canonical generator tuples."""
-    car = M.carrier
-    if car.cardinality() > budget:
-        raise EnumerationBudget("carrier too large for submodule enumeration")
-    acts = [ModuleMap(car, car, c, validate=False) for c in power_cols(M.act.cols, car, alg.fb)]
-
-    def close(gens):
-        return frozenset(sub_elements(car, [a.apply(g) for g in gens for a in acts]))
-
-    elems = list(car.elements(budget))
-    base = {close([e]) for e in elems}
-    base.add(frozenset([car.zero_elem()]))
-    closed = set(base)
-    work = list(base)
-    while work:
-        S = work.pop()
-        for T in base:
-            if T <= S:
-                continue
-            U = close(list(S | T))
-            if U not in closed:
-                closed.add(U)
-                work.append(U)
-    out = []
-    for S in closed:
-        gens = sub_canonical(car, sorted(S))
-        out.append((len(S), gens, sorted(S)))
-    out.sort(key=lambda t: (t[0], t[2]))
-    return out
-
-
-def enumerate_subcomodules(Mc: Comodule, budget: int = DEFAULT_ENUM_BUDGET):
-    """All B-submodules S with rho(S) inside the image of C (x)_B S in
-    C (x)_B M; complete, contains 0 and M."""
-    alg = Mc.coalgebra.alg
-    C_car = Mc.coalgebra.carrier
-    out = []
-    for size, gens, elems in enumerate_b_submodules(alg, Mc.module, budget):
-        sparse = [[(i, x) for i, x in enumerate(s) if x] for s in gens]
-        image_gens = [Mc.cm.pure_sum([([(a, 1)], s)])
-                      for a in range(C_car.rank) for s in sparse]
-        if None not in solve_in(Mc.cm.module, image_gens, [Mc.rho.apply(s) for s in gens]):
-            out.append((size, [tuple(g) for g in gens], elems))
-    return out
-
-
-def subcomodule_as_comodule(Mc: Comodule, gens) -> Comodule | None:
-    """Restrict the coaction to the subcomodule spanned by gens, presented
-    abstractly; None when the restriction cannot be solved or fails the
-    axioms (possible only for non-flat coalgebras)."""
-    alg = Mc.coalgebra.alg
-    car = Mc.carrier
-    acts = power_cols(Mc.module.act.cols, car, alg.fb)
-    S, incl = submodule(car, [sparse_image([(i, c) for i, c in enumerate(g) if c], a, car)
-                              for g in gens for a in acts])
-    # S as a B-module: x-action transported through incl
-    act = factor_through(incl, Mc.module.act @ incl)
-    if act is None:
-        return None
-    cs = tensor_bim_bmodule(alg, Mc.coalgebra.bi, BModule(alg, S, act))
-    # solve (id (x) incl) . rho_S = rho_M . incl
-    rho = factor_through(induced(cs, Mc.cm, ModuleMap.identity(Mc.coalgebra.carrier),
-                                 incl), Mc.rho @ incl)
-    if rho is None:
-        return None
-    try:
-        return comodule_check(Mc.coalgebra, cs, rho)
-    except AxiomError:
-        return None

@@ -89,14 +89,6 @@ class Matrix:
         return cls(ring, [list(r) for r in rows])
 
     @classmethod
-    def from_cols(cls, ring: RingSpec, cols, rows: int) -> "Matrix":
-        """Build from a list of column vectors, keeping the row count even
-        when the list is empty."""
-        if not cols:
-            return cls(ring, [[] for _ in range(rows)], rows, 0)
-        return cls(ring, [list(r) for r in zip(*cols)], rows, len(cols))
-
-    @classmethod
     def from_sparse(cls, ring: RingSpec, cols, rows: int) -> "Matrix":
         """Write out the sparse columns cols, lists of (row, entry) pairs,
         as a dense matrix with rows rows."""

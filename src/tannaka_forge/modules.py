@@ -48,7 +48,7 @@ import itertools
 from dataclasses import dataclass
 
 from .rings import RingSpec
-from .linalg import Matrix, DimensionMismatch, smith, kernel, howell, solve_columns
+from .linalg import Matrix, DimensionMismatch, smith, kernel, solve_columns
 
 
 class RingMismatch(ValueError):
@@ -109,9 +109,6 @@ class FinModule:
         """Canonicalize a raw coordinate vector into this module."""
         red = self.ring.reduce_exp
         return tuple(red(v, e) for v, e in zip(vec, self.exps))
-
-    def zero_elem(self) -> tuple[int, ...]:
-        return (0,) * self.rank
 
     def gen(self, i: int) -> tuple[int, ...]:
         v = [0] * self.rank
@@ -571,14 +568,6 @@ def direct_sum(mods: list[FinModule]) -> SumData:
         (e, (t, i)) for t, m in enumerate(mods) for i, e in enumerate(m.exps))))
 
 
-def sub_canonical(M: FinModule, gens: list[tuple[int, ...]]) -> tuple:
-    """Canonical form of the submodule of M generated by gens (as a row
-    tuple); equal iff the submodules are equal."""
-    rows = [list(g) for g in gens] + [dict(c) for c in torsion_cols(M)]
-    hf = howell(M.ring, rows, M.rank)
-    return tuple(tuple(r) for r in hf)
-
-
 def span_elements(ring: RingSpec, rows, width: int,
                   budget: int | None) -> list[list[int]] | None:
     """All elements of the R-span of rows already in Howell form, each
@@ -598,9 +587,3 @@ def span_elements(ring: RingSpec, rows, width: int,
                         acc[k] = add(acc[k], mul(c, v))
         out.append(acc)
     return out
-
-
-def sub_elements(M: FinModule, gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All elements of the submodule spanned by gens, via its Howell rows."""
-    return [M.reduce(v) for v in
-            span_elements(M.ring, sub_canonical(M, gens), M.rank, None)]

@@ -83,7 +83,7 @@ from .algebra import (AlgebraSpec, BBBimodule, free_bmodule,
                       induced, as_b_module, is_b_free)
 from .coalgebra import (Coalgebra, Comodule, coalgebra_check, comodule_check,
                         comodule_hom, comodule_hom_span, counit_contraction,
-                        _coaction_condition, _first_difference)
+                        _first_difference)
 
 
 class DiagramNotClosed(ValueError):
@@ -369,7 +369,7 @@ class CoendResult:
     offsets: list[int]               # block offset of object k inside T
     block_dims: list[int]            # m_k = r_k * f_B
     sect: list                       # lifts carrier generators to T, sparse columns
-    rel_rows: list[list[int]]        # Howell rows of the relations in T
+    rels: list                       # Howell rows of the relations in T, sparse
 
     @functools.cached_property
     def classmap(self) -> Matrix:
@@ -377,6 +377,16 @@ class CoendResult:
         not to be changed."""
         return Matrix.from_sparse(self.coalgebra.alg.R, self.classes,
                                   self.coalgebra.carrier.rank)
+
+    @functools.cached_property
+    def rel_rows(self) -> list[list[int]]:
+        """The Howell rows of the relations, dense over T, written on first
+        read and not to be changed."""
+        out = [[0] * len(self.classes) for _ in self.rels]
+        for row, rel in zip(out, self.rels):
+            for j, a in rel:
+                row[j] = a
+        return out
 
 
 def _relation_columns(D: DiagramCategory, morphisms=None, blocks=()):
@@ -440,7 +450,7 @@ def coend_relation_rows(D: DiagramCategory, morphisms=None):
     return N, howell(D.alg.R, cols, N)
 
 
-def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult:
+def coend(D: DiagramCategory, check: bool = True) -> CoendResult:
     """The coend coalgebra of a composition-closed concrete diagram.
 
     The relations of each full block (`DiagramCategory.full_blocks`) are
@@ -461,19 +471,15 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
     relation column, which is what `howell` needs with corank f_B: a span
     with that many unit pivots is Rel_full, and no later column changes
     it.  A diagram of c components of positive rank has at most
-    N - f_B c unit pivots and is read to the end when c >= 2.  morphisms
-    optionally overrides the relation-generating family (used to test
-    generator robustness), and then every relation is streamed, no block
-    is taken; the diagram itself must still be closed.
+    N - f_B c unit pivots and is read to the end when c >= 2.
     check=False skips the final coalgebra axiom re-validation (descent of
     delta and eps onto classes is always verified).
     """
     alg = D.alg
     R, fb = alg.R, alg.fb
     D.require_closed()
-    blocks = D.full_blocks() if morphisms is None else []
-    N, offsets, dims, cols = _relation_columns(D, D.gens if morphisms is None else morphisms,
-                                               blocks)
+    blocks = D.full_blocks()
+    N, offsets, dims, cols = _relation_columns(D, D.gens, blocks)
     # the counit xi_w(v) on v (x) xi_w, at offsets[k] + v m_k + w
     eps = []
     for k, obj in enumerate(D.objects):
@@ -487,8 +493,8 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
         graph = Span(R, [{**dict(eps[j]), fb + i: 1} for i, j in enumerate(js)], fb + len(js))
         rows = graph.tail_rows(fb, sparse=True)
         kernel += [{js[i - fb]: a for i, a in row.items()} for row in reversed(rows)]
-    rel_rows = howell(R, itertools.chain(kernel, cols), N, fb if N else 0)
-    rels = [[(j, a) for j, a in enumerate(row) if a] for row in rel_rows]
+    rels = [[(j, a) for j, a in enumerate(row) if a]
+            for row in howell(R, itertools.chain(kernel, cols), N, fb if N else 0)]
     pres = presentation_with_torsion(FinModule.free(R, N), rels)
     L_car = pres.module
     if L_car.rank > MAX_L_RANK:
@@ -531,7 +537,7 @@ def coend(D: DiagramCategory, morphisms=None, check: bool = True) -> CoendResult
 
     coalg = coalgebra_check(cc, delta, counit) if check else \
         Coalgebra(cc, delta, counit)
-    return CoendResult(D, coalg, classes, offsets, dims, sect, rel_rows)
+    return CoendResult(D, coalg, classes, offsets, dims, sect, rels)
 
 
 # ---------------------------------------------------------------------------
@@ -555,14 +561,6 @@ def lift_coaction(CR: CoendResult) -> list[Comodule]:
                             for mg in range(obj.rank)) for v in range(m)]
         out.append(comodule_check(L, cm, ModuleMap(cm.factors[1].carrier, cm.module, cols)))
     return out
-
-
-def morphisms_are_comodule_maps(CR: CoendResult, lifted: list[Comodule]) -> bool:
-    """Every spanning morphism F : k -> l meets the coaction condition that
-    comodule_hom solves: rho_l F = (id (x)_B F) rho_k on the lifted fibers."""
-    D = CR.diagram
-    return not any(any(_coaction_condition(lifted[k], lifted[l])(
-        D.alg.flat_cols(row.items(), D.objects[k].rank))) for k, l, row in D.family())
 
 
 def unit_fully_faithful_check(CR: CoendResult, lifted: list[Comodule] | None = None):
@@ -658,8 +656,7 @@ def counit_from_coend(C: Coalgebra, std_comods: list[Comodule],
                                   C.bi.right, left=False) for w in range(m)]
         cols += [sparse_image(sc.rhohat_cols[v], xis[w], C.carrier)
                  for v in range(m) for w in range(m)]
-    rels = [[(j, a) for j, a in enumerate(row) if a] for row in CR.rel_rows]
-    nu_cols = descend_sparse(cols, rels, CR.sect, C.carrier, L.carrier)
+    nu_cols = descend_sparse(cols, CR.rels, CR.sect, C.carrier, L.carrier)
     nu = ModuleMap(L.carrier, C.carrier, nu_cols, validate=False)
     # coalgebra-morphism checks, each a comparison of two composites on
     # the generators of L; nu (x) nu descends for a bimodule map nu, so
@@ -1047,30 +1044,3 @@ def recognition_check(D: DiagramCategory, budget: int = DEFAULT_BUDGET) -> Recog
     v2 = cofiltered_check(D, budget)
     v3, probes = rigid_colimit_probes(D, budget)
     return RecognitionReport(v1, v2, v3, probes)
-
-
-# ---------------------------------------------------------------------------
-# standalone witness rechecks
-# ---------------------------------------------------------------------------
-
-def recheck_iso_witness(D: DiagramCategory, k: int, l: int, F: Matrix) -> bool:
-    """True iff F really is an invertible matrix in the span with no
-    two-sided inverse in the opposite span."""
-    alg = D.alg
-    if not D.hom_contains(k, l, F):
-        return False
-    if D.objects[k].rank != D.objects[l].rank or not is_invertible(F):
-        return False
-    return not _two_sided_inverse_in_span(alg, F, D.homs[(l, k)],
-                                          D.objects[k].rank, D.objects[l].rank)
-
-
-def recheck_cone_witness(D: DiagramCategory, first, second,
-                         budget: int = DEFAULT_BUDGET) -> bool:
-    """True iff every source fiber can be enumerated within budget and no
-    source (c, u) reaches both elements."""
-    alg = D.alg
-    return _some_source(D, budget, lambda c, u: all(
-        Span(alg.R, [alg.bvec_to_rvec(G.apply(u)) for G in D.homs[(c, k)]],
-             D.objects[k].rank * alg.fb).contains(alg.bvec_to_rvec(v))
-        for k, v in (first, second))) is False

@@ -57,7 +57,7 @@ from tannaka_forge.algebra import (AlgebraSpec, BModule, BBBimodule, BTensor,
                                    BForm, tensor_bimodules, triple_tensor,
                                    _btensor_core, as_b_module)
 
-from dense_tensor import dense, descend, embed, map_tensor, pure
+from dense_tensor import dense, descend, embed, from_cols, map_tensor, pure
 from descent_reference import act_by
 from smith_reference import densify
 
@@ -314,7 +314,7 @@ def unit_left_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[ModuleM
     one = alg.B.coeffs(alg.B.one)
     cols = [list(pure(data, one, M.carrier.gen(i))) for i in range(M.carrier.rank)]
     to = ModuleMap(M.carrier, data.module,
-                   Matrix.from_cols(alg.R, cols, data.module.rank))
+                   from_cols(alg.R, cols, data.module.rank))
     # b (x) m -> b . m, descended from the flat map
     flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
     for (a, j), k in data.TR.pos.items():
@@ -335,7 +335,7 @@ def unit_right_isos(alg: AlgebraSpec, data: BTensor, M: BModule) -> tuple[Module
     one = alg.B.coeffs(alg.B.one)
     cols = [list(pure(data, M.carrier.gen(i), one)) for i in range(M.carrier.rank)]
     to = ModuleMap(M.carrier, data.module,
-                   Matrix.from_cols(alg.R, cols, data.module.rank))
+                   from_cols(alg.R, cols, data.module.rank))
     flat = Matrix.zeros(alg.R, M.carrier.rank, data.TR.module.rank)
     for (i, a), k in data.TR.pos.items():
         col = act_by(alg, M.act, alg.B.pow(alg.B.x, a)).apply(M.carrier.gen(i))
@@ -380,7 +380,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
                         acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
             cols.append(t3.module.reduce(acc))
         flat = ModuleMap(left_nested.TR.module, t3.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                         from_cols(alg.R, [list(c) for c in cols],
                                           t3.module.rank), validate=False)
         return descend(left_nested, flat)
 
@@ -401,7 +401,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
                         acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
             cols.append(left_nested.module.reduce(acc))
         return ModuleMap(t3.module, left_nested.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                         from_cols(alg.R, [list(c) for c in cols],
                                           left_nested.module.rank))
 
     def nested_right_to_t3() -> ModuleMap:
@@ -419,7 +419,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
                         acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
             cols.append(t3.module.reduce(acc))
         flat = ModuleMap(right_nested.TR.module, t3.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                         from_cols(alg.R, [list(c) for c in cols],
                                           t3.module.rank), validate=False)
         return descend(right_nested, flat)
 
@@ -440,7 +440,7 @@ def assoc_isos(alg: AlgebraSpec, X: BBBimodule, Y: BBBimodule, Z: BBBimodule):
                         acc[r] = alg.R.add(acc[r], alg.R.mul(coeff, v))
             cols.append(right_nested.module.reduce(acc))
         return ModuleMap(t3.module, right_nested.module,
-                         Matrix.from_cols(alg.R, [list(c) for c in cols],
+                         from_cols(alg.R, [list(c) for c in cols],
                                           right_nested.module.rank))
 
     a = nested_left_to_t3()

@@ -29,7 +29,8 @@ and ``inverse`` is the dense inverse of a square matrix, read off the
 graph solves of ``linalg.solve_columns`` with the identity's columns as
 targets.  ``dense_kernel`` writes the sparse columns of ``linalg.kernel``
 out as a dense matrix, and ``inject`` places an element of one summand of
-a ``modules.SumData`` in the direct sum."""
+a ``modules.SumData`` in the direct sum.  ``from_cols`` builds a dense
+matrix from a list of column vectors."""
 
 from __future__ import annotations
 
@@ -39,6 +40,14 @@ from tannaka_forge.linalg import DimensionMismatch, Matrix, kernel, solve_column
 from tannaka_forge.modules import (ModuleMap, NotWellDefined, RingMismatch,
                                    descend_sparse, tensor_cols, torsion_cols)
 from tannaka_forge.algebra import descend_cols
+
+
+def from_cols(ring, cols, rows: int) -> Matrix:
+    """The matrix with columns cols, keeping the row count even when the
+    list is empty."""
+    if not cols:
+        return Matrix(ring, [[] for _ in range(rows)], rows, 0)
+    return Matrix(ring, [list(r) for r in zip(*cols)], rows, len(cols))
 
 
 @dataclass
@@ -202,7 +211,7 @@ def inverse(A: Matrix) -> Matrix:
         sols = solve_columns(A.ring, A.sparse_cols(), A.rows,
                              Matrix.identity(A.ring, A.rows).data)
         if None not in sols:
-            return Matrix.from_cols(A.ring, sols, A.rows)
+            return from_cols(A.ring, sols, A.rows)
     raise DimensionMismatch("matrix is not invertible")
 
 

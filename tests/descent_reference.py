@@ -29,7 +29,7 @@ from tannaka_forge.modules import (FinModule, ModuleMap, NotWellDefined, hom_mod
 from tannaka_forge.algebra import BModule, tensor_bim_bmodule
 from tannaka_forge.coalgebra import AxiomError, comodule_check
 
-from dense_tensor import deltahat, dense, rhohat
+from dense_tensor import deltahat, dense, from_cols, rhohat
 from hom_reference import dense_hom_equalizer
 
 
@@ -196,12 +196,12 @@ def subcomodule_as_comodule(Mc, gens):
     for _ in range(alg.fb - 1):
         acts.append(Mc.module.act @ acts[-1])
     full = [a.apply(g) for g in gens for a in acts]
-    S, incl = submodule(car, Matrix.from_cols(alg.R, full, car.rank).sparse_cols())
+    S, incl = submodule(car, from_cols(alg.R, full, car.rank).sparse_cols())
     s_elems = [incl.apply(S.gen(k)) for k in range(S.rank)]
     sols = solve_in(car, incl.cols, [Mc.module.act.apply(v) for v in s_elems])
     if None in sols:
         return None
-    act = ModuleMap(S, S, Matrix.from_cols(alg.R, [S.reduce(x) for x in sols], S.rank))
+    act = ModuleMap(S, S, from_cols(alg.R, [S.reduce(x) for x in sols], S.rank))
     cs = tensor_bim_bmodule(alg, Mc.coalgebra.bi, BModule(alg, S, act))
     flat = map_tensor(cs.TR, ModuleMap.identity(Mc.coalgebra.carrier), incl, Mc.cm.TR)
     idincl = ModuleMap(cs.module, Mc.cm.module,
@@ -209,7 +209,7 @@ def subcomodule_as_comodule(Mc, gens):
     sols = solve_in(Mc.cm.module, idincl.cols, [Mc.rho.apply(v) for v in s_elems])
     if None in sols:
         return None
-    rho = ModuleMap(S, cs.module, Matrix.from_cols(
+    rho = ModuleMap(S, cs.module, from_cols(
         alg.R, [cs.module.reduce(x) for x in sols], cs.module.rank))
     try:
         return comodule_check(Mc.coalgebra, cs, rho)
@@ -262,7 +262,7 @@ def counit_nu(C, std_comods, CR):
                for w in range(m)]
         cols += [nus[w].apply(sc.carrier.gen(v)) for v in range(m) for w in range(m)]
     T = FinModule.free(alg.R, len(cols))
-    flat = ModuleMap(T, C.carrier, Matrix.from_cols(alg.R, cols, C.carrier.rank),
+    flat = ModuleMap(T, C.carrier, from_cols(alg.R, cols, C.carrier.rank),
                      validate=False)
     return descend_map(flat, CR.rel_rows, CR.coalgebra.carrier,
                        Matrix.from_sparse(alg.R, CR.sect, T.rank))

@@ -192,7 +192,7 @@ def ref_mf_hom(X, Y):
              for i in range(lo, hi + 1)}
 
     def conditions(slot, h):
-        out = tsum.module.zero_elem()
+        out = (0,) * tsum.module.rank
         nfil = hi - lo + 1
         if slot == 0:
             d = (h @ carMX.act) - (carMY.act @ h)

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 from tannaka_forge.linalg import Matrix, _graph
 
+from dense_tensor import from_cols
+
 
 def kernel(A: Matrix) -> Matrix:
     """Columns generate {v : A v = 0} as an R-module: the graph's Howell rows
@@ -13,4 +15,4 @@ def kernel(A: Matrix) -> Matrix:
     (0, v), and they depend only on A."""
     m = A.rows
     gens = [r[m:] for r in _graph(A.ring, A.sparse_cols(), m).rows if not any(r[:m])]
-    return Matrix.from_cols(A.ring, gens, A.cols)
+    return from_cols(A.ring, gens, A.cols)

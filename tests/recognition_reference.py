@@ -58,6 +58,7 @@ from tannaka_forge.tannaka import (DEFAULT_BUDGET, DiagramCategory, Verdict,
                                    _flatten_bmat, _unflatten_bmat,
                                    _fiber_elements,
                                    _two_sided_inverse_in_span)
+from dense_tensor import from_cols
 from smith_reference import densify, smith_kernel as kernel, smith_solve as solve
 
 
@@ -67,7 +68,7 @@ def factors_uniquely(alg, srows, gens) -> bool:
     if not srows:
         return True
     R = alg.R
-    K = kernel(Matrix.from_cols(R, srows, len(srows[0])))
+    K = kernel(from_cols(R, srows, len(srows[0])))
     flat = [_flatten_bmat(alg, S) for S in gens]
     for j in range(K.cols):
         acc = [0] * len(flat[0])
@@ -548,12 +549,12 @@ def product_is_universal(D: DiagramCategory, legs: list[int], cond: Matrix,
                 conds.append(_flatten_bmat(alg, H @ block))
                 flat = _flatten_bmat(alg, H)
                 cocones.append((0,) * lo + flat + (0,) * (width - lo - len(flat)))
-        K = kernel(Matrix.from_cols(R, conds, eobj.rank * cond.cols * fb))
+        K = kernel(from_cols(R, conds, eobj.rank * cond.cols * fb))
         gens_te = D.homs[(tip, e)]
         srows = [[v for q in qs for v in _flatten_bmat(alg, S @ q)]
                  for S in gens_te]
         factored = Span(R, srows, width)
-        G = Matrix.from_cols(R, cocones, width) @ K
+        G = from_cols(R, cocones, width) @ K
         if not all(factored.contains(G.col(j)) for j in range(G.cols)):
             return False
         if not factors_uniquely(alg, srows, gens_te):
@@ -601,8 +602,8 @@ def cocones(D: DiagramCategory, legs: list[int], cond: Matrix) -> list[Span]:
                 conds.append(_flatten_bmat(alg, H @ block))
                 flat = _flatten_bmat(alg, H)
                 gens.append((0,) * lo + flat + (0,) * (width - lo - len(flat)))
-        K = kernel(Matrix.from_cols(R, conds, eobj.rank * cond.cols * fb))
-        G = Matrix.from_cols(R, gens, width) @ K
+        K = kernel(from_cols(R, conds, eobj.rank * cond.cols * fb))
+        G = from_cols(R, gens, width) @ K
         out.append(Span(R, [G.col(j) for j in range(G.cols)], width))
     return out
 

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 from tannaka_forge.linalg import DimensionMismatch, Matrix, SmithForm
 
+from dense_tensor import from_cols
+
 
 @dataclass(frozen=True)
 class ReferenceSmith:
@@ -47,7 +49,7 @@ def densify(ring, form):
         rows_as_cols = Matrix.from_sparse(ring, form.u_inv, side)
         return dataclasses.replace(
             form, U=Matrix.from_sparse(ring, form.U, side),
-            u_inv=Matrix.from_cols(ring, rows_as_cols.data, side))
+            u_inv=from_cols(ring, rows_as_cols.data, side))
     return dataclasses.replace(
         form, proj=Matrix.from_sparse(ring, form.proj, form.module.rank),
         sect=Matrix.from_sparse(ring, form.sect, len(form.proj)))
@@ -177,7 +179,7 @@ def smith_kernel(A: Matrix) -> Matrix:
             gens.append([ring.mul(c, e) for e in sf.v_inv.col(i)])
     for j in range(m, A.cols):
         gens.append(sf.v_inv.col(j))
-    return Matrix.from_cols(ring, gens, A.cols)
+    return from_cols(ring, gens, A.cols)
 
 
 def smith_solve_columns(A: Matrix, targets) -> list[list[int] | None]:

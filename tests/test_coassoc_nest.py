@@ -26,7 +26,7 @@ from tannaka_forge.tannaka import coend, hom_closure, lift_coaction
 
 from coassoc_reference import (dense_coassoc_witness, flat_triple_tensor,
                                quotient_triple_tensor)
-from dense_tensor import deltahat, pure, rhohat
+from dense_tensor import deltahat, from_cols, pure, rhohat
 from test_coassoc import (_b_grouplike, _counit_kernel, _not_coassociative,
                           _perturbed_delta, _perturbed_rho)
 
@@ -59,7 +59,7 @@ def _not_b_linear(C):
     cc, car = C.cc, C.carrier
     cols = [list(C.delta.apply(car.gen(i))) for i in range(car.rank)]
     cols[0] = list(cc.module.add(cols[0], pure(cc, car.gen(0), car.gen(car.rank - 1))))
-    return ModuleMap(car, cc.module, Matrix.from_cols(C.alg.R, cols, cc.module.rank))
+    return ModuleMap(car, cc.module, from_cols(C.alg.R, cols, cc.module.rank))
 
 
 class _Comparison:

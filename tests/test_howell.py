@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tannaka_forge import algebra, linalg, modules, tannaka, textio
+from tannaka_forge import algebra, linalg, tannaka, textio
 from tannaka_forge.algebra import AlgebraSpec
 from tannaka_forge.linalg import Matrix, Span, howell
 from tannaka_forge.rings import ring_make
@@ -204,7 +204,7 @@ def _howell_calls(monkeypatch, closure, draws):
         return orig(*args)
 
     orig = linalg.howell
-    for mod in (linalg, tannaka, modules):
+    for mod in (linalg, tannaka):
         monkeypatch.setattr(mod, "howell", counted)
     for D in draws:
         coend(closure(D), check=False)

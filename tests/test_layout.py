@@ -1,6 +1,7 @@
-"""The package holds only what a command runs: every top-level function and
-class in src/tannaka_forge, and every method of those classes, is reached
-from cli.main by following the names the reached definitions mention."""
+"""The package holds only what a command or the benchmark runs: every
+top-level function and class in src/tannaka_forge, and every method of
+those classes, is reached from cli.main or from a name the benchmark
+reads, by following the names the reached definitions mention."""
 
 import ast
 from pathlib import Path
@@ -9,11 +10,19 @@ import tannaka_forge
 
 SRC = Path(tannaka_forge.__file__).resolve().parent
 
-# Reached only from bench/: bench/tracer.py wraps linalg.solve by name, so a
-# traced bench run fails without it, and bench/workloads.py writes its
-# inputs with the two formatters.
-EXEMPT = {"linalg.solve", "textio.format_diagram",
-          "textio.format_reconstruct_input"}
+# Read only by bench/ (tests/test_bench_names.py checks that they resolve):
+# bench/tracer.py wraps linalg.solve by name, so a traced bench run fails
+# without it; bench/workloads.py writes its inputs with the two formatters,
+# cofree and the suite's trivial coalgebra, and its oracle reads
+# coend_relation_rows and the class map; bench/recognize_budget.py draws
+# its diagrams with random_diagram.
+BENCH_ROOTS = ["linalg.solve", "textio.format_diagram", "textio.format_reconstruct_input",
+               "coalgebra.cofree", "suite.trivial_coalgebra", "suite.random_diagram",
+               "tannaka.coend_relation_rows", "tannaka.CoendResult.classmap"]
+
+# Read only by tests: the dense form of the coend's sparse relation rows,
+# written on first read, which they compare with coend_relation_rows.
+EXEMPT = {"tannaka.CoendResult.rel_rows"}
 
 
 def _special(node) -> bool:
@@ -49,13 +58,13 @@ def _nodes(node):
             yield from ast.walk(part)
 
 
-def _reached(defs, root):
-    """The definitions reachable from root; a Name or Attribute mentioning
+def _reached(defs, roots):
+    """The definitions reachable from roots; a Name or Attribute mentioning
     a name reaches every definition of that name."""
     by_name = {}
     for key in defs:
         by_name.setdefault(key.rsplit(".", 1)[1], []).append(key)
-    seen, todo = {root}, [root]
+    seen, todo = set(roots), list(roots)
     while todo:
         for node in _nodes(defs[todo.pop()]):
             if isinstance(node, ast.Name):
@@ -73,6 +82,7 @@ def _reached(defs, root):
 
 def test_every_definition_is_reached_from_the_cli():
     defs = _definitions()
-    unreached = sorted(set(defs) - _reached(defs, "cli.main") - EXEMPT)
-    assert not unreached, "not reached from cli.main: " + ", ".join(unreached)
+    assert set(BENCH_ROOTS) | EXEMPT <= defs.keys()
+    unreached = sorted(set(defs) - _reached(defs, ["cli.main"] + BENCH_ROOTS) - EXEMPT)
+    assert not unreached, "not reached from cli.main or bench/: " + ", ".join(unreached)
 

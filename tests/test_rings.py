@@ -123,8 +123,8 @@ def test_frobenius_examples(F4, GR42):
     assert GR42.frobenius(sx) == GR42.x
 
 
-def test_frobenius_is_ring_automorphism(F4, GR42):
-    for R in (F4, GR42, ring_make(3, 1, 2)):
+def test_frobenius_is_ring_automorphism(Z8, F4, GR42):
+    for R in (Z8, F4, GR42, ring_make(3, 1, 2)):
         els = list(R.elements())
         for a in els:
             # sigma(a) = a^p mod p

@@ -16,7 +16,7 @@ from tannaka_forge.rings import ring_make
 from tannaka_forge.linalg import Matrix, Span, solve_columns
 from tannaka_forge.modules import (FinModule, ModuleMap, module_from_presentation,
                                    syzygies, submodule, solve_in,
-                                   map_kernel, factor_through, sub_canonical)
+                                   map_kernel, factor_through)
 from tannaka_forge.algebra import AlgebraSpec, free_bmodule
 from tannaka_forge.coalgebra import cofree
 from tannaka_forge.tannaka import (coend, coend_relation_rows, counit_map, hom_closure,
@@ -27,8 +27,9 @@ from tannaka_forge.suite import (comatrix_coalgebra, comatrix_standard_comodule,
                                  grouplike_coalgebra, grouplike_line,
                                  grouplike_diagram, comatrix_diagram,
                                  trivial_coalgebra)
+from oracle_reference import sub_canonical
 from smith_reference import densify, smith_kernel, smith_solve as ref_solve
-from dense_tensor import dense_kernel, torsion_matrix
+from dense_tensor import dense_kernel, from_cols, torsion_matrix
 
 RINGS = [(2, 1, 1), (2, 3, 1), (2, 2, 2)]    # F2, Z/8, GR(4,2)
 
@@ -230,7 +231,7 @@ def ref_section_of_projection(proj, module):
     aug = proj.hstack(torsion_matrix(module))
     cols = [ref_solve(aug, list(module.gen(k)))[:proj.cols]
             for k in range(module.rank)]
-    return Matrix.from_cols(proj.ring, cols, proj.cols)
+    return from_cols(proj.ring, cols, proj.cols)
 
 
 def _counit_fixtures():

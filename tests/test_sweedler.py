@@ -12,7 +12,6 @@ import tracemalloc
 from tannaka_forge import textio
 from tannaka_forge.algebra import AlgebraSpec, free_bmodule
 from tannaka_forge.coalgebra import _coassoc_witness, cofree
-from tannaka_forge.linalg import Matrix
 from tannaka_forge.modules import ModuleMap
 from tannaka_forge.suite import (comatrix_coalgebra, comatrix_diagram,
                                  comatrix_standard_comodule, grouplike_coalgebra,
@@ -21,6 +20,7 @@ from tannaka_forge.suite import (comatrix_coalgebra, comatrix_diagram,
 from tannaka_forge.tannaka import coend, hom_closure, lift_coaction
 
 from coassoc_reference import dense_coassoc_witness, flat_triple_tensor
+from dense_tensor import from_cols
 
 FIELD_ALGS = [(2, 1, 1), (3, 1, 1), (2, 2, 1)]          # F2, F3, Z/4
 
@@ -54,7 +54,7 @@ def _bumped(rng, phi, g):
     bump = [R.mul(b, R.p_elem(max(0, e - src.exps[g])))
             for b, e in zip(bump, dst.exps)]
     cols[g] = list(dst.add(cols[g], dst.reduce(bump)))
-    return ModuleMap(src, dst, Matrix.from_cols(R, cols, dst.rank))
+    return ModuleMap(src, dst, from_cols(R, cols, dst.rank))
 
 
 def _both(cc, deltahat, src, hat, zact):
